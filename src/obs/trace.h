@@ -7,16 +7,18 @@
 //   engine_scan scoring work: tile dot-products (exact) or IVF probes
 //   topk_select per-tile heap selection of the running top-k
 //   fanout      router scatter: per-shard hops, issued concurrently
-//   merge       router gather: k-way merge + reformat of shard answers
+//   merge       router gather: k-way merge of shard rankings, pair reassembly
 //   encode      response strings -> wire bytes
 //
-// Unsharded servers fill scan/select and leave fanout/merge at zero; a
-// routing front-end does the reverse (its shards fill scan/select on their
-// side). The trace itself is plain data owned by one session — it is NOT
-// thread-safe; cross-thread accumulation happens in EngineCallStats
+// Each executor stamps only the stages it runs: an engine (LocalShard)
+// scan/select, a routing front fanout/merge — the router stamps each local
+// shard hop's scan/select on a per-hop trace of its own, since hops run
+// concurrently. stamped() tells a stage that ran in 0 µs from one that
+// never ran. The trace itself is plain data owned by one session — it is
+// NOT thread-safe; cross-thread accumulation happens in EngineCallStats
 // (query_engine.h) and is folded in by the owner.
 //
-// Two consumers: PaneServer records each stage into the registry's
+// Two consumers: PaneServer records each stamped stage into the registry's
 // pane_stage_* histograms, and --slow-query-us logs FormatBreakdown() for
 // batches over the threshold.
 #pragma once
@@ -48,13 +50,22 @@ class RequestTrace {
  public:
   void Add(Stage stage, int64_t us) {
     us_[static_cast<size_t>(stage)] += us;
+    stamped_ |= 1u << static_cast<int>(stage);
   }
 
   int64_t us(Stage stage) const { return us_[static_cast<size_t>(stage)]; }
 
+  /// Whether Add touched `stage` since the last Reset.
+  bool stamped(Stage stage) const {
+    return (stamped_ >> static_cast<int>(stage)) & 1u;
+  }
+
   int64_t total_us() const;
 
-  void Reset() { us_.fill(0); }
+  void Reset() {
+    us_.fill(0);
+    stamped_ = 0;
+  }
 
   /// One space-separated token per stage, in pipeline order:
   /// "decode_us=12 batch_wait_us=3 engine_scan_us=840 ...".
@@ -62,6 +73,7 @@ class RequestTrace {
 
  private:
   std::array<int64_t, kNumStages> us_{};
+  uint32_t stamped_ = 0;
 };
 
 }  // namespace obs

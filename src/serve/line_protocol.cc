@@ -28,6 +28,18 @@ void AppendScore(std::string* out, double score) {
   out->append(buf);
 }
 
+/// strtod over one score token. %.17g never prints 48 characters, so a
+/// longer token is garbage, not a score.
+bool ParseScore(std::string_view token, double* out) {
+  char buf[48];  // strtod needs NUL termination
+  if (token.empty() || token.size() >= sizeof(buf)) return false;
+  std::memcpy(buf, token.data(), token.size());
+  buf[token.size()] = '\0';
+  char* end = nullptr;
+  *out = std::strtod(buf, &end);
+  return end == buf + token.size();
+}
+
 }  // namespace
 
 Result<Request> ParseRequestLine(std::string_view line) {
@@ -133,55 +145,67 @@ std::string FormatRequest(const Request& request) {
   return "stats";
 }
 
-Status ParseRankingResponse(std::string_view line, Request::Type expected,
-                            int64_t expected_node, Ranking* ranking) {
-  const std::vector<std::string_view> tokens = SplitWhitespace(line);
-  if (tokens.size() >= 1 && tokens[0] == "err") {
-    return Status::IOError("shard answered: " + std::string(line));
+namespace {
+
+/// A shard reply must answer its own request: it starts with `head` (the
+/// verb, ids and "ok" of that request's answer), returned stripped. An
+/// "err" payload passes through as the error.
+Status StripReplyHead(std::string_view* line, const std::string& head) {
+  if (line->substr(0, 3) == "err") {
+    return Status::IOError("shard answered: " + std::string(*line));
   }
-  const std::string_view verb =
-      expected == Request::Type::kTopKAttributes ? "attr" : "link";
-  if (tokens.size() < 3 || tokens[0] != verb || tokens[2] != "ok") {
-    return Status::InvalidArgument("malformed top-k response: " +
-                                   std::string(line));
+  if (line->substr(0, head.size()) != head) {
+    return Status::InvalidArgument("reply does not start '" + head +
+                                   "': " + std::string(*line));
   }
-  int64_t node = 0;
-  if (!ParseId(tokens[1], &node) || node != expected_node) {
-    return Status::InvalidArgument("top-k response for the wrong query: " +
-                                   std::string(line));
+  line->remove_prefix(head.size());
+  return Status::OK();
+}
+
+}  // namespace
+
+Status ParseRankingResponse(std::string_view line, const Request& request,
+                            int64_t id_begin, int64_t id_end,
+                            Ranking* ranking) {
+  PANE_RETURN_NOT_OK(StripReplyHead(&line, FormatRanking(request, {})));
+  if (!line.empty() && line[0] != ' ') {
+    return Status::InvalidArgument("malformed top-k response");
+  }
+  const std::vector<std::string_view> entries = SplitWhitespace(line);
+  if (static_cast<int64_t>(entries.size()) > request.k) {
+    return Status::InvalidArgument("more than k ranking entries");
   }
   ranking->clear();
-  ranking->reserve(tokens.size() - 3);
-  for (size_t i = 3; i < tokens.size(); ++i) {
-    const std::string_view entry = tokens[i];
+  for (const std::string_view entry : entries) {
     const size_t colon = entry.find(':');
-    if (colon == std::string_view::npos || colon == 0 ||
-        colon + 1 >= entry.size()) {
+    std::pair<int64_t, double> item;
+    if (colon == std::string_view::npos ||
+        !ParseId(entry.substr(0, colon), &item.first) ||
+        !ParseScore(entry.substr(colon + 1), &item.second)) {
       return Status::InvalidArgument("malformed ranking entry: " +
                                      std::string(entry));
     }
-    int64_t index = 0;
-    if (!ParseId(entry.substr(0, colon), &index)) {
-      return Status::InvalidArgument("non-numeric ranking index: " +
+    if (item.first < id_begin || item.first >= id_end) {
+      return Status::InvalidArgument("ranking id outside the shard range: " +
                                      std::string(entry));
     }
-    // The score substring needs NUL termination for strtod; entries are
-    // short, so a stack copy beats materializing the whole line.
-    char buf[48];
-    const std::string_view score_text = entry.substr(colon + 1);
-    if (score_text.size() >= sizeof(buf)) {
-      return Status::InvalidArgument("implausible score length in: " +
+    // MergeTopK needs strict RankBetter order, which also rules out a
+    // repeated id.
+    if (!ranking->empty() && !RankBetter(ranking->back(), item)) {
+      return Status::InvalidArgument("ranking out of order at: " +
                                      std::string(entry));
     }
-    std::memcpy(buf, score_text.data(), score_text.size());
-    buf[score_text.size()] = '\0';
-    char* end = nullptr;
-    const double score = std::strtod(buf, &end);
-    if (end != buf + score_text.size()) {
-      return Status::InvalidArgument("non-numeric score: " +
-                                     std::string(entry));
-    }
-    ranking->emplace_back(index, score);
+    ranking->push_back(item);
+  }
+  return Status::OK();
+}
+
+Status ParseScoreResponse(std::string_view line, const Request& request,
+                          double* score) {
+  PANE_RETURN_NOT_OK(StripReplyHead(&line, FormatRequest(request) + " ok "));
+  if (!ParseScore(line, score)) {
+    return Status::InvalidArgument("malformed pair score: " +
+                                   std::string(line));
   }
   return Status::OK();
 }

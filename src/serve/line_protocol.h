@@ -69,17 +69,26 @@ std::string FormatRanking(const Request& request, const Ranking& ranking);
 std::string FormatScore(const Request& request, double score);
 std::string FormatError(const std::string& message);
 
-/// The canonical request line for `request` — what the router sends on a
-/// shard hop. ParseRequestLine(FormatRequest(r)) == r for every type.
+/// The canonical request line for `request` — what a remote shard hop
+/// sends. ParseRequestLine(FormatRequest(r)) == r for every type.
 std::string FormatRequest(const Request& request);
 
-/// Parses a top-k response line ("attr <node> ok <idx>:<score> ..." or the
-/// "link" form) back into its ranking — the router's merge input. Scores
-/// parse with strtod, which round-trips the %.17g formatting exactly, so a
-/// parse → merge → reformat cycle is byte-stable. An "err ..." payload or
-/// any malformed line is an error Status, never a partial ranking.
-Status ParseRankingResponse(std::string_view line, Request::Type expected,
-                            int64_t expected_node, Ranking* ranking);
+/// Parses a remote shard's top-k reply to `request` ("attr <node> ok
+/// <idx>:<score> ..." or the "link" form) into its ranking. Scores parse
+/// with strtod, which round-trips the %.17g formatting exactly. The reply
+/// is outside input, so it must also be a ranking MergeTopK can trust: at
+/// most request.k entries, every id in [id_begin, id_end) (the shard's
+/// held range for the family), in strict (score desc, index asc) order.
+/// An "err ..." payload or any violation is an error Status, never a
+/// partial ranking.
+Status ParseRankingResponse(std::string_view line, const Request& request,
+                            int64_t id_begin, int64_t id_end,
+                            Ranking* ranking);
+
+/// Parses a remote shard's pair reply to `request` ("pattr <a> <b> ok
+/// <score>" or the "pair" form); anything else is an error Status.
+Status ParseScoreResponse(std::string_view line, const Request& request,
+                          double* score);
 
 /// The newline-delimited wire format as a ProtocolCodec: one payload per
 /// '\n'-terminated line (the '\n' is framing, not payload — responses get

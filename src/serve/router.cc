@@ -14,44 +14,101 @@ namespace pane {
 namespace serve {
 namespace {
 
-/// The one degradation payload: every query touched by an unreachable
-/// shard answers this, never a top-k silently merged from a subset.
-const char kShardUnavailable[] = "err shard unavailable";
+/// Plan position 0/1 owning the full candidate space: what an unsharded
+/// engine, or a router fronting a whole fleet, reports.
+ShardSpec WholeSpace(int64_t n, int64_t d, int64_t dim, bool attributes,
+                     bool links) {
+  ShardSpec spec;
+  spec.num_nodes = n;
+  spec.num_attributes = d;
+  spec.node_end = n;
+  spec.attr_end = d;
+  spec.dim = dim;
+  spec.has_attributes = attributes;
+  spec.has_links = links;
+  return spec;
+}
 
-ServerOptions ShardServerOptions(const ServerOptions& options) {
-  ServerOptions shard = options;
-  shard.cache_capacity = 0;  // the router's cache is the only cache
-  shard.slow_query_us = 0;   // only the fronting server logs slow queries
-  return shard;
+/// A hop's status, demoted to an error when the shard answered fewer
+/// results than it was asked for.
+Status Answered(const Status& status, size_t got, size_t want) {
+  if (status.ok() && got != want) {
+    return Status::IOError("shard answered a short batch");
+  }
+  return status;
 }
 
 }  // namespace
 
 // ---- LocalShard ----------------------------------------------------------
 
-LocalShard::LocalShard(const QueryEngine* engine,
-                       const ServerOptions& options, int shard_index)
-    : server_(engine, ShardServerOptions(options)),
-      name_("local:" + std::to_string(shard_index)) {}
+LocalShard::LocalShard(const QueryEngine* engine, const ServerOptions& options)
+    : engine_(engine),
+      pruned_(options.pruned),
+      nprobe_(options.nprobe),
+      exclude_(options.exclude) {
+  PANE_CHECK(engine_ != nullptr);
+  // A shard whose local candidate slice is empty legitimately has no
+  // index — it answers pruned queries with empty rankings.
+  PANE_CHECK(!pruned_ || engine_->has_pruned_index() || engine_->sharded())
+      << "pruned serving mode needs BuildPrunedIndex on the engine";
+}
 
-Status LocalShard::Execute(const std::vector<std::string>& requests,
-                           std::vector<std::string>* responses) {
-  std::vector<PaneServer::BatchEntry> batch;
-  batch.reserve(requests.size());
-  for (const std::string& payload : requests) {
-    PaneServer::BatchEntry entry;
-    const auto parsed = ParseRequestLine(payload);
-    if (parsed.ok()) {
-      entry.request = *parsed;
-    } else {
-      entry.parse_error = true;
-      entry.error = parsed.status().message();
-    }
-    batch.push_back(std::move(entry));
+Result<ShardSpec> LocalShard::Plan() {
+  if (engine_->sharded()) return engine_->shard();
+  return WholeSpace(engine_->num_nodes(), engine_->num_attributes(),
+                    engine_->dim(), engine_->supports_attributes(),
+                    engine_->supports_links());
+}
+
+Status LocalShard::TopK(Request::Type family,
+                        const std::vector<TopKQuery>& queries,
+                        std::vector<Ranking>* rankings,
+                        obs::RequestTrace* trace) {
+  EngineCallStats call_stats;
+  EngineCallStats* stats = trace != nullptr ? &call_stats : nullptr;
+  const bool attributes = family == Request::Type::kTopKAttributes;
+  if (pruned_) {
+    *rankings = attributes ? engine_->TopKAttributesPruned(queries, nprobe_,
+                                                           exclude_, stats)
+                           : engine_->TopKTargetsPruned(queries, nprobe_,
+                                                        exclude_, stats);
+  } else {
+    *rankings = attributes ? engine_->TopKAttributes(queries, exclude_, stats)
+                           : engine_->TopKTargets(queries, exclude_, stats);
   }
-  bool quit = false;
-  server_.ExecuteBatch(&batch, responses, &quit);
+  if (trace != nullptr) {
+    trace->Add(obs::Stage::kScan, call_stats.scan_ns.load() / 1000);
+    trace->Add(obs::Stage::kSelect, call_stats.select_ns.load() / 1000);
+  }
   return Status::OK();
+}
+
+Status LocalShard::Scores(Request::Type family, const PairList& pairs,
+                          std::vector<std::optional<double>>* scores,
+                          obs::RequestTrace* trace) {
+  const int64_t start_ns = trace != nullptr ? MonotonicNanos() : 0;
+  const std::vector<double> values =
+      family == Request::Type::kAttributePair
+          ? engine_->AttributeScores(pairs)
+          : engine_->LinkScores(pairs);
+  // Pair scoring has no tile/select split — its wall time counts as scan,
+  // the stage it is.
+  if (trace != nullptr) {
+    trace->Add(obs::Stage::kScan, (MonotonicNanos() - start_ns) / 1000);
+  }
+  scores->assign(values.begin(), values.end());
+  return Status::OK();
+}
+
+std::string LocalShard::describe() const {
+  return "local:" +
+         std::to_string(engine_->sharded() ? engine_->shard().shard_index : 0);
+}
+
+std::string LocalShard::StatsSuffix() const {
+  return pruned_ ? " mode=pruned nprobe=" + std::to_string(nprobe_)
+                 : std::string(" mode=exact");
 }
 
 // ---- RemoteShard ---------------------------------------------------------
@@ -77,14 +134,14 @@ Status RemoteShard::EnsureConnected(int64_t deadline_ms) {
   return status;
 }
 
-Status RemoteShard::Execute(const std::vector<std::string>& requests,
-                            std::vector<std::string>* responses) {
+Status RemoteShard::RoundTrip(const std::vector<Request>& requests,
+                              std::vector<std::string>* replies) {
   const int64_t deadline_ms = ShardConnection::NowMs() + hop_timeout_ms_;
   PANE_RETURN_NOT_OK(EnsureConnected(deadline_ms));
 
   std::string wire;
-  for (const std::string& payload : requests) {
-    AppendFrame(payload, &wire);
+  for (const Request& request : requests) {
+    AppendFrame(FormatRequest(request), &wire);
   }
   Status status = conn_.SendAll(wire, deadline_ms);
   if (!status.ok()) {
@@ -95,15 +152,15 @@ Status RemoteShard::Execute(const std::vector<std::string>& requests,
   FrameCodec codec(max_frame_payload_);
   std::string buffer;
   size_t pos = 0;
-  responses->clear();
-  responses->reserve(requests.size());
-  while (responses->size() < requests.size()) {
+  replies->clear();
+  replies->reserve(requests.size());
+  while (replies->size() < requests.size()) {
     std::string_view payload;
     std::string error;
     const ProtocolCodec::Decoded decoded =
         codec.Decode(buffer, &pos, &payload, &error);
     if (decoded == ProtocolCodec::Decoded::kMessage) {
-      responses->emplace_back(payload);
+      replies->emplace_back(payload);
       continue;
     }
     if (decoded == ProtocolCodec::Decoded::kNeedMore) {
@@ -116,6 +173,50 @@ Status RemoteShard::Execute(const std::vector<std::string>& requests,
     }
     conn_.Close();
     return Status::IOError("bad frame from shard " + address_ + ": " + error);
+  }
+  return Status::OK();
+}
+
+Result<ShardSpec> RemoteShard::Plan() {
+  std::vector<std::string> replies;
+  PANE_RETURN_NOT_OK(RoundTrip({{Request::Type::kPlan}}, &replies));
+  PANE_ASSIGN_OR_RETURN(spec_, ParsePlanResponse(replies[0]));
+  return spec_;
+}
+
+Status RemoteShard::TopK(Request::Type family,
+                         const std::vector<TopKQuery>& queries,
+                         std::vector<Ranking>* rankings,
+                         obs::RequestTrace* /*trace*/) {
+  std::vector<Request> requests;
+  for (const TopKQuery& q : queries) {
+    requests.push_back({family, q.node, 0, q.k});
+  }
+  std::vector<std::string> replies;
+  PANE_RETURN_NOT_OK(RoundTrip(requests, &replies));
+  const bool attributes = family == Request::Type::kTopKAttributes;
+  const int64_t begin = attributes ? spec_.attr_begin : spec_.node_begin;
+  const int64_t end = attributes ? spec_.attr_end : spec_.node_end;
+  rankings->resize(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    PANE_RETURN_NOT_OK(ParseRankingResponse(replies[i], requests[i], begin,
+                                            end, &(*rankings)[i]));
+  }
+  return Status::OK();
+}
+
+Status RemoteShard::Scores(Request::Type family, const PairList& pairs,
+                           std::vector<std::optional<double>>* scores,
+                           obs::RequestTrace* /*trace*/) {
+  std::vector<Request> requests;
+  for (const auto& [a, b] : pairs) requests.push_back({family, a, b, 0});
+  std::vector<std::string> replies;
+  PANE_RETURN_NOT_OK(RoundTrip(requests, &replies));
+  scores->assign(pairs.size(), std::nullopt);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    double score = 0.0;
+    PANE_RETURN_NOT_OK(ParseScoreResponse(replies[i], requests[i], &score));
+    (*scores)[i] = score;
   }
   return Status::OK();
 }
@@ -142,21 +243,19 @@ Result<Router> Router::Create(
       router.health_[i].latency = router.owned_latency_.back().get();
     }
   }
+  if (options.metrics != nullptr) {
+    router.hop_scan_us_ =
+        options.metrics->GetHistogram("pane_stage_engine_scan_us");
+    router.hop_select_us_ =
+        options.metrics->GetHistogram("pane_stage_topk_select_us");
+  }
 
   // Plan handshake: every backend reports its spec; together they must
   // tile one consistent plan. Sequential — startup, not the hot path.
   std::vector<ShardSpec> specs;
   specs.reserve(router.shards_.size());
-  const std::vector<std::string> plan_request = {"plan"};
-  for (size_t i = 0; i < router.shards_.size(); ++i) {
-    std::vector<std::string> replies;
-    PANE_RETURN_NOT_OK(router.shards_[i]->Execute(plan_request, &replies));
-    if (replies.size() != 1) {
-      return Status::IOError("shard " + router.shards_[i]->describe() +
-                             " answered " + std::to_string(replies.size()) +
-                             " payloads to `plan`");
-    }
-    PANE_ASSIGN_OR_RETURN(ShardSpec spec, ParsePlanResponse(replies[0]));
+  for (const auto& shard : router.shards_) {
+    PANE_ASSIGN_OR_RETURN(ShardSpec spec, shard->Plan());
     specs.push_back(std::move(spec));
   }
   PANE_RETURN_NOT_OK(ValidateShardSpecs(specs, &router.plan_));
@@ -165,27 +264,44 @@ Result<Router> Router::Create(
   return router;
 }
 
-Status Router::CallShard(size_t shard,
-                         const std::vector<std::string>& requests,
-                         std::vector<std::string>* responses) {
+Result<ShardSpec> Router::Plan() {
+  const ShardSpec& first = plan_.shards[0];
+  return WholeSpace(plan_.num_nodes, plan_.num_attributes, first.dim,
+                    first.has_attributes, first.has_links);
+}
+
+Status Router::CallShard(
+    size_t shard, size_t count,
+    const std::function<Status(obs::RequestTrace*)>& hop) {
+  obs::RequestTrace hop_trace;
   const int64_t start_us = MonotonicMicros();
-  const Status status = shards_[shard]->Execute(requests, responses);
+  const Status status = hop(options_.metrics != nullptr ? &hop_trace : nullptr);
   const int64_t elapsed_us = MonotonicMicros() - start_us;
+  if (status.ok() && hop_trace.stamped(obs::Stage::kScan)) {
+    hop_scan_us_->Record(hop_trace.us(obs::Stage::kScan));
+  }
+  if (status.ok() && hop_trace.stamped(obs::Stage::kSelect)) {
+    hop_select_us_->Record(hop_trace.us(obs::Stage::kSelect));
+  }
   MutexLock lock(health_mutex_.get());
   ShardHealth& h = health_[shard];
-  h.requests += requests.size();
+  h.requests += count;
   if (status.ok()) {
     h.alive = true;
     h.last_alive_ms = ShardConnection::NowMs();
     h.latency->Record(elapsed_us);
   } else {
     h.alive = false;
-    h.errors += requests.size();
+    h.errors += count;
+    PANE_LOG(WARNING) << "shard " << shards_[shard]->describe()
+                      << " unavailable: " << status.message();
   }
   return status;
 }
 
-void Router::ForEachShard(const std::function<void(size_t)>& fn) {
+int64_t Router::FanOut(obs::RequestTrace* trace,
+                       const std::function<void(size_t)>& fn) {
+  const int64_t start_us = trace != nullptr ? MonotonicMicros() : 0;
   const int64_t count = static_cast<int64_t>(shards_.size());
   if (options_.pool != nullptr && options_.pool->num_threads() > 1 &&
       count > 1) {
@@ -197,74 +313,41 @@ void Router::ForEachShard(const std::function<void(size_t)>& fn) {
   } else {
     for (int64_t s = 0; s < count; ++s) fn(static_cast<size_t>(s));
   }
+  if (trace == nullptr) return 0;
+  const int64_t end_us = MonotonicMicros();
+  trace->Add(obs::Stage::kFanout, end_us - start_us);
+  return end_us;
 }
 
-std::vector<std::string> Router::MergeTopKFamily(
-    const std::vector<Request>& requests, Request::Type type,
-    obs::RequestTrace* trace) {
-  std::vector<std::string> out(requests.size());
-  if (requests.empty()) return out;
-  std::vector<std::string> payloads;
-  payloads.reserve(requests.size());
-  for (const Request& r : requests) payloads.push_back(FormatRequest(r));
-
+Status Router::TopK(Request::Type family,
+                    const std::vector<TopKQuery>& queries,
+                    std::vector<Ranking>* rankings,
+                    obs::RequestTrace* trace) {
   const size_t num_shards = shards_.size();
-  std::vector<std::vector<std::string>> replies(num_shards);
+  // per_shard[s][i]: shard s's sorted ranking for query i.
+  std::vector<std::vector<Ranking>> per_shard(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  // rankings[i][s]: request i's already-sorted ranking from shard s. A
-  // shard reply that fails to parse demotes the shard to unavailable —
-  // merging a garbled ranking would break the bitwise guarantee. Parsing
-  // runs inside the fan-out (each task touches only its own column s), so
-  // the serial tail is just the merge + reformat below.
-  std::vector<std::vector<Ranking>> rankings(
-      requests.size(), std::vector<Ranking>(num_shards));
-  const int64_t fanout_start_us =
-      trace != nullptr ? MonotonicMicros() : 0;
-  ForEachShard([&](size_t s) {
-    statuses[s] = CallShard(s, payloads, &replies[s]);
-    if (!statuses[s].ok()) return;
-    if (replies[s].size() != requests.size()) {
-      statuses[s] = Status::IOError("shard answered a short batch");
-      return;
-    }
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const Status parsed = ParseRankingResponse(
-          replies[s][i], type, requests[i].a, &rankings[i][s]);
-      if (!parsed.ok()) {
-        statuses[s] = parsed;
-        return;
-      }
-    }
+  const int64_t merge_start_us = FanOut(trace, [&](size_t s) {
+    statuses[s] = CallShard(s, queries.size(), [&](obs::RequestTrace* t) {
+      Status status = shards_[s]->TopK(family, queries, &per_shard[s], t);
+      return Answered(status, per_shard[s].size(), queries.size());
+    });
   });
-  const int64_t merge_start_us = trace != nullptr ? MonotonicMicros() : 0;
-  if (trace != nullptr) {
-    trace->Add(obs::Stage::kFanout, merge_start_us - fanout_start_us);
+  for (const Status& status : statuses) {
+    if (!status.ok()) return Status::IOError(kShardUnavailable);
   }
-  for (size_t s = 0; s < num_shards; ++s) {
-    if (statuses[s].ok()) continue;
-    PANE_LOG(WARNING) << "shard " << shards_[s]->describe()
-                      << " unavailable: " << statuses[s].message();
-    for (std::string& response : out) response = kShardUnavailable;
-    return out;
-  }
-  for (size_t i = 0; i < requests.size(); ++i) {
-    out[i] = FormatRanking(requests[i],
-                           MergeTopK(rankings[i], requests[i].k));
+  rankings->resize(queries.size());
+  std::vector<Ranking> lists(num_shards);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    for (size_t s = 0; s < num_shards; ++s) {
+      lists[s] = std::move(per_shard[s][i]);
+    }
+    (*rankings)[i] = MergeTopK(lists, queries[i].k);
   }
   if (trace != nullptr) {
     trace->Add(obs::Stage::kMerge, MonotonicMicros() - merge_start_us);
   }
-  return out;
-}
-
-std::vector<std::string> Router::TopKAttributes(
-    const std::vector<Request>& requests, obs::RequestTrace* trace) {
-  return MergeTopKFamily(requests, Request::Type::kTopKAttributes, trace);
-}
-
-std::vector<std::string> Router::TopKTargets(
-    const std::vector<Request>& requests, obs::RequestTrace* trace) {
-  return MergeTopKFamily(requests, Request::Type::kTopKTargets, trace);
+  return Status::OK();
 }
 
 size_t Router::OwnerShard(int64_t id, bool by_attribute) const {
@@ -279,68 +362,44 @@ size_t Router::OwnerShard(int64_t id, bool by_attribute) const {
   return 0;
 }
 
-std::vector<std::string> Router::RoutePairs(
-    const std::vector<Request>& requests, bool by_attribute,
-    obs::RequestTrace* trace) {
-  std::vector<std::string> out(requests.size());
-  if (requests.empty()) return out;
+Status Router::Scores(Request::Type family, const PairList& pairs,
+                      std::vector<std::optional<double>>* scores,
+                      obs::RequestTrace* trace) {
+  scores->assign(pairs.size(), std::nullopt);
+  const bool by_attribute = family == Request::Type::kAttributePair;
   const size_t num_shards = shards_.size();
-  std::vector<std::vector<std::string>> payloads(num_shards);
+  std::vector<PairList> routed(num_shards);
   std::vector<std::vector<size_t>> owners(num_shards);
-  for (size_t i = 0; i < requests.size(); ++i) {
-    const size_t s = OwnerShard(requests[i].b, by_attribute);
-    payloads[s].push_back(FormatRequest(requests[i]));
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const size_t s = OwnerShard(pairs[i].second, by_attribute);
+    routed[s].push_back(pairs[i]);
     owners[s].push_back(i);
   }
-  std::vector<std::vector<std::string>> replies(num_shards);
+  std::vector<std::vector<std::optional<double>>> replies(num_shards);
   std::vector<Status> statuses(num_shards, Status::OK());
-  const int64_t fanout_start_us =
-      trace != nullptr ? MonotonicMicros() : 0;
-  ForEachShard([&](size_t s) {
-    if (payloads[s].empty()) return;
-    statuses[s] = CallShard(s, payloads[s], &replies[s]);
-    if (statuses[s].ok() && replies[s].size() != payloads[s].size()) {
-      statuses[s] = Status::IOError("shard answered a short batch");
-    }
+  const int64_t merge_start_us = FanOut(trace, [&](size_t s) {
+    if (routed[s].empty()) return;
+    statuses[s] = CallShard(s, routed[s].size(), [&](obs::RequestTrace* t) {
+      Status status = shards_[s]->Scores(family, routed[s], &replies[s], t);
+      return Answered(status, replies[s].size(), routed[s].size());
+    });
   });
-  const int64_t merge_start_us = trace != nullptr ? MonotonicMicros() : 0;
-  if (trace != nullptr) {
-    trace->Add(obs::Stage::kFanout, merge_start_us - fanout_start_us);
-  }
-  // Pair responses forward verbatim: the shard already formats
-  // "pattr <a> <b> ok <score>", byte-equal to the unsharded server's. A
-  // dead owner degrades only its own pairs — the other shards' answers
-  // stand.
+  // A failed owner leaves only its own pairs empty — the other shards'
+  // answers stand.
   for (size_t s = 0; s < num_shards; ++s) {
-    if (payloads[s].empty()) continue;
-    if (!statuses[s].ok()) {
-      PANE_LOG(WARNING) << "shard " << shards_[s]->describe()
-                        << " unavailable: " << statuses[s].message();
-      for (const size_t i : owners[s]) out[i] = kShardUnavailable;
-      continue;
-    }
+    if (!statuses[s].ok()) continue;
     for (size_t j = 0; j < owners[s].size(); ++j) {
-      out[owners[s][j]] = std::move(replies[s][j]);
+      (*scores)[owners[s][j]] = replies[s][j];
     }
   }
   if (trace != nullptr) {
     trace->Add(obs::Stage::kMerge, MonotonicMicros() - merge_start_us);
   }
-  return out;
-}
-
-std::vector<std::string> Router::AttributeScores(
-    const std::vector<Request>& requests, obs::RequestTrace* trace) {
-  return RoutePairs(requests, /*by_attribute=*/true, trace);
-}
-
-std::vector<std::string> Router::LinkScores(
-    const std::vector<Request>& requests, obs::RequestTrace* trace) {
-  return RoutePairs(requests, /*by_attribute=*/false, trace);
+  return Status::OK();
 }
 
 std::string Router::StatsSuffix() const {
-  std::string out;
+  std::string out = " mode=router shards=" + std::to_string(num_shards());
   const int64_t now = ShardConnection::NowMs();
   MutexLock lock(health_mutex_.get());
   for (size_t s = 0; s < health_.size(); ++s) {
@@ -416,9 +475,8 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
     if (ivf != nullptr) {
       PANE_RETURN_NOT_OK(owned->BuildPrunedIndex(*ivf));
     }
-    fleet.backends.push_back(std::make_unique<LocalShard>(
-        owned.get(), shard_options,
-        static_cast<int>(spec.shard_index)));
+    fleet.backends.push_back(
+        std::make_unique<LocalShard>(owned.get(), shard_options));
     fleet.engines.push_back(std::move(owned));
   }
   return fleet;

@@ -2,39 +2,43 @@
 // N shard backends — each one EmbeddingStore slice + QueryEngine, either
 // in-process (LocalShard) or a remote pane_server reached over the frame
 // protocol (RemoteShard) — and answers every query with byte-exactly the
-// payload an unsharded server would produce:
+// payload an unsharded server would produce. Backends and the router share
+// one typed interface (ShardBackend): top-k queries in, Rankings out; pairs
+// in, scores out.
 //
-//   top-k    fan the request out to every shard, parse each shard's
-//            already-sorted ranking (global ids), k-way MergeTopK under the
-//            (score desc, index asc) total order, reformat. Scores print
-//            with %.17g on the shard and parse with strtod here, which
-//            round-trips doubles exactly, so parse -> merge -> reformat is
-//            byte-stable.
+//   top-k    fan the queries out to every shard, k-way MergeTopK each
+//            query's already-sorted per-shard rankings (global ids) under
+//            the (score desc, index asc) total order. A local hop hands
+//            the engine's doubles over as they are; a remote hop parses
+//            the shard's %.17g text with strtod, which round-trips doubles
+//            exactly, so either way the merge sees the shard's bits.
 //   pairs    route to the single shard owning the candidate row (pattr by
-//            attribute range, pair by target-node range) and forward the
-//            response verbatim.
+//            attribute range, pair by target-node range).
 //
-// At Create the router handshakes each backend with the `plan` verb and
-// cross-validates the reported specs: every shard must agree on the global
-// (n, d, dim) and the ranges must tile [0, n) and [0, d) exactly — a fleet
-// mixing shards of two different splits is an error at startup, not wrong
-// answers at query time.
+// At Create the router asks each backend for its Plan() (a remote shard
+// answers the `plan` verb) and cross-validates the specs: every shard must
+// agree on the global (n, d, dim) and the ranges must tile [0, n) and
+// [0, d) exactly — a fleet mixing shards of two different splits is an
+// error at startup, not wrong answers at query time.
 //
 // Degradation: each hop runs under a configurable deadline; a shard that
-// cannot be reached (after one reconnect attempt) marks itself dead and
-// every query in the affected batch answers `err shard unavailable` —
-// top-k answers are never silently computed from a subset of shards. Per-
-// shard health (requests, errors, p50/p99/max hop latency, last-alive
-// age) is surfaced through StatsSuffix on the router's `stats` response;
-// hop latencies live in per-shard `pane_router_hop_us` histograms
-// (src/obs/metrics.h), shared with the Prometheus exposition when the
-// router is built over a MetricsRegistry.
+// cannot be reached (after one reconnect attempt), or that answers a
+// ranking MergeTopK cannot trust, marks itself dead and every top-k query
+// in the affected batch answers `err shard unavailable` — top-k answers
+// are never silently computed from a subset of shards. Per-shard health
+// (requests, errors, p50/p99/max hop latency, last-alive age) is surfaced
+// through StatsSuffix on the router's `stats` response; hop latencies live
+// in per-shard `pane_router_hop_us` histograms (src/obs/metrics.h), shared
+// with the Prometheus exposition when the router is built over a
+// MetricsRegistry.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -62,74 +66,121 @@ struct RouterOptions {
   /// Local shards run serial engines, so this pool is the parallelism.
   ThreadPool* pool = nullptr;
   /// Optional registry for the per-shard hop-latency histograms
-  /// (pane_router_hop_us{shard="N"}). Null keeps the histograms
-  /// router-private (stats still reports them); the registry must outlive
-  /// the router.
+  /// (pane_router_hop_us{shard="N"}) and the local hops' engine stages
+  /// (pane_stage_engine_scan_us / topk_select_us, one sample per hop).
+  /// Null keeps the hop histograms router-private (stats still reports
+  /// them) and skips hop stage timing; the registry must outlive the
+  /// router.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// One shard as the router sees it: a batch of request payloads in, one
-/// response payload per request out. Implementations are single-owner —
-/// the router serializes calls per backend (fan-out parallelism is across
-/// backends, never into one).
+/// The text every query answers when an executor fails it (formatted as
+/// `err shard unavailable`): a top-k is never silently merged from a
+/// subset of shards.
+inline constexpr char kShardUnavailable[] = "shard unavailable";
+
+/// One pair-scoring batch: (node, attribute) or (source, target) ids.
+using PairList = std::vector<std::pair<int64_t, int64_t>>;
+
+/// A typed query executor: a shard as the router sees it, and what a
+/// PaneServer runs every batch against. Calls take validated, in-range
+/// queries of one family (the caller checks ids against Plan()) and
+/// return global ids. Implementations are single-owner — the router
+/// serializes calls per backend (fan-out parallelism is across backends,
+/// never into one). A non-OK status means the backend is unreachable or
+/// answered garbage.
 class ShardBackend {
  public:
   virtual ~ShardBackend() = default;
 
-  /// Executes `requests` (line-protocol payloads) as one batch and fills
-  /// one response payload per request, in order. A non-OK status means the
-  /// shard is unreachable or answered garbage; the router degrades the
-  /// whole batch.
-  virtual Status Execute(const std::vector<std::string>& requests,
-                         std::vector<std::string>* responses) = 0;
+  /// The candidate space this executor answers for.
+  virtual Result<ShardSpec> Plan() = 0;
+
+  /// One ranking per query for `family` (kTopKAttributes or kTopKTargets),
+  /// each sorted by (score desc, index asc). A non-null `trace` gets the
+  /// stages this executor ran stamped onto it.
+  virtual Status TopK(Request::Type family,
+                      const std::vector<TopKQuery>& queries,
+                      std::vector<Ranking>* rankings,
+                      obs::RequestTrace* trace) = 0;
+
+  /// One score per pair for `family` (kAttributePair or kLinkPair). A pair
+  /// left empty could not be answered (a router whose owner shard failed);
+  /// the other pairs stand.
+  virtual Status Scores(Request::Type family, const PairList& pairs,
+                        std::vector<std::optional<double>>* scores,
+                        obs::RequestTrace* trace) = 0;
+
+  /// Appended to a fronting server's `stats` response.
+  virtual std::string StatsSuffix() const { return std::string(); }
 
   /// Stable human-readable identity ("local:2", "127.0.0.1:7071").
-  virtual const std::string& describe() const = 0;
+  virtual std::string describe() const = 0;
 };
 
-/// In-process shard: a sharded QueryEngine behind an internal PaneServer
-/// (cache disabled — the router's own cache is the only cache), so local
-/// and remote hops answer through the identical ExecuteBatch path.
+/// In-process shard: calls a (sharded or whole) QueryEngine directly with
+/// the fronting server's serving semantics.
 class LocalShard final : public ShardBackend {
  public:
-  /// `engine` must outlive the shard. `options` mirrors the fronting
-  /// server's serving semantics (pruned / nprobe / exclude); its cache is
-  /// forced off here.
-  LocalShard(const QueryEngine* engine, const ServerOptions& options,
-             int shard_index);
+  /// `engine` must outlive the shard. Only the serving semantics of
+  /// `options` apply: pruned / nprobe / exclude.
+  LocalShard(const QueryEngine* engine, const ServerOptions& options);
 
-  Status Execute(const std::vector<std::string>& requests,
-                 std::vector<std::string>* responses) override;
-  const std::string& describe() const override { return name_; }
+  Result<ShardSpec> Plan() override;
+  Status TopK(Request::Type family, const std::vector<TopKQuery>& queries,
+              std::vector<Ranking>* rankings,
+              obs::RequestTrace* trace) override;
+  Status Scores(Request::Type family, const PairList& pairs,
+                std::vector<std::optional<double>>* scores,
+                obs::RequestTrace* trace) override;
+  /// " mode=exact" or " mode=pruned nprobe=<n>".
+  std::string StatsSuffix() const override;
+  std::string describe() const override;
 
  private:
-  PaneServer server_;
-  std::string name_;
+  const QueryEngine* engine_;
+  bool pruned_;
+  int64_t nprobe_;
+  const AttributedGraph* exclude_;
 };
 
 /// Remote shard: one blocking ShardConnection speaking the frame protocol,
-/// reconnecting (once per Execute) after a drop, with every batch under
-/// the router's hop deadline.
+/// reconnecting (once per call) after a drop, with every batch under the
+/// router's hop deadline. The only backend that serializes: requests go
+/// out as FormatRequest lines and replies are parsed and validated against
+/// the range the shard reported at Plan().
 class RemoteShard final : public ShardBackend {
  public:
   RemoteShard(std::string address, const RouterOptions& options);
 
-  Status Execute(const std::vector<std::string>& requests,
-                 std::vector<std::string>* responses) override;
-  const std::string& describe() const override { return address_; }
+  Result<ShardSpec> Plan() override;
+  Status TopK(Request::Type family, const std::vector<TopKQuery>& queries,
+              std::vector<Ranking>* rankings,
+              obs::RequestTrace* trace) override;
+  Status Scores(Request::Type family, const PairList& pairs,
+                std::vector<std::optional<double>>* scores,
+                obs::RequestTrace* trace) override;
+  std::string describe() const override { return address_; }
 
  private:
   Status EnsureConnected(int64_t deadline_ms);
+  /// One hop: sends `requests` as frames, reads one reply payload each.
+  Status RoundTrip(const std::vector<Request>& requests,
+                   std::vector<std::string>* replies);
 
   std::string address_;
   int64_t hop_timeout_ms_;
   size_t max_frame_payload_;
   ShardConnection conn_;
+  ShardSpec spec_;  // from Plan(); empty ranges reject every ranking
 };
 
-class Router {
+/// Scatter-gather over a validated shard fleet, itself an executor: a
+/// PaneServer fronting a Router answers byte-identically to one fronting
+/// the unsharded engine.
+class Router final : public ShardBackend {
  public:
-  /// Handshakes every backend with `plan`, validates that the specs tile
+  /// Handshakes every backend with Plan(), validates that the specs tile
   /// one consistent shard plan, and adopts the fleet. At least one shard;
   /// every shard must be reachable at create time.
   static Result<Router> Create(
@@ -139,43 +190,29 @@ class Router {
   Router(Router&&) = default;
   Router& operator=(Router&&) = default;
 
-  // ---- Plan-derived introspection (mirrors QueryEngine's) ---------------
   int64_t num_nodes() const { return plan_.num_nodes; }
   int64_t num_attributes() const { return plan_.num_attributes; }
   int64_t dim() const { return plan_.shards[0].dim; }
-  bool supports_attributes() const {
-    return plan_.shards[0].has_attributes;
-  }
-  bool supports_links() const { return plan_.shards[0].has_links; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  // ---- Query execution --------------------------------------------------
-  // Each call takes pre-validated requests of one family and returns one
-  // formatted response payload (no wire framing) per request, in order. A
-  // non-null `trace` gets the fan-out and merge stage times stamped onto
-  // it (the caller owns recording them into histograms).
+  /// The whole fleet as plan position 0/1 over the full candidate space.
+  Result<ShardSpec> Plan() override;
+  /// Fans out to every shard and MergeTopKs; any failed shard fails the
+  /// whole call. Stamps fanout and merge.
+  Status TopK(Request::Type family, const std::vector<TopKQuery>& queries,
+              std::vector<Ranking>* rankings,
+              obs::RequestTrace* trace) override;
+  /// Routes each pair to the shard owning its candidate row; a failed
+  /// owner leaves only its own pairs empty. Stamps fanout and merge.
+  Status Scores(Request::Type family, const PairList& pairs,
+                std::vector<std::optional<double>>* scores,
+                obs::RequestTrace* trace) override;
 
-  /// Fan-out + merge for kTopKAttributes requests.
-  std::vector<std::string> TopKAttributes(
-      const std::vector<Request>& requests,
-      obs::RequestTrace* trace = nullptr);
-  /// Fan-out + merge for kTopKTargets requests.
-  std::vector<std::string> TopKTargets(const std::vector<Request>& requests,
-                                       obs::RequestTrace* trace = nullptr);
-  /// Owner-shard routing for kAttributePair requests.
-  std::vector<std::string> AttributeScores(
-      const std::vector<Request>& requests,
-      obs::RequestTrace* trace = nullptr);
-  /// Owner-shard routing for kLinkPair requests.
-  std::vector<std::string> LinkScores(const std::vector<Request>& requests,
-                                      obs::RequestTrace* trace = nullptr);
-
-  /// " shard0.requests=.. shard0.errors=.. shard0.p50_us=..
-  /// shard0.p99_us=.. shard0.max_us=.. shard0.alive=.. shard0.age_ms=..
-  /// shard1. ..." — appended to the stats response. The p50_us field keeps
-  /// its pre-histogram position and spelling; p99_us / max_us are the
-  /// histogram's additions.
-  std::string StatsSuffix() const;
+  /// " mode=router shards=N shard0.requests=.. shard0.errors=..
+  /// shard0.p50_us=.. shard0.p99_us=.. shard0.max_us=.. shard0.alive=..
+  /// shard0.age_ms=.. shard1. ..." — appended to the stats response.
+  std::string StatsSuffix() const override;
+  std::string describe() const override { return "router"; }
 
  private:
   struct ShardHealth {
@@ -190,25 +227,25 @@ class Router {
 
   Router() = default;
 
-  /// One tracked hop: delegates to the backend, records latency / health.
-  Status CallShard(size_t shard, const std::vector<std::string>& requests,
-                   std::vector<std::string>* responses);
-  /// Runs fn(shard) for every shard, across the pool when present.
-  void ForEachShard(const std::function<void(size_t)>& fn);
-  /// Shared fan-out + parse + merge path for both top-k families.
-  std::vector<std::string> MergeTopKFamily(
-      const std::vector<Request>& requests, Request::Type type,
-      obs::RequestTrace* trace);
-  /// Shared owner-routing path for both pair families.
-  std::vector<std::string> RoutePairs(const std::vector<Request>& requests,
-                                      bool by_attribute,
-                                      obs::RequestTrace* trace);
+  /// One tracked hop of `count` queries: runs `hop`, records latency /
+  /// health, and records the hop's stamped scan/select stages into the
+  /// registry (a local shard's engine work).
+  Status CallShard(size_t shard, size_t count,
+                   const std::function<Status(obs::RequestTrace*)>& hop);
+  /// Runs fn(shard) for every shard, across the pool when present, as the
+  /// traced fan-out stage; returns its end time (0 untraced).
+  int64_t FanOut(obs::RequestTrace* trace,
+                 const std::function<void(size_t)>& fn);
   /// Index of the shard whose range holds this candidate id.
   size_t OwnerShard(int64_t id, bool by_attribute) const;
 
   RouterOptions options_;
   ShardPlan plan_;
   std::vector<std::unique_ptr<ShardBackend>> shards_;
+  /// pane_stage_engine_scan_us / pane_stage_topk_select_us, null without a
+  /// registry.
+  obs::Histogram* hop_scan_us_ = nullptr;
+  obs::Histogram* hop_select_us_ = nullptr;
 
   mutable std::unique_ptr<Mutex> health_mutex_;  // unique_ptr: movable
   std::vector<ShardHealth> health_;
@@ -230,7 +267,7 @@ struct LocalFleet {
 
 /// Builds `num_shards` local shards over `store` (which must stay alive
 /// and hold attribute factors). `shard_options` carries the serving
-/// semantics for the per-shard servers (pruned / nprobe / exclude);
+/// semantics of every shard (pruned / nprobe / exclude);
 /// `ivf` non-null builds each shard's pruned indexes with those options.
 Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
                                     int num_shards,

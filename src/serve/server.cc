@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <streambuf>
 #include <utility>
@@ -34,25 +35,21 @@ size_t PaneServer::RequestHash::operator()(const Request& r) const {
 }
 
 PaneServer::PaneServer(const QueryEngine* engine, const ServerOptions& options)
-    : engine_(engine), options_(options) {
-  PANE_CHECK(engine_ != nullptr);
-  if (options_.pruned) {
-    // A shard whose local candidate slice is empty legitimately has no
-    // index — it answers pruned queries with empty rankings.
-    PANE_CHECK(engine_->has_pruned_index() || engine_->sharded())
-        << "pruned serving mode needs BuildPrunedIndex on the engine";
-  }
+    : owned_executor_(std::make_unique<LocalShard>(engine, options)),
+      executor_(owned_executor_.get()),
+      options_(options) {
   Init();
 }
 
 PaneServer::PaneServer(Router* router, const ServerOptions& options)
-    : router_(router), options_(options) {
-  PANE_CHECK(router_ != nullptr);
+    : executor_(router), options_(options) {
+  PANE_CHECK(executor_ != nullptr);
   Init();
 }
 
 void PaneServer::Init() {
   PANE_CHECK(options_.batch_size > 0);
+  spec_ = executor_->Plan().ValueOrDie();
   if (options_.metrics_enabled) {
     if (options_.metrics != nullptr) {
       metrics_ = options_.metrics;
@@ -139,14 +136,7 @@ std::string PaneServer::StatsResponse() const {
   field("timeouts", snapshot.timeouts);
   field("rejected", snapshot.rejected);
   field("frames", snapshot.frames);
-  if (router_ != nullptr) {
-    out += " mode=router shards=" + std::to_string(router_->num_shards());
-    out += router_->StatsSuffix();
-    return out;
-  }
-  out += options_.pruned ? " mode=pruned nprobe=" + std::to_string(options_.nprobe)
-                         : std::string(" mode=exact");
-  return out;
+  return out + executor_->StatsSuffix();
 }
 
 std::string PaneServer::MetricsResponse() const {
@@ -177,33 +167,6 @@ std::string PaneServer::MetricsResponse() const {
   return out;
 }
 
-std::string PaneServer::PlanResponse() const {
-  if (router_ == nullptr && engine_->sharded()) {
-    return FormatPlanResponse(engine_->shard());
-  }
-  // An unsharded server (or a router fronting a whole fleet) is plan
-  // position 0/1 owning the full candidate space.
-  ShardSpec spec;
-  spec.shard_index = 0;
-  spec.shard_count = 1;
-  if (router_ != nullptr) {
-    spec.num_nodes = router_->num_nodes();
-    spec.num_attributes = router_->num_attributes();
-    spec.dim = router_->dim();
-    spec.has_attributes = router_->supports_attributes();
-    spec.has_links = router_->supports_links();
-  } else {
-    spec.num_nodes = engine_->num_nodes();
-    spec.num_attributes = engine_->num_attributes();
-    spec.dim = engine_->dim();
-    spec.has_attributes = engine_->supports_attributes();
-    spec.has_links = engine_->supports_links();
-  }
-  spec.node_end = spec.num_nodes;
-  spec.attr_end = spec.num_attributes;
-  return FormatPlanResponse(spec);
-}
-
 void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
                               std::vector<std::string>* responses,
                               bool* quit, obs::RequestTrace* trace) {
@@ -218,27 +181,16 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
   obs::RequestTrace local_trace;
   obs::RequestTrace* t =
       trace != nullptr ? trace : (timing ? &local_trace : nullptr);
-  EngineCallStats call_stats;
-  EngineCallStats* engine_stats = timing ? &call_stats : nullptr;
-  int64_t pair_scan_ns = 0;
   const int64_t batch_start_us = timing ? MonotonicMicros() : 0;
-  // Key -> index of the entry that owns the engine work for it.
+  // Key -> index of the entry that owns the executor work for it.
   std::unordered_map<Request, size_t, RequestHash> first_seen;
   std::vector<size_t> duplicates;  // entries answered by an earlier twin
-  std::vector<TopKQuery> attr_queries, link_queries;
-  std::vector<size_t> attr_owner, link_owner;
-  std::vector<std::pair<int64_t, int64_t>> attr_pairs, link_pairs;
-  std::vector<size_t> attr_pair_owner, link_pair_owner;
-  bool ran_engine = false;
+  // Executor work per family, [0] attributes and [1] links; *_owner[f][j]
+  // is the entry that query / pair j of family f answers.
+  std::vector<TopKQuery> topk[2];
+  PairList pairs[2];
+  std::vector<size_t> topk_owner[2], pair_owner[2];
 
-  const bool routed = router_ != nullptr;
-  const int64_t n = routed ? router_->num_nodes() : engine_->num_nodes();
-  const int64_t d =
-      routed ? router_->num_attributes() : engine_->num_attributes();
-  const bool has_attr_scoring =
-      routed ? router_->supports_attributes() : engine_->supports_attributes();
-  const bool has_link_scoring =
-      routed ? router_->supports_links() : engine_->supports_links();
   for (size_t i = 0; i < count; ++i) {
     BatchEntry& entry = (*batch)[i];
     if (entry.parse_error) {
@@ -254,46 +206,38 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
       continue;
     }
     if (r.type == Request::Type::kPlan) {
-      (*responses)[i] = PlanResponse();
+      (*responses)[i] = FormatPlanResponse(spec_);
       continue;
     }
     if (r.type == Request::Type::kStats ||
         r.type == Request::Type::kMetrics) {
       continue;  // formatted at emit time, after this batch's engine work
     }
-    // Range validation up front: the engine PANE_CHECKs its inputs, and a
-    // served request must never abort the process.
+    // Validation up front against the executor's plan: the engine
+    // PANE_CHECKs its inputs, and a served request must never abort the
+    // process. The last check is for a shard server reached directly (not
+    // via its router), which must refuse pairs whose candidate row lives
+    // elsewhere.
     const bool attr_like = r.type == Request::Type::kTopKAttributes ||
                            r.type == Request::Type::kAttributePair;
-    if (r.a < 0 || r.a >= n) {
-      (*responses)[i] = FormatError("node out of range");
-      Count(&Counters::errors);
-      continue;
+    const bool is_pair = r.type == Request::Type::kAttributePair ||
+                         r.type == Request::Type::kLinkPair;
+    const int64_t b_end = attr_like ? spec_.num_attributes : spec_.num_nodes;
+    const int64_t held_begin = attr_like ? spec_.attr_begin : spec_.node_begin;
+    const int64_t held_end = attr_like ? spec_.attr_end : spec_.node_end;
+    const char* invalid = nullptr;
+    if (r.a < 0 || r.a >= spec_.num_nodes) {
+      invalid = "node out of range";
+    } else if (is_pair && (r.b < 0 || r.b >= b_end)) {
+      invalid = "id out of range";
+    } else if (attr_like ? !spec_.has_attributes : !spec_.has_links) {
+      invalid = attr_like ? "attribute scoring unavailable"
+                          : "link scoring unavailable";
+    } else if (is_pair && (r.b < held_begin || r.b >= held_end)) {
+      invalid = "id not on this shard";
     }
-    if ((r.type == Request::Type::kAttributePair && (r.b < 0 || r.b >= d)) ||
-        (r.type == Request::Type::kLinkPair && (r.b < 0 || r.b >= n))) {
-      (*responses)[i] = FormatError("id out of range");
-      Count(&Counters::errors);
-      continue;
-    }
-    if (attr_like && !has_attr_scoring) {
-      (*responses)[i] = FormatError("attribute scoring unavailable");
-      Count(&Counters::errors);
-      continue;
-    }
-    if (!attr_like && !has_link_scoring) {
-      (*responses)[i] = FormatError("link scoring unavailable");
-      Count(&Counters::errors);
-      continue;
-    }
-    // A shard server reached directly (not via its router) must refuse
-    // pairs whose candidate row lives elsewhere — the engine PANE_CHECKs
-    // ownership, and a served request must never abort the process.
-    if (!routed && engine_->sharded() &&
-        ((r.type == Request::Type::kAttributePair &&
-          !engine_->OwnsAttribute(r.b)) ||
-         (r.type == Request::Type::kLinkPair && !engine_->OwnsTarget(r.b)))) {
-      (*responses)[i] = FormatError("id not on this shard");
+    if (invalid != nullptr) {
+      (*responses)[i] = FormatError(invalid);
       Count(&Counters::errors);
       continue;
     }
@@ -309,142 +253,64 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
       Count(&Counters::dedup_hits);
       continue;
     }
-    switch (r.type) {
-      case Request::Type::kTopKAttributes:
-        attr_queries.push_back({r.a, r.k});
-        attr_owner.push_back(i);
-        break;
-      case Request::Type::kTopKTargets:
-        link_queries.push_back({r.a, r.k});
-        link_owner.push_back(i);
-        break;
-      case Request::Type::kAttributePair:
-        attr_pairs.emplace_back(r.a, r.b);
-        attr_pair_owner.push_back(i);
-        break;
-      case Request::Type::kLinkPair:
-        link_pairs.emplace_back(r.a, r.b);
-        link_pair_owner.push_back(i);
-        break;
-      default:
-        break;
+    const int f = attr_like ? 0 : 1;
+    if (is_pair) {
+      pairs[f].emplace_back(r.a, r.b);
+      pair_owner[f].push_back(i);
+    } else {
+      topk[f].push_back({r.a, r.k});
+      topk_owner[f].push_back(i);
     }
   }
 
-  // Shared cache step: degradation payloads (`err shard unavailable`)
-  // count as errors and must not outlive the outage in the cache.
-  const auto cache_response = [this, batch, responses](size_t i) {
-    const std::string& payload = (*responses)[i];
+  // The one format/cache step. A failed executor call (a router's shard
+  // outage) answers `err shard unavailable`, which counts as an error and
+  // must not outlive the outage in the cache.
+  const auto answer = [this, batch, responses](size_t i, std::string payload) {
     if (payload.compare(0, 4, "err ") == 0) {
       Count(&Counters::errors);
-      return;
+    } else {
+      CacheInsert((*batch)[i].request, payload);
     }
-    CacheInsert((*batch)[i].request, payload);
+    (*responses)[i] = std::move(payload);
   };
-
-  if (routed) {
-    const auto gather = [batch](const std::vector<size_t>& owners) {
-      std::vector<Request> gathered;
-      gathered.reserve(owners.size());
-      for (const size_t i : owners) gathered.push_back((*batch)[i].request);
-      return gathered;
-    };
-    const auto assign = [responses, &cache_response](
-                            const std::vector<size_t>& owners,
-                            std::vector<std::string> payloads) {
-      for (size_t j = 0; j < owners.size(); ++j) {
-        (*responses)[owners[j]] = std::move(payloads[j]);
-        cache_response(owners[j]);
-      }
-    };
-    if (!attr_owner.empty()) {
-      assign(attr_owner, router_->TopKAttributes(gather(attr_owner), t));
-      ran_engine = true;
+  constexpr Request::Type kTopKFamily[2] = {Request::Type::kTopKAttributes,
+                                            Request::Type::kTopKTargets};
+  constexpr Request::Type kPairFamily[2] = {Request::Type::kAttributePair,
+                                            Request::Type::kLinkPair};
+  bool ran_engine = false;
+  for (int f = 0; f < 2; ++f) {
+    if (topk_owner[f].empty()) continue;
+    std::vector<Ranking> rankings;
+    const bool ok =
+        executor_->TopK(kTopKFamily[f], topk[f], &rankings, t).ok();
+    for (size_t j = 0; j < topk_owner[f].size(); ++j) {
+      const size_t i = topk_owner[f][j];
+      answer(i, ok ? FormatRanking((*batch)[i].request, rankings[j])
+                   : FormatError(kShardUnavailable));
     }
-    if (!link_owner.empty()) {
-      assign(link_owner, router_->TopKTargets(gather(link_owner), t));
-      ran_engine = true;
+    ran_engine = true;
+  }
+  for (int f = 0; f < 2; ++f) {
+    if (pair_owner[f].empty()) continue;
+    std::vector<std::optional<double>> scores;
+    const bool ok =
+        executor_->Scores(kPairFamily[f], pairs[f], &scores, t).ok();
+    for (size_t j = 0; j < pair_owner[f].size(); ++j) {
+      const size_t i = pair_owner[f][j];
+      answer(i, ok && scores[j].has_value()
+                    ? FormatScore((*batch)[i].request, *scores[j])
+                    : FormatError(kShardUnavailable));
     }
-    if (!attr_pair_owner.empty()) {
-      assign(attr_pair_owner,
-             router_->AttributeScores(gather(attr_pair_owner), t));
-      ran_engine = true;
-    }
-    if (!link_pair_owner.empty()) {
-      assign(link_pair_owner,
-             router_->LinkScores(gather(link_pair_owner), t));
-      ran_engine = true;
-    }
-  } else {
-    if (!attr_queries.empty()) {
-      const std::vector<Ranking> results =
-          options_.pruned
-              ? engine_->TopKAttributesPruned(attr_queries, options_.nprobe,
-                                              options_.exclude, engine_stats)
-              : engine_->TopKAttributes(attr_queries, options_.exclude,
-                                        engine_stats);
-      for (size_t j = 0; j < results.size(); ++j) {
-        const size_t i = attr_owner[j];
-        (*responses)[i] = FormatRanking((*batch)[i].request, results[j]);
-        cache_response(i);
-      }
-      ran_engine = true;
-    }
-    if (!link_queries.empty()) {
-      const std::vector<Ranking> results =
-          options_.pruned
-              ? engine_->TopKTargetsPruned(link_queries, options_.nprobe,
-                                           options_.exclude, engine_stats)
-              : engine_->TopKTargets(link_queries, options_.exclude,
-                                     engine_stats);
-      for (size_t j = 0; j < results.size(); ++j) {
-        const size_t i = link_owner[j];
-        (*responses)[i] = FormatRanking((*batch)[i].request, results[j]);
-        cache_response(i);
-      }
-      ran_engine = true;
-    }
-    if (!attr_pairs.empty()) {
-      // Pair scoring has no tile/select split — its wall time counts as
-      // scan, the stage it is.
-      const int64_t pair_start_ns = timing ? MonotonicNanos() : 0;
-      const std::vector<double> scores = engine_->AttributeScores(attr_pairs);
-      if (timing) pair_scan_ns += MonotonicNanos() - pair_start_ns;
-      for (size_t j = 0; j < scores.size(); ++j) {
-        const size_t i = attr_pair_owner[j];
-        (*responses)[i] = FormatScore((*batch)[i].request, scores[j]);
-        cache_response(i);
-      }
-      ran_engine = true;
-    }
-    if (!link_pairs.empty()) {
-      const int64_t pair_start_ns = timing ? MonotonicNanos() : 0;
-      const std::vector<double> scores = engine_->LinkScores(link_pairs);
-      if (timing) pair_scan_ns += MonotonicNanos() - pair_start_ns;
-      for (size_t j = 0; j < scores.size(); ++j) {
-        const size_t i = link_pair_owner[j];
-        (*responses)[i] = FormatScore((*batch)[i].request, scores[j]);
-        cache_response(i);
-      }
-      ran_engine = true;
-    }
-    if (t != nullptr && ran_engine) {
-      t->Add(obs::Stage::kScan,
-             (call_stats.scan_ns.load(std::memory_order_relaxed) +
-              pair_scan_ns) /
-                 1000);
-      t->Add(obs::Stage::kSelect,
-             call_stats.select_ns.load(std::memory_order_relaxed) / 1000);
-    }
+    ran_engine = true;
   }
   if (ran_engine) Count(&Counters::batches);
 
   if (metrics_ != nullptr) {
-    // Decode / batch-wait come stamped on an external (session) trace; an
-    // internal hop (LocalShard) never records them, so the front server's
-    // numbers stay undiluted. Scan/select are engine-mode stages,
-    // fan-out/merge router-mode ones — recording only the stages this
-    // server actually runs keeps every histogram zero-free by design.
+    // Decode / batch-wait come stamped on an external (session) trace.
+    // Of the executor stages, only the ones it stamped are recorded (an
+    // engine's scan/select, a router's fan-out/merge), so every histogram
+    // stays zero-free by design.
     if (trace != nullptr) {
       stage_us_[static_cast<int>(obs::Stage::kDecode)]->Record(
           trace->us(obs::Stage::kDecode));
@@ -452,16 +318,11 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
           trace->us(obs::Stage::kBatchWait));
     }
     if (ran_engine && t != nullptr) {
-      if (router_ != nullptr) {
-        stage_us_[static_cast<int>(obs::Stage::kFanout)]->Record(
-            t->us(obs::Stage::kFanout));
-        stage_us_[static_cast<int>(obs::Stage::kMerge)]->Record(
-            t->us(obs::Stage::kMerge));
-      } else {
-        stage_us_[static_cast<int>(obs::Stage::kScan)]->Record(
-            t->us(obs::Stage::kScan));
-        stage_us_[static_cast<int>(obs::Stage::kSelect)]->Record(
-            t->us(obs::Stage::kSelect));
+      for (const obs::Stage stage : {obs::Stage::kScan, obs::Stage::kSelect,
+                                     obs::Stage::kFanout, obs::Stage::kMerge}) {
+        if (t->stamped(stage)) {
+          stage_us_[static_cast<int>(stage)]->Record(t->us(stage));
+        }
       }
     }
     batch_us_->Record(MonotonicMicros() - batch_start_us);

@@ -1,8 +1,10 @@
 // The pane_server batching core. After the transport/session/codec split
 // this class no longer touches sockets or wire bytes: it executes batches
-// of parsed requests on a QueryEngine and composes the layers below it —
-// an EpollTransport for TCP, a ServeSession per connection (and per
-// ServeStream call), and a ProtocolCodec chosen per connection.
+// of parsed requests on one typed executor (a ShardBackend — a LocalShard
+// over a QueryEngine, or a Router over a shard fleet) and composes the
+// layers below it — an EpollTransport for TCP, a ServeSession per
+// connection (and per ServeStream call), and a ProtocolCodec chosen per
+// connection.
 //
 // Batching is what turns the engine's blocked kernels on: consecutive
 // buffered requests (up to batch_size, or until the input drains or the
@@ -12,10 +14,11 @@
 // cached response never goes stale.
 //
 // Threading: the TCP path runs every session on the single transport loop
-// thread; parallelism comes from the engine's internal pool inside a
-// batch. ServeStream may additionally run on any number of caller
-// threads: the engine is read-only, and the cache and counters (each
-// under its own capability) are the only shared mutable state.
+// thread; parallelism comes from the engine's internal pool (or the
+// router's fan-out pool) inside a batch. ServeStream may additionally run
+// on any number of caller threads: the engine is read-only, and the cache
+// and counters (each under its own capability) are the only shared
+// mutable state.
 #pragma once
 
 #include <cstdint>
@@ -34,12 +37,14 @@
 #include "src/serve/line_protocol.h"
 #include "src/serve/protocol.h"
 #include "src/serve/query_engine.h"
+#include "src/serve/shard_plan.h"
 
 namespace pane {
 namespace serve {
 
 class EpollTransport;
 class Router;
+class ShardBackend;
 
 struct ServerOptions {
   /// Max requests executed as one engine batch.
@@ -81,7 +86,8 @@ struct ServerOptions {
 
 class PaneServer {
  public:
-  /// The engine (and anything its views borrow) must outlive the server.
+  /// The engine (and anything its views borrow) must outlive the server;
+  /// batches run on a LocalShard wrapping it.
   PaneServer(const QueryEngine* engine, const ServerOptions& options);
   /// Router mode: batches execute through scatter-gather over the router's
   /// shard fleet instead of a local engine (same protocol, byte-identical
@@ -139,10 +145,9 @@ class PaneServer {
   /// per entry. Sets *quit on a kQuit entry. Clears *batch.
   ///
   /// A non-null `trace` carries the session's decode / batch-wait times in
-  /// and leaves with the engine-side stages (scan, select, fan-out, merge)
-  /// stamped; only externally-traced batches record the decode and
-  /// batch-wait histograms, so an internal hop (LocalShard) sharing the
-  /// registry never dilutes them with zeros.
+  /// and leaves with the executor's stages stamped (scan / select for an
+  /// engine, fan-out / merge for a router); only externally-traced batches
+  /// record the decode and batch-wait histograms.
   void ExecuteBatch(std::vector<BatchEntry>* batch,
                     std::vector<std::string>* responses, bool* quit,
                     obs::RequestTrace* trace = nullptr)
@@ -180,15 +185,17 @@ class PaneServer {
   /// the served-request counters, terminated by "# EOF".
   std::string MetricsResponse() const PANE_EXCLUDES(stats_mutex_);
 
-  /// Shared constructor tail (transport wiring + metrics handles).
+  /// Shared constructor tail (executor plan, transport wiring, metrics
+  /// handles).
   void Init();
-  /// The response to the `plan` verb for this server's candidate space.
-  std::string PlanResponse() const;
 
-  // Exactly one of engine_ / router_ is set; all batch execution branches
-  // on router_.
-  const QueryEngine* engine_ = nullptr;
-  Router* router_ = nullptr;
+  /// Every batch runs on executor_: owned_executor_ (the engine
+  /// constructor's LocalShard) or the caller's router.
+  std::unique_ptr<ShardBackend> owned_executor_;
+  ShardBackend* executor_ = nullptr;
+  /// executor_'s Plan(): the ranges and capabilities requests are
+  /// validated against, and the `plan` verb's answer.
+  ShardSpec spec_;
   ServerOptions options_;
 
   /// Guards the LRU result cache (the list order is part of the state, so

@@ -1,7 +1,9 @@
 // The sharded scatter-gather serving fabric, end to end: the shard plan
 // and its protocol text, artifact splitting (slice containers that reopen
 // as shard stores), the router over in-process shard fleets and over real
-// TCP backends, and the degradation path when a shard dies mid-serve.
+// TCP backends, the degradation paths (a dead shard, a shard serving
+// foreign rows, short or failed hops through a fault-injecting backend),
+// and the parsers that validate remote shard replies.
 //
 // The load-bearing assertions are differential: a Router fronting 1–4
 // shards must answer every scripted conversation byte-identically to an
@@ -11,8 +13,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,6 +26,7 @@
 #include "src/common/logging.h"
 #include "src/core/pane.h"
 #include "src/matrix/gemm.h"
+#include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/embedding_store.h"
 #include "src/serve/query_engine.h"
@@ -370,9 +375,10 @@ TEST(ShardRouterTest, RejectsBackendsOutOfPlanOrder) {
 }
 
 TEST(ShardRouterTest, PrunedFleetServesWellFormedRankings) {
-  // Pruned answers are approximate (per-slice k-means), so no byte diff
-  // against the unsharded pruned server — the contract here is shape: one
-  // ok response per request, rankings non-empty for well-covered queries.
+  // Pruned answers are approximate (per-slice k-means), so the reference
+  // is not the unsharded pruned server but the fleet's own engines: every
+  // answer must be byte-identical to MergeTopK over each shard engine's
+  // direct pruned top-k.
   const ShardFixture& f = ShardFixture::Get();
   auto store = serve::EmbeddingStore::Open(f.artifact_path);
   ASSERT_TRUE(store.ok()) << store.status();
@@ -388,16 +394,293 @@ TEST(ShardRouterTest, PrunedFleetServesWellFormedRankings) {
                                       serve::RouterOptions());
   ASSERT_TRUE(router.ok()) << router.status();
   serve::PaneServer server(&*router, server_options);
-  const std::string out =
-      ServeScript(&server, "attr 3 5\nlink 3 5\nattr 42 4\nlink 42 4\n");
-  std::istringstream lines(out);
-  std::string line;
-  int count = 0;
-  while (std::getline(lines, line)) {
-    ++count;
-    EXPECT_NE(line.find(" ok "), std::string::npos) << line;
+
+  const int64_t n = store->num_nodes();
+  std::string script, expected;
+  for (const int64_t node : {int64_t{0}, int64_t{3}, int64_t{42}, n - 1}) {
+    for (const int64_t k : {int64_t{1}, int64_t{4}, int64_t{5}}) {
+      for (const bool attrs : {true, false}) {
+        serve::Request r;
+        r.type = attrs ? serve::Request::Type::kTopKAttributes
+                       : serve::Request::Type::kTopKTargets;
+        r.a = node;
+        r.k = k;
+        const std::vector<serve::TopKQuery> q = {{node, k}};
+        std::vector<Ranking> lists;
+        for (const auto& engine : fleet->engines) {
+          lists.push_back(attrs ? engine->TopKAttributesPruned(q, 8)[0]
+                                : engine->TopKTargetsPruned(q, 8)[0]);
+        }
+        script += serve::FormatRequest(r) + "\n";
+        expected += serve::FormatRanking(r, MergeTopK(lists, k)) + "\n";
+      }
+    }
   }
-  EXPECT_EQ(count, 4);
+  EXPECT_EQ(ServeScript(&server, script), expected);
+}
+
+TEST(ShardRouterTest, RoutedMetricsCountEachFrontBatchOnce) {
+  // One registry shared by engines, router, and front server (what
+  // pane_server wires): shard hops must not record whole-batch samples of
+  // their own, but their engine scans still land in the stage histogram.
+  const ShardFixture& f = ShardFixture::Get();
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  obs::MetricsRegistry registry;
+  serve::ServerOptions server_options;
+  server_options.metrics = &registry;
+  server_options.cache_capacity = 0;
+  serve::QueryEngineOptions engine_options;
+  engine_options.metrics = &registry;
+  auto fleet = serve::BuildLocalShards(*store, 2, engine_options,
+                                       server_options, nullptr);
+  ASSERT_TRUE(fleet.ok()) << fleet.status();
+  serve::RouterOptions router_options;
+  router_options.metrics = &registry;
+  auto router = serve::Router::Create(std::move(fleet->backends),
+                                      router_options);
+  ASSERT_TRUE(router.ok()) << router.status();
+  serve::PaneServer server(&*router, server_options);
+
+  constexpr int64_t kBatches = 4;
+  std::vector<std::string> responses;
+  bool quit = false;
+  for (int64_t b = 0; b < kBatches; ++b) {
+    std::vector<serve::PaneServer::BatchEntry> batch;
+    for (const char* verb : {"attr", "link", "pattr", "pair"}) {
+      serve::PaneServer::BatchEntry entry;
+      entry.request =
+          serve::ParseRequestLine(std::string(verb) + " " +
+                                  std::to_string(b) + " 3")
+              .ValueOrDie();
+      batch.push_back(entry);
+    }
+    server.ExecuteBatch(&batch, &responses, &quit);
+    for (const std::string& response : responses) {
+      EXPECT_NE(response.find(" ok "), std::string::npos) << response;
+    }
+  }
+  const uint64_t batches = server.counters().batches;
+  EXPECT_EQ(batches, static_cast<uint64_t>(kBatches));
+  EXPECT_EQ(registry.GetHistogram("pane_server_batch_us")->TakeSnapshot().count,
+            batches);
+  EXPECT_GE(
+      registry.GetHistogram("pane_stage_engine_scan_us")->TakeSnapshot().count,
+      1u);
+  EXPECT_EQ(registry.GetHistogram("pane_stage_fanout_us")->TakeSnapshot().count,
+            batches);
+}
+
+// ---- Degradation through a fault-injecting backend ----------------------
+
+/// Wraps a real shard and breaks its query answers: kFail errors every
+/// call, kShort drops the last answer while reporting success.
+class FaultyShard final : public serve::ShardBackend {
+ public:
+  enum class Fault { kFail, kShort };
+
+  FaultyShard(std::unique_ptr<serve::ShardBackend> inner, Fault fault)
+      : inner_(std::move(inner)), fault_(fault) {}
+
+  Result<ShardSpec> Plan() override { return inner_->Plan(); }
+
+  Status TopK(serve::Request::Type family,
+              const std::vector<serve::TopKQuery>& queries,
+              std::vector<Ranking>* rankings,
+              obs::RequestTrace* trace) override {
+    if (fault_ == Fault::kFail) return Status::IOError("injected fault");
+    PANE_RETURN_NOT_OK(inner_->TopK(family, queries, rankings, trace));
+    rankings->pop_back();
+    return Status::OK();
+  }
+
+  Status Scores(serve::Request::Type family, const serve::PairList& pairs,
+                std::vector<std::optional<double>>* scores,
+                obs::RequestTrace* trace) override {
+    if (fault_ == Fault::kFail) return Status::IOError("injected fault");
+    PANE_RETURN_NOT_OK(inner_->Scores(family, pairs, scores, trace));
+    scores->pop_back();
+    return Status::OK();
+  }
+
+  std::string describe() const override { return inner_->describe(); }
+
+ private:
+  std::unique_ptr<serve::ShardBackend> inner_;
+  Fault fault_;
+};
+
+/// A 2-shard local fleet whose shard 1 is wrapped in a FaultyShard, behind
+/// an uncached front server.
+struct FaultyFleet {
+  serve::LocalFleet fleet;
+  std::unique_ptr<serve::Router> router;
+  std::unique_ptr<serve::PaneServer> server;
+
+  FaultyFleet(const serve::EmbeddingStore& store, FaultyShard::Fault fault) {
+    serve::ServerOptions options;
+    options.cache_capacity = 0;
+    fleet = serve::BuildLocalShards(store, 2, serve::QueryEngineOptions(),
+                                    options, nullptr)
+                .ValueOrDie();
+    fleet.backends[1] =
+        std::make_unique<FaultyShard>(std::move(fleet.backends[1]), fault);
+    router = std::make_unique<serve::Router>(
+        serve::Router::Create(std::move(fleet.backends),
+                              serve::RouterOptions())
+            .ValueOrDie());
+    server = std::make_unique<serve::PaneServer>(router.get(), options);
+  }
+};
+
+TEST(ShardDegradationTest, FailedOrShortTopKDegradesTheWholeBatch) {
+  const ShardFixture& f = ShardFixture::Get();
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  for (const auto fault : {FaultyShard::Fault::kFail,
+                           FaultyShard::Fault::kShort}) {
+    FaultyFleet faulty(*store, fault);
+    EXPECT_EQ(ServeScript(faulty.server.get(),
+                          "attr 0 5\nlink 3 5\nattr 7 2\n"),
+              "err shard unavailable\nerr shard unavailable\n"
+              "err shard unavailable\n");
+    const std::string stats = ServeScript(faulty.server.get(), "stats\n");
+    EXPECT_NE(stats.find("shard1.alive=0"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("shard0.alive=1"), std::string::npos) << stats;
+  }
+}
+
+TEST(ShardDegradationTest, FailedOwnerDegradesOnlyItsOwnPairs) {
+  const ShardFixture& f = ShardFixture::Get();
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const int64_t n = store->num_nodes();
+  const int64_t d = store->num_attributes();
+  const ShardPlan plan = serve::MakeShardPlan(n, d, 2);
+  ASSERT_GT(plan.shards[0].attr_end, 0);
+  const std::string script =
+      "pattr 1 0\npattr 1 " + std::to_string(d - 1) + "\npair 1 0\npair 1 " +
+      std::to_string(n - 1) + "\n";
+  const std::string healthy =
+      UnshardedTranscript(*store, serve::ServerOptions(), script);
+  std::vector<std::string> want;
+  std::istringstream healthy_lines(healthy);
+  for (std::string line; std::getline(healthy_lines, line);) {
+    want.push_back(line);
+  }
+  ASSERT_EQ(want.size(), 4u);
+  // Shard 0 owns candidate 0 on both axes, the faulty shard 1 the last.
+  const std::string expected = want[0] + "\nerr shard unavailable\n" +
+                               want[2] + "\nerr shard unavailable\n";
+  for (const auto fault : {FaultyShard::Fault::kFail,
+                           FaultyShard::Fault::kShort}) {
+    FaultyFleet faulty(*store, fault);
+    EXPECT_EQ(ServeScript(faulty.server.get(), script), expected);
+  }
+}
+
+// ---- Remote reply validation --------------------------------------------
+
+serve::Request TopKRequest(serve::Request::Type type, int64_t node,
+                           int64_t k) {
+  serve::Request r;
+  r.type = type;
+  r.a = node;
+  r.k = k;
+  return r;
+}
+
+TEST(RemoteReplyTest, RankingParsesOnlyTrustworthyReplies) {
+  const serve::Request attr =
+      TopKRequest(serve::Request::Type::kTopKAttributes, 5, 3);
+  const auto parse = [&attr](const std::string& line) {
+    Ranking ranking;
+    return serve::ParseRankingResponse(line, attr, 10, 20, &ranking);
+  };
+  Ranking ranking;
+  ASSERT_TRUE(serve::ParseRankingResponse("attr 5 ok 10:0.5 12:0.5 19:-1",
+                                          attr, 10, 20, &ranking)
+                  .ok());
+  EXPECT_EQ(ranking, (Ranking{{10, 0.5}, {12, 0.5}, {19, -1.0}}));
+  EXPECT_TRUE(parse("attr 5 ok").ok());  // an empty slice answers nothing
+
+  // An err payload passes through as the error, never a ranking.
+  const Status err = parse("err shard overloaded");
+  EXPECT_FALSE(err.ok());
+  EXPECT_NE(err.message().find("err shard overloaded"), std::string::npos);
+  // Wrong verb or node.
+  EXPECT_FALSE(parse("link 5 ok 12:0.5").ok());
+  EXPECT_FALSE(parse("attr 6 ok 12:0.5").ok());
+  EXPECT_FALSE(parse("attr 5 12:0.5").ok());
+  EXPECT_FALSE(parse("").ok());
+  // Malformed entries.
+  for (const char* entry : {"12", "12:", ":0.5", "12-0.5", "x:0.5", "12:0.5x",
+                            "12:abc", "-12:0.5"}) {
+    EXPECT_FALSE(parse(std::string("attr 5 ok ") + entry).ok()) << entry;
+  }
+  // An overlong score, even one strtod would accept.
+  EXPECT_FALSE(parse("attr 5 ok 12:0." + std::string(60, '1')).ok());
+  // Ids outside the shard's range for the family.
+  EXPECT_FALSE(parse("attr 5 ok 9:0.5").ok());
+  EXPECT_FALSE(parse("attr 5 ok 20:0.5").ok());
+  // Not strictly (score desc, index asc): rising score, tie out of index
+  // order, a repeated id.
+  EXPECT_FALSE(parse("attr 5 ok 11:0.25 12:0.5").ok());
+  EXPECT_FALSE(parse("attr 5 ok 12:0.5 11:0.5").ok());
+  EXPECT_FALSE(parse("attr 5 ok 11:0.5 11:0.5").ok());
+  // More than k entries.
+  EXPECT_FALSE(parse("attr 5 ok 11:0.9 12:0.8 13:0.7 14:0.6").ok());
+}
+
+TEST(RemoteReplyTest, RankingRoundTripsFormattedDoublesExactly) {
+  const serve::Request link =
+      TopKRequest(serve::Request::Type::kTopKTargets, 7, 8);
+  const Ranking sent = {{3, 1.7976931348623157e308},
+                        {0, 1.0 / 3.0},
+                        {5, 0.1},
+                        {1, 4.9406564584124654e-324},
+                        {2, 0.0},
+                        {4, -0.0},
+                        {6, -2.5e-300}};
+  Ranking got;
+  ASSERT_TRUE(serve::ParseRankingResponse(serve::FormatRanking(link, sent),
+                                          link, 0, 8, &got)
+                  .ok());
+  ASSERT_EQ(got.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_EQ(got[i].first, sent[i].first);
+    EXPECT_EQ(std::memcmp(&got[i].second, &sent[i].second, sizeof(double)), 0)
+        << "entry " << i;
+  }
+}
+
+TEST(RemoteReplyTest, ScoreParsesOnlyTheMatchingPair) {
+  serve::Request pattr;
+  pattr.type = serve::Request::Type::kAttributePair;
+  pattr.a = 4;
+  pattr.b = 9;
+  double score = 0.0;
+  const double sent = 2.0 / 3.0;
+  ASSERT_TRUE(serve::ParseScoreResponse(serve::FormatScore(pattr, sent), pattr,
+                                        &score)
+                  .ok());
+  EXPECT_EQ(std::memcmp(&score, &sent, sizeof(double)), 0);
+
+  const Status err = serve::ParseScoreResponse("err id not on this shard",
+                                               pattr, &score);
+  EXPECT_FALSE(err.ok());
+  EXPECT_NE(err.message().find("err id not on this shard"),
+            std::string::npos);
+  for (const char* line :
+       {"pair 4 9 ok 0.5", "pattr 4 8 ok 0.5", "pattr 3 9 ok 0.5",
+        "pattr 4 9 0.5", "pattr 4 9 ok", "pattr 4 9 ok 0.5 0.5",
+        "pattr 4 9 ok 0.5x", "pattr 4 9 ok :0.5", ""}) {
+    EXPECT_FALSE(serve::ParseScoreResponse(line, pattr, &score).ok())
+        << line;
+  }
+  EXPECT_FALSE(serve::ParseScoreResponse(
+                   "pattr 4 9 ok 0." + std::string(60, '1'), pattr, &score)
+                   .ok());
 }
 
 // ---- Remote shards over real TCP ----------------------------------------
@@ -410,7 +693,8 @@ struct TcpShard {
   std::thread acceptor;
   int port = 0;
 
-  static TcpShard Start(const std::string& path) {
+  /// `port` 0 binds an ephemeral port.
+  static TcpShard Start(const std::string& path, int port = 0) {
     TcpShard shard;
     auto store = serve::EmbeddingStore::Open(path);
     PANE_CHECK(store.ok()) << store.status();
@@ -423,9 +707,9 @@ struct TcpShard {
         std::make_unique<serve::QueryEngine>(engine.MoveValueUnsafe());
     shard.server = std::make_unique<serve::PaneServer>(
         shard.engine.get(), serve::ServerOptions());
-    auto port = shard.server->ListenTcp(0);
-    PANE_CHECK(port.ok()) << port.status();
-    shard.port = *port;
+    auto bound = shard.server->ListenTcp(port);
+    PANE_CHECK(bound.ok()) << bound.status();
+    shard.port = *bound;
     shard.acceptor = std::thread(
         [server = shard.server.get()] { server->AcceptLoop(); });
     return shard;
@@ -503,6 +787,52 @@ TEST(ShardRouterTest, RemoteFleetOverTcpMatchesUnshardedAndDegradesOnDeath) {
 
   shards[0].Stop();
   shards[2].Stop();
+  for (const std::string& path : paths) std::filesystem::remove(path);
+}
+
+TEST(ShardRouterTest, RemoteShardServingForeignRowsDegradesInsteadOfMerging) {
+  // A shard restarted on another artifact slice reconnects fine, but its
+  // rankings carry ids outside the range it reported at the handshake.
+  // Merging them would silently return wrong (here: duplicated) answers;
+  // the router must degrade instead.
+  const ShardFixture& f = ShardFixture::Get();
+  const std::string prefix = (std::filesystem::temp_directory_path() /
+                              ("shard_foreign_" + std::to_string(::getpid())))
+                                 .string();
+  std::vector<std::string> paths;
+  ASSERT_TRUE(
+      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 2, &paths).ok());
+  std::vector<TcpShard> shards;
+  for (const std::string& path : paths) shards.push_back(TcpShard::Start(path));
+
+  serve::RouterOptions router_options;
+  router_options.hop_timeout_ms = 5000;
+  std::vector<std::unique_ptr<serve::ShardBackend>> backends;
+  for (const TcpShard& shard : shards) {
+    backends.push_back(std::make_unique<serve::RemoteShard>(
+        "127.0.0.1:" + std::to_string(shard.port), router_options));
+  }
+  auto router = serve::Router::Create(std::move(backends), router_options);
+  ASSERT_TRUE(router.ok()) << router.status();
+  serve::ServerOptions front_options;
+  front_options.cache_capacity = 0;
+  serve::PaneServer front(&*router, front_options);
+  EXPECT_EQ(ServeScript(&front, "attr 5 3\n").find("attr 5 ok "), 0u);
+
+  // Shard 1's port now serves shard 0's slice.
+  shards[1].Stop();
+  shards[1].server.reset();
+  TcpShard imposter = TcpShard::Start(paths[0], shards[1].port);
+  // The first hop may still fail on the dropped connection; the second
+  // reaches the imposter.
+  ServeScript(&front, "attr 5 3\n");
+  EXPECT_EQ(ServeScript(&front, "attr 5 3\nlink 6 3\n"),
+            "err shard unavailable\nerr shard unavailable\n");
+  EXPECT_NE(ServeScript(&front, "stats\n").find("shard1.alive=0"),
+            std::string::npos);
+
+  imposter.Stop();
+  shards[0].Stop();
   for (const std::string& path : paths) std::filesystem::remove(path);
 }
 
