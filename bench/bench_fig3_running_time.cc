@@ -82,8 +82,8 @@ void RunIngestion() {
   const std::string edges_path = (dir / "edges.txt").string();
   const std::string edge_list_path = (dir / "graph.el").string();
   PANE_CHECK_OK(SaveEdgeList(g, edge_list_path));
-  const std::string binary_path = (dir / "graph.bin").string();
-  PANE_CHECK_OK(SaveGraphBinary(g, binary_path));
+  const std::string container_path = (dir / "graph.ctn").string();
+  PANE_CHECK_OK(SaveGraphContainer(g, container_path));
   const double edges_mb =
       static_cast<double>(fs::file_size(edges_path)) / 1e6;
   const double text_mb =
@@ -91,8 +91,8 @@ void RunIngestion() {
       static_cast<double>(fs::file_size(dir / "attrs.txt")) / 1e6;
   const double edge_list_mb =
       static_cast<double>(fs::file_size(edge_list_path)) / 1e6;
-  const double binary_mb =
-      static_cast<double>(fs::file_size(binary_path)) / 1e6;
+  const double container_mb =
+      static_cast<double>(fs::file_size(container_path)) / 1e6;
   std::printf("(graph: %s)\n", g.Summary().c_str());
 
   bench::PrintRow("path", {"seconds", "MB/s", "speedup"});
@@ -159,10 +159,10 @@ void RunIngestion() {
            }),
            edge_list_mb);
   }
-  report("load binary zero-copy", best_of([&] {
-           check_load(LoadGraphBinary(binary_path).ValueOrDie());
+  report("load container", best_of([&] {
+           check_load(LoadGraphContainer(container_path).ValueOrDie());
          }),
-         binary_mb);
+         container_mb);
 
   std::error_code ec;
   fs::remove_all(dir, ec);

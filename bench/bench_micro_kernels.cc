@@ -127,25 +127,25 @@ void BM_ParseEdgeTextChunked(benchmark::State& state) {
 }
 BENCHMARK(BM_ParseEdgeTextChunked)->Arg(1)->Arg(4)->Arg(10);
 
-// Binary snapshot reload: bounded reads + direct CSR adoption (no per-edge
-// rebuild).
-void BM_LoadGraphBinary(benchmark::State& state) {
+// Graph container reload: checksummed reads + direct CSR adoption (no
+// per-edge rebuild).
+void BM_LoadGraphContainer(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(20000);
   const std::string path =
-      (std::filesystem::temp_directory_path() / "pane_micro_graph.bin")
+      (std::filesystem::temp_directory_path() / "pane_micro_graph.ctn")
           .string();
-  PANE_CHECK_OK(SaveGraphBinary(g, path));
+  PANE_CHECK_OK(SaveGraphContainer(g, path));
   const int64_t bytes =
       static_cast<int64_t>(std::filesystem::file_size(path));
   for (auto _ : state) {
-    auto loaded = LoadGraphBinary(path);
+    auto loaded = LoadGraphContainer(path);
     benchmark::DoNotOptimize(loaded.ValueOrDie().num_edges());
   }
   state.SetBytesProcessed(state.iterations() * bytes);
   std::error_code ec;
   std::filesystem::remove(path, ec);
 }
-BENCHMARK(BM_LoadGraphBinary);
+BENCHMARK(BM_LoadGraphContainer);
 
 void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(0);

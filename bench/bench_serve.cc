@@ -462,21 +462,10 @@ void Run(const std::string& json_path) {
                   " threads) vs an unsharded serial server");
   const std::string artifact_path =
       (std::filesystem::temp_directory_path() /
-       ("bench_serve_shard_" + std::to_string(::getpid()) + ".bin"))
+       ("bench_serve_shard_" + std::to_string(::getpid()) + ".ctn"))
           .string();
-  {
-    NodeEmbedding artifact;
-    artifact.method = "pane";
-    artifact.xf = embedding.xf;
-    artifact.xb = embedding.xb;
-    artifact.y = embedding.y;
-    artifact.features.Resize(n, 2 * h);
-    artifact.features.SetBlock(0, 0, embedding.xf);
-    artifact.features.SetBlock(0, h, embedding.xb);
-    artifact.link_convention = LinkConvention::kForwardBackward;
-    artifact.attribute_convention = AttributeConvention::kFactors;
-    PANE_CHECK_OK(artifact.Save(artifact_path));
-  }
+  PANE_CHECK_OK(
+      NodeEmbedding::FromPane(embedding).SaveContainer(artifact_path));
   auto sharded_store = serve::EmbeddingStore::Open(artifact_path);
   PANE_CHECK(sharded_store.ok()) << sharded_store.status();
 

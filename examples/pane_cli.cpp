@@ -1,13 +1,14 @@
 // Command-line front-end on the unified Embedder API: pick any registered
 // method with --method (PANE or a baseline), train on a graph stored on disk
-// (text-layout directory, binary snapshot, or raw edge list — see
-// src/graph/graph_io.h) and write the common NodeEmbedding artifact; or
-// evaluate the method on the three downstream tasks. There is no per-algorithm branching here — EmbedderRegistry and
+// (text-layout directory, graph container, or raw edge list — see
+// src/graph/graph_io.h) and write the common NodeEmbedding artifact as a
+// checksummed container; or evaluate the method on the three downstream
+// tasks. There is no per-algorithm branching here — EmbedderRegistry and
 // the NodeEmbedding adapters do all the dispatch.
 //
-//   # train (writes embedding.bin in the unified artifact format)
+//   # train (writes the embedding container embedding.ctn)
 //   ./pane_cli --mode=train --method=pane --graph=/data/cora
-//        --out=embedding.bin --k=128 --alpha=0.5 --epsilon=0.015 --threads=8
+//        --out=embedding.ctn --k=128 --alpha=0.5 --epsilon=0.015 --threads=8
 //   # evaluate any method on all three tasks
 //   ./pane_cli --mode=eval --method=nrp --graph=/data/cora
 //
@@ -29,7 +30,7 @@
 
 namespace {
 
-// Dispatches on the path: text-layout directory, binary snapshot, or raw
+// Dispatches on the path: text-layout directory, graph container, or raw
 // edge list (SNAP-style). Text parsing is chunked across `num_threads`.
 pane::AttributedGraph LoadOrDemo(const std::string& graph_arg,
                                  int num_threads) {
@@ -57,9 +58,10 @@ int main(int argc, char** argv) {
                       pane::EmbedderRegistry::Names(), " | "));
   flags.AddString("mode", "eval", "train | eval");
   flags.AddString("graph", "demo",
-                  "graph to load: text-layout directory, binary snapshot "
-                  "(.bin), raw edge-list file, or 'demo'");
-  flags.AddString("out", "/tmp/pane_embedding.bin", "embedding output path");
+                  "graph to load: text-layout directory, graph container, "
+                  "raw edge-list file, or 'demo'");
+  flags.AddString("out", "/tmp/pane_embedding.ctn",
+                  "embedding container output path");
   flags.AddInt("k", 128, "space budget");
   flags.AddDouble("alpha", 0.5, "random-walk stopping probability (PANE)");
   flags.AddDouble("epsilon", 0.015, "affinity error threshold (PANE)");
@@ -69,20 +71,12 @@ int main(int argc, char** argv) {
                "CCD strips, and mmap-spill of the n x d factors when they "
                "exceed it (0 = unbounded; see README \"Memory model & "
                "tuning\")");
-  flags.AddInt("affinity-memory-mb", 0,
-               "DEPRECATED alias for --memory-budget-mb");
   flags.AddString("spill-dir", "",
                   "directory for factor spill files (default: temp dir)");
   flags.AddString("spill-mode", "pooled",
                   "spill flavor once over budget (PANE): 'pooled' evicts "
                   "page-granular through the shared buffer pool, 'flat' "
                   "drops whole panels (the pre-pool path)");
-  flags.AddString("output-format", "legacy",
-                  "artifact layout for --mode=train: 'legacy' (one-pass "
-                  "binary) or 'container' (paged, CRC32C-checksummed "
-                  "single-file container; see README \"Artifact "
-                  "container\"). Load dispatches on the file magic either "
-                  "way");
   flags.AddBool("verbose", false,
                 "log the engine decomposition (panel width/panels/scratch, "
                 "slab backing, CCD strips) after training");
@@ -113,17 +107,10 @@ int main(int argc, char** argv) {
   std::printf("loaded %s\n", graph.Summary().c_str());
 
   if (flags.GetString("mode") == "train") {
-    const std::string output_format = flags.GetString("output-format");
-    PANE_CHECK(output_format == "legacy" || output_format == "container")
-        << "unknown --output-format (use legacy or container)";
     pane::WallTimer timer;
     const auto embedding = (*embedder)->Train(graph);
     PANE_CHECK(embedding.ok()) << embedding.status();
-    if (output_format == "container") {
-      PANE_CHECK_OK(embedding->SaveContainer(flags.GetString("out")));
-    } else {
-      PANE_CHECK_OK(embedding->Save(flags.GetString("out")));
-    }
+    PANE_CHECK_OK(embedding->SaveContainer(flags.GetString("out")));
     std::printf(
         "trained %s embedding (n=%lld, dim=%lld, link=%s, attr=%s) in %.2fs; "
         "wrote %s\n",

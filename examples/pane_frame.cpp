@@ -5,7 +5,7 @@
 //   # drive a frame-mode server from a text script and diff against the
 //   # line-mode golden transcript
 //   ./pane_frame --encode < queries.txt |
-//     ./pane_server --embedding=emb.bin --protocol=frame |
+//     ./pane_server --embedding=emb.ctn --protocol=frame |
 //     ./pane_frame --decode > responses.txt
 //
 // --decode exits nonzero on any framing error (garbage magic, hostile

@@ -4,21 +4,21 @@
 // src/serve/line_protocol.h over stdin/stdout (default) or TCP (--port).
 //
 //   # train an artifact first
-//   ./pane_cli --mode=train --method=pane --graph=/data/cora --out=emb.bin
+//   ./pane_cli --mode=train --method=pane --graph=/data/cora --out=emb.ctn
 //   # serve it: one request per line, responses in request order
-//   printf 'attr 3 5\nlink 3 5\npair 0 7\n' | ./pane_server --embedding=emb.bin
+//   printf 'attr 3 5\nlink 3 5\npair 0 7\n' | ./pane_server --embedding=emb.ctn
 //   # recommendation mode (skip known attributes / existing edges)
-//   ./pane_server --embedding=emb.bin --graph=/data/cora
+//   ./pane_server --embedding=emb.ctn --graph=/data/cora
 //   # approximate mode with a recall knob
-//   ./pane_server --embedding=emb.bin --pruned --nprobe=8 --clusters=64
+//   ./pane_server --embedding=emb.ctn --pruned --nprobe=8 --clusters=64
 //   # TCP instead of stdin (loopback)
-//   ./pane_server --embedding=emb.bin --port=7077
+//   ./pane_server --embedding=emb.ctn --port=7077
 //
 // Sharded serving (the scatter-gather fabric of src/serve/router.h):
 //
 //   # router over an in-process fleet: the candidate space is cut into N
 //   # row shards, each scanned by a serial engine, fanned out in parallel
-//   ./pane_server --embedding=emb.bin --local-shards=4 --port=7077
+//   ./pane_server --embedding=emb.ctn --local-shards=4 --port=7077
 //   # router over remote shard servers (each serving a pane_shardctl slice)
 //   ./pane_server --embedding=emb.shard.0 --port=7071 &
 //   ./pane_server --embedding=emb.shard.1 --port=7072 &
@@ -161,13 +161,13 @@ int main(int argc, char** argv) {
     if (flags.GetBool("verbose")) {
       std::fprintf(stderr,
                    "store: method=%s n=%lld dim=%lld attrs=%lld mapped=%lldB "
-                   "zero_copy=%d sharded=%d\n",
+                   "sharded=%d\n",
                    store->method().c_str(),
                    static_cast<long long>(store->num_nodes()),
                    static_cast<long long>(store->dim()),
                    static_cast<long long>(store->num_attributes()),
                    static_cast<long long>(store->mapped_bytes()),
-                   store->zero_copy() ? 1 : 0, store->sharded() ? 1 : 0);
+                   store->sharded() ? 1 : 0);
     }
   }
 

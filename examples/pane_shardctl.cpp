@@ -1,8 +1,8 @@
 // Splits a trained NodeEmbedding artifact into N shard containers for the
 // scatter-gather serving fabric (src/serve/router.h):
 //
-//   ./pane_cli --mode=train --method=pane --graph=/data/cora --out=emb.bin
-//   ./pane_shardctl --input=emb.bin --out-prefix=emb.shard --shards=3
+//   ./pane_cli --mode=train --method=pane --graph=/data/cora --out=emb.ctn
+//   ./pane_shardctl --input=emb.ctn --out-prefix=emb.shard --shards=3
 //   # -> emb.shard.0  emb.shard.1  emb.shard.2
 //   ./pane_server --embedding=emb.shard.0 --port=7071 &
 //   ./pane_server --embedding=emb.shard.1 --port=7072 &

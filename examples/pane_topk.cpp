@@ -15,7 +15,7 @@
 // frame leg of the differential harness can `cmp` server and reference
 // bytes too.
 //
-//   ./pane_topk --embedding=emb.bin [--graph=/data/cora] < queries.txt
+//   ./pane_topk --embedding=emb.ctn [--graph=/data/cora] < queries.txt
 #include <iostream>
 #include <iterator>
 #include <string>

@@ -11,7 +11,7 @@
 int main() {
   // The paper's Figure 1 running example: 6 nodes, 3 attributes. Build your
   // own graphs the same way with GraphBuilder (AddEdge / AddNodeAttribute /
-  // AddLabel), or load one with LoadGraphText / LoadGraphBinary.
+  // AddLabel), or load one with LoadGraphText / LoadGraphContainer.
   const pane::AttributedGraph graph = pane::MakeFigure1Example();
   std::printf("input: %s\n\n", graph.Summary().c_str());
 

@@ -3,10 +3,11 @@
 // breakdown and speedup, and persist the embeddings to disk for reuse —
 // the workflow for embedding a graph too large to re-train casually.
 //
-//   ./examples/scale_parallel [--scale=1.0] [--threads=4] [--out=emb.bin]
+//   ./examples/scale_parallel [--scale=1.0] [--threads=4] [--out=emb.ctn]
 //                             [--memory-budget-mb=256]
 #include <cstdio>
 
+#include "src/api/node_embedding.h"
 #include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/common/timer.h"
@@ -19,8 +20,8 @@ int main(int argc, char** argv) {
   flags.AddInt("threads", 4, "worker threads for the parallel run");
   flags.AddInt("memory-budget-mb", 0,
                "whole-pipeline memory budget in MiB (0 = unbounded)");
-  flags.AddString("out", "/tmp/pane_tweibo_embedding.bin",
-                  "path to save the trained embedding");
+  flags.AddString("out", "/tmp/pane_tweibo_embedding.ctn",
+                  "path to save the trained embedding container");
   PANE_CHECK_OK(flags.Parse(argc, argv));
 
   const pane::AttributedGraph graph =
@@ -59,9 +60,10 @@ int main(int argc, char** argv) {
 
   // Persist and reload — downstream services score without re-training.
   const std::string path = flags.GetString("out");
-  PANE_CHECK_OK(parallel.Save(path));
+  PANE_CHECK_OK(pane::NodeEmbedding::FromPane(parallel).SaveContainer(path));
   pane::WallTimer load_timer;
-  const auto loaded = pane::PaneEmbedding::Load(path).ValueOrDie();
+  const auto artifact = pane::NodeEmbedding::Load(path).ValueOrDie();
+  const pane::PaneEmbedding loaded{artifact.xf, artifact.xb, artifact.y};
   std::printf("saved + reloaded embeddings (%lld x %lld twice + %lld x %lld) "
               "from %s in %.0fms\n",
               static_cast<long long>(loaded.xf.rows()),

@@ -9,7 +9,7 @@
 namespace pane {
 namespace {
 
-// Dashed spellings (--affinity-memory-mb) are normalized to the underscore
+// Dashed spellings (--memory-budget-mb) are normalized to the underscore
 // spelling every config key uses, on every write path (FromMap, FromFlags,
 // Set — including the CLI's --opt merge), so embedders read one key
 // regardless of how the value arrived.

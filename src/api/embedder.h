@@ -38,7 +38,7 @@ class EmbedderConfig {
   /// Sets one entry (chainable): config.Set("k", "64").Set("alpha", "0.3").
   ///
   /// All write paths (FromMap, FromFlags, Set) normalize dashes in keys to
-  /// underscores (--affinity-memory-mb => affinity_memory_mb) so config
+  /// underscores (--memory-budget-mb => memory_budget_mb) so config
   /// keys have one spelling however the value arrived.
   EmbedderConfig& Set(const std::string& key, std::string value);
 

@@ -63,15 +63,7 @@ class PaneEmbedder : public Embedder {
                      << "; ccd strip=" << stats.ccd.strip_width
                      << " scratch=" << stats.ccd.scratch_bytes << "B";
     }
-    NodeEmbedding e;
-    e.method = name();
-    e.features = ConcatFactors(trained.xf, trained.xb);
-    e.xf = std::move(trained.xf);
-    e.xb = std::move(trained.xb);
-    e.y = std::move(trained.y);
-    e.link_convention = LinkConvention::kForwardBackward;
-    e.attribute_convention = AttributeConvention::kFactors;
-    return e;
+    return NodeEmbedding::FromPane(std::move(trained), name());
   }
 
  private:
@@ -95,12 +87,9 @@ Result<std::unique_ptr<Embedder>> MakePane(const EmbedderConfig& config,
   PANE_ASSIGN_OR_RETURN(options.greedy_init,
                         config.GetBool("greedy_init", true));
   // --memory-budget-mb arrives as this key: FromFlags normalizes dashed
-  // flag names to the underscore spelling. --affinity-memory-mb is the
-  // deprecated alias; Pane::Train falls back to it when the new key is 0.
+  // flag names to the underscore spelling.
   PANE_ASSIGN_OR_RETURN(options.memory_budget_mb,
                         config.GetInt("memory_budget_mb", 0));
-  PANE_ASSIGN_OR_RETURN(options.affinity_memory_mb,
-                        config.GetInt("affinity_memory_mb", 0));
   options.spill_dir = config.GetString("spill_dir", "");
   // Spill flavor once the budget forces out-of-core factors: "pooled"
   // (page-granular eviction through the shared BufferPool, the default) or

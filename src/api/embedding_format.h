@@ -1,23 +1,11 @@
-// The NodeEmbedding artifact's on-disk vocabulary, shared by the producer
-// side (src/api/node_embedding.cc writes and stream-loads artifacts) and the
-// serving side (src/serve/embedding_store.cc maps them read-only). Header
-// only — src/serve includes it without linking pane_api.
-//
-// Layout (little-endian, native doubles):
-//   magic u64 | version u32 | method_len u32 | method bytes |
-//   link i8 | attr i8 | presence mask u8 | [v2: zero padding to 8-byte
-//   file offset] | matrices (rows i64, cols i64, row-major doubles) in the
-//   order features, xf, xb, y (optional blocks present per the mask).
-//
-// Version 2 pads the header so every matrix payload sits at an 8-byte file
-// offset: a matrix header is 16 bytes and every payload a multiple of 8, so
-// aligning the first payload aligns them all. That is what lets a
-// memory-mapped reader point double views straight into the mapping.
-// Version 1 (no padding) is still read by both loaders; the mmap store
-// falls back to copying its matrices out of the mapping.
+// The NodeEmbedding artifact's scoring conventions, shared by the producer
+// side (src/api/node_embedding.cc) and the serving side
+// (src/serve/embedding_store.cc). Header only — src/serve includes it
+// without linking pane_api. The artifact's bytes are the container's emb.*
+// streams (src/store/embedding_pages.h), which carry each convention as its
+// raw int8 code.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 
 namespace pane {
@@ -48,38 +36,4 @@ enum class AttributeConvention : int8_t {
   kFactors = 2,
 };
 
-namespace embedding_format {
-
-// "PANENEB1": the unified NodeEmbedding artifact, distinct from the legacy
-// PaneEmbedding magic so old files fail loudly instead of misparsing.
-inline constexpr uint64_t kMagic = 0x50414e454e454231ULL;
-
-/// The original, unpadded layout.
-inline constexpr uint32_t kVersionUnaligned = 1;
-/// The padded layout Save writes: matrix payloads 8-byte aligned.
-inline constexpr uint32_t kVersionAligned = 2;
-
-inline constexpr size_t kMaxMethodNameLength = 256;
-
-inline constexpr uint8_t kHasXf = 1u << 0;
-inline constexpr uint8_t kHasXb = 1u << 1;
-inline constexpr uint8_t kHasY = 1u << 2;
-inline constexpr uint8_t kKnownMaskBits = kHasXf | kHasXb | kHasY;
-
-inline constexpr int64_t kPayloadAlignment =
-    static_cast<int64_t>(sizeof(double));
-
-/// Bytes before the version-2 padding: magic(8) + version(4) +
-/// method_len(4) + method + link(1) + attr(1) + mask(1).
-inline constexpr int64_t HeaderBytes(size_t method_len) {
-  return 19 + static_cast<int64_t>(method_len);
-}
-
-/// Zero bytes inserted after the header so the next byte sits at an
-/// 8-byte file offset.
-inline constexpr int64_t PaddingFor(int64_t offset) {
-  return (kPayloadAlignment - offset % kPayloadAlignment) % kPayloadAlignment;
-}
-
-}  // namespace embedding_format
 }  // namespace pane

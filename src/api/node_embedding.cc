@@ -1,17 +1,13 @@
 #include "src/api/node_embedding.h"
 
 #include <cstring>
-#include <fstream>
-#include <vector>
+#include <utility>
 
-#include "src/common/atomic_file.h"
 #include "src/store/container.h"
 #include "src/store/embedding_pages.h"
 
 namespace pane {
 namespace {
-
-namespace fmt = embedding_format;
 
 store::MatrixExtent ExtentOf(const DenseMatrix& m) {
   store::MatrixExtent extent;
@@ -30,114 +26,6 @@ void CopyExtent(const store::MatrixExtent& extent, DenseMatrix* out) {
                 static_cast<size_t>(extent.payload_bytes()));
   }
 }
-
-Result<NodeEmbedding> LoadFromContainer(const std::string& path) {
-  PANE_ASSIGN_OR_RETURN(store::Container container,
-                        store::Container::Open(path));
-  if (!store::HasEmbeddingStreams(container)) {
-    return Status::InvalidArgument(
-        "container " + path + " holds no embedding artifact");
-  }
-  PANE_ASSIGN_OR_RETURN(
-      store::EmbeddingExtents extents,
-      store::ReadEmbeddingStreams(container, /*verify_payloads=*/true));
-  if (extents.link_convention < 0 ||
-      extents.link_convention >
-          static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {
-    return Status::InvalidArgument("bad link convention in " + path);
-  }
-  if (extents.attribute_convention < 0 ||
-      extents.attribute_convention >
-          static_cast<int8_t>(AttributeConvention::kFactors)) {
-    return Status::InvalidArgument("bad attribute convention in " + path);
-  }
-  NodeEmbedding e;
-  e.method = std::move(extents.method);
-  e.link_convention = static_cast<LinkConvention>(extents.link_convention);
-  e.attribute_convention =
-      static_cast<AttributeConvention>(extents.attribute_convention);
-  CopyExtent(extents.features, &e.features);
-  CopyExtent(extents.xf, &e.xf);
-  CopyExtent(extents.xb, &e.xb);
-  CopyExtent(extents.y, &e.y);
-  PANE_RETURN_NOT_OK(e.Check());
-  return e;
-}
-
-template <typename T>
-void AppendPod(std::string* buf, const T& value) {
-  buf->append(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void AppendMatrix(std::string* buf, const DenseMatrix& m) {
-  AppendPod(buf, m.rows());
-  AppendPod(buf, m.cols());
-  buf->append(reinterpret_cast<const char*>(m.data()),
-              static_cast<size_t>(m.size()) * sizeof(double));
-}
-
-/// Stream reader that tracks the bytes left in the file, so every length
-/// and shape field is checked before it drives an allocation — the same
-/// BoundedReader discipline LoadGraphBinary uses.
-class BoundedReader {
- public:
-  BoundedReader(std::istream* in, int64_t file_size)
-      : in_(in), remaining_(file_size) {}
-
-  int64_t remaining() const { return remaining_; }
-
-  template <typename T>
-  Status ReadPod(T* value) {
-    if (remaining_ < static_cast<int64_t>(sizeof(T))) {
-      return Status::IOError("truncated embedding file");
-    }
-    in_->read(reinterpret_cast<char*>(value), sizeof(*value));
-    if (!*in_) return Status::IOError("truncated embedding file");
-    remaining_ -= static_cast<int64_t>(sizeof(T));
-    return Status::OK();
-  }
-
-  Status ReadBytes(char* dst, int64_t count) {
-    if (remaining_ < count) {
-      return Status::IOError("truncated embedding file");
-    }
-    in_->read(dst, static_cast<std::streamsize>(count));
-    if (!*in_) return Status::IOError("truncated embedding file");
-    remaining_ -= count;
-    return Status::OK();
-  }
-
-  Status SkipPadding(int64_t count) {
-    std::vector<char> pad(static_cast<size_t>(count));
-    return ReadBytes(pad.data(), count);
-  }
-
-  /// Reads one (rows, cols, payload) matrix record. The shape is validated
-  /// against the remaining byte budget before Resize, so a corrupt header
-  /// can't request an implausible allocation (and rows * cols can't
-  /// overflow: cols is bounded by remaining / rows first).
-  Status ReadMatrix(DenseMatrix* m) {
-    int64_t rows = 0, cols = 0;
-    PANE_RETURN_NOT_OK(ReadPod(&rows));
-    PANE_RETURN_NOT_OK(ReadPod(&cols));
-    if (rows < 0 || cols < 0) {
-      return Status::IOError("negative matrix shape in embedding file");
-    }
-    const int64_t max_doubles =
-        remaining_ / static_cast<int64_t>(sizeof(double));
-    if (rows > 0 && cols > max_doubles / rows) {
-      return Status::IOError(
-          "matrix shape in embedding file exceeds the file's size");
-    }
-    m->Resize(rows, cols);
-    return ReadBytes(reinterpret_cast<char*>(m->data()),
-                     m->size() * static_cast<int64_t>(sizeof(double)));
-  }
-
- private:
-  std::istream* in_;
-  int64_t remaining_;
-};
 
 }  // namespace
 
@@ -167,11 +55,27 @@ const char* AttributeConventionToString(AttributeConvention c) {
   return "unknown";
 }
 
+NodeEmbedding NodeEmbedding::FromPane(PaneEmbedding trained,
+                                     std::string method) {
+  NodeEmbedding e;
+  e.method = std::move(method);
+  const int64_t h = trained.xf.cols();
+  e.features.Resize(trained.xf.rows(), 2 * h);
+  e.features.SetBlock(0, 0, trained.xf);
+  e.features.SetBlock(0, h, trained.xb);
+  e.xf = std::move(trained.xf);
+  e.xb = std::move(trained.xb);
+  e.y = std::move(trained.y);
+  e.link_convention = LinkConvention::kForwardBackward;
+  e.attribute_convention = AttributeConvention::kFactors;
+  return e;
+}
+
 Status NodeEmbedding::Check() const {
   if (features.empty()) {
     return Status::InvalidArgument("NodeEmbedding has no feature matrix");
   }
-  if (method.size() > fmt::kMaxMethodNameLength) {
+  if (method.size() > store::kMaxMethodNameLength) {
     return Status::InvalidArgument(
         "NodeEmbedding method name exceeds the serializable length");
   }
@@ -207,34 +111,6 @@ Status NodeEmbedding::Check() const {
   return Status::OK();
 }
 
-Status NodeEmbedding::Save(const std::string& path) const {
-  PANE_RETURN_NOT_OK(Check());
-  std::string buf;
-  AppendPod(&buf, fmt::kMagic);
-  AppendPod(&buf, fmt::kVersionAligned);
-  const uint32_t method_len = static_cast<uint32_t>(method.size());
-  AppendPod(&buf, method_len);
-  buf.append(method);
-  AppendPod(&buf, static_cast<int8_t>(link_convention));
-  AppendPod(&buf, static_cast<int8_t>(attribute_convention));
-  uint8_t mask = 0;
-  if (!xf.empty()) mask |= fmt::kHasXf;
-  if (!xb.empty()) mask |= fmt::kHasXb;
-  if (!y.empty()) mask |= fmt::kHasY;
-  AppendPod(&buf, mask);
-  // Version 2: align the first matrix record to an 8-byte file offset so an
-  // mmap reader can point double views straight into the mapping.
-  buf.append(
-      static_cast<size_t>(fmt::PaddingFor(static_cast<int64_t>(buf.size()))),
-      '\0');
-  AppendMatrix(&buf, features);
-  if (!xf.empty()) AppendMatrix(&buf, xf);
-  if (!xb.empty()) AppendMatrix(&buf, xb);
-  if (!y.empty()) AppendMatrix(&buf, y);
-
-  return AtomicWriteFile(path, buf);
-}
-
 Status NodeEmbedding::SaveContainer(const std::string& path) const {
   PANE_RETURN_NOT_OK(Check());
   store::EmbeddingExtents extents;
@@ -253,67 +129,34 @@ Status NodeEmbedding::SaveContainer(const std::string& path) const {
 }
 
 Result<NodeEmbedding> NodeEmbedding::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  in.seekg(0, std::ios::end);
-  const int64_t file_size = static_cast<int64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  if (file_size < 0) return Status::IOError("cannot size: " + path);
-  BoundedReader reader(&in, file_size);
-
-  uint64_t magic = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&magic));
-  if (store::Container::HasContainerMagic(&magic)) {
-    in.close();
-    return LoadFromContainer(path);
+  PANE_ASSIGN_OR_RETURN(store::Container container,
+                        store::Container::Open(path));
+  if (!store::HasEmbeddingStreams(container)) {
+    return Status::InvalidArgument(
+        "container " + path + " holds no embedding artifact");
   }
-  if (magic != fmt::kMagic) {
-    return Status::InvalidArgument("not a NodeEmbedding file: " + path);
-  }
-  uint32_t version = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&version));
-  if (version != fmt::kVersionUnaligned && version != fmt::kVersionAligned) {
-    return Status::InvalidArgument("unsupported NodeEmbedding version in " +
-                                   path);
-  }
-  uint32_t method_len = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&method_len));
-  if (method_len > fmt::kMaxMethodNameLength) {
-    return Status::InvalidArgument("implausible method-name length in " + path);
-  }
-  NodeEmbedding e;
-  e.method.resize(method_len);
-  PANE_RETURN_NOT_OK(reader.ReadBytes(e.method.data(), method_len));
-  int8_t link = 0, attr = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&link));
-  PANE_RETURN_NOT_OK(reader.ReadPod(&attr));
-  if (link < 0 || link > static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {
+  PANE_ASSIGN_OR_RETURN(
+      store::EmbeddingExtents extents,
+      store::ReadEmbeddingStreams(container, /*verify_payloads=*/true));
+  if (extents.link_convention < 0 ||
+      extents.link_convention >
+          static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {
     return Status::InvalidArgument("bad link convention in " + path);
   }
-  if (attr < 0 || attr > static_cast<int8_t>(AttributeConvention::kFactors)) {
+  if (extents.attribute_convention < 0 ||
+      extents.attribute_convention >
+          static_cast<int8_t>(AttributeConvention::kFactors)) {
     return Status::InvalidArgument("bad attribute convention in " + path);
   }
-  e.link_convention = static_cast<LinkConvention>(link);
-  e.attribute_convention = static_cast<AttributeConvention>(attr);
-  uint8_t mask = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&mask));
-  if ((mask & ~fmt::kKnownMaskBits) != 0) {
-    return Status::InvalidArgument("unknown presence-mask bits in " + path);
-  }
-  if (version == fmt::kVersionAligned) {
-    PANE_RETURN_NOT_OK(
-        reader.SkipPadding(fmt::PaddingFor(fmt::HeaderBytes(method_len))));
-  }
-  PANE_RETURN_NOT_OK(reader.ReadMatrix(&e.features));
-  if (mask & fmt::kHasXf) {
-    PANE_RETURN_NOT_OK(reader.ReadMatrix(&e.xf));
-  }
-  if (mask & fmt::kHasXb) {
-    PANE_RETURN_NOT_OK(reader.ReadMatrix(&e.xb));
-  }
-  if (mask & fmt::kHasY) {
-    PANE_RETURN_NOT_OK(reader.ReadMatrix(&e.y));
-  }
+  NodeEmbedding e;
+  e.method = std::move(extents.method);
+  e.link_convention = static_cast<LinkConvention>(extents.link_convention);
+  e.attribute_convention =
+      static_cast<AttributeConvention>(extents.attribute_convention);
+  CopyExtent(extents.features, &e.features);
+  CopyExtent(extents.xf, &e.xf);
+  CopyExtent(extents.xb, &e.xb);
+  CopyExtent(extents.y, &e.y);
   PANE_RETURN_NOT_OK(e.Check());
   return e;
 }

@@ -6,7 +6,8 @@
 // The artifact is a primary per-node feature matrix plus optional factor
 // blocks (PANE's forward / backward node factors and its attribute factor),
 // tagged with the scoring conventions the producer is evaluated under in the
-// paper. One binary format serializes all of it.
+// paper. One binary format serializes all of it: the paged, checksummed
+// store:: container (src/store/embedding_pages.h lists its streams).
 #pragma once
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 
 #include "src/api/embedding_format.h"
 #include "src/common/status.h"
+#include "src/core/embedding.h"
 #include "src/matrix/dense_matrix.h"
 
 namespace pane {
@@ -46,31 +48,26 @@ struct NodeEmbedding {
   bool has_node_factors() const { return !xf.empty() && !xb.empty(); }
   bool has_attribute_factors() const { return has_node_factors() && !y.empty(); }
 
-  /// Shape / convention consistency checks (called by Save and by the
-  /// adapters before they consume the artifact).
+  /// PANE's trained factors as an artifact: features = [Xf | Xb] plus the
+  /// three factor blocks, scored by Equations 21 and 22.
+  static NodeEmbedding FromPane(PaneEmbedding trained,
+                                std::string method = "pane");
+
+  /// Shape / convention consistency checks (called by SaveContainer and by
+  /// the adapters before they consume the artifact).
   Status Check() const;
 
-  /// One binary file: magic, version, method, conventions, presence mask,
-  /// then the present matrices (layout in src/api/embedding_format.h; Save
-  /// writes version 2, whose matrix payloads are 8-byte aligned so the
-  /// serving-side EmbeddingStore can mmap them zero-copy). Stable across
-  /// save/load round-trips byte-for-byte, and crash-safe: the file is
-  /// written to a temp name and atomically renamed into place.
-  Status Save(const std::string& path) const;
-
-  /// The same artifact as a paged, checksummed store:: container
-  /// (src/store/container.h): each matrix is its own page-aligned stream,
-  /// every page CRC32C-guarded, committed via temp + fsync + rename.
-  /// The pane_cli writes this with --output-format=container.
+  /// Writes the artifact as a store:: container (src/store/container.h):
+  /// each matrix is its own page-aligned stream, every page CRC32C-guarded,
+  /// committed via temp + fsync + rename. Deterministic, so a save/load/save
+  /// round trip is byte-for-byte stable.
   Status SaveContainer(const std::string& path) const;
 
-  /// Reads either format, dispatching on the leading magic: the legacy
-  /// layout (version 1 or 2) or a container written by SaveContainer (whose
-  /// page checksums are verified during the load, so a single flipped bit
-  /// anywhere in the file is reported). Every shape and length field is
-  /// validated against the bytes remaining in the file before any
-  /// allocation, so a corrupt or truncated artifact yields a Status instead
-  /// of an OOM. For a shared read-only view of a large artifact (no
+  /// Reads a container written by SaveContainer. Page checksums are verified
+  /// during the load, so a single flipped bit anywhere in the file is
+  /// reported, and every shape is checked against its stream's size before
+  /// any allocation, so a corrupt or truncated artifact yields a Status
+  /// instead of an OOM. For a shared read-only view of a large artifact (no
   /// per-process copy), open it with serve::EmbeddingStore instead.
   static Result<NodeEmbedding> Load(const std::string& path);
 };

@@ -2,9 +2,9 @@
 // then atomically rename over the destination. A reader (or a crashed
 // writer) therefore only ever observes the old complete file or the new
 // complete file — never a torn half-write. Every artifact writer in the
-// tree (NodeEmbedding::Save, SaveGraphBinary, the store:: container) goes
-// through this helper, so "the process died mid-save" can no longer corrupt
-// a deployed embedding or graph snapshot.
+// tree (the store:: container behind embeddings, graphs and IVF indexes, and
+// the text / edge-list graph files) goes through this helper, so "the
+// process died mid-save" can no longer corrupt a deployed artifact.
 #pragma once
 
 #include <cstdint>

@@ -1,73 +1,8 @@
 #include "src/core/embedding.h"
 
-#include <cstdint>
-#include <fstream>
-#include <vector>
-
 #include "src/matrix/gemm.h"
 
 namespace pane {
-namespace {
-
-constexpr uint64_t kEmbeddingMagic = 0x50414e45454d4231ULL;  // "PANEEMB1"
-
-void AppendMatrix(std::string* buf, const DenseMatrix& m) {
-  const int64_t rows = m.rows();
-  const int64_t cols = m.cols();
-  buf->append(reinterpret_cast<const char*>(&rows), sizeof(rows));
-  buf->append(reinterpret_cast<const char*>(&cols), sizeof(cols));
-  buf->append(reinterpret_cast<const char*>(m.data()),
-              static_cast<size_t>(m.size()) * sizeof(double));
-}
-
-Status ReadMatrix(std::istream* in, DenseMatrix* m) {
-  int64_t rows = 0, cols = 0;
-  in->read(reinterpret_cast<char*>(&rows), sizeof(rows));
-  in->read(reinterpret_cast<char*>(&cols), sizeof(cols));
-  if (!*in || rows < 0 || cols < 0) {
-    return Status::IOError("truncated embedding file");
-  }
-  m->Resize(rows, cols);
-  in->read(reinterpret_cast<char*>(m->data()),
-           static_cast<std::streamsize>(m->size() * sizeof(double)));
-  if (!*in) return Status::IOError("truncated embedding file");
-  return Status::OK();
-}
-
-}  // namespace
-
-Status PaneEmbedding::Save(const std::string& path) const {
-  std::string buf;
-  buf.append(reinterpret_cast<const char*>(&kEmbeddingMagic),
-             sizeof(kEmbeddingMagic));
-  AppendMatrix(&buf, xf);
-  AppendMatrix(&buf, xb);
-  AppendMatrix(&buf, y);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open for write: " + path);
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!out) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<PaneEmbedding> PaneEmbedding::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open: " + path);
-  uint64_t magic = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  if (!in || magic != kEmbeddingMagic) {
-    return Status::InvalidArgument("not a PANE embedding file: " + path);
-  }
-  PaneEmbedding e;
-  PANE_RETURN_NOT_OK(ReadMatrix(&in, &e.xf));
-  PANE_RETURN_NOT_OK(ReadMatrix(&in, &e.xb));
-  PANE_RETURN_NOT_OK(ReadMatrix(&in, &e.y));
-  if (e.xf.rows() != e.xb.rows() || e.xf.cols() != e.xb.cols() ||
-      e.y.cols() != e.xf.cols()) {
-    return Status::InvalidArgument("inconsistent embedding shapes in " + path);
-  }
-  return e;
-}
 
 EdgeScorer::EdgeScorer(const PaneEmbedding& embedding)
     : EdgeScorer(embedding.xf, embedding.xb, embedding.y) {}

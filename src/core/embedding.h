@@ -1,12 +1,10 @@
 // The PANE output: forward / backward node embeddings and attribute
 // embeddings, with the scoring functions the paper's downstream tasks use
-// (attribute inference, Equation 21; link prediction, Equation 22) and
-// binary save / load.
+// (attribute inference, Equation 21; link prediction, Equation 22). To
+// persist one, wrap it in a NodeEmbedding (src/api/node_embedding.h) and
+// write the checksummed container.
 #pragma once
 
-#include <string>
-
-#include "src/common/status.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/matrix/vector_ops.h"
 
@@ -29,9 +27,6 @@ struct PaneEmbedding {
     const double* yr = y.Row(r);
     return Dot(xf.Row(v), yr, xf.cols()) + Dot(xb.Row(v), yr, xb.cols());
   }
-
-  Status Save(const std::string& path) const;
-  static Result<PaneEmbedding> Load(const std::string& path);
 };
 
 /// \brief Link-prediction scorer (Equation 22):

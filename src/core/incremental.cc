@@ -31,8 +31,8 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
   if (options.ccd_iterations < 0) {
     return Status::InvalidArgument("ccd_iterations must be >= 0");
   }
-  if (options.memory_budget_mb < 0 || options.affinity_memory_mb < 0) {
-    return Status::InvalidArgument("memory budgets must be >= 0");
+  if (options.memory_budget_mb < 0) {
+    return Status::InvalidArgument("memory_budget_mb must be >= 0");
   }
   RefreshStats local;
   RefreshStats* out = stats != nullptr ? stats : &local;
@@ -46,9 +46,7 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
 
   // Same single-budget rule as Pane::Train: the refresh keeps four n x d
   // factors resident (F', B', Sf, Sb); spill them when over budget.
-  const int64_t budget_mb = options.memory_budget_mb > 0
-                                ? options.memory_budget_mb
-                                : options.affinity_memory_mb;
+  const int64_t budget_mb = options.memory_budget_mb;
   const int64_t slab_bytes =
       4 * n * d * static_cast<int64_t>(sizeof(double));
   FactorSlab::Backing backing =

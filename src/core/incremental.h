@@ -32,8 +32,6 @@ struct RefreshOptions {
   /// Whole-pipeline memory budget in MiB, as in PaneOptions: panel scratch,
   /// CCD strips, and the slab spill decision. 0 => unbounded, all in RAM.
   int64_t memory_budget_mb = 0;
-  /// DEPRECATED alias for memory_budget_mb; honored when it is 0.
-  int64_t affinity_memory_mb = 0;
   /// Slab backing decision (kAuto => spill when 4 n d exceeds the budget).
   SlabPolicy slab_policy = SlabPolicy::kAuto;
   /// Spill flavor once spilling: pooled (shared BufferPool, default) or the

@@ -33,15 +33,7 @@ Status ValidatePaneOptions(const PaneOptions& options) {
   if (options.memory_budget_mb < 0) {
     return Status::InvalidArgument("memory_budget_mb must be >= 0");
   }
-  if (options.affinity_memory_mb < 0) {
-    return Status::InvalidArgument("affinity_memory_mb must be >= 0");
-  }
   return Status::OK();
-}
-
-int64_t ResolvedMemoryBudgetMb(const PaneOptions& options) {
-  if (options.memory_budget_mb > 0) return options.memory_budget_mb;
-  return options.affinity_memory_mb;
 }
 
 Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
@@ -56,11 +48,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
                       << graph.num_attributes()
                       << "; surplus dimensions carry no signal";
   }
-  const int64_t budget_mb = ResolvedMemoryBudgetMb(opt);
-  if (opt.memory_budget_mb == 0 && opt.affinity_memory_mb > 0) {
-    PANE_LOG(WARNING) << "affinity_memory_mb is deprecated; it now feeds the "
-                         "whole-pipeline budget — use memory_budget_mb";
-  }
+  const int64_t budget_mb = opt.memory_budget_mb;
 
   const int t = ComputeIterationCount(opt.epsilon, opt.alpha);
   const int ccd_iters = opt.ccd_iterations > 0 ? opt.ccd_iterations : t;

@@ -40,9 +40,6 @@ struct PaneOptions {
   /// graphs whose factors exceed RAM still run. 0 => unbounded, all in RAM.
   /// Spilled and in-RAM runs produce bitwise-identical embeddings.
   int64_t memory_budget_mb = 0;
-  /// DEPRECATED alias for memory_budget_mb (--affinity-memory-mb); honored
-  /// only when memory_budget_mb is 0. Remove after one release.
-  int64_t affinity_memory_mb = 0;
   /// Slab backing decision; kAuto applies the budget rule above, kInRam /
   /// kMmap force one backing (benches, tests).
   SlabPolicy slab_policy = SlabPolicy::kAuto;
@@ -62,13 +59,10 @@ struct PaneOptions {
 };
 
 /// \brief Checks a PaneOptions for validity: k even and > 0, alpha and
-/// epsilon in (0, 1), num_threads >= 1, ccd_iterations >= 0, budgets >= 0.
+/// epsilon in (0, 1), num_threads >= 1, ccd_iterations >= 0 and
+/// memory_budget_mb >= 0.
 /// Called up front by Pane::Train and by the api layer's option validation.
 Status ValidatePaneOptions(const PaneOptions& options);
-
-/// \brief The budget actually in force: memory_budget_mb, falling back to
-/// the deprecated affinity_memory_mb alias.
-int64_t ResolvedMemoryBudgetMb(const PaneOptions& options);
 
 /// \brief Phase timings and diagnostics from one Train() run.
 struct PaneStats {

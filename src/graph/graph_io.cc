@@ -1,7 +1,8 @@
 #include "src/graph/graph_io.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -15,8 +16,6 @@
 
 namespace pane {
 namespace {
-
-constexpr uint64_t kBinaryMagic = 0x50414e4547523031ULL;  // "PANEGR01"
 
 // Container stream names (SaveGraphContainer / LoadGraphContainer).
 constexpr char kGraphMetaStream[] = "graph.meta";
@@ -43,112 +42,6 @@ Status AnnotateError(const Status& s, const std::string& path) {
 template <typename T>
 void AppendPod(std::string* buf, const T& value) {
   buf->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-void AppendVector(std::string* buf, const std::vector<T>& v) {
-  AppendPod<uint64_t>(buf, v.size());
-  buf->append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
-}
-
-/// All binary reads go through this wrapper, which tracks the bytes left in
-/// the file so a corrupt length field fails with an IOError before any
-/// allocation instead of triggering a multi-GB resize.
-class BoundedReader {
- public:
-  static Result<BoundedReader> Open(const std::string& path) {
-    BoundedReader r;
-    r.in_.open(path, std::ios::binary);
-    if (!r.in_) return Status::IOError("cannot open: " + path);
-    r.in_.seekg(0, std::ios::end);
-    const std::streamoff size = r.in_.tellg();
-    if (size < 0) return Status::IOError("cannot stat: " + path);
-    r.remaining_ = static_cast<int64_t>(size);
-    r.in_.seekg(0, std::ios::beg);
-    return r;
-  }
-
-  int64_t remaining() const { return remaining_; }
-
-  template <typename T>
-  Status ReadPod(T* value) {
-    if (remaining_ < static_cast<int64_t>(sizeof(T))) {
-      return Status::IOError("truncated binary graph file");
-    }
-    in_.read(reinterpret_cast<char*>(value), sizeof(T));
-    if (!in_) return Status::IOError("truncated binary graph file");
-    remaining_ -= static_cast<int64_t>(sizeof(T));
-    return Status::OK();
-  }
-
-  /// Reads a u64 length header + payload. The declared length is checked
-  /// against the remaining file size before the vector is resized.
-  template <typename T>
-  Status ReadVector(std::vector<T>* v, const char* what) {
-    uint64_t size = 0;
-    PANE_RETURN_NOT_OK(ReadPod(&size));
-    PANE_RETURN_NOT_OK(CheckFits(size, sizeof(T), what));
-    v->resize(size);
-    const int64_t bytes = static_cast<int64_t>(size * sizeof(T));
-    in_.read(reinterpret_cast<char*>(v->data()),
-             static_cast<std::streamsize>(bytes));
-    if (!in_) return Status::IOError("truncated binary graph file");
-    remaining_ -= bytes;
-    return Status::OK();
-  }
-
-  /// Reads `bytes` raw bytes; the caller has already bounded them via
-  /// CheckFits.
-  Status ReadRaw(void* dst, int64_t bytes) {
-    if (bytes > remaining_) return Status::IOError("truncated binary graph file");
-    in_.read(static_cast<char*>(dst), static_cast<std::streamsize>(bytes));
-    if (!in_) return Status::IOError("truncated binary graph file");
-    remaining_ -= bytes;
-    return Status::OK();
-  }
-
-  /// Fails unless `count` elements of `elem_size` bytes fit in the file's
-  /// remaining bytes. Division keeps the comparison overflow-free.
-  Status CheckFits(uint64_t count, size_t elem_size, const char* what) const {
-    if (count > static_cast<uint64_t>(remaining_) / elem_size) {
-      return Status::IOError(
-          StrFormat("%s length %llu exceeds the bytes remaining in the file",
-                    what, static_cast<unsigned long long>(count)));
-    }
-    return Status::OK();
-  }
-
- private:
-  std::ifstream in_;
-  int64_t remaining_ = 0;
-};
-
-void AppendCsr(std::string* buf, const CsrMatrix& m) {
-  AppendPod<int64_t>(buf, m.rows());
-  AppendPod<int64_t>(buf, m.cols());
-  AppendVector(buf, m.indptr());
-  AppendVector(buf, m.indices());
-  AppendVector(buf, m.values());
-}
-
-Result<CsrMatrix> ReadCsr(BoundedReader* reader) {
-  int64_t rows = 0, cols = 0;
-  PANE_RETURN_NOT_OK(reader->ReadPod(&rows));
-  PANE_RETURN_NOT_OK(reader->ReadPod(&cols));
-  if (rows < 0 || cols < 0) {
-    return Status::IOError("negative matrix shape in binary graph file");
-  }
-  std::vector<int64_t> indptr;
-  std::vector<int32_t> indices;
-  std::vector<double> values;
-  PANE_RETURN_NOT_OK(reader->ReadVector(&indptr, "indptr"));
-  if (static_cast<int64_t>(indptr.size()) != rows + 1) {
-    return Status::IOError("indptr length does not match the stored row count");
-  }
-  PANE_RETURN_NOT_OK(reader->ReadVector(&indices, "indices"));
-  PANE_RETURN_NOT_OK(reader->ReadVector(&values, "values"));
-  return CsrMatrix::FromCsrArrays(rows, cols, std::move(indptr),
-                                  std::move(indices), std::move(values));
 }
 
 Result<std::vector<std::vector<Triplet>>> ParseGraphFile(
@@ -277,60 +170,6 @@ Result<AttributedGraph> LoadGraphText(const std::string& dir,
     }
   }
   return builder.Build(*directed == 0);
-}
-
-Status SaveGraphBinary(const AttributedGraph& graph, const std::string& path) {
-  std::string buf;
-  AppendPod(&buf, kBinaryMagic);
-  AppendPod<uint8_t>(&buf, graph.undirected() ? 1 : 0);
-  AppendCsr(&buf, graph.adjacency());
-  AppendCsr(&buf, graph.attributes());
-  AppendPod<int64_t>(&buf, graph.num_nodes());
-  for (int64_t v = 0; v < graph.num_nodes(); ++v) {
-    const auto& labels = graph.labels()[static_cast<size_t>(v)];
-    AppendPod<uint32_t>(&buf, static_cast<uint32_t>(labels.size()));
-    buf.append(reinterpret_cast<const char*>(labels.data()),
-               labels.size() * sizeof(int32_t));
-  }
-  return WriteAll(path, buf);
-}
-
-Result<AttributedGraph> LoadGraphBinary(const std::string& path) {
-  PANE_ASSIGN_OR_RETURN(BoundedReader reader, BoundedReader::Open(path));
-  uint64_t magic = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&magic));
-  if (magic != kBinaryMagic) {
-    return Status::InvalidArgument("not a PANE binary graph file: " + path);
-  }
-  uint8_t undirected = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&undirected));
-  auto adjacency = ReadCsr(&reader);
-  if (!adjacency.ok()) return AnnotateError(adjacency.status(), path);
-  auto attributes = ReadCsr(&reader);
-  if (!attributes.ok()) return AnnotateError(attributes.status(), path);
-  int64_t n = 0;
-  PANE_RETURN_NOT_OK(reader.ReadPod(&n));
-  if (n != adjacency->rows()) {
-    return Status::InvalidArgument("label count mismatch in " + path);
-  }
-  std::vector<std::vector<int32_t>> labels(static_cast<size_t>(n));
-  for (int64_t v = 0; v < n; ++v) {
-    uint32_t count = 0;
-    PANE_RETURN_NOT_OK(reader.ReadPod(&count));
-    PANE_RETURN_NOT_OK(AnnotateError(
-        reader.CheckFits(count, sizeof(int32_t), "label list"), path));
-    auto& node_labels = labels[static_cast<size_t>(v)];
-    node_labels.resize(count);
-    PANE_RETURN_NOT_OK(reader.ReadRaw(
-        node_labels.data(), static_cast<int64_t>(count) * sizeof(int32_t)));
-  }
-  // The validated CSR arrays are adopted directly — no per-edge rebuild.
-  auto graph =
-      AttributedGraph::FromCsr(adjacency.MoveValueUnsafe(),
-                               attributes.MoveValueUnsafe(), std::move(labels),
-                               undirected == 1);
-  if (!graph.ok()) return AnnotateError(graph.status(), path);
-  return graph;
 }
 
 Status SaveGraphContainer(const AttributedGraph& graph,
@@ -492,8 +331,11 @@ Result<AttributedGraph> LoadGraphContainer(const std::string& path) {
   for (int64_t v = 0; v < n; ++v) {
     const int64_t begin = offsets_view.data[v];
     const int64_t end = offsets_view.data[v + 1];
-    if (begin > end) {
-      return Status::IOError("label offsets not non-decreasing in " + path);
+    // Bound each range before touching the ids: a later offset cannot be
+    // trusted to reveal that this one ran past the id list.
+    if (begin > end || end > ids_view.count) {
+      return Status::IOError("label offsets not non-decreasing within the "
+                             "id list in " + path);
     }
     auto& node_labels = labels[static_cast<size_t>(v)];
     node_labels.reserve(static_cast<size_t>(end - begin));
@@ -604,15 +446,7 @@ Result<AttributedGraph> LoadGraphAuto(const std::string& path,
   if (!std::filesystem::is_regular_file(path, ec)) {
     return Status::IOError("no such graph file or directory: " + path);
   }
-  uint64_t magic = 0;
-  {
-    std::ifstream probe(path, std::ios::binary);
-    if (!probe) return Status::IOError("cannot open: " + path);
-    probe.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-    if (!probe) magic = 0;  // shorter than a magic header: not binary
-  }
-  if (magic == kBinaryMagic) return LoadGraphBinary(path);
-  if (store::Container::HasContainerMagic(&magic)) {
+  if (store::Container::PathIsContainer(path)) {
     return LoadGraphContainer(path);
   }
   EdgeListOptions options;

@@ -1,9 +1,9 @@
-// Text, binary, and edge-list persistence for attributed graphs. The text
-// layout mirrors the edge-list / attribute-triple / label-list files that
-// public ANE datasets (Cora, Citeseer, TWeibo, ...) ship as, so real data
-// drops in when available; the binary format exists for fast reload of large
-// instances; the raw edge-list reader ingests SNAP-style downloads without
-// conversion.
+// Text, container, and edge-list persistence for attributed graphs. The
+// text layout mirrors the edge-list / attribute-triple / label-list files
+// that public ANE datasets (Cora, Citeseer, TWeibo, ...) ship as, so real
+// data drops in when available; the paged, checksummed store:: container is
+// the one binary format, for fast reload of large instances; the raw
+// edge-list reader ingests SNAP-style downloads without conversion.
 //
 // Text directory layout:
 //   meta.txt    "num_nodes num_attributes directed(0|1)"
@@ -11,15 +11,12 @@
 //   attrs.txt   one "node attr weight" triple per line
 //   labels.txt  one "node label1 label2 ..." line per labeled node (optional)
 //
-// Binary snapshot layout (little-endian):
-//   magic "PANEGR01" (u64), undirected flag (u8),
-//   adjacency CSR  { rows i64, cols i64, indptr/indices/values each as
-//                    u64 length + payload },
-//   attribute CSR  { same },
-//   label block    { n i64, then per node: u32 count + count * i32 ids }
-// Every length field is validated against the bytes remaining in the file
-// before any allocation, and the CSR arrays are adopted zero-copy after
-// structural validation (no per-edge rebuild).
+// Container streams: graph.meta (version, undirected flag, the two CSR
+// shapes), the adjacency and attribute CSR arrays (graph.{adj,attr}.
+// {indptr,indices,values}), and the label lists flattened into
+// graph.label.offsets + graph.label.ids. Every array is checked against the
+// meta shapes and the CSR structural rules (AttributedGraph::FromCsr)
+// before the graph adopts it.
 //
 // Edge-list input: plain whitespace/TSV "u v" pairs, one per line, optional
 // third numeric weight column (ignored — PANE's adjacency is binary), and
@@ -44,15 +41,6 @@ Status SaveGraphText(const AttributedGraph& graph, const std::string& dir);
 /// InvalidArgument naming the file and 1-based line number.
 Result<AttributedGraph> LoadGraphText(const std::string& dir,
                                       ThreadPool* pool = nullptr);
-
-/// Writes a single binary snapshot (magic + CSR arrays, little-endian).
-Status SaveGraphBinary(const AttributedGraph& graph, const std::string& path);
-
-/// Loads a binary snapshot written by SaveGraphBinary. All reads are bounded
-/// by the file size (a corrupt length field is an IOError, not a multi-GB
-/// allocation) and the stored CSR arrays are validated then adopted directly
-/// — no per-edge rebuild.
-Result<AttributedGraph> LoadGraphBinary(const std::string& path);
 
 /// Writes the graph as a paged, checksummed store:: container
 /// (src/store/container.h): one meta stream plus the adjacency / attribute
@@ -86,9 +74,8 @@ Result<AttributedGraph> LoadEdgeList(const std::string& path,
 Status SaveEdgeList(const AttributedGraph& graph, const std::string& path);
 
 /// Dispatches on `path`: a directory loads the text layout, a file starting
-/// with the binary magic loads the binary snapshot, a file starting with the
-/// container magic loads the checksummed container, anything else is parsed
-/// as a raw edge list.
+/// with the container magic loads the checksummed container, anything else
+/// is parsed as a raw edge list.
 Result<AttributedGraph> LoadGraphAuto(const std::string& path,
                                       ThreadPool* pool = nullptr);
 

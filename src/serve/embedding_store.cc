@@ -1,8 +1,8 @@
 #include "src/serve/embedding_store.h"
 
 #include <cmath>
-#include <cstring>
 #include <memory>
+#include <utility>
 
 #include "src/store/embedding_pages.h"
 
@@ -10,74 +10,9 @@ namespace pane {
 namespace serve {
 namespace {
 
-namespace fmt = embedding_format;
-
-/// Bounds-checked cursor over the mapped bytes. All multi-byte fields go
-/// through memcpy: the mapping carries no alignment guarantee for the
-/// header fields, and a misaligned int64 load is UB even on x86.
-class MapCursor {
- public:
-  MapCursor(const char* base, int64_t size) : p_(base), remaining_(size) {}
-
-  int64_t remaining() const { return remaining_; }
-  const char* position() const { return p_; }
-
-  template <typename T>
-  Status ReadPod(T* value) {
-    if (remaining_ < static_cast<int64_t>(sizeof(T))) {
-      return Status::IOError("truncated embedding artifact");
-    }
-    std::memcpy(value, p_, sizeof(T));
-    p_ += sizeof(T);
-    remaining_ -= static_cast<int64_t>(sizeof(T));
-    return Status::OK();
-  }
-
-  Status Skip(int64_t count) {
-    if (remaining_ < count) {
-      return Status::IOError("truncated embedding artifact");
-    }
-    p_ += count;
-    remaining_ -= count;
-    return Status::OK();
-  }
-
- private:
-  const char* p_;
-  int64_t remaining_;
-};
-
-/// One matrix record: shape validated against the remaining mapped bytes,
-/// then either viewed in place (payload 8-byte aligned) or copied into
-/// `owned`. `*zero_copy` is cleared when any matrix needs the copy path.
-Status ParseMatrix(MapCursor* cursor, DenseMatrix* owned,
-                   ConstMatrixView* view, bool* zero_copy) {
-  int64_t rows = 0, cols = 0;
-  PANE_RETURN_NOT_OK(cursor->ReadPod(&rows));
-  PANE_RETURN_NOT_OK(cursor->ReadPod(&cols));
-  if (rows < 0 || cols < 0) {
-    return Status::IOError("negative matrix shape in embedding artifact");
-  }
-  const int64_t max_doubles =
-      cursor->remaining() / static_cast<int64_t>(sizeof(double));
-  if (rows > 0 && cols > max_doubles / rows) {
-    return Status::IOError(
-        "matrix shape in embedding artifact exceeds the mapped size");
-  }
-  const char* payload = cursor->position();
-  const int64_t bytes = rows * cols * static_cast<int64_t>(sizeof(double));
-  PANE_RETURN_NOT_OK(cursor->Skip(bytes));
-  if (reinterpret_cast<uintptr_t>(payload) % alignof(double) == 0) {
-    *view = ConstMatrixView(reinterpret_cast<const double*>(payload), rows,
-                            cols);
-    return Status::OK();
-  }
-  // Version-1 artifacts put payloads at odd offsets; copy once at open.
-  *zero_copy = false;
-  owned->Resize(rows, cols);
-  std::memcpy(owned->data(), payload, static_cast<size_t>(bytes));
-  *view = owned->View();
-  return Status::OK();
+ConstMatrixView ViewOf(const store::MatrixExtent& e) {
+  return e.present() ? ConstMatrixView(e.data, e.rows, e.cols)
+                     : ConstMatrixView();
 }
 
 }  // namespace
@@ -101,135 +36,51 @@ FloatMatrix ToFloatMatrix(ConstMatrixView m, bool l2_normalize) {
 
 Result<EmbeddingStore> EmbeddingStore::Open(
     const std::string& path, const EmbeddingStoreOptions& options) {
-  if (store::Container::PathIsContainer(path)) {
-    EmbeddingStore store;
-    PANE_ASSIGN_OR_RETURN(store::Container container,
-                          store::Container::Open(path));
-    store.container_ =
-        std::make_unique<store::Container>(std::move(container));
-    if (store::HasShardStreams(*store.container_)) {
-      // One shard of a split artifact: full xf/xb, y/z slices, no features.
-      PANE_ASSIGN_OR_RETURN(
-          store::ShardExtents extents,
-          store::ReadShardStreams(*store.container_,
-                                  options.verify_checksums));
-      store.shard_ = std::make_unique<store::ShardMeta>(extents.meta);
-      store.method_ = store.shard_->method;
-      const auto view_of = [](const store::MatrixExtent& e) {
-        return e.present() ? ConstMatrixView(e.data, e.rows, e.cols)
-                           : ConstMatrixView();
-      };
-      store.xf_ = view_of(extents.xf);
-      store.xb_ = view_of(extents.xb);
-      store.y_ = view_of(extents.y);
-      store.z_ = view_of(extents.z);
-      store.zero_copy_ = true;
-      PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
-      return store;
-    }
-    if (!store::HasEmbeddingStreams(*store.container_)) {
-      return Status::InvalidArgument("container " + path +
-                                     " holds no embedding artifact");
-    }
+  EmbeddingStore store;
+  PANE_ASSIGN_OR_RETURN(store::Container container,
+                        store::Container::Open(path));
+  store.container_ = std::make_unique<store::Container>(std::move(container));
+  if (store::HasShardStreams(*store.container_)) {
+    // One shard of a split artifact: full xf/xb, y/z slices, no features.
     PANE_ASSIGN_OR_RETURN(
-        store::EmbeddingExtents extents,
-        store::ReadEmbeddingStreams(*store.container_,
-                                    options.verify_checksums));
-    if (extents.link_convention < 0 ||
-        extents.link_convention >
-            static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {
-      return Status::InvalidArgument("bad link convention in " + path);
-    }
-    if (extents.attribute_convention < 0 ||
-        extents.attribute_convention >
-            static_cast<int8_t>(AttributeConvention::kFactors)) {
-      return Status::InvalidArgument("bad attribute convention in " + path);
-    }
-    store.method_ = std::move(extents.method);
-    store.link_convention_ =
-        static_cast<LinkConvention>(extents.link_convention);
-    store.attribute_convention_ =
-        static_cast<AttributeConvention>(extents.attribute_convention);
-    const auto view_of = [](const store::MatrixExtent& e) {
-      return e.present() ? ConstMatrixView(e.data, e.rows, e.cols)
-                         : ConstMatrixView();
-    };
-    store.features_ = view_of(extents.features);
-    store.xf_ = view_of(extents.xf);
-    store.xb_ = view_of(extents.xb);
-    store.y_ = view_of(extents.y);
-    // Container payloads are page-aligned: the views always point straight
-    // into the mapping.
-    store.zero_copy_ = true;
+        store::ShardExtents extents,
+        store::ReadShardStreams(*store.container_, options.verify_checksums));
+    store.shard_ = std::make_unique<store::ShardMeta>(extents.meta);
+    store.method_ = store.shard_->method;
+    store.xf_ = ViewOf(extents.xf);
+    store.xb_ = ViewOf(extents.xb);
+    store.y_ = ViewOf(extents.y);
+    store.z_ = ViewOf(extents.z);
     PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
     return store;
   }
-
-  EmbeddingStore store;
-  PANE_ASSIGN_OR_RETURN(store.map_, MappedFile::OpenReadOnly(path));
-  MapCursor cursor(store.map_.data(), store.map_.size());
-
-  uint64_t magic = 0;
-  PANE_RETURN_NOT_OK(cursor.ReadPod(&magic));
-  if (magic != fmt::kMagic) {
-    return Status::InvalidArgument("not a NodeEmbedding artifact: " + path);
+  if (!store::HasEmbeddingStreams(*store.container_)) {
+    return Status::InvalidArgument("container " + path +
+                                   " holds no embedding artifact");
   }
-  uint32_t version = 0;
-  PANE_RETURN_NOT_OK(cursor.ReadPod(&version));
-  if (version != fmt::kVersionUnaligned && version != fmt::kVersionAligned) {
-    return Status::InvalidArgument("unsupported NodeEmbedding version in " +
-                                   path);
-  }
-  uint32_t method_len = 0;
-  PANE_RETURN_NOT_OK(cursor.ReadPod(&method_len));
-  if (method_len > fmt::kMaxMethodNameLength) {
-    return Status::InvalidArgument("implausible method-name length in " +
-                                   path);
-  }
-  if (cursor.remaining() < static_cast<int64_t>(method_len)) {
-    return Status::IOError("truncated embedding artifact");
-  }
-  store.method_.assign(cursor.position(), method_len);
-  PANE_RETURN_NOT_OK(cursor.Skip(method_len));
-
-  int8_t link = 0, attr = 0;
-  PANE_RETURN_NOT_OK(cursor.ReadPod(&link));
-  PANE_RETURN_NOT_OK(cursor.ReadPod(&attr));
-  if (link < 0 || link > static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {
+  PANE_ASSIGN_OR_RETURN(
+      store::EmbeddingExtents extents,
+      store::ReadEmbeddingStreams(*store.container_,
+                                  options.verify_checksums));
+  if (extents.link_convention < 0 ||
+      extents.link_convention >
+          static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {
     return Status::InvalidArgument("bad link convention in " + path);
   }
-  if (attr < 0 || attr > static_cast<int8_t>(AttributeConvention::kFactors)) {
+  if (extents.attribute_convention < 0 ||
+      extents.attribute_convention >
+          static_cast<int8_t>(AttributeConvention::kFactors)) {
     return Status::InvalidArgument("bad attribute convention in " + path);
   }
-  store.link_convention_ = static_cast<LinkConvention>(link);
-  store.attribute_convention_ = static_cast<AttributeConvention>(attr);
-
-  uint8_t mask = 0;
-  PANE_RETURN_NOT_OK(cursor.ReadPod(&mask));
-  if ((mask & ~fmt::kKnownMaskBits) != 0) {
-    return Status::InvalidArgument("unknown presence-mask bits in " + path);
-  }
-  if (version == fmt::kVersionAligned) {
-    PANE_RETURN_NOT_OK(
-        cursor.Skip(fmt::PaddingFor(fmt::HeaderBytes(method_len))));
-  }
-
-  store.zero_copy_ = true;
-  PANE_RETURN_NOT_OK(ParseMatrix(&cursor, &store.owned_features_,
-                                 &store.features_, &store.zero_copy_));
-  if (mask & fmt::kHasXf) {
-    PANE_RETURN_NOT_OK(ParseMatrix(&cursor, &store.owned_xf_, &store.xf_,
-                                   &store.zero_copy_));
-  }
-  if (mask & fmt::kHasXb) {
-    PANE_RETURN_NOT_OK(ParseMatrix(&cursor, &store.owned_xb_, &store.xb_,
-                                   &store.zero_copy_));
-  }
-  if (mask & fmt::kHasY) {
-    PANE_RETURN_NOT_OK(ParseMatrix(&cursor, &store.owned_y_, &store.y_,
-                                   &store.zero_copy_));
-  }
-
+  store.method_ = std::move(extents.method);
+  store.link_convention_ =
+      static_cast<LinkConvention>(extents.link_convention);
+  store.attribute_convention_ =
+      static_cast<AttributeConvention>(extents.attribute_convention);
+  store.features_ = ViewOf(extents.features);
+  store.xf_ = ViewOf(extents.xf);
+  store.xb_ = ViewOf(extents.xb);
+  store.y_ = ViewOf(extents.y);
   PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
   return store;
 }

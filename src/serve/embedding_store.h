@@ -1,17 +1,12 @@
-// Immutable, memory-mapped view of a NodeEmbedding artifact — the serving
-// subsystem's storage layer. Where NodeEmbedding::Load copies the artifact
-// into private heap memory, an EmbeddingStore maps the file read-only
-// (PROT_READ, MAP_SHARED): the doubles are backed by the page cache, every
-// server process mapping the same artifact shares one physical copy, and
-// opening costs O(header) regardless of the embedding's size. The file
-// descriptor is closed at open time, so the store keeps working after the
-// path is unlinked or rotated from under it.
-//
-// Version-2 artifacts (what NodeEmbedding::Save writes) have 8-byte-aligned
-// matrix payloads, so the factor views point straight into the mapping.
-// Version-1 artifacts are unaligned; their matrices are copied out of the
-// mapping into owned storage once at open (zero_copy() reports which path
-// was taken).
+// Immutable, memory-mapped view of a NodeEmbedding container artifact — the
+// serving subsystem's storage layer. Where NodeEmbedding::Load copies the
+// artifact into private heap memory, an EmbeddingStore maps the file
+// read-only (PROT_READ, MAP_SHARED): the doubles are backed by the page
+// cache, every server process mapping the same artifact shares one physical
+// copy, and opening costs O(meta) regardless of the embedding's size. The
+// file descriptor is closed at open time, so the store keeps working after
+// the path is unlinked or rotated from under it. Container payloads are
+// page-aligned, so the factor views always point straight into the mapping.
 //
 // For bandwidth-bound scoring (the pruned IVF scan), the store can
 // additionally materialize single-precision copies of the factor blocks,
@@ -26,7 +21,6 @@
 #include <vector>
 
 #include "src/api/embedding_format.h"
-#include "src/common/mmap_file.h"
 #include "src/common/status.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/store/container.h"
@@ -59,8 +53,7 @@ struct EmbeddingStoreOptions {
   /// L2-normalize each row of the float copies (unit vectors; inner product
   /// becomes cosine). Zero rows are left zero.
   bool l2_normalize_floats = false;
-  /// For container artifacts: CRC32C-verify each matrix stream's pages at
-  /// open. Verification touches (faults) every page of every stream; turn it
+  /// CRC32C-verify each matrix stream's pages at open. Verification touches (faults) every page of every stream; turn it
   /// off when the store should serve a subset of the blocks — e.g. Y only —
   /// without ever faulting Xf / Xb.
   bool verify_checksums = true;
@@ -74,13 +67,11 @@ class EmbeddingStore {
   EmbeddingStore(EmbeddingStore&&) = default;
   EmbeddingStore& operator=(EmbeddingStore&&) = default;
 
-  /// Maps and parses a NodeEmbedding artifact — the legacy layout (version
-  /// 1 or 2) or a store:: container written by NodeEmbedding::SaveContainer,
-  /// dispatched on the leading magic. Every shape / length field is
-  /// validated against the mapped size, so a corrupt artifact yields a
-  /// Status, never an OOM or an out-of-bounds read. Container payloads are
-  /// page-aligned, so the container path is always zero-copy; its checksum
-  /// policy is options.verify_checksums.
+  /// Maps a store:: container written by NodeEmbedding::SaveContainer (or a
+  /// shard of one, written by pane_shardctl). Every shape is validated
+  /// against its stream's size, so a corrupt artifact yields a Status,
+  /// never an OOM or an out-of-bounds read. The checksum policy is
+  /// options.verify_checksums.
   static Result<EmbeddingStore> Open(const std::string& path,
                                      const EmbeddingStoreOptions& options =
                                          EmbeddingStoreOptions());
@@ -91,8 +82,8 @@ class EmbeddingStore {
     return attribute_convention_;
   }
 
-  /// Factor views (empty views when the artifact lacks the block). For a
-  /// version-2 artifact these point into the shared mapping.
+  /// Factor views into the shared mapping (empty views when the artifact
+  /// lacks the block).
   ConstMatrixView features() const { return features_; }
   ConstMatrixView xf() const { return xf_; }
   ConstMatrixView xb() const { return xb_; }
@@ -126,19 +117,10 @@ class EmbeddingStore {
     return has_node_factors() && y_.rows() > 0;
   }
 
-  /// True when the factor views point into the mapping (version-2 or
-  /// container artifact); false when they were copied out (version 1).
-  bool zero_copy() const { return zero_copy_; }
   int64_t mapped_bytes() const {
-    if (container_ != nullptr) {
-      return container_->num_pages() *
-             static_cast<int64_t>(container_->page_size());
-    }
-    return map_.size();
+    return container_->num_pages() *
+           static_cast<int64_t>(container_->page_size());
   }
-
-  /// True when the artifact was opened from a store:: container.
-  bool container_backed() const { return container_ != nullptr; }
 
   /// Single-precision copies (empty unless float_copies was requested).
   const FloatMatrix& features_f32() const { return features_f32_; }
@@ -150,19 +132,15 @@ class EmbeddingStore {
   Status FinishOpen(const std::string& path,
                     const EmbeddingStoreOptions& options);
 
-  MappedFile map_;
-  // Set instead of map_ when the artifact is a store:: container (the
-  // container holds its own mapping; views point into it).
+  // Holds the mapping the views point into (behind a pointer so the store
+  // stays default-constructible and movable).
   std::unique_ptr<store::Container> container_;
-  // Owned fallback storage for unaligned (version-1) artifacts.
-  DenseMatrix owned_features_, owned_xf_, owned_xb_, owned_y_;
   ConstMatrixView features_, xf_, xb_, y_, z_;
   // Set when the container holds a shard artifact (shard.* streams).
   std::unique_ptr<store::ShardMeta> shard_;
   std::string method_;
   LinkConvention link_convention_ = LinkConvention::kInnerProduct;
   AttributeConvention attribute_convention_ = AttributeConvention::kCentroid;
-  bool zero_copy_ = false;
   FloatMatrix features_f32_, xf_f32_, xb_f32_, y_f32_;
 };
 

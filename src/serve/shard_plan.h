@@ -49,7 +49,7 @@ ShardPlan MakeShardPlan(int64_t num_nodes, int64_t num_attributes,
 Status ValidateShardSpecs(const std::vector<ShardSpec>& specs,
                           ShardPlan* plan);
 
-/// Splits an embedding artifact (legacy or container) into `num_shards`
+/// Splits an embedding container artifact into `num_shards`
 /// shard containers "<out_prefix>.<i>". The full Z = Xb (Y^T Y) is derived
 /// once with the same kernels the unsharded engine uses and row-sliced, so
 /// every shard's link scores are bitwise the unsharded engine's. Appends

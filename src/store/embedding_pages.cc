@@ -15,10 +15,6 @@ constexpr uint8_t kMaskXb = 1u << 1;
 constexpr uint8_t kMaskY = 1u << 2;
 constexpr uint8_t kKnownMask = kMaskXf | kMaskXb | kMaskY;
 
-// Mirrors embedding_format::kMaxMethodNameLength (the api layer's limit);
-// kept literal here so the store stays independent of src/api headers.
-constexpr size_t kMaxMethodLength = 256;
-
 constexpr int64_t kFixedMetaBytes = 4 + 4 + 8 * 8 + 4;
 
 template <typename T>
@@ -33,23 +29,12 @@ T ReadPod(const char* p) {
   return value;
 }
 
-Status CheckShape(const std::string& name, int64_t rows, int64_t cols,
-                  const std::string& path) {
-  if (rows < 0 || cols < 0 || (rows == 0) != (cols == 0)) {
-    return Status::IOError("container " + path + " stream '" + name +
-                           "' has malformed shape " + std::to_string(rows) +
-                           " x " + std::to_string(cols));
-  }
-  return Status::OK();
-}
-
 /// Fetches a matrix stream and checks its payload against the meta shape.
-/// `required` distinguishes features (must exist) from masked-off factors
-/// (must NOT exist — a stray stream means the artifact is inconsistent).
+/// `expected` distinguishes present blocks from masked-off factors (which
+/// must NOT exist — a stray stream means the artifact is inconsistent).
 Status ResolveMatrix(const Container& container, const std::string& name,
                      int64_t rows, int64_t cols, bool expected,
                      bool verify_payloads, MatrixExtent* out) {
-  PANE_RETURN_NOT_OK(CheckShape(name, rows, cols, container.path()));
   if (!expected) {
     if (container.Contains(name)) {
       return Status::IOError("container " + container.path() + " stream '" +
@@ -63,29 +48,31 @@ Status ResolveMatrix(const Container& container, const std::string& name,
     *out = MatrixExtent{};
     return Status::OK();
   }
-  if (rows == 0) {
-    return Status::IOError("container " + container.path() + " stream '" +
-                           name + "' is present but has an empty shape");
-  }
+  return ResolveMatrixStream(container, name, rows, cols, verify_payloads,
+                             out);
+}
+
+}  // namespace
+
+Status ResolveMatrixStream(const Container& container, const std::string& name,
+                           int64_t rows, int64_t cols, bool verify_payloads,
+                           MatrixExtent* out) {
   Result<Container::StreamView> view_result =
       verify_payloads ? container.Read(name) : container.Peek(name);
   PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
-  const int64_t expected_bytes =
-      rows * cols * static_cast<int64_t>(sizeof(double));
-  if (view.bytes != expected_bytes) {
-    return Status::IOError(
-        "container " + container.path() + " stream '" + name + "' holds " +
-        std::to_string(view.bytes) + " bytes but its shape " +
-        std::to_string(rows) + " x " + std::to_string(cols) + " needs " +
-        std::to_string(expected_bytes));
+  const int64_t doubles = view.bytes / static_cast<int64_t>(sizeof(double));
+  if (rows <= 0 || cols <= 0 || cols > doubles / rows ||
+      rows * cols * static_cast<int64_t>(sizeof(double)) != view.bytes) {
+    return Status::IOError("container " + container.path() + " stream '" +
+                           name + "' holds " + std::to_string(view.bytes) +
+                           " bytes, not a " + std::to_string(rows) + " x " +
+                           std::to_string(cols) + " matrix of doubles");
   }
   out->data = reinterpret_cast<const double*>(view.data);
   out->rows = rows;
   out->cols = cols;
   return Status::OK();
 }
-
-}  // namespace
 
 Status AppendEmbeddingStreams(const EmbeddingExtents& embedding,
                               std::string* meta_buf, ContainerWriter* writer) {
@@ -98,9 +85,9 @@ Status AppendEmbeddingStreams(const EmbeddingExtents& embedding,
         "embedding container needs a non-empty features matrix");
   }
   if (embedding.method.empty() ||
-      embedding.method.size() > kMaxMethodLength) {
+      embedding.method.size() > kMaxMethodNameLength) {
     return Status::InvalidArgument("embedding method name must be 1.." +
-                                   std::to_string(kMaxMethodLength) +
+                                   std::to_string(kMaxMethodNameLength) +
                                    " characters");
   }
   uint8_t mask = 0;
@@ -185,7 +172,7 @@ Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container,
   }
   const uint32_t method_len = ReadPod<uint32_t>(p);
   p += 4;
-  if (method_len == 0 || method_len > kMaxMethodLength ||
+  if (method_len == 0 || method_len > kMaxMethodNameLength ||
       static_cast<int64_t>(method_len) != meta.bytes - kFixedMetaBytes) {
     return Status::IOError("container " + path +
                            " embedding meta has a malformed method name");

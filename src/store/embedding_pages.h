@@ -1,6 +1,7 @@
-// The NodeEmbedding artifact expressed as container streams — the glue both
-// the producer side (src/api/node_embedding.cc, SaveContainer/Load dispatch)
-// and the serving side (src/serve/embedding_store.cc) speak. Lives in
+// The NodeEmbedding artifact expressed as container streams — the only
+// binary embedding format, spoken by both the producer side
+// (src/api/node_embedding.cc, SaveContainer / Load) and the serving side
+// (src/serve/embedding_store.cc). Lives in
 // src/store so neither layer has to link the other; matrices therefore cross
 // this boundary as raw double extents and conventions as raw int8 codes (the
 // api layer owns the LinkConvention / AttributeConvention enums).
@@ -17,6 +18,7 @@
 // checksum pass) only for the blocks it actually serves.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -34,6 +36,9 @@ inline constexpr char kEmbYStream[] = "emb.y";
 
 inline constexpr uint32_t kEmbeddingMetaVersion = 1;
 
+/// The longest method name an embedding or shard artifact may carry.
+inline constexpr size_t kMaxMethodNameLength = 256;
+
 /// A matrix as it crosses the store boundary: a borrowed row-major double
 /// extent. rows == cols == 0 (data == nullptr) means "absent".
 struct MatrixExtent {
@@ -46,6 +51,15 @@ struct MatrixExtent {
     return rows * cols * static_cast<int64_t>(sizeof(double));
   }
 };
+
+/// Fetches matrix stream `name` and checks that it holds exactly rows x cols
+/// doubles (rows and cols must be positive). `cols` is bounded by the
+/// stream's size before the product is formed, so a hostile meta shape
+/// cannot overflow into a match. With `verify_payloads` the pages are
+/// checksummed now (Container::Read); otherwise only located (Peek).
+Status ResolveMatrixStream(const Container& container, const std::string& name,
+                           int64_t rows, int64_t cols, bool verify_payloads,
+                           MatrixExtent* out);
 
 /// The embedding artifact, decoded from (or headed into) a container.
 struct EmbeddingExtents {

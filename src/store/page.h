@@ -29,8 +29,8 @@
 namespace pane {
 namespace store {
 
-// "PANECTN1": distinct from the NodeEmbedding ("PANENEB1") and legacy graph
-// ("PANEGR01") magics so every loader can dispatch on the first 8 bytes.
+// "PANECTN1": the first 8 bytes of every binary artifact, so a loader can
+// tell a container from a text or edge-list input.
 inline constexpr uint64_t kContainerMagic = 0x50414E4543544E31ULL;
 
 inline constexpr uint32_t kFormatVersion = 1;

@@ -11,7 +11,6 @@ namespace {
 //   i64 shard_index | i64 shard_count | i64 num_nodes | i64 num_attributes |
 //   i64 dim | i64 node_begin | i64 node_end | i64 attr_begin | i64 attr_end |
 //   u32 method_len | method bytes
-constexpr size_t kMaxMethodLength = 256;
 constexpr int64_t kFixedMetaBytes = 4 + 4 + 9 * 8 + 4;
 
 template <typename T>
@@ -50,21 +49,8 @@ Status ResolveSlice(const Container& container, const std::string& name,
     *out = MatrixExtent{};
     return Status::OK();
   }
-  Result<Container::StreamView> view_result =
-      verify_payloads ? container.Read(name) : container.Peek(name);
-  PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
-  const int64_t expected_bytes =
-      rows * cols * static_cast<int64_t>(sizeof(double));
-  if (view.bytes != expected_bytes) {
-    return Status::IOError(
-        "container " + container.path() + " stream '" + name + "' holds " +
-        std::to_string(view.bytes) + " bytes but its shard range needs " +
-        std::to_string(expected_bytes));
-  }
-  out->data = reinterpret_cast<const double*>(view.data);
-  out->rows = rows;
-  out->cols = cols;
-  return Status::OK();
+  return ResolveMatrixStream(container, name, rows, cols, verify_payloads,
+                             out);
 }
 
 }  // namespace
@@ -80,9 +66,9 @@ Status AppendShardStreams(const ShardExtents& shard, std::string* meta_buf,
     return Status::InvalidArgument(
         "shard container needs the full xf and xb factors");
   }
-  if (m.method.empty() || m.method.size() > kMaxMethodLength) {
+  if (m.method.empty() || m.method.size() > kMaxMethodNameLength) {
     return Status::InvalidArgument("shard method name must be 1.." +
-                                   std::to_string(kMaxMethodLength) +
+                                   std::to_string(kMaxMethodNameLength) +
                                    " characters");
   }
   if (m.shard_count <= 0 || m.shard_index < 0 ||
@@ -178,7 +164,7 @@ Result<ShardExtents> ReadShardStreams(const Container& container,
   m.attr_end = fields[8];
   const uint32_t method_len = ReadPod<uint32_t>(p);
   p += 4;
-  if (method_len == 0 || method_len > kMaxMethodLength ||
+  if (method_len == 0 || method_len > kMaxMethodNameLength ||
       static_cast<int64_t>(method_len) != meta.bytes - kFixedMetaBytes) {
     return Status::IOError("container " + path +
                            " shard meta has a malformed method name");

@@ -55,17 +55,17 @@ TEST(EmbedderConfigTest, BridgesFromFlagSet) {
 }
 
 TEST(EmbedderConfigTest, DashedKeysNormalizeToUnderscores) {
-  // Every write path normalizes, so the --affinity-memory-mb flag bridge
-  // and a raw --opt=affinity-memory-mb=64 entry both land on the one key
+  // Every write path normalizes, so the --memory-budget-mb flag bridge
+  // and a raw --opt=memory-budget-mb=64 entry both land on the one key
   // embedders read.
   FlagSet flags;
-  flags.AddInt("affinity-memory-mb", 48, "budget");
+  flags.AddInt("memory-budget-mb", 48, "budget");
   const EmbedderConfig bridged = EmbedderConfig::FromFlags(flags);
-  EXPECT_EQ(*bridged.GetInt("affinity_memory_mb", 0), 48);
+  EXPECT_EQ(*bridged.GetInt("memory_budget_mb", 0), 48);
   const EmbedderConfig set =
-      EmbedderConfig().Set("affinity-memory-mb", "64");
-  EXPECT_EQ(*set.GetInt("affinity_memory_mb", 0), 64);
-  EXPECT_TRUE(set.Has("affinity_memory_mb"));
+      EmbedderConfig().Set("memory-budget-mb", "64");
+  EXPECT_EQ(*set.GetInt("memory_budget_mb", 0), 64);
+  EXPECT_TRUE(set.Has("memory_budget_mb"));
 }
 
 TEST(EmbedderRegistryTest, NamesCoverAllSevenMethods) {

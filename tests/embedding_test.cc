@@ -1,18 +1,15 @@
-// Tests for the embedding container: scoring formulas (Equations 21-22)
-// against naive evaluation, and save/load round-trips.
+// Tests for the trained-embedding scorers: scoring formulas (Equations
+// 21-22) against naive evaluation. Persistence goes through NodeEmbedding's
+// container (node_embedding_test).
 #include "src/core/embedding.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 
 #include "src/common/random.h"
-#include "src/core/pane.h"
 #include "src/matrix/vector_ops.h"
-#include "test_util.h"
 
 namespace pane {
 namespace {
@@ -92,53 +89,6 @@ TEST(EdgeScorerTest, FactorMatrixConstructorMatchesEmbeddingConstructor) {
       EXPECT_DOUBLE_EQ(from_embedding.Score(u, w), from_factors.Score(u, w));
     }
   }
-}
-
-class EmbeddingIoTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    path_ = (std::filesystem::temp_directory_path() /
-             ("pane_emb_" + std::to_string(::getpid()) + ".bin"))
-                .string();
-  }
-  void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_;
-};
-
-TEST_F(EmbeddingIoTest, SaveLoadRoundTrip) {
-  const PaneEmbedding e = RandomEmbedding(20, 10, 8, 4);
-  ASSERT_TRUE(e.Save(path_).ok());
-  const auto loaded = PaneEmbedding::Load(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(e.xf.MaxAbsDiff(loaded->xf), 0.0);
-  EXPECT_EQ(e.xb.MaxAbsDiff(loaded->xb), 0.0);
-  EXPECT_EQ(e.y.MaxAbsDiff(loaded->y), 0.0);
-}
-
-TEST_F(EmbeddingIoTest, TrainedEmbeddingScoresSurviveRoundTrip) {
-  const AttributedGraph g = testing::SmallSbm(91, 200);
-  PaneOptions options;
-  options.k = 16;
-  const auto e = Pane(options).Train(g).ValueOrDie();
-  ASSERT_TRUE(e.Save(path_).ok());
-  const auto loaded = PaneEmbedding::Load(path_).ValueOrDie();
-  for (int64_t v = 0; v < 10; ++v) {
-    EXPECT_DOUBLE_EQ(e.AttributeScore(v, 0), loaded.AttributeScore(v, 0));
-  }
-}
-
-TEST_F(EmbeddingIoTest, LoadRejectsGarbage) {
-  {
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs("not an embedding", f);
-    std::fclose(f);
-  }
-  EXPECT_FALSE(PaneEmbedding::Load(path_).ok());
-}
-
-TEST_F(EmbeddingIoTest, LoadMissingFileFails) {
-  EXPECT_TRUE(PaneEmbedding::Load("/nonexistent/file.bin").status().IsIOError());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// Round-trip and corrupt-input tests for the graph text / binary / edge-list
-// persistence layer.
+// Round-trip and corrupt-input tests for the graph text / container /
+// edge-list persistence layer.
 #include "src/graph/graph_io.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 #include "src/api/node_embedding.h"
 #include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
+#include "test_util.h"
 
 namespace pane {
 namespace {
@@ -35,6 +36,17 @@ class GraphIoTest : public ::testing::Test {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     ASSERT_TRUE(out.is_open());
     out.write(contents.data(), static_cast<std::streamsize>(contents.size()));
+  }
+
+  // Saves `g` as a container, then rewrites it through `patch` with fresh
+  // checksums, so the corruption reaches the structural checks.
+  std::string PatchedContainer(const AttributedGraph& g,
+                               const testing::StreamPatch& patch) {
+    const std::string clean = Path("clean.ctn");
+    const std::string patched = Path("patched.ctn");
+    EXPECT_TRUE(SaveGraphContainer(g, clean).ok());
+    testing::RewriteContainer(clean, patched, patch);
+    return patched;
   }
 
   std::string ReadFile(const std::string& path) {
@@ -93,33 +105,24 @@ TEST_F(GraphIoTest, TextRoundTrip) {
   ExpectGraphsEqual(g, *loaded);
 }
 
-TEST_F(GraphIoTest, BinaryRoundTrip) {
-  const AttributedGraph g = SampleGraph();
-  const std::string path = (dir_ / "graph.bin").string();
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  auto loaded = LoadGraphBinary(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ExpectGraphsEqual(g, *loaded);
-}
-
 TEST_F(GraphIoTest, LoadTextMissingDirectoryFails) {
   EXPECT_TRUE(LoadGraphText((dir_ / "nope").string()).status().IsIOError());
 }
 
-TEST_F(GraphIoTest, LoadBinaryMissingFileFails) {
+TEST_F(GraphIoTest, LoadContainerMissingFileFails) {
   EXPECT_TRUE(
-      LoadGraphBinary((dir_ / "nope.bin").string()).status().IsIOError());
+      LoadGraphContainer((dir_ / "nope.ctn").string()).status().IsIOError());
 }
 
-TEST_F(GraphIoTest, LoadBinaryRejectsGarbage) {
-  const std::string path = (dir_ / "junk.bin").string();
+TEST_F(GraphIoTest, LoadContainerRejectsGarbage) {
+  const std::string path = (dir_ / "junk.ctn").string();
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
     std::fputs("definitely not a graph", f);
     std::fclose(f);
   }
-  const auto loaded = LoadGraphBinary(path);
+  const auto loaded = LoadGraphContainer(path);
   EXPECT_FALSE(loaded.ok());
 }
 
@@ -205,147 +208,109 @@ TEST_F(GraphIoTest, TextRejectsOutOfRangeEdge) {
       << loaded.status();
 }
 
-// --- corrupt binary snapshots --------------------------------------------
+// --- corrupt graph containers ---------------------------------------------
 
-TEST_F(GraphIoTest, BinaryTruncatedAtEveryPrefixFailsCleanly) {
+/// A patch that overwrites element `index` of the array stream `stream`.
+template <typename T>
+testing::StreamPatch SetElement(const std::string& stream, size_t index,
+                                T value) {
+  return [=](const std::string& name, std::string* payload) {
+    if (name == stream) {
+      std::memcpy(payload->data() + index * sizeof(T), &value, sizeof(T));
+    }
+    return true;
+  };
+}
+
+TEST_F(GraphIoTest, ContainerTruncatedAtEveryPrefixFailsCleanly) {
   const AttributedGraph g = SampleGraph();
-  const std::string path = Path("good.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
+  const std::string path = Path("good.ctn");
+  ASSERT_TRUE(SaveGraphContainer(g, path).ok());
   const std::string bytes = ReadFile(path);
   // Every strict prefix must produce a Status error (never a crash or a
   // graph). Step through a spread of cut points including all short ones.
   for (size_t cut = 0; cut < bytes.size();
        cut += (cut < 64 ? 1 : bytes.size() / 37)) {
-    const std::string truncated_path = Path("truncated.bin");
+    const std::string truncated_path = Path("truncated.ctn");
     WriteFile(truncated_path, bytes.substr(0, cut));
-    const auto loaded = LoadGraphBinary(truncated_path);
+    const auto loaded = LoadGraphContainer(truncated_path);
     EXPECT_FALSE(loaded.ok()) << "prefix of " << cut << " bytes parsed";
   }
 }
 
-TEST_F(GraphIoTest, BinaryOversizedLengthFieldIsErrorNotAllocation) {
-  // magic + flag + rows/cols + a 2^60 indptr length: must fail fast on the
-  // bounds check, not attempt an 8 EiB resize.
-  const AttributedGraph g = SampleGraph();
-  const std::string seed_path = Path("seed.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, seed_path).ok());
-  std::string bytes = ReadFile(seed_path);
-  const size_t indptr_len_offset = 8 + 1 + 8 + 8;
-  const uint64_t huge = uint64_t{1} << 60;
-  std::memcpy(&bytes[indptr_len_offset], &huge, sizeof(huge));
-  const std::string path = Path("oversized.bin");
-  WriteFile(path, bytes);
-  const auto loaded = LoadGraphBinary(path);
+TEST_F(GraphIoTest, ContainerOversizedShapeIsErrorNotAllocation) {
+  // graph.meta claims 2^60 rows for both CSRs (i64 shapes from byte 8): the
+  // loader must fail on the indptr length check, not size anything by it.
+  const int64_t huge = int64_t{1} << 60;
+  const auto loaded = LoadGraphContainer(PatchedContainer(
+      SampleGraph(), [huge](const std::string& name, std::string* payload) {
+        if (name == "graph.meta") {
+          std::memcpy(payload->data() + 8, &huge, sizeof(huge));
+          std::memcpy(payload->data() + 24, &huge, sizeof(huge));
+        }
+        return true;
+      }));
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
-  EXPECT_NE(loaded.status().message().find("exceeds"), std::string::npos);
+  EXPECT_NE(loaded.status().message().find("does not match"),
+            std::string::npos);
 }
 
-TEST_F(GraphIoTest, BinaryOutOfRangeColumnIndexRejected) {
-  const AttributedGraph g = SampleGraph();
-  const std::string path = Path("oob.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  std::string bytes = ReadFile(path);
-  // Layout: magic(8) flag(1) rows(8) cols(8) indptr_len(8)
-  //         indptr[(n+1) * 8] indices_len(8) indices[0]...
-  const size_t n = static_cast<size_t>(g.num_nodes());
-  const size_t first_index_offset = 8 + 1 + 8 + 8 + 8 + (n + 1) * 8 + 8;
-  const int32_t bad = 0x7fffffff;
-  std::memcpy(&bytes[first_index_offset], &bad, sizeof(bad));
-  WriteFile(path, bytes);
-  const auto loaded = LoadGraphBinary(path);
+TEST_F(GraphIoTest, ContainerOutOfRangeColumnIndexRejected) {
+  const auto loaded = LoadGraphContainer(PatchedContainer(
+      SampleGraph(), SetElement<int32_t>("graph.adj.indices", 0, 0x7fffffff)));
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange)
       << loaded.status();
 }
 
-TEST_F(GraphIoTest, BinaryNonMonotoneIndptrRejected) {
-  const AttributedGraph g = SampleGraph();
-  const std::string path = Path("indptr.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  std::string bytes = ReadFile(path);
-  const size_t second_indptr_offset = 8 + 1 + 8 + 8 + 8 + 8;
-  const int64_t bad = -5;
-  std::memcpy(&bytes[second_indptr_offset], &bad, sizeof(bad));
-  WriteFile(path, bytes);
-  EXPECT_FALSE(LoadGraphBinary(path).ok());
+TEST_F(GraphIoTest, ContainerNonMonotoneIndptrRejected) {
+  EXPECT_FALSE(LoadGraphContainer(
+                   PatchedContainer(SampleGraph(),
+                                    SetElement<int64_t>("graph.adj.indptr",
+                                                        1, -5)))
+                   .ok());
 }
 
-TEST_F(GraphIoTest, BinaryOversizedLabelCountRejected) {
-  SbmParams params;
-  params.num_nodes = 20;
-  params.num_edges = 40;
-  params.num_attributes = 5;
-  params.num_attr_entries = 20;
-  params.num_communities = 2;
-  const AttributedGraph g = GenerateAttributedSbm(params);
-  const std::string path = Path("labels.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  std::string bytes = ReadFile(path);
-  // The label block trails the file: n(8) then per-node u32 counts. Corrupt
-  // the first count, located right after the stored node count, by scanning
-  // from the end: the block is 8 + sum(4 + 4 * count). Easier: rewrite the
-  // first count field directly — it sits 8 bytes after the label-block
-  // start, which we find by reconstructing the front sections' sizes.
-  const auto csr_bytes = [](const CsrMatrix& m) {
-    return 8 + 8 + 8 + m.indptr().size() * 8 + 8 + m.indices().size() * 4 +
-           8 + m.values().size() * 8;
-  };
-  const size_t first_count_offset = 8 + 1 + csr_bytes(g.adjacency()) +
-                                    csr_bytes(g.attributes()) + 8;
-  const uint32_t huge = 0xffffffffu;
-  std::memcpy(&bytes[first_count_offset], &huge, sizeof(huge));
-  WriteFile(path, bytes);
-  const auto loaded = LoadGraphBinary(path);
+TEST_F(GraphIoTest, ContainerLabelOffsetsPastTheIdListRejected) {
+  // n = 2, offsets {0, 2^20, 0} over zero label ids: the last offset still
+  // spans the (empty) id list, so only a per-node bound on `end` stops node
+  // 0 from reading 2^20 ids past the stream.
+  const AttributedGraph g =
+      GraphBuilder(2, 1).AddEdge(0, 1).Build().ValueOrDie();
+  const auto loaded = LoadGraphContainer(PatchedContainer(
+      g, SetElement<int64_t>("graph.label.offsets", 1, int64_t{1} << 20)));
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
+  EXPECT_NE(loaded.status().message().find("label offsets"),
+            std::string::npos)
+      << loaded.status();
 }
 
-TEST_F(GraphIoTest, BinarySelfLoopAndWeightedAdjacencyRejected) {
-  AttributedGraph g =
+TEST_F(GraphIoTest, ContainerSelfLoopAndWeightedAdjacencyRejected) {
+  const AttributedGraph g =
       GraphBuilder(2, 1).AddEdge(0, 1).Build().ValueOrDie();
-  const std::string path = Path("selfloop.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  const std::string original = ReadFile(path);
-  // Layout: magic(8) flag(1) rows(8) cols(8) indptr_len(8) indptr[3*8]
-  //         indices_len(8) indices[0]...
-  const size_t first_index_offset = 8 + 1 + 8 + 8 + 8 + 3 * 8 + 8;
   {
-    std::string bytes = original;
-    const int32_t self = 0;  // edge (0, 0)
-    std::memcpy(&bytes[first_index_offset], &self, sizeof(self));
-    WriteFile(path, bytes);
-    const auto loaded = LoadGraphBinary(path);
+    const auto loaded = LoadGraphContainer(PatchedContainer(
+        g, SetElement<int32_t>("graph.adj.indices", 0, 0)));  // edge (0, 0)
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("self-loop"), std::string::npos)
         << loaded.status();
   }
-  {
-    std::string bytes = original;
-    const size_t first_value_offset = first_index_offset + 4 + 8;
-    const double heavy = 2.0;
-    std::memcpy(&bytes[first_value_offset], &heavy, sizeof(heavy));
-    WriteFile(path, bytes);
-    EXPECT_FALSE(LoadGraphBinary(path).ok());
-  }
+  EXPECT_FALSE(LoadGraphContainer(
+                   PatchedContainer(
+                       g, SetElement<double>("graph.adj.values", 0, 2.0)))
+                   .ok());
 }
 
-TEST_F(GraphIoTest, BinaryNanAttributeWeightRejected) {
-  AttributedGraph g = GraphBuilder(2, 1)
-                          .AddEdge(0, 1)
-                          .AddNodeAttribute(0, 0, 0.5)
-                          .Build()
-                          .ValueOrDie();
-  const std::string path = Path("nan_attr.bin");
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  std::string bytes = ReadFile(path);
-  // The attribute values block is the last 8 bytes before the label block
-  // (n i64 + two empty-label u32 counts): patch it to NaN.
-  const size_t attr_value_offset = bytes.size() - (8 + 2 * 4) - 8;
-  const double nan_value = std::nan("");
-  std::memcpy(&bytes[attr_value_offset], &nan_value, sizeof(nan_value));
-  WriteFile(path, bytes);
-  const auto loaded = LoadGraphBinary(path);
+TEST_F(GraphIoTest, ContainerNanAttributeWeightRejected) {
+  const AttributedGraph g = GraphBuilder(2, 1)
+                                .AddEdge(0, 1)
+                                .AddNodeAttribute(0, 0, 0.5)
+                                .Build()
+                                .ValueOrDie();
+  const auto loaded = LoadGraphContainer(PatchedContainer(
+      g, SetElement<double>("graph.attr.values", 0, std::nan(""))));
   ASSERT_FALSE(loaded.ok());
   EXPECT_NE(loaded.status().message().find("attribute"), std::string::npos)
       << loaded.status();
@@ -444,21 +409,21 @@ TEST_F(GraphIoTest, TextRejectsLabelAboveInt32Range) {
 
 // --- format equivalence and dispatch ---------------------------------------
 
-TEST_F(GraphIoTest, TextBinaryEdgeListLoadsAgree) {
+TEST_F(GraphIoTest, TextContainerEdgeListLoadsAgree) {
   const AttributedGraph g = SampleGraph();
   const std::string text_dir = Path("eq_text");
-  const std::string bin_path = Path("eq.bin");
+  const std::string container_path = Path("eq.ctn");
   const std::string el_path = Path("eq.el");
   ASSERT_TRUE(SaveGraphText(g, text_dir).ok());
-  ASSERT_TRUE(SaveGraphBinary(g, bin_path).ok());
+  ASSERT_TRUE(SaveGraphContainer(g, container_path).ok());
   ASSERT_TRUE(SaveEdgeList(g, el_path).ok());
 
   ThreadPool pool(3);
   auto from_text = LoadGraphText(text_dir, &pool);
-  auto from_binary = LoadGraphBinary(bin_path);
+  auto from_container = LoadGraphContainer(container_path);
   ASSERT_TRUE(from_text.ok()) << from_text.status();
-  ASSERT_TRUE(from_binary.ok()) << from_binary.status();
-  ExpectGraphsEqual(*from_text, *from_binary);
+  ASSERT_TRUE(from_container.ok()) << from_container.status();
+  ExpectGraphsEqual(*from_text, *from_container);
 
   EdgeListOptions options;
   options.num_nodes = g.num_nodes();
@@ -466,44 +431,30 @@ TEST_F(GraphIoTest, TextBinaryEdgeListLoadsAgree) {
   auto from_edge_list = LoadEdgeList(el_path, options);
   ASSERT_TRUE(from_edge_list.ok()) << from_edge_list.status();
   EXPECT_EQ(from_edge_list->adjacency().ToDense().MaxAbsDiff(
-                from_binary->adjacency().ToDense()),
+                from_container->adjacency().ToDense()),
             0.0);
 }
 
 TEST_F(GraphIoTest, LoadGraphAutoDispatchesOnPathKind) {
   const AttributedGraph g = SampleGraph();
   const std::string text_dir = Path("auto_text");
-  const std::string bin_path = Path("auto.bin");
+  const std::string container_path = Path("auto.ctn");
   const std::string el_path = Path("auto.el");
   ASSERT_TRUE(SaveGraphText(g, text_dir).ok());
-  ASSERT_TRUE(SaveGraphBinary(g, bin_path).ok());
+  ASSERT_TRUE(SaveGraphContainer(g, container_path).ok());
   ASSERT_TRUE(SaveEdgeList(g, el_path).ok());
 
   auto from_dir = LoadGraphAuto(text_dir);
   ASSERT_TRUE(from_dir.ok()) << from_dir.status();
   ExpectGraphsEqual(g, *from_dir);
-  auto from_bin = LoadGraphAuto(bin_path);
-  ASSERT_TRUE(from_bin.ok()) << from_bin.status();
-  ExpectGraphsEqual(g, *from_bin);
+  auto from_container = LoadGraphAuto(container_path);
+  ASSERT_TRUE(from_container.ok()) << from_container.status();
+  ExpectGraphsEqual(g, *from_container);
   auto from_el = LoadGraphAuto(el_path);
   ASSERT_TRUE(from_el.ok()) << from_el.status();
   EXPECT_EQ(from_el->num_edges(), g.num_edges());
 
   EXPECT_TRUE(LoadGraphAuto(Path("missing")).status().IsIOError());
-}
-
-TEST_F(GraphIoTest, UndirectedFlagSurvivesRoundTrip) {
-  SbmParams params;
-  params.num_nodes = 60;
-  params.num_edges = 200;
-  params.num_attributes = 10;
-  params.num_attr_entries = 100;
-  params.num_communities = 3;
-  params.undirected = true;
-  const AttributedGraph g = GenerateAttributedSbm(params);
-  const std::string path = (dir_ / "undirected.bin").string();
-  ASSERT_TRUE(SaveGraphBinary(g, path).ok());
-  EXPECT_TRUE(LoadGraphBinary(path)->undirected());
 }
 
 TEST_F(GraphIoTest, ContainerRoundTrip) {
@@ -529,15 +480,6 @@ TEST_F(GraphIoTest, ContainerUndirectedFlagSurvives) {
   auto loaded = LoadGraphContainer(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded->undirected());
-  ExpectGraphsEqual(g, *loaded);
-}
-
-TEST_F(GraphIoTest, LoadGraphAutoDispatchesOnContainerMagic) {
-  const AttributedGraph g = SampleGraph();
-  const std::string path = (dir_ / "auto.pane").string();
-  ASSERT_TRUE(SaveGraphContainer(g, path).ok());
-  auto loaded = LoadGraphAuto(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
   ExpectGraphsEqual(g, *loaded);
 }
 

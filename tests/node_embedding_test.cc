@@ -1,16 +1,20 @@
 // Tests for the unified NodeEmbedding artifact: shape / convention checks
-// and the single binary format, including byte-for-byte save/load round
-// trips with and without the optional factor blocks.
+// and its one binary format, the checksummed container, including
+// byte-for-byte save/load round trips with and without the optional factor
+// blocks and hostile-container rejection.
 #include "src/api/node_embedding.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
 
 #include "src/common/random.h"
+#include "src/core/pane.h"
 #include "src/store/container.h"
+#include "test_util.h"
 
 namespace pane {
 namespace {
@@ -54,7 +58,7 @@ class NodeEmbeddingIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto dir = std::filesystem::temp_directory_path();
-    path_ = (dir / ("node_emb_" + std::to_string(::getpid()) + ".bin"))
+    path_ = (dir / ("node_emb_" + std::to_string(::getpid()) + ".ctn"))
                 .string();
     path2_ = path_ + ".resaved";
   }
@@ -95,7 +99,7 @@ TEST(NodeEmbeddingTest, CheckRejectsConventionWithoutFactors) {
 
 TEST_F(NodeEmbeddingIoTest, FeatureOnlyRoundTripIsByteForByte) {
   const NodeEmbedding e = FeatureOnlyEmbedding(20, 12, 6);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const auto loaded = NodeEmbedding::Load(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->method, "tadw");
@@ -105,13 +109,13 @@ TEST_F(NodeEmbeddingIoTest, FeatureOnlyRoundTripIsByteForByte) {
   EXPECT_TRUE(loaded->y.empty());
   EXPECT_EQ(e.features.MaxAbsDiff(loaded->features), 0.0);
 
-  ASSERT_TRUE(loaded->Save(path2_).ok());
+  ASSERT_TRUE(loaded->SaveContainer(path2_).ok());
   EXPECT_EQ(ReadFileBytes(path_), ReadFileBytes(path2_));
 }
 
 TEST_F(NodeEmbeddingIoTest, FactorRoundTripIsByteForByte) {
   const NodeEmbedding e = FactorEmbedding(15, 9, 4, 7);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const auto loaded = NodeEmbedding::Load(path_);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->method, "pane");
@@ -122,14 +126,31 @@ TEST_F(NodeEmbeddingIoTest, FactorRoundTripIsByteForByte) {
   EXPECT_EQ(e.xb.MaxAbsDiff(loaded->xb), 0.0);
   EXPECT_EQ(e.y.MaxAbsDiff(loaded->y), 0.0);
 
-  ASSERT_TRUE(loaded->Save(path2_).ok());
+  ASSERT_TRUE(loaded->SaveContainer(path2_).ok());
   EXPECT_EQ(ReadFileBytes(path_), ReadFileBytes(path2_));
 }
 
 TEST_F(NodeEmbeddingIoTest, SaveRejectsInconsistentArtifacts) {
   NodeEmbedding e = FactorEmbedding(10, 6, 4, 8);
   e.y.Resize(6, 3);  // column count no longer matches xf
-  EXPECT_TRUE(e.Save(path_).IsInvalidArgument());
+  EXPECT_TRUE(e.SaveContainer(path_).IsInvalidArgument());
+  EXPECT_FALSE(std::filesystem::exists(path_));
+}
+
+TEST_F(NodeEmbeddingIoTest, TrainedPaneScoresSurviveRoundTrip) {
+  PaneOptions options;
+  options.k = 16;
+  const PaneEmbedding trained =
+      Pane(options).Train(testing::SmallSbm(91, 200)).ValueOrDie();
+  ASSERT_TRUE(NodeEmbedding::FromPane(trained).SaveContainer(path_).ok());
+  const auto loaded = NodeEmbedding::Load(path_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(loaded->method, "pane");
+  EXPECT_EQ(loaded->link_convention, LinkConvention::kForwardBackward);
+  const PaneEmbedding reloaded{loaded->xf, loaded->xb, loaded->y};
+  for (int64_t v = 0; v < 10; ++v) {
+    EXPECT_EQ(trained.AttributeScore(v, 0), reloaded.AttributeScore(v, 0));
+  }
 }
 
 TEST_F(NodeEmbeddingIoTest, LoadRejectsGarbageAndMissingFiles) {
@@ -137,36 +158,55 @@ TEST_F(NodeEmbeddingIoTest, LoadRejectsGarbageAndMissingFiles) {
     std::ofstream out(path_, std::ios::binary);
     out << "definitely not an embedding";
   }
+  EXPECT_FALSE(NodeEmbedding::Load(path_).ok());  // shorter than a superblock
+  {
+    std::ofstream out(path_, std::ios::binary | std::ios::trunc);
+    out << std::string(1 << 16, 'x');
+  }
   EXPECT_TRUE(NodeEmbedding::Load(path_).status().IsInvalidArgument());
   EXPECT_TRUE(
-      NodeEmbedding::Load("/nonexistent/file.bin").status().IsIOError());
+      NodeEmbedding::Load("/nonexistent/file.ctn").status().IsIOError());
 }
 
-// First matrix record's file offset in a version-2 artifact: the padded
-// header (see src/api/embedding_format.h).
-size_t FirstMatrixOffset(const NodeEmbedding& e) {
-  const int64_t header = embedding_format::HeaderBytes(e.method.size());
-  return static_cast<size_t>(header + embedding_format::PaddingFor(header));
+// emb.meta field offsets (src/store/embedding_pages.cc): u32 version, i8
+// link, i8 attr, u8 mask, u8 reserved, then i64 (rows, cols) per matrix.
+constexpr size_t kMetaMaskOffset = 6;
+constexpr size_t kMetaFeatureShapeOffset = 8;
+
+void PutInt64(std::string* bytes, size_t offset, int64_t value) {
+  std::memcpy(bytes->data() + offset, &value, sizeof(value));
 }
 
 TEST_F(NodeEmbeddingIoTest, LoadRejectsImplausibleMatrixShapes) {
-  // Corrupt the features row count to claim ~2^31 rows: Load must return a
-  // Status instead of attempting a multi-gigabyte allocation.
+  // CRC-valid containers whose meta lies about the features shape: Load
+  // must return a Status, never attempt the allocation the shape implies.
   const NodeEmbedding e = FeatureOnlyEmbedding(10, 4, 10);
-  ASSERT_TRUE(e.Save(path_).ok());
-  std::string bytes = ReadFileBytes(path_);
-  const size_t rows_offset = FirstMatrixOffset(e);
-  const int64_t huge_rows = int64_t{1} << 31;
-  bytes.replace(rows_offset, sizeof(huge_rows),
-                reinterpret_cast<const char*>(&huge_rows),
-                sizeof(huge_rows));
-  {
-    std::ofstream out(path2_, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
+  // rows x cols x 8 wraps to 0 bytes: 2^61 x 1 over an empty stream.
+  const testing::StreamPatch overflow = [](const std::string& name,
+                                           std::string* payload) {
+    if (name == "emb.meta") {
+      PutInt64(payload, kMetaFeatureShapeOffset, int64_t{1} << 61);
+      PutInt64(payload, kMetaFeatureShapeOffset + 8, 1);
+    } else if (name == "emb.features") {
+      payload->clear();
+    }
+    return true;
+  };
+  // 2^31 rows over the real 320-byte stream.
+  const testing::StreamPatch oversized = [](const std::string& name,
+                                            std::string* payload) {
+    if (name == "emb.meta") {
+      PutInt64(payload, kMetaFeatureShapeOffset, int64_t{1} << 31);
+    }
+    return true;
+  };
+  for (const testing::StreamPatch* patch : {&overflow, &oversized}) {
+    testing::RewriteContainer(path_, path2_, *patch);
+    const auto loaded = NodeEmbedding::Load(path2_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_TRUE(loaded.status().IsIOError()) << loaded.status();
   }
-  const auto loaded = NodeEmbedding::Load(path2_);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_TRUE(loaded.status().IsIOError());
 }
 
 TEST(NodeEmbeddingTest, CheckRejectsOverlongMethodNames) {
@@ -177,7 +217,7 @@ TEST(NodeEmbeddingTest, CheckRejectsOverlongMethodNames) {
 
 TEST_F(NodeEmbeddingIoTest, LoadRejectsTruncatedFiles) {
   const NodeEmbedding e = FactorEmbedding(12, 5, 4, 9);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const std::string bytes = ReadFileBytes(path_);
   {
     std::ofstream out(path2_, std::ios::binary);
@@ -188,12 +228,12 @@ TEST_F(NodeEmbeddingIoTest, LoadRejectsTruncatedFiles) {
 }
 
 TEST_F(NodeEmbeddingIoTest, TruncationSweepNeverSucceeds) {
-  // Every strict prefix — mid-header, mid-padding, mid-shape, mid-payload —
+  // Every strict prefix — mid-superblock, mid-page-table, mid-payload —
   // must yield a Status, never a crash, OOM attempt, or silent success.
   const NodeEmbedding e = FactorEmbedding(7, 4, 3, 13);
-  ASSERT_TRUE(e.Save(path_).ok());
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
   const std::string bytes = ReadFileBytes(path_);
-  for (size_t len = 0; len < bytes.size(); len += 3) {
+  for (size_t len = 0; len < bytes.size(); len += (len < 64 ? 1 : 509)) {
     std::ofstream out(path2_, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(len));
     out.close();
@@ -201,102 +241,20 @@ TEST_F(NodeEmbeddingIoTest, TruncationSweepNeverSucceeds) {
   }
 }
 
-TEST_F(NodeEmbeddingIoTest, SaveAlignsMatrixPayloadsToEightBytes) {
-  // Version-2 guarantee behind the zero-copy mmap store: every matrix
-  // payload (16 bytes past its record start) sits at an 8-byte offset.
-  for (const std::string method : {"pane", "pane-seq", "x"}) {
-    NodeEmbedding e = FactorEmbedding(6, 4, 3, 17);
-    e.method = method;
-    ASSERT_TRUE(e.Save(path_).ok());
-    const size_t record = FirstMatrixOffset(e);
-    EXPECT_EQ((record + 16) % 8, 0u) << method;
-    // The record starts right after magic/version/method/conventions/mask
-    // plus padding; re-load to prove the padding round-trips.
-    const auto loaded = NodeEmbedding::Load(path_);
-    ASSERT_TRUE(loaded.ok()) << loaded.status();
-    EXPECT_EQ(loaded->method, method);
-    EXPECT_EQ(e.xf.MaxAbsDiff(loaded->xf), 0.0);
-  }
-}
-
 TEST_F(NodeEmbeddingIoTest, LoadRejectsUnknownMaskBits) {
   // A future-format or corrupt presence mask must fail loudly instead of
   // silently misplacing payloads.
   const NodeEmbedding e = FeatureOnlyEmbedding(4, 3, 23);
-  ASSERT_TRUE(e.Save(path_).ok());
-  std::string bytes = ReadFileBytes(path_);
-  const size_t mask_offset = 8 + 4 + 4 + e.method.size() + 1 + 1;
-  bytes[mask_offset] = static_cast<char>(0x88);
-  {
-    std::ofstream out(path2_, std::ios::binary);
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  }
-  EXPECT_TRUE(NodeEmbedding::Load(path2_).status().IsInvalidArgument());
-}
-
-TEST_F(NodeEmbeddingIoTest, LoadsHandWrittenVersion1Artifacts) {
-  // Backward compatibility: version 1 files (no header padding) written by
-  // the pre-serving format must still load.
-  const NodeEmbedding e = FeatureOnlyEmbedding(3, 2, 21);
-  std::string v1;
-  const auto append = [&v1](const void* p, size_t n) {
-    v1.append(reinterpret_cast<const char*>(p), n);
-  };
-  const uint64_t magic = 0x50414e454e454231ULL;
-  const uint32_t version = 1;
-  const uint32_t method_len = static_cast<uint32_t>(e.method.size());
-  append(&magic, 8);
-  append(&version, 4);
-  append(&method_len, 4);
-  v1 += e.method;
-  const int8_t link = 0, attr = 0;
-  const uint8_t mask = 0;
-  append(&link, 1);
-  append(&attr, 1);
-  append(&mask, 1);
-  const int64_t rows = e.features.rows(), cols = e.features.cols();
-  append(&rows, 8);
-  append(&cols, 8);
-  append(e.features.data(),
-         static_cast<size_t>(e.features.size()) * sizeof(double));
-  {
-    std::ofstream out(path_, std::ios::binary);
-    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
-  }
-  const auto loaded = NodeEmbedding::Load(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->method, e.method);
-  EXPECT_EQ(e.features.MaxAbsDiff(loaded->features), 0.0);
-  // Re-saving writes version 2; the artifact must round-trip unchanged in
-  // content even though the bytes differ (new padding).
-  ASSERT_TRUE(loaded->Save(path2_).ok());
-  const auto resaved = NodeEmbedding::Load(path2_);
-  ASSERT_TRUE(resaved.ok()) << resaved.status();
-  EXPECT_EQ(e.features.MaxAbsDiff(resaved->features), 0.0);
-}
-
-TEST_F(NodeEmbeddingIoTest, ContainerRoundTripMatchesLegacyBitwise) {
-  const NodeEmbedding e = FactorEmbedding(15, 9, 4, 31);
-  ASSERT_TRUE(e.Save(path_).ok());
-  ASSERT_TRUE(e.SaveContainer(path2_).ok());
-  // Load dispatches on the magic: both layouts decode to the same artifact,
-  // matrix payloads bitwise equal.
-  const auto legacy = NodeEmbedding::Load(path_);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  const auto container = NodeEmbedding::Load(path2_);
-  ASSERT_TRUE(container.ok()) << container.status();
-  EXPECT_EQ(container->method, legacy->method);
-  EXPECT_EQ(container->link_convention, legacy->link_convention);
-  EXPECT_EQ(container->attribute_convention, legacy->attribute_convention);
-  EXPECT_EQ(legacy->features.MaxAbsDiff(container->features), 0.0);
-  EXPECT_EQ(legacy->xf.MaxAbsDiff(container->xf), 0.0);
-  EXPECT_EQ(legacy->xb.MaxAbsDiff(container->xb), 0.0);
-  EXPECT_EQ(legacy->y.MaxAbsDiff(container->y), 0.0);
-  // And the container write itself is deterministic.
-  const std::string again = path2_ + ".again";
-  ASSERT_TRUE(e.SaveContainer(again).ok());
-  EXPECT_EQ(ReadFileBytes(path2_), ReadFileBytes(again));
-  std::filesystem::remove(again);
+  ASSERT_TRUE(e.SaveContainer(path_).ok());
+  testing::RewriteContainer(
+      path_, path2_, [](const std::string& name, std::string* payload) {
+        if (name == "emb.meta") (*payload)[kMetaMaskOffset] = '\x88';
+        return true;
+      });
+  const auto loaded = NodeEmbedding::Load(path2_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("presence"), std::string::npos)
+      << loaded.status();
 }
 
 TEST_F(NodeEmbeddingIoTest, ContainerLoadDetectsFlippedBytes) {

@@ -296,20 +296,10 @@ class EmbeddingStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = (std::filesystem::temp_directory_path() /
-             ("serve_store_" + std::to_string(::getpid()) + ".bin"))
+             ("serve_store_" + std::to_string(::getpid()) + ".ctn"))
                 .string();
-    const auto& f = TrainedFixture::Get();
-    artifact_.method = "pane";
-    artifact_.xf = f.embedding.xf;
-    artifact_.xb = f.embedding.xb;
-    artifact_.y = f.embedding.y;
-    artifact_.features.Resize(f.embedding.num_nodes(),
-                              2 * f.embedding.xf.cols());
-    artifact_.features.SetBlock(0, 0, f.embedding.xf);
-    artifact_.features.SetBlock(0, f.embedding.xf.cols(), f.embedding.xb);
-    artifact_.link_convention = LinkConvention::kForwardBackward;
-    artifact_.attribute_convention = AttributeConvention::kFactors;
-    PANE_CHECK_OK(artifact_.Save(path_));
+    artifact_ = NodeEmbedding::FromPane(TrainedFixture::Get().embedding);
+    PANE_CHECK_OK(artifact_.SaveContainer(path_));
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
@@ -327,10 +317,9 @@ void ExpectViewEqualsMatrix(ConstMatrixView view, const DenseMatrix& m) {
   }
 }
 
-TEST_F(EmbeddingStoreTest, OpensVersion2ZeroCopy) {
+TEST_F(EmbeddingStoreTest, OpensContainerArtifact) {
   auto store = serve::EmbeddingStore::Open(path_);
   ASSERT_TRUE(store.ok()) << store.status();
-  EXPECT_TRUE(store->zero_copy());
   EXPECT_EQ(store->method(), "pane");
   EXPECT_EQ(store->link_convention(), LinkConvention::kForwardBackward);
   EXPECT_TRUE(store->has_attribute_factors());
@@ -339,6 +328,13 @@ TEST_F(EmbeddingStoreTest, OpensVersion2ZeroCopy) {
   ExpectViewEqualsMatrix(store->xf(), artifact_.xf);
   ExpectViewEqualsMatrix(store->xb(), artifact_.xb);
   ExpectViewEqualsMatrix(store->y(), artifact_.y);
+  // Unverified open (the serving fast path that never faults pages it does
+  // not serve) must expose the same views.
+  serve::EmbeddingStoreOptions options;
+  options.verify_checksums = false;
+  auto unverified = serve::EmbeddingStore::Open(path_, options);
+  ASSERT_TRUE(unverified.ok()) << unverified.status();
+  ExpectViewEqualsMatrix(unverified->y(), artifact_.y);
 }
 
 TEST_F(EmbeddingStoreTest, StoreOutlivesUnlinkedFile) {
@@ -355,9 +351,10 @@ TEST_F(EmbeddingStoreTest, StoreOutlivesUnlinkedFile) {
 TEST_F(EmbeddingStoreTest, MappingIsReadOnly) {
   auto store = serve::EmbeddingStore::Open(path_);
   ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_TRUE(store->zero_copy());
-  // Find the mapping containing the features view in /proc/self/maps and
-  // check its permissions are r-- (PROT_READ, no write).
+  // Zero-copy: every view lies inside one read-only file mapping. Find the
+  // mapping containing the features view in /proc/self/maps and check its
+  // permissions are r-- (PROT_READ, no write) and that it spans the other
+  // blocks too.
   const uintptr_t addr =
       reinterpret_cast<uintptr_t>(store->features().data());
   std::ifstream maps("/proc/self/maps");
@@ -376,6 +373,14 @@ TEST_F(EmbeddingStoreTest, MappingIsReadOnly) {
       found = true;
       EXPECT_EQ(perms[0], 'r') << line;
       EXPECT_EQ(perms[1], '-') << "mapping must not be writable: " << line;
+      for (const ConstMatrixView& view :
+           {store->xf(), store->xb(), store->y()}) {
+        const uintptr_t begin = reinterpret_cast<uintptr_t>(view.data());
+        const uintptr_t bytes =
+            static_cast<uintptr_t>(view.rows() * view.cols()) * sizeof(double);
+        EXPECT_TRUE(begin >= lo && begin + bytes <= hi)
+            << "a factor view lies outside the artifact mapping";
+      }
       break;
     }
   }
@@ -440,79 +445,51 @@ TEST_F(EmbeddingStoreTest, RejectsCorruptArtifacts) {
   }
   std::filesystem::remove(trunc_path);
   EXPECT_TRUE(
-      serve::EmbeddingStore::Open("/nonexistent/store.bin").status()
+      serve::EmbeddingStore::Open("/nonexistent/store.ctn").status()
           .IsIOError());
 }
 
-// ---- Container-backed serving artifacts ---------------------------------
-
-TEST_F(EmbeddingStoreTest, OpensContainerArtifactZeroCopy) {
-  const std::string container_path = path_ + ".ctn";
-  ASSERT_TRUE(artifact_.SaveContainer(container_path).ok());
-  auto store = serve::EmbeddingStore::Open(container_path);
-  ASSERT_TRUE(store.ok()) << store.status();
-  EXPECT_TRUE(store->container_backed());
-  EXPECT_TRUE(store->zero_copy());
-  EXPECT_EQ(store->method(), "pane");
-  EXPECT_EQ(store->link_convention(), LinkConvention::kForwardBackward);
-  EXPECT_TRUE(store->has_attribute_factors());
-  EXPECT_GT(store->mapped_bytes(), 0);
-  ExpectViewEqualsMatrix(store->features(), artifact_.features);
-  ExpectViewEqualsMatrix(store->xf(), artifact_.xf);
-  ExpectViewEqualsMatrix(store->xb(), artifact_.xb);
-  ExpectViewEqualsMatrix(store->y(), artifact_.y);
-  // Unverified open (the serving fast path that never faults pages it does
-  // not serve) must expose the same views.
-  serve::EmbeddingStoreOptions options;
-  options.verify_checksums = false;
-  auto unverified = serve::EmbeddingStore::Open(container_path, options);
-  ASSERT_TRUE(unverified.ok()) << unverified.status();
-  EXPECT_TRUE(unverified->container_backed());
-  ExpectViewEqualsMatrix(unverified->y(), artifact_.y);
-  std::filesystem::remove(container_path);
-}
-
-TEST_F(EmbeddingStoreTest, ContainerEngineMatchesLegacyEngine) {
-  const std::string container_path = path_ + ".ctn";
-  ASSERT_TRUE(artifact_.SaveContainer(container_path).ok());
-  auto legacy = serve::EmbeddingStore::Open(path_);
-  ASSERT_TRUE(legacy.ok()) << legacy.status();
-  auto container = serve::EmbeddingStore::Open(container_path);
-  ASSERT_TRUE(container.ok()) << container.status();
-  auto legacy_engine = serve::QueryEngine::Create(*legacy, EngineOptions());
-  ASSERT_TRUE(legacy_engine.ok()) << legacy_engine.status();
-  auto container_engine =
-      serve::QueryEngine::Create(*container, EngineOptions());
-  ASSERT_TRUE(container_engine.ok()) << container_engine.status();
-  const auto& f = TrainedFixture::Get();
-  const auto queries = AllNodeQueries(25, 8);
-  const auto expected_attr = legacy_engine->TopKAttributes(queries, &f.graph);
-  const auto expected_link = legacy_engine->TopKTargets(queries, &f.graph);
-  const auto attr = container_engine->TopKAttributes(queries, &f.graph);
-  const auto link = container_engine->TopKTargets(queries, &f.graph);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ExpectSameRanking(expected_attr[i], attr[i], "container attr");
-    ExpectSameRanking(expected_link[i], link[i], "container link");
-  }
-  std::filesystem::remove(container_path);
-}
-
 TEST_F(EmbeddingStoreTest, ContainerOpenDetectsFlippedByte) {
-  const std::string container_path = path_ + ".ctn";
-  ASSERT_TRUE(artifact_.SaveContainer(container_path).ok());
-  std::ifstream in(container_path, std::ios::binary);
+  std::ifstream in(path_, std::ios::binary);
   std::string bytes((std::istreambuf_iterator<char>(in)),
                     std::istreambuf_iterator<char>());
   in.close();
   bytes[bytes.size() / 2 + 11] ^= 0x04;
-  std::ofstream out(container_path, std::ios::binary | std::ios::trunc);
+  std::ofstream out(path_, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   out.close();
-  const auto store = serve::EmbeddingStore::Open(container_path);
+  const auto store = serve::EmbeddingStore::Open(path_);
   ASSERT_FALSE(store.ok());
   EXPECT_NE(store.status().message().find("checksum"), std::string::npos)
       << store.status();
-  std::filesystem::remove(container_path);
+}
+
+TEST_F(EmbeddingStoreTest, RejectsMetaShapesThatOverflowTheirStream) {
+  // A CRC-valid features-only container whose meta declares features of
+  // 2^61 x 1 over an empty stream: 2^61 x 1 x 8 bytes wraps to 0, so an
+  // unchecked product would accept it and serve a 2^61-row view of nothing.
+  NodeEmbedding features_only;
+  features_only.method = "pane";
+  features_only.features = artifact_.features;
+  const std::string clean = path_ + ".features";
+  ASSERT_TRUE(features_only.SaveContainer(clean).ok());
+  const std::string hostile = path_ + ".hostile";
+  testing::RewriteContainer(
+      clean, hostile, [](const std::string& name, std::string* payload) {
+        if (name == "emb.meta") {
+          const int64_t shape[2] = {int64_t{1} << 61, 1};
+          std::memcpy(payload->data() + 8, shape, sizeof(shape));
+        } else if (name == "emb.features") {
+          payload->clear();
+        }
+        return true;
+      });
+  const auto store = serve::EmbeddingStore::Open(hostile);
+  EXPECT_FALSE(store.ok()) << "opened with num_nodes() = "
+                           << store->num_nodes();
+  EXPECT_FALSE(NodeEmbedding::Load(hostile).ok());
+  std::filesystem::remove(clean);
+  std::filesystem::remove(hostile);
 }
 
 TEST(IvfIndexTest, SaveLoadRoundTripSearchesIdentical) {

@@ -175,22 +175,12 @@ struct ShardFixture {
       PaneOptions options;
       options.k = 32;
       f->embedding = Pane(options).Train(f->graph).ValueOrDie();
-      NodeEmbedding artifact;
-      artifact.method = "pane";
-      artifact.xf = f->embedding.xf;
-      artifact.xb = f->embedding.xb;
-      artifact.y = f->embedding.y;
-      artifact.features.Resize(f->embedding.num_nodes(),
-                               2 * f->embedding.xf.cols());
-      artifact.features.SetBlock(0, 0, f->embedding.xf);
-      artifact.features.SetBlock(0, f->embedding.xf.cols(), f->embedding.xb);
-      artifact.link_convention = LinkConvention::kForwardBackward;
-      artifact.attribute_convention = AttributeConvention::kFactors;
       f->artifact_path = (std::filesystem::temp_directory_path() /
                           ("shard_artifact_" + std::to_string(::getpid()) +
-                           ".bin"))
+                           ".ctn"))
                              .string();
-      PANE_CHECK_OK(artifact.Save(f->artifact_path));
+      PANE_CHECK_OK(NodeEmbedding::FromPane(f->embedding)
+                        .SaveContainer(f->artifact_path));
       return f;
     }();
     return *fixture;
@@ -265,6 +255,39 @@ TEST(ShardSplitTest, RefusesToResplitAShardContainer) {
   EXPECT_FALSE(
       serve::SplitEmbeddingArtifact(paths[0], prefix + ".again", 2, nullptr)
           .ok());
+  for (const std::string& path : paths) std::filesystem::remove(path);
+}
+
+TEST(ShardSplitTest, RejectsMetaShapesThatOverflowTheirStreams) {
+  // A CRC-valid shard container whose meta declares n = 2^61, dim = 1 over
+  // empty xf / xb streams: 2^61 x 1 x 8 bytes wraps to 0, so an unchecked
+  // product would accept it and serve num_nodes() == 2^61 rows of nothing.
+  const ShardFixture& f = ShardFixture::Get();
+  const std::string prefix = (std::filesystem::temp_directory_path() /
+                              ("shard_hostile_" + std::to_string(::getpid())))
+                                 .string();
+  std::vector<std::string> paths;
+  ASSERT_TRUE(
+      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 1, &paths).ok());
+  const std::string hostile = prefix + ".hostile";
+  testing::RewriteContainer(
+      paths[0], hostile, [](const std::string& name, std::string* payload) {
+        if (name == "shard.meta") {
+          // i64 fields from byte 8 (src/store/shard_pages.cc): shard index,
+          // count, n, d, dim, then the node and attribute ranges.
+          const int64_t fields[9] = {0, 1, int64_t{1} << 61, 0, 1,
+                                     0, 0, 0, 0};
+          std::memcpy(payload->data() + 8, fields, sizeof(fields));
+          return true;
+        }
+        payload->clear();
+        return name == "shard.xf" || name == "shard.xb";
+      });
+  const auto store = serve::EmbeddingStore::Open(hostile);
+  EXPECT_FALSE(store.ok()) << "opened with num_nodes() = "
+                           << store->num_nodes() << ", dim() = "
+                           << store->dim();
+  std::filesystem::remove(hostile);
   for (const std::string& path : paths) std::filesystem::remove(path);
 }
 

@@ -118,20 +118,6 @@ TEST(SlabPipelineTest, MissingSpillDirFailsWithoutSideEffects) {
   EXPECT_FALSE(fs::exists(options.spill_dir));
 }
 
-TEST(SlabPipelineTest, DeprecatedAliasFeedsTheBudget) {
-  const AttributedGraph g = testing::SmallSbm(77, kNodes);
-  PaneOptions alias = BudgetedOptions(3, 0, SlabPolicy::kAuto);
-  alias.affinity_memory_mb = kBudgetMb;
-  EXPECT_EQ(ResolvedMemoryBudgetMb(alias), kBudgetMb);
-  PaneStats stats;
-  const auto trained = Pane(alias).Train(g, &stats).ValueOrDie();
-  // The alias now drives the whole budget, including the spill decision.
-  EXPECT_TRUE(stats.slabs_spilled);
-  PaneOptions direct = BudgetedOptions(3, kBudgetMb, SlabPolicy::kAuto);
-  const auto expected = Pane(direct).Train(g).ValueOrDie();
-  ExpectBitwiseEqual(trained, expected, "alias vs memory_budget_mb");
-}
-
 TEST(SlabPipelineTest, RefreshRunsSpilledAndMatchesInRam) {
   const AttributedGraph g = testing::SmallSbm(78, kNodes);
   const auto base =

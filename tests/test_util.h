@@ -1,9 +1,15 @@
-// Shared fixtures for the algorithm tests: the paper's Figure 1 running
-// example and small SBM instances.
+// Shared fixtures for the tests: the paper's Figure 1 running example,
+// small SBM instances, and a container rewriter for hostile-input cases.
 #pragma once
 
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "src/common/logging.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/store/container.h"
 
 namespace pane {
 namespace testing {
@@ -43,6 +49,35 @@ inline AttributedGraph SmallSbm(uint64_t seed = 12, int64_t n = 400,
   params.undirected = undirected;
   params.seed = seed;
   return GenerateAttributedSbm(params);
+}
+
+/// Edits one container stream's payload in place; returns false to drop the
+/// stream instead.
+using StreamPatch =
+    std::function<bool(const std::string& name, std::string* payload)>;
+
+/// Copies the container at `src` to `dst` stream by stream, passing each
+/// stream through `patch` first. The copy carries fresh checksums, so a
+/// hostile edit reaches the loader's structural checks instead of tripping
+/// the CRC.
+inline void RewriteContainer(const std::string& src, const std::string& dst,
+                             const StreamPatch& patch) {
+  auto container = store::Container::Open(src);
+  PANE_CHECK(container.ok()) << container.status();
+  std::vector<std::string> payloads;
+  payloads.reserve(container->streams().size());
+  store::ContainerWriter writer;
+  for (const store::StreamEntry& entry : container->streams()) {
+    const std::string name = entry.name;
+    auto view = container->Read(name);
+    PANE_CHECK(view.ok()) << view.status();
+    payloads.emplace_back(view->data, static_cast<size_t>(view->bytes));
+    if (!patch(name, &payloads.back())) continue;
+    PANE_CHECK_OK(writer.AddStream(
+        name, view->type, payloads.back().data(),
+        static_cast<int64_t>(payloads.back().size())));
+  }
+  PANE_CHECK_OK(writer.WriteTo(dst));
 }
 
 }  // namespace testing
