@@ -14,6 +14,7 @@
 #include "src/baselines/nrp.h"
 #include "src/baselines/tadw.h"
 #include "src/core/pane.h"
+#include "src/matrix/matrix_kernels.h"
 
 namespace pane {
 namespace {
@@ -62,6 +63,9 @@ class PaneEmbedder : public Embedder {
                      << stats.init_blocks_overlapped
                      << "; ccd strip=" << stats.ccd.strip_width
                      << " scratch=" << stats.ccd.scratch_bytes << "B";
+      // Which compilation of the Dot/Axpy/GEMM kernels ran, so a training
+      // time can be read against the ISA from the log alone.
+      PANE_LOG(INFO) << name() << " kernels=" << GetMatrixKernels().name;
     }
     return NodeEmbedding::FromPane(std::move(trained), name());
   }

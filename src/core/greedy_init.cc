@@ -7,6 +7,7 @@
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/matrix/gemm.h"
+#include "src/matrix/matrix_kernels.h"
 #include "src/matrix/rand_svd.h"
 #include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
@@ -31,26 +32,16 @@ Status ValidateInit(const AffinitySlabs& affinity, const InitOptions& options) {
   return Status::OK();
 }
 
-// Rows [begin, end) of out = F * y, the i-k-j skip-zero kernel of GemmRows
+// Rows [begin, end) of out = F * y through Gemm's i-k-j skip-zero kernel,
 // reading F from the slab — identical arithmetic whichever backing holds
 // the bytes. Consumed slab rows are released as each chunk finishes.
 void ProjectRows(const FactorSlab& f, const DenseMatrix& y, DenseMatrix* out,
                  int64_t begin, int64_t end) {
-  const int64_t d = f.cols();
-  const int64_t h = y.cols();
+  const auto gemm_rows = GetMatrixKernels().gemm_rows;
   for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
     const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
-    for (int64_t i = chunk; i < chunk_end; ++i) {
-      double* out_row = out->Row(i);
-      std::fill(out_row, out_row + h, 0.0);
-      const double* f_row = f.Row(i);
-      for (int64_t p = 0; p < d; ++p) {
-        const double v = f_row[p];
-        if (v == 0.0) continue;
-        const double* y_row = y.Row(p);
-        for (int64_t j = 0; j < h; ++j) out_row[j] += v * y_row[j];
-      }
-    }
+    gemm_rows(f.Row(chunk), y.data(), out->Row(chunk), chunk_end - chunk,
+              f.cols(), y.cols());
     ReleaseRowsOrWarn(f, chunk, chunk_end, /*dirty=*/false);
   }
 }

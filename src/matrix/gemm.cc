@@ -1,35 +1,12 @@
 #include "src/matrix/gemm.h"
 
-#include <algorithm>
-
 #include "src/common/logging.h"
+#include "src/matrix/matrix_kernels.h"
 #include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 
 namespace pane {
 namespace {
-
-// Rows [begin, end) of C = A * B, i-k-j order (unit-stride inner loop).
-// Templated over the operand types (DenseMatrix or ConstMatrixView) so the
-// slab-streaming entry points share this exact kernel — one arithmetic
-// path, bitwise-identical results whichever container the bytes live in.
-template <typename MatA, typename MatB>
-void GemmRows(const MatA& a, const MatB& b, DenseMatrix* c,
-              int64_t begin, int64_t end) {
-  const int64_t inner = a.cols();
-  const int64_t k = b.cols();
-  for (int64_t i = begin; i < end; ++i) {
-    double* c_row = c->Row(i);
-    std::fill(c_row, c_row + k, 0.0);
-    const double* a_row = a.Row(i);
-    for (int64_t p = 0; p < inner; ++p) {
-      const double v = a_row[p];
-      if (v == 0.0) continue;
-      const double* b_row = b.Row(p);
-      for (int64_t j = 0; j < k; ++j) c_row[j] += v * b_row[j];
-    }
-  }
-}
 
 // Rows [begin, end) of C = A * B^T via row-row dot products.
 void GemmTransBRows(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
@@ -60,43 +37,48 @@ void GemmTransBAddScaledRows(const DenseMatrix& a, const DenseMatrix& b,
   }
 }
 
-// Columns [col_begin, col_end) of C = A^T * B without materializing A^T:
-// each row i of A contributes a_row[j] * b_row[:] to C row j, so for every
-// output element the additions arrive in ascending i — the same order the
-// transpose-then-GemmRows form produces (at row j, inner index p = i
-// ascending), with the same skip-zero guard. C must be pre-zeroed.
-template <typename MatA, typename MatB>
-void GemmTransAStreamCols(const MatA& a, const MatB& b, DenseMatrix* c,
-                          int64_t col_begin, int64_t col_end) {
-  const int64_t n = a.rows();
-  const int64_t k = b.cols();
-  for (int64_t i = 0; i < n; ++i) {
-    const double* a_row = a.Row(i);
-    const double* b_row = b.Row(i);
-    for (int64_t j = col_begin; j < col_end; ++j) {
-      const double v = a_row[j];
-      if (v == 0.0) continue;
-      double* c_row = c->Row(j);
-      for (int64_t l = 0; l < k; ++l) c_row[l] += v * b_row[l];
-    }
-  }
-}
-
 // Shared resize + serial-vs-row-parallel dispatch for every Gemm operand
-// combination, so a tuning change (e.g. the single-row cutover) cannot
-// diverge between the DenseMatrix and view entry points.
-template <typename MatA, typename MatB>
-void GemmDispatch(const MatA& a, const MatB& b, DenseMatrix* c,
+// combination: all of them reach the one i-k-j kernel of the dispatched
+// table (MatrixKernels::gemm_rows), so the DenseMatrix and view entry
+// points share one arithmetic path and one tuning (e.g. the single-row
+// cutover), bitwise identical whichever container the bytes live in.
+void GemmDispatch(ConstMatrixView a, ConstMatrixView b, DenseMatrix* c,
                   ThreadPool* pool) {
   PANE_CHECK(a.cols() == b.rows()) << "Gemm shape mismatch";
   c->Resize(a.rows(), b.cols());
+  const auto gemm_rows = GetMatrixKernels().gemm_rows;
+  const auto rows = [&](int64_t begin, int64_t end) {
+    gemm_rows(a.Row(begin), b.data(), c->Row(begin), end - begin, a.cols(),
+              b.cols());
+  };
   if (pool == nullptr || pool->num_threads() == 1 || a.rows() == 1) {
-    GemmRows(a, b, c, 0, a.rows());
+    rows(0, a.rows());
     return;
   }
-  ParallelFor(pool, 0, a.rows(), [&](int64_t begin, int64_t end) {
-    GemmRows(a, b, c, begin, end);
-  });
+  ParallelFor(pool, 0, a.rows(), rows);
+}
+
+// Shared driver for the streaming (no A^T materialization) forms of
+// C = A^T * B. Each row i of A contributes a_row[j] * b_row[:] to C row j,
+// so for every output element the additions arrive in ascending i: the
+// order the transpose-then-Gemm form produces (at row j, inner index
+// p = i ascending), with the same skip-zero guard.
+void GemmTransAStreamDispatch(ConstMatrixView a, ConstMatrixView b,
+                              DenseMatrix* c, ThreadPool* pool) {
+  PANE_CHECK(a.rows() == b.rows()) << "GemmTransA shape mismatch";
+  c->Resize(a.cols(), b.cols());  // zero-filled by Resize
+  const auto gemm_trans_a_cols = GetMatrixKernels().gemm_trans_a_cols;
+  const auto cols = [&](int64_t begin, int64_t end) {
+    gemm_trans_a_cols(a.data() + begin, a.cols(), b.data(), c->Row(begin),
+                      a.rows(), end - begin, b.cols());
+  };
+  if (pool == nullptr || pool->num_threads() == 1 || a.cols() == 1) {
+    cols(0, a.cols());
+    return;
+  }
+  // Output columns of A (= rows of C) are partitioned across workers; every
+  // worker streams all rows of A but writes a disjoint C row range.
+  ParallelFor(pool, 0, a.cols(), cols);
 }
 
 }  // namespace
@@ -104,17 +86,17 @@ void GemmDispatch(const MatA& a, const MatB& b, DenseMatrix* c,
 void Gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
           ThreadPool* pool) {
   PANE_CHECK(c != &a && c != &b) << "Gemm cannot run in place";
-  GemmDispatch(a, b, c, pool);
+  GemmDispatch(a.View(), b.View(), c, pool);
 }
 
 void Gemm(ConstMatrixView a, const DenseMatrix& b, DenseMatrix* c,
           ThreadPool* pool) {
-  GemmDispatch(a, b, c, pool);
+  GemmDispatch(a, b.View(), c, pool);
 }
 
 void Gemm(const DenseMatrix& a, ConstMatrixView b, DenseMatrix* c,
           ThreadPool* pool) {
-  GemmDispatch(a, b, c, pool);
+  GemmDispatch(a.View(), b, c, pool);
 }
 
 void GemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
@@ -127,30 +109,9 @@ void GemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
   Gemm(at, b, c, pool);
 }
 
-namespace {
-
-// Shared driver for the streaming (no A^T materialization) forms.
-template <typename MatA, typename MatB>
-void GemmTransAStreamDispatch(const MatA& a, const MatB& b, DenseMatrix* c,
-                              ThreadPool* pool) {
-  PANE_CHECK(a.rows() == b.rows()) << "GemmTransA shape mismatch";
-  c->Resize(a.cols(), b.cols());  // zero-filled by Resize
-  if (pool == nullptr || pool->num_threads() == 1 || a.cols() == 1) {
-    GemmTransAStreamCols(a, b, c, 0, a.cols());
-    return;
-  }
-  // Output columns of A (= rows of C) are partitioned across workers; every
-  // worker streams all rows of A but writes a disjoint C row range.
-  ParallelFor(pool, 0, a.cols(), [&](int64_t begin, int64_t end) {
-    GemmTransAStreamCols(a, b, c, begin, end);
-  });
-}
-
-}  // namespace
-
 void GemmTransA(ConstMatrixView a, const DenseMatrix& b, DenseMatrix* c,
                 ThreadPool* pool) {
-  GemmTransAStreamDispatch(a, b, c, pool);
+  GemmTransAStreamDispatch(a, b.View(), c, pool);
 }
 
 void GemmTransA(ConstMatrixView a, ConstMatrixView b, DenseMatrix* c,

@@ -3,25 +3,18 @@
 #include <cmath>
 #include <cstring>
 
+#include "src/matrix/matrix_kernels.h"
+
 namespace pane {
 
+// Dot and Axpy are the CCD hot loops; they run the dispatched kernel
+// table (matrix_kernels.h), bitwise identical on every ISA.
 double Dot(const double* x, const double* y, int64_t n) {
-  // 4-way unrolled accumulation; with -O3 -march=native this vectorizes.
-  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += x[i] * y[i];
-    s1 += x[i + 1] * y[i + 1];
-    s2 += x[i + 2] * y[i + 2];
-    s3 += x[i + 3] * y[i + 3];
-  }
-  double s = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) s += x[i] * y[i];
-  return s;
+  return GetMatrixKernels().dot(x, y, n);
 }
 
 void Axpy(double a, const double* x, double* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
+  GetMatrixKernels().axpy(a, x, y, n);
 }
 
 void Scal(double a, double* x, int64_t n) {

@@ -1,13 +1,14 @@
 // Raw-pointer BLAS-1 kernels used on the hot paths of the CCD solver
 // (Equations 13-20) and the Jacobi/QR routines. Kept free of bounds checks;
-// callers own shape correctness.
+// callers own shape correctness. Dot and Axpy run the runtime-dispatched
+// kernel table of matrix_kernels.h; their results do not depend on the ISA.
 #pragma once
 
 #include <cstdint>
 
 namespace pane {
 
-/// sum_i x[i] * y[i]
+/// sum_i x[i] * y[i], in the fixed order MatrixKernels::dot documents.
 double Dot(const double* x, const double* y, int64_t n);
 
 /// y += a * x

@@ -1,7 +1,8 @@
 // The AVX2 compilation of the shared dot-block kernel (see
-// dot_block_impl.h). This translation unit — and only this one — is built
-// with -mavx2 -ffp-contract=off on x86-64 (see CMakeLists.txt):
-// 4-lane vectors across the query dimension, but NO fused multiply-add,
+// dot_block_impl.h). This translation unit — and only this one in
+// src/serve — is built with -mavx2 on x86-64 (see CMakeLists.txt): 4-lane
+// vectors across the query dimension, but NO fused multiply-add (-mavx2
+// does not enable it, and every library compiles with -ffp-contract=off),
 // so every (query, candidate) pair still rounds exactly like
 // vector_ops::Dot and the serving engine's bitwise-equality contract
 // holds. GetDotBlock() only returns this variant when the running CPU

@@ -1,8 +1,11 @@
 // Shared implementation of the blocked dot kernel, included by the
 // baseline (dot_block.cc) and AVX2 (dot_block_avx2.cc) translation units
 // so both compile the exact same arithmetic under different instruction
-// sets. Everything here is inline; the per-TU entry points wrap
-// DotBlockDriver.
+// sets. Everything here sits in an unnamed namespace, so each translation
+// unit keeps its own copy: were these templates and inline functions with
+// external linkage, the linker would keep one body for both entry points,
+// so DotBlockAvx2 could run the baseline code, or DotBlockGeneric AVX2
+// instructions. The per-TU entry points wrap DotBlockDriver.
 //
 // The per-(query, candidate) accumulation reproduces vector_ops::Dot
 // exactly — four stride-4 partial sums combined as (s0 + s1) + (s2 + s3),
@@ -21,6 +24,7 @@
 namespace pane {
 namespace serve {
 namespace detail {
+namespace {
 
 template <int QB, int LD>
 inline void DotBlockFixed(const double* qt, int64_t h, const double* cand,
@@ -106,8 +110,9 @@ inline void DotBlockRuntimeLd(const double* qt, int64_t h, int64_t ld,
   }
 }
 
-/// Width dispatch. ld should be one of kDotBlockWidths (the engine pads
-/// its panels accordingly); other widths take the scalar fallback.
+/// Width dispatch. ld should be a width PadDotBlockWidth returns (the
+/// engine pads its panels accordingly); other widths take the scalar
+/// fallback.
 inline void DotBlockDriver(const double* qt, int64_t h, int64_t ld,
                            const double* cand, double* out,
                            int64_t out_stride, bool add) {
@@ -147,6 +152,7 @@ inline void DotBlockDriver(const double* qt, int64_t h, int64_t ld,
   }
 }
 
+}  // namespace
 }  // namespace detail
 }  // namespace serve
 }  // namespace pane

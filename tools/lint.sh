@@ -29,6 +29,17 @@
 # src/obs/ histograms, so every recorded duration shares one clock and one
 # unit convention and shows up in the `metrics` exposition. examples/ and
 # bench/ may still use std::chrono for their own pacing/sleeps.
+#
+# Rule 5 — the bitwise contract keeps IEEE arithmetic: the build and the
+# sources must not turn on value-changing floating-point optimizations
+# (fast-math and its parts, unsafe or reassociating math), fused
+# multiply-add (the FMA ISA flag, or a target("fma") attribute or pragma),
+# host-specific ISAs (-march=native), or per-function optimize pragmas.
+# Every library compiles with -ffp-contract=off and the runtime AVX2 units
+# use plain -mavx2, so a vector lane rounds like the scalar loop it
+# replaces; any of these flags would let served scores, spilled factors or
+# one CPU's artifact drift from another's. Checked in CMakeLists.txt,
+# CMakePresets.json, panebench/CMakeLists.txt and src/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -85,6 +96,22 @@ if [[ -n "$chrono_hits" ]]; then
   echo "lint: Millis (src/common/timer.h) so stage timings share one clock" >&2
   echo "lint: and land in the src/obs/ histograms:" >&2
   echo "$chrono_hits" >&2
+  status=1
+fi
+
+# --- Rule 5: value-changing floating-point flags --------------------------
+fp_pattern='-ffast-math|-Ofast|-funsafe-math-optimizations'
+fp_pattern+='|-fassociative-math|-mfma|-march=native'
+fp_pattern+='|#[[:space:]]*pragma[[:space:]]+GCC[[:space:]]+optimize'
+fp_pattern+='|target[[:space:]]*\([^)]*fma'
+
+fp_hits=$(grep -rEn -e "$fp_pattern" CMakeLists.txt CMakePresets.json \
+            panebench/CMakeLists.txt src || true)
+if [[ -n "$fp_hits" ]]; then
+  echo "lint: value-changing floating-point flag, FMA or optimize pragma:" >&2
+  echo "$fp_hits" >&2
+  echo "lint: the bitwise contracts need IEEE multiply-then-add everywhere" >&2
+  echo "lint: (see the optimization policy in CMakeLists.txt)" >&2
   status=1
 fi
 
