@@ -147,10 +147,9 @@ int main(int argc, char** argv) {
   // hold handles into it.
   pane::obs::MetricsRegistry registry;
 
-  // No float copies: the IVF build makes its own single-precision
-  // candidate/centroid storage (the link index scores Z rows, which exist
-  // only post-derivation), and keeping the store copy-free preserves the
-  // MAP_SHARED one-physical-copy property across server processes.
+  // The store stays copy-free, which preserves the MAP_SHARED
+  // one-physical-copy property across server processes; the engine builds
+  // its own f32 screen rows (which also feed the IVF build).
   std::unique_ptr<pane::serve::EmbeddingStore> store;
   if (!remote_router) {
     auto opened =

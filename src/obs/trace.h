@@ -4,8 +4,8 @@
 //
 //   decode      bytes -> Request structs (codec + request-line parse)
 //   batch_wait  first request parsed -> batch dispatched to the engine
-//   engine_scan scoring work: tile dot-products (exact) or IVF probes
-//   topk_select per-tile heap selection of the running top-k
+//   engine_scan scoring work: the f32 screen (exact) or IVF probes
+//   topk_select certification, f64 rescoring and heap selection (exact)
 //   fanout      router scatter: per-shard hops, issued concurrently
 //   merge       router gather: k-way merge of shard rankings, pair reassembly
 //   encode      response strings -> wire bytes

@@ -7,10 +7,10 @@ namespace serve {
 
 namespace detail {
 
-void DotBlockGeneric(const double* qt, int64_t h, int64_t ld,
-                     const double* cand, double* out, int64_t out_stride,
-                     bool add) {
-  DotBlockDriver(qt, h, ld, cand, out, out_stride, add);
+void DotBlockGeneric(const float* queries, int64_t b, const float* panels,
+                     int64_t num_panels, int64_t h, float* out,
+                     int64_t out_stride) {
+  DotBlockDriver(queries, b, panels, num_panels, h, out, out_stride);
 }
 
 }  // namespace detail

@@ -1,6 +1,5 @@
 #include "src/serve/embedding_store.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -16,23 +15,6 @@ ConstMatrixView ViewOf(const store::MatrixExtent& e) {
 }
 
 }  // namespace
-
-FloatMatrix ToFloatMatrix(ConstMatrixView m, bool l2_normalize) {
-  FloatMatrix out;
-  out.Resize(m.rows(), m.cols());
-  for (int64_t i = 0; i < m.rows(); ++i) {
-    const double* src = m.Row(i);
-    float* dst = out.MutableRow(i);
-    double norm_sq = 0.0;
-    for (int64_t j = 0; j < m.cols(); ++j) norm_sq += src[j] * src[j];
-    const double inv =
-        (l2_normalize && norm_sq > 0.0) ? 1.0 / std::sqrt(norm_sq) : 1.0;
-    for (int64_t j = 0; j < m.cols(); ++j) {
-      dst[j] = static_cast<float>(src[j] * inv);
-    }
-  }
-  return out;
-}
 
 Result<EmbeddingStore> EmbeddingStore::Open(
     const std::string& path, const EmbeddingStoreOptions& options) {
@@ -51,7 +33,7 @@ Result<EmbeddingStore> EmbeddingStore::Open(
     store.xb_ = ViewOf(extents.xb);
     store.y_ = ViewOf(extents.y);
     store.z_ = ViewOf(extents.z);
-    PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
+    PANE_RETURN_NOT_OK(store.FinishOpen(path));
     return store;
   }
   if (!store::HasEmbeddingStreams(*store.container_)) {
@@ -81,12 +63,11 @@ Result<EmbeddingStore> EmbeddingStore::Open(
   store.xf_ = ViewOf(extents.xf);
   store.xb_ = ViewOf(extents.xb);
   store.y_ = ViewOf(extents.y);
-  PANE_RETURN_NOT_OK(store.FinishOpen(path, options));
+  PANE_RETURN_NOT_OK(store.FinishOpen(path));
   return store;
 }
 
-Status EmbeddingStore::FinishOpen(const std::string& path,
-                                  const EmbeddingStoreOptions& options) {
+Status EmbeddingStore::FinishOpen(const std::string& path) {
   // Cross-matrix consistency. Shard artifacts carry no features block —
   // their shapes were already validated against the shard meta's declared
   // ranges by ReadShardStreams — so only the factor relations apply.
@@ -106,19 +87,6 @@ Status EmbeddingStore::FinishOpen(const std::string& path,
   if (y_.rows() > 0 && (!has_xf || y_.cols() != xf_.cols())) {
     return Status::InvalidArgument(
         "attribute factor inconsistent with node factors in: " + path);
-  }
-
-  if (options.float_copies) {
-    const bool norm = options.l2_normalize_floats;
-    if (has_node_factors()) {
-      xf_f32_ = ToFloatMatrix(xf_, norm);
-      xb_f32_ = ToFloatMatrix(xb_, norm);
-      if (y_.rows() > 0) {
-        y_f32_ = ToFloatMatrix(y_, norm);
-      }
-    } else {
-      features_f32_ = ToFloatMatrix(features_, norm);
-    }
   }
   return Status::OK();
 }

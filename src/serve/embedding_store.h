@@ -8,11 +8,10 @@
 // the path is unlinked or rotated from under it. Container payloads are
 // page-aligned, so the factor views always point straight into the mapping.
 //
-// For bandwidth-bound scoring (the pruned IVF scan), the store can
-// additionally materialize single-precision copies of the factor blocks,
-// optionally L2-normalized per row (cosine scoring for inner-product
-// artifacts). Exact-mode scoring never touches these: it reads the mapped
-// doubles so served results stay bitwise identical to the offline path.
+// The store itself holds only the mapped doubles. The query engine builds
+// its own single-precision screen copies of the candidate rows (see
+// query_engine.h) and rescores the survivors from these mapped doubles, so
+// served results stay bitwise identical to the offline path.
 #pragma once
 
 #include <cstdint>
@@ -29,30 +28,7 @@
 namespace pane {
 namespace serve {
 
-/// \brief Row-major single-precision matrix (the store's bandwidth-bound
-/// scoring copies; also the IVF index's candidate/centroid storage).
-struct FloatMatrix {
-  std::vector<float> data;
-  int64_t rows = 0;
-  int64_t cols = 0;
-
-  bool empty() const { return rows * cols == 0; }
-  const float* Row(int64_t i) const { return data.data() + i * cols; }
-  float* MutableRow(int64_t i) { return data.data() + i * cols; }
-  void Resize(int64_t r, int64_t c) {
-    rows = r;
-    cols = c;
-    data.assign(static_cast<size_t>(r * c), 0.0f);
-  }
-};
-
 struct EmbeddingStoreOptions {
-  /// Build single-precision copies of xf / xb / y (and features when no
-  /// factor blocks are present) at open.
-  bool float_copies = false;
-  /// L2-normalize each row of the float copies (unit vectors; inner product
-  /// becomes cosine). Zero rows are left zero.
-  bool l2_normalize_floats = false;
   /// CRC32C-verify each matrix stream's pages at open. Verification touches (faults) every page of every stream; turn it
   /// off when the store should serve a subset of the blocks — e.g. Y only —
   /// without ever faulting Xf / Xb.
@@ -89,7 +65,8 @@ class EmbeddingStore {
   ConstMatrixView xb() const { return xb_; }
   ConstMatrixView y() const { return y_; }
   /// Pre-derived link-candidate rows (shard containers only; the unsharded
-  /// open path leaves this empty and the engine derives Z itself).
+  /// open path leaves this empty and the engine derives the rows of Z it
+  /// needs from G = Y^T Y).
   ConstMatrixView z() const { return z_; }
 
   /// True when the artifact is one shard of a split embedding (a shard.*
@@ -122,15 +99,8 @@ class EmbeddingStore {
            static_cast<int64_t>(container_->page_size());
   }
 
-  /// Single-precision copies (empty unless float_copies was requested).
-  const FloatMatrix& features_f32() const { return features_f32_; }
-  const FloatMatrix& xf_f32() const { return xf_f32_; }
-  const FloatMatrix& xb_f32() const { return xb_f32_; }
-  const FloatMatrix& y_f32() const { return y_f32_; }
-
  private:
-  Status FinishOpen(const std::string& path,
-                    const EmbeddingStoreOptions& options);
+  Status FinishOpen(const std::string& path);
 
   // Holds the mapping the views point into (behind a pointer so the store
   // stays default-constructible and movable).
@@ -141,12 +111,7 @@ class EmbeddingStore {
   std::string method_;
   LinkConvention link_convention_ = LinkConvention::kInnerProduct;
   AttributeConvention attribute_convention_ = AttributeConvention::kCentroid;
-  FloatMatrix features_f32_, xf_f32_, xb_f32_, y_f32_;
 };
-
-/// \brief Single-precision copy of `m`, optionally L2-normalizing each row
-/// (norms computed in double). Exposed for tests and the IVF builder.
-FloatMatrix ToFloatMatrix(ConstMatrixView m, bool l2_normalize);
 
 }  // namespace serve
 }  // namespace pane

@@ -32,6 +32,17 @@ float FloatDot(const float* x, const float* y, int64_t n) {
   return s;
 }
 
+FloatMatrix ToFloatMatrix(ConstMatrixView m) {
+  FloatMatrix out;
+  out.Resize(m.rows(), m.cols());
+  for (int64_t i = 0; i < m.rows(); ++i) {
+    const double* src = m.Row(i);
+    float* dst = out.MutableRow(i);
+    for (int64_t j = 0; j < m.cols(); ++j) dst[j] = static_cast<float>(src[j]);
+  }
+  return out;
+}
+
 double SquaredL2(const float* x, const float* y, int64_t n) {
   double s = 0.0;
   for (int64_t i = 0; i < n; ++i) {
@@ -60,7 +71,7 @@ int64_t NearestCentroid(const FloatMatrix& centroids, const float* row) {
 
 Result<IvfIndex> IvfIndex::Build(ConstMatrixView candidates,
                                  const IvfOptions& options) {
-  return Build(ToFloatMatrix(candidates, /*l2_normalize=*/false), options);
+  return Build(ToFloatMatrix(candidates), options);
 }
 
 Result<IvfIndex> IvfIndex::Build(const FloatMatrix& candidates,

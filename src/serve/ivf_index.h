@@ -15,7 +15,7 @@
 
 #include "src/common/status.h"
 #include "src/common/topk.h"
-#include "src/serve/embedding_store.h"
+#include "src/matrix/dense_matrix.h"
 #include "src/store/container.h"
 
 namespace pane {
@@ -23,6 +23,23 @@ namespace pane {
 class ThreadPool;
 
 namespace serve {
+
+/// \brief Row-major single-precision matrix: the IVF index's candidate
+/// and centroid storage.
+struct FloatMatrix {
+  std::vector<float> data;
+  int64_t rows = 0;
+  int64_t cols = 0;
+
+  bool empty() const { return rows * cols == 0; }
+  const float* Row(int64_t i) const { return data.data() + i * cols; }
+  float* MutableRow(int64_t i) { return data.data() + i * cols; }
+  void Resize(int64_t r, int64_t c) {
+    rows = r;
+    cols = c;
+    data.assign(static_cast<size_t>(r * c), 0.0f);
+  }
+};
 
 struct IvfOptions {
   /// Inverted lists; 0 derives ceil(sqrt(#candidates)).
@@ -45,7 +62,8 @@ class IvfIndex {
   /// Deterministic for a fixed (seed, candidates, options).
   static Result<IvfIndex> Build(ConstMatrixView candidates,
                                 const IvfOptions& options);
-  /// Same, reusing an existing single-precision copy (e.g. the store's).
+  /// Same, reusing an existing single-precision copy (e.g. the query
+  /// engine's screen rows).
   static Result<IvfIndex> Build(const FloatMatrix& candidates,
                                 const IvfOptions& options);
 

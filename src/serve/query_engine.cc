@@ -1,6 +1,8 @@
 #include "src/serve/query_engine.h"
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <vector>
@@ -8,6 +10,7 @@
 #include "src/common/logging.h"
 #include "src/common/timer.h"
 #include "src/matrix/gemm.h"
+#include "src/matrix/matrix_kernels.h"
 #include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/dot_block.h"
@@ -20,20 +23,29 @@ namespace {
 constexpr int64_t kDefaultQueryBlock = 64;
 constexpr int64_t kDefaultCandidateTile = 1024;
 constexpr int64_t kMinCandidateTile = 64;
+// Rows of Z derived per gemm_rows call while building the link screen.
+constexpr int64_t kDeriveChunk = 64;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Copies query rows [begin, begin + b) of `factor` into the transposed
-/// panel layout the dot-block kernel consumes.
-/// Fills a width-`width` transposed panel with the b query rows; columns
-/// [b, width) are the zero padding the fast fixed-width kernels need.
-void GatherTransposed(ConstMatrixView factor,
-                      const std::vector<TopKQuery>& queries, int64_t begin,
-                      int64_t b, int64_t width, double* qt) {
-  if (b < width) {
-    std::fill(qt, qt + factor.cols() * width, 0.0);
-  }
-  for (int64_t q = 0; q < b; ++q) {
-    const double* row = factor.Row(queries[static_cast<size_t>(begin + q)].node);
-    for (int64_t t = 0; t < factor.cols(); ++t) qt[t * width + q] = row[t];
+/// Contiguous-range dispatch: queries (and screen rows) are independent,
+/// so any partition yields identical per-item results.
+///
+/// Concurrency contract of the engine (checked by the TSan tier rather
+/// than lock annotations — there is no lock to annotate): the factor views,
+/// screen rows and IVF indexes are immutable once Create /
+/// BuildPrunedIndex / LoadPrunedIndex return, every worker owns private
+/// scratch, and each worker writes only the result slots of its own
+/// [begin, end) range. The RunBlocks barrier in ParallelFor publishes
+/// those slots to the caller. The only mutating members (BuildPrunedIndex
+/// / LoadPrunedIndex) must not run concurrently with queries — PaneServer
+/// builds its index before accepting traffic.
+void RunRanges(ThreadPool* pool, int64_t count,
+               const std::function<void(int64_t, int64_t)>& fn) {
+  if (count == 0) return;
+  if (pool != nullptr && pool->num_threads() > 1 && count > 1) {
+    ParallelFor(pool, 0, count, fn);
+  } else {
+    fn(0, count);
   }
 }
 
@@ -43,9 +55,9 @@ struct BlockShape {
 };
 
 /// Applies explicit overrides, then shrinks the candidate tile and the
-/// query block (in that order) until every worker's scratch — two
-/// transposed panels plus the query-block x candidate-tile score buffer —
-/// fits the budget.
+/// query block (in that order) until every worker's scratch — the f32
+/// query block, the query-block x candidate-tile score buffer and the
+/// tile's upper bounds — fits the budget.
 BlockShape DeriveBlockShape(const QueryEngineOptions& options, int64_t h) {
   BlockShape shape;
   if (options.query_block > 0) shape.query_block = options.query_block;
@@ -56,8 +68,9 @@ BlockShape DeriveBlockShape(const QueryEngineOptions& options, int64_t h) {
     const int64_t budget =
         (options.memory_budget_mb << 20) / std::max<int64_t>(1, workers);
     const auto scratch_bytes = [h](const BlockShape& s) {
-      return (s.query_block * (2 * h + s.candidate_tile + 8)) *
-             static_cast<int64_t>(sizeof(double));
+      return s.query_block * (h + s.candidate_tile) *
+                 static_cast<int64_t>(sizeof(float)) +
+             s.candidate_tile * static_cast<int64_t>(sizeof(double));
     };
     while (scratch_bytes(shape) > budget &&
            shape.candidate_tile > kMinCandidateTile) {
@@ -68,62 +81,193 @@ BlockShape DeriveBlockShape(const QueryEngineOptions& options, int64_t h) {
     }
   }
   shape.query_block = std::max<int64_t>(1, shape.query_block);
-  shape.candidate_tile = std::max<int64_t>(kMinCandidateTile,
-                                           shape.candidate_tile);
+  // Whole kernel panels per tile.
+  shape.candidate_tile =
+      (std::max<int64_t>(kMinCandidateTile, shape.candidate_tile) +
+       kScreenPanel - 1) /
+      kScreenPanel * kScreenPanel;
   return shape;
 }
 
-/// Per-query selection state shared by the two top-k scans: the bounded
-/// heap plus the cached worst-kept pair used as a scan threshold
-/// (-infinity until the heap fills, so everything is offered).
-struct SelectState {
-  TopKHeap heap;
-  std::vector<int64_t> excluded;  // sorted ids to skip (incl. self for links)
-  size_t excl_pos = 0;
-  double thr_score = 0.0;
-  int64_t thr_index = 0;
+// ---- The screening certificate ------------------------------------------
+//
+// For a query x and a candidate row r (f64, length h), let s be the f64
+// score of the offline helpers and s' the f32 screened score. With unit
+// roundoffs u = 2^-24 (f32) and v = 2^-53 (f64) and g_n(u) = nu / (1 - nu):
+//  - s' rounds each entry of x and r to f32 once and sums the h products
+//    in a binary tree, so every product passes through at most h + 2
+//    roundings: |s' - x.r| <= g_{h+2}(u) sum_i |x_i r_i|, plus at most
+//    2^-150 for each of the h products that underflows. This needs every
+//    entry of x and r to be 0 or within [FLT_MIN, FLT_MAX] — ScreenNorm
+//    flags anything else with norm +inf — and no f32 overflow, which would
+//    leave s' infinite or NaN; either way the candidate is always kept.
+//  - s = Dot(xf, z) is within g_h(v) sum_i |x_i r_i| of x.r. For Eq. 21,
+//    s = Dot(xf, y) + Dot(xb, y) is within g_{h+1}(v) sum_i (|xf_i| +
+//    |xb_i|) |y_i| of (xf + xb).y, and the screen's x = fl(xf + xb) adds
+//    one more f64 rounding, so |x| is taken as |xf| + |xb|.
+// By Cauchy-Schwarz each sum is at most |x| |r|, so
+//   |s - s'| <= (g_{h+2}(u) + g_{h+2}(v)) |x| |r| + (h + 1) 2^-149
+// (f64 underflow included). The engine doubles both terms, which also
+// covers the f64 rounding of the norms and of the bound itself. A zero
+// query or row scores exactly +-0 on both paths, so its bound is 0.
 
-  explicit SelectState(int64_t k) : heap(k) {
-    thr_score = -std::numeric_limits<double>::infinity();
-    thr_index = std::numeric_limits<int64_t>::max();
+double Gamma(int64_t n, double unit) {
+  const double nu = static_cast<double>(n) * unit;
+  return nu / (1.0 - nu);
+}
+
+/// Euclidean norm of an f64 row whose f32 copy the certificate covers, or
+/// +inf ("always rescore") when an entry is non-finite, above FLT_MAX, or
+/// a nonzero below FLT_MIN.
+double ScreenNorm(const double* v, int64_t h) {
+  double sum_sq = 0.0;
+  for (int64_t t = 0; t < h; ++t) {
+    const double a = std::fabs(v[t]);
+    if (a != 0.0 && !(a >= FLT_MIN && a <= FLT_MAX)) return kInf;
+    sum_sq += a * a;
+  }
+  return std::sqrt(sum_sq);
+}
+
+/// Index of entry t of screen row i in the panel layout of dot_block.h.
+int64_t PanelIndex(int64_t i, int64_t t, int64_t h) {
+  return (i / kScreenPanel) * h * kScreenPanel + t * kScreenPanel +
+         i % kScreenPanel;
+}
+
+/// Screen copies of `count` f64 rows of length h, stored as screen rows
+/// [first, first + count): f32 entries into `panels`, norms into `norms`.
+void ConvertRows(const double* rows, int64_t count, int64_t h, int64_t first,
+                 float* panels, double* norms) {
+  for (int64_t i = 0; i < count; ++i) {
+    const double* row = rows + i * h;
+    norms[first + i] = ScreenNorm(row, h);
+    for (int64_t t = 0; t < h; ++t) {
+      panels[PanelIndex(first + i, t, h)] = static_cast<float>(row[t]);
+    }
+  }
+}
+
+/// Row-major copy of `count` screen rows — the same floats, for the IVF.
+FloatMatrix UnpackPanels(const std::vector<float>& panels, int64_t count,
+                         int64_t h) {
+  FloatMatrix rows;
+  rows.Resize(count, h);
+  for (int64_t i = 0; i < count; ++i) {
+    for (int64_t t = 0; t < h; ++t) {
+      rows.MutableRow(i)[t] = panels[static_cast<size_t>(PanelIndex(i, t, h))];
+    }
+  }
+  return rows;
+}
+
+/// Half-width of the certified interval of a screened score, given the
+/// product p of the query and row norms: 0 for a zero query or row, and
+/// NaN or +inf when p is (a flagged row or query). The alpha term is a
+/// select between constants, so the callers' loops stay branch-free.
+double HalfWidth(double p, double eps, double alpha) {
+  return eps * p + (p != 0.0 ? alpha : 0.0);
+}
+
+/// Upper bounds hi[j] of the screened scores `scores[j]`, given the query
+/// norm and the row norms `norms[j]`. s - s is +0 for a finite s and NaN
+/// otherwise, so an overflowed screen score (or a flagged row or query)
+/// yields a NaN or +inf bound, which survives any cut. Branch-free, so the
+/// loop vectorizes.
+void UpperBounds(const float* scores, const double* norms, int64_t len,
+                 double qnorm, double eps, double alpha, double* hi) {
+  for (int64_t j = 0; j < len; ++j) {
+    const double s = scores[j];
+    hi[j] = (s + HalfWidth(qnorm * norms[j], eps, alpha)) - (s - s);
+  }
+}
+
+/// Per-query certification state. Candidates stream past in ascending id
+/// order with their bounds [lo, hi]; `lows` keeps the k largest lower
+/// bounds seen so far (a min-heap, so its front is the running cut L, -inf
+/// until k arrived). Any k candidates with lo >= L score at least L
+/// exactly, so every member of the exact top-k has hi >= s >= L: a
+/// candidate survives iff hi >= L. The cut only rises, so a candidate that
+/// misses the running cut also misses the final one; `kept` holds the
+/// rest, to be filtered by the final cut.
+struct ScreenState {
+  int64_t k = 0;
+  double qnorm = 0.0;  // |x| for the certificate; +inf keeps everything
+  std::vector<int64_t> excluded;  // sorted global ids to skip
+  size_t excl_pos = 0;
+  std::vector<double> lows;
+  double cut = -kInf;
+  std::vector<std::pair<int64_t, double>> kept;  // (global id, hi)
+
+  /// Starts a new query, keeping the vectors' capacity.
+  void Reset(int64_t new_k) {
+    k = new_k;
+    excluded.clear();
+    excl_pos = 0;
+    lows.clear();
+    cut = -kInf;
+    kept.clear();
   }
 };
 
-/// Scans scores of candidates [c0, c0 + len) for one query (`row[j]` is
-/// candidate c0 + j), skipping excluded ids via segment bounds so the hot
-/// loop is one compare per candidate. The threshold mirrors the heap's
-/// accept rule exactly, so filtering never drops an acceptable candidate.
-void ScanTile(const double* row, int64_t c0, int64_t len, SelectState* st) {
-  double thr_score = st->thr_score;
-  int64_t thr_index = st->thr_index;
+/// hi >= cut, with a NaN upper bound surviving.
+bool Survives(double hi, double cut) { return !(hi < cut); }
+
+/// Certifies global candidates [id0, id0 + len) with screened scores
+/// `scores[j]`, row norms `norms[j]` and upper bounds `hi[j]`, skipping
+/// excluded ids via segment bounds so the hot loop only compares upper
+/// bounds with the cut; the lower bound is only formed for candidates
+/// that reach it.
+void Certify(const float* scores, const double* norms, const double* hi,
+             int64_t id0, int64_t len, double eps, double alpha,
+             ScreenState* st) {
   const std::vector<int64_t>& ex = st->excluded;
+  const size_t k = static_cast<size_t>(st->k);
   size_t pos = st->excl_pos;
   int64_t j = 0;
   while (j < len) {
-    while (pos < ex.size() && ex[pos] < c0 + j) ++pos;
+    while (pos < ex.size() && ex[pos] < id0 + j) ++pos;
     int64_t seg_end = len;
     bool skip_one = false;
-    if (pos < ex.size() && ex[pos] < c0 + len) {
-      seg_end = ex[pos] - c0;
+    if (pos < ex.size() && ex[pos] < id0 + len) {
+      seg_end = ex[pos] - id0;
       skip_one = true;
     }
-    for (; j < seg_end; ++j) {
-      const double s = row[j];
-      if (s > thr_score || (s == thr_score && c0 + j < thr_index)) {
-        st->heap.Offer(c0 + j, s);
-        if (st->heap.AtCapacity()) {
-          thr_score = st->heap.Worst().second;
-          thr_index = st->heap.Worst().first;
-        }
+    while (j < seg_end) {
+      const double cut = st->cut;
+      // Most candidates miss the cut: test four with one branch (`&`
+      // keeps the compares branch-free).
+      if (j + 4 <= seg_end &&
+          (!Survives(hi[j], cut) & !Survives(hi[j + 1], cut) &
+           !Survives(hi[j + 2], cut) & !Survives(hi[j + 3], cut))) {
+        j += 4;
+        continue;
       }
+      if (!Survives(hi[j], cut)) {
+        ++j;
+        continue;
+      }
+      st->kept.emplace_back(id0 + j, hi[j]);
+      const double s = scores[j];
+      const double e = HalfWidth(st->qnorm * norms[j], eps, alpha);
+      const double lo = std::isfinite(s) && std::isfinite(e) ? s - e : -kInf;
+      if (st->lows.size() < k) {
+        st->lows.push_back(lo);
+        std::push_heap(st->lows.begin(), st->lows.end(), std::greater<>());
+        if (st->lows.size() == k) st->cut = st->lows.front();
+      } else if (lo > st->cut) {
+        std::pop_heap(st->lows.begin(), st->lows.end(), std::greater<>());
+        st->lows.back() = lo;
+        std::push_heap(st->lows.begin(), st->lows.end(), std::greater<>());
+        st->cut = st->lows.front();
+      }
+      ++j;
     }
     if (skip_one) {
       ++j;
       ++pos;
     }
   }
-  st->thr_score = thr_score;
-  st->thr_index = thr_index;
   st->excl_pos = pos;
 }
 
@@ -146,6 +290,61 @@ std::vector<int64_t> ExcludedIds(const CsrMatrix& matrix, int64_t row) {
   return ids;  // CSR columns are sorted, so the list is ascending
 }
 
+void QueryEngine::Init(ConstMatrixView xf, ConstMatrixView xb,
+                       ConstMatrixView y, const QueryEngineOptions& options) {
+  xf_ = xf;
+  xb_ = xb;
+  y_ = y;
+  pool_ = options.pool;
+  const int64_t h = xf.cols();
+  const BlockShape shape = DeriveBlockShape(options, h);
+  query_block_ = shape.query_block;
+  candidate_tile_ = shape.candidate_tile;
+  screen_eps_ = 2.0 * (Gamma(h + 2, 0x1p-24) + Gamma(h + 2, 0x1p-53));
+  screen_alpha_ = 2.0 * static_cast<double>(h + 1) * 0x1p-149;
+  if (options.metrics != nullptr) ResolveMetrics(options.metrics);
+}
+
+void QueryEngine::BuildScreens(int64_t node_begin, int64_t node_end) {
+  const int64_t h = dim();
+  // Zero-filled, so the last panel's padding scores 0 (and is never read).
+  const auto allocate = [h](int64_t count, ScreenRows* screen) {
+    const int64_t panels = (count + kScreenPanel - 1) / kScreenPanel;
+    screen->count = count;
+    screen->panels.assign(static_cast<size_t>(panels * h * kScreenPanel),
+                          0.0f);
+    screen->norms.resize(static_cast<size_t>(count));
+  };
+  const auto copy_rows = [&](ConstMatrixView rows, ScreenRows* screen) {
+    allocate(rows.rows(), screen);
+    RunRanges(pool_, rows.rows(), [&](int64_t begin, int64_t end) {
+      ConvertRows(rows.Row(begin), end - begin, h, begin,
+                  screen->panels.data(), screen->norms.data());
+    });
+  };
+  if (y_.rows() > 0) copy_rows(y_, &attr_screen_);
+  if (z_.rows() > 0) {
+    copy_rows(z_, &link_screen_);
+    return;
+  }
+  const int64_t count = node_end - node_begin;
+  if (count == 0 || gram_.rows() == 0) return;
+  allocate(count, &link_screen_);
+  // Z = Xb G a chunk of rows at a time, never all of it in f64: the same
+  // row kernel Gemm runs, so these are bitwise the rows ExactLinkScore
+  // derives again for the survivors.
+  const auto gemm_rows = GetMatrixKernels().gemm_rows;
+  RunRanges(pool_, count, [&](int64_t begin, int64_t end) {
+    std::vector<double> z(static_cast<size_t>(kDeriveChunk * h));
+    for (int64_t i = begin; i < end; i += kDeriveChunk) {
+      const int64_t rows = std::min(kDeriveChunk, end - i);
+      gemm_rows(xb_.Row(node_begin + i), gram_.data(), z.data(), rows, h, h);
+      ConvertRows(z.data(), rows, h, i, link_screen_.panels.data(),
+                  link_screen_.norms.data());
+    }
+  });
+}
+
 Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
                                         ConstMatrixView xb, ConstMatrixView y,
                                         ConstMatrixView z,
@@ -164,31 +363,24 @@ Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
     return Status::InvalidArgument("QueryEngine z shape mismatch");
   }
   QueryEngine engine;
-  engine.xf_ = xf;
-  engine.xb_ = xb;
-  engine.y_ = y;
+  engine.Init(xf, xb, y, options);
   engine.z_ = z;
-  engine.pool_ = options.pool;
-  const BlockShape shape = DeriveBlockShape(options, h);
-  engine.query_block_ = shape.query_block;
-  engine.candidate_tile_ = shape.candidate_tile;
   if (z.rows() == 0 && options.precompute_link_gram && xb.rows() > 0 &&
       y.rows() > 0) {
-    // Same two kernels EdgeScorer runs, so p(u, w) matches it bitwise.
-    DenseMatrix gram;
-    GemmTransA(y, y, &gram);
-    Gemm(xb, gram, &engine.z_owned_);
-    engine.z_ = engine.z_owned_.View();
+    // Same kernel EdgeScorer runs for G, so p(u, w) matches it bitwise.
+    GemmTransA(y, y, &engine.gram_);
   }
-  engine.num_attributes_ = engine.y_.rows();
-  engine.supports_attributes_ = engine.xb_.rows() > 0 && engine.y_.rows() > 0;
-  engine.supports_links_ = engine.z_.rows() > 0;
-  if (options.metrics != nullptr) engine.ResolveMetrics(options.metrics);
+  engine.num_attributes_ = y.rows();
+  engine.supports_attributes_ = xb.rows() > 0 && y.rows() > 0;
+  engine.supports_links_ = z.rows() > 0 || engine.gram_.rows() > 0;
+  engine.BuildScreens(0, xf.rows());
   return engine;
 }
 
 void QueryEngine::ResolveMetrics(obs::MetricsRegistry* registry) {
   tiles_total_ = registry->GetCounter("pane_engine_tiles_scanned_total");
+  survivors_total_ =
+      registry->GetCounter("pane_engine_screen_survivors_total");
   ivf_scanned_total_ =
       registry->GetCounter("pane_engine_ivf_candidates_scanned_total");
   ivf_pruned_total_ =
@@ -198,33 +390,35 @@ void QueryEngine::ResolveMetrics(obs::MetricsRegistry* registry) {
 }
 
 void QueryEngine::AccumulateRange(EngineCallStats* call_stats,
-                                  int64_t scan_ns, int64_t select_ns,
-                                  int64_t tiles, int64_t ivf_scanned,
-                                  int64_t ivf_pruned) const {
+                                  const RangeCounts& counts) const {
   if (call_stats != nullptr) {
-    call_stats->scan_ns.fetch_add(scan_ns, std::memory_order_relaxed);
-    call_stats->select_ns.fetch_add(select_ns, std::memory_order_relaxed);
-    call_stats->tiles.fetch_add(tiles, std::memory_order_relaxed);
-    call_stats->ivf_scanned.fetch_add(ivf_scanned,
-                                      std::memory_order_relaxed);
-    call_stats->ivf_pruned.fetch_add(ivf_pruned, std::memory_order_relaxed);
+    constexpr auto kRelaxed = std::memory_order_relaxed;
+    call_stats->scan_ns.fetch_add(counts.scan_ns, kRelaxed);
+    call_stats->select_ns.fetch_add(counts.select_ns, kRelaxed);
+    call_stats->tiles.fetch_add(counts.tiles, kRelaxed);
+    call_stats->survivors.fetch_add(counts.survivors, kRelaxed);
+    call_stats->ivf_scanned.fetch_add(counts.ivf_scanned, kRelaxed);
+    call_stats->ivf_pruned.fetch_add(counts.ivf_pruned, kRelaxed);
   }
-  if (tiles_total_ != nullptr && tiles > 0) {
-    tiles_total_->Add(static_cast<uint64_t>(tiles));
-    tiles_gauge_->Set(tiles);
+  if (tiles_total_ != nullptr && counts.tiles > 0) {
+    tiles_total_->Add(static_cast<uint64_t>(counts.tiles));
+    tiles_gauge_->Set(counts.tiles);
   }
-  if (ivf_scanned_total_ != nullptr && ivf_scanned > 0) {
-    ivf_scanned_total_->Add(static_cast<uint64_t>(ivf_scanned));
+  if (survivors_total_ != nullptr && counts.survivors > 0) {
+    survivors_total_->Add(static_cast<uint64_t>(counts.survivors));
   }
-  if (ivf_pruned_total_ != nullptr && ivf_pruned > 0) {
-    ivf_pruned_total_->Add(static_cast<uint64_t>(ivf_pruned));
-    pruned_gauge_->Set(ivf_pruned);
+  if (ivf_scanned_total_ != nullptr && counts.ivf_scanned > 0) {
+    ivf_scanned_total_->Add(static_cast<uint64_t>(counts.ivf_scanned));
+  }
+  if (ivf_pruned_total_ != nullptr && counts.ivf_pruned > 0) {
+    ivf_pruned_total_->Add(static_cast<uint64_t>(counts.ivf_pruned));
+    pruned_gauge_->Set(counts.ivf_pruned);
   }
 }
 
 Result<QueryEngine> QueryEngine::CreateSharded(
     ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
-    ConstMatrixView z, const store::ShardMeta& shard,
+    ConstMatrixView z, ConstMatrixView gram, const store::ShardMeta& shard,
     const QueryEngineOptions& options) {
   if (xf.rows() != shard.num_nodes || xf.cols() != shard.dim ||
       xb.rows() != shard.num_nodes || xb.cols() != shard.dim) {
@@ -238,20 +432,25 @@ Result<QueryEngine> QueryEngine::CreateSharded(
     return Status::InvalidArgument(
         "sharded engine y slice disagrees with the shard's attribute range");
   }
-  if (z.rows() != shard.node_end - shard.node_begin ||
-      (z.rows() > 0 && z.cols() != shard.dim)) {
+  if (gram.rows() > 0) {
+    if (z.rows() > 0 || gram.rows() != shard.dim ||
+        gram.cols() != shard.dim) {
+      return Status::InvalidArgument(
+          "sharded engine takes either a z slice or an h x h gram, not both");
+    }
+  } else if (z.rows() != shard.node_end - shard.node_begin ||
+             (z.rows() > 0 && z.cols() != shard.dim)) {
     return Status::InvalidArgument(
         "sharded engine z slice disagrees with the shard's node range");
   }
   QueryEngine engine;
-  engine.xf_ = xf;
-  engine.xb_ = xb;
-  engine.y_ = y;
+  engine.Init(xf, xb, y, options);
   engine.z_ = z;
-  engine.pool_ = options.pool;
-  const BlockShape shape = DeriveBlockShape(options, shard.dim);
-  engine.query_block_ = shape.query_block;
-  engine.candidate_tile_ = shape.candidate_tile;
+  if (gram.rows() > 0) {
+    engine.gram_.Resize(gram.rows(), gram.cols());
+    std::copy(gram.data(), gram.data() + gram.rows() * gram.cols(),
+              engine.gram_.data());
+  }
   engine.attr_base_ = shard.attr_begin;
   engine.link_base_ = shard.node_begin;
   engine.num_attributes_ = shard.num_attributes;
@@ -259,7 +458,7 @@ Result<QueryEngine> QueryEngine::CreateSharded(
   engine.supports_links_ = shard.has_links;
   engine.sharded_ = true;
   engine.shard_ = shard;
-  if (options.metrics != nullptr) engine.ResolveMetrics(options.metrics);
+  engine.BuildScreens(shard.node_begin, shard.node_end);
   return engine;
 }
 
@@ -267,7 +466,7 @@ Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
                                         const QueryEngineOptions& options) {
   if (store.sharded()) {
     return CreateSharded(store.xf(), store.xb(), store.y(), store.z(),
-                         store.shard(), options);
+                         ConstMatrixView(), store.shard(), options);
   }
   if (!store.has_attribute_factors()) {
     return Status::InvalidArgument(
@@ -279,152 +478,128 @@ Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
                 options);
 }
 
-void QueryEngine::ProcessAttributeRange(const std::vector<TopKQuery>& queries,
-                                        const AttributedGraph* exclude,
-                                        int64_t begin, int64_t end,
-                                        std::vector<Ranking>* results,
-                                        EngineCallStats* call_stats) const {
-  const int64_t h = xf_.cols();
-  const int64_t d = y_.rows();
+double QueryEngine::ExactAttributeScore(int64_t v, int64_t r) const {
+  const int64_t h = dim();
+  const double* yr = y_.Row(r - attr_base_);
+  return Dot(xf_.Row(v), yr, h) + Dot(xb_.Row(v), yr, h);
+}
+
+double QueryEngine::ExactLinkScore(int64_t u, int64_t w,
+                                   double* z_row) const {
+  const int64_t h = dim();
+  if (z_.rows() > 0) return Dot(xf_.Row(u), z_.Row(w - link_base_), h);
+  GetMatrixKernels().gemm_rows(xb_.Row(w), gram_.data(), z_row, 1, h, h);
+  return Dot(xf_.Row(u), z_row, h);
+}
+
+void QueryEngine::ProcessRange(Family family,
+                               const std::vector<TopKQuery>& queries,
+                               const AttributedGraph* exclude, int64_t begin,
+                               int64_t end, std::vector<Ranking>* results,
+                               EngineCallStats* call_stats) const {
+  const bool attributes = family == Family::kAttributes;
+  const ScreenRows& screen = attributes ? attr_screen_ : link_screen_;
+  const int64_t base = attributes ? attr_base_ : link_base_;
+  const int64_t count = screen.count;
+  const int64_t h = dim();
   // Stage clocks are read per tile only when the caller asked for the
   // breakdown; a tile is ~query_block x candidate_tile x h flops, so two
   // clock reads against it are noise.
   const bool timed = call_stats != nullptr;
-  int64_t scan_ns = 0, select_ns = 0, tiles = 0;
+  RangeCounts counts;
   const int64_t max_b = std::min(query_block_, end - begin);
-  const int64_t max_w = PadDotBlockWidth(max_b);
   const int64_t tile = candidate_tile_;
   const DotBlockFn dot_block = GetDotBlock();
-  std::vector<double> qtf(static_cast<size_t>(h * max_w));
-  std::vector<double> qtb(static_cast<size_t>(h * max_w));
-  std::vector<double> buf(static_cast<size_t>(max_w * tile));
-  std::vector<SelectState> states;
+  std::vector<float> block(static_cast<size_t>(max_b * h));
+  std::vector<float> buf(static_cast<size_t>(max_b * tile));
+  std::vector<double> hi(static_cast<size_t>(tile));
+  std::vector<double> row(static_cast<size_t>(h));  // x sum / z_w scratch
+  std::vector<ScreenState> states(static_cast<size_t>(max_b));
 
-  for (int64_t block = begin; block < end; block += max_b) {
-    const int64_t b = std::min(max_b, end - block);
-    const int64_t w = PadDotBlockWidth(b);
-    GatherTransposed(xf_, queries, block, b, w, qtf.data());
-    GatherTransposed(xb_, queries, block, b, w, qtb.data());
-    states.clear();
+  for (int64_t first = begin; first < end; first += max_b) {
+    const int64_t b = std::min(max_b, end - first);
     for (int64_t q = 0; q < b; ++q) {
-      const TopKQuery& query = queries[static_cast<size_t>(block + q)];
-      states.emplace_back(query.k);
+      const TopKQuery& query = queries[static_cast<size_t>(first + q)];
+      ScreenState& st = states[static_cast<size_t>(q)];
+      st.Reset(query.k);
+      float* x = block.data() + q * h;
+      const double* f = xf_.Row(query.node);
+      if (attributes) {
+        // Eq. 21 screens x = fl(xf + xb) against y; the certificate takes
+        // |x| as |xf| + |xb| (see the derivation above).
+        const double* bk = xb_.Row(query.node);
+        for (int64_t t = 0; t < h; ++t) {
+          row[static_cast<size_t>(t)] = f[t] + bk[t];
+          x[t] = static_cast<float>(row[static_cast<size_t>(t)]);
+        }
+        st.qnorm = std::isfinite(ScreenNorm(row.data(), h))
+                       ? ScreenNorm(f, h) + ScreenNorm(bk, h)
+                       : kInf;
+      } else {
+        for (int64_t t = 0; t < h; ++t) x[t] = static_cast<float>(f[t]);
+        st.qnorm = ScreenNorm(f, h);
+      }
       if (exclude != nullptr) {
-        states.back().excluded = ExcludedIds(exclude->attributes(), query.node);
+        st.excluded = ExcludedIds(
+            attributes ? exclude->attributes() : exclude->adjacency(),
+            query.node);
       }
+      if (!attributes) InsertSelf(&st.excluded, query.node);
     }
-    for (int64_t c0 = 0; c0 < d; c0 += tile) {
-      const int64_t len = std::min(tile, d - c0);
+    for (int64_t c0 = 0; c0 < count; c0 += tile) {
+      const int64_t len = std::min(tile, count - c0);
       const int64_t scan_start = timed ? MonotonicNanos() : 0;
-      for (int64_t c = c0; c < c0 + len; ++c) {
-        // Score = Dot(xf, y) + Dot(xb, y), summed in that order (Eq. 21).
-        dot_block(qtf.data(), h, w, y_.Row(c), buf.data() + (c - c0), tile,
-                  /*add=*/false);
-        dot_block(qtb.data(), h, w, y_.Row(c), buf.data() + (c - c0), tile,
-                  /*add=*/true);
-      }
-      const int64_t select_start = timed ? MonotonicNanos() : 0;
+      // c0 is a multiple of the tile, hence of the panel width.
+      dot_block(block.data(), b, screen.panels.data() + c0 * h,
+                (len + kScreenPanel - 1) / kScreenPanel, h, buf.data(), tile);
+      const int64_t certify_start = timed ? MonotonicNanos() : 0;
       for (int64_t q = 0; q < b; ++q) {
-        // Offer global candidate ids (attr_base_ shifts the local slice),
-        // so exclusion lists and tie-breaks work in global id space.
-        ScanTile(buf.data() + q * tile, attr_base_ + c0, len,
-                 &states[static_cast<size_t>(q)]);
+        ScreenState& st = states[static_cast<size_t>(q)];
+        const float* scores = buf.data() + q * tile;
+        const double* norms = screen.norms.data() + c0;
+        UpperBounds(scores, norms, len, st.qnorm, screen_eps_, screen_alpha_,
+                    hi.data());
+        // Global candidate ids (base shifts the local slice), so exclusion
+        // lists and tie-breaks work in global id space.
+        Certify(scores, norms, hi.data(), base + c0, len, screen_eps_,
+                screen_alpha_, &st);
       }
       if (timed) {
-        scan_ns += select_start - scan_start;
-        select_ns += MonotonicNanos() - select_start;
+        counts.scan_ns += certify_start - scan_start;
+        counts.select_ns += MonotonicNanos() - certify_start;
       }
-      ++tiles;
+      ++counts.tiles;
     }
+    // Rescore the survivors in ascending id order through the exact scan's
+    // accept rule: the worst kept pair is the threshold once the heap is
+    // full, and a NaN score never enters.
+    const int64_t rescore_start = timed ? MonotonicNanos() : 0;
     for (int64_t q = 0; q < b; ++q) {
-      (*results)[static_cast<size_t>(block + q)] =
-          states[static_cast<size_t>(q)].heap.Take();
+      const TopKQuery& query = queries[static_cast<size_t>(first + q)];
+      const ScreenState& st = states[static_cast<size_t>(q)];
+      TopKHeap heap(query.k);
+      double thr_score = -kInf;
+      int64_t thr_index = std::numeric_limits<int64_t>::max();
+      for (const auto& [id, upper] : st.kept) {
+        if (!Survives(upper, st.cut)) continue;
+        ++counts.survivors;
+        const double s = attributes
+                             ? ExactAttributeScore(query.node, id)
+                             : ExactLinkScore(query.node, id, row.data());
+        if (s > thr_score || (s == thr_score && id < thr_index)) {
+          heap.Offer(id, s);
+          if (heap.AtCapacity()) {
+            thr_score = heap.Worst().second;
+            thr_index = heap.Worst().first;
+          }
+        }
+      }
+      (*results)[static_cast<size_t>(first + q)] = heap.Take();
     }
+    if (timed) counts.select_ns += MonotonicNanos() - rescore_start;
   }
-  AccumulateRange(call_stats, scan_ns, select_ns, tiles, 0, 0);
+  AccumulateRange(call_stats, counts);
 }
-
-void QueryEngine::ProcessTargetRange(const std::vector<TopKQuery>& queries,
-                                     const AttributedGraph* exclude,
-                                     int64_t begin, int64_t end,
-                                     std::vector<Ranking>* results,
-                                     EngineCallStats* call_stats) const {
-  const int64_t h = xf_.cols();
-  const int64_t n = z_.rows();
-  const bool timed = call_stats != nullptr;
-  int64_t scan_ns = 0, select_ns = 0, tiles = 0;
-  const int64_t max_b = std::min(query_block_, end - begin);
-  const int64_t max_w = PadDotBlockWidth(max_b);
-  const int64_t tile = candidate_tile_;
-  const DotBlockFn dot_block = GetDotBlock();
-  std::vector<double> qtf(static_cast<size_t>(h * max_w));
-  std::vector<double> buf(static_cast<size_t>(max_w * tile));
-  std::vector<SelectState> states;
-
-  for (int64_t block = begin; block < end; block += max_b) {
-    const int64_t b = std::min(max_b, end - block);
-    const int64_t w = PadDotBlockWidth(b);
-    GatherTransposed(xf_, queries, block, b, w, qtf.data());
-    states.clear();
-    for (int64_t q = 0; q < b; ++q) {
-      const TopKQuery& query = queries[static_cast<size_t>(block + q)];
-      states.emplace_back(query.k);
-      if (exclude != nullptr) {
-        states.back().excluded = ExcludedIds(exclude->adjacency(), query.node);
-      }
-      InsertSelf(&states.back().excluded, query.node);
-    }
-    for (int64_t c0 = 0; c0 < n; c0 += tile) {
-      const int64_t len = std::min(tile, n - c0);
-      const int64_t scan_start = timed ? MonotonicNanos() : 0;
-      for (int64_t c = c0; c < c0 + len; ++c) {
-        dot_block(qtf.data(), h, w, z_.Row(c), buf.data() + (c - c0), tile,
-                  /*add=*/false);
-      }
-      const int64_t select_start = timed ? MonotonicNanos() : 0;
-      for (int64_t q = 0; q < b; ++q) {
-        ScanTile(buf.data() + q * tile, link_base_ + c0, len,
-                 &states[static_cast<size_t>(q)]);
-      }
-      if (timed) {
-        scan_ns += select_start - scan_start;
-        select_ns += MonotonicNanos() - select_start;
-      }
-      ++tiles;
-    }
-    for (int64_t q = 0; q < b; ++q) {
-      (*results)[static_cast<size_t>(block + q)] =
-          states[static_cast<size_t>(q)].heap.Take();
-    }
-  }
-  AccumulateRange(call_stats, scan_ns, select_ns, tiles, 0, 0);
-}
-
-namespace {
-
-/// Contiguous-range dispatch: queries are independent, so any partition
-/// yields identical per-query results.
-///
-/// Concurrency contract of the engine (checked by the TSan tier rather
-/// than lock annotations — there is no lock to annotate): the factor views
-/// and IVF indexes are immutable once Create / BuildPrunedIndex /
-/// LoadPrunedIndex return, every worker owns private scratch, and each
-/// worker writes only the result slots of its own [begin, end) range. The
-/// RunBlocks barrier in ParallelFor publishes those slots to the caller.
-/// The only mutating members (BuildPrunedIndex / LoadPrunedIndex) must not
-/// run concurrently with queries — PaneServer builds its index before
-/// accepting traffic.
-void RunRanges(ThreadPool* pool, int64_t count,
-               const std::function<void(int64_t, int64_t)>& fn) {
-  if (count == 0) return;
-  if (pool != nullptr && pool->num_threads() > 1 && count > 1) {
-    ParallelFor(pool, 0, count, fn);
-  } else {
-    fn(0, count);
-  }
-}
-
-}  // namespace
 
 std::vector<Ranking> QueryEngine::TopKAttributes(
     const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
@@ -438,8 +613,8 @@ std::vector<Ranking> QueryEngine::TopKAttributes(
   std::vector<Ranking> results(queries.size());
   RunRanges(pool_, static_cast<int64_t>(queries.size()),
             [&](int64_t begin, int64_t end) {
-              ProcessAttributeRange(queries, exclude, begin, end, &results,
-                                    call_stats);
+              ProcessRange(Family::kAttributes, queries, exclude, begin,
+                           end, &results, call_stats);
             });
   return results;
 }
@@ -448,7 +623,7 @@ std::vector<Ranking> QueryEngine::TopKTargets(
     const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
     EngineCallStats* call_stats) const {
   PANE_CHECK(supports_links())
-      << "link queries need z (supply it or let Create derive it from "
+      << "link queries need z (supply it or let Create derive G from "
          "xb and y)";
   for (const TopKQuery& q : queries) {
     PANE_CHECK(q.node >= 0 && q.node < num_nodes());
@@ -457,8 +632,8 @@ std::vector<Ranking> QueryEngine::TopKTargets(
   std::vector<Ranking> results(queries.size());
   RunRanges(pool_, static_cast<int64_t>(queries.size()),
             [&](int64_t begin, int64_t end) {
-              ProcessTargetRange(queries, exclude, begin, end, &results,
-                                 call_stats);
+              ProcessRange(Family::kTargets, queries, exclude, begin, end,
+                           &results, call_stats);
             });
   return results;
 }
@@ -466,7 +641,6 @@ std::vector<Ranking> QueryEngine::TopKTargets(
 std::vector<double> QueryEngine::AttributeScores(
     const std::vector<std::pair<int64_t, int64_t>>& pairs) const {
   PANE_CHECK(supports_attributes());
-  const int64_t h = xf_.cols();
   std::vector<double> scores(pairs.size());
   RunRanges(pool_, static_cast<int64_t>(pairs.size()),
             [&](int64_t begin, int64_t end) {
@@ -476,9 +650,7 @@ std::vector<double> QueryEngine::AttributeScores(
                 PANE_CHECK(r >= 0 && r < num_attributes());
                 PANE_CHECK(OwnsAttribute(r))
                     << "attribute " << r << " is not held by this shard";
-                const double* yr = y_.Row(r - attr_base_);
-                scores[static_cast<size_t>(i)] =
-                    Dot(xf_.Row(v), yr, h) + Dot(xb_.Row(v), yr, h);
+                scores[static_cast<size_t>(i)] = ExactAttributeScore(v, r);
               }
             });
   return scores;
@@ -487,10 +659,10 @@ std::vector<double> QueryEngine::AttributeScores(
 std::vector<double> QueryEngine::LinkScores(
     const std::vector<std::pair<int64_t, int64_t>>& pairs) const {
   PANE_CHECK(supports_links());
-  const int64_t h = xf_.cols();
   std::vector<double> scores(pairs.size());
   RunRanges(pool_, static_cast<int64_t>(pairs.size()),
             [&](int64_t begin, int64_t end) {
+              std::vector<double> z_row(static_cast<size_t>(dim()));
               for (int64_t i = begin; i < end; ++i) {
                 const auto& [u, w] = pairs[static_cast<size_t>(i)];
                 PANE_CHECK(u >= 0 && u < num_nodes());
@@ -498,7 +670,7 @@ std::vector<double> QueryEngine::LinkScores(
                 PANE_CHECK(OwnsTarget(w))
                     << "target " << w << " is not held by this shard";
                 scores[static_cast<size_t>(i)] =
-                    Dot(xf_.Row(u), z_.Row(w - link_base_), h);
+                    ExactLinkScore(u, w, z_row.data());
               }
             });
   return scores;
@@ -512,11 +684,20 @@ Status QueryEngine::BuildPrunedIndex(const IvfOptions& options) {
   // Index only the local candidate slices. A shard whose slice for one
   // query family is empty simply keeps that index empty — the pruned calls
   // answer it with empty rankings, and the router's merge is unaffected.
-  if (supports_attributes() && y_.rows() > 0) {
-    PANE_ASSIGN_OR_RETURN(attr_index_, IvfIndex::Build(y_, options));
+  // The f32 screen rows are the floats the IVF would convert anyway.
+  if (supports_attributes() && attr_screen_.count > 0) {
+    PANE_ASSIGN_OR_RETURN(
+        attr_index_,
+        IvfIndex::Build(UnpackPanels(attr_screen_.panels, attr_screen_.count,
+                                     dim()),
+                        options));
   }
-  if (supports_links() && z_.rows() > 0) {
-    PANE_ASSIGN_OR_RETURN(link_index_, IvfIndex::Build(z_, options));
+  if (supports_links() && link_screen_.count > 0) {
+    PANE_ASSIGN_OR_RETURN(
+        link_index_,
+        IvfIndex::Build(UnpackPanels(link_screen_.panels, link_screen_.count,
+                                     dim()),
+                        options));
   }
   return Status::OK();
 }
@@ -555,8 +736,8 @@ Status QueryEngine::LoadPrunedIndex(const std::string& path) {
             path + " holds an attribute index but this engine has no "
                    "attribute scoring");
       }
-      if (loaded->num_candidates() != y_.rows() ||
-          loaded->dim() != y_.cols()) {
+      if (loaded->num_candidates() != attr_screen_.count ||
+          loaded->dim() != dim()) {
         return Status::InvalidArgument(
             path + " attribute index was built for a different embedding "
                    "(candidate count or dimension mismatch)");
@@ -574,8 +755,8 @@ Status QueryEngine::LoadPrunedIndex(const std::string& path) {
         return Status::InvalidArgument(
             path + " holds a link index but this engine has no link scoring");
       }
-      if (loaded->num_candidates() != z_.rows() ||
-          loaded->dim() != z_.cols()) {
+      if (loaded->num_candidates() != link_screen_.count ||
+          loaded->dim() != dim()) {
         return Status::InvalidArgument(
             path + " link index was built for a different embedding "
                    "(candidate count or dimension mismatch)");
@@ -640,7 +821,11 @@ std::vector<Ranking> QueryEngine::TopKAttributesPruned(
                   count ? (end - begin) * attr_index_.num_candidates() -
                               scanned
                         : 0;
-              AccumulateRange(call_stats, scan_ns, 0, 0, scanned, pruned);
+              RangeCounts counts;
+              counts.scan_ns = scan_ns;
+              counts.ivf_scanned = scanned;
+              counts.ivf_pruned = pruned;
+              AccumulateRange(call_stats, counts);
             });
   return results;
 }
@@ -648,7 +833,8 @@ std::vector<Ranking> QueryEngine::TopKAttributesPruned(
 std::vector<Ranking> QueryEngine::TopKTargetsPruned(
     const std::vector<TopKQuery>& queries, int64_t nprobe,
     const AttributedGraph* exclude, EngineCallStats* call_stats) const {
-  PANE_CHECK(!link_index_.empty() || (sharded_ && z_.rows() == 0))
+  PANE_CHECK(!link_index_.empty() ||
+             (sharded_ && link_screen_.count == 0))
       << "call BuildPrunedIndex before pruned link queries";
   std::vector<Ranking> results(queries.size());
   if (link_index_.empty()) {
@@ -684,7 +870,11 @@ std::vector<Ranking> QueryEngine::TopKTargetsPruned(
                   count ? (end - begin) * link_index_.num_candidates() -
                               scanned
                         : 0;
-              AccumulateRange(call_stats, scan_ns, 0, 0, scanned, pruned);
+              RangeCounts counts;
+              counts.scan_ns = scan_ns;
+              counts.ivf_scanned = scanned;
+              counts.ivf_pruned = pruned;
+              AccumulateRange(call_stats, counts);
             });
   return results;
 }

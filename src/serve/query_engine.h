@@ -2,20 +2,32 @@
 // recommendation, Eq. 21; link recommendation, Eq. 22) plus pair scoring —
 // the serving subsystem's compute layer.
 //
-// Exact mode scores query blocks against candidate tiles with a blocked
-// dot-product kernel that reproduces vector_ops::Dot's accumulation
-// pattern per (query, candidate) pair exactly (four stride-4 partial sums
-// combined as (s0+s1)+(s2+s3), then the ascending tail) while vectorizing
-// across the queries of a block — so a served batch returns bitwise the
-// same scores as the offline per-query helpers in src/tasks/ranking.h
-// (which are themselves thin wrappers over this engine), independent of
-// batch size, block width, or thread count. Selection is a per-query
-// bounded heap under the deterministic ranking order of src/common/topk.h
-// instead of a sort over all candidates.
+// Exact mode answers every top-k in three steps:
+//   1. Screen: score the query block against single-precision copies of
+//      the candidate rows (src/serve/dot_block.h) — half the bytes of the
+//      f64 factors, which is what a memory-bound scan pays for.
+//   2. Certify: give each screened score s' the interval s' +- e, with
+//      e = eps * |x| * |r| + alpha a rigorous bound on the distance
+//      between s' and the f64 score (see the derivation in
+//      query_engine.cc), and keep only the candidates whose upper bound
+//      reaches the k-th largest lower bound. A candidate or query that
+//      holds a value the bound does not cover (non-finite, beyond
+//      FLT_MAX, or a nonzero below FLT_MIN) is always kept.
+//   3. Rescore: the survivors, in ascending id order, get the f64 score
+//      of the offline helpers — Dot(xf, y) + Dot(xb, y), or Dot(xf, z_w)
+//      — and go through the deterministic bounded heap of
+//      src/common/topk.h. The survivors always include the exact top-k,
+//      so a served batch returns the same ids and bitwise the same scores
+//      as src/tasks/ranking.h, independent of batch size, blocking, or
+//      thread count.
+// Link candidates need z_w = xb_w (Y^T Y). The engine holds no f64 Z:
+// given no `z` rows it keeps G = Y^T Y (h x h) and computes the
+// survivors' rows on demand with the same row kernel Gemm(xb, G) uses.
 //
 // Pruned mode routes the same queries through per-candidate-set IVF
-// indexes (src/serve/ivf_index.h) for sublinear approximate retrieval
-// with `nprobe` as the measured-recall knob.
+// indexes (src/serve/ivf_index.h) built from the screen rows, for
+// sublinear approximate retrieval with `nprobe` as the measured-recall
+// knob.
 #pragma once
 
 #include <atomic>
@@ -43,36 +55,40 @@ struct QueryEngineOptions {
   /// Parallelizes batches across queries (each query stays sequential, so
   /// results are identical at any thread count). Null => serial.
   ThreadPool* pool = nullptr;
-  /// Caps the per-worker scoring scratch (transposed query panels + the
-  /// query-block x candidate-tile score buffer + heaps): the candidate
-  /// tile, then the query-block width, are reduced until workers x
-  /// per-worker scratch fits the budget. 0 = unbounded (default shapes).
+  /// Caps the per-worker scoring scratch (the f32 query block, the
+  /// query-block x candidate-tile score buffer and the tile's bounds): the
+  /// candidate tile, then the query-block width, are reduced until workers
+  /// x per-worker scratch fits the budget. 0 = unbounded (default shapes).
   int64_t memory_budget_mb = 0;
   /// Explicit query-block width override (tests); 0 = derive from the
   /// budget.
   int64_t query_block = 0;
   /// Explicit candidate-tile override (tests); 0 = derive from the budget.
   int64_t candidate_tile = 0;
-  /// Precompute Z = Xb (Y^T Y) at Create when no `z` view is supplied
-  /// (required for link queries; skip for attribute-only engines).
+  /// Derive G = Y^T Y and the link screen rows at Create when no `z` view
+  /// is supplied (required for link queries; skip for attribute-only
+  /// engines).
   bool precompute_link_gram = true;
   /// Optional registry for the engine's work metrics (pane_engine_*:
-  /// tiles-scanned and IVF candidates scanned / pruned). Null disables
-  /// them; the registry must outlive the engine. Recording goes through
-  /// handles resolved at Create, so the engine itself stays immutable
-  /// during queries (the TSan contract in query_engine.cc).
+  /// tiles scanned, screen survivors rescored, IVF candidates scanned /
+  /// pruned). Null disables them; the registry must outlive the engine.
+  /// Recording goes through handles resolved at Create, so the engine
+  /// itself stays immutable during queries (the TSan contract in
+  /// query_engine.cc).
   obs::MetricsRegistry* metrics = nullptr;
 };
 
 /// Per-call scoring breakdown, filled by the top-k entry points when the
-/// caller passes one: nanoseconds spent in tile dot-products (scan) and
-/// per-tile heap selection (select), plus tile / IVF-candidate counts.
-/// Atomic because range workers accumulate concurrently (once per range,
-/// not per tile).
+/// caller passes one: nanoseconds spent in the f32 screen (scan) and in
+/// certification, rescoring and heap selection (select), plus tile,
+/// survivor and IVF-candidate counts. Atomic because range workers
+/// accumulate concurrently (once per range, not per tile).
 struct EngineCallStats {
   std::atomic<int64_t> scan_ns{0};
   std::atomic<int64_t> select_ns{0};
   std::atomic<int64_t> tiles{0};
+  /// Candidates that passed certification and were rescored in f64.
+  std::atomic<int64_t> survivors{0};
   std::atomic<int64_t> ivf_scanned{0};
   std::atomic<int64_t> ivf_pruned{0};
 };
@@ -92,10 +108,11 @@ class QueryEngine {
 
   /// Builds an engine over factor views (xf / xb: n x h, y: d x h, z: n x
   /// h or empty). The viewed storage must outlive the engine. When `z` is
-  /// empty and xb / y are present and precompute_link_gram is set, Z is
-  /// derived here with the same kernels EdgeScorer uses, so link scores
-  /// match it bitwise; when `z` is supplied (e.g. EdgeScorer::z()) it is
-  /// used as-is.
+  /// supplied (e.g. EdgeScorer::z()) its rows are the link candidates, used
+  /// as-is. When `z` is empty and xb / y are present and
+  /// precompute_link_gram is set, the engine keeps G = Y^T Y, derived with
+  /// the kernels EdgeScorer uses, and computes each needed row of
+  /// Z = Xb G on demand, so link scores match EdgeScorer bitwise.
   static Result<QueryEngine> Create(ConstMatrixView xf, ConstMatrixView xb,
                                     ConstMatrixView y, ConstMatrixView z,
                                     const QueryEngineOptions& options);
@@ -112,14 +129,18 @@ class QueryEngine {
   /// empty). The engine scans only its slices but accepts and returns
   /// *global* ids everywhere — queries, exclusion lists, pair ids, and
   /// top-k results — so the router merges per-shard answers without any
-  /// id translation, and tie-breaks resolve in global-index order. `z`
-  /// must be pre-derived from the full matrices (SplitEmbeddingArtifact /
-  /// BuildLocalShards do this), never per shard, so link scores stay
-  /// bitwise the unsharded engine's.
+  /// id translation, and tie-breaks resolve in global-index order. The
+  /// link rows come either as the `z` slice, pre-derived from the full
+  /// matrices (SplitEmbeddingArtifact does this), or as `gram` = Y^T Y of
+  /// the full Y (h x h, copied; BuildLocalShards does this), from which
+  /// the shard derives its rows of Z = Xb G — never from a per-shard Y, so
+  /// link scores stay bitwise the unsharded engine's. Pass one or the
+  /// other, not both.
   static Result<QueryEngine> CreateSharded(ConstMatrixView xf,
                                            ConstMatrixView xb,
                                            ConstMatrixView y,
                                            ConstMatrixView z,
+                                           ConstMatrixView gram,
                                            const store::ShardMeta& shard,
                                            const QueryEngineOptions& options);
 
@@ -153,8 +174,8 @@ class QueryEngine {
 
   // ---- Pruned (IVF) mode ------------------------------------------------
 
-  /// Builds the cluster-pruned indexes (attributes over Y rows; links over
-  /// Z rows when link scoring is available).
+  /// Builds the cluster-pruned indexes from the screen rows (attributes
+  /// over Y rows; links over Z rows when link scoring is available).
   Status BuildPrunedIndex(const IvfOptions& options);
   bool has_pruned_index() const {
     return !attr_index_.empty() || !link_index_.empty();
@@ -218,30 +239,69 @@ class QueryEngine {
   int64_t candidate_tile() const { return candidate_tile_; }
 
  private:
+  /// One query family's screen: f32 copies of the local candidate rows in
+  /// the kernel's panel layout (dot_block.h), plus each row's f64
+  /// Euclidean norm, +inf for a row the certificate cannot cover (such a
+  /// row is always rescored).
+  struct ScreenRows {
+    int64_t count = 0;
+    std::vector<float> panels;
+    std::vector<double> norms;
+  };
+  enum class Family { kAttributes, kTargets };
+  /// One range's counters, folded into the caller's EngineCallStats and
+  /// the registry by AccumulateRange.
+  struct RangeCounts {
+    int64_t scan_ns = 0;
+    int64_t select_ns = 0;
+    int64_t tiles = 0;
+    int64_t survivors = 0;
+    int64_t ivf_scanned = 0;
+    int64_t ivf_pruned = 0;
+  };
+
   QueryEngine() = default;
 
   void ResolveMetrics(obs::MetricsRegistry* registry);
+  /// Shape, blocking, certificate and metric set-up shared by Create and
+  /// CreateSharded.
+  void Init(ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
+            const QueryEngineOptions& options);
+  /// Builds attr_screen_ from y_ and link_screen_ from z_, or from rows
+  /// [node_begin, node_end) of xb_ times gram_.
+  void BuildScreens(int64_t node_begin, int64_t node_end);
 
-  void ProcessAttributeRange(const std::vector<TopKQuery>& queries,
-                             const AttributedGraph* exclude, int64_t begin,
-                             int64_t end, std::vector<Ranking>* results,
-                             EngineCallStats* call_stats) const;
-  void ProcessTargetRange(const std::vector<TopKQuery>& queries,
-                          const AttributedGraph* exclude, int64_t begin,
-                          int64_t end, std::vector<Ranking>* results,
-                          EngineCallStats* call_stats) const;
+  /// Exact f64 scores — the arithmetic of PaneEmbedding::AttributeScore
+  /// and EdgeScorer::Score. Ids are global; `z_row` is h doubles of
+  /// scratch for an on-demand row of Z.
+  double ExactAttributeScore(int64_t v, int64_t r) const;
+  double ExactLinkScore(int64_t u, int64_t w, double* z_row) const;
+
+  /// Screen, certify and rescore queries [begin, end) of one family.
+  void ProcessRange(Family family, const std::vector<TopKQuery>& queries,
+                    const AttributedGraph* exclude, int64_t begin,
+                    int64_t end, std::vector<Ranking>* results,
+                    EngineCallStats* call_stats) const;
   /// Folds one range's counters into the registry handles (if any) and the
   /// caller's EngineCallStats (if any).
-  void AccumulateRange(EngineCallStats* call_stats, int64_t scan_ns,
-                       int64_t select_ns, int64_t tiles, int64_t ivf_scanned,
-                       int64_t ivf_pruned) const;
+  void AccumulateRange(EngineCallStats* call_stats,
+                       const RangeCounts& counts) const;
 
-  ConstMatrixView xf_, xb_, y_, z_;
-  DenseMatrix z_owned_;  // backs z_ when derived at Create
+  ConstMatrixView xf_, xb_, y_;
+  // Link rows: the supplied z_ (unsharded: n x h; shard: its node slice),
+  // or, when z_ is empty, row w of Xb gram_ computed on demand.
+  ConstMatrixView z_;
+  DenseMatrix gram_;
+  ScreenRows attr_screen_, link_screen_;
+  // The certificate |exact - screened| <= eps * |x| * |r| + alpha for
+  // this h (query_engine.cc derives it).
+  double screen_eps_ = 0.0;
+  double screen_alpha_ = 0.0;
   ThreadPool* pool_ = nullptr;
   int64_t query_block_ = 0;
   int64_t candidate_tile_ = 0;
-  // Global id of local candidate row 0 (y_ / z_ respectively); 0 unsharded.
+  // Global id of local candidate row 0 (attribute / link screen rows
+  // respectively); 0 unsharded.
   int64_t attr_base_ = 0;
   int64_t link_base_ = 0;
   int64_t num_attributes_ = 0;  // global d
@@ -256,6 +316,7 @@ class QueryEngine {
   // thread-safe, so recording from const query paths keeps the engine's
   // immutability contract.
   obs::Counter* tiles_total_ = nullptr;
+  obs::Counter* survivors_total_ = nullptr;
   obs::Counter* ivf_scanned_total_ = nullptr;
   obs::Counter* ivf_pruned_total_ = nullptr;
   obs::Gauge* tiles_gauge_ = nullptr;

@@ -445,11 +445,10 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
   const int64_t h = xf.cols();
 
   LocalFleet fleet;
-  // Full Z once, then row slices: bitwise the unsharded engine's Z (see
-  // SplitEmbeddingArtifact, which shares this derivation).
+  // G = Y^T Y of the full Y once; each shard derives its own rows of
+  // Z = Xb G from it, bitwise the unsharded engine's Z.
   DenseMatrix gram;
   GemmTransA(y, y, &gram);
-  Gemm(xb, gram, &fleet.z);
 
   const ShardPlan plan = MakeShardPlan(n, d, num_shards);
   for (const ShardSpec& ranges : plan.shards) {
@@ -458,19 +457,15 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
     spec.has_attributes = true;
     spec.has_links = true;
     spec.method = store.method();
-    ConstMatrixView y_slice, z_slice;
+    ConstMatrixView y_slice;
     if (spec.attr_end > spec.attr_begin) {
       y_slice = ConstMatrixView(y.Row(spec.attr_begin),
                                 spec.attr_end - spec.attr_begin, h);
     }
-    if (spec.node_end > spec.node_begin) {
-      z_slice = ConstMatrixView(fleet.z.Row(spec.node_begin),
-                                spec.node_end - spec.node_begin, h);
-    }
     PANE_ASSIGN_OR_RETURN(
         QueryEngine engine,
-        QueryEngine::CreateSharded(xf, xb, y_slice, z_slice, spec,
-                                   engine_options));
+        QueryEngine::CreateSharded(xf, xb, y_slice, ConstMatrixView(),
+                                   gram.View(), spec, engine_options));
     auto owned = std::make_unique<QueryEngine>(std::move(engine));
     if (ivf != nullptr) {
       PANE_RETURN_NOT_OK(owned->BuildPrunedIndex(*ivf));

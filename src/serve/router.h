@@ -254,13 +254,13 @@ class Router final : public ShardBackend {
   std::vector<std::unique_ptr<obs::Histogram>> owned_latency_;
 };
 
-/// A complete in-process shard fleet over one unsharded store: Z derived
-/// once (bitwise the unsharded engine's), candidate matrices row-sliced
-/// per MakeShardPlan, one serial sharded QueryEngine per shard, one
-/// LocalShard backend per engine. The struct owns everything the backends
-/// borrow, so keep it alive as long as the Router.
+/// A complete in-process shard fleet over one unsharded store: G = Y^T Y
+/// derived once and handed to every shard (so each shard's Z rows are
+/// bitwise the unsharded engine's), Y row-sliced per MakeShardPlan, one
+/// serial sharded QueryEngine per shard, one LocalShard backend per
+/// engine. The struct owns everything the backends borrow, so keep it
+/// alive as long as the Router.
 struct LocalFleet {
-  DenseMatrix z;
   std::vector<std::unique_ptr<QueryEngine>> engines;
   std::vector<std::unique_ptr<ShardBackend>> backends;
 };

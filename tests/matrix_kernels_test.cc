@@ -15,7 +15,10 @@
 #include <vector>
 
 #include "src/common/random.h"
+#include "src/matrix/dense_matrix.h"
+#include "src/matrix/gemm.h"
 #include "src/matrix/vector_ops.h"
+#include "src/parallel/thread_pool.h"
 
 namespace pane {
 namespace {
@@ -307,6 +310,37 @@ TEST(MatrixKernelsDispatchTest, VectorOpsRunTheDispatchedTable) {
   RefAxpy(-0.75, x.data(), want.data(), 37);
   Axpy(-0.75, x.data(), got.data(), 37);
   ExpectSameBits(want, got, "Axpy");
+}
+
+// The serving engine keeps G = Y^T Y instead of Z = Xb G and derives the
+// rows of Z it needs one at a time with the dispatched gemm_rows, so every
+// such row must be bitwise the row Gemm(xb, G) produces, serial or pooled
+// (the pool partitions rows, which must not change any row's arithmetic).
+TEST(MatrixKernelsDispatchTest, OneRowGemmMatchesTheFullGemmRow) {
+  ThreadPool pool(3);
+  Rng rng(16);
+  for (const int64_t h : {1, 7, 33, 65}) {
+    DenseMatrix xb(41, h), y(29, h), gram, full_serial, full_pooled;
+    xb.FillGaussian(&rng);
+    y.FillGaussian(&rng);
+    for (int64_t i = 0; i < xb.rows(); i += 5) xb(i, i % h) = 0.0;  // skips
+    GemmTransA(y.View(), y.View(), &gram);
+    Gemm(xb, gram, &full_serial);
+    Gemm(xb, gram, &full_pooled, &pool);
+    std::vector<double> row(static_cast<size_t>(h));
+    for (int64_t w = 0; w < xb.rows(); ++w) {
+      GetMatrixKernels().gemm_rows(xb.Row(w), gram.data(), row.data(), 1, h,
+                                   h);
+      const std::vector<double> serial(full_serial.Row(w),
+                                       full_serial.Row(w) + h);
+      const std::vector<double> pooled(full_pooled.Row(w),
+                                       full_pooled.Row(w) + h);
+      const std::string what = "h=" + std::to_string(h) + " row " +
+                               std::to_string(w);
+      ExpectSameBits(serial, row, what + " serial");
+      ExpectSameBits(pooled, row, what + " pooled");
+    }
+  }
 }
 
 }  // namespace

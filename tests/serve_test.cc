@@ -387,29 +387,6 @@ TEST_F(EmbeddingStoreTest, MappingIsReadOnly) {
   EXPECT_TRUE(found) << "mapping not found in /proc/self/maps";
 }
 
-TEST_F(EmbeddingStoreTest, FloatCopiesAndNormalization) {
-  serve::EmbeddingStoreOptions options;
-  options.float_copies = true;
-  auto store = serve::EmbeddingStore::Open(path_, options);
-  ASSERT_TRUE(store.ok()) << store.status();
-  ASSERT_EQ(store->xf_f32().rows, artifact_.xf.rows());
-  ASSERT_EQ(store->y_f32().cols, artifact_.y.cols());
-  EXPECT_EQ(store->xf_f32().Row(3)[1],
-            static_cast<float>(artifact_.xf(3, 1)));
-
-  options.l2_normalize_floats = true;
-  auto normalized = serve::EmbeddingStore::Open(path_, options);
-  ASSERT_TRUE(normalized.ok()) << normalized.status();
-  const serve::FloatMatrix& xf = normalized->xf_f32();
-  for (const int64_t row : {int64_t{0}, int64_t{7}}) {
-    double norm = 0.0;
-    for (int64_t j = 0; j < xf.cols; ++j) {
-      norm += static_cast<double>(xf.Row(row)[j]) * xf.Row(row)[j];
-    }
-    EXPECT_NEAR(norm, 1.0, 1e-5);
-  }
-}
-
 TEST_F(EmbeddingStoreTest, EngineOverStoreMatchesViewEngine) {
   auto store = serve::EmbeddingStore::Open(path_);
   ASSERT_TRUE(store.ok()) << store.status();
