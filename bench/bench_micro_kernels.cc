@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the kernels PANE's complexity
 // analysis is built on: SpMM (the O(md t) affinity phase), GEMM / RandSVD
-// (the O(ndk t) initialization), one CCD sweep (the O(ndk) refinement), and
-// the ablation of incremental residual maintenance (Equations 18-20)
-// against naive recomputation.
+// (the O(ndk t) initialization), one CCD sweep (the O(ndk) refinement) and
+// its row-block kernels, and the ablation of incremental residual
+// maintenance (Equations 18-20) against naive recomputation.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -17,18 +17,20 @@
 #include "src/graph/graph_io.h"
 #include "src/graph/text_parser.h"
 #include "src/matrix/gemm.h"
+#include "src/matrix/matrix_kernels.h"
 #include "src/matrix/rand_svd.h"
 #include "src/matrix/spmm.h"
+#include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 
 namespace pane {
 namespace {
 
-AttributedGraph BenchGraph(int64_t n) {
+AttributedGraph BenchGraph(int64_t n, int64_t attrs = 200) {
   SbmParams params;
   params.num_nodes = n;
   params.num_edges = 10 * n;
-  params.num_attributes = 200;
+  params.num_attributes = attrs;
   params.num_attr_entries = 10 * n;
   params.num_communities = 8;
   params.seed = 77;
@@ -192,19 +194,71 @@ void BM_ApmiIterationCost(benchmark::State& state) {
 }
 BENCHMARK(BM_ApmiIterationCost)->Arg(2000)->Arg(8000);
 
+// One CCD sweep; args are nodes, attributes, k and threads. The
+// 3000 x 300, k=128, 2-thread case is panebench's training shape.
 void BM_CcdSweep(benchmark::State& state) {
-  const AttributedGraph g = BenchGraph(state.range(0));
+  const AttributedGraph g = BenchGraph(state.range(0), state.range(1));
   const AffinityMatrices affinity =
       ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
-  const auto seed_state = GreedyInit(affinity, 64, 6).ValueOrDie();
+  const auto seed_state =
+      GreedyInit(affinity, static_cast<int>(state.range(2)), 6).ValueOrDie();
+  ThreadPool pool(static_cast<int>(state.range(3)));
   for (auto _ : state) {
     EmbeddingState working = seed_state;
     CcdOptions options;
     options.iterations = 1;
+    options.pool = &pool;
     benchmark::DoNotOptimize(CcdRefine(&working, options).ok());
   }
 }
-BENCHMARK(BM_CcdSweep)->Arg(2000)->Arg(4000);
+BENCHMARK(BM_CcdSweep)
+    ->Args({2000, 200, 64, 1})
+    ->Args({4000, 200, 64, 1})
+    ->Args({3000, 300, 128, 2})
+    ->UseRealTime();
+
+// The CCD inner step on 8 rows of length n (arg 0): per-row Axpy then Dot
+// (arg 1 = 0) against the fused row-block axpy_dot_rows (arg 1 = 1). Both
+// give the same bits; the fused kernel runs 8 accumulator chains and reads
+// each row once.
+void BM_RowBlockKernels(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  const bool fused = state.range(1) != 0;
+  constexpr int64_t kRows = 8;
+  Rng rng(4);
+  DenseMatrix rows(kRows, n), vectors(2, n);
+  rows.FillGaussian(&rng);
+  vectors.FillGaussian(&rng);
+  double* row_ptrs[kRows];
+  for (int64_t j = 0; j < kRows; ++j) row_ptrs[j] = rows.Row(j);
+  double steps[kRows];
+  double dots[kRows];
+  const MatrixKernels& kernels = GetMatrixKernels();
+  double sign = 1e-3;
+  for (auto _ : state) {
+    sign = -sign;  // alternate so the rows stay bounded
+    for (int64_t j = 0; j < kRows; ++j) steps[j] = sign * (1.0 + j);
+    if (fused) {
+      kernels.axpy_dot_rows(row_ptrs, kRows, steps, vectors.Row(0),
+                            vectors.Row(1), n, dots);
+    } else {
+      for (int64_t j = 0; j < kRows; ++j) {
+        Axpy(steps[j], vectors.Row(0), row_ptrs[j], n);
+        dots[j] = Dot(row_ptrs[j], vectors.Row(1), n);
+      }
+    }
+    benchmark::DoNotOptimize(dots);
+    benchmark::DoNotOptimize(rows.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(fused ? "axpy_dot_rows" : "per-row Axpy+Dot");
+  state.SetItemsProcessed(state.iterations() * kRows * n);
+}
+BENCHMARK(BM_RowBlockKernels)
+    ->Args({300, 0})
+    ->Args({300, 1})
+    ->Args({3000, 0})
+    ->Args({3000, 1});
 
 // Ablation: the incremental residual maintenance of Equations (18)-(20)
 // vs recomputing Sf = Xf Y^T - F' from scratch after a sweep. The paper's

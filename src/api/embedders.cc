@@ -62,7 +62,11 @@ class PaneEmbedder : public Embedder {
                      << "B; init blocks overlapped="
                      << stats.init_blocks_overlapped
                      << "; ccd strip=" << stats.ccd.strip_width
-                     << " scratch=" << stats.ccd.scratch_bytes << "B";
+                     << " scratch=" << stats.ccd.scratch_bytes
+                     << "B node_sweep=" << stats.ccd.node_sweep_seconds
+                     << "s attribute_sweep="
+                     << stats.ccd.attribute_sweep_seconds
+                     << "s strip_copy=" << stats.ccd.strip_copy_seconds << "s";
       // Which compilation of the Dot/Axpy/GEMM kernels ran, so a training
       // time can be read against the ISA from the log alone.
       PANE_LOG(INFO) << name() << " kernels=" << GetMatrixKernels().name;

@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/common/timer.h"
+#include "src/matrix/matrix_kernels.h"
 #include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 
@@ -33,63 +35,110 @@ int64_t StripWidth(int64_t n, int64_t d, int64_t memory_budget_mb) {
   return std::clamp<int64_t>(budget_bytes / bytes_per_column, 1, d);
 }
 
-// Phase 1 over node rows [begin, end): for each vi and l, the updates of
-// Equations (13), (14), (16), (18), (19). `yt` is Y^T (k/2 x d, rows
-// contiguous) and `y_denoms[l] = Y[:,l] . Y[:,l]`, both fixed this phase.
-// Residual rows are touched in place through the slab (zero-copy under
-// either backing).
+// Row groups: phase 1 runs 4 node rows at once, which hands the kernels 8
+// residual rows (their sf and sb rows); phase 2 runs 8 strip columns at
+// once, one kernel call for their sf columns and one for their sb columns.
+constexpr int64_t kNodeGroup = 4;
+constexpr int64_t kStripGroup = 8;
+
+// The coordinates l whose denominator clears kDenominatorFloor, ascending.
+std::vector<int64_t> ActiveCoordinates(const std::vector<double>& denoms) {
+  std::vector<int64_t> active;
+  for (size_t l = 0; l < denoms.size(); ++l) {
+    if (denoms[l] >= kDenominatorFloor) {
+      active.push_back(static_cast<int64_t>(l));
+    }
+  }
+  return active;
+}
+
+// Phase 1 over node rows [begin, end): for each vi and active l, the
+// updates of Equations (13), (14), (16), (18), (19). `yt` is Y^T (k/2 x d,
+// rows contiguous) and `y_denoms[l] = Y[:,l] . Y[:,l]`, both fixed this
+// phase. Residual rows are touched in place through the slab (zero-copy
+// under either backing). A group's dots for its first coordinate come from
+// dot_rows; each coordinate's Equation (18)/(19) updates are then fused
+// with the dots for the next one.
 void UpdateNodeRows(EmbeddingState* state, const DenseMatrix& yt,
-                    const std::vector<double>& y_denoms, int64_t begin,
+                    const std::vector<double>& y_denoms,
+                    const std::vector<int64_t>& active, int64_t begin,
                     int64_t end) {
-  const int64_t h = state->xf.cols();
+  if (active.empty()) return;
+  const MatrixKernels& kernels = GetMatrixKernels();
   const int64_t d = state->sf.cols();
-  for (int64_t vi = begin; vi < end; ++vi) {
-    double* xf_row = state->xf.Row(vi);
-    double* xb_row = state->xb.Row(vi);
-    double* sf_row = state->sf.Row(vi);
-    double* sb_row = state->sb.Row(vi);
-    for (int64_t l = 0; l < h; ++l) {
+  double* rows[2 * kNodeGroup];
+  double dots[2 * kNodeGroup];
+  double steps[2 * kNodeGroup];
+  for (int64_t group = begin; group < end; group += kNodeGroup) {
+    const int64_t m = std::min(kNodeGroup, end - group);
+    for (int64_t j = 0; j < m; ++j) {
+      rows[j] = state->sf.Row(group + j);
+      rows[m + j] = state->sb.Row(group + j);
+    }
+    kernels.dot_rows(rows, 2 * m, yt.Row(active[0]), d, dots);
+    for (size_t t = 0; t < active.size(); ++t) {
+      const int64_t l = active[t];
       const double denom = y_denoms[static_cast<size_t>(l)];
-      if (denom < kDenominatorFloor) continue;
-      const double* yl = yt.Row(l);
-      const double mu_f = Dot(sf_row, yl, d) / denom;  // Equation (16)
-      const double mu_b = Dot(sb_row, yl, d) / denom;
-      xf_row[l] -= mu_f;                               // Equation (13)
-      xb_row[l] -= mu_b;                               // Equation (14)
-      Axpy(-mu_f, yl, sf_row, d);                      // Equation (18)
-      Axpy(-mu_b, yl, sb_row, d);                      // Equation (19)
+      for (int64_t j = 0; j < m; ++j) {
+        const double mu_f = dots[j] / denom;      // Equation (16)
+        const double mu_b = dots[m + j] / denom;
+        state->xf.Row(group + j)[l] -= mu_f;      // Equation (13)
+        state->xb.Row(group + j)[l] -= mu_b;      // Equation (14)
+        steps[j] = -mu_f;
+        steps[m + j] = -mu_b;
+      }
+      const double* next =
+          t + 1 < active.size() ? yt.Row(active[t + 1]) : nullptr;
+      kernels.axpy_dot_rows(rows, 2 * m, steps, yt.Row(l), next, d,
+                            dots);                // Equations (18), (19)
     }
   }
 }
 
 // Phase 2 updates for the strip's attribute rows [strip_begin, strip_end)
-// (local indices into the gathered buffers): Equations (15), (17), (20).
-// `xft` / `xbt` are Xf^T / Xb^T (k/2 x n) and
+// (local indices into the gathered buffers): Equations (15), (17), (20)
+// for each active l. `xft` / `xbt` are Xf^T / Xb^T (k/2 x n) and
 // `x_denoms[l] = Xf[:,l].Xf[:,l] + Xb[:,l].Xb[:,l]`, fixed this phase. Each
 // gathered column is a contiguous length-n buffer, exactly the scratch
 // shape the unstreamed implementation staged per attribute row.
 void UpdateStripAttributeRows(EmbeddingState* state, const DenseMatrix& xft,
                               const DenseMatrix& xbt,
                               const std::vector<double>& x_denoms,
+                              const std::vector<int64_t>& active,
                               int64_t col_begin, double* sf_strip,
                               double* sb_strip, int64_t strip_begin,
                               int64_t strip_end) {
-  const int64_t h = state->y.cols();
+  if (active.empty()) return;
+  const MatrixKernels& kernels = GetMatrixKernels();
   const int64_t n = state->sf.rows();
-  for (int64_t idx = strip_begin; idx < strip_end; ++idx) {
-    double* sf_col = sf_strip + idx * n;
-    double* sb_col = sb_strip + idx * n;
-    double* y_row = state->y.Row(col_begin + idx);
-    for (int64_t l = 0; l < h; ++l) {
+  double* f_cols[kStripGroup];
+  double* b_cols[kStripGroup];
+  double f_dots[kStripGroup];
+  double b_dots[kStripGroup];
+  double steps[kStripGroup];
+  for (int64_t group = strip_begin; group < strip_end; group += kStripGroup) {
+    const int64_t m = std::min(kStripGroup, strip_end - group);
+    for (int64_t j = 0; j < m; ++j) {
+      f_cols[j] = sf_strip + (group + j) * n;
+      b_cols[j] = sb_strip + (group + j) * n;
+    }
+    kernels.dot_rows(f_cols, m, xft.Row(active[0]), n, f_dots);
+    kernels.dot_rows(b_cols, m, xbt.Row(active[0]), n, b_dots);
+    for (size_t t = 0; t < active.size(); ++t) {
+      const int64_t l = active[t];
       const double denom = x_denoms[static_cast<size_t>(l)];
-      if (denom < kDenominatorFloor) continue;
-      const double* xfl = xft.Row(l);
-      const double* xbl = xbt.Row(l);
-      const double mu_y =
-          (Dot(xfl, sf_col, n) + Dot(xbl, sb_col, n)) / denom;  // Eq. (17)
-      y_row[l] -= mu_y;                                         // Eq. (15)
-      Axpy(-mu_y, xfl, sf_col, n);                              // Eq. (20)
-      Axpy(-mu_y, xbl, sb_col, n);
+      for (int64_t j = 0; j < m; ++j) {
+        const double mu_y = (f_dots[j] + b_dots[j]) / denom;  // Eq. (17)
+        state->y.Row(col_begin + group + j)[l] -= mu_y;       // Eq. (15)
+        steps[j] = -mu_y;
+      }
+      const bool last = t + 1 == active.size();
+      kernels.axpy_dot_rows(f_cols, m, steps, xft.Row(l),
+                            last ? nullptr : xft.Row(active[t + 1]), n,
+                            f_dots);                          // Eq. (20)
+      kernels.axpy_dot_rows(b_cols, m, steps, xbt.Row(l),
+                            last ? nullptr : xbt.Row(active[t + 1]), n,
+                            b_dots);
     }
   }
 }
@@ -134,6 +183,9 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
   }
   std::vector<double> sf_strip(static_cast<size_t>(strip * n));
   std::vector<double> sb_strip(static_cast<size_t>(strip * n));
+  double node_sweep_seconds = 0.0;
+  double attribute_sweep_seconds = 0.0;
+  double strip_copy_seconds = 0.0;
 
   for (int iter = 0; iter < options.iterations; ++iter) {
     // ----- Phase 1 (Algorithm 4 lines 3-9 / Algorithm 8 lines 3-10): Y
@@ -141,21 +193,25 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
     // chunk finishes so phase-1 residency stays at the chunk level.
     const DenseMatrix yt = state->y.Transposed();
     const std::vector<double> y_denoms = ColumnSquaredNorms(yt);
+    const std::vector<int64_t> y_active = ActiveCoordinates(y_denoms);
     const auto phase1_rows = [&](int64_t begin, int64_t end) {
       for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
         const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
-        UpdateNodeRows(state, yt, y_denoms, chunk, chunk_end);
+        UpdateNodeRows(state, yt, y_denoms, y_active, chunk, chunk_end);
         ReleaseRowsOrWarn(state->sf, chunk, chunk_end, /*dirty=*/true);
         ReleaseRowsOrWarn(state->sb, chunk, chunk_end, /*dirty=*/true);
       }
     };
-    if (nb == 1) {
-      phase1_rows(0, n);
-    } else {
-      pool->RunBlocks(nb, [&](int b) {
-        const Range& blk = node_blocks[static_cast<size_t>(b)];
-        if (blk.size() > 0) phase1_rows(blk.begin, blk.end);
-      });
+    {
+      ScopedTimer timer(&node_sweep_seconds);
+      if (nb == 1) {
+        phase1_rows(0, n);
+      } else {
+        pool->RunBlocks(nb, [&](int b) {
+          const Range& blk = node_blocks[static_cast<size_t>(b)];
+          if (blk.size() > 0) phase1_rows(blk.begin, blk.end);
+        });
+      }
     }
 
     // ----- Phase 2 (Algorithm 4 lines 10-14 / Algorithm 8 lines 11-16):
@@ -171,6 +227,7 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
         x_denoms[l] += xb_denoms[l];
       }
     }
+    const std::vector<int64_t> x_active = ActiveCoordinates(x_denoms);
     for (int64_t col_begin = 0; col_begin < d; col_begin += strip) {
       const int64_t col_end = std::min(col_begin + strip, d);
       const int64_t c = col_end - col_begin;
@@ -204,21 +261,29 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
           ReleaseRowsOrWarn(state->sb, chunk, chunk_end, /*dirty=*/true);
         }
       };
-      if (nb == 1) {
-        gather_rows(0, n);
-        UpdateStripAttributeRows(state, xft, xbt, x_denoms, col_begin,
-                                 sf_strip.data(), sb_strip.data(), 0, c);
-        scatter_rows(0, n);
-      } else {
+      {
+        ScopedTimer timer(&strip_copy_seconds);
         ParallelFor(pool, 0, n, gather_rows);
-        const std::vector<Range> strip_blocks = PartitionRange(c, nb);
-        pool->RunBlocks(nb, [&](int b) {
-          const Range& blk = strip_blocks[static_cast<size_t>(b)];
-          if (blk.size() == 0) return;
-          UpdateStripAttributeRows(state, xft, xbt, x_denoms, col_begin,
-                                   sf_strip.data(), sb_strip.data(),
-                                   blk.begin, blk.end);
-        });
+      }
+      {
+        ScopedTimer timer(&attribute_sweep_seconds);
+        const auto update = [&](int64_t begin, int64_t end) {
+          UpdateStripAttributeRows(state, xft, xbt, x_denoms, x_active,
+                                   col_begin, sf_strip.data(),
+                                   sb_strip.data(), begin, end);
+        };
+        if (nb == 1) {
+          update(0, c);
+        } else {
+          const std::vector<Range> strip_blocks = PartitionRange(c, nb);
+          pool->RunBlocks(nb, [&](int b) {
+            const Range& blk = strip_blocks[static_cast<size_t>(b)];
+            if (blk.size() > 0) update(blk.begin, blk.end);
+          });
+        }
+      }
+      {
+        ScopedTimer timer(&strip_copy_seconds);
         ParallelFor(pool, 0, n, scatter_rows);
       }
     }
@@ -226,6 +291,11 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
     if (options.objective_trace != nullptr) {
       options.objective_trace->push_back(Objective(*state));
     }
+  }
+  if (options.stats != nullptr) {
+    options.stats->node_sweep_seconds = node_sweep_seconds;
+    options.stats->attribute_sweep_seconds = attribute_sweep_seconds;
+    options.stats->strip_copy_seconds = strip_copy_seconds;
   }
   return Status::OK();
 }

@@ -12,6 +12,19 @@
 // and scatters the strip back — the strip width follows the memory budget,
 // and since gather/scatter is pure copying the results are bitwise
 // identical for every strip width, backing, and thread count.
+//
+// Both phases run rows in groups over the coordinates whose denominator is
+// not skipped: 4 node rows (8 residual rows, sf and sb) in phase 1, 8 strip
+// columns in phase 2. A group starts with one MatrixKernels::dot_rows for
+// its first coordinate; each coordinate l then takes one fused
+// axpy_dot_rows, which applies l's residual update to every row of the
+// group and, in the same pass, computes the dots for the next coordinate.
+// Rows in a phase never depend on each other, and each row still sees its
+// coordinates in ascending order, so grouping only interleaves independent
+// work. The kernels give every row dot's own partial sums and axpy's own
+// multiply-then-add, so each residual, factor entry and denominator is
+// bitwise what one Dot and one Axpy per row and coordinate would produce:
+// no artifact byte depends on the group sizes.
 #pragma once
 
 #include <cstdint>
@@ -23,10 +36,16 @@ namespace pane {
 
 class ThreadPool;
 
-/// \brief How one CcdRefine call sized its streaming state.
+/// \brief How one CcdRefine call sized its streaming state and where its
+/// time went. The three times are wall seconds summed over iterations, each
+/// read once per phase (per strip in phase 2), never per row; transposes,
+/// denominators and the objective trace fall outside them.
 struct CcdStats {
   int64_t strip_width = 0;    ///< residual columns gathered per strip
   int64_t scratch_bytes = 0;  ///< the two strip buffers: 2 x 8 x n x strip
+  double node_sweep_seconds = 0.0;       ///< phase 1: Xf / Xb row updates
+  double attribute_sweep_seconds = 0.0;  ///< phase 2: Y row updates
+  double strip_copy_seconds = 0.0;       ///< phase 2 gather + scatter
 };
 
 struct CcdOptions {

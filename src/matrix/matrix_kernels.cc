@@ -5,8 +5,9 @@
 namespace pane {
 namespace detail {
 
-const MatrixKernels kGenericKernels = {"generic", DotImpl, AxpyImpl,
-                                       GemmRowsImpl, GemmTransAColsImpl};
+const MatrixKernels kGenericKernels = {
+    "generic",       DotImpl,      AxpyImpl,          DotRowsImpl,
+    AxpyDotRowsImpl, GemmRowsImpl, GemmTransAColsImpl};
 
 }  // namespace detail
 

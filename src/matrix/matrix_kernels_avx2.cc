@@ -13,8 +13,9 @@
 namespace pane {
 namespace detail {
 
-const MatrixKernels kAvx2Kernels = {"avx2", DotImpl, AxpyImpl, GemmRowsImpl,
-                                    GemmTransAColsImpl};
+const MatrixKernels kAvx2Kernels = {
+    "avx2",          DotImpl,      AxpyImpl,          DotRowsImpl,
+    AxpyDotRowsImpl, GemmRowsImpl, GemmTransAColsImpl};
 
 }  // namespace detail
 }  // namespace pane

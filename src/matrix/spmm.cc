@@ -1,6 +1,7 @@
 #include "src/matrix/spmm.h"
 
 #include "src/common/logging.h"
+#include "src/matrix/matrix_kernels.h"
 #include "src/parallel/thread_pool.h"
 
 namespace pane {
@@ -47,17 +48,15 @@ void SpMMPanelStepRows(const CsrMatrix& a, const DenseMatrix& x, double scale,
                        int64_t slab_cols, int64_t slab_col, int64_t row_begin,
                        int64_t row_end) {
   const int64_t k = x.cols();
+  const auto axpy = GetMatrixKernels().axpy;
   for (int64_t i = row_begin; i < row_end; ++i) {
     double* next_row = next->Row(i);
     std::fill(next_row, next_row + k, 0.0);
     const CsrMatrix::RowView row = a.Row(i);
     for (int64_t p = 0; p < row.length; ++p) {
-      const double v = scale * row.vals[p];
-      const double* x_row = x.Row(row.cols[p]);
-      for (int64_t j = 0; j < k; ++j) next_row[j] += v * x_row[j];
+      axpy(scale * row.vals[p], x.Row(row.cols[p]), next_row, k);
     }
-    double* slab_row = slab + i * slab_cols + slab_col;
-    for (int64_t j = 0; j < k; ++j) slab_row[j] += acc_scale * next_row[j];
+    axpy(acc_scale, next_row, slab + i * slab_cols + slab_col, k);
   }
 }
 

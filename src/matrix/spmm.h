@@ -33,8 +33,9 @@ void SpMMAddScaled(const CsrMatrix& a, const DenseMatrix& x, double alpha,
 /// engine keep only O(n x panel_width) scratch instead of a third dense
 /// accumulator per panel. Per-element arithmetic is identical to
 /// SpMMAddScaled(beta=0) followed by slab.Axpy(acc_scale, next) restricted
-/// to the panel columns, so results are bitwise equal to the unfused path.
-/// Row-parallel across `pool` when non-null.
+/// to the panel columns, so results are bitwise equal to the unfused path;
+/// both updates run the dispatched MatrixKernels::axpy, whose lanes round
+/// like the scalar loop. Row-parallel across `pool` when non-null.
 void SpMMPanelStep(const CsrMatrix& a, const DenseMatrix& x, double scale,
                    DenseMatrix* next, double acc_scale, double* slab,
                    int64_t slab_cols, int64_t slab_col,

@@ -1,7 +1,9 @@
-// Raw-pointer BLAS-1 kernels used on the hot paths of the CCD solver
-// (Equations 13-20) and the Jacobi/QR routines. Kept free of bounds checks;
-// callers own shape correctness. Dot and Axpy run the runtime-dispatched
-// kernel table of matrix_kernels.h; their results do not depend on the ISA.
+// Raw-pointer BLAS-1 kernels used by the Jacobi/QR routines, the task
+// models and the offline scorers. Kept free of bounds checks; callers own
+// shape correctness. Dot and Axpy run the runtime-dispatched kernel table
+// of matrix_kernels.h (whose row-block entries carry the CCD solver,
+// Equations 13-20, in the same arithmetic); their results do not depend on
+// the ISA.
 #pragma once
 
 #include <cstdint>

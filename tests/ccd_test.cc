@@ -1,17 +1,23 @@
 // Tests for the CCD refinement (Algorithms 4 and 8): monotone objective
 // descent, incremental-residual correctness (Equations 18-20 vs full
-// recomputation), and serial/parallel agreement.
+// recomputation), serial/parallel agreement, and bitwise equality with the
+// per-row Dot / Axpy sweep the row-group kernels replaced.
 #include "src/core/ccd.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/core/apmi.h"
 #include "src/core/greedy_init.h"
 #include "src/matrix/gemm.h"
+#include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
+#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -133,6 +139,169 @@ TEST(CcdTest, RejectsInconsistentShapes) {
   state.sb.Resize(9, 5);  // wrong
   CcdOptions options;
   EXPECT_FALSE(CcdRefine(&state, options).ok());
+}
+
+// --- Bitwise oracle -------------------------------------------------------
+
+// The per-row sweep CcdRefine ran before its row-group kernels: one Dot and
+// one Axpy per row and coordinate, Equations (13)-(20) in the order of
+// Algorithm 4, each residual column of phase 2 staged in its own buffer.
+// CcdRefine must reproduce it byte for byte for every thread count, strip
+// width and slab backing.
+struct OracleFactors {
+  DenseMatrix xf, xb, y, sf, sb;
+};
+
+void ReferenceCcd(OracleFactors* f, int iterations) {
+  constexpr double kFloor = 1e-300;  // CcdRefine's kDenominatorFloor
+  const int64_t n = f->xf.rows();
+  const int64_t d = f->y.rows();
+  const int64_t h = f->xf.cols();
+  for (int iter = 0; iter < iterations; ++iter) {
+    const DenseMatrix yt = f->y.Transposed();
+    for (int64_t vi = 0; vi < n; ++vi) {
+      for (int64_t l = 0; l < h; ++l) {
+        const double denom = SquaredNorm(yt.Row(l), d);
+        if (denom < kFloor) continue;
+        const double mu_f = Dot(f->sf.Row(vi), yt.Row(l), d) / denom;
+        const double mu_b = Dot(f->sb.Row(vi), yt.Row(l), d) / denom;
+        f->xf(vi, l) -= mu_f;
+        f->xb(vi, l) -= mu_b;
+        Axpy(-mu_f, yt.Row(l), f->sf.Row(vi), d);
+        Axpy(-mu_b, yt.Row(l), f->sb.Row(vi), d);
+      }
+    }
+    const DenseMatrix xft = f->xf.Transposed();
+    const DenseMatrix xbt = f->xb.Transposed();
+    std::vector<double> sf_col(static_cast<size_t>(n));
+    std::vector<double> sb_col(static_cast<size_t>(n));
+    for (int64_t r = 0; r < d; ++r) {
+      for (int64_t i = 0; i < n; ++i) {
+        sf_col[static_cast<size_t>(i)] = f->sf(i, r);
+        sb_col[static_cast<size_t>(i)] = f->sb(i, r);
+      }
+      for (int64_t l = 0; l < h; ++l) {
+        const double denom =
+            SquaredNorm(xft.Row(l), n) + SquaredNorm(xbt.Row(l), n);
+        if (denom < kFloor) continue;
+        const double mu_y = (Dot(xft.Row(l), sf_col.data(), n) +
+                             Dot(xbt.Row(l), sb_col.data(), n)) /
+                            denom;
+        f->y(r, l) -= mu_y;
+        Axpy(-mu_y, xft.Row(l), sf_col.data(), n);
+        Axpy(-mu_y, xbt.Row(l), sb_col.data(), n);
+      }
+      for (int64_t i = 0; i < n; ++i) {
+        f->sf(i, r) = sf_col[static_cast<size_t>(i)];
+        f->sb(i, r) = sb_col[static_cast<size_t>(i)];
+      }
+    }
+  }
+}
+
+// Gaussian factors and residuals whose first, middle and last coordinates
+// are zero in Y, Xf and Xb, so both phases skip them.
+OracleFactors RandomFactors(int64_t n, int64_t d, int64_t h, uint64_t seed) {
+  Rng rng(seed);
+  OracleFactors f{DenseMatrix(n, h), DenseMatrix(n, h), DenseMatrix(d, h),
+                  DenseMatrix(n, d), DenseMatrix(n, d)};
+  for (DenseMatrix* m : {&f.xf, &f.xb, &f.y, &f.sf, &f.sb}) {
+    m->FillGaussian(&rng);
+  }
+  for (const int64_t l : {int64_t{0}, h / 2, h - 1}) {
+    for (int64_t i = 0; i < n; ++i) f.xf(i, l) = f.xb(i, l) = 0.0;
+    for (int64_t r = 0; r < d; ++r) f.y(r, l) = 0.0;
+  }
+  return f;
+}
+
+void ExpectSameBytes(const double* want, const double* got, int64_t count,
+                     const std::string& what) {
+  ASSERT_EQ(std::memcmp(want, got, static_cast<size_t>(count) * sizeof(double)),
+            0)
+      << what;
+}
+
+// Runs CcdRefine on a copy of `start` for every thread count and backing
+// and holds each result against `want`; `strip_width` is the strip the
+// budget must give.
+void ExpectCcdMatchesOracle(const OracleFactors& start,
+                            const OracleFactors& want, int iterations,
+                            int64_t budget_mb, int64_t strip_width,
+                            const std::string& what) {
+  const int64_t n = start.xf.rows();
+  const int64_t d = start.y.rows();
+  for (const int threads : {1, 2, 3}) {
+    for (const bool pooled : {false, true}) {
+      store::BufferPool::Options pool_options;
+      pool_options.budget_bytes = 64 * 1024;  // forces evictions
+      pool_options.page_bytes = 4096;
+      store::BufferPool buffer_pool(pool_options);
+      const FactorSlab::Backing backing =
+          pooled ? FactorSlab::Backing::kPooled : FactorSlab::Backing::kInRam;
+      EmbeddingState state;
+      state.xf = start.xf;
+      state.xb = start.xb;
+      state.y = start.y;
+      state.sf = FactorSlab::FromDense(start.sf, backing, "", &buffer_pool)
+                     .ValueOrDie();
+      state.sb = FactorSlab::FromDense(start.sb, backing, "", &buffer_pool)
+                     .ValueOrDie();
+      ThreadPool thread_pool(threads);
+      CcdStats stats;
+      CcdOptions options;
+      options.iterations = iterations;
+      options.pool = threads > 1 ? &thread_pool : nullptr;
+      options.memory_budget_mb = budget_mb;
+      options.stats = &stats;
+      ASSERT_TRUE(CcdRefine(&state, options).ok());
+      const std::string where = what + " threads=" + std::to_string(threads) +
+                                (pooled ? " pooled" : " in-RAM");
+      EXPECT_EQ(stats.strip_width, strip_width) << where;
+      ExpectSameBytes(want.xf.data(), state.xf.data(), n * want.xf.cols(),
+                      where + " xf");
+      ExpectSameBytes(want.xb.data(), state.xb.data(), n * want.xb.cols(),
+                      where + " xb");
+      ExpectSameBytes(want.y.data(), state.y.data(), d * want.y.cols(),
+                      where + " y");
+      ExpectSameBytes(want.sf.data(), state.sf.data(), n * d, where + " sf");
+      ExpectSameBytes(want.sb.data(), state.sb.data(), n * d, where + " sb");
+    }
+  }
+}
+
+TEST(CcdOracleTest, MatchesPerRowSweepAtFullStrips) {
+  constexpr int kIterations = 2;
+  for (const int64_t n : {1, 37, 101}) {
+    for (const int64_t d : {1, 5, 103}) {
+      for (const int64_t h : {5, 7}) {
+        const OracleFactors start = RandomFactors(n, d, h, 100 + n + d + h);
+        OracleFactors want = start;
+        ReferenceCcd(&want, kIterations);
+        ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/0,
+                               /*strip_width=*/d,
+                               "n=" + std::to_string(n) + " d=" +
+                                   std::to_string(d) + " h=" +
+                                   std::to_string(h));
+      }
+    }
+  }
+}
+
+TEST(CcdOracleTest, MatchesPerRowSweepAtNarrowStrips) {
+  // A 1 MiB budget holds 65536 / n residual columns (two n-double strips
+  // per column): width 1 at n = 40000 and width 3 (strips 3, 3, 1) at
+  // n = 20000.
+  constexpr int kIterations = 2;
+  constexpr int64_t kD = 7;
+  for (const auto& [n, width] : {std::pair<int64_t, int64_t>{40000, 1},
+                                 std::pair<int64_t, int64_t>{20000, 3}}) {
+    const OracleFactors start = RandomFactors(n, kD, 5, 7 + n);
+    OracleFactors want = start;
+    ReferenceCcd(&want, kIterations);
+    ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/1, width,
+                           "n=" + std::to_string(n));
+  }
 }
 
 TEST(CcdTest, GreedyBeatsRandomAtEqualIterations) {

@@ -63,6 +63,23 @@ double RefDot(const double* x, const double* y, int64_t n) {
   return s;
 }
 
+// RefDot with its four partial sums combined in a different order: a
+// deliberately wrong reference, which the row-kernel sweep must be able to
+// tell apart from the kernels.
+double MutatedRefDot(const double* x, const double* y, int64_t n) {
+  double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+  int64_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += x[i] * y[i];
+    s1 += x[i + 1] * y[i + 1];
+    s2 += x[i + 2] * y[i + 2];
+    s3 += x[i + 3] * y[i + 3];
+  }
+  double s = (s0 + s2) + (s1 + s3);
+  for (; i < n; ++i) s += x[i] * y[i];
+  return s;
+}
+
 void RefAxpy(double a, const double* x, double* y, int64_t n) {
   for (int64_t i = 0; i < n; ++i) y[i] += a * x[i];
 }
@@ -212,6 +229,130 @@ TEST_P(MatrixKernelsTest, AxpyMatchesReferenceAtEveryLength) {
       }
     }
   }
+}
+
+// r rows of length n with their pointer table, for the row kernels.
+struct RowSet {
+  std::vector<std::vector<double>> rows;
+  std::vector<double*> ptrs;
+};
+
+RowSet RandomRows(int64_t r, int64_t n, Values values, Rng* rng) {
+  RowSet set;
+  for (int64_t j = 0; j < r; ++j) {
+    set.rows.push_back(RandomVector(n, values, rng));
+  }
+  for (std::vector<double>& row : set.rows) set.ptrs.push_back(row.data());
+  return set;
+}
+
+// Every length 0..67 (every n % 4) and every row count 1..9 (a full
+// 8-row block plus every remainder), finite and hostile values.
+template <typename Check>
+void ForEachRowKernelShape(uint64_t seed, Check check) {
+  Rng rng(seed);
+  for (const Values values : {Values::kFinite, Values::kSpecial}) {
+    for (int64_t n = 0; n <= 67; ++n) {
+      for (int64_t r = 1; r <= 9; ++r) {
+        check(n, r, values, &rng,
+              "n=" + std::to_string(n) + " r=" + std::to_string(r) +
+                  (values == Values::kSpecial ? " special" : " finite"));
+      }
+    }
+  }
+}
+
+TEST_P(MatrixKernelsTest, DotRowsMatchesPerRowDot) {
+  ForEachRowKernelShape(
+      17, [&](int64_t n, int64_t r, Values values, Rng* rng,
+              const std::string& what) {
+        const RowSet set = RandomRows(r, n, values, rng);
+        const std::vector<double> v = RandomVector(n, values, rng);
+        std::vector<double> want(static_cast<size_t>(r));
+        for (int64_t j = 0; j < r; ++j) {
+          want[static_cast<size_t>(j)] =
+              RefDot(set.ptrs[static_cast<size_t>(j)], v.data(), n);
+        }
+        std::vector<double> got(static_cast<size_t>(r));
+        const std::vector<const double*> ptrs(set.ptrs.begin(),
+                                              set.ptrs.end());
+        kernels_->dot_rows(ptrs.data(), r, v.data(), n, got.data());
+        ExpectSameBits(want, got, "dot_rows " + what);
+      });
+}
+
+TEST_P(MatrixKernelsTest, AxpyDotRowsMatchesAxpyThenDot) {
+  ForEachRowKernelShape(
+      18, [&](int64_t n, int64_t r, Values values, Rng* rng,
+              const std::string& what) {
+        const std::vector<double> a = RandomVector(r, values, rng);
+        const std::vector<double> x = RandomVector(n, values, rng);
+        // One spare element keeps next.data() non-null at n = 0.
+        const std::vector<double> next = RandomVector(n + 1, values, rng);
+        for (const bool with_next : {true, false}) {
+          RowSet want = RandomRows(r, n, values, rng);
+          RowSet got = want;
+          for (int64_t j = 0; j < r; ++j) {
+            got.ptrs[static_cast<size_t>(j)] =
+                got.rows[static_cast<size_t>(j)].data();
+          }
+          std::vector<double> want_dots(static_cast<size_t>(r), 7.0);
+          for (int64_t j = 0; j < r; ++j) {
+            double* row = want.ptrs[static_cast<size_t>(j)];
+            RefAxpy(a[static_cast<size_t>(j)], x.data(), row, n);
+            if (with_next) {
+              want_dots[static_cast<size_t>(j)] = RefDot(row, next.data(), n);
+            }
+          }
+          // Without next the kernel must leave out untouched.
+          std::vector<double> got_dots(static_cast<size_t>(r), 7.0);
+          kernels_->axpy_dot_rows(got.ptrs.data(), r, a.data(), x.data(),
+                                  with_next ? next.data() : nullptr, n,
+                                  got_dots.data());
+          const std::string where =
+              "axpy_dot_rows " + what + (with_next ? "" : " next=nullptr");
+          for (int64_t j = 0; j < r; ++j) {
+            ExpectSameBits(want.rows[static_cast<size_t>(j)],
+                           got.rows[static_cast<size_t>(j)],
+                           where + " row " + std::to_string(j));
+          }
+          ExpectSameBits(want_dots, got_dots, where + " dots");
+        }
+      });
+}
+
+TEST_P(MatrixKernelsTest, RowKernelSweepSeesALaneOrderChange) {
+  // The same sweep against a reference with another lane combine must find
+  // differences, or the tests above could not see a kernel that reordered
+  // its lanes. The first case is a certain witness: (s0 + s1) + (s2 + s3)
+  // cancels to 0, (s0 + s2) + (s1 + s3) gives 2.
+  const std::vector<double> witness = {1e16, 1.0, -1e16, 1.0};
+  const std::vector<double> ones = {1.0, 1.0, 1.0, 1.0};
+  const double* witness_row = witness.data();
+  double got = 0.0;
+  kernels_->dot_rows(&witness_row, 1, ones.data(), 4, &got);
+  EXPECT_NE(Bits(got), Bits(MutatedRefDot(witness.data(), ones.data(), 4)));
+  int64_t differ = 0;
+  ForEachRowKernelShape(
+      17, [&](int64_t n, int64_t r, Values values, Rng* rng,
+              const std::string&) {
+        const RowSet set = RandomRows(r, n, values, rng);
+        const std::vector<double> v = RandomVector(n, values, rng);
+        std::vector<double> dots(static_cast<size_t>(r));
+        const std::vector<const double*> ptrs(set.ptrs.begin(),
+                                              set.ptrs.end());
+        kernels_->dot_rows(ptrs.data(), r, v.data(), n, dots.data());
+        for (int64_t j = 0; j < r; ++j) {
+          const double mutated =
+              MutatedRefDot(set.ptrs[static_cast<size_t>(j)], v.data(), n);
+          const double kernel = dots[static_cast<size_t>(j)];
+          if (!(std::isnan(mutated) && std::isnan(kernel)) &&
+              Bits(mutated) != Bits(kernel)) {
+            ++differ;
+          }
+        }
+      });
+  EXPECT_GT(differ, 0);
 }
 
 TEST_P(MatrixKernelsTest, GemmRowsMatchesReferenceOnOddShapes) {

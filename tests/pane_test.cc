@@ -137,6 +137,18 @@ TEST(PaneTest, StatsPhaseTimesSumBelowTotal) {
             stats.total_seconds + 1e-6);
 }
 
+TEST(PaneTest, CcdPhaseTimesSumBelowCcdSeconds) {
+  const AttributedGraph g = testing::SmallSbm(68, 300);
+  PaneStats stats;
+  ASSERT_TRUE(Pane(DefaultOptions(32, 2)).Train(g, &stats).ok());
+  EXPECT_GT(stats.ccd.node_sweep_seconds, 0.0);
+  EXPECT_GT(stats.ccd.attribute_sweep_seconds, 0.0);
+  EXPECT_GT(stats.ccd.strip_copy_seconds, 0.0);
+  EXPECT_LE(stats.ccd.node_sweep_seconds + stats.ccd.attribute_sweep_seconds +
+                stats.ccd.strip_copy_seconds,
+            stats.ccd_seconds);
+}
+
 // Parameterized sweep over the space budget k (Figures 5a / 6a): larger k
 // must never produce an invalid embedding, and quality trends upward.
 class PaneKSweep : public ::testing::TestWithParam<int> {};

@@ -1,6 +1,9 @@
 // Tests for the multiply kernels: sparse-dense and dense-dense, serial vs
-// parallel, against naive references.
+// parallel, against naive references (bitwise for the affinity panel step).
 #include <gtest/gtest.h>
+
+#include <cstring>
+#include <string>
 
 #include "src/common/random.h"
 #include "src/matrix/csr_matrix.h"
@@ -70,6 +73,56 @@ TEST(SpMMTest, FusedAddScaled) {
   expected.Scale(0.7);
   expected.Axpy(0.3, y);
   EXPECT_LT(out.MaxAbsDiff(expected), 1e-12);
+}
+
+TEST(SpMMPanelStepTest, MatchesScalarLoopBitwise) {
+  // Both panel updates run the dispatched axpy kernel; every element must
+  // still be the scalar loop's multiply-then-add, at every panel width
+  // mod 4 (vector body plus tail), serial and pooled.
+  Rng rng(10);
+  const CsrMatrix a = RandomSparse(57, 43, 400, &rng);
+  ThreadPool pool(3);
+  const double scale = 0.85;
+  const double acc_scale = -1.25;
+  for (const int64_t k : {4, 5, 6, 7, 8, 13}) {
+    DenseMatrix x(43, k);
+    x.FillGaussian(&rng);
+    const int64_t slab_cols = k + 3;
+    const int64_t slab_col = 2;
+    DenseMatrix slab_start(57, slab_cols);
+    slab_start.FillGaussian(&rng);
+    DenseMatrix want_next(57, k);
+    DenseMatrix want_slab = slab_start;
+    for (int64_t i = 0; i < a.rows(); ++i) {
+      double* next_row = want_next.Row(i);
+      const CsrMatrix::RowView row = a.Row(i);
+      for (int64_t p = 0; p < row.length; ++p) {
+        const double v = scale * row.vals[p];
+        const double* x_row = x.Row(row.cols[p]);
+        for (int64_t j = 0; j < k; ++j) next_row[j] += v * x_row[j];
+      }
+      double* slab_row = want_slab.Row(i) + slab_col;
+      for (int64_t j = 0; j < k; ++j) slab_row[j] += acc_scale * next_row[j];
+    }
+    for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      const std::string what = "k=" + std::to_string(k) +
+                               (threads != nullptr ? " pooled" : " serial");
+      DenseMatrix next;
+      DenseMatrix slab = slab_start;
+      SpMMPanelStep(a, x, scale, &next, acc_scale, slab.data(), slab_cols,
+                    slab_col, threads);
+      ASSERT_EQ(next.rows(), a.rows()) << what;
+      EXPECT_EQ(std::memcmp(next.data(), want_next.data(),
+                            sizeof(double) * static_cast<size_t>(a.rows() * k)),
+                0)
+          << what << " next";
+      EXPECT_EQ(std::memcmp(slab.data(), want_slab.data(),
+                            sizeof(double) *
+                                static_cast<size_t>(a.rows() * slab_cols)),
+                0)
+          << what << " slab";
+    }
+  }
 }
 
 TEST(SpMVTest, MatchesDense) {

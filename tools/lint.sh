@@ -35,6 +35,8 @@
 # (fast-math and its parts, unsafe or reassociating math), fused
 # multiply-add (the FMA ISA flag, or a target("fma") attribute or pragma),
 # host-specific ISAs (-march=native), or per-function optimize pragmas.
+# src/ must not call FMA by name either: std::fma / fma(), __builtin_fma*,
+# or the _mm*_fmadd_* / _fmsub_* intrinsics (and their fnm* forms).
 # Every library compiles with -ffp-contract=off and the runtime AVX2 units
 # use plain -mavx2, so a vector lane rounds like the scalar loop it
 # replaces; any of these flags would let served scores, spilled factors or
@@ -112,6 +114,18 @@ if [[ -n "$fp_hits" ]]; then
   echo "$fp_hits" >&2
   echo "lint: the bitwise contracts need IEEE multiply-then-add everywhere" >&2
   echo "lint: (see the optimization policy in CMakeLists.txt)" >&2
+  status=1
+fi
+
+fma_pattern='(^|[^_[:alnum:]])fma[fl]?[[:space:]]*\(|__builtin_fma'
+fma_pattern+='|_mm[0-9]*_fn?m(add|sub)'
+
+fma_hits=$(grep -rEn -e "$fma_pattern" src || true)
+if [[ -n "$fma_hits" ]]; then
+  echo "lint: fused multiply-add called by function or intrinsic:" >&2
+  echo "$fma_hits" >&2
+  echo "lint: one rounding per multiply and per add keeps the kernels" >&2
+  echo "lint: bitwise equal to their scalar references" >&2
   status=1
 fi
 
