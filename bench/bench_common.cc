@@ -113,7 +113,7 @@ void WriteJsonFile(const std::string& path, const std::string& json) {
 PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
                        double alpha, double epsilon, bool greedy_init,
                        int ccd_iterations, int64_t memory_budget_mb,
-                       SlabPolicy slab_policy, SpillMode spill_mode) {
+                       SlabPolicy slab_policy) {
   PaneOptions options;
   options.k = k;
   options.num_threads = num_threads;
@@ -123,7 +123,6 @@ PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
   options.ccd_iterations = ccd_iterations;
   options.memory_budget_mb = memory_budget_mb;
   options.slab_policy = slab_policy;
-  options.spill_mode = spill_mode;
   PaneRun run;
   auto result = Pane(options).Train(graph, &run.stats);
   PANE_CHECK(result.ok()) << result.status();

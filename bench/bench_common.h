@@ -54,7 +54,7 @@ void WriteJsonFile(const std::string& path, const std::string& json);
 
 /// Trains PANE with paper-default alpha / epsilon. `memory_budget_mb` is
 /// the whole-pipeline budget of PaneOptions; `slab_policy` can force the
-/// factor backing for in-RAM vs mmap-spill comparisons at a fixed budget.
+/// factors in RAM or into the spill pool for comparisons at a fixed budget.
 struct PaneRun {
   PaneEmbedding embedding;
   PaneStats stats;
@@ -63,8 +63,7 @@ PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
                        double alpha = 0.5, double epsilon = 0.015,
                        bool greedy_init = true, int ccd_iterations = 0,
                        int64_t memory_budget_mb = 0,
-                       SlabPolicy slab_policy = SlabPolicy::kAuto,
-                       SpillMode spill_mode = SpillMode::kPooled);
+                       SlabPolicy slab_policy = SlabPolicy::kAuto);
 
 }  // namespace bench
 }  // namespace pane

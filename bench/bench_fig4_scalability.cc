@@ -7,11 +7,11 @@
 // 4b flat-ish slow growth; 4c time dropping ~10x from eps=0.001 to 0.25.
 //   4d (extension): peak RSS and throughput under --memory-budget-mb —
 //       first the affinity phase alone across budgets, then the whole
-//       pipeline (affinity + init + CCD) comparing the in-RAM and
-//       mmap-spill slab backings at one fixed budget against the unbounded
-//       run. Tight budgets must hold the process high-water mark below the
-//       unbounded run at equal threads; the spill backing must hold it
-//       near budget + the output-slab floor.
+//       pipeline (affinity + init + CCD) comparing spilled and in-RAM
+//       factor slabs at one fixed budget against the unbounded run. Tight
+//       budgets must hold the process high-water mark below the unbounded
+//       run at equal threads; spilled slabs must hold it near budget + the
+//       output-slab floor.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -26,7 +26,7 @@
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
 #include "src/common/timer.h"
-#include "src/core/apmi.h"
+#include "src/core/affinity_engine.h"
 #include "src/datasets/registry.h"
 #include "src/parallel/thread_pool.h"
 
@@ -39,27 +39,24 @@ namespace {
 // jump).
 // Whole-pipeline rows for the 4d extension: affinity + init + CCD at one
 // fixed budget, spill-forced first (smallest footprint; VmHWM is monotone),
-// then the in-RAM backing at the same budget, then unbounded last. The
+// then in-RAM slabs at the same budget, then unbounded last. The
 // spill row's delta is the bounded-memory claim: scratch + streaming floors
 // instead of the 4 n d factor set.
 void RunWholePipelineBudgetSection(const AttributedGraph& g,
                                    int64_t budget_mb) {
   bench::PrintHeader(
       "Figure 4d (extension): whole pipeline vs --memory-budget-mb",
-      "full Train (affinity + init + CCD), k=64, nb=10; in-RAM vs "
-      "mmap-spill at one fixed budget, unbounded last (VmHWM monotone)");
+      "full Train (affinity + init + CCD), k=64, nb=10; spilled vs "
+      "in-RAM at one fixed budget, unbounded last (VmHWM monotone)");
   struct Config {
     const char* name;
     int64_t budget_mb;
     SlabPolicy policy;
-    SpillMode spill_mode;
   };
   const Config configs[] = {
-      {"pooled spill @budget", budget_mb, SlabPolicy::kMmap,
-       SpillMode::kPooled},
-      {"flat spill @budget", budget_mb, SlabPolicy::kMmap, SpillMode::kFlat},
-      {"in-RAM @budget", budget_mb, SlabPolicy::kInRam, SpillMode::kPooled},
-      {"unbounded", 0, SlabPolicy::kInRam, SpillMode::kPooled},
+      {"spill @budget", budget_mb, SlabPolicy::kSpill},
+      {"in-RAM @budget", budget_mb, SlabPolicy::kInRam},
+      {"unbounded", 0, SlabPolicy::kInRam},
   };
   bench::PrintRow("config", {"width", "panels", "scratch", "slabs",
                              "overlap", "peak RSS", "dRSS", "time"});
@@ -68,8 +65,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
     const auto run = bench::TrainPaneOrDie(g, /*k=*/64, /*num_threads=*/10,
                                            0.5, 0.015, /*greedy_init=*/true,
                                            /*ccd_iterations=*/0,
-                                           config.budget_mb, config.policy,
-                                           config.spill_mode);
+                                           config.budget_mb, config.policy);
     const int64_t rss_after = bench::PeakRssBytes();
     bench::PrintRow(
         config.name,
@@ -80,8 +76,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
          bench::MegabyteCell(
              static_cast<double>(run.stats.affinity.scratch_bytes +
                                  run.stats.ccd.scratch_bytes)),
-         !run.stats.slabs_spilled ? "RAM"
-                                  : (run.stats.pooled_spill ? "pool" : "mmap"),
+         run.stats.slabs_spilled ? "pool" : "RAM",
          StrFormat("%d", run.stats.init_blocks_overlapped),
          bench::MegabyteCell(static_cast<double>(rss_after)),
          rss_before < 0 || rss_after < 0
@@ -152,9 +147,13 @@ void RunMemoryBudgetSection(double scale) {
     // report a 0 delta.
     const int64_t rss_before = bench::PeakRssBytes();
     WallTimer timer;
+    AffinityEngineOptions options;
+    options.t = t;
+    options.pool = &pool;
+    options.memory_budget_mb = budget;
     AffinityEngineStats stats;
-    const auto affinity = ComputeAffinity(g, 0.5, 0.015, &pool, budget, &stats);
-    PANE_CHECK(affinity.ok()) << affinity.status();
+    AffinitySlabs affinity;
+    PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity, &stats));
     const double seconds = timer.ElapsedSeconds();
     const int64_t rss_after = bench::PeakRssBytes();
     const double cells = 2.0 * n * d * (t + 1);

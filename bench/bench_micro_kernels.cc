@@ -10,7 +10,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/random.h"
-#include "src/core/apmi.h"
+#include "src/core/affinity_engine.h"
 #include "src/core/ccd.h"
 #include "src/core/greedy_init.h"
 #include "src/graph/generators.h"
@@ -35,6 +35,23 @@ AttributedGraph BenchGraph(int64_t n, int64_t attrs = 200) {
   params.num_communities = 8;
   params.seed = 77;
   return GenerateAttributedSbm(params);
+}
+
+// F' / B' of `g` at the paper defaults (alpha = 0.5, eps = 0.015), in RAM.
+AffinitySlabs BenchAffinity(const AttributedGraph& g) {
+  AffinityEngineOptions options;
+  options.t = ComputeIterationCount(0.015, 0.5);
+  AffinitySlabs affinity;
+  PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity));
+  return affinity;
+}
+
+// Greedy-init options for space budget k with t = 6 power iterations.
+InitOptions SeedOptions(int k) {
+  InitOptions options;
+  options.k = k;
+  options.t = 6;
+  return options;
 }
 
 void BM_SpMM(benchmark::State& state) {
@@ -181,14 +198,10 @@ void BM_ApmiIterationCost(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(state.range(0));
   const CsrMatrix p = g.RandomWalkMatrix();
   const CsrMatrix pt = p.Transposed();
-  ApmiInputs inputs;
-  inputs.p = &p;
-  inputs.p_transposed = &pt;
-  inputs.r = &g.attributes();
-  inputs.alpha = 0.5;
-  inputs.t = 6;
+  AffinityEngineOptions options;
+  options.t = 6;
   for (auto _ : state) {
-    auto result = Apmi(inputs);
+    auto result = ComputeAffinitySlabs(p, pt, g.attributes(), options);
     benchmark::DoNotOptimize(result.ok());
   }
 }
@@ -198,10 +211,9 @@ BENCHMARK(BM_ApmiIterationCost)->Arg(2000)->Arg(8000);
 // 3000 x 300, k=128, 2-thread case is panebench's training shape.
 void BM_CcdSweep(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(state.range(0), state.range(1));
-  const AffinityMatrices affinity =
-      ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
+  const int k = static_cast<int>(state.range(2));
   const auto seed_state =
-      GreedyInit(affinity, static_cast<int>(state.range(2)), 6).ValueOrDie();
+      GreedyInit(BenchAffinity(g), SeedOptions(k)).ValueOrDie();
   ThreadPool pool(static_cast<int>(state.range(3)));
   for (auto _ : state) {
     EmbeddingState working = seed_state;
@@ -265,9 +277,7 @@ BENCHMARK(BM_RowBlockKernels)
 // design avoids the full n x d GEMM per coordinate pass.
 void BM_ResidualIncremental(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(2000);
-  const AffinityMatrices affinity =
-      ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
-  auto working = GreedyInit(affinity, 64, 6).ValueOrDie();
+  auto working = GreedyInit(BenchAffinity(g), SeedOptions(64)).ValueOrDie();
   CcdOptions options;
   options.iterations = 1;
   for (auto _ : state) {
@@ -278,15 +288,15 @@ BENCHMARK(BM_ResidualIncremental);
 
 void BM_ResidualRecompute(benchmark::State& state) {
   const AttributedGraph g = BenchGraph(2000);
-  const AffinityMatrices affinity =
-      ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
-  const auto seed_state = GreedyInit(affinity, 64, 6).ValueOrDie();
+  const AffinitySlabs affinity = BenchAffinity(g);
+  const auto seed_state = GreedyInit(affinity, SeedOptions(64)).ValueOrDie();
+  const DenseMatrix forward = affinity.forward.ToDense().ValueOrDie();
+  const DenseMatrix backward = affinity.backward.ToDense().ValueOrDie();
   DenseMatrix sf, sb;
   for (auto _ : state) {
-    GemmTransBAddScaled(seed_state.xf, seed_state.y, 1.0, affinity.forward,
-                        -1.0, &sf);
-    GemmTransBAddScaled(seed_state.xb, seed_state.y, 1.0, affinity.backward,
-                        -1.0, &sb);
+    GemmTransBAddScaled(seed_state.xf, seed_state.y, 1.0, forward, -1.0, &sf);
+    GemmTransBAddScaled(seed_state.xb, seed_state.y, 1.0, backward, -1.0,
+                        &sb);
     benchmark::DoNotOptimize(sf.data());
   }
 }

@@ -68,18 +68,14 @@ int main(int argc, char** argv) {
   flags.AddInt("threads", 4, "worker threads (1 = Algorithm 1)");
   flags.AddInt("memory-budget-mb", 0,
                "whole-pipeline memory budget in MiB (PANE): panel scratch, "
-               "CCD strips, and mmap-spill of the n x d factors when they "
-               "exceed it (0 = unbounded; see README \"Memory model & "
-               "tuning\")");
+               "CCD strips, and spill of the n x d factors through the "
+               "buffer pool when they exceed it (0 = unbounded; see README "
+               "\"Memory model & tuning\")");
   flags.AddString("spill-dir", "",
                   "directory for factor spill files (default: temp dir)");
-  flags.AddString("spill-mode", "pooled",
-                  "spill flavor once over budget (PANE): 'pooled' evicts "
-                  "page-granular through the shared buffer pool, 'flat' "
-                  "drops whole panels (the pre-pool path)");
   flags.AddBool("verbose", false,
                 "log the engine decomposition (panel width/panels/scratch, "
-                "slab backing, CCD strips) after training");
+                "slab spill and pool counters, CCD strips) after training");
   flags.AddInt("seed", 42, "random seed");
   flags.AddString("opt", "",
                   "extra method-specific config entries, comma-separated "

@@ -59,6 +59,9 @@ class PaneEmbedder : public Embedder {
       PANE_LOG(INFO) << name() << " slabs: "
                      << (stats.slabs_spilled ? "mmap-spill" : "in-RAM")
                      << " total=" << stats.slab_bytes
+                     << "B pool evicted=" << stats.pool.evicted_pages
+                     << " written_back=" << stats.pool.writeback_pages
+                     << " resident_peak=" << stats.pool.resident_peak_bytes
                      << "B; init blocks overlapped="
                      << stats.init_blocks_overlapped
                      << "; ccd strip=" << stats.ccd.strip_width
@@ -99,18 +102,6 @@ Result<std::unique_ptr<Embedder>> MakePane(const EmbedderConfig& config,
   PANE_ASSIGN_OR_RETURN(options.memory_budget_mb,
                         config.GetInt("memory_budget_mb", 0));
   options.spill_dir = config.GetString("spill_dir", "");
-  // Spill flavor once the budget forces out-of-core factors: "pooled"
-  // (page-granular eviction through the shared BufferPool, the default) or
-  // "flat" (the whole-panel MADV_DONTNEED path).
-  const std::string spill_mode = config.GetString("spill_mode", "pooled");
-  if (spill_mode == "pooled") {
-    options.spill_mode = SpillMode::kPooled;
-  } else if (spill_mode == "flat") {
-    options.spill_mode = SpillMode::kFlat;
-  } else {
-    return Status::InvalidArgument(
-        "spill_mode must be 'pooled' or 'flat', got '" + spill_mode + "'");
-  }
   PANE_ASSIGN_OR_RETURN(const bool verbose,
                         config.GetBool("verbose", false));
   PANE_ASSIGN_OR_RETURN(const int64_t seed, config.GetInt("seed", 42));

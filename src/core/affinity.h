@@ -1,6 +1,8 @@
 // Forward / backward node-attribute affinity (Section 2.2) shared
 // definitions, plus the exact dense reference implementation that tests and
-// the Table 2 running-example bench validate APMI against.
+// the Table 2 running-example bench validate APMI against. The pipeline
+// itself only ever holds AffinitySlabs; AffinityMatrices is the return type
+// of the dense oracles below.
 #pragma once
 
 #include <cstdint>
@@ -12,16 +14,16 @@
 
 namespace pane {
 
-/// \brief The pair (F, B) of n x d affinity matrices.
+/// \brief The pair (F, B) of n x d affinity matrices, as the dense oracles
+/// (ExactAffinity, SpmiFromProbabilities) return them.
 struct AffinityMatrices {
   DenseMatrix forward;   // F (or its approximation F')
   DenseMatrix backward;  // B (or B')
 };
 
-/// \brief The pair (F', B') as FactorSlabs — the pipeline's native shape.
-/// Under the in-RAM backing this is AffinityMatrices with a different coat;
-/// under the mmap backing the factors live in spill files and consumers
-/// stream row blocks. See src/matrix/factor_slab.h.
+/// \brief The pair (F', B') as FactorSlabs — the shape every affinity
+/// producer and consumer uses. In RAM or spilled through a BufferPool, in
+/// which case consumers stream row blocks. See src/matrix/factor_slab.h.
 struct AffinitySlabs {
   FactorSlab forward;
   FactorSlab backward;

@@ -36,9 +36,7 @@ Status ValidateEngineInputs(const CsrMatrix& p, const CsrMatrix& pt,
     return Status::InvalidArgument("alpha must be in (0, 1)");
   }
   if (options.t < 1) return Status::InvalidArgument("t must be >= 1");
-  if (options.memory_budget_mb < 0) {
-    return Status::InvalidArgument("memory_budget_mb must be >= 0");
-  }
+  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
   if (options.panel_width < 0) {
     return Status::InvalidArgument("panel_width must be >= 0");
   }
@@ -169,8 +167,8 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   for (FactorSlab* slab : {&out->forward, &out->backward}) {
     if (slab->empty() && (slab->rows() != n || slab->cols() != d)) {
       PANE_ASSIGN_OR_RETURN(
-          *slab, FactorSlab::Create(n, d, options.backing, options.spill_dir,
-                                    options.buffer_pool));
+          *slab,
+          FactorSlab::Create(n, d, options.buffer_pool, options.spill_dir));
     } else if (slab->rows() != n || slab->cols() != d) {
       return Status::InvalidArgument("output slab shape must be n x d");
     }
@@ -305,10 +303,10 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
     }
 
     // Spilled panels run sequentially, so the finished panel can hand every
-    // resident page of its slab back before the next panel starts — this is
-    // what keeps affinity-phase RSS near the scratch budget instead of
-    // 2 n d. (The pages stay authoritative in the page cache; later panels
-    // and the backward SPMI pass refault what they touch.)
+    // resident page of its slab back to the pool before the next panel
+    // starts — this is what keeps affinity-phase RSS near the scratch budget
+    // instead of 2 n d. (The pages stay authoritative in the page cache;
+    // later panels and the backward SPMI pass refault what they touch.)
     DropResidencyOrWarn(*slab);
     notify(task);
   };
@@ -366,20 +364,6 @@ Result<AffinitySlabs> ComputeAffinitySlabs(const CsrMatrix& p,
   return out;
 }
 
-Result<AffinityMatrices> ComputeAffinityPanels(
-    const CsrMatrix& p, const CsrMatrix& p_transposed, const CsrMatrix& r,
-    const AffinityEngineOptions& options, AffinityEngineStats* stats) {
-  AffinityEngineOptions in_ram = options;
-  in_ram.backing = FactorSlab::Backing::kInRam;
-  PANE_ASSIGN_OR_RETURN(
-      AffinitySlabs slabs,
-      ComputeAffinitySlabs(p, p_transposed, r, in_ram, stats));
-  AffinityMatrices out;
-  out.forward = slabs.forward.TakeDense();
-  out.backward = slabs.backward.TakeDense();
-  return out;
-}
-
 Status ComputeGraphAffinityIntoSlabs(const AttributedGraph& graph,
                                      const AffinityEngineOptions& options,
                                      AffinitySlabs* out,
@@ -390,14 +374,6 @@ Status ComputeGraphAffinityIntoSlabs(const AttributedGraph& graph,
   const CsrMatrix pt = p.Transposed();
   return ComputeAffinityIntoSlabs(p, pt, graph.attributes(), options, out,
                                   stats);
-}
-
-Result<AffinityMatrices> ComputeGraphAffinity(const AttributedGraph& graph,
-                                              const AffinityEngineOptions& options,
-                                              AffinityEngineStats* stats) {
-  const CsrMatrix p = graph.RandomWalkMatrix();
-  const CsrMatrix pt = p.Transposed();
-  return ComputeAffinityPanels(p, pt, graph.attributes(), options, stats);
 }
 
 }  // namespace pane

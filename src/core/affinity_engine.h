@@ -1,5 +1,6 @@
-// Panel-streamed affinity engine: the unified production path behind APMI
-// (Algorithm 2) and PAPMI (Algorithm 6). The attribute matrix R is
+// Panel-streamed affinity engine: the one production path for APMI
+// (Algorithm 2) and PAPMI (Algorithm 6) — serial is a null pool, PAPMI's
+// one-block-per-worker shape is a pool. The attribute matrix R is
 // partitioned into column panels; for each panel the truncated series of
 // Equation (6) is evaluated with the fused SpMMPanelStep kernel — the
 // running series accumulates directly into the output slab, so each
@@ -9,11 +10,11 @@
 // row-parallel pass over the backward slab once all panels have landed (row
 // sums span every panel).
 //
-// The outputs are FactorSlabs (src/matrix/factor_slab.h): in-RAM for the
-// historical shape, or memory-mapped spill files when the caller's memory
-// budget cannot hold the factors — panels then run sequentially and each
-// finished panel's pages are dropped from the resident set, so peak RSS
-// tracks the scratch budget rather than 2 n d. A consumer callback fires as
+// The outputs are FactorSlabs (src/matrix/factor_slab.h): in RAM, or
+// spilled through the run's BufferPool when the caller's memory budget
+// cannot hold the factors — panels then run sequentially and each finished
+// panel's pages are evicted from the pool, so peak RSS tracks the scratch
+// budget rather than 2 n d. A consumer callback fires as
 // panels land; the engine-aware greedy init uses the forward-complete event
 // to start RandSVD-ing F' row blocks while the backward panels are still
 // streaming.
@@ -21,9 +22,9 @@
 // Peak scratch is O(n x panel_width x in-flight panels), derived from the
 // caller-supplied memory budget. Column blocks of a sparse-dense product
 // are independent (Lemma 4.1), and the engine preserves per-element
-// summation order, so its output is bitwise identical to the historical
-// serial APMI path for every panel decomposition, thread count, and slab
-// backing.
+// summation order, so its output is bitwise identical to the unfused
+// reference (ApmiProbabilities + SpmiFromProbabilities) for every panel
+// decomposition and thread count, spilled or in RAM.
 #pragma once
 
 #include <cstdint>
@@ -71,14 +72,11 @@ struct AffinityEngineOptions {
   /// Explicit panel-width override (tests, benches). 0 => derive from the
   /// budget. Values > d are clamped to d.
   int64_t panel_width = 0;
-  /// Backing for slabs the engine creates itself (the Result-returning
-  /// entry points). ComputeAffinityIntoSlabs honors the caller's slabs.
-  FactorSlab::Backing backing = FactorSlab::Backing::kInRam;
-  /// Spill-file directory for engine-created mmap slabs ("" => temp dir).
-  std::string spill_dir;
-  /// Residency pool for engine-created kPooled slabs (not owned; must
-  /// outlive them). Required when backing == kPooled.
+  /// Spill pool for the slabs the engine creates itself (not owned; must
+  /// outlive them): null => in RAM. Pre-created caller slabs keep theirs.
   store::BufferPool* buffer_pool = nullptr;
+  /// Spill-file directory for engine-created spilled slabs ("" => temp dir).
+  std::string spill_dir;
   /// Optional panel consumer; invoked under an engine mutex (events are
   /// serialized) from whichever thread finished the panel.
   std::function<void(const AffinityPanelEvent&)> panel_consumer;
@@ -94,14 +92,14 @@ struct AffinityEngineStats {
   bool budget_clamped = false;  ///< budget < one width-1 panel; ran at width 1
   bool panel_parallel = false;  ///< true: panels across workers;
                                 ///< false: row blocks within a panel
-  bool spilled = false;         ///< outputs went to memory-mapped slabs
+  bool spilled = false;         ///< outputs were spilled through a pool
 };
 
 /// \brief Core entry: runs the engine on prebuilt P, P^T and attribute
 /// matrix R, writing into caller-owned slabs. The slabs must either be
-/// empty (they are created with options.backing) or already shaped n x d —
-/// pre-creating them is what lets a consumer callback observe them while
-/// the run is in flight. Bitwise equal to Apmi() on the same inputs.
+/// empty (they are created on options.buffer_pool) or already shaped n x d
+/// — pre-creating them is what lets a consumer callback observe them while
+/// the run is in flight.
 Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
                                 const CsrMatrix& p_transposed,
                                 const CsrMatrix& r,
@@ -116,14 +114,6 @@ Result<AffinitySlabs> ComputeAffinitySlabs(const CsrMatrix& p,
                                            const AffinityEngineOptions& options,
                                            AffinityEngineStats* stats = nullptr);
 
-/// \brief Legacy dense-output form: runs the engine into in-RAM slabs and
-/// moves them out as (F', B') DenseMatrices; bitwise equal to Apmi() on the
-/// same inputs.
-Result<AffinityMatrices> ComputeAffinityPanels(
-    const CsrMatrix& p, const CsrMatrix& p_transposed, const CsrMatrix& r,
-    const AffinityEngineOptions& options,
-    AffinityEngineStats* stats = nullptr);
-
 /// \brief Graph-level entry: builds P and P^T exactly once (the single
 /// construction point per embedding run) and runs the engine into
 /// caller-owned slabs.
@@ -131,10 +121,5 @@ Status ComputeGraphAffinityIntoSlabs(const AttributedGraph& graph,
                                      const AffinityEngineOptions& options,
                                      AffinitySlabs* out,
                                      AffinityEngineStats* stats = nullptr);
-
-/// \brief Graph-level dense form (legacy surface).
-Result<AffinityMatrices> ComputeGraphAffinity(
-    const AttributedGraph& graph, const AffinityEngineOptions& options,
-    AffinityEngineStats* stats = nullptr);
 
 }  // namespace pane

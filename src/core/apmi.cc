@@ -38,16 +38,6 @@ void TruncatedSeries(const CsrMatrix& m, const CsrMatrix& r0, double alpha,
   }
 }
 
-AffinityEngineOptions EngineOptions(const ApmiInputs& inputs,
-                                    ThreadPool* pool) {
-  AffinityEngineOptions options;
-  options.alpha = inputs.alpha;
-  options.t = inputs.t;
-  options.pool = pool;
-  options.memory_budget_mb = inputs.memory_budget_mb;
-  return options;
-}
-
 }  // namespace
 
 Result<ProbabilityMatrices> ApmiProbabilities(const ApmiInputs& inputs) {
@@ -58,27 +48,6 @@ Result<ProbabilityMatrices> ApmiProbabilities(const ApmiInputs& inputs) {
   TruncatedSeries(*inputs.p, rr, inputs.alpha, inputs.t, &probs.pf);
   TruncatedSeries(*inputs.p_transposed, rc, inputs.alpha, inputs.t, &probs.pb);
   return probs;
-}
-
-Result<AffinityMatrices> Apmi(const ApmiInputs& inputs,
-                              AffinityEngineStats* stats) {
-  PANE_RETURN_NOT_OK(ValidateInputs(inputs));
-  return ComputeAffinityPanels(*inputs.p, *inputs.p_transposed, *inputs.r,
-                               EngineOptions(inputs, /*pool=*/nullptr),
-                               stats);
-}
-
-Result<AffinityMatrices> ComputeAffinity(const AttributedGraph& graph,
-                                         double alpha, double epsilon,
-                                         ThreadPool* pool,
-                                         int64_t memory_budget_mb,
-                                         AffinityEngineStats* stats) {
-  AffinityEngineOptions options;
-  options.alpha = alpha;
-  options.t = ComputeIterationCount(epsilon, alpha);
-  options.pool = pool;
-  options.memory_budget_mb = memory_budget_mb;
-  return ComputeGraphAffinity(graph, options, stats);
 }
 
 }  // namespace pane

@@ -5,22 +5,19 @@
 //   P_b^(t) = alpha * sum_{l=0..t} (1-alpha)^l P^T^l Rc,
 // then applies the SPMI transform (Equation 7). Error bound: Lemma 3.1.
 //
-// Apmi() and ComputeAffinity() are thin wrappers over the panel-streamed
+// Production runs APMI (and PAPMI, Algorithm 6) through the panel-streamed
 // affinity engine (src/core/affinity_engine.h), which fuses the series and
-// the SPMI transform under a memory budget; ApmiProbabilities() keeps the
-// original unfused dense-intermediate evaluation as the reference the
-// Lemma 3.1 tests and ablation benches compare against.
+// the SPMI transform into FactorSlabs under a memory budget.
+// ApmiProbabilities() here keeps the original unfused dense-intermediate
+// evaluation as the independent reference the Lemma 3.1 tests and the
+// engine's bitwise-equality tests compare against.
 #pragma once
 
 #include "src/common/status.h"
 #include "src/core/affinity.h"
-#include "src/core/affinity_engine.h"
-#include "src/graph/graph.h"
 #include "src/matrix/csr_matrix.h"
 
 namespace pane {
-
-class ThreadPool;
 
 struct ApmiInputs {
   /// Random-walk matrix P = D^-1 A (n x n, row-stochastic).
@@ -31,32 +28,12 @@ struct ApmiInputs {
   const CsrMatrix* r = nullptr;
   double alpha = 0.5;
   int t = 5;
-  /// Scratch budget for the engine's panel buffers in MiB; 0 => unbounded.
-  int64_t memory_budget_mb = 0;
 };
-
-/// \brief Runs Algorithm 2 through the affinity engine (serial, one panel
-/// unless a memory budget narrows it); returns the approximate pair
-/// (F', B'). `stats` (optional) receives the engine's panel decomposition —
-/// width / panel count / scratch — so every entry point can report how the
-/// budget was spent (pane_cli --verbose).
-Result<AffinityMatrices> Apmi(const ApmiInputs& inputs,
-                              AffinityEngineStats* stats = nullptr);
 
 /// \brief The truncated probability matrices before the SPMI transform
 /// (Algorithm 2 up to line 5); exposed for the Lemma 3.1 tests. This is the
 /// historical unfused path, kept as an independent reference for the
 /// engine's bitwise-equality tests.
 Result<ProbabilityMatrices> ApmiProbabilities(const ApmiInputs& inputs);
-
-/// \brief Convenience wrapper: builds P, P^T from the graph exactly once and
-/// runs the engine with t derived from (epsilon, alpha). `pool` parallelizes
-/// the affinity phase (the hottest path of an embedding run);
-/// `memory_budget_mb` bounds the engine's panel scratch (0 => unbounded).
-Result<AffinityMatrices> ComputeAffinity(const AttributedGraph& graph,
-                                         double alpha, double epsilon,
-                                         ThreadPool* pool = nullptr,
-                                         int64_t memory_budget_mb = 0,
-                                         AffinityEngineStats* stats = nullptr);
 
 }  // namespace pane

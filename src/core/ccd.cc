@@ -167,9 +167,7 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
   if (options.iterations < 0) {
     return Status::InvalidArgument("iterations must be >= 0");
   }
-  if (options.memory_budget_mb < 0) {
-    return Status::InvalidArgument("memory_budget_mb must be >= 0");
-  }
+  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
 
   ThreadPool* pool = options.pool;
   const int nb = pool != nullptr ? pool->num_threads() : 1;

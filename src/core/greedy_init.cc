@@ -26,14 +26,11 @@ Status ValidateInit(const AffinitySlabs& affinity, const InitOptions& options) {
       affinity.forward.cols() != affinity.backward.cols()) {
     return Status::InvalidArgument("F' and B' shapes differ");
   }
-  if (options.memory_budget_mb < 0) {
-    return Status::InvalidArgument("memory_budget_mb must be >= 0");
-  }
-  return Status::OK();
+  return ValidateMemoryBudgetMb(options.memory_budget_mb);
 }
 
 // Rows [begin, end) of out = F * y through Gemm's i-k-j skip-zero kernel,
-// reading F from the slab — identical arithmetic whichever backing holds
+// reading F from the slab — identical arithmetic wherever the slab keeps
 // the bytes. Consumed slab rows are released as each chunk finishes.
 void ProjectRows(const FactorSlab& f, const DenseMatrix& y, DenseMatrix* out,
                  int64_t begin, int64_t end) {
@@ -70,15 +67,8 @@ void ResidualRows(const DenseMatrix& x, const DenseMatrix& y,
 
 Result<FactorSlab> CreateResidualSlab(int64_t rows, int64_t cols,
                                       const InitOptions& options) {
-  return FactorSlab::Create(rows, cols, options.residual_backing,
-                            options.spill_dir, options.buffer_pool);
-}
-
-AffinitySlabs WrapDense(const AffinityMatrices& affinity) {
-  AffinitySlabs slabs;
-  slabs.forward = FactorSlab(affinity.forward);
-  slabs.backward = FactorSlab(affinity.backward);
-  return slabs;
+  return FactorSlab::Create(rows, cols, options.buffer_pool,
+                            options.spill_dir);
 }
 
 }  // namespace
@@ -182,7 +172,7 @@ void EngineAwareInit::RunBlock(int b) {
     return;
   }
   // Lines 1-3 of Algorithm 7: RandSVD of F'[Vi]; Ui = Phi Sigma. The block
-  // is a zero-copy row view of the slab under either backing.
+  // is a zero-copy row view of the slab, spilled or not.
   RandSvdOptions svd_options;
   svd_options.power_iters = options_.t;
   svd_options.seed = options_.seed + static_cast<uint64_t>(b) + 1;
@@ -334,34 +324,6 @@ double Objective(const EmbeddingState& state) {
   const double sf_norm = state.sf.FrobeniusNorm();
   const double sb_norm = state.sb.FrobeniusNorm();
   return sf_norm * sf_norm + sb_norm * sb_norm;
-}
-
-Result<EmbeddingState> GreedyInit(const AffinityMatrices& affinity, int k,
-                                  int t, uint64_t seed) {
-  InitOptions options;
-  options.k = k;
-  options.t = t;
-  options.seed = seed;
-  return GreedyInit(WrapDense(affinity), options);
-}
-
-Result<EmbeddingState> SmGreedyInit(const AffinityMatrices& affinity, int k,
-                                    int t, ThreadPool* pool, uint64_t seed) {
-  InitOptions options;
-  options.k = k;
-  options.t = t;
-  options.seed = seed;
-  options.pool = pool;
-  return SmGreedyInit(WrapDense(affinity), options);
-}
-
-Result<EmbeddingState> RandomInit(const AffinityMatrices& affinity, int k,
-                                  uint64_t seed, ThreadPool* pool) {
-  InitOptions options;
-  options.k = k;
-  options.seed = seed;
-  options.pool = pool;
-  return RandomInit(WrapDense(affinity), options);
 }
 
 }  // namespace pane

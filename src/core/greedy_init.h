@@ -6,8 +6,8 @@
 //
 // The init layer consumes the affinity factors and produces the residuals
 // as FactorSlabs: every F' / B' access streams row blocks through one code
-// path whether the slab lives in RAM or in a memory-mapped spill file, so
-// spilled and in-RAM runs are bitwise identical. EngineAwareInit folds
+// path whether the slab lives in RAM or is spilled through a BufferPool,
+// so spilled and in-RAM runs are bitwise identical. EngineAwareInit folds
 // Algorithm 7 into the affinity engine's panel stream: the per-block
 // RandSVDs of F' start the moment the engine reports the forward slab
 // final, overlapping with the backward panels still streaming.
@@ -50,13 +50,11 @@ struct InitOptions {
   /// Worker pool; its size is the block count nb of Algorithm 7. nullptr or
   /// size 1 => the serial Algorithm 3.
   ThreadPool* pool = nullptr;
-  /// Backing for the residual slabs Sf / Sb this phase creates.
-  FactorSlab::Backing residual_backing = FactorSlab::Backing::kInRam;
-  /// Spill directory for mmap residuals ("" => temp dir).
-  std::string spill_dir;
-  /// Residency pool for kPooled residuals (not owned; must outlive the
-  /// returned EmbeddingState). Required when residual_backing == kPooled.
+  /// Spill pool for the residual slabs Sf / Sb this phase creates (not
+  /// owned; must outlive the returned EmbeddingState): null => in RAM.
   store::BufferPool* buffer_pool = nullptr;
+  /// Spill directory for spilled residuals ("" => temp dir).
+  std::string spill_dir;
   /// Memory budget in MiB; bounds how many F' row blocks hold pages
   /// concurrently when the affinity slabs are spilled (0 => no cap). Does
   /// not affect the arithmetic — only residency.
@@ -152,19 +150,5 @@ Status BuildResidualSlab(const DenseMatrix& x, const DenseMatrix& y,
 /// \brief Objective of Equation (4) given maintained residuals:
 /// ||Sf||_F^2 + ||Sb||_F^2.
 double Objective(const EmbeddingState& state);
-
-/// \name Legacy dense-affinity adapters (tests / benches): wrap the
-/// matrices into in-RAM slabs and delegate. Each call copies both n x d
-/// matrices — fine for test-scale setup code, but production paths should
-/// hold AffinitySlabs and call the slab forms above.
-/// @{
-Result<EmbeddingState> GreedyInit(const AffinityMatrices& affinity, int k,
-                                  int t, uint64_t seed = 42);
-Result<EmbeddingState> SmGreedyInit(const AffinityMatrices& affinity, int k,
-                                    int t, ThreadPool* pool,
-                                    uint64_t seed = 42);
-Result<EmbeddingState> RandomInit(const AffinityMatrices& affinity, int k,
-                                  uint64_t seed, ThreadPool* pool = nullptr);
-/// @}
 
 }  // namespace pane

@@ -31,9 +31,7 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
   if (options.ccd_iterations < 0) {
     return Status::InvalidArgument("ccd_iterations must be >= 0");
   }
-  if (options.memory_budget_mb < 0) {
-    return Status::InvalidArgument("memory_budget_mb must be >= 0");
-  }
+  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
   RefreshStats local;
   RefreshStats* out = stats != nullptr ? stats : &local;
   *out = RefreshStats{};
@@ -49,17 +47,9 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
   const int64_t budget_mb = options.memory_budget_mb;
   const int64_t slab_bytes =
       4 * n * d * static_cast<int64_t>(sizeof(double));
-  FactorSlab::Backing backing =
-      ResolveSlabBacking(options.slab_policy, budget_mb, slab_bytes);
-  std::unique_ptr<store::BufferPool> buffer_pool;
-  if (backing == FactorSlab::Backing::kMmap &&
-      options.spill_mode == SpillMode::kPooled) {
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = (budget_mb << 20) / 2;
-    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-    backing = FactorSlab::Backing::kPooled;
-  }
-  out->slabs_spilled = backing != FactorSlab::Backing::kInRam;
+  const std::unique_ptr<store::BufferPool> buffer_pool =
+      MakeSpillPool(options.slab_policy, budget_mb, slab_bytes);
+  out->slabs_spilled = buffer_pool != nullptr;
 
   // Fresh affinity on the updated graph (the linear-time part); P and P^T
   // are built once inside the engine.
@@ -71,9 +61,8 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
     engine_options.t = ComputeIterationCount(options.epsilon, options.alpha);
     engine_options.pool = pool.get();
     engine_options.memory_budget_mb = budget_mb;
-    engine_options.backing = backing;
-    engine_options.spill_dir = options.spill_dir;
     engine_options.buffer_pool = buffer_pool.get();
+    engine_options.spill_dir = options.spill_dir;
     PANE_RETURN_NOT_OK(ComputeGraphAffinityIntoSlabs(
         updated_graph, engine_options, &affinity, &out->affinity));
   }
@@ -97,12 +86,10 @@ Result<PaneEmbedding> RefreshEmbedding(const AttributedGraph& updated_graph,
     state.xf.SetBlock(n_prev, 0, xf_tail);
     state.xb.SetBlock(n_prev, 0, xb_tail);
   }
-  PANE_ASSIGN_OR_RETURN(state.sf,
-                        FactorSlab::Create(n, d, backing, options.spill_dir,
-                                           buffer_pool.get()));
-  PANE_ASSIGN_OR_RETURN(state.sb,
-                        FactorSlab::Create(n, d, backing, options.spill_dir,
-                                           buffer_pool.get()));
+  PANE_ASSIGN_OR_RETURN(
+      state.sf, FactorSlab::Create(n, d, buffer_pool.get(), options.spill_dir));
+  PANE_ASSIGN_OR_RETURN(
+      state.sb, FactorSlab::Create(n, d, buffer_pool.get(), options.spill_dir));
   PANE_RETURN_NOT_OK(BuildResidualSlab(state.xf, state.y, affinity.forward,
                                        &state.sf, pool.get()));
   PANE_RETURN_NOT_OK(BuildResidualSlab(state.xb, state.y, affinity.backward,

@@ -9,7 +9,7 @@
 //
 // The refresh rides the same FactorSlab storage as Pane::Train: one
 // --memory-budget-mb sizes the affinity panels and CCD strips and spills
-// the four n x d factors to memory-mapped files when they exceed it.
+// the four n x d factors through one BufferPool when they exceed it.
 #pragma once
 
 #include <cstdint>
@@ -32,11 +32,8 @@ struct RefreshOptions {
   /// Whole-pipeline memory budget in MiB, as in PaneOptions: panel scratch,
   /// CCD strips, and the slab spill decision. 0 => unbounded, all in RAM.
   int64_t memory_budget_mb = 0;
-  /// Slab backing decision (kAuto => spill when 4 n d exceeds the budget).
+  /// Spill decision (kAuto => spill when 4 n d exceeds the budget).
   SlabPolicy slab_policy = SlabPolicy::kAuto;
-  /// Spill flavor once spilling: pooled (shared BufferPool, default) or the
-  /// flat self-managed path — see PaneOptions::spill_mode.
-  SpillMode spill_mode = SpillMode::kPooled;
   /// Spill-file directory ("" => temp dir).
   std::string spill_dir;
 };
@@ -49,7 +46,7 @@ struct RefreshStats {
   double objective_initial = 0.0;  ///< Eq. 4 right after warm-seeding
   double objective_final = 0.0;
   AffinityEngineStats affinity;    ///< panel decomposition + scratch bytes
-  bool slabs_spilled = false;      ///< factors lived in mmap spill slabs
+  bool slabs_spilled = false;      ///< factors were spilled through a pool
 };
 
 /// \brief Refreshes `previous` onto `updated_graph`.

@@ -30,10 +30,7 @@ Status ValidatePaneOptions(const PaneOptions& options) {
   if (options.ccd_iterations < 0) {
     return Status::InvalidArgument("ccd_iterations must be >= 0");
   }
-  if (options.memory_budget_mb < 0) {
-    return Status::InvalidArgument("memory_budget_mb must be >= 0");
-  }
-  return Status::OK();
+  return ValidateMemoryBudgetMb(options.memory_budget_mb);
 }
 
 Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
@@ -63,28 +60,16 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     pool = std::make_unique<ThreadPool>(opt.num_threads);
   }
 
-  // One budget, one backing decision: the pipeline's resident factor cost
-  // is the four n x d slabs (F', B' during affinity/init, Sf, Sb through
-  // CCD); when that exceeds the budget they all go to mmap spill files —
-  // by default through a shared BufferPool whose residency budget is half
-  // the pipeline budget (the other half stays with the panel scratch and
-  // CCD strips).
+  // One budget, one spill decision: the pipeline's resident factor cost is
+  // the four n x d slabs (F', B' during affinity/init, Sf, Sb through CCD);
+  // when that exceeds the budget they are all spilled through one pool.
   const int64_t n = graph.num_nodes();
   const int64_t d = graph.num_attributes();
   const int64_t slab_bytes =
       4 * n * d * static_cast<int64_t>(sizeof(double));
-  FactorSlab::Backing backing =
-      ResolveSlabBacking(opt.slab_policy, budget_mb, slab_bytes);
-  std::unique_ptr<store::BufferPool> buffer_pool;
-  if (backing == FactorSlab::Backing::kMmap &&
-      opt.spill_mode == SpillMode::kPooled) {
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = (budget_mb << 20) / 2;
-    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-    backing = FactorSlab::Backing::kPooled;
-  }
-  out_stats->slabs_spilled = backing != FactorSlab::Backing::kInRam;
-  out_stats->pooled_spill = buffer_pool != nullptr;
+  const std::unique_ptr<store::BufferPool> buffer_pool =
+      MakeSpillPool(opt.slab_policy, budget_mb, slab_bytes);
+  out_stats->slabs_spilled = buffer_pool != nullptr;
   out_stats->slab_bytes = slab_bytes;
 
   // Phase 1: affinity approximation (Algorithm 2 / 6) via the
@@ -93,20 +78,19 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   AffinitySlabs affinity;
   PANE_ASSIGN_OR_RETURN(
       affinity.forward,
-      FactorSlab::Create(n, d, backing, opt.spill_dir, buffer_pool.get()));
+      FactorSlab::Create(n, d, buffer_pool.get(), opt.spill_dir));
   PANE_ASSIGN_OR_RETURN(
       affinity.backward,
-      FactorSlab::Create(n, d, backing, opt.spill_dir, buffer_pool.get()));
+      FactorSlab::Create(n, d, buffer_pool.get(), opt.spill_dir));
 
   InitOptions init_options;
   init_options.k = opt.k;
   init_options.t = t;
   init_options.seed = opt.seed;
   init_options.pool = pool.get();
-  init_options.residual_backing = backing;
+  init_options.buffer_pool = buffer_pool.get();
   init_options.spill_dir = opt.spill_dir;
   init_options.memory_budget_mb = budget_mb;
-  init_options.buffer_pool = buffer_pool.get();
 
   // Declared after `affinity` so its destructor (which joins the helper
   // thread reading the slabs) runs first on every exit path.

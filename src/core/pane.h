@@ -4,7 +4,8 @@
 // refinement (SVDCCD / PSVDCCD) into one Train() call, under one memory
 // budget: --memory-budget-mb sizes the affinity panel scratch and the CCD
 // strips, and decides whether the pipeline's four n x d factors (F', B',
-// Sf, Sb) live in RAM or in memory-mapped spill slabs.
+// Sf, Sb) live in RAM or are spilled through one store::BufferPool whose
+// residency budget is half the pipeline budget.
 #pragma once
 
 #include <cstdint>
@@ -35,20 +36,16 @@ struct PaneOptions {
   int ccd_iterations = 0;
   /// Single whole-pipeline memory budget in MiB (--memory-budget-mb). Sizes
   /// the affinity engine's panel scratch and CCD's phase-2 strips, and —
-  /// under SlabPolicy::kAuto — spills the four n x d factor slabs to
-  /// memory-mapped files whenever 4 n d doubles exceed the budget, so
-  /// graphs whose factors exceed RAM still run. 0 => unbounded, all in RAM.
-  /// Spilled and in-RAM runs produce bitwise-identical embeddings.
+  /// under SlabPolicy::kAuto — spills the four n x d factor slabs whenever
+  /// 4 n d doubles exceed the budget: they go to memory-mapped files whose
+  /// pages one BufferPool evicts (clock policy, pool-page granularity) only
+  /// under pressure, so graphs whose factors exceed RAM still run.
+  /// 0 => unbounded, all in RAM. Spilled and in-RAM runs produce
+  /// bitwise-identical embeddings.
   int64_t memory_budget_mb = 0;
-  /// Slab backing decision; kAuto applies the budget rule above, kInRam /
-  /// kMmap force one backing (benches, tests).
+  /// Spill decision; kAuto applies the budget rule above, kInRam / kSpill
+  /// force one answer (benches, tests).
   SlabPolicy slab_policy = SlabPolicy::kAuto;
-  /// Spill flavor once the policy says "spill": kPooled (default) routes
-  /// all spilled slabs through one store::BufferPool — pages are evicted by
-  /// a clock policy only under budget pressure, at pool-page granularity —
-  /// while kFlat keeps the original self-managed whole-panel-release path.
-  /// Both produce bitwise-identical embeddings.
-  SpillMode spill_mode = SpillMode::kPooled;
   /// Directory for spill files ("" => the system temp directory). Files are
   /// removed when their slab is destroyed, including on error paths.
   std::string spill_dir;
@@ -60,7 +57,7 @@ struct PaneOptions {
 
 /// \brief Checks a PaneOptions for validity: k even and > 0, alpha and
 /// epsilon in (0, 1), num_threads >= 1, ccd_iterations >= 0 and
-/// memory_budget_mb >= 0.
+/// memory_budget_mb in [0, INT64_MAX >> 20].
 /// Called up front by Pane::Train and by the api layer's option validation.
 Status ValidatePaneOptions(const PaneOptions& options);
 
@@ -74,12 +71,11 @@ struct PaneStats {
   double total_seconds = 0.0;
   double objective_initial = 0.0;  ///< Equation (4) right after init
   double objective_final = 0.0;    ///< Equation (4) after refinement
-  bool slabs_spilled = false;      ///< factors lived in mmap spill slabs
-  bool pooled_spill = false;       ///< spilled through the shared BufferPool
+  bool slabs_spilled = false;      ///< factors were spilled through the pool
   int64_t slab_bytes = 0;          ///< the four n x d factors (F',B',Sf,Sb)
   int init_blocks_overlapped = 0;  ///< init block SVDs run during affinity
   CcdStats ccd;                    ///< phase-2 strip decomposition
-  store::BufferPool::Stats pool;   ///< eviction/write-back counters (pooled)
+  store::BufferPool::Stats pool;   ///< eviction/write-back counters (spilled)
 };
 
 /// \brief Trains PANE embeddings on an attributed graph.

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -18,11 +19,6 @@
 namespace pane {
 namespace {
 
-int64_t PageSize() {
-  static const int64_t page = static_cast<int64_t>(sysconf(_SC_PAGESIZE));
-  return page;
-}
-
 std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
@@ -30,8 +26,7 @@ std::string ErrnoMessage(const char* what, const std::string& path) {
 }  // namespace
 
 FactorSlab::FactorSlab(DenseMatrix dense)
-    : backing_(Backing::kInRam),
-      rows_(dense.rows()),
+    : rows_(dense.rows()),
       cols_(dense.cols()),
       dense_(std::move(dense)),
       base_(dense_.data()) {}
@@ -40,27 +35,12 @@ FactorSlab::FactorSlab(const FactorSlab& other) { *this = other; }
 
 FactorSlab& FactorSlab::operator=(const FactorSlab& other) {
   if (this == &other) return *this;
-  Destroy();
-  if (other.backing_ == Backing::kInRam) {
-    dense_ = other.dense_;
-    backing_ = Backing::kInRam;
-    rows_ = other.rows_;
-    cols_ = other.cols_;
-    base_ = dense_.data();
-  } else {
-    // Deep copy into a fresh spill file next to the source's. A kPooled
-    // source degrades to a self-managed kMmap copy: the copy has no claim
-    // on the source's pool budget.
-    const std::string dir =
-        std::filesystem::path(other.spill_path_).parent_path().string();
-    auto copy = Create(other.rows_, other.cols_, Backing::kMmap, dir);
-    PANE_CHECK(copy.ok()) << "FactorSlab copy: " << copy.status();
-    *this = copy.MoveValueUnsafe();
-    if (!empty()) {
-      std::copy(other.base_, other.base_ + rows_ * cols_, base_);
-    }
+  DenseMatrix copy(other.rows_, other.cols_);
+  if (!other.empty()) {
+    std::copy(other.base_, other.base_ + other.rows_ * other.cols_,
+              copy.data());
   }
-  return *this;
+  return *this = std::move(copy);
 }
 
 FactorSlab::FactorSlab(FactorSlab&& other) noexcept { *this = std::move(other); }
@@ -68,19 +48,17 @@ FactorSlab::FactorSlab(FactorSlab&& other) noexcept { *this = std::move(other); 
 FactorSlab& FactorSlab::operator=(FactorSlab&& other) noexcept {
   if (this == &other) return *this;
   Destroy();
-  backing_ = other.backing_;
   rows_ = other.rows_;
   cols_ = other.cols_;
   dense_ = std::move(other.dense_);
-  // A moved std::vector keeps its heap buffer, so the in-RAM base pointer
-  // stays valid; the mapping base is backing-owned and transfers as-is.
-  base_ = backing_ == Backing::kInRam ? dense_.data() : other.base_;
   map_ = other.map_;
   map_bytes_ = other.map_bytes_;
   spill_path_ = std::move(other.spill_path_);
   pool_ = other.pool_;
   region_ = other.region_;
-  other.backing_ = Backing::kInRam;
+  // A moved std::vector keeps its heap buffer, so the in-RAM base pointer
+  // stays valid; the mapping base is the mapping's and transfers as-is.
+  base_ = spilled() ? other.base_ : dense_.data();
   other.rows_ = 0;
   other.cols_ = 0;
   other.base_ = nullptr;
@@ -94,7 +72,6 @@ FactorSlab& FactorSlab::operator=(FactorSlab&& other) noexcept {
 
 FactorSlab& FactorSlab::operator=(DenseMatrix dense) {
   Destroy();
-  backing_ = Backing::kInRam;
   rows_ = dense.rows();
   cols_ = dense.cols();
   dense_ = std::move(dense);
@@ -105,9 +82,7 @@ FactorSlab& FactorSlab::operator=(DenseMatrix dense) {
 FactorSlab::~FactorSlab() { Destroy(); }
 
 void FactorSlab::Destroy() {
-  if (pool_ != nullptr && region_ >= 0) {
-    pool_->Unregister(region_);
-  }
+  if (region_ >= 0) pool_->Unregister(region_);
   pool_ = nullptr;
   region_ = -1;
   if (map_ != nullptr) {
@@ -123,12 +98,12 @@ void FactorSlab::Destroy() {
   base_ = nullptr;
   rows_ = 0;
   cols_ = 0;
-  backing_ = Backing::kInRam;
 }
 
-Status FactorSlab::InitMmap(int64_t rows, int64_t cols,
-                            const std::string& spill_dir) {
-  backing_ = Backing::kMmap;
+Status FactorSlab::InitSpill(int64_t rows, int64_t cols,
+                             store::BufferPool* pool,
+                             const std::string& spill_dir) {
+  pool_ = pool;
   rows_ = rows;
   cols_ = cols;
   const int64_t bytes = rows * cols * static_cast<int64_t>(sizeof(double));
@@ -169,45 +144,29 @@ Status FactorSlab::InitMmap(int64_t rows, int64_t cols,
   map_ = map;
   map_bytes_ = bytes;
   base_ = static_cast<double*>(map);
+  // On failure the slab's destructor unmaps and unlinks.
+  PANE_ASSIGN_OR_RETURN(region_, pool->Register(map_, map_bytes_));
   return Status::OK();
 }
 
 Result<FactorSlab> FactorSlab::Create(int64_t rows, int64_t cols,
-                                      Backing backing,
-                                      const std::string& spill_dir,
-                                      store::BufferPool* pool) {
+                                      store::BufferPool* pool,
+                                      const std::string& spill_dir) {
   if (rows < 0 || cols < 0) {
     return Status::InvalidArgument("FactorSlab shape must be non-negative");
   }
+  if (pool == nullptr) return FactorSlab(DenseMatrix(rows, cols));
   FactorSlab slab;
-  if (backing == Backing::kInRam) {
-    slab = FactorSlab(DenseMatrix(rows, cols));
-    return slab;
-  }
-  if (backing == Backing::kPooled && pool == nullptr) {
-    return Status::InvalidArgument(
-        "a pooled FactorSlab needs a BufferPool");
-  }
-  PANE_RETURN_NOT_OK(slab.InitMmap(rows, cols, spill_dir));
-  if (backing == Backing::kPooled) {
-    slab.backing_ = Backing::kPooled;
-    if (slab.map_ != nullptr) {
-      PANE_ASSIGN_OR_RETURN(slab.region_,
-                            pool->Register(slab.map_, slab.map_bytes_));
-      slab.pool_ = pool;
-    }
-  }
+  PANE_RETURN_NOT_OK(slab.InitSpill(rows, cols, pool, spill_dir));
   return slab;
 }
 
 Result<FactorSlab> FactorSlab::FromDense(const DenseMatrix& dense,
-                                         Backing backing,
-                                         const std::string& spill_dir,
-                                         store::BufferPool* pool) {
-  if (backing == Backing::kInRam) return FactorSlab(dense);
-  PANE_ASSIGN_OR_RETURN(
-      FactorSlab slab,
-      Create(dense.rows(), dense.cols(), backing, spill_dir, pool));
+                                         store::BufferPool* pool,
+                                         const std::string& spill_dir) {
+  if (pool == nullptr) return FactorSlab(dense);
+  PANE_ASSIGN_OR_RETURN(FactorSlab slab,
+                        Create(dense.rows(), dense.cols(), pool, spill_dir));
   if (!slab.empty()) {
     std::copy(dense.data(), dense.data() + dense.size(), slab.base_);
   }
@@ -231,7 +190,7 @@ FactorSlab::RowBlock FactorSlab::AcquireRows(int64_t row_begin,
   block.row_begin = row_begin;
   block.row_end = row_end;
   block.cols = cols_;
-  if (backing_ == Backing::kPooled && pool_ != nullptr && map_ != nullptr) {
+  if (map_ != nullptr) {
     const Status pinned = pool_->Pin(
         region_, row_begin * cols_ * static_cast<int64_t>(sizeof(double)),
         row_end * cols_ * static_cast<int64_t>(sizeof(double)));
@@ -250,64 +209,21 @@ Status FactorSlab::ReleaseRows(const RowBlock& block, bool dirty) {
 
 Status FactorSlab::ReleaseRowRange(int64_t row_begin, int64_t row_end,
                                    bool dirty) const {
-  if (backing_ == Backing::kInRam || map_ == nullptr ||
-      row_begin >= row_end) {
-    return Status::OK();
-  }
-  if (backing_ == Backing::kPooled) {
-    // Unpin and let the pool decide: pages stay resident until budget
-    // pressure actually evicts them (with write-back first when dirty).
-    return pool_->Unpin(
-        region_, row_begin * cols_ * static_cast<int64_t>(sizeof(double)),
-        row_end * cols_ * static_cast<int64_t>(sizeof(double)), dirty);
-  }
-  const int64_t page = PageSize();
-  const int64_t byte_begin =
-      row_begin * cols_ * static_cast<int64_t>(sizeof(double));
-  const int64_t byte_end =
-      row_end * cols_ * static_cast<int64_t>(sizeof(double));
-  char* map_base = static_cast<char*>(map_);
-  if (dirty) {
-    // Schedule write-back of the touched pages (outward rounding: msync
-    // needs a page-aligned start, and flushing a neighbor's bytes early is
-    // harmless).
-    const int64_t sync_begin = (byte_begin / page) * page;
-    const int64_t sync_end = std::min(
-        map_bytes_, ((byte_end + page - 1) / page) * page);
-    if (msync(map_base + sync_begin,
-              static_cast<size_t>(sync_end - sync_begin), MS_ASYNC) != 0) {
-      return Status::IOError(ErrnoMessage("msync failed on", spill_path_));
-    }
-  }
-  // Drop only pages fully inside the range: boundary pages may be under a
-  // concurrent neighbor's pen. (Dropping never loses data for a shared file
-  // mapping — it just unmaps this process's view — but inward rounding
-  // avoids refault churn at block seams.)
-  const int64_t drop_begin = ((byte_begin + page - 1) / page) * page;
-  const int64_t drop_end = (byte_end / page) * page;
-  if (drop_begin >= drop_end) return Status::OK();
-  if (madvise(map_base + drop_begin,
-              static_cast<size_t>(drop_end - drop_begin),
-              MADV_DONTNEED) != 0) {
-    return Status::IOError(ErrnoMessage("madvise failed on", spill_path_));
-  }
-  return Status::OK();
+  if (map_ == nullptr || row_begin >= row_end) return Status::OK();
+  // Unpin and let the pool decide: pages stay resident until budget
+  // pressure actually evicts them (with write-back first when dirty).
+  return pool_->Unpin(
+      region_, row_begin * cols_ * static_cast<int64_t>(sizeof(double)),
+      row_end * cols_ * static_cast<int64_t>(sizeof(double)), dirty);
 }
 
 Status FactorSlab::DropResidency() const {
-  if (backing_ == Backing::kInRam || map_ == nullptr) return Status::OK();
-  if (backing_ == Backing::kPooled) return pool_->EvictRegion(region_);
-  if (msync(map_, static_cast<size_t>(map_bytes_), MS_ASYNC) != 0) {
-    return Status::IOError(ErrnoMessage("msync failed on", spill_path_));
-  }
-  if (madvise(map_, static_cast<size_t>(map_bytes_), MADV_DONTNEED) != 0) {
-    return Status::IOError(ErrnoMessage("madvise failed on", spill_path_));
-  }
-  return Status::OK();
+  if (map_ == nullptr) return Status::OK();
+  return pool_->EvictRegion(region_);
 }
 
 void FactorSlab::Resize(int64_t rows, int64_t cols) {
-  PANE_CHECK(backing_ == Backing::kInRam)
+  PANE_CHECK(!spilled())
       << "FactorSlab::Resize is in-RAM only; spilled slabs are created at "
          "final shape";
   dense_.Resize(rows, cols);
@@ -319,17 +235,6 @@ void FactorSlab::Resize(int64_t rows, int64_t cols) {
 Result<DenseMatrix> FactorSlab::ToDense() const {
   DenseMatrix out(rows_, cols_);
   if (!empty()) std::copy(base_, base_ + rows_ * cols_, out.data());
-  return out;
-}
-
-DenseMatrix FactorSlab::TakeDense() {
-  PANE_CHECK(backing_ == Backing::kInRam)
-      << "FactorSlab::TakeDense requires the in-RAM backing";
-  DenseMatrix out = std::move(dense_);
-  dense_ = DenseMatrix();
-  rows_ = 0;
-  cols_ = 0;
-  base_ = nullptr;
   return out;
 }
 
@@ -380,21 +285,29 @@ void DropResidencyOrWarn(const FactorSlab& slab) {
   }
 }
 
-FactorSlab::Backing ResolveSlabBacking(SlabPolicy policy,
-                                       int64_t memory_budget_mb,
-                                       int64_t resident_slab_bytes) {
-  switch (policy) {
-    case SlabPolicy::kInRam:
-      return FactorSlab::Backing::kInRam;
-    case SlabPolicy::kMmap:
-      return FactorSlab::Backing::kMmap;
-    case SlabPolicy::kAuto:
-      break;
+Status ValidateMemoryBudgetMb(int64_t memory_budget_mb) {
+  if (memory_budget_mb < 0) {
+    return Status::InvalidArgument("memory_budget_mb must be >= 0");
   }
-  if (memory_budget_mb <= 0) return FactorSlab::Backing::kInRam;
-  return resident_slab_bytes > (memory_budget_mb << 20)
-             ? FactorSlab::Backing::kMmap
-             : FactorSlab::Backing::kInRam;
+  if (memory_budget_mb > (std::numeric_limits<int64_t>::max() >> 20)) {
+    return Status::InvalidArgument(
+        "memory_budget_mb " + std::to_string(memory_budget_mb) +
+        " overflows a byte count");
+  }
+  return Status::OK();
+}
+
+std::unique_ptr<store::BufferPool> MakeSpillPool(SlabPolicy policy,
+                                                 int64_t memory_budget_mb,
+                                                 int64_t resident_slab_bytes) {
+  const bool spill =
+      policy == SlabPolicy::kSpill ||
+      (policy == SlabPolicy::kAuto && memory_budget_mb > 0 &&
+       resident_slab_bytes > (memory_budget_mb << 20));
+  if (!spill) return nullptr;
+  store::BufferPool::Options options;
+  options.budget_bytes = (memory_budget_mb << 20) / 2;
+  return std::make_unique<store::BufferPool>(options);
 }
 
 }  // namespace pane

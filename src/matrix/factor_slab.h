@@ -1,27 +1,24 @@
 // FactorSlab: the row-major n x d factor store behind every big matrix in
 // the PANE pipeline — the affinity outputs F' / B' and the CCD residuals
-// Sf / Sb. A slab has one of three interchangeable backings:
+// Sf / Sb. A slab either holds a DenseMatrix (in RAM) or is spilled: a
+// memory-mapped spill file (MAP_SHARED on a file unlinked on destruction)
+// registered with a store::BufferPool, which keeps pages resident until
+// pool-wide budget pressure evicts them (clock policy, pool-page
+// granularity). "Spilled" means exactly "has a pool"; there is no other
+// spill path.
 //
-//   kInRam   a DenseMatrix, the historical in-memory shape;
-//   kMmap    a memory-mapped spill file (MAP_SHARED on an unlinked-on-
-//            destruction temp file), so factors larger than RAM still run;
-//   kPooled  the same spill mapping, but with residency managed by a shared
-//            store::BufferPool — pages stay resident until pool-wide budget
-//            pressure evicts them (clock policy, pool-page granularity)
-//            instead of being dropped whole-panel at every release.
-//
-// All backings expose the same flat row-major address space, so every
-// kernel runs one code path regardless of where the bytes live — which is
-// what makes spilled and in-RAM runs bitwise identical. The RowBlock API
-// (AcquireRows / ReleaseRows) adds residency management on top: releasing a
-// block of a spilled slab drops (kMmap) or offers for eviction (kPooled)
-// its pages; dirty pages are scheduled for write-back to the spill file and
-// survive in the page cache, so re-acquisition is lossless. For the in-RAM
-// backing every release is a no-op, so callers sprinkle releases
-// unconditionally.
+// Both forms expose the same flat row-major address space, so every kernel
+// runs one code path regardless of where the bytes live — which is what
+// makes spilled and in-RAM runs bitwise identical. The RowBlock API
+// (AcquireRows / ReleaseRows) adds residency management on top: acquiring
+// a block of a spilled slab pins its pages, releasing it unpins them and
+// marks them for write-back when dirty; the page cache keeps the
+// authoritative copy, so re-acquisition is lossless. For an in-RAM slab
+// every release is a no-op, so callers sprinkle releases unconditionally.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "src/common/status.h"
@@ -32,51 +29,42 @@ namespace pane {
 
 class FactorSlab {
  public:
-  enum class Backing {
-    kInRam,   ///< DenseMatrix storage
-    kMmap,    ///< memory-mapped spill file, self-managed residency
-    kPooled,  ///< memory-mapped spill file, BufferPool-managed residency
-  };
-
   /// Empty in-RAM slab (0 x 0).
   FactorSlab() = default;
 
   /// Wraps an existing DenseMatrix as an in-RAM slab (implicit on purpose:
-  /// it is the bridge from legacy AffinityMatrices call sites).
+  /// tests and benches build their slabs from dense matrices this way).
   FactorSlab(DenseMatrix dense);  // NOLINT(runtime/explicit)
 
-  /// Deep copy, preserving the backing except that a kPooled source copies
-  /// into a self-managed kMmap slab (the copy has no claim on the source's
-  /// pool). Aborts on spill I/O failure — copies are a test / bench
-  /// convenience, not a production path; production code moves.
+  /// Deep copy into an independent in-RAM slab, whatever the source's
+  /// storage: the copy has no claim on the source's pool or spill file.
+  /// Copies are a test / bench convenience; production code moves.
   FactorSlab(const FactorSlab& other);
   FactorSlab& operator=(const FactorSlab& other);
 
   FactorSlab(FactorSlab&& other) noexcept;
   FactorSlab& operator=(FactorSlab&& other) noexcept;
 
-  /// Replaces contents with `dense`, switching to the in-RAM backing (any
-  /// previous spill file is removed).
+  /// Replaces contents with `dense`, in RAM (any previous spill file is
+  /// unregistered from its pool and removed).
   FactorSlab& operator=(DenseMatrix dense);
 
   /// Unmaps and unlinks the spill file when spilled.
   ~FactorSlab();
 
-  /// \brief Creates a zero-filled rows x cols slab. For kMmap / kPooled,
-  /// the spill file is created in `spill_dir` (empty => the system temp
-  /// directory); on any failure nothing is left behind on disk. kPooled
-  /// additionally requires `pool`, which must outlive the slab.
+  /// \brief Creates a zero-filled rows x cols slab: in RAM when `pool` is
+  /// null, otherwise spilled to a file in `spill_dir` (empty => the system
+  /// temp directory) whose mapping is registered with `pool`, which must
+  /// outlive the slab. On any failure nothing is left behind on disk.
   static Result<FactorSlab> Create(int64_t rows, int64_t cols,
-                                   Backing backing,
-                                   const std::string& spill_dir = "",
-                                   store::BufferPool* pool = nullptr);
+                                   store::BufferPool* pool = nullptr,
+                                   const std::string& spill_dir = "");
 
-  /// \brief Creates a slab holding a copy of `dense` under the requested
-  /// backing.
+  /// \brief Creates a slab holding a copy of `dense`, placed as Create
+  /// places it.
   static Result<FactorSlab> FromDense(const DenseMatrix& dense,
-                                      Backing backing,
-                                      const std::string& spill_dir = "",
-                                      store::BufferPool* pool = nullptr);
+                                      store::BufferPool* pool = nullptr,
+                                      const std::string& spill_dir = "");
 
   int64_t rows() const { return rows_; }
   int64_t cols() const { return cols_; }
@@ -84,8 +72,7 @@ class FactorSlab {
     return rows_ * cols_ * static_cast<int64_t>(sizeof(double));
   }
   bool empty() const { return rows_ * cols_ == 0; }
-  Backing backing() const { return backing_; }
-  bool spilled() const { return backing_ != Backing::kInRam; }
+  bool spilled() const { return pool_ != nullptr; }
   /// Path of the spill file ("" for in-RAM slabs).
   const std::string& spill_path() const { return spill_path_; }
 
@@ -95,8 +82,7 @@ class FactorSlab {
   const double* data() const { return base_; }
 
   /// Read-only view of the whole slab / a contiguous row range; feeds the
-  /// view-based GEMM and RandSVD kernels without copying under either
-  /// backing.
+  /// view-based GEMM and RandSVD kernels without copying, spilled or not.
   ConstMatrixView View() const {
     return ConstMatrixView(base_, rows_, cols_);
   }
@@ -117,37 +103,29 @@ class FactorSlab {
     }
   };
 
-  /// For a kPooled slab this also pins the block's pages against eviction
+  /// For a spilled slab this also pins the block's pages against eviction
   /// until the matching release.
   RowBlock AcquireRows(int64_t row_begin, int64_t row_end);
 
-  /// \brief Returns a block to the slab. In-RAM: no-op. kMmap: if `dirty`,
-  /// schedules asynchronous write-back of the block's pages to the spill
-  /// file, then drops the fully-contained pages from this process's resident
-  /// set (inward page rounding, so concurrent neighbors on boundary pages
-  /// are never touched). kPooled: unpins the pages and hands them to the
-  /// pool, which evicts only under budget pressure. Content is preserved in
-  /// every case — the page cache keeps the authoritative copy until
-  /// write-back completes.
+  /// \brief Returns a block to the slab. In-RAM: no-op. Spilled: unpins the
+  /// pages and hands them to the pool (marked for write-back when `dirty`),
+  /// which evicts only under budget pressure. Content is preserved — the
+  /// page cache keeps the authoritative copy.
   Status ReleaseRows(const RowBlock& block, bool dirty);
   Status ReleaseRowRange(int64_t row_begin, int64_t row_end,
                          bool dirty) const;
 
-  /// \brief Drops every resident (kPooled: resident unpinned) page of a
-  /// spilled slab (no-op in RAM). Called at phase boundaries so one phase's
-  /// sweep does not stay resident through the next.
+  /// \brief Evicts every unpinned page of a spilled slab from the pool
+  /// (no-op in RAM). Called at phase boundaries so one phase's sweep does
+  /// not stay resident through the next.
   Status DropResidency() const;
 
   /// Reshapes (zero-filled). In-RAM slabs only — spilled slabs are created
   /// at final shape.
   void Resize(int64_t rows, int64_t cols);
 
-  /// Materializes the slab as a DenseMatrix (copies under either backing).
+  /// Materializes the slab as a DenseMatrix (always a copy).
   Result<DenseMatrix> ToDense() const;
-
-  /// Moves the storage out of an in-RAM slab (checks the backing), leaving
-  /// this slab empty. The zero-copy exit onto legacy DenseMatrix surfaces.
-  DenseMatrix TakeDense();
 
   /// sqrt(sum of squares), accumulated in row-major element order (matches
   /// DenseMatrix::FrobeniusNorm bitwise).
@@ -157,43 +135,38 @@ class FactorSlab {
   double MaxAbsDiff(const FactorSlab& other) const;
 
  private:
-  Status InitMmap(int64_t rows, int64_t cols, const std::string& spill_dir);
+  Status InitSpill(int64_t rows, int64_t cols, store::BufferPool* pool,
+                   const std::string& spill_dir);
   void Destroy();
 
-  Backing backing_ = Backing::kInRam;
   int64_t rows_ = 0;
   int64_t cols_ = 0;
-  DenseMatrix dense_;       // kInRam storage
+  DenseMatrix dense_;       // in-RAM storage
   double* base_ = nullptr;  // dense_.data() or the mapping base
   void* map_ = nullptr;     // spill mapping (nullptr when empty / in-RAM)
   int64_t map_bytes_ = 0;
-  std::string spill_path_;  // "" when in-RAM
-  store::BufferPool* pool_ = nullptr;  // kPooled only; not owned
-  store::BufferPool::RegionId region_ = -1;
+  std::string spill_path_;  // "" when in-RAM or empty
+  store::BufferPool* pool_ = nullptr;  // non-null iff spilled; not owned
+  store::BufferPool::RegionId region_ = -1;  // -1 when nothing is mapped
 };
 
-/// \brief How the pipeline chooses a slab backing. kAuto spills exactly when
-/// a memory budget is set and the resident slab total would exceed it;
-/// kInRam / kMmap force one backing (benches, tests).
-enum class SlabPolicy { kAuto, kInRam, kMmap };
+/// \brief How the pipeline decides where its factor slabs live. kAuto spills
+/// exactly when a memory budget is set and the resident slab total would
+/// exceed it; kInRam / kSpill force one answer (benches, tests).
+enum class SlabPolicy { kAuto, kInRam, kSpill };
 
-FactorSlab::Backing ResolveSlabBacking(SlabPolicy policy,
-                                       int64_t memory_budget_mb,
-                                       int64_t resident_slab_bytes);
+/// \brief Checks a memory budget in MiB: non-negative, and small enough that
+/// its byte count (memory_budget_mb << 20) fits in int64_t — a larger value
+/// would wrap negative and read as a tiny budget.
+Status ValidateMemoryBudgetMb(int64_t memory_budget_mb);
 
-/// \brief Which spill flavor the pipeline uses once ResolveSlabBacking says
-/// "spill": kPooled (the default) shares a BufferPool across all spilled
-/// slabs; kFlat is the original self-managed whole-panel-release path.
-enum class SpillMode { kPooled, kFlat };
-
-/// \brief The spilled Backing for a chosen mode: kPooled only when a pool
-/// exists, otherwise kMmap.
-inline FactorSlab::Backing SpillBackingFor(SpillMode mode,
-                                           store::BufferPool* pool) {
-  return (mode == SpillMode::kPooled && pool != nullptr)
-             ? FactorSlab::Backing::kPooled
-             : FactorSlab::Backing::kMmap;
-}
+/// \brief The pipeline's one spill decision. Returns the BufferPool every
+/// spilled factor slab of the run registers with — its residency budget is
+/// half the pipeline budget, the other half staying with the panel scratch
+/// and CCD strips — or nullptr when the slabs stay in RAM.
+std::unique_ptr<store::BufferPool> MakeSpillPool(SlabPolicy policy,
+                                                 int64_t memory_budget_mb,
+                                                 int64_t resident_slab_bytes);
 
 /// \brief The streaming passes' release policy, in one place: residency
 /// failures are advisory (the data is intact, only the RSS bound slips), so

@@ -9,6 +9,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/timer.h"
+#include "src/matrix/factor_slab.h"
 #include "src/matrix/gemm.h"
 #include "src/matrix/matrix_kernels.h"
 #include "src/matrix/vector_ops.h"
@@ -352,6 +353,7 @@ Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
   if (xf.rows() == 0 || xf.cols() == 0) {
     return Status::InvalidArgument("QueryEngine requires a forward factor");
   }
+  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
   const int64_t h = xf.cols();
   if (xb.rows() > 0 && (xb.rows() != xf.rows() || xb.cols() != h)) {
     return Status::InvalidArgument("QueryEngine xb shape mismatch");
@@ -420,6 +422,7 @@ Result<QueryEngine> QueryEngine::CreateSharded(
     ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
     ConstMatrixView z, ConstMatrixView gram, const store::ShardMeta& shard,
     const QueryEngineOptions& options) {
+  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
   if (xf.rows() != shard.num_nodes || xf.cols() != shard.dim ||
       xb.rows() != shard.num_nodes || xb.cols() != shard.dim) {
     return Status::InvalidArgument(

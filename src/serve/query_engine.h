@@ -58,7 +58,8 @@ struct QueryEngineOptions {
   /// Caps the per-worker scoring scratch (the f32 query block, the
   /// query-block x candidate-tile score buffer and the tile's bounds): the
   /// candidate tile, then the query-block width, are reduced until workers
-  /// x per-worker scratch fits the budget. 0 = unbounded (default shapes).
+  /// x per-worker scratch fits the budget. 0 = unbounded (default shapes);
+  /// Create rejects a negative budget and one whose byte count overflows.
   int64_t memory_budget_mb = 0;
   /// Explicit query-block width override (tests); 0 = derive from the
   /// budget.

@@ -11,11 +11,13 @@
 // pointer simply refaults the correct bytes. Correctness is therefore
 // unconditional; the pool only decides *when* memory is given back.
 //
-// Compared to the flat spill path (whole-panel MADV_DONTNEED in
-// ReleaseRowRange), the pool keeps pages resident until budget pressure
-// actually demands otherwise, evicts at pool-page granularity with a clock
-// (second-chance) policy, and floors pin counts at zero so kernels that
-// release rows they never explicitly acquired keep working unchanged.
+// The pool is the only spill residency path: every spilled FactorSlab
+// registers its mapping here (src/matrix/factor_slab.h), and nothing else
+// calls madvise / msync (tools/lint.sh Rule 6). It keeps pages resident
+// until budget pressure actually demands otherwise, evicts at pool-page
+// granularity with a clock (second-chance) policy, and floors pin counts at
+// zero so kernels that release rows they never explicitly acquired keep
+// working unchanged.
 #pragma once
 
 #include <cstdint>

@@ -1,17 +1,22 @@
 // Tests for the panel-streamed affinity engine: every panel decomposition
-// (width 1, width > d, non-divisible widths, budget-derived widths) and
-// thread count must reproduce the historical serial APMI path bitwise, and
-// the engine's reported scratch allocation must respect the memory budget.
+// (width 1, width > d, non-divisible widths, budget-derived widths), thread
+// count (Lemma 4.1: PAPMI's block-parallel run equals serial APMI) and
+// spilled or in-RAM output must reproduce the unfused serial reference
+// (ApmiProbabilities + SpmiFromProbabilities) bitwise, and the engine's
+// reported scratch allocation must respect the memory budget.
 #include "src/core/affinity_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
+#include <string>
 
 #include "src/common/sync.h"
 #include "src/core/affinity.h"
 #include "src/core/apmi.h"
 #include "src/parallel/thread_pool.h"
+#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -44,17 +49,25 @@ AffinityMatrices ReferenceAffinity(const GraphInputs& in, double alpha,
   return SpmiFromProbabilities(ApmiProbabilities(inputs).ValueOrDie());
 }
 
-AffinityMatrices RunEngine(const GraphInputs& in,
-                           const AffinityEngineOptions& options,
-                           AffinityEngineStats* stats = nullptr) {
-  return ComputeAffinityPanels(in.p, in.pt, *in.r, options, stats)
+AffinitySlabs RunEngine(const GraphInputs& in,
+                        const AffinityEngineOptions& options,
+                        AffinityEngineStats* stats = nullptr) {
+  return ComputeAffinitySlabs(in.p, in.pt, *in.r, options, stats)
       .ValueOrDie();
 }
 
-void ExpectBitwiseEqual(const AffinityMatrices& a, const AffinityMatrices& b,
+void ExpectBitwiseEqual(const AffinityMatrices& want, const AffinitySlabs& got,
                         const std::string& label) {
-  EXPECT_EQ(a.forward.MaxAbsDiff(b.forward), 0.0) << label;
-  EXPECT_EQ(a.backward.MaxAbsDiff(b.backward), 0.0) << label;
+  EXPECT_EQ(got.forward.MaxAbsDiff(want.forward), 0.0) << label;
+  EXPECT_EQ(got.backward.MaxAbsDiff(want.backward), 0.0) << label;
+}
+
+// A pool small enough that the spilled engine runs evict pages.
+store::BufferPool::Options TightPool() {
+  store::BufferPool::Options options;
+  options.budget_bytes = 64 * 1024;
+  options.page_bytes = 4096;
+  return options;
 }
 
 // ---------------------------------------------------------------------------
@@ -73,7 +86,7 @@ TEST_P(PanelWidthSweep, BitwiseEqualToUnfusedReferenceSerial) {
   options.t = 5;
   options.panel_width = GetParam();
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got,
                      "panel_width=" + std::to_string(GetParam()));
   // Widths beyond d are clamped to d.
@@ -92,7 +105,7 @@ TEST_P(PanelWidthSweep, BitwiseEqualToUnfusedReferencePooled) {
   options.t = 4;
   options.pool = &pool;
   options.panel_width = GetParam();
-  const AffinityMatrices got = RunEngine(in, options);
+  const AffinitySlabs got = RunEngine(in, options);
   ExpectBitwiseEqual(reference, got,
                      "pooled panel_width=" + std::to_string(GetParam()));
 }
@@ -131,7 +144,7 @@ TEST(AffinityEngineTest, BudgetDerivesWidthAndRespectsIt) {
   // d = 80 here; shrink the budget until the width is genuinely partial.
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got, "budget=1MiB");
   EXPECT_FALSE(stats.budget_clamped);
   // Regression: the reported scratch allocation never exceeds the budget
@@ -153,7 +166,7 @@ TEST(AffinityEngineTest, PooledBudgetSequentialPanelsGetWholeBudget) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got, "pooled budget=1MiB sequential");
   EXPECT_FALSE(stats.budget_clamped);
   EXPECT_FALSE(stats.panel_parallel);
@@ -176,7 +189,7 @@ TEST(AffinityEngineTest, PooledBudgetRespectedAcrossInFlightPanels) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   ExpectBitwiseEqual(reference, got, "pooled budget=1MiB panel-parallel");
   EXPECT_FALSE(stats.budget_clamped);
   EXPECT_TRUE(stats.panel_parallel);
@@ -200,7 +213,7 @@ TEST(AffinityEngineTest, BudgetBelowPanelParallelFallsBackToSequential) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   EXPECT_FALSE(stats.budget_clamped);
   EXPECT_FALSE(stats.panel_parallel);
   EXPECT_EQ(stats.panel_width, 7);
@@ -223,7 +236,7 @@ TEST(AffinityEngineTest, BudgetSmallerThanOnePanelClampsWithWarningFlag) {
   options.pool = &pool;
   options.memory_budget_mb = 1;
   AffinityEngineStats stats;
-  const AffinityMatrices got = RunEngine(in, options, &stats);
+  const AffinitySlabs got = RunEngine(in, options, &stats);
   EXPECT_TRUE(stats.budget_clamped);
   EXPECT_FALSE(stats.panel_parallel);
   EXPECT_EQ(stats.panel_width, 1);
@@ -281,25 +294,84 @@ TEST(AffinityEngineTest, NegativeBackwardRowSumZeroesRowLikeReference) {
   options.alpha = 0.5;
   options.t = 3;
   options.panel_width = 1;
-  const AffinityMatrices got =
-      ComputeAffinityPanels(p, pt, r, options).ValueOrDie();
+  const AffinitySlabs got =
+      ComputeAffinitySlabs(p, pt, r, options).ValueOrDie();
   ExpectBitwiseEqual(reference, got, "negative backward row sum");
-  EXPECT_EQ(got.backward(1, 0), 0.0);
-  EXPECT_EQ(got.backward(1, 1), 0.0);
+  EXPECT_EQ(got.backward.Row(1)[0], 0.0);
+  EXPECT_EQ(got.backward.Row(1)[1], 0.0);
 }
 
 // ---------------------------------------------------------------------------
-// Graph-level entries.
+// Lemma 4.1: PAPMI's block-parallel decomposition (the unbounded pooled
+// default, ceil(d / nb) columns per worker) returns *the same* F', B' as
+// single-thread APMI, bitwise.
 
-TEST(AffinityEngineTest, ComputeAffinityAcceptsPoolAndBudget) {
-  const AttributedGraph g = testing::SmallSbm(47, 300);
-  const AffinityMatrices serial = ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
+class Lemma41ThreadSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(Lemma41ThreadSweep, PooledIdenticalToSerialReference) {
+  const int nb = GetParam();
+  const AttributedGraph g = testing::SmallSbm(31, 300);
+  const GraphInputs in = MakeInputs(g);
+  ThreadPool pool(nb);
+  AffinityEngineOptions options;
+  options.alpha = 0.5;
+  options.t = 5;
+  options.pool = &pool;
+  ExpectBitwiseEqual(ReferenceAffinity(in, 0.5, 5), RunEngine(in, options),
+                     "nb=" + std::to_string(nb));
+}
+
+INSTANTIATE_TEST_SUITE_P(ThreadGrid, Lemma41ThreadSweep,
+                         ::testing::Values(2, 3, 5, 8));
+
+TEST(AffinityEngineTest, Lemma41MoreBlocksThanAttributes) {
+  // d = 3 attributes split across 8 workers: most blocks are empty.
+  const AttributedGraph g = testing::Figure1Graph();
+  const GraphInputs in = MakeInputs(g);
+  ThreadPool pool(8);
+  AffinityEngineOptions options;
+  options.alpha = 0.3;
+  options.t = 4;
+  options.pool = &pool;
+  ExpectBitwiseEqual(ReferenceAffinity(in, 0.3, 4), RunEngine(in, options),
+                     "figure1 nb=8");
+}
+
+TEST(AffinityEngineTest, Lemma41DifferentAlphaAndT) {
+  const AttributedGraph g = testing::SmallSbm(33, 200);
+  const GraphInputs in = MakeInputs(g);
   ThreadPool pool(4);
+  for (const double alpha : {0.15, 0.7}) {
+    for (const int t : {1, 6}) {
+      AffinityEngineOptions options;
+      options.alpha = alpha;
+      options.t = t;
+      options.pool = &pool;
+      ExpectBitwiseEqual(ReferenceAffinity(in, alpha, t),
+                         RunEngine(in, options),
+                         "alpha=" + std::to_string(alpha) +
+                             " t=" + std::to_string(t));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Graph-level entry.
+
+TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndBudget) {
+  const AttributedGraph g = testing::SmallSbm(47, 300);
+  const GraphInputs in = MakeInputs(g);
+  ThreadPool pool(4);
+  AffinityEngineOptions options;
+  options.alpha = 0.5;
+  options.t = ComputeIterationCount(0.015, 0.5);
+  options.pool = &pool;
+  options.memory_budget_mb = 2;
   AffinityEngineStats stats;
-  const AffinityMatrices pooled =
-      ComputeAffinity(g, 0.5, 0.015, &pool, /*memory_budget_mb=*/2, &stats)
-          .ValueOrDie();
-  ExpectBitwiseEqual(serial, pooled, "ComputeAffinity pool+budget");
+  AffinitySlabs got;
+  ASSERT_TRUE(ComputeGraphAffinityIntoSlabs(g, options, &got, &stats).ok());
+  ExpectBitwiseEqual(ReferenceAffinity(in, 0.5, options.t), got,
+                     "graph entry pool+budget");
   EXPECT_LE(stats.scratch_bytes, int64_t{2} << 20);
 }
 
@@ -309,7 +381,7 @@ TEST(AffinityEngineTest, EmptyMatricesReturnEmptyOutputs) {
   const CsrMatrix r = CsrMatrix::FromTriplets(0, 3, {}).ValueOrDie();
   AffinityEngineOptions options;
   options.memory_budget_mb = 1;
-  const auto out = ComputeAffinityPanels(p, p, r, options);
+  const auto out = ComputeAffinitySlabs(p, p, r, options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->forward.rows(), 0);
   EXPECT_EQ(out->forward.cols(), 3);
@@ -317,42 +389,36 @@ TEST(AffinityEngineTest, EmptyMatricesReturnEmptyOutputs) {
 }
 
 // ---------------------------------------------------------------------------
-// Slab outputs and the panel consumer.
+// Spilled outputs and the panel consumer.
 
-TEST(AffinityEngineTest, MmapSlabsBitwiseEqualToDensePath) {
+TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
+  // Spilled through an evicting pool, serial and pooled, budgeted and
+  // unbounded: always the reference's bytes.
   const AttributedGraph g = testing::SmallSbm(48, 250);
   const GraphInputs in = MakeInputs(g);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 4;
-  const AffinityMatrices dense = RunEngine(in, options);
-  options.backing = FactorSlab::Backing::kMmap;
-  options.memory_budget_mb = 1;  // narrow panels + per-panel residency drops
-  AffinityEngineStats stats;
-  const AffinitySlabs slabs =
-      ComputeAffinitySlabs(in.p, in.pt, *in.r, options, &stats)
-          .ValueOrDie();
-  ASSERT_TRUE(slabs.forward.spilled());
-  EXPECT_TRUE(stats.spilled);
-  EXPECT_FALSE(stats.panel_parallel);  // spill forces sequential panels
-  EXPECT_EQ(slabs.forward.MaxAbsDiff(dense.forward), 0.0);
-  EXPECT_EQ(slabs.backward.MaxAbsDiff(dense.backward), 0.0);
-}
-
-TEST(AffinityEngineTest, PooledMmapSlabsBitwiseEqual) {
-  const AttributedGraph g = testing::SmallSbm(49, 250);
-  const GraphInputs in = MakeInputs(g);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 4;
-  const AffinityMatrices dense = RunEngine(in, options);
+  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 4);
   ThreadPool pool(4);
-  options.pool = &pool;
-  options.backing = FactorSlab::Backing::kMmap;
-  const AffinitySlabs slabs =
-      ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ValueOrDie();
-  EXPECT_EQ(slabs.forward.MaxAbsDiff(dense.forward), 0.0);
-  EXPECT_EQ(slabs.backward.MaxAbsDiff(dense.backward), 0.0);
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const int64_t budget_mb : {0, 1}) {
+      store::BufferPool buffer_pool(TightPool());
+      AffinityEngineOptions options;
+      options.alpha = 0.5;
+      options.t = 4;
+      options.pool = threads;
+      options.memory_budget_mb = budget_mb;
+      options.buffer_pool = &buffer_pool;
+      AffinityEngineStats stats;
+      const AffinitySlabs got = RunEngine(in, options, &stats);
+      const std::string label =
+          std::string(threads == nullptr ? "serial" : "pooled") +
+          " budget=" + std::to_string(budget_mb);
+      ASSERT_TRUE(got.forward.spilled()) << label;
+      EXPECT_TRUE(stats.spilled) << label;
+      EXPECT_FALSE(stats.panel_parallel) << label;  // spill runs in sequence
+      EXPECT_GT(buffer_pool.stats().evicted_pages, 0) << label;
+      ExpectBitwiseEqual(reference, got, label);
+    }
+  }
 }
 
 TEST(AffinityEngineTest, PanelConsumerSeesEveryPanelOnce) {
@@ -402,19 +468,22 @@ TEST(AffinityEngineTest, InputValidation) {
   const GraphInputs in = MakeInputs(g);
   AffinityEngineOptions options;
   options.alpha = 0.0;  // out of range
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
   options.alpha = 0.5;
   options.t = 0;  // out of range
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
   options.t = 3;
   options.memory_budget_mb = -1;
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
+  // A budget whose byte count overflows int64_t.
+  options.memory_budget_mb = (std::numeric_limits<int64_t>::max() >> 20) + 1;
+  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
   options.memory_budget_mb = 0;
   options.panel_width = -2;
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, in.pt, *in.r, options).ok());
+  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
   options.panel_width = 0;
   // P^T shape mismatch.
-  EXPECT_FALSE(ComputeAffinityPanels(in.p, *in.r, *in.r, options).ok());
+  EXPECT_FALSE(ComputeAffinitySlabs(in.p, *in.r, *in.r, options).ok());
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Tests for APMI (Algorithm 2): agreement with the independent dense
 // reference, the Lemma 3.1 truncation bounds, convergence in eps, and
-// parameterized sweeps over alpha.
+// parameterized sweeps over alpha. Probabilities come from the unfused
+// ApmiProbabilities, affinities from the production engine.
 #include "src/core/apmi.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <cmath>
 
 #include "src/core/affinity.h"
+#include "src/core/affinity_engine.h"
 #include "test_util.h"
 
 namespace pane {
@@ -15,7 +17,7 @@ namespace {
 
 struct ApmiRun {
   ProbabilityMatrices probs;
-  AffinityMatrices affinity;
+  AffinitySlabs affinity;
 };
 
 ApmiRun RunApmi(const AttributedGraph& g, double alpha, int t) {
@@ -29,7 +31,11 @@ ApmiRun RunApmi(const AttributedGraph& g, double alpha, int t) {
   inputs.t = t;
   ApmiRun run;
   run.probs = ApmiProbabilities(inputs).ValueOrDie();
-  run.affinity = Apmi(inputs).ValueOrDie();
+  AffinityEngineOptions options;
+  options.alpha = alpha;
+  options.t = t;
+  run.affinity =
+      ComputeAffinitySlabs(p, pt, g.attributes(), options).ValueOrDie();
   return run;
 }
 
@@ -81,9 +87,9 @@ TEST(ApmiTest, AffinityConvergesAsEpsilonShrinks) {
   EXPECT_LT(prev_err, 5e-3);
 }
 
-TEST(ApmiTest, ComputeAffinityWrapper) {
-  const AttributedGraph g = testing::Figure1Graph();
-  const auto affinity = ComputeAffinity(g, 0.5, 0.015).ValueOrDie();
+TEST(ApmiTest, GraphAffinityShapes) {
+  const AffinitySlabs affinity =
+      testing::GraphAffinity(testing::Figure1Graph());
   EXPECT_EQ(affinity.forward.rows(), 6);
   EXPECT_EQ(affinity.forward.cols(), 3);
   EXPECT_EQ(affinity.backward.rows(), 6);
@@ -100,15 +106,15 @@ TEST(ApmiTest, InputValidation) {
 
   inputs.alpha = 0.0;  // out of range
   inputs.t = 3;
-  EXPECT_FALSE(Apmi(inputs).ok());
+  EXPECT_FALSE(ApmiProbabilities(inputs).ok());
 
   inputs.alpha = 0.5;
   inputs.t = 0;  // out of range
-  EXPECT_FALSE(Apmi(inputs).ok());
+  EXPECT_FALSE(ApmiProbabilities(inputs).ok());
 
   inputs.t = 3;
   inputs.r = nullptr;
-  EXPECT_FALSE(Apmi(inputs).ok());
+  EXPECT_FALSE(ApmiProbabilities(inputs).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -129,10 +135,12 @@ TEST_P(ApmiAlphaSweep, ProbabilitiesWellFormed) {
       EXPECT_GE(pf, 0.0);
       EXPECT_LE(pf, 1.0 + 1e-12);
       row_sum += pf;
-      EXPECT_TRUE(std::isfinite(run.affinity.forward(i, j)));
-      EXPECT_GE(run.affinity.forward(i, j), 0.0);
-      EXPECT_TRUE(std::isfinite(run.affinity.backward(i, j)));
-      EXPECT_GE(run.affinity.backward(i, j), 0.0);
+      const double f = run.affinity.forward.Row(i)[j];
+      const double b = run.affinity.backward.Row(i)[j];
+      EXPECT_TRUE(std::isfinite(f));
+      EXPECT_GE(f, 0.0);
+      EXPECT_TRUE(std::isfinite(b));
+      EXPECT_GE(b, 0.0);
     }
     // Forward walk distributes at most probability 1 over attributes.
     EXPECT_LE(row_sum, 1.0 + 1e-9);

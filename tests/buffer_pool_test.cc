@@ -212,40 +212,34 @@ TEST(BufferPoolTest, ContendedPinUnpinKeepsDataIntact) {
   }
 }
 
-/// The acceptance bar for the pooled backing: at a budget that forces
-/// spilling, Train through the buffer pool returns bitwise the same factors
-/// as the flat spill path and as the unbounded in-RAM run.
+/// The acceptance bar for spilling: at a budget that forces it, Train
+/// through the buffer pool returns bitwise the same factors as the
+/// unbounded in-RAM run.
 TEST(BufferPoolTest, PooledSpillTrainsBitwiseIdentical) {
   const AttributedGraph graph = testing::SmallSbm(/*seed=*/77, /*n=*/300);
-  const auto train = [&graph](SlabPolicy policy, SpillMode mode,
-                              int64_t budget_mb, PaneStats* stats) {
+  const auto train = [&graph](SlabPolicy policy, int64_t budget_mb,
+                              PaneStats* stats) {
     PaneOptions options;
     options.k = 32;
     options.num_threads = 3;
     options.ccd_iterations = 2;
     options.memory_budget_mb = budget_mb;
     options.slab_policy = policy;
-    options.spill_mode = mode;
     auto result = Pane(options).Train(graph, stats);
     EXPECT_TRUE(result.ok()) << result.status();
     return result.MoveValueUnsafe();
   };
 
-  PaneStats ram_stats, pooled_stats, flat_stats;
-  const PaneEmbedding in_ram =
-      train(SlabPolicy::kInRam, SpillMode::kPooled, 0, &ram_stats);
-  const PaneEmbedding pooled =
-      train(SlabPolicy::kMmap, SpillMode::kPooled, 1, &pooled_stats);
-  const PaneEmbedding flat =
-      train(SlabPolicy::kMmap, SpillMode::kFlat, 1, &flat_stats);
+  PaneStats ram_stats, pooled_stats;
+  const PaneEmbedding in_ram = train(SlabPolicy::kInRam, 0, &ram_stats);
+  const PaneEmbedding pooled = train(SlabPolicy::kSpill, 1, &pooled_stats);
 
   EXPECT_FALSE(ram_stats.slabs_spilled);
   EXPECT_TRUE(pooled_stats.slabs_spilled);
-  EXPECT_TRUE(pooled_stats.pooled_spill);
-  EXPECT_TRUE(flat_stats.slabs_spilled);
-  EXPECT_FALSE(flat_stats.pooled_spill);
-  // The pooled run actually exercised the pool.
+  // The spilled run actually exercised the pool: Sf / Sb are registered
+  // when the stats are taken, and the half-MiB pool had to evict.
   EXPECT_GT(pooled_stats.pool.registered_bytes, 0);
+  EXPECT_GT(pooled_stats.pool.evicted_pages, 0);
 
   const auto bitwise_equal = [](const DenseMatrix& a, const DenseMatrix& b) {
     ASSERT_EQ(a.rows(), b.rows());
@@ -257,9 +251,6 @@ TEST(BufferPoolTest, PooledSpillTrainsBitwiseIdentical) {
   bitwise_equal(in_ram.xf, pooled.xf);
   bitwise_equal(in_ram.xb, pooled.xb);
   bitwise_equal(in_ram.y, pooled.y);
-  bitwise_equal(pooled.xf, flat.xf);
-  bitwise_equal(pooled.xb, flat.xb);
-  bitwise_equal(pooled.y, flat.y);
 }
 
 }  // namespace

@@ -9,10 +9,10 @@
 #include <cmath>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/core/apmi.h"
 #include "src/core/greedy_init.h"
 #include "src/matrix/gemm.h"
 #include "src/matrix/vector_ops.h"
@@ -23,21 +23,26 @@
 namespace pane {
 namespace {
 
-AffinityMatrices TestAffinity(int64_t n = 250, uint64_t seed = 51) {
-  return ComputeAffinity(testing::SmallSbm(seed, n), 0.5, 0.015).ValueOrDie();
+using testing::InitFor;
+
+AffinitySlabs TestAffinity(int64_t n = 250, uint64_t seed = 51) {
+  return testing::GraphAffinity(testing::SmallSbm(seed, n));
 }
 
 double ResidualConsistencyError(const EmbeddingState& s,
-                                const AffinityMatrices& affinity) {
+                                const AffinitySlabs& affinity) {
   DenseMatrix sf_expected, sb_expected;
-  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward, -1.0, &sf_expected);
-  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward, -1.0, &sb_expected);
+  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward.ToDense().ValueOrDie(),
+                      -1.0, &sf_expected);
+  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward.ToDense().ValueOrDie(),
+                      -1.0, &sb_expected);
   return s.sf.MaxAbsDiff(sf_expected) + s.sb.MaxAbsDiff(sb_expected);
 }
 
 TEST(CcdTest, ObjectiveNonIncreasingFromRandomInit) {
-  const AffinityMatrices affinity = TestAffinity();
-  auto state = RandomInit(affinity, 16, 5).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto state =
+      RandomInit(affinity, InitFor(16, 5, nullptr, /*seed=*/5)).ValueOrDie();
   std::vector<double> trace;
   trace.push_back(Objective(state));
   CcdOptions options;
@@ -53,8 +58,8 @@ TEST(CcdTest, ObjectiveNonIncreasingFromRandomInit) {
 }
 
 TEST(CcdTest, ObjectiveNonIncreasingFromGreedyInit) {
-  const AffinityMatrices affinity = TestAffinity();
-  auto state = GreedyInit(affinity, 16, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto state = GreedyInit(affinity, InitFor(16, 6)).ValueOrDie();
   std::vector<double> trace;
   trace.push_back(Objective(state));
   CcdOptions options;
@@ -69,8 +74,8 @@ TEST(CcdTest, ObjectiveNonIncreasingFromGreedyInit) {
 TEST(CcdTest, IncrementalResidualsMatchRecomputation) {
   // The dynamic maintenance of Equations (18)-(20) must leave Sf, Sb equal
   // to a from-scratch Xf Y^T - F' at every exit point.
-  const AffinityMatrices affinity = TestAffinity();
-  auto state = GreedyInit(affinity, 24, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto state = GreedyInit(affinity, InitFor(24, 6)).ValueOrDie();
   CcdOptions options;
   options.iterations = 3;
   ASSERT_TRUE(CcdRefine(&state, options).ok());
@@ -78,8 +83,8 @@ TEST(CcdTest, IncrementalResidualsMatchRecomputation) {
 }
 
 TEST(CcdTest, ParallelMatchesSerialQuality) {
-  const AffinityMatrices affinity = TestAffinity();
-  auto serial_state = GreedyInit(affinity, 16, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto serial_state = GreedyInit(affinity, InitFor(16, 6)).ValueOrDie();
   auto parallel_state = serial_state;  // identical starting point
 
   CcdOptions serial_options;
@@ -101,8 +106,8 @@ TEST(CcdTest, ParallelMatchesSerialQuality) {
 }
 
 TEST(CcdTest, ZeroIterationsIsNoop) {
-  const AffinityMatrices affinity = TestAffinity(120, 52);
-  auto state = GreedyInit(affinity, 8, 4).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity(120, 52);
+  auto state = GreedyInit(affinity, InitFor(8, 4)).ValueOrDie();
   const DenseMatrix xf_before = state.xf;
   CcdOptions options;
   options.iterations = 0;
@@ -114,12 +119,14 @@ TEST(CcdTest, HandlesRankDeficientYColumns) {
   // k/2 > d forces zero Y columns; updates on those coordinates must be
   // skipped rather than divide by zero.
   Rng rng(53);
-  AffinityMatrices affinity;
-  affinity.forward.Resize(40, 3);
-  affinity.backward.Resize(40, 3);
-  affinity.forward.FillUniform(&rng, 0.0, 1.0);
-  affinity.backward.FillUniform(&rng, 0.0, 1.0);
-  auto state = GreedyInit(affinity, 16, 4).ValueOrDie();  // k/2 = 8 > d = 3
+  DenseMatrix forward(40, 3), backward(40, 3);
+  forward.FillUniform(&rng, 0.0, 1.0);
+  backward.FillUniform(&rng, 0.0, 1.0);
+  AffinitySlabs affinity;
+  affinity.forward = std::move(forward);
+  affinity.backward = std::move(backward);
+  // k/2 = 8 > d = 3.
+  auto state = GreedyInit(affinity, InitFor(16, 4)).ValueOrDie();
   CcdOptions options;
   options.iterations = 3;
   ASSERT_TRUE(CcdRefine(&state, options).ok());
@@ -147,7 +154,7 @@ TEST(CcdTest, RejectsInconsistentShapes) {
 // one Axpy per row and coordinate, Equations (13)-(20) in the order of
 // Algorithm 4, each residual column of phase 2 staged in its own buffer.
 // CcdRefine must reproduce it byte for byte for every thread count, strip
-// width and slab backing.
+// width, in RAM and spilled.
 struct OracleFactors {
   DenseMatrix xf, xb, y, sf, sb;
 };
@@ -222,8 +229,8 @@ void ExpectSameBytes(const double* want, const double* got, int64_t count,
       << what;
 }
 
-// Runs CcdRefine on a copy of `start` for every thread count and backing
-// and holds each result against `want`; `strip_width` is the strip the
+// Runs CcdRefine on a copy of `start` for every thread count, in RAM and
+// spilled, and holds each result against `want`; `strip_width` is the strip the
 // budget must give.
 void ExpectCcdMatchesOracle(const OracleFactors& start,
                             const OracleFactors& want, int iterations,
@@ -237,16 +244,13 @@ void ExpectCcdMatchesOracle(const OracleFactors& start,
       pool_options.budget_bytes = 64 * 1024;  // forces evictions
       pool_options.page_bytes = 4096;
       store::BufferPool buffer_pool(pool_options);
-      const FactorSlab::Backing backing =
-          pooled ? FactorSlab::Backing::kPooled : FactorSlab::Backing::kInRam;
+      store::BufferPool* spill = pooled ? &buffer_pool : nullptr;
       EmbeddingState state;
       state.xf = start.xf;
       state.xb = start.xb;
       state.y = start.y;
-      state.sf = FactorSlab::FromDense(start.sf, backing, "", &buffer_pool)
-                     .ValueOrDie();
-      state.sb = FactorSlab::FromDense(start.sb, backing, "", &buffer_pool)
-                     .ValueOrDie();
+      state.sf = FactorSlab::FromDense(start.sf, spill).ValueOrDie();
+      state.sb = FactorSlab::FromDense(start.sb, spill).ValueOrDie();
       ThreadPool thread_pool(threads);
       CcdStats stats;
       CcdOptions options;
@@ -307,9 +311,10 @@ TEST(CcdOracleTest, MatchesPerRowSweepAtNarrowStrips) {
 TEST(CcdTest, GreedyBeatsRandomAtEqualIterations) {
   // The Section 5.7 ablation in miniature: same CCD budget, greedy seeding
   // lands at a lower objective.
-  const AffinityMatrices affinity = TestAffinity();
-  auto greedy = GreedyInit(affinity, 16, 6).ValueOrDie();
-  auto random = RandomInit(affinity, 16, 5).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  auto greedy = GreedyInit(affinity, InitFor(16, 6)).ValueOrDie();
+  auto random =
+      RandomInit(affinity, InitFor(16, 5, nullptr, /*seed=*/5)).ValueOrDie();
   CcdOptions options;
   options.iterations = 2;
   ASSERT_TRUE(CcdRefine(&greedy, options).ok());

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
-#include "src/core/apmi.h"
 #include "src/matrix/gemm.h"
 #include "src/parallel/thread_pool.h"
 #include "test_util.h"
@@ -15,15 +14,19 @@
 namespace pane {
 namespace {
 
-AffinityMatrices TestAffinity(int64_t n = 300, uint64_t seed = 41) {
-  return ComputeAffinity(testing::SmallSbm(seed, n), 0.5, 0.015).ValueOrDie();
+using testing::InitFor;
+
+AffinitySlabs TestAffinity(int64_t n = 300, uint64_t seed = 41) {
+  return testing::GraphAffinity(testing::SmallSbm(seed, n));
 }
 
 double ResidualConsistencyError(const EmbeddingState& s,
-                                const AffinityMatrices& affinity) {
+                                const AffinitySlabs& affinity) {
   DenseMatrix sf_expected, sb_expected;
-  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward, -1.0, &sf_expected);
-  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward, -1.0, &sb_expected);
+  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward.ToDense().ValueOrDie(),
+                      -1.0, &sf_expected);
+  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward.ToDense().ValueOrDie(),
+                      -1.0, &sb_expected);
   return s.sf.MaxAbsDiff(sf_expected) + s.sb.MaxAbsDiff(sb_expected);
 }
 
@@ -35,29 +38,29 @@ double OrthonormalityError(const DenseMatrix& q) {
 }
 
 TEST(GreedyInitTest, ResidualsConsistent) {
-  const AffinityMatrices affinity = TestAffinity();
-  const auto state = GreedyInit(affinity, 32, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  const auto state = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
 TEST(GreedyInitTest, YIsOrthonormal) {
-  const AffinityMatrices affinity = TestAffinity();
-  const auto state = GreedyInit(affinity, 32, 6).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  const auto state = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
   // Y = V from the SVD of F' — the "key observation" behind Xb = B'Y.
   EXPECT_LT(OrthonormalityError(state.y), 1e-8);
 }
 
 TEST(GreedyInitTest, ApproximatesForwardAffinity) {
-  const AffinityMatrices affinity = TestAffinity();
-  const auto state = GreedyInit(affinity, 64, 8).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  const auto state = GreedyInit(affinity, InitFor(64, 8)).ValueOrDie();
   const double f_norm = affinity.forward.FrobeniusNorm();
   // Xf Y^T must already capture most of F' at init (that's the point).
   EXPECT_LT(state.sf.FrobeniusNorm(), 0.5 * f_norm);
 }
 
 TEST(GreedyInitTest, ShapesMatchBudget) {
-  const AffinityMatrices affinity = TestAffinity();
-  const auto state = GreedyInit(affinity, 48, 5).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  const auto state = GreedyInit(affinity, InitFor(48, 5)).ValueOrDie();
   EXPECT_EQ(state.xf.cols(), 24);
   EXPECT_EQ(state.xb.cols(), 24);
   EXPECT_EQ(state.y.cols(), 24);
@@ -66,47 +69,51 @@ TEST(GreedyInitTest, ShapesMatchBudget) {
 }
 
 TEST(GreedyInitTest, RejectsOddK) {
-  const AffinityMatrices affinity = TestAffinity(100, 43);
-  EXPECT_FALSE(GreedyInit(affinity, 33, 5).ok());
-  EXPECT_FALSE(GreedyInit(affinity, 0, 5).ok());
+  const AffinitySlabs affinity = TestAffinity(100, 43);
+  EXPECT_FALSE(GreedyInit(affinity, InitFor(33, 5)).ok());
+  EXPECT_FALSE(GreedyInit(affinity, InitFor(0, 5)).ok());
 }
 
 TEST(GreedyInitTest, BetterObjectiveThanRandomInit) {
-  const AffinityMatrices affinity = TestAffinity();
-  const auto greedy = GreedyInit(affinity, 32, 6).ValueOrDie();
-  const auto random = RandomInit(affinity, 32, /*seed=*/7).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity();
+  const auto greedy = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
+  const auto random =
+      RandomInit(affinity, InitFor(32, 5, nullptr, /*seed=*/7)).ValueOrDie();
   // The Figures 7-8 premise: greedy seeding starts far closer to optimal.
   EXPECT_LT(Objective(greedy), 0.5 * Objective(random));
 }
 
 TEST(RandomInitTest, ResidualsConsistent) {
-  const AffinityMatrices affinity = TestAffinity(150, 44);
-  const auto state = RandomInit(affinity, 16, 5).ValueOrDie();
+  const AffinitySlabs affinity = TestAffinity(150, 44);
+  const auto state =
+      RandomInit(affinity, InitFor(16, 5, nullptr, /*seed=*/5)).ValueOrDie();
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
 TEST(SmGreedyInitTest, ResidualsConsistent) {
-  const AffinityMatrices affinity = TestAffinity();
+  const AffinitySlabs affinity = TestAffinity();
   ThreadPool pool(4);
-  const auto state = SmGreedyInit(affinity, 32, 6, &pool).ValueOrDie();
+  const auto state =
+      SmGreedyInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
 TEST(SmGreedyInitTest, QualityCloseToSerial) {
-  const AffinityMatrices affinity = TestAffinity();
+  const AffinitySlabs affinity = TestAffinity();
   ThreadPool pool(4);
-  const auto serial = GreedyInit(affinity, 32, 6).ValueOrDie();
-  const auto parallel = SmGreedyInit(affinity, 32, 6, &pool).ValueOrDie();
+  const auto serial = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
+  const auto parallel =
+      SmGreedyInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
   // Split-merge SVD introduces bounded extra error (Section 4.2): the
   // parallel objective stays within a modest factor of the serial one.
   EXPECT_LT(Objective(parallel), 1.5 * Objective(serial) + 1e-9);
 }
 
 TEST(SmGreedyInitTest, SingleThreadPoolDelegatesToSerial) {
-  const AffinityMatrices affinity = TestAffinity(150, 45);
+  const AffinitySlabs affinity = TestAffinity(150, 45);
   ThreadPool pool(1);
-  const auto a = SmGreedyInit(affinity, 16, 5, &pool).ValueOrDie();
-  const auto b = GreedyInit(affinity, 16, 5).ValueOrDie();
+  const auto a = SmGreedyInit(affinity, InitFor(16, 5, &pool)).ValueOrDie();
+  const auto b = GreedyInit(affinity, InitFor(16, 5)).ValueOrDie();
   EXPECT_EQ(a.xf.MaxAbsDiff(b.xf), 0.0);
   EXPECT_EQ(a.y.MaxAbsDiff(b.y), 0.0);
 }
@@ -119,12 +126,13 @@ TEST(SmGreedyInitTest, Lemma42HighRankRecovery) {
   left.FillGaussian(&rng);
   right.FillGaussian(&rng);
   Gemm(left, right, &f);
-  AffinityMatrices affinity;
+  AffinitySlabs affinity;
   affinity.forward = f;
   affinity.backward = f;  // same rank structure
   ThreadPool pool(3);
-  const auto serial = GreedyInit(affinity, 16, 10).ValueOrDie();
-  const auto parallel = SmGreedyInit(affinity, 16, 10, &pool).ValueOrDie();
+  const auto serial = GreedyInit(affinity, InitFor(16, 10)).ValueOrDie();
+  const auto parallel =
+      SmGreedyInit(affinity, InitFor(16, 10, &pool)).ValueOrDie();
   const double scale = f.FrobeniusNorm();
   EXPECT_LT(serial.sf.FrobeniusNorm() / scale, 1e-8);
   EXPECT_LT(parallel.sf.FrobeniusNorm() / scale, 1e-8);

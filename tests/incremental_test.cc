@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/common/random.h"
 #include "src/tasks/link_prediction.h"
@@ -68,6 +69,19 @@ TEST(RefreshTest, ValidatesInputs) {
   EXPECT_FALSE(
       RefreshEmbedding(small.Build(false).ValueOrDie(), base, RefreshOptions{})
           .ok());
+
+  // The budget's byte count (mb << 20) must fit in int64_t: the largest
+  // such budget refreshes, one more MiB is rejected instead of wrapping.
+  RefreshOptions budget;
+  budget.ccd_iterations = 1;
+  budget.memory_budget_mb = std::numeric_limits<int64_t>::max() >> 20;
+  EXPECT_TRUE(RefreshEmbedding(g, base, budget).ok());
+  budget.memory_budget_mb += 1;
+  EXPECT_TRUE(
+      RefreshEmbedding(g, base, budget).status().IsInvalidArgument());
+  budget.memory_budget_mb = -1;
+  EXPECT_TRUE(
+      RefreshEmbedding(g, base, budget).status().IsInvalidArgument());
 }
 
 TEST(RefreshTest, SmallUpdateKeepsQuality) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/tasks/attribute_inference.h"
 #include "src/tasks/link_prediction.h"
@@ -49,6 +50,22 @@ TEST(PaneTest, OptionValidation) {
   bad = DefaultOptions();
   bad.num_threads = 0;
   EXPECT_FALSE(Pane(bad).Train(g).ok());
+}
+
+TEST(PaneTest, MemoryBudgetByteCountMustFitInt64) {
+  // The largest budget whose byte count (mb << 20) fits in int64_t trains;
+  // one more MiB would wrap negative and is rejected up front.
+  const AttributedGraph g = testing::Figure1Graph();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max() >> 20;
+  PaneOptions options = DefaultOptions(4);
+  options.memory_budget_mb = kMax;
+  EXPECT_TRUE(ValidatePaneOptions(options).ok());
+  EXPECT_TRUE(Pane(options).Train(g).ok());
+  options.memory_budget_mb = kMax + 1;
+  EXPECT_TRUE(ValidatePaneOptions(options).IsInvalidArgument());
+  EXPECT_TRUE(Pane(options).Train(g).status().IsInvalidArgument());
+  options.memory_budget_mb = -1;
+  EXPECT_TRUE(ValidatePaneOptions(options).IsInvalidArgument());
 }
 
 TEST(PaneTest, DeterministicForFixedSeed) {

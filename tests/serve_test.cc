@@ -16,6 +16,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -277,8 +278,21 @@ TEST(RankingWrappersTest, MatchReferenceBitwise) {
   }
 }
 
-TEST(QueryEngineTest, CreateRejectsInconsistentShapes) {
+TEST(QueryEngineTest, CreateRejectsInconsistentShapesAndBudgets) {
   DenseMatrix xf(4, 3), xb(4, 2), y(5, 3), z(3, 3);
+  // A budget whose byte count (mb << 20) overflows int64_t.
+  serve::QueryEngineOptions huge;
+  huge.memory_budget_mb = (std::numeric_limits<int64_t>::max() >> 20) + 1;
+  EXPECT_TRUE(serve::QueryEngine::Create(xf.View(), ConstMatrixView(),
+                                         ConstMatrixView(), ConstMatrixView(),
+                                         huge)
+                  .status()
+                  .IsInvalidArgument());
+  huge.memory_budget_mb -= 1;
+  EXPECT_TRUE(serve::QueryEngine::Create(xf.View(), ConstMatrixView(),
+                                         ConstMatrixView(), ConstMatrixView(),
+                                         huge)
+                  .ok());
   EXPECT_FALSE(serve::QueryEngine::Create(ConstMatrixView(), xb.View(),
                                           y.View(), ConstMatrixView(), {})
                    .ok());

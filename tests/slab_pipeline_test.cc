@@ -1,6 +1,6 @@
 // Whole-pipeline tests for the FactorSlab storage layer: a spill-forced
 // Pane::Train must produce bitwise-identical embeddings to the in-RAM and
-// unbounded runs on the same seed, spill-mode scratch must respect the
+// unbounded runs on the same seed, spilled runs' scratch must respect the
 // budget, and spill files must vanish on success and on error paths.
 #include <gtest/gtest.h>
 
@@ -54,8 +54,8 @@ TEST(SlabPipelineTest, SpillBitwiseIdenticalToInRamAndUnbounded) {
   ASSERT_TRUE(spill_stats.slabs_spilled)
       << "budget " << kBudgetMb << " MiB should spill "
       << spill_stats.slab_bytes << " slab bytes";
-  ExpectBitwiseEqual(spilled, in_ram, "mmap vs in-RAM at equal budget");
-  ExpectBitwiseEqual(spilled, unbounded, "mmap+budget vs unbounded");
+  ExpectBitwiseEqual(spilled, in_ram, "spilled vs in-RAM at equal budget");
+  ExpectBitwiseEqual(spilled, unbounded, "spilled+budget vs unbounded");
 }
 
 TEST(SlabPipelineTest, SerialSpillMatchesSerialUnbounded) {
@@ -63,21 +63,21 @@ TEST(SlabPipelineTest, SerialSpillMatchesSerialUnbounded) {
   const auto unbounded =
       Pane(BudgetedOptions(1, 0, SlabPolicy::kAuto)).Train(g).ValueOrDie();
   const auto spilled =
-      Pane(BudgetedOptions(1, kBudgetMb, SlabPolicy::kMmap))
+      Pane(BudgetedOptions(1, kBudgetMb, SlabPolicy::kSpill))
           .Train(g)
           .ValueOrDie();
-  ExpectBitwiseEqual(spilled, unbounded, "serial mmap vs serial unbounded");
+  ExpectBitwiseEqual(spilled, unbounded, "serial spilled vs serial unbounded");
 }
 
 TEST(SlabPipelineTest, RandomInitSpillMatches) {
   const AttributedGraph g = testing::SmallSbm(73, kNodes);
   PaneOptions base = BudgetedOptions(3, 0, SlabPolicy::kAuto);
   base.greedy_init = false;
-  PaneOptions spill = BudgetedOptions(3, kBudgetMb, SlabPolicy::kMmap);
+  PaneOptions spill = BudgetedOptions(3, kBudgetMb, SlabPolicy::kSpill);
   spill.greedy_init = false;
   const auto unbounded = Pane(base).Train(g).ValueOrDie();
   const auto spilled = Pane(spill).Train(g).ValueOrDie();
-  ExpectBitwiseEqual(spilled, unbounded, "PANE-R mmap vs unbounded");
+  ExpectBitwiseEqual(spilled, unbounded, "PANE-R spilled vs unbounded");
 }
 
 TEST(SlabPipelineTest, SpillScratchStaysUnderBudget) {
@@ -100,7 +100,7 @@ TEST(SlabPipelineTest, SpillFilesRemovedAfterTraining) {
       fs::temp_directory_path() / "pane_slab_pipeline_cleanup_test";
   fs::remove_all(dir);
   ASSERT_TRUE(fs::create_directory(dir));
-  PaneOptions options = BudgetedOptions(3, kBudgetMb, SlabPolicy::kMmap);
+  PaneOptions options = BudgetedOptions(3, kBudgetMb, SlabPolicy::kSpill);
   options.spill_dir = dir.string();
   ASSERT_TRUE(Pane(options).Train(g).ok());
   // Every slab (F', B', Sf, Sb) unlinked its spill file on destruction.
@@ -110,7 +110,7 @@ TEST(SlabPipelineTest, SpillFilesRemovedAfterTraining) {
 
 TEST(SlabPipelineTest, MissingSpillDirFailsWithoutSideEffects) {
   const AttributedGraph g = testing::SmallSbm(76, 200);
-  PaneOptions options = BudgetedOptions(2, kBudgetMb, SlabPolicy::kMmap);
+  PaneOptions options = BudgetedOptions(2, kBudgetMb, SlabPolicy::kSpill);
   options.spill_dir = "/nonexistent_pane_spill_dir_for_test";
   const auto result = Pane(options).Train(g);
   ASSERT_FALSE(result.ok());
@@ -126,7 +126,7 @@ TEST(SlabPipelineTest, RefreshRunsSpilledAndMatchesInRam) {
   in_ram.num_threads = 2;
   RefreshOptions spill = in_ram;
   spill.memory_budget_mb = kBudgetMb;
-  spill.slab_policy = SlabPolicy::kMmap;
+  spill.slab_policy = SlabPolicy::kSpill;
   RefreshStats spill_stats;
   const auto refreshed_ram =
       RefreshEmbedding(g, base, in_ram).ValueOrDie();
@@ -134,7 +134,7 @@ TEST(SlabPipelineTest, RefreshRunsSpilledAndMatchesInRam) {
       RefreshEmbedding(g, base, spill, &spill_stats).ValueOrDie();
   EXPECT_TRUE(spill_stats.slabs_spilled);
   ExpectBitwiseEqual(refreshed_spill, refreshed_ram,
-                     "refresh mmap vs in-RAM");
+                     "refresh spilled vs in-RAM");
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 // Shared fixtures for the tests: the paper's Figure 1 running example,
-// small SBM instances, and a container rewriter for hostile-input cases.
+// small SBM instances, in-RAM affinity slabs and init options for the core
+// phases, and a container rewriter for hostile-input cases.
 #pragma once
 
 #include <functional>
@@ -7,6 +8,8 @@
 #include <vector>
 
 #include "src/common/logging.h"
+#include "src/core/affinity_engine.h"
+#include "src/core/greedy_init.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/store/container.h"
@@ -49,6 +52,31 @@ inline AttributedGraph SmallSbm(uint64_t seed = 12, int64_t n = 400,
   params.undirected = undirected;
   params.seed = seed;
   return GenerateAttributedSbm(params);
+}
+
+/// F' / B' of `g` through the affinity engine with t derived from
+/// (epsilon, alpha), in RAM.
+inline AffinitySlabs GraphAffinity(const AttributedGraph& g,
+                                   double alpha = 0.5,
+                                   double epsilon = 0.015) {
+  AffinityEngineOptions options;
+  options.alpha = alpha;
+  options.t = ComputeIterationCount(epsilon, alpha);
+  AffinitySlabs affinity;
+  PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity));
+  return affinity;
+}
+
+/// Init options for space budget k and t RandSVD power iterations; `pool`
+/// selects SMGreedyInit's block count.
+inline InitOptions InitFor(int k, int t, ThreadPool* pool = nullptr,
+                           uint64_t seed = 42) {
+  InitOptions options;
+  options.k = k;
+  options.t = t;
+  options.pool = pool;
+  options.seed = seed;
+  return options;
 }
 
 /// Edits one container stream's payload in place; returns false to drop the

@@ -42,6 +42,11 @@
 # replaces; any of these flags would let served scores, spilled factors or
 # one CPU's artifact drift from another's. Checked in CMakeLists.txt,
 # CMakePresets.json, panebench/CMakeLists.txt and src/.
+#
+# Rule 6 — one residency path: madvise / msync may be called ONLY under
+# src/store/, where store::BufferPool decides when spilled pages are written
+# back and dropped. FactorSlab and every other spill consumer go through the
+# pool, so a second self-managed residency path cannot grow back beside it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -126,6 +131,19 @@ if [[ -n "$fma_hits" ]]; then
   echo "$fma_hits" >&2
   echo "lint: one rounding per multiply and per add keeps the kernels" >&2
   echo "lint: bitwise equal to their scalar references" >&2
+  status=1
+fi
+
+# --- Rule 6: residency syscalls outside the buffer pool --------------------
+residency_hits=$(grep -rEn '\b(madvise|msync)[[:space:]]*\(' \
+                   src bench examples tests \
+                   --include='*.h' --include='*.cc' --include='*.cpp' \
+                 | grep -Ev '^src/store/' || true)
+if [[ -n "$residency_hits" ]]; then
+  echo "lint: madvise/msync outside src/store/:" >&2
+  echo "$residency_hits" >&2
+  echo "lint: spilled pages belong to store::BufferPool; register the" >&2
+  echo "lint: mapping with the pool instead of managing residency directly" >&2
   status=1
 fi
 
