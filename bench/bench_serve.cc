@@ -288,18 +288,19 @@ void Run(const std::string& json_path) {
                   std::to_string(n) + " d=" + std::to_string(d) +
                   " h=" + std::to_string(h) + " k=" + std::to_string(kTopK));
 
-  // Engines share the scorer's Z so exact link scores match it bitwise.
+  // Engines derive G = Y^T Y, so exact link scores match the scorer
+  // bitwise.
   serve::QueryEngineOptions serial_options;
   auto serial_engine = serve::QueryEngine::Create(
       embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
-      scorer.z(), serial_options);
+      serial_options);
   PANE_CHECK(serial_engine.ok()) << serial_engine.status();
   ThreadPool pool(num_threads);
   serve::QueryEngineOptions pooled_options;
   pooled_options.pool = &pool;
   auto pooled_engine = serve::QueryEngine::Create(
       embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
-      scorer.z(), pooled_options);
+      pooled_options);
   PANE_CHECK(pooled_engine.ok()) << pooled_engine.status();
 
   const int64_t legacy_queries = std::max<int64_t>(64, 40000000 / n);
@@ -534,7 +535,7 @@ void Run(const std::string& json_path) {
     // The pruned baseline reuses serial_engine's already-built indexes.
     auto unsharded_engine = serve::QueryEngine::Create(
         embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
-        scorer.z(), serve::QueryEngineOptions());
+        serve::QueryEngineOptions());
     PANE_CHECK(unsharded_engine.ok()) << unsharded_engine.status();
     serve::QueryEngine* baseline_engine =
         pruned ? &*serial_engine : &*unsharded_engine;
@@ -598,7 +599,7 @@ void Run(const std::string& json_path) {
     ab_options.cache_capacity = 0;
     auto ab_engine = serve::QueryEngine::Create(
         embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
-        scorer.z(), serve::QueryEngineOptions());
+        serve::QueryEngineOptions());
     PANE_CHECK(ab_engine.ok()) << ab_engine.status();
     ab_options.metrics_enabled = false;
     serve::PaneServer off(&*ab_engine, ab_options);

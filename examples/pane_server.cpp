@@ -19,9 +19,10 @@
 //   # router over an in-process fleet: the candidate space is cut into N
 //   # row shards, each scanned by a serial engine, fanned out in parallel
 //   ./pane_server --embedding=emb.ctn --local-shards=4 --port=7077
-//   # router over remote shard servers (each serving a pane_shardctl slice)
-//   ./pane_server --embedding=emb.shard.0 --port=7071 &
-//   ./pane_server --embedding=emb.shard.1 --port=7072 &
+//   # router over remote shard servers, each serving shard i of N of the
+//   # same artifact (--pruned, --ivf and --graph apply per shard as usual)
+//   ./pane_server --embedding=emb.ctn --shard=0/2 --port=7071 &
+//   ./pane_server --embedding=emb.ctn --shard=1/2 --port=7072 &
 //   ./pane_server --shards=127.0.0.1:7071,127.0.0.1:7072 --port=7077
 //
 // Either way the router's responses are byte-identical to an unsharded
@@ -29,23 +30,29 @@
 // queries to `err shard unavailable` rather than a partial merge.
 //
 // Because the store maps the artifact read-only (MAP_SHARED), any number of
-// pane_server processes over the same file share one physical copy of the
-// embedding through the page cache.
+// pane_server processes over the same file — shard servers included —
+// share one physical copy of the embedding through the page cache.
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <thread>
+#include <tuple>
+#include <utility>
 
 #include "src/common/flags.h"
 #include "src/common/logging.h"
+#include "src/common/string_util.h"
 #include "src/common/timer.h"
 #include "src/graph/graph_io.h"
+#include "src/matrix/gemm.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/embedding_store.h"
+#include "src/serve/frame_protocol.h"
 #include "src/serve/query_engine.h"
 #include "src/serve/router.h"
 #include "src/serve/server.h"
@@ -64,6 +71,17 @@ std::vector<std::string> SplitAddresses(const std::string& list) {
     begin = end + 1;
   }
   return addresses;
+}
+
+/// Parses --shard=i/N into (index, count), both ints with 0 <= i < N.
+std::pair<int, int> ParseShardPosition(const std::string& text) {
+  const std::vector<std::string_view> parts = pane::Split(text, '/');
+  const auto index = pane::ParseInt64(parts.front());
+  const auto count = pane::ParseInt64(parts.back());
+  PANE_CHECK(parts.size() == 2 && index.ok() && count.ok() && *count > 0 &&
+             *count <= INT_MAX && *index >= 0 && *index < *count)
+      << "--shard must be i/N with 0 <= i < N, got '" << text << "'";
+  return {static_cast<int>(*index), static_cast<int>(*count)};
 }
 
 }  // namespace
@@ -107,6 +125,10 @@ int main(int argc, char** argv) {
                "router mode over an in-process fleet: cut --embedding into "
                "this many row shards, each scanned by a serial engine, "
                "fanned out across --threads (0 = unsharded serving)");
+  flags.AddString("shard", "",
+                  "serve shard i of N of --embedding, written i/N: the row "
+                  "ranges MakeShardPlan gives shard i, for a router's "
+                  "--shards list (empty = the whole artifact)");
   flags.AddString("shards", "",
                   "router mode over remote shards: comma-separated "
                   "host:port list of shard servers, in plan order "
@@ -115,8 +137,9 @@ int main(int argc, char** argv) {
                "router: per-shard-hop deadline; a shard missing it answers "
                "'err shard unavailable'");
   flags.AddInt("max-frame-mb", 0,
-               "upper bound on one inbound frame payload, in MiB (0 = the "
-               "protocol default, 16); also bounds router hop replies");
+               "upper bound on one inbound frame payload, in MiB, 0..16 "
+               "(0 = the protocol default, 16); also bounds router hop "
+               "replies");
   flags.AddBool("stats", false,
                 "print one consistent counter snapshot to stderr at exit "
                 "(taken in a single locked read, not field by field)");
@@ -133,8 +156,21 @@ int main(int argc, char** argv) {
   const std::string shards_flag = flags.GetString("shards");
   const int local_shards = static_cast<int>(flags.GetInt("local-shards"));
   const bool remote_router = !shards_flag.empty();
-  PANE_CHECK(!(remote_router && local_shards > 0))
-      << "--shards and --local-shards are mutually exclusive";
+  const std::string shard_flag = flags.GetString("shard");
+  PANE_CHECK(int{remote_router} + int{local_shards > 0} +
+                 int{!shard_flag.empty()} <=
+             1)
+      << "--shard, --shards and --local-shards are mutually exclusive";
+  int shard_index = 0, shard_count = 0;  // count 0: the whole artifact
+  if (!shard_flag.empty()) {
+    std::tie(shard_index, shard_count) = ParseShardPosition(shard_flag);
+  }
+  // Checked before the shift: a negative or huge value must not reach it.
+  const int64_t max_frame_mb = flags.GetInt("max-frame-mb");
+  constexpr int64_t kMaxFrameMb = pane::serve::kMaxFramePayload >> 20;
+  PANE_CHECK(max_frame_mb >= 0 && max_frame_mb <= kMaxFrameMb)
+      << "--max-frame-mb must be in [0, " << kMaxFrameMb << "], got "
+      << max_frame_mb;
   PANE_CHECK(remote_router || !flags.GetString("embedding").empty())
       << "--embedding=<artifact> is required (train one with pane_cli) "
          "unless routing to remote --shards";
@@ -159,14 +195,12 @@ int main(int argc, char** argv) {
         opened.MoveValueUnsafe());
     if (flags.GetBool("verbose")) {
       std::fprintf(stderr,
-                   "store: method=%s n=%lld dim=%lld attrs=%lld mapped=%lldB "
-                   "sharded=%d\n",
+                   "store: method=%s n=%lld dim=%lld attrs=%lld mapped=%lldB\n",
                    store->method().c_str(),
                    static_cast<long long>(store->num_nodes()),
                    static_cast<long long>(store->dim()),
                    static_cast<long long>(store->num_attributes()),
-                   static_cast<long long>(store->mapped_bytes()),
-                   store->sharded() ? 1 : 0);
+                   static_cast<long long>(store->mapped_bytes()));
     }
   }
 
@@ -182,10 +216,36 @@ int main(int argc, char** argv) {
     engine_options.pool = &pool;
     engine_options.memory_budget_mb = flags.GetInt("memory-budget-mb");
     engine_options.metrics = &registry;
-    auto created = pane::serve::QueryEngine::Create(*store, engine_options);
+    auto created = [&]() -> pane::Result<pane::serve::QueryEngine> {
+      if (shard_count == 0) {
+        return pane::serve::QueryEngine::Create(*store, engine_options);
+      }
+      // One shard of the artifact, built exactly as a --local-shards fleet
+      // builds each of its shards.
+      pane::DenseMatrix gram;
+      if (store->has_attribute_factors()) {
+        pane::GemmTransA(store->y(), store->y(), &gram);
+      }
+      return pane::serve::CreateShardEngine(
+          *store, gram.View(),
+          pane::serve::MakeShardPlan(store->num_nodes(),
+                                     store->num_attributes(), shard_count)
+              .shards[static_cast<size_t>(shard_index)],
+          engine_options);
+    }();
     PANE_CHECK(created.ok()) << created.status();
     engine = std::make_unique<pane::serve::QueryEngine>(
         created.MoveValueUnsafe());
+    if (flags.GetBool("verbose") && engine->sharded()) {
+      const pane::serve::ShardSpec& spec = engine->shard();
+      std::fprintf(stderr, "shard: %lld/%lld nodes=%lld:%lld attrs=%lld:%lld\n",
+                   static_cast<long long>(spec.shard_index),
+                   static_cast<long long>(spec.shard_count),
+                   static_cast<long long>(spec.node_begin),
+                   static_cast<long long>(spec.node_end),
+                   static_cast<long long>(spec.attr_begin),
+                   static_cast<long long>(spec.attr_end));
+    }
 
     if (flags.GetBool("pruned")) {
       const std::string ivf_path = flags.GetString("ivf");
@@ -240,7 +300,7 @@ int main(int argc, char** argv) {
       << flags.GetString("protocol") << "'";
   server_options.max_connections = flags.GetInt("max-connections");
   server_options.idle_timeout_ms = flags.GetInt("idle-timeout-ms");
-  server_options.max_frame_bytes = flags.GetInt("max-frame-mb") << 20;
+  server_options.max_frame_bytes = max_frame_mb << 20;
   server_options.metrics = &registry;
   server_options.slow_query_us = flags.GetInt("slow-query-us");
 

@@ -56,13 +56,6 @@ class EdgeScorer {
     return Score(u, w) + Score(w, u);
   }
 
-  /// Read-only views of the scoring operands — the forward factor and the
-  /// precomputed Z = Xb (Y^T Y) — so the batched serving engine
-  /// (src/serve/query_engine.h) can score through the scorer's exact
-  /// arithmetic without re-deriving Z. Valid while the scorer lives.
-  ConstMatrixView xf() const { return xf_.View(); }
-  ConstMatrixView z() const { return xb_gram_.View(); }
-
  private:
   DenseMatrix xf_;       // copy of the forward factor, n x k/2
   DenseMatrix xb_gram_;  // Xb (Y^T Y), n x k/2

@@ -22,20 +22,6 @@ Result<EmbeddingStore> EmbeddingStore::Open(
   PANE_ASSIGN_OR_RETURN(store::Container container,
                         store::Container::Open(path));
   store.container_ = std::make_unique<store::Container>(std::move(container));
-  if (store::HasShardStreams(*store.container_)) {
-    // One shard of a split artifact: full xf/xb, y/z slices, no features.
-    PANE_ASSIGN_OR_RETURN(
-        store::ShardExtents extents,
-        store::ReadShardStreams(*store.container_, options.verify_checksums));
-    store.shard_ = std::make_unique<store::ShardMeta>(extents.meta);
-    store.method_ = store.shard_->method;
-    store.xf_ = ViewOf(extents.xf);
-    store.xb_ = ViewOf(extents.xb);
-    store.y_ = ViewOf(extents.y);
-    store.z_ = ViewOf(extents.z);
-    PANE_RETURN_NOT_OK(store.FinishOpen(path));
-    return store;
-  }
   if (!store::HasEmbeddingStreams(*store.container_)) {
     return Status::InvalidArgument("container " + path +
                                    " holds no embedding artifact");
@@ -63,32 +49,25 @@ Result<EmbeddingStore> EmbeddingStore::Open(
   store.xf_ = ViewOf(extents.xf);
   store.xb_ = ViewOf(extents.xb);
   store.y_ = ViewOf(extents.y);
-  PANE_RETURN_NOT_OK(store.FinishOpen(path));
-  return store;
-}
-
-Status EmbeddingStore::FinishOpen(const std::string& path) {
-  // Cross-matrix consistency. Shard artifacts carry no features block —
-  // their shapes were already validated against the shard meta's declared
-  // ranges by ReadShardStreams — so only the factor relations apply.
-  if (!sharded() && features_.rows() * features_.cols() == 0) {
+  // Cross-matrix consistency.
+  const ConstMatrixView& xf = store.xf_;
+  const ConstMatrixView& xb = store.xb_;
+  if (store.features_.rows() * store.features_.cols() == 0) {
     return Status::InvalidArgument("embedding artifact has no features: " +
                                    path);
   }
-  const bool has_xf = xf_.rows() > 0;
-  const bool has_xb = xb_.rows() > 0;
-  const int64_t expected_rows = sharded() ? xf_.rows() : features_.rows();
-  if (has_xf != has_xb ||
-      (has_xf && (xf_.rows() != expected_rows ||
-                  xf_.rows() != xb_.rows() || xf_.cols() != xb_.cols()))) {
+  const bool has_xf = xf.rows() > 0;
+  if (has_xf != (xb.rows() > 0) ||
+      (has_xf && (xf.rows() != store.features_.rows() ||
+                  xf.rows() != xb.rows() || xf.cols() != xb.cols()))) {
     return Status::InvalidArgument(
         "inconsistent factor blocks in embedding artifact: " + path);
   }
-  if (y_.rows() > 0 && (!has_xf || y_.cols() != xf_.cols())) {
+  if (store.y_.rows() > 0 && (!has_xf || store.y_.cols() != xf.cols())) {
     return Status::InvalidArgument(
         "attribute factor inconsistent with node factors in: " + path);
   }
-  return Status::OK();
+  return store;
 }
 
 }  // namespace serve

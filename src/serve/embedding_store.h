@@ -11,7 +11,9 @@
 // The store itself holds only the mapped doubles. The query engine builds
 // its own single-precision screen copies of the candidate rows (see
 // query_engine.h) and rescores the survivors from these mapped doubles, so
-// served results stay bitwise identical to the offline path.
+// served results stay bitwise identical to the offline path. A shard
+// server maps the same whole artifact and serves a row range of it
+// (shard_plan.h); the store knows nothing about sharding.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +25,6 @@
 #include "src/common/status.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/store/container.h"
-#include "src/store/shard_pages.h"
 
 namespace pane {
 namespace serve {
@@ -43,11 +44,10 @@ class EmbeddingStore {
   EmbeddingStore(EmbeddingStore&&) = default;
   EmbeddingStore& operator=(EmbeddingStore&&) = default;
 
-  /// Maps a store:: container written by NodeEmbedding::SaveContainer (or a
-  /// shard of one, written by pane_shardctl). Every shape is validated
-  /// against its stream's size, so a corrupt artifact yields a Status,
-  /// never an OOM or an out-of-bounds read. The checksum policy is
-  /// options.verify_checksums.
+  /// Maps a store:: container written by NodeEmbedding::SaveContainer.
+  /// Every shape is validated against its stream's size, so a corrupt
+  /// artifact yields a Status, never an OOM or an out-of-bounds read. The
+  /// checksum policy is options.verify_checksums.
   static Result<EmbeddingStore> Open(const std::string& path,
                                      const EmbeddingStoreOptions& options =
                                          EmbeddingStoreOptions());
@@ -64,29 +64,10 @@ class EmbeddingStore {
   ConstMatrixView xf() const { return xf_; }
   ConstMatrixView xb() const { return xb_; }
   ConstMatrixView y() const { return y_; }
-  /// Pre-derived link-candidate rows (shard containers only; the unsharded
-  /// open path leaves this empty and the engine derives the rows of Z it
-  /// needs from G = Y^T Y).
-  ConstMatrixView z() const { return z_; }
 
-  /// True when the artifact is one shard of a split embedding (a shard.*
-  /// container written by pane_shardctl). A sharded store has no features
-  /// block: it holds the full xf/xb plus the y/z slices of its ranges.
-  bool sharded() const { return shard_ != nullptr; }
-  /// The shard's plan position and held ranges; only valid when sharded().
-  const store::ShardMeta& shard() const { return *shard_; }
-
-  int64_t num_nodes() const {
-    return sharded() ? shard_->num_nodes : features_.rows();
-  }
-  int64_t dim() const {
-    return sharded() ? shard_->dim : features_.cols();
-  }
-  /// Global attribute count: for a shard this is the plan's d, not the
-  /// local slice height (y().rows()).
-  int64_t num_attributes() const {
-    return sharded() ? shard_->num_attributes : y_.rows();
-  }
+  int64_t num_nodes() const { return features_.rows(); }
+  int64_t dim() const { return features_.cols(); }
+  int64_t num_attributes() const { return y_.rows(); }
   bool has_node_factors() const {
     return xf_.rows() > 0 && xb_.rows() > 0;
   }
@@ -100,14 +81,10 @@ class EmbeddingStore {
   }
 
  private:
-  Status FinishOpen(const std::string& path);
-
   // Holds the mapping the views point into (behind a pointer so the store
   // stays default-constructible and movable).
   std::unique_ptr<store::Container> container_;
-  ConstMatrixView features_, xf_, xb_, y_, z_;
-  // Set when the container holds a shard artifact (shard.* streams).
-  std::unique_ptr<store::ShardMeta> shard_;
+  ConstMatrixView features_, xf_, xb_, y_;
   std::string method_;
   LinkConvention link_convention_ = LinkConvention::kInnerProduct;
   AttributeConvention attribute_convention_ = AttributeConvention::kCentroid;

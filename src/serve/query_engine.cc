@@ -324,10 +324,6 @@ void QueryEngine::BuildScreens(int64_t node_begin, int64_t node_end) {
     });
   };
   if (y_.rows() > 0) copy_rows(y_, &attr_screen_);
-  if (z_.rows() > 0) {
-    copy_rows(z_, &link_screen_);
-    return;
-  }
   const int64_t count = node_end - node_begin;
   if (count == 0 || gram_.rows() == 0) return;
   allocate(count, &link_screen_);
@@ -348,7 +344,6 @@ void QueryEngine::BuildScreens(int64_t node_begin, int64_t node_end) {
 
 Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
                                         ConstMatrixView xb, ConstMatrixView y,
-                                        ConstMatrixView z,
                                         const QueryEngineOptions& options) {
   if (xf.rows() == 0 || xf.cols() == 0) {
     return Status::InvalidArgument("QueryEngine requires a forward factor");
@@ -361,20 +356,15 @@ Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
   if (y.rows() > 0 && y.cols() != h) {
     return Status::InvalidArgument("QueryEngine y shape mismatch");
   }
-  if (z.rows() > 0 && (z.rows() != xf.rows() || z.cols() != h)) {
-    return Status::InvalidArgument("QueryEngine z shape mismatch");
-  }
   QueryEngine engine;
   engine.Init(xf, xb, y, options);
-  engine.z_ = z;
-  if (z.rows() == 0 && options.precompute_link_gram && xb.rows() > 0 &&
-      y.rows() > 0) {
+  if (options.precompute_link_gram && xb.rows() > 0 && y.rows() > 0) {
     // Same kernel EdgeScorer runs for G, so p(u, w) matches it bitwise.
     GemmTransA(y, y, &engine.gram_);
   }
   engine.num_attributes_ = y.rows();
   engine.supports_attributes_ = xb.rows() > 0 && y.rows() > 0;
-  engine.supports_links_ = z.rows() > 0 || engine.gram_.rows() > 0;
+  engine.supports_links_ = engine.gram_.rows() > 0;
   engine.BuildScreens(0, xf.rows());
   return engine;
 }
@@ -420,7 +410,7 @@ void QueryEngine::AccumulateRange(EngineCallStats* call_stats,
 
 Result<QueryEngine> QueryEngine::CreateSharded(
     ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
-    ConstMatrixView z, ConstMatrixView gram, const store::ShardMeta& shard,
+    ConstMatrixView gram, const ShardSpec& shard,
     const QueryEngineOptions& options) {
   PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
   if (xf.rows() != shard.num_nodes || xf.cols() != shard.dim ||
@@ -435,25 +425,20 @@ Result<QueryEngine> QueryEngine::CreateSharded(
     return Status::InvalidArgument(
         "sharded engine y slice disagrees with the shard's attribute range");
   }
-  if (gram.rows() > 0) {
-    if (z.rows() > 0 || gram.rows() != shard.dim ||
-        gram.cols() != shard.dim) {
-      return Status::InvalidArgument(
-          "sharded engine takes either a z slice or an h x h gram, not both");
-    }
-  } else if (z.rows() != shard.node_end - shard.node_begin ||
-             (z.rows() > 0 && z.cols() != shard.dim)) {
+  if (shard.node_begin < 0 || shard.node_end < shard.node_begin ||
+      shard.node_end > shard.num_nodes) {
     return Status::InvalidArgument(
-        "sharded engine z slice disagrees with the shard's node range");
+        "sharded engine node range lies outside [0, n)");
+  }
+  if (gram.rows() != shard.dim || gram.cols() != shard.dim) {
+    return Status::InvalidArgument(
+        "sharded engine needs the h x h gram Y^T Y of the full Y");
   }
   QueryEngine engine;
   engine.Init(xf, xb, y, options);
-  engine.z_ = z;
-  if (gram.rows() > 0) {
-    engine.gram_.Resize(gram.rows(), gram.cols());
-    std::copy(gram.data(), gram.data() + gram.rows() * gram.cols(),
-              engine.gram_.data());
-  }
+  engine.gram_.Resize(gram.rows(), gram.cols());
+  std::copy(gram.data(), gram.data() + gram.rows() * gram.cols(),
+            engine.gram_.data());
   engine.attr_base_ = shard.attr_begin;
   engine.link_base_ = shard.node_begin;
   engine.num_attributes_ = shard.num_attributes;
@@ -467,18 +452,13 @@ Result<QueryEngine> QueryEngine::CreateSharded(
 
 Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
                                         const QueryEngineOptions& options) {
-  if (store.sharded()) {
-    return CreateSharded(store.xf(), store.xb(), store.y(), store.z(),
-                         ConstMatrixView(), store.shard(), options);
-  }
   if (!store.has_attribute_factors()) {
     return Status::InvalidArgument(
         "serving engine requires the xf/xb/y factor blocks (artifact "
         "method '" +
         store.method() + "' lacks them)");
   }
-  return Create(store.xf(), store.xb(), store.y(), ConstMatrixView(),
-                options);
+  return Create(store.xf(), store.xb(), store.y(), options);
 }
 
 double QueryEngine::ExactAttributeScore(int64_t v, int64_t r) const {
@@ -490,7 +470,6 @@ double QueryEngine::ExactAttributeScore(int64_t v, int64_t r) const {
 double QueryEngine::ExactLinkScore(int64_t u, int64_t w,
                                    double* z_row) const {
   const int64_t h = dim();
-  if (z_.rows() > 0) return Dot(xf_.Row(u), z_.Row(w - link_base_), h);
   GetMatrixKernels().gemm_rows(xb_.Row(w), gram_.data(), z_row, 1, h, h);
   return Dot(xf_.Row(u), z_row, h);
 }
@@ -626,8 +605,7 @@ std::vector<Ranking> QueryEngine::TopKTargets(
     const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
     EngineCallStats* call_stats) const {
   PANE_CHECK(supports_links())
-      << "link queries need z (supply it or let Create derive G from "
-         "xb and y)";
+      << "link queries need G = Y^T Y (let Create derive it from xb and y)";
   for (const TopKQuery& q : queries) {
     PANE_CHECK(q.node >= 0 && q.node < num_nodes());
     PANE_CHECK(q.k > 0);

@@ -20,9 +20,10 @@
 //      so a served batch returns the same ids and bitwise the same scores
 //      as src/tasks/ranking.h, independent of batch size, blocking, or
 //      thread count.
-// Link candidates need z_w = xb_w (Y^T Y). The engine holds no f64 Z:
-// given no `z` rows it keeps G = Y^T Y (h x h) and computes the
-// survivors' rows on demand with the same row kernel Gemm(xb, G) uses.
+// Link candidates need z_w = xb_w (Y^T Y). The engine holds no f64 Z: it
+// keeps G = Y^T Y (h x h), screens Z rows derived a chunk at a time, and
+// computes the survivors' rows again on demand with the same row kernel
+// Gemm(xb, G) uses.
 //
 // Pruned mode routes the same queries through per-candidate-set IVF
 // indexes (src/serve/ivf_index.h) built from the screen rows, for
@@ -41,7 +42,7 @@
 #include "src/matrix/dense_matrix.h"
 #include "src/obs/metrics.h"
 #include "src/serve/ivf_index.h"
-#include "src/store/shard_pages.h"
+#include "src/serve/shard_plan.h"
 
 namespace pane {
 
@@ -66,9 +67,8 @@ struct QueryEngineOptions {
   int64_t query_block = 0;
   /// Explicit candidate-tile override (tests); 0 = derive from the budget.
   int64_t candidate_tile = 0;
-  /// Derive G = Y^T Y and the link screen rows at Create when no `z` view
-  /// is supplied (required for link queries; skip for attribute-only
-  /// engines).
+  /// Derive G = Y^T Y and the link screen rows at Create (required for
+  /// link queries; skip for attribute-only engines).
   bool precompute_link_gram = true;
   /// Optional registry for the engine's work metrics (pane_engine_*:
   /// tiles scanned, screen survivors rescored, IVF candidates scanned /
@@ -107,42 +107,35 @@ class QueryEngine {
   QueryEngine(QueryEngine&&) = default;
   QueryEngine& operator=(QueryEngine&&) = default;
 
-  /// Builds an engine over factor views (xf / xb: n x h, y: d x h, z: n x
-  /// h or empty). The viewed storage must outlive the engine. When `z` is
-  /// supplied (e.g. EdgeScorer::z()) its rows are the link candidates, used
-  /// as-is. When `z` is empty and xb / y are present and
+  /// Builds an engine over factor views (xf / xb: n x h, y: d x h). The
+  /// viewed storage must outlive the engine. When xb / y are present and
   /// precompute_link_gram is set, the engine keeps G = Y^T Y, derived with
   /// the kernels EdgeScorer uses, and computes each needed row of
   /// Z = Xb G on demand, so link scores match EdgeScorer bitwise.
   static Result<QueryEngine> Create(ConstMatrixView xf, ConstMatrixView xb,
-                                    ConstMatrixView y, ConstMatrixView z,
+                                    ConstMatrixView y,
                                     const QueryEngineOptions& options);
 
   /// Engine over a mapped artifact (factor blocks required; the store must
-  /// outlive the engine). A sharded store dispatches to CreateSharded with
-  /// the store's slices and shard meta.
+  /// outlive the engine).
   static Result<QueryEngine> Create(const EmbeddingStore& store,
                                     const QueryEngineOptions& options);
 
-  /// Engine over one shard of a split embedding: the full query-side
-  /// factors (xf / xb: n x h) plus the local candidate slices (y: rows
-  /// [attr_begin, attr_end); z: rows [node_begin, node_end), either may be
-  /// empty). The engine scans only its slices but accepts and returns
+  /// Engine over one shard: the full query-side factors (xf / xb: n x h),
+  /// the local attribute slice (y: rows [attr_begin, attr_end), may be
+  /// empty) and `gram` = Y^T Y of the full Y (h x h, copied), from which
+  /// the shard derives its rows [node_begin, node_end) of Z = Xb G — never
+  /// from a per-shard Y, so link scores stay bitwise the unsharded
+  /// engine's. The engine scans only its slices but accepts and returns
   /// *global* ids everywhere — queries, exclusion lists, pair ids, and
   /// top-k results — so the router merges per-shard answers without any
-  /// id translation, and tie-breaks resolve in global-index order. The
-  /// link rows come either as the `z` slice, pre-derived from the full
-  /// matrices (SplitEmbeddingArtifact does this), or as `gram` = Y^T Y of
-  /// the full Y (h x h, copied; BuildLocalShards does this), from which
-  /// the shard derives its rows of Z = Xb G — never from a per-shard Y, so
-  /// link scores stay bitwise the unsharded engine's. Pass one or the
-  /// other, not both.
+  /// id translation, and tie-breaks resolve in global-index order. Callers
+  /// over an artifact go through CreateShardEngine (router.h).
   static Result<QueryEngine> CreateSharded(ConstMatrixView xf,
                                            ConstMatrixView xb,
                                            ConstMatrixView y,
-                                           ConstMatrixView z,
                                            ConstMatrixView gram,
-                                           const store::ShardMeta& shard,
+                                           const ShardSpec& shard,
                                            const QueryEngineOptions& options);
 
   // ---- Exact mode -------------------------------------------------------
@@ -223,7 +216,7 @@ class QueryEngine {
 
   bool sharded() const { return sharded_; }
   /// Only meaningful when sharded() (an unsharded engine owns everything).
-  const store::ShardMeta& shard() const { return shard_; }
+  const ShardSpec& shard() const { return shard_; }
   /// Whether this engine holds the candidate row for a global id — pair
   /// requests must be routed to the owner.
   bool OwnsAttribute(int64_t attribute) const {
@@ -268,7 +261,7 @@ class QueryEngine {
   /// CreateSharded.
   void Init(ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
             const QueryEngineOptions& options);
-  /// Builds attr_screen_ from y_ and link_screen_ from z_, or from rows
+  /// Builds attr_screen_ from y_ and link_screen_ from rows
   /// [node_begin, node_end) of xb_ times gram_.
   void BuildScreens(int64_t node_begin, int64_t node_end);
 
@@ -289,9 +282,7 @@ class QueryEngine {
                        const RangeCounts& counts) const;
 
   ConstMatrixView xf_, xb_, y_;
-  // Link rows: the supplied z_ (unsharded: n x h; shard: its node slice),
-  // or, when z_ is empty, row w of Xb gram_ computed on demand.
-  ConstMatrixView z_;
+  // Link row w is row w of Xb gram_, computed on demand.
   DenseMatrix gram_;
   ScreenRows attr_screen_, link_screen_;
   // The certificate |exact - screened| <= eps * |x| * |r| + alpha for
@@ -311,7 +302,7 @@ class QueryEngine {
   bool supports_attributes_ = false;
   bool supports_links_ = false;
   bool sharded_ = false;
-  store::ShardMeta shard_;
+  ShardSpec shard_;
   IvfIndex attr_index_, link_index_;
   // Registry handles (null without a registry). The pointed-to metrics are
   // thread-safe, so recording from const query paths keeps the engine's

@@ -118,7 +118,12 @@ RemoteShard::RemoteShard(std::string address, const RouterOptions& options)
       hop_timeout_ms_(options.hop_timeout_ms),
       max_frame_payload_(options.max_frame_bytes > 0
                              ? static_cast<size_t>(options.max_frame_bytes)
-                             : kMaxFramePayload) {}
+                             : kMaxFramePayload) {
+  PANE_CHECK(options.max_frame_bytes >= 0 &&
+             options.max_frame_bytes <= static_cast<int64_t>(kMaxFramePayload))
+      << "max_frame_bytes must be in [0, " << kMaxFramePayload << "], got "
+      << options.max_frame_bytes;
+}
 
 Status RemoteShard::EnsureConnected(int64_t deadline_ms) {
   if (conn_.connected()) return Status::OK();
@@ -417,7 +422,43 @@ std::string Router::StatsSuffix() const {
   return out;
 }
 
-// ---- BuildLocalShards ----------------------------------------------------
+// ---- Shard engines ------------------------------------------------------
+
+Result<QueryEngine> CreateShardEngine(const EmbeddingStore& store,
+                                      ConstMatrixView gram, ShardSpec spec,
+                                      const QueryEngineOptions& options) {
+  if (spec.shard_count <= 0 || spec.shard_index < 0 ||
+      spec.shard_index >= spec.shard_count) {
+    return Status::InvalidArgument(
+        "shard position " + std::to_string(spec.shard_index) + "/" +
+        std::to_string(spec.shard_count) + " needs 0 <= i < N");
+  }
+  if (!store.has_attribute_factors()) {
+    return Status::InvalidArgument(
+        "sharding needs the xf/xb/y factor blocks (artifact method '" +
+        store.method() + "' lacks them)");
+  }
+  const ConstMatrixView y = store.y();
+  const int64_t h = y.cols();
+  if (spec.num_nodes != store.num_nodes() || spec.num_attributes != y.rows() ||
+      spec.attr_begin < 0 || spec.attr_end < spec.attr_begin ||
+      spec.attr_end > y.rows()) {
+    return Status::InvalidArgument(
+        "shard ranges were not cut from this artifact's " +
+        std::to_string(store.num_nodes()) + " x " + std::to_string(y.rows()) +
+        " candidate space");
+  }
+  spec.dim = h;
+  spec.has_attributes = true;
+  spec.has_links = true;
+  ConstMatrixView y_slice;
+  if (spec.attr_end > spec.attr_begin) {
+    y_slice = ConstMatrixView(y.Row(spec.attr_begin),
+                              spec.attr_end - spec.attr_begin, h);
+  }
+  return QueryEngine::CreateSharded(store.xf(), store.xb(), y_slice, gram,
+                                    spec, options);
+}
 
 Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
                                     int num_shards,
@@ -427,45 +468,17 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
   if (num_shards <= 0) {
     return Status::InvalidArgument("shard count must be positive");
   }
-  if (store.sharded()) {
-    return Status::InvalidArgument(
-        "store already holds one shard; local fleets cut an unsharded "
-        "artifact");
-  }
-  if (!store.has_attribute_factors()) {
-    return Status::InvalidArgument(
-        "sharding needs the xf/xb/y factor blocks (artifact method '" +
-        store.method() + "' lacks them)");
-  }
-  const ConstMatrixView xf = store.xf();
-  const ConstMatrixView xb = store.xb();
-  const ConstMatrixView y = store.y();
-  const int64_t n = xf.rows();
-  const int64_t d = y.rows();
-  const int64_t h = xf.cols();
-
-  LocalFleet fleet;
   // G = Y^T Y of the full Y once; each shard derives its own rows of
   // Z = Xb G from it, bitwise the unsharded engine's Z.
   DenseMatrix gram;
-  GemmTransA(y, y, &gram);
-
-  const ShardPlan plan = MakeShardPlan(n, d, num_shards);
-  for (const ShardSpec& ranges : plan.shards) {
-    ShardSpec spec = ranges;
-    spec.dim = h;
-    spec.has_attributes = true;
-    spec.has_links = true;
-    spec.method = store.method();
-    ConstMatrixView y_slice;
-    if (spec.attr_end > spec.attr_begin) {
-      y_slice = ConstMatrixView(y.Row(spec.attr_begin),
-                                spec.attr_end - spec.attr_begin, h);
-    }
+  if (store.has_attribute_factors()) GemmTransA(store.y(), store.y(), &gram);
+  const ShardPlan plan =
+      MakeShardPlan(store.num_nodes(), store.num_attributes(), num_shards);
+  LocalFleet fleet;
+  for (const ShardSpec& spec : plan.shards) {
     PANE_ASSIGN_OR_RETURN(
         QueryEngine engine,
-        QueryEngine::CreateSharded(xf, xb, y_slice, ConstMatrixView(),
-                                   gram.View(), spec, engine_options));
+        CreateShardEngine(store, gram.View(), spec, engine_options));
     auto owned = std::make_unique<QueryEngine>(std::move(engine));
     if (ivf != nullptr) {
       PANE_RETURN_NOT_OK(owned->BuildPrunedIndex(*ivf));

@@ -60,7 +60,8 @@ namespace serve {
 struct RouterOptions {
   /// Per-hop budget covering connect + send + receive for one batch.
   int64_t hop_timeout_ms = 2000;
-  /// Inbound bound on one shard-reply frame (0 = kMaxFramePayload).
+  /// Inbound bound on one shard-reply frame, in [0, kMaxFramePayload]
+  /// (0 = kMaxFramePayload).
   int64_t max_frame_bytes = 0;
   /// Fans batches out across shards concurrently. Null => sequential hops.
   /// Local shards run serial engines, so this pool is the parallelism.
@@ -254,12 +255,22 @@ class Router final : public ShardBackend {
   std::vector<std::unique_ptr<obs::Histogram>> owned_latency_;
 };
 
-/// A complete in-process shard fleet over one unsharded store: G = Y^T Y
-/// derived once and handed to every shard (so each shard's Z rows are
-/// bitwise the unsharded engine's), Y row-sliced per MakeShardPlan, one
-/// serial sharded QueryEngine per shard, one LocalShard backend per
-/// engine. The struct owns everything the backends borrow, so keep it
-/// alive as long as the Router.
+/// The one builder of a shard engine: shard `spec` of `store` (which must
+/// stay alive and hold the xf/xb/y factor blocks) as a row-range view of
+/// the artifact. `spec` carries the plan position and ranges
+/// (MakeShardPlan(n, d, N).shards[i]); the builder fills in the width and
+/// capabilities. `gram` is Y^T Y of the store's full Y (h x h), from which
+/// the shard derives its rows of Z, bitwise the unsharded engine's. A
+/// position outside 0 <= i < N, ranges that do not fit the artifact, or a
+/// store without factor blocks is an InvalidArgument.
+Result<QueryEngine> CreateShardEngine(const EmbeddingStore& store,
+                                      ConstMatrixView gram, ShardSpec spec,
+                                      const QueryEngineOptions& options);
+
+/// A complete in-process shard fleet over one store: G = Y^T Y derived
+/// once and every shard engine built by CreateShardEngine over the plan's
+/// ranges, one LocalShard backend per engine. The struct owns everything
+/// the backends borrow, so keep it alive as long as the Router.
 struct LocalFleet {
   std::vector<std::unique_ptr<QueryEngine>> engines;
   std::vector<std::unique_ptr<ShardBackend>> backends;

@@ -9,6 +9,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/timer.h"
+#include "src/serve/frame_protocol.h"
 #include "src/serve/router.h"
 #include "src/serve/session.h"
 #include "src/serve/shard_plan.h"
@@ -49,6 +50,11 @@ PaneServer::PaneServer(Router* router, const ServerOptions& options)
 
 void PaneServer::Init() {
   PANE_CHECK(options_.batch_size > 0);
+  PANE_CHECK(options_.max_frame_bytes >= 0 &&
+             options_.max_frame_bytes <=
+                 static_cast<int64_t>(kMaxFramePayload))
+      << "max_frame_bytes must be in [0, " << kMaxFramePayload << "], got "
+      << options_.max_frame_bytes;
   spec_ = executor_->Plan().ValueOrDie();
   if (options_.metrics_enabled) {
     if (options_.metrics != nullptr) {

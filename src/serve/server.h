@@ -66,8 +66,9 @@ struct ServerOptions {
   int64_t max_connections = 256;
   /// TCP connections idle this long are reaped; 0 disables the sweep.
   int64_t idle_timeout_ms = 0;
-  /// Upper bound on one inbound frame payload; 0 = the protocol default
-  /// (kMaxFramePayload). The --max-frame-mb flag feeds this.
+  /// Upper bound on one inbound frame payload, in [0, kMaxFramePayload];
+  /// 0 = the protocol default (kMaxFramePayload). The --max-frame-mb flag
+  /// feeds this.
   int64_t max_frame_bytes = 0;
   /// Registry for the per-stage histograms, the transport metrics, and the
   /// `metrics` verb. Null (with metrics_enabled) makes the server own a

@@ -1,12 +1,7 @@
 #include "src/serve/shard_plan.h"
 
-#include <utility>
-
 #include "src/common/string_util.h"
-#include "src/matrix/gemm.h"
 #include "src/parallel/thread_pool.h"
-#include "src/serve/embedding_store.h"
-#include "src/store/container.h"
 
 namespace pane {
 namespace serve {
@@ -102,66 +97,6 @@ Status ValidateShardSpecs(const std::vector<ShardSpec>& specs,
     plan->num_nodes = specs[0].num_nodes;
     plan->num_attributes = specs[0].num_attributes;
     plan->shards = specs;
-  }
-  return Status::OK();
-}
-
-Status SplitEmbeddingArtifact(const std::string& input_path,
-                              const std::string& out_prefix, int num_shards,
-                              std::vector<std::string>* out_paths) {
-  if (num_shards <= 0) {
-    return Status::InvalidArgument("shard count must be positive");
-  }
-  PANE_ASSIGN_OR_RETURN(EmbeddingStore store,
-                        EmbeddingStore::Open(input_path));
-  if (store.sharded()) {
-    return Status::InvalidArgument(input_path +
-                                   " is already a shard container");
-  }
-  if (!store.has_attribute_factors()) {
-    return Status::InvalidArgument(
-        "sharding needs the xf/xb/y factor blocks (artifact method '" +
-        store.method() + "' lacks them)");
-  }
-  const ConstMatrixView xf = store.xf();
-  const ConstMatrixView xb = store.xb();
-  const ConstMatrixView y = store.y();
-  const int64_t n = xf.rows();
-  const int64_t d = y.rows();
-  const int64_t h = xf.cols();
-
-  // Derive the full Z once with the unsharded engine's exact kernel
-  // sequence, then slice rows: GemmRows fills each output row
-  // independently, so shard slices are bitwise the unsharded Z rows.
-  DenseMatrix gram, z;
-  GemmTransA(y, y, &gram);
-  Gemm(xb, gram, &z);
-
-  const ShardPlan plan = MakeShardPlan(n, d, num_shards);
-  for (const ShardSpec& ranges : plan.shards) {
-    store::ShardExtents extents;
-    extents.meta = ranges;
-    extents.meta.dim = h;
-    extents.meta.has_attributes = true;
-    extents.meta.has_links = true;
-    extents.meta.method = store.method();
-    extents.xf = {xf.Row(0), n, h};
-    extents.xb = {xb.Row(0), n, h};
-    if (ranges.attr_end > ranges.attr_begin) {
-      extents.y = {y.Row(ranges.attr_begin), ranges.attr_end - ranges.attr_begin,
-                   h};
-    }
-    if (ranges.node_end > ranges.node_begin) {
-      extents.z = {z.Row(ranges.node_begin),
-                   ranges.node_end - ranges.node_begin, h};
-    }
-    store::ContainerWriter writer;
-    std::string meta_buf;
-    PANE_RETURN_NOT_OK(store::AppendShardStreams(extents, &meta_buf, &writer));
-    const std::string path =
-        out_prefix + "." + std::to_string(ranges.shard_index);
-    PANE_RETURN_NOT_OK(writer.WriteTo(path));
-    if (out_paths != nullptr) out_paths->push_back(path);
   }
   return Status::OK();
 }

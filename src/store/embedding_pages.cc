@@ -48,15 +48,8 @@ Status ResolveMatrix(const Container& container, const std::string& name,
     *out = MatrixExtent{};
     return Status::OK();
   }
-  return ResolveMatrixStream(container, name, rows, cols, verify_payloads,
-                             out);
-}
-
-}  // namespace
-
-Status ResolveMatrixStream(const Container& container, const std::string& name,
-                           int64_t rows, int64_t cols, bool verify_payloads,
-                           MatrixExtent* out) {
+  // `cols` is bounded by the stream's size before the product is formed,
+  // so a hostile meta shape cannot overflow into a match.
   Result<Container::StreamView> view_result =
       verify_payloads ? container.Read(name) : container.Peek(name);
   PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
@@ -73,6 +66,8 @@ Status ResolveMatrixStream(const Container& container, const std::string& name,
   out->cols = cols;
   return Status::OK();
 }
+
+}  // namespace
 
 Status AppendEmbeddingStreams(const EmbeddingExtents& embedding,
                               std::string* meta_buf, ContainerWriter* writer) {

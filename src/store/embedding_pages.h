@@ -36,7 +36,7 @@ inline constexpr char kEmbYStream[] = "emb.y";
 
 inline constexpr uint32_t kEmbeddingMetaVersion = 1;
 
-/// The longest method name an embedding or shard artifact may carry.
+/// The longest method name an embedding artifact may carry.
 inline constexpr size_t kMaxMethodNameLength = 256;
 
 /// A matrix as it crosses the store boundary: a borrowed row-major double
@@ -51,15 +51,6 @@ struct MatrixExtent {
     return rows * cols * static_cast<int64_t>(sizeof(double));
   }
 };
-
-/// Fetches matrix stream `name` and checks that it holds exactly rows x cols
-/// doubles (rows and cols must be positive). `cols` is bounded by the
-/// stream's size before the product is formed, so a hostile meta shape
-/// cannot overflow into a match. With `verify_payloads` the pages are
-/// checksummed now (Container::Read); otherwise only located (Peek).
-Status ResolveMatrixStream(const Container& container, const std::string& name,
-                           int64_t rows, int64_t cols, bool verify_payloads,
-                           MatrixExtent* out);
 
 /// The embedding artifact, decoded from (or headed into) a container.
 struct EmbeddingExtents {

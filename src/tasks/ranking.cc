@@ -16,21 +16,19 @@ Ranking TopKAttributes(const PaneEmbedding& embedding, int64_t v, int64_t k,
   serve::QueryEngineOptions options;
   options.precompute_link_gram = false;  // attribute-only: Z is not needed
   auto engine = serve::QueryEngine::Create(
-      embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
-      ConstMatrixView(), options);
+      embedding.xf.View(), embedding.xb.View(), embedding.y.View(), options);
   PANE_CHECK(engine.ok()) << engine.status();
   return engine->TopKAttributes({{v, k}}, exclude)[0];
 }
 
-Ranking TopKTargets(const PaneEmbedding& embedding, const EdgeScorer& scorer,
-                    int64_t u, int64_t k, const AttributedGraph* exclude) {
+Ranking TopKTargets(const PaneEmbedding& embedding, int64_t u, int64_t k,
+                    const AttributedGraph* exclude) {
   PANE_CHECK(u >= 0 && u < embedding.num_nodes());
   PANE_CHECK(k > 0);
-  // The scorer's precomputed Z = Xb (Y^T Y) is the scoring operand, so a
-  // wrapped call costs no more than the historical loop.
-  serve::QueryEngineOptions options;
+  // The engine derives G = Y^T Y, so its scores are EdgeScorer::Score's.
   auto engine = serve::QueryEngine::Create(
-      scorer.xf(), ConstMatrixView(), ConstMatrixView(), scorer.z(), options);
+      embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
+      serve::QueryEngineOptions());
   PANE_CHECK(engine.ok()) << engine.status();
   return engine->TopKTargets({{u, k}}, exclude)[0];
 }

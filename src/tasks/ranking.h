@@ -28,8 +28,7 @@ Ranking TopKAttributes(const PaneEmbedding& embedding, int64_t v, int64_t k,
 /// \brief Top-k target nodes for source u by the Eq. 22 edge score. If
 /// `exclude` is non-null, existing out-neighbors of u (and u itself) are
 /// skipped.
-Ranking TopKTargets(const PaneEmbedding& embedding, const EdgeScorer& scorer,
-                    int64_t u, int64_t k,
+Ranking TopKTargets(const PaneEmbedding& embedding, int64_t u, int64_t k,
                     const AttributedGraph* exclude = nullptr);
 
 }  // namespace pane

@@ -2,8 +2,9 @@
 // round-trips for every request type, hostile-input rejection (garbage
 // magic, zero / oversized / saturated length fields, wrong version,
 // truncation at every byte boundary), byte-at-a-time reassembly across
-// simulated epoll wakeups, codec auto-detection from the first byte, and
-// frame-vs-line conversation equality through a real PaneServer.
+// simulated epoll wakeups, codec auto-detection from the first byte,
+// frame-vs-line conversation equality through a real PaneServer, and the
+// server's and router's refusal of a frame bound outside the protocol's.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,6 +17,7 @@
 #include "src/serve/line_protocol.h"
 #include "src/serve/protocol.h"
 #include "src/serve/query_engine.h"
+#include "src/serve/router.h"
 #include "src/serve/server.h"
 
 namespace pane {
@@ -223,8 +225,8 @@ serve::QueryEngine SmallEngine() {
   static const DenseMatrix xb{{0.3, 0.6}, {0.8, 0.1}, {0.2, 0.5},
                               {0.7, 0.2}, {0.5, 0.9}, {0.1, 0.4}};
   static const DenseMatrix y{{0.4, 0.9}, {0.6, 0.3}, {0.2, 0.8}, {0.7, 0.5}};
-  auto engine = serve::QueryEngine::Create(xf.View(), xb.View(), y.View(),
-                                           ConstMatrixView(), {});
+  auto engine =
+      serve::QueryEngine::Create(xf.View(), xb.View(), y.View(), {});
   EXPECT_TRUE(engine.ok()) << engine.status();
   return engine.MoveValueUnsafe();
 }
@@ -310,6 +312,30 @@ TEST(FrameServingTest, TruncatedFinalFrameIsAnErrorNotARequest) {
   ASSERT_EQ(payloads.size(), 2u);
   EXPECT_EQ(payloads[0].rfind("attr 2 ok", 0), 0u);
   EXPECT_EQ(payloads[1], "err truncated frame at end of input");
+}
+
+TEST(FrameServingDeathTest, FrameBoundOutsideTheProtocolRangeIsRejected) {
+  // A negative bound, cast to size_t, would switch the codec's length check
+  // off; one past kMaxFramePayload would lift the protocol's own limit.
+  const serve::QueryEngine engine = SmallEngine();
+  const int64_t max = static_cast<int64_t>(serve::kMaxFramePayload);
+  for (const int64_t bytes : {int64_t{-1}, -(int64_t{1} << 20), max + 1}) {
+    serve::ServerOptions options;
+    options.max_frame_bytes = bytes;
+    EXPECT_DEATH(serve::PaneServer(&engine, options), "max_frame_bytes")
+        << bytes;
+    serve::RouterOptions router_options;
+    router_options.max_frame_bytes = bytes;
+    EXPECT_DEATH(serve::RemoteShard("127.0.0.1:1", router_options),
+                 "max_frame_bytes")
+        << bytes;
+  }
+  for (const int64_t bytes : {int64_t{0}, max}) {
+    serve::ServerOptions options;
+    options.max_frame_bytes = bytes;
+    const serve::PaneServer server(&engine, options);
+    EXPECT_EQ(server.options().max_frame_bytes, bytes);
+  }
 }
 
 }  // namespace

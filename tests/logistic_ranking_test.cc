@@ -129,8 +129,7 @@ TEST(TopKTargetsTest, SortedAndExcludesSelfAndEdges) {
   PaneOptions options;
   options.k = 16;
   const auto embedding = Pane(options).Train(g).ValueOrDie();
-  const EdgeScorer scorer(embedding);
-  const Ranking top = TopKTargets(embedding, scorer, 0, 10, &g);
+  const Ranking top = TopKTargets(embedding, 0, 10, &g);
   ASSERT_EQ(top.size(), 10u);
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(top[i - 1].second, top[i].second);
@@ -146,8 +145,7 @@ TEST(TopKTargetsTest, KLargerThanCandidates) {
   PaneOptions options;
   options.k = 4;
   const auto embedding = Pane(options).Train(g).ValueOrDie();
-  const EdgeScorer scorer(embedding);
-  const Ranking top = TopKTargets(embedding, scorer, 0, 100);
+  const Ranking top = TopKTargets(embedding, 0, 100);
   EXPECT_EQ(top.size(), 5u);  // n - 1 candidates
 }
 

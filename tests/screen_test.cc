@@ -7,7 +7,7 @@
 // that differ below f32 precision (near-ties inside the bound), NaN, +-inf,
 // values beyond FLT_MAX and below FLT_MIN in candidate rows and in queries,
 // f32 overflow from finite inputs, k >= n, exclusion graphs, batch sizes
-// 1-65 and 1-4 shards (sharded over a z slice and over G = Y^T Y).
+// 1-65 and 1-4 shards (each deriving its link rows from G = Y^T Y).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,7 +22,6 @@
 #include "src/core/embedding.h"
 #include "src/graph/graph.h"
 #include "src/matrix/gemm.h"
-#include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/query_engine.h"
 #include "src/serve/shard_plan.h"
@@ -191,11 +190,9 @@ struct Fleet {
   }
 };
 
-/// Shards over the plan's row ranges; link rows come from `z` (a slice
-/// per shard, as pane_shardctl writes them) when non-empty, else from
-/// `gram` (as BuildLocalShards hands it out).
-Fleet MakeShards(const PaneEmbedding& e, int num_shards, ConstMatrixView z,
-                 ConstMatrixView gram,
+/// Shards over the plan's row ranges; link rows come from `gram` (as
+/// CreateShardEngine hands it out).
+Fleet MakeShards(const PaneEmbedding& e, int num_shards, ConstMatrixView gram,
                  const serve::QueryEngineOptions& options) {
   const int64_t h = e.xf.cols();
   Fleet fleet;
@@ -205,18 +202,13 @@ Fleet MakeShards(const PaneEmbedding& e, int num_shards, ConstMatrixView z,
     spec.dim = h;
     spec.has_attributes = true;
     spec.has_links = true;
-    ConstMatrixView y_slice, z_slice;
+    ConstMatrixView y_slice;
     if (spec.attr_end > spec.attr_begin) {
       y_slice = ConstMatrixView(e.y.Row(spec.attr_begin),
                                 spec.attr_end - spec.attr_begin, h);
     }
-    if (z.rows() > 0 && spec.node_end > spec.node_begin) {
-      z_slice = ConstMatrixView(z.Row(spec.node_begin),
-                                spec.node_end - spec.node_begin, h);
-    }
     auto engine = serve::QueryEngine::CreateSharded(
-        e.xf.View(), e.xb.View(), y_slice, z_slice,
-        z.rows() > 0 ? ConstMatrixView() : gram, spec, options);
+        e.xf.View(), e.xb.View(), y_slice, gram, spec, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
     fleet.engines.push_back(engine.MoveValueUnsafe());
   }
@@ -276,21 +268,12 @@ TEST_P(ScreenDifferentialTest, UnshardedEnginesMatchTheOracle) {
   for (const serve::QueryEngineOptions* options : {&serial, &narrow, &pooled}) {
     // Derived G: Z rows computed on demand.
     Fleet derived;
-    auto engine = serve::QueryEngine::Create(
-        f.e.xf.View(), f.e.xb.View(), f.e.y.View(), ConstMatrixView(),
-        *options);
+    auto engine = serve::QueryEngine::Create(f.e.xf.View(), f.e.xb.View(),
+                                             f.e.y.View(), *options);
     ASSERT_TRUE(engine.ok()) << engine.status();
     derived.engines.push_back(engine.MoveValueUnsafe());
     ExpectMatchesOracle(f, scorer, derived, true, "derived");
     ExpectMatchesOracle(f, scorer, derived, false, "derived");
-    // Supplied Z (the offline wrappers' form).
-    Fleet supplied;
-    auto z_engine = serve::QueryEngine::Create(
-        scorer.xf(), ConstMatrixView(), ConstMatrixView(), scorer.z(),
-        *options);
-    ASSERT_TRUE(z_engine.ok()) << z_engine.status();
-    supplied.engines.push_back(z_engine.MoveValueUnsafe());
-    ExpectMatchesOracle(f, scorer, supplied, false, "supplied z");
   }
 }
 
@@ -303,13 +286,9 @@ TEST_P(ScreenDifferentialTest, ShardedEnginesMatchTheOracle) {
   options.candidate_tile = 64;
   for (int shards = 1; shards <= 4; ++shards) {
     const std::string what = std::to_string(shards) + " shards";
-    const Fleet over_gram =
-        MakeShards(f.e, shards, ConstMatrixView(), gram.View(), options);
-    ExpectMatchesOracle(f, scorer, over_gram, true, what + " gram");
-    ExpectMatchesOracle(f, scorer, over_gram, false, what + " gram");
-    const Fleet over_z =
-        MakeShards(f.e, shards, scorer.z(), ConstMatrixView(), options);
-    ExpectMatchesOracle(f, scorer, over_z, false, what + " z slice");
+    const Fleet fleet = MakeShards(f.e, shards, gram.View(), options);
+    ExpectMatchesOracle(f, scorer, fleet, true, what);
+    ExpectMatchesOracle(f, scorer, fleet, false, what);
   }
 }
 
@@ -335,8 +314,10 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ScreenFlagTest, SubnormalRowsAndQueriesAreAlwaysRescored) {
   constexpr double kQ = 0x1p100;
   constexpr double kU = 0x1p-149;
-  // Link rows (Z supplied) and their queries.
-  DenseMatrix xf(5, 4), z(5, 4);
+  // Link rows and their queries. With Y = I, G = Y^T Y = I and the
+  // engine's link rows Z = Xb G are the rows of z below.
+  DenseMatrix xf(5, 4), z(5, 4), identity(4, 4);
+  for (int64_t t = 0; t < 4; ++t) identity(t, t) = 1.0;
   xf(0, 0) = kQ;
   xf(0, 1) = kQ;
   xf(1, 0) = 1.45 * kU;
@@ -350,16 +331,17 @@ TEST(ScreenFlagTest, SubnormalRowsAndQueriesAreAlwaysRescored) {
   z(3, 1) = -0.2 * kQ;
   z(4, 0) = 0.9 * kQ;
   z(4, 1) = 0.9 * kQ;
-  const auto links = serve::QueryEngine::Create(
-      xf.View(), ConstMatrixView(), ConstMatrixView(), z.View(), {});
+  const auto links =
+      serve::QueryEngine::Create(xf.View(), z.View(), identity.View(), {});
+  const EdgeScorer scorer(xf, z, identity);
   ASSERT_TRUE(links.ok()) << links.status();
   // The attribute family over the same vectors: xf + xb = xf, Y = Z.
   PaneEmbedding e;
   e.xf = xf;
   e.xb.Resize(5, 4);
   e.y = z;
-  const auto attrs = serve::QueryEngine::Create(
-      e.xf.View(), e.xb.View(), e.y.View(), ConstMatrixView(), {});
+  const auto attrs =
+      serve::QueryEngine::Create(e.xf.View(), e.xb.View(), e.y.View(), {});
   ASSERT_TRUE(attrs.ok()) << attrs.status();
 
   for (int64_t v = 0; v < 3; ++v) {
@@ -370,7 +352,7 @@ TEST(ScreenFlagTest, SubnormalRowsAndQueriesAreAlwaysRescored) {
                         attrs->TopKAttributes({{v, k}})[0], "attr " + what);
       Ranking want;
       for (int64_t w = 0; w < 5; ++w) {
-        if (w != v) want.emplace_back(w, Dot(xf.Row(v), z.Row(w), 4));
+        if (w != v) want.emplace_back(w, scorer.Score(v, w));
       }
       ExpectSameRanking(SelectTopK(std::move(want), k),
                         links->TopKTargets({{v, k}})[0], "link " + what);

@@ -102,8 +102,7 @@ serve::QueryEngineOptions EngineOptions(ThreadPool* pool = nullptr,
 serve::QueryEngine MakeEngine(const PaneEmbedding& e,
                               const serve::QueryEngineOptions& options) {
   auto engine = serve::QueryEngine::Create(e.xf.View(), e.xb.View(),
-                                           e.y.View(), ConstMatrixView(),
-                                           options);
+                                           e.y.View(), options);
   EXPECT_TRUE(engine.ok()) << engine.status();
   return engine.MoveValueUnsafe();
 }
@@ -147,16 +146,11 @@ TEST(QueryEngineTest, AttributesRespectExcludeSemantics) {
 TEST(QueryEngineTest, TargetsMatchReferenceAndSkipSelfAndEdges) {
   const auto& f = TrainedFixture::Get();
   const EdgeScorer scorer(f.embedding);
-  // Supply the scorer's Z so reference and engine share one scoring
-  // operand (as TopKTargets does).
-  auto engine = serve::QueryEngine::Create(scorer.xf(), ConstMatrixView(),
-                                           ConstMatrixView(), scorer.z(),
-                                           EngineOptions());
-  ASSERT_TRUE(engine.ok()) << engine.status();
+  const serve::QueryEngine engine = MakeEngine(f.embedding, EngineOptions());
   const auto queries = AllNodeQueries(f.graph.num_nodes(), 9);
   for (const AttributedGraph* exclude :
        {static_cast<const AttributedGraph*>(nullptr), &f.graph}) {
-    const auto batched = engine->TopKTargets(queries, exclude);
+    const auto batched = engine.TopKTargets(queries, exclude);
     for (int64_t u = 0; u < f.graph.num_nodes(); ++u) {
       ExpectSameRanking(
           ReferenceTopKTargets(f.embedding, scorer, u, 9, exclude),
@@ -274,33 +268,30 @@ TEST(RankingWrappersTest, MatchReferenceBitwise) {
                       "wrapper attr");
     ExpectSameRanking(
         ReferenceTopKTargets(f.embedding, scorer, v, 12, &f.graph),
-        TopKTargets(f.embedding, scorer, v, 12, &f.graph), "wrapper link");
+        TopKTargets(f.embedding, v, 12, &f.graph), "wrapper link");
   }
 }
 
 TEST(QueryEngineTest, CreateRejectsInconsistentShapesAndBudgets) {
-  DenseMatrix xf(4, 3), xb(4, 2), y(5, 3), z(3, 3);
+  DenseMatrix xf(4, 3), xb(4, 2), y(5, 3), y_narrow(5, 2);
   // A budget whose byte count (mb << 20) overflows int64_t.
   serve::QueryEngineOptions huge;
   huge.memory_budget_mb = (std::numeric_limits<int64_t>::max() >> 20) + 1;
   EXPECT_TRUE(serve::QueryEngine::Create(xf.View(), ConstMatrixView(),
-                                         ConstMatrixView(), ConstMatrixView(),
-                                         huge)
+                                         ConstMatrixView(), huge)
                   .status()
                   .IsInvalidArgument());
   huge.memory_budget_mb -= 1;
   EXPECT_TRUE(serve::QueryEngine::Create(xf.View(), ConstMatrixView(),
-                                         ConstMatrixView(), ConstMatrixView(),
-                                         huge)
+                                         ConstMatrixView(), huge)
                   .ok());
   EXPECT_FALSE(serve::QueryEngine::Create(ConstMatrixView(), xb.View(),
-                                          y.View(), ConstMatrixView(), {})
+                                          y.View(), {})
                    .ok());
-  EXPECT_FALSE(serve::QueryEngine::Create(xf.View(), xb.View(), y.View(),
-                                          ConstMatrixView(), {})
-                   .ok());
+  EXPECT_FALSE(
+      serve::QueryEngine::Create(xf.View(), xb.View(), y.View(), {}).ok());
   EXPECT_FALSE(serve::QueryEngine::Create(xf.View(), ConstMatrixView(),
-                                          ConstMatrixView(), z.View(), {})
+                                          y_narrow.View(), {})
                    .ok());
 }
 
@@ -548,7 +539,7 @@ TEST(QueryEngineTest, PrunedIndexSaveLoadRoundTrip) {
   for (int64_t i = 0; i < xb.size(); ++i) xb.data()[i] = 0.02 * (i + 1);
   for (int64_t i = 0; i < y.size(); ++i) y.data()[i] = 0.03 * (i + 1);
   auto mismatched = serve::QueryEngine::Create(
-      xf.View(), xb.View(), y.View(), ConstMatrixView(), EngineOptions());
+      xf.View(), xb.View(), y.View(), EngineOptions());
   ASSERT_TRUE(mismatched.ok()) << mismatched.status();
   const auto status = mismatched->LoadPrunedIndex(path);
   EXPECT_TRUE(status.IsInvalidArgument()) << status;

@@ -1,9 +1,10 @@
 // The sharded scatter-gather serving fabric, end to end: the shard plan
-// and its protocol text, artifact splitting (slice containers that reopen
-// as shard stores), the router over in-process shard fleets and over real
-// TCP backends, the degradation paths (a dead shard, a shard serving
-// foreign rows, short or failed hops through a fault-injecting backend),
-// and the parsers that validate remote shard replies.
+// and its protocol text, the one shard-engine builder (a shard is a
+// row-range view of the one artifact), the router over in-process shard
+// fleets and over real TCP backends, the degradation paths (a dead
+// shard, a shard serving foreign rows, short or failed hops through a
+// fault-injecting backend), and the parsers that validate remote shard
+// replies.
 //
 // The load-bearing assertions are differential: a Router fronting 1–4
 // shards must answer every scripted conversation byte-identically to an
@@ -187,108 +188,88 @@ struct ShardFixture {
   }
 };
 
-void ExpectSameRows(ConstMatrixView view, ConstMatrixView full,
-                    int64_t row_base, const std::string& what) {
-  ASSERT_EQ(view.cols(), full.cols()) << what;
-  for (int64_t i = 0; i < view.rows(); ++i) {
-    const double* got = view.Row(i);
-    const double* want = full.Row(row_base + i);
-    for (int64_t j = 0; j < view.cols(); ++j) {
-      ASSERT_EQ(got[j], want[j]) << what << " row " << i << " col " << j;
-    }
-  }
+/// G = Y^T Y of the store's full Y, as BuildLocalShards and pane_server
+/// --shard derive it.
+DenseMatrix StoreGram(const serve::EmbeddingStore& store) {
+  DenseMatrix gram;
+  GemmTransA(store.y(), store.y(), &gram);
+  return gram;
 }
 
-// ---- Artifact splitting -------------------------------------------------
+/// The spec a shard built from `plan` position i reports: the plan's
+/// ranges plus the artifact's width and capabilities.
+ShardSpec ReportedSpec(const ShardPlan& plan, size_t i, int64_t dim) {
+  ShardSpec spec = plan.shards[i];
+  spec.dim = dim;
+  spec.has_attributes = true;
+  spec.has_links = true;
+  return spec;
+}
 
-TEST(ShardSplitTest, SplitContainersReopenAsShardStores) {
+// ---- The shard-engine builder -------------------------------------------
+
+TEST(ShardEngineTest, BuilderRejectsBadPositionsAndFactorlessStores) {
   const ShardFixture& f = ShardFixture::Get();
-  const std::string prefix = (std::filesystem::temp_directory_path() /
-                              ("shard_split_" + std::to_string(::getpid())))
-                                 .string();
-  std::vector<std::string> paths;
-  ASSERT_TRUE(
-      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 3, &paths).ok());
-  ASSERT_EQ(paths.size(), 3u);
-
-  // The expected Z, derived exactly as the splitter (and the unsharded
-  // engine) derive it.
-  DenseMatrix gram, z;
-  GemmTransA(f.embedding.y.View(), f.embedding.y.View(), &gram);
-  Gemm(f.embedding.xb.View(), gram, &z);
-
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const DenseMatrix gram = StoreGram(*store);
   const ShardPlan plan =
-      serve::MakeShardPlan(f.embedding.num_nodes(),
-                           f.embedding.num_attributes(), 3);
-  for (size_t i = 0; i < paths.size(); ++i) {
-    auto store = serve::EmbeddingStore::Open(paths[i]);
-    ASSERT_TRUE(store.ok()) << store.status();
-    EXPECT_TRUE(store->sharded());
-    const store::ShardMeta& meta = store->shard();
-    EXPECT_EQ(meta.shard_index, static_cast<int64_t>(i));
-    EXPECT_EQ(meta.shard_count, 3);
-    EXPECT_EQ(meta.node_begin, plan.shards[i].node_begin);
-    EXPECT_EQ(meta.node_end, plan.shards[i].node_end);
-    EXPECT_EQ(meta.attr_begin, plan.shards[i].attr_begin);
-    EXPECT_EQ(meta.attr_end, plan.shards[i].attr_end);
-    EXPECT_TRUE(meta.has_attributes);
-    EXPECT_TRUE(meta.has_links);
-    // Globals stay global; the slices carry the shard's rows bitwise.
-    EXPECT_EQ(store->num_nodes(), f.embedding.num_nodes());
-    EXPECT_EQ(store->num_attributes(), f.embedding.num_attributes());
-    ExpectSameRows(store->xf(), f.embedding.xf.View(), 0, "xf");
-    ExpectSameRows(store->xb(), f.embedding.xb.View(), 0, "xb");
-    ExpectSameRows(store->y(), f.embedding.y.View(), meta.attr_begin, "y");
-    ExpectSameRows(store->z(), z.View(), meta.node_begin, "z");
+      serve::MakeShardPlan(store->num_nodes(), store->num_attributes(), 3);
+  const auto build = [&gram](const serve::EmbeddingStore& from,
+                             const ShardSpec& spec) {
+    return serve::CreateShardEngine(from, gram.View(), spec,
+                                    serve::QueryEngineOptions())
+        .status();
+  };
+  for (size_t i = 0; i < plan.shards.size(); ++i) {
+    auto engine = serve::CreateShardEngine(*store, gram.View(),
+                                           plan.shards[i],
+                                           serve::QueryEngineOptions());
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    EXPECT_EQ(serve::FormatPlanResponse(engine->shard()),
+              serve::FormatPlanResponse(
+                  ReportedSpec(plan, i, store->xf().cols())));
   }
-  for (const std::string& path : paths) std::filesystem::remove(path);
-}
 
-TEST(ShardSplitTest, RefusesToResplitAShardContainer) {
-  const ShardFixture& f = ShardFixture::Get();
-  const std::string prefix = (std::filesystem::temp_directory_path() /
-                              ("shard_resplit_" + std::to_string(::getpid())))
-                                 .string();
-  std::vector<std::string> paths;
-  ASSERT_TRUE(
-      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 2, &paths).ok());
-  EXPECT_FALSE(
-      serve::SplitEmbeddingArtifact(paths[0], prefix + ".again", 2, nullptr)
-          .ok());
-  for (const std::string& path : paths) std::filesystem::remove(path);
-}
+  // Index >= count, and a negative index.
+  for (const int64_t index : {int64_t{3}, int64_t{4}, int64_t{-1}}) {
+    ShardSpec spec = plan.shards[2];
+    spec.shard_index = index;
+    EXPECT_TRUE(build(*store, spec).IsInvalidArgument()) << index;
+  }
+  // Count <= 0.
+  for (const int64_t count : {int64_t{0}, int64_t{-3}}) {
+    ShardSpec spec = plan.shards[0];
+    spec.shard_count = count;
+    EXPECT_TRUE(build(*store, spec).IsInvalidArgument()) << count;
+  }
+  // Ranges cut for another artifact's shape.
+  EXPECT_TRUE(build(*store, serve::MakeShardPlan(store->num_nodes() + 1,
+                                                 store->num_attributes(), 3)
+                                .shards[2])
+                  .IsInvalidArgument());
 
-TEST(ShardSplitTest, RejectsMetaShapesThatOverflowTheirStreams) {
-  // A CRC-valid shard container whose meta declares n = 2^61, dim = 1 over
-  // empty xf / xb streams: 2^61 x 1 x 8 bytes wraps to 0, so an unchecked
-  // product would accept it and serve num_nodes() == 2^61 rows of nothing.
-  const ShardFixture& f = ShardFixture::Get();
-  const std::string prefix = (std::filesystem::temp_directory_path() /
-                              ("shard_hostile_" + std::to_string(::getpid())))
-                                 .string();
-  std::vector<std::string> paths;
-  ASSERT_TRUE(
-      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 1, &paths).ok());
-  const std::string hostile = prefix + ".hostile";
-  testing::RewriteContainer(
-      paths[0], hostile, [](const std::string& name, std::string* payload) {
-        if (name == "shard.meta") {
-          // i64 fields from byte 8 (src/store/shard_pages.cc): shard index,
-          // count, n, d, dim, then the node and attribute ranges.
-          const int64_t fields[9] = {0, 1, int64_t{1} << 61, 0, 1,
-                                     0, 0, 0, 0};
-          std::memcpy(payload->data() + 8, fields, sizeof(fields));
-          return true;
-        }
-        payload->clear();
-        return name == "shard.xf" || name == "shard.xb";
-      });
-  const auto store = serve::EmbeddingStore::Open(hostile);
-  EXPECT_FALSE(store.ok()) << "opened with num_nodes() = "
-                           << store->num_nodes() << ", dim() = "
-                           << store->dim();
-  std::filesystem::remove(hostile);
-  for (const std::string& path : paths) std::filesystem::remove(path);
+  // An artifact without factor blocks (features only, as the non-PANE
+  // methods write).
+  NodeEmbedding bare;
+  bare.method = "nrp";
+  bare.features.Resize(10, 4);
+  bare.features(0, 0) = 1.0;
+  const std::string bare_path =
+      (std::filesystem::temp_directory_path() /
+       ("shard_bare_" + std::to_string(::getpid()) + ".ctn"))
+          .string();
+  ASSERT_TRUE(bare.SaveContainer(bare_path).ok());
+  auto bare_store = serve::EmbeddingStore::Open(bare_path);
+  ASSERT_TRUE(bare_store.ok()) << bare_store.status();
+  EXPECT_TRUE(build(*bare_store, serve::MakeShardPlan(10, 0, 2).shards[0])
+                  .IsInvalidArgument());
+  EXPECT_TRUE(serve::BuildLocalShards(*bare_store, 2,
+                                      serve::QueryEngineOptions(),
+                                      serve::ServerOptions(), nullptr)
+                  .status()
+                  .IsInvalidArgument());
+  std::filesystem::remove(bare_path);
 }
 
 // ---- Router differential (the fabric's contract) ------------------------
@@ -708,23 +689,22 @@ TEST(RemoteReplyTest, ScoreParsesOnlyTheMatchingPair) {
 
 // ---- Remote shards over real TCP ----------------------------------------
 
-/// One in-process shard server bound to an ephemeral loopback port.
+/// One in-process shard server bound to an ephemeral loopback port,
+/// serving shard `spec` of a store through the shared builder — what
+/// `pane_server --embedding=... --shard=i/N --port=...` runs.
 struct TcpShard {
-  std::unique_ptr<serve::EmbeddingStore> store;
   std::unique_ptr<serve::QueryEngine> engine;
   std::unique_ptr<serve::PaneServer> server;
   std::thread acceptor;
   int port = 0;
 
   /// `port` 0 binds an ephemeral port.
-  static TcpShard Start(const std::string& path, int port = 0) {
+  static TcpShard Start(const serve::EmbeddingStore& store,
+                        const DenseMatrix& gram, const ShardSpec& spec,
+                        int port = 0) {
     TcpShard shard;
-    auto store = serve::EmbeddingStore::Open(path);
-    PANE_CHECK(store.ok()) << store.status();
-    shard.store = std::make_unique<serve::EmbeddingStore>(
-        store.MoveValueUnsafe());
-    auto engine = serve::QueryEngine::Create(*shard.store,
-                                             serve::QueryEngineOptions());
+    auto engine = serve::CreateShardEngine(store, gram.View(), spec,
+                                           serve::QueryEngineOptions());
     PANE_CHECK(engine.ok()) << engine.status();
     shard.engine =
         std::make_unique<serve::QueryEngine>(engine.MoveValueUnsafe());
@@ -738,125 +718,138 @@ struct TcpShard {
     return shard;
   }
 
+  std::string address() const { return "127.0.0.1:" + std::to_string(port); }
+
   void Stop() {
+    if (server == nullptr) return;
     server->Shutdown();
     if (acceptor.joinable()) acceptor.join();
   }
 };
 
+/// `count` TCP shard servers over one store, cut by MakeShardPlan, behind
+/// a router and an uncached front server (so a round after a shard death
+/// cannot be answered from results cached while it was alive).
+struct TcpFleet {
+  std::vector<TcpShard> shards;
+  std::unique_ptr<serve::Router> router;
+  std::unique_ptr<serve::PaneServer> front;
+
+  TcpFleet(const serve::EmbeddingStore& store, const DenseMatrix& gram,
+           int count) {
+    const ShardPlan plan =
+        serve::MakeShardPlan(store.num_nodes(), store.num_attributes(), count);
+    for (const ShardSpec& spec : plan.shards) {
+      shards.push_back(TcpShard::Start(store, gram, spec));
+    }
+    std::vector<std::unique_ptr<serve::ShardBackend>> backends;
+    for (const TcpShard& shard : shards) {
+      backends.push_back(std::make_unique<serve::RemoteShard>(
+          shard.address(), RouterOptions()));
+    }
+    router = std::make_unique<serve::Router>(
+        serve::Router::Create(std::move(backends), RouterOptions())
+            .ValueOrDie());
+    serve::ServerOptions front_options;
+    front_options.cache_capacity = 0;
+    front = std::make_unique<serve::PaneServer>(router.get(), front_options);
+  }
+  ~TcpFleet() {
+    for (TcpShard& shard : shards) shard.Stop();
+  }
+
+  static serve::RouterOptions RouterOptions() {
+    serve::RouterOptions options;
+    options.hop_timeout_ms = 5000;
+    return options;
+  }
+};
+
 TEST(ShardRouterTest, RemoteFleetOverTcpMatchesUnshardedAndDegradesOnDeath) {
   const ShardFixture& f = ShardFixture::Get();
-  const std::string prefix = (std::filesystem::temp_directory_path() /
-                              ("shard_tcp_" + std::to_string(::getpid())))
-                                 .string();
-  std::vector<std::string> paths;
-  ASSERT_TRUE(
-      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 3, &paths).ok());
-
-  std::vector<TcpShard> shards;
-  for (const std::string& path : paths) shards.push_back(TcpShard::Start(path));
-
-  serve::RouterOptions router_options;
-  router_options.hop_timeout_ms = 5000;
-  std::vector<std::unique_ptr<serve::ShardBackend>> backends;
-  for (const TcpShard& shard : shards) {
-    backends.push_back(std::make_unique<serve::RemoteShard>(
-        "127.0.0.1:" + std::to_string(shard.port), router_options));
-  }
-  auto router = serve::Router::Create(std::move(backends), router_options);
-  ASSERT_TRUE(router.ok()) << router.status();
-
   auto store = serve::EmbeddingStore::Open(f.artifact_path);
   ASSERT_TRUE(store.ok()) << store.status();
+  const DenseMatrix gram = StoreGram(*store);
   const int64_t n = store->num_nodes();
   const int64_t d = store->num_attributes();
   const std::string script = DifferentialScript(n, d);
-  const serve::ServerOptions server_options;
   const std::string expected =
-      UnshardedTranscript(*store, server_options, script);
+      UnshardedTranscript(*store, serve::ServerOptions(), script);
 
-  // Disable the fronting cache so the post-death round below cannot be
-  // answered from results cached while the shard was alive.
-  serve::ServerOptions front_options;
-  front_options.cache_capacity = 0;
-  serve::PaneServer front(&*router, front_options);
-  EXPECT_EQ(ServeScript(&front, script), expected);
+  for (const int count : {1, 2, 3, 4}) {
+    TcpFleet fleet(*store, gram, count);
+    // Each shard's `plan` reply over the wire is MakeShardPlan's spec.
+    const ShardPlan plan = serve::MakeShardPlan(n, d, count);
+    for (size_t i = 0; i < fleet.shards.size(); ++i) {
+      serve::RemoteShard probe(fleet.shards[i].address(),
+                               TcpFleet::RouterOptions());
+      auto reported = probe.Plan();
+      ASSERT_TRUE(reported.ok()) << reported.status();
+      EXPECT_EQ(serve::FormatPlanResponse(*reported),
+                serve::FormatPlanResponse(
+                    ReportedSpec(plan, i, store->xf().cols())))
+          << "shard " << i << "/" << count;
+    }
+    EXPECT_EQ(ServeScript(fleet.front.get(), script), expected)
+        << "shards=" << count;
+    if (count != 3) continue;
 
-  // Kill the middle shard: every fresh top-k degrades (never a partial
-  // merge), pairs owned by the dead shard degrade, pairs owned by live
-  // shards still answer, and the stats line reports the death.
-  shards[1].Stop();
-  const store::ShardMeta& dead = shards[1].store->shard();
-  std::ostringstream post;
-  post << "attr 5 3\n";
-  post << "pattr 0 " << dead.attr_begin << "\n";        // dead shard's range
-  post << "pattr 0 0\n";                                // shard 0's range
-  post << "pair 0 " << (n - 1) << "\n";                 // shard 2's range
-  post << "stats\n";
-  const std::string out = ServeScript(&front, post.str());
-  std::istringstream lines(out);
-  std::string line;
-  std::vector<std::string> got;
-  while (std::getline(lines, line)) got.push_back(line);
-  ASSERT_EQ(got.size(), 5u);
-  EXPECT_EQ(got[0], "err shard unavailable");
-  EXPECT_EQ(got[1], "err shard unavailable");
-  EXPECT_EQ(got[2].find("pattr 0 0 ok "), 0u) << got[2];
-  EXPECT_EQ(got[3].find("pair 0 "), 0u) << got[3];
-  EXPECT_NE(got[3].find(" ok "), std::string::npos) << got[3];
-  EXPECT_NE(got[4].find("mode=router shards=3"), std::string::npos) << got[4];
-  EXPECT_NE(got[4].find("shard1.alive=0"), std::string::npos) << got[4];
-  EXPECT_NE(got[4].find("shard0.alive=1"), std::string::npos) << got[4];
-
-  shards[0].Stop();
-  shards[2].Stop();
-  for (const std::string& path : paths) std::filesystem::remove(path);
+    // Kill the middle shard: every fresh top-k degrades (never a partial
+    // merge), pairs owned by the dead shard degrade, pairs owned by live
+    // shards still answer, and the stats line reports the death.
+    fleet.shards[1].Stop();
+    const ShardSpec& dead = fleet.shards[1].engine->shard();
+    std::ostringstream post;
+    post << "attr 5 3\n";
+    post << "pattr 0 " << dead.attr_begin << "\n";  // dead shard's range
+    post << "pattr 0 0\n";                          // shard 0's range
+    post << "pair 0 " << (n - 1) << "\n";           // shard 2's range
+    post << "stats\n";
+    const std::string out = ServeScript(fleet.front.get(), post.str());
+    std::istringstream lines(out);
+    std::string line;
+    std::vector<std::string> got;
+    while (std::getline(lines, line)) got.push_back(line);
+    ASSERT_EQ(got.size(), 5u);
+    EXPECT_EQ(got[0], "err shard unavailable");
+    EXPECT_EQ(got[1], "err shard unavailable");
+    EXPECT_EQ(got[2].find("pattr 0 0 ok "), 0u) << got[2];
+    EXPECT_EQ(got[3].find("pair 0 "), 0u) << got[3];
+    EXPECT_NE(got[3].find(" ok "), std::string::npos) << got[3];
+    EXPECT_NE(got[4].find("mode=router shards=3"), std::string::npos)
+        << got[4];
+    EXPECT_NE(got[4].find("shard1.alive=0"), std::string::npos) << got[4];
+    EXPECT_NE(got[4].find("shard0.alive=1"), std::string::npos) << got[4];
+  }
 }
 
 TEST(ShardRouterTest, RemoteShardServingForeignRowsDegradesInsteadOfMerging) {
-  // A shard restarted on another artifact slice reconnects fine, but its
+  // A shard restarted on another shard position reconnects fine, but its
   // rankings carry ids outside the range it reported at the handshake.
   // Merging them would silently return wrong (here: duplicated) answers;
   // the router must degrade instead.
   const ShardFixture& f = ShardFixture::Get();
-  const std::string prefix = (std::filesystem::temp_directory_path() /
-                              ("shard_foreign_" + std::to_string(::getpid())))
-                                 .string();
-  std::vector<std::string> paths;
-  ASSERT_TRUE(
-      serve::SplitEmbeddingArtifact(f.artifact_path, prefix, 2, &paths).ok());
-  std::vector<TcpShard> shards;
-  for (const std::string& path : paths) shards.push_back(TcpShard::Start(path));
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const DenseMatrix gram = StoreGram(*store);
+  TcpFleet fleet(*store, gram, 2);
+  EXPECT_EQ(ServeScript(fleet.front.get(), "attr 5 3\n").find("attr 5 ok "),
+            0u);
 
-  serve::RouterOptions router_options;
-  router_options.hop_timeout_ms = 5000;
-  std::vector<std::unique_ptr<serve::ShardBackend>> backends;
-  for (const TcpShard& shard : shards) {
-    backends.push_back(std::make_unique<serve::RemoteShard>(
-        "127.0.0.1:" + std::to_string(shard.port), router_options));
-  }
-  auto router = serve::Router::Create(std::move(backends), router_options);
-  ASSERT_TRUE(router.ok()) << router.status();
-  serve::ServerOptions front_options;
-  front_options.cache_capacity = 0;
-  serve::PaneServer front(&*router, front_options);
-  EXPECT_EQ(ServeScript(&front, "attr 5 3\n").find("attr 5 ok "), 0u);
-
-  // Shard 1's port now serves shard 0's slice.
-  shards[1].Stop();
-  shards[1].server.reset();
-  TcpShard imposter = TcpShard::Start(paths[0], shards[1].port);
+  // Shard 1's port now serves shard 0's rows.
+  fleet.shards[1].Stop();
+  fleet.shards[1].server.reset();
+  TcpShard imposter =
+      TcpShard::Start(*store, gram, fleet.shards[0].engine->shard(),
+                      fleet.shards[1].port);
   // The first hop may still fail on the dropped connection; the second
   // reaches the imposter.
-  ServeScript(&front, "attr 5 3\n");
-  EXPECT_EQ(ServeScript(&front, "attr 5 3\nlink 6 3\n"),
+  ServeScript(fleet.front.get(), "attr 5 3\n");
+  EXPECT_EQ(ServeScript(fleet.front.get(), "attr 5 3\nlink 6 3\n"),
             "err shard unavailable\nerr shard unavailable\n");
-  EXPECT_NE(ServeScript(&front, "stats\n").find("shard1.alive=0"),
+  EXPECT_NE(ServeScript(fleet.front.get(), "stats\n").find("shard1.alive=0"),
             std::string::npos);
-
   imposter.Stop();
-  shards[0].Stop();
-  for (const std::string& path : paths) std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -35,8 +35,8 @@ serve::QueryEngine SmallEngine() {
   static const DenseMatrix xb{{0.3, 0.6}, {0.8, 0.1}, {0.2, 0.5},
                               {0.7, 0.2}, {0.5, 0.9}, {0.1, 0.4}};
   static const DenseMatrix y{{0.4, 0.9}, {0.6, 0.3}, {0.2, 0.8}, {0.7, 0.5}};
-  auto engine = serve::QueryEngine::Create(xf.View(), xb.View(), y.View(),
-                                           ConstMatrixView(), {});
+  auto engine =
+      serve::QueryEngine::Create(xf.View(), xb.View(), y.View(), {});
   EXPECT_TRUE(engine.ok()) << engine.status();
   return engine.MoveValueUnsafe();
 }
