@@ -65,51 +65,6 @@ std::string MegabyteCell(double bytes) {
   return StrFormat("%.1fMB", bytes / (1024.0 * 1024.0));
 }
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "null";
-  return StrFormat("%.17g", value);
-}
-
-void WriteJsonFile(const std::string& path, const std::string& json) {
-  std::ofstream out(path, std::ios::trunc);
-  PANE_CHECK(out.is_open()) << "cannot open --json path " << path;
-  out << json << '\n';
-  PANE_CHECK(out.good()) << "short write to --json path " << path;
-  out.close();
-  std::fprintf(stderr, "json telemetry written to %s\n", path.c_str());
-}
-
 PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
                        double alpha, double epsilon, bool greedy_init,
                        int ccd_iterations, int64_t memory_budget_mb,

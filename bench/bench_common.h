@@ -39,19 +39,6 @@ int64_t PeakRssBytes();
 /// "123.4MB" cell, or "-" for negative (unavailable).
 std::string MegabyteCell(double bytes);
 
-/// Escapes `text` for embedding inside a JSON string literal: quotes,
-/// backslashes, and control bytes (\n, \t, \u00XX).
-std::string JsonEscape(const std::string& text);
-
-/// A JSON number cell: finite values print with enough precision to
-/// round-trip; NaN / infinity (invalid JSON) print as null.
-std::string JsonNumber(double value);
-
-/// Writes one telemetry snapshot (the --json=PATH sink of the bench
-/// binaries) and logs the destination to stderr. Fatal on I/O failure —
-/// a bench asked for telemetry must not silently drop it.
-void WriteJsonFile(const std::string& path, const std::string& json);
-
 /// Trains PANE with paper-default alpha / epsilon. `memory_budget_mb` is
 /// the whole-pipeline budget of PaneOptions; `slab_policy` can force the
 /// factors in RAM or into the spill pool for comparisons at a fixed budget.

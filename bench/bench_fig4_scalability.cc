@@ -18,7 +18,6 @@
 #include <limits>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "bench_common.h"
@@ -153,6 +152,8 @@ void RunMemoryBudgetSection(double scale) {
     options.memory_budget_mb = budget;
     AffinityEngineStats stats;
     AffinitySlabs affinity;
+    affinity.forward = FactorSlab::Create(n, d).ValueOrDie();
+    affinity.backward = FactorSlab::Create(n, d).ValueOrDie();
     PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity, &stats));
     const double seconds = timer.ElapsedSeconds();
     const int64_t rss_after = bench::PeakRssBytes();
@@ -176,33 +177,9 @@ void RunMemoryBudgetSection(double scale) {
   RunWholePipelineBudgetSection(g, std::max<int64_t>(1, unbounded_mb / 4));
 }
 
-/// One (x-label, seconds) series per dataset, rendered into the --json
-/// snapshot as {"<dataset>": {"<label>": seconds, ...}, ...}.
-std::string JsonSeries(
-    const std::vector<std::pair<std::string, std::vector<std::pair<
-        std::string, double>>>>& datasets) {
-  std::string out = "{";
-  for (size_t i = 0; i < datasets.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "    \"" + bench::JsonEscape(datasets[i].first) + "\": {";
-    const auto& series = datasets[i].second;
-    for (size_t j = 0; j < series.size(); ++j) {
-      out += j == 0 ? "" : ", ";
-      out += "\"" + bench::JsonEscape(series[j].first) +
-             "\": " + bench::JsonNumber(series[j].second);
-    }
-    out += "}";
-  }
-  out += "\n  }";
-  return out;
-}
-
-void Run(const std::string& json_path) {
+void Run() {
   const double scale = bench::BenchScale();
   const std::vector<std::string> dataset_names = {"google+", "tweibo"};
-  std::vector<std::pair<std::string,
-                        std::vector<std::pair<std::string, double>>>>
-      speedup_series, k_series, eps_series;
 
   bench::PrintHeader("Figure 4a: parallel speedup vs nb",
                      "speedup = time(nb=1) / time(nb); hardware threads "
@@ -212,22 +189,19 @@ void Run(const std::string& json_path) {
     const AttributedGraph g = *MakeDatasetByName(name, scale);
     double base = 0.0;
     std::vector<std::string> cells;
-    std::vector<std::pair<std::string, double>> series;
     for (const int nb : {1, 2, 5, 10, 20}) {
       const auto run = bench::TrainPaneOrDie(g, 128, nb);
       if (nb == 1) base = run.stats.total_seconds;
       // At small bench scale a run can finish in ~0s; a ratio against that
-      // prints inf/nan, so emit n/a instead (NaN renders as JSON null).
+      // prints inf/nan, so emit n/a instead.
       constexpr double kMinMeasurable = 1e-6;
       double speedup = std::numeric_limits<double>::quiet_NaN();
       if (base >= kMinMeasurable && run.stats.total_seconds >= kMinMeasurable) {
         speedup = base / run.stats.total_seconds;
       }
       cells.push_back(std::isnan(speedup) ? "n/a" : bench::Cell(speedup));
-      series.emplace_back("nb=" + std::to_string(nb), speedup);
     }
     bench::PrintRow(name, cells);
-    speedup_series.emplace_back(name, std::move(series));
   }
 
   bench::PrintHeader("Figure 4b: running time (s) vs space budget k",
@@ -236,15 +210,11 @@ void Run(const std::string& json_path) {
   for (const std::string& name : dataset_names) {
     const AttributedGraph g = *MakeDatasetByName(name, scale);
     std::vector<std::string> cells;
-    std::vector<std::pair<std::string, double>> series;
     for (const int k : {16, 32, 64, 128, 256}) {
       const auto run = bench::TrainPaneOrDie(g, k, 10);
       cells.push_back(bench::TimeCell(run.stats.total_seconds));
-      series.emplace_back("k=" + std::to_string(k),
-                          run.stats.total_seconds);
     }
     bench::PrintRow(name, cells);
-    k_series.emplace_back(name, std::move(series));
   }
 
   bench::PrintHeader("Figure 4c: running time (s) vs error threshold eps",
@@ -255,29 +225,14 @@ void Run(const std::string& json_path) {
   for (const std::string& name : dataset_names) {
     const AttributedGraph g = *MakeDatasetByName(name, scale);
     std::vector<std::string> cells;
-    std::vector<std::pair<std::string, double>> series;
     for (const double eps : {0.001, 0.005, 0.015, 0.05, 0.25}) {
       const auto run = bench::TrainPaneOrDie(g, 128, 10, 0.5, eps);
       cells.push_back(bench::TimeCell(run.stats.total_seconds));
-      series.emplace_back(StrFormat("eps=%g", eps),
-                          run.stats.total_seconds);
     }
     bench::PrintRow(name, cells);
-    eps_series.emplace_back(name, std::move(series));
   }
 
   RunMemoryBudgetSection(scale);
-
-  if (!json_path.empty()) {
-    std::string json = "{\n";
-    json += "  \"bench\": \"fig4_scalability\",\n";
-    json += "  \"scale\": " + bench::JsonNumber(scale) + ",\n";
-    json += "  \"speedup_vs_threads\": " + JsonSeries(speedup_series) + ",\n";
-    json += "  \"seconds_vs_k\": " + JsonSeries(k_series) + ",\n";
-    json += "  \"seconds_vs_eps\": " + JsonSeries(eps_series) + "\n";
-    json += "}";
-    bench::WriteJsonFile(json_path, json);
-  }
 }
 
 }  // namespace
@@ -285,10 +240,7 @@ void Run(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   pane::FlagSet flags;
-  flags.AddString("json", "",
-                  "write a JSON telemetry snapshot of the figure series "
-                  "(speedups, running times) to this path");
   PANE_CHECK_OK(flags.Parse(argc, argv));
-  pane::Run(flags.GetString("json"));
+  pane::Run();
   return 0;
 }

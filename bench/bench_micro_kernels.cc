@@ -42,6 +42,10 @@ AffinitySlabs BenchAffinity(const AttributedGraph& g) {
   AffinityEngineOptions options;
   options.t = ComputeIterationCount(0.015, 0.5);
   AffinitySlabs affinity;
+  affinity.forward =
+      FactorSlab::Create(g.num_nodes(), g.num_attributes()).ValueOrDie();
+  affinity.backward =
+      FactorSlab::Create(g.num_nodes(), g.num_attributes()).ValueOrDie();
   PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity));
   return affinity;
 }

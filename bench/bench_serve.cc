@@ -154,26 +154,6 @@ struct Latency {
   double p50 = 0.0, p99 = 0.0;
 };
 
-/// Everything the --json snapshot reports, collected as the sections run.
-struct ServeTelemetry {
-  int64_t n = 0, d = 0, h = 0;
-  double legacy_attr_qps = 0.0, exact_attr_qps = 0.0;
-  double legacy_link_qps = 0.0, exact_link_qps = 0.0;
-  double attr_p50_us = 0.0, attr_p99_us = 0.0;
-  double link_p50_us = 0.0, link_p99_us = 0.0;
-  struct PrunedRow {
-    int64_t nprobe = 0;
-    double qps = 0.0;
-    double recall = 0.0;
-  };
-  std::vector<PrunedRow> pruned;
-  double shard2_speedup = 0.0, shard4_speedup = 0.0;
-  double qps_metrics_off = 0.0, qps_metrics_on = 0.0;
-  double metrics_overhead_pct = 0.0;
-  int64_t stage_scan_count = 0, stage_fanout_count = 0;
-  std::string metrics_dump;  ///< the local-shards=2 registry exposition
-};
-
 // ---- TCP client for the concurrent-connections section ------------------
 
 int ConnectLoopback(int port) {
@@ -257,8 +237,7 @@ Latency Percentiles(std::vector<double> seconds) {
 
 }  // namespace
 
-void Run(const std::string& json_path) {
-  ServeTelemetry telemetry;
+void Run() {
   const double scale = BenchScale();
   const int64_t n = static_cast<int64_t>(
       EnvDoubleOr("PANE_BENCH_SERVE_N", 100000.0 * scale));
@@ -267,9 +246,6 @@ void Run(const std::string& json_path) {
   const int64_t h = static_cast<int64_t>(EnvDoubleOr("PANE_BENCH_SERVE_H", 64.0));
   const int32_t communities = 32;
   const int num_threads = 4;
-  telemetry.n = n;
-  telemetry.d = d;
-  telemetry.h = h;
 
   SbmParams params;
   params.num_nodes = n;
@@ -358,10 +334,6 @@ void Run(const std::string& json_path) {
                             "exact-" + std::to_string(num_threads) + "t"});
   bench_mode("score-all", nullptr);
   bench_mode("recommend", &graph);
-  telemetry.legacy_attr_qps = legacy_attr_qps;
-  telemetry.exact_attr_qps = engine_attr_qps;
-  telemetry.legacy_link_qps = legacy_link_qps;
-  telemetry.exact_link_qps = engine_link_qps;
   std::printf(
       "  single-thread exact vs legacy: attr %.1fx, link %.1fx (bitwise "
       "identical scores; see the pruned section for the >= 5x serving "
@@ -384,10 +356,6 @@ void Run(const std::string& json_path) {
   }
   const Latency attr_lat = Percentiles(attr_times);
   const Latency link_lat = Percentiles(link_times);
-  telemetry.attr_p50_us = attr_lat.p50 * 1e6;
-  telemetry.attr_p99_us = attr_lat.p99 * 1e6;
-  telemetry.link_p50_us = link_lat.p50 * 1e6;
-  telemetry.link_p99_us = link_lat.p99 * 1e6;
   PrintRow("query", {"p50", "p99"});
   PrintRow("attr", {MicrosCell(attr_lat.p50), MicrosCell(attr_lat.p99)});
   PrintRow("link", {MicrosCell(link_lat.p50), MicrosCell(link_lat.p99)});
@@ -429,7 +397,6 @@ void Run(const std::string& json_path) {
       recall += serve::RecallAtK(exact[i], approx[i]);
     }
     recall /= static_cast<double>(exact.size());
-    telemetry.pruned.push_back({nprobe, qps, recall});
     const double speedup = qps / legacy_qps;
     char vs[32];
     std::snprintf(vs, sizeof(vs), "%.1fx", speedup);
@@ -583,8 +550,6 @@ void Run(const std::string& json_path) {
       "one. Merged answers are byte-identical to the unsharded server "
       "(shard_test).\n",
       shard2_speedup, shard4_speedup, std::thread::hardware_concurrency());
-  telemetry.shard2_speedup = shard2_speedup;
-  telemetry.shard4_speedup = shard4_speedup;
 
   // ---- Metrics overhead (A/B) -------------------------------------------
   // The same exact attr batches through PaneServer::ExecuteBatch with the
@@ -612,12 +577,9 @@ void Run(const std::string& json_path) {
       qps_off = std::max(qps_off, measure_qps(&off, attr_payloads));
       qps_on = std::max(qps_on, measure_qps(&on, attr_payloads));
     }
-    telemetry.qps_metrics_off = qps_off;
-    telemetry.qps_metrics_on = qps_on;
-    telemetry.metrics_overhead_pct = (qps_off - qps_on) / qps_off * 100.0;
     char overhead_cell[32];
     std::snprintf(overhead_cell, sizeof(overhead_cell), "%.2f%%",
-                  telemetry.metrics_overhead_pct);
+                  (qps_off - qps_on) / qps_off * 100.0);
     PrintRow("metrics", {"off", "on", "overhead"});
     PrintRow("attr QPS", {QpsCell(qps_off), QpsCell(qps_on), overhead_cell});
   }
@@ -655,27 +617,27 @@ void Run(const std::string& json_path) {
     const size_t end_marker = stream.find("# EOF");
     PANE_CHECK(begin != std::string::npos && end_marker != std::string::npos)
         << "metrics verb answered no exposition";
-    telemetry.metrics_dump = stream.substr(begin, end_marker + 5 - begin);
-    const auto sample = [&telemetry](const std::string& name) -> long long {
+    const std::string metrics_dump =
+        stream.substr(begin, end_marker + 5 - begin);
+    const auto sample = [&metrics_dump](const std::string& name) -> long long {
       const std::string needle = '\n' + name + ' ';
-      const size_t pos = telemetry.metrics_dump.find(needle);
+      const size_t pos = metrics_dump.find(needle);
       if (pos == std::string::npos) return 0;
-      return std::strtoll(telemetry.metrics_dump.c_str() + pos +
-                              needle.size(),
+      return std::strtoll(metrics_dump.c_str() + pos + needle.size(),
                           nullptr, 10);
     };
-    telemetry.stage_scan_count = sample("pane_stage_engine_scan_us_count");
-    telemetry.stage_fanout_count = sample("pane_stage_fanout_us_count");
-    PANE_CHECK(telemetry.stage_scan_count > 0)
+    const long long stage_scan_count =
+        sample("pane_stage_engine_scan_us_count");
+    const long long stage_fanout_count = sample("pane_stage_fanout_us_count");
+    PANE_CHECK(stage_scan_count > 0)
         << "shard engines recorded no engine-scan samples";
-    PANE_CHECK(telemetry.stage_fanout_count > 0)
+    PANE_CHECK(stage_fanout_count > 0)
         << "router recorded no fan-out samples";
     std::printf(
         "  pane_stage_engine_scan_us_count=%lld "
         "pane_stage_fanout_us_count=%lld — shard scans and router fan-out "
         "report through one registry\n",
-        static_cast<long long>(telemetry.stage_scan_count),
-        static_cast<long long>(telemetry.stage_fanout_count));
+        stage_scan_count, stage_fanout_count);
   }
   std::filesystem::remove(artifact_path);
 
@@ -721,55 +683,6 @@ void Run(const std::string& json_path) {
   }
   server.Shutdown();
   loop.join();
-
-  // ---- JSON telemetry snapshot ------------------------------------------
-  if (!json_path.empty()) {
-    std::string json = "{\n";
-    json += "  \"bench\": \"serve\",\n";
-    json += "  \"n\": " + std::to_string(telemetry.n) + ",\n";
-    json += "  \"d\": " + std::to_string(telemetry.d) + ",\n";
-    json += "  \"h\": " + std::to_string(telemetry.h) + ",\n";
-    json += "  \"legacy_attr_qps\": " +
-            JsonNumber(telemetry.legacy_attr_qps) + ",\n";
-    json += "  \"exact_attr_qps\": " +
-            JsonNumber(telemetry.exact_attr_qps) + ",\n";
-    json += "  \"legacy_link_qps\": " +
-            JsonNumber(telemetry.legacy_link_qps) + ",\n";
-    json += "  \"exact_link_qps\": " +
-            JsonNumber(telemetry.exact_link_qps) + ",\n";
-    json += "  \"attr_p50_us\": " + JsonNumber(telemetry.attr_p50_us) + ",\n";
-    json += "  \"attr_p99_us\": " + JsonNumber(telemetry.attr_p99_us) + ",\n";
-    json += "  \"link_p50_us\": " + JsonNumber(telemetry.link_p50_us) + ",\n";
-    json += "  \"link_p99_us\": " + JsonNumber(telemetry.link_p99_us) + ",\n";
-    json += "  \"pruned\": [";
-    for (size_t i = 0; i < telemetry.pruned.size(); ++i) {
-      const auto& row = telemetry.pruned[i];
-      json += i == 0 ? "\n" : ",\n";
-      json += "    {\"nprobe\": " + std::to_string(row.nprobe) +
-              ", \"qps\": " + JsonNumber(row.qps) +
-              ", \"recall_at_" + std::to_string(kTopK) +
-              "\": " + JsonNumber(row.recall) + "}";
-    }
-    json += "\n  ],\n";
-    json += "  \"shard2_speedup\": " +
-            JsonNumber(telemetry.shard2_speedup) + ",\n";
-    json += "  \"shard4_speedup\": " +
-            JsonNumber(telemetry.shard4_speedup) + ",\n";
-    json += "  \"qps_metrics_off\": " +
-            JsonNumber(telemetry.qps_metrics_off) + ",\n";
-    json += "  \"qps_metrics_on\": " +
-            JsonNumber(telemetry.qps_metrics_on) + ",\n";
-    json += "  \"metrics_overhead_pct\": " +
-            JsonNumber(telemetry.metrics_overhead_pct) + ",\n";
-    json += "  \"stage_scan_count\": " +
-            std::to_string(telemetry.stage_scan_count) + ",\n";
-    json += "  \"stage_fanout_count\": " +
-            std::to_string(telemetry.stage_fanout_count) + ",\n";
-    json += "  \"metrics_dump\": \"" + JsonEscape(telemetry.metrics_dump) +
-            "\"\n";
-    json += "}";
-    WriteJsonFile(json_path, json);
-  }
 }
 
 }  // namespace bench
@@ -777,11 +690,7 @@ void Run(const std::string& json_path) {
 
 int main(int argc, char** argv) {
   pane::FlagSet flags;
-  flags.AddString("json", "",
-                  "write a JSON telemetry snapshot (QPS, latency "
-                  "percentiles, recall sweep, metrics exposition) to this "
-                  "path, e.g. BENCH_serve.json");
   PANE_CHECK_OK(flags.Parse(argc, argv));
-  pane::bench::Run(flags.GetString("json"));
+  pane::bench::Run();
   return 0;
 }

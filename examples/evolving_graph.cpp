@@ -11,7 +11,6 @@
 #include "src/common/flags.h"
 #include "src/common/logging.h"
 #include "src/common/random.h"
-#include "src/core/incremental.h"
 #include "src/core/pane.h"
 #include "src/datasets/registry.h"
 
@@ -73,13 +72,13 @@ int main(int argc, char** argv) {
   for (int round = 1; round <= flags.GetInt("rounds"); ++round) {
     graph = AddEdgeBatch(graph, batch, 1000 + static_cast<uint64_t>(round));
 
-    // Warm-start refresh, under the same memory budget as training.
-    pane::RefreshOptions refresh_options;
-    refresh_options.num_threads = 2;
-    refresh_options.memory_budget_mb = budget_mb;
-    pane::RefreshStats refresh_stats;
-    embedding = pane::RefreshEmbedding(graph, embedding, refresh_options,
-                                       &refresh_stats)
+    // Warm-start refresh: the training options (same memory budget) with
+    // two CCD sweeps on top of the previous embedding.
+    pane::PaneOptions refresh_options = options;
+    refresh_options.ccd_iterations = 2;
+    pane::PaneStats refresh_stats;
+    embedding = pane::Pane(refresh_options)
+                    .Train(graph, &refresh_stats, &embedding)
                     .ValueOrDie();
 
     // Full retrain, for the cost/quality comparison.
@@ -87,11 +86,12 @@ int main(int argc, char** argv) {
     const auto full = pane::Pane(options).Train(graph, &full_stats).ValueOrDie();
 
     std::printf(
-        "round %d (+%lld edges): refresh %.2fs vs retrain %.2fs "
-        "(%.1fx faster); objective %.3e vs %.3e (%.1f%% gap); refresh "
-        "engine width=%lld scratch=%.1fMB slabs=%s\n",
+        "round %d (+%lld edges): refresh %.2fs (affinity %.2fs, init %.2fs, "
+        "ccd %.2fs) vs retrain %.2fs (%.1fx faster); objective %.3e vs %.3e "
+        "(%.1f%% gap); refresh engine width=%lld scratch=%.1fMB slabs=%s\n",
         round, static_cast<long long>(batch), refresh_stats.total_seconds,
-        full_stats.total_seconds,
+        refresh_stats.affinity_seconds, refresh_stats.init_seconds,
+        refresh_stats.ccd_seconds, full_stats.total_seconds,
         full_stats.total_seconds / refresh_stats.total_seconds,
         refresh_stats.objective_final, full_stats.objective_final,
         100.0 * (refresh_stats.objective_final - full_stats.objective_final) /

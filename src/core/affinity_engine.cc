@@ -162,14 +162,10 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   const int64_t d = r.cols();
   const double alpha = options.alpha;
 
-  // Accept caller-created slabs (pre-created so a consumer can hold a
-  // stable pointer during the run) or create them here.
-  for (FactorSlab* slab : {&out->forward, &out->backward}) {
-    if (slab->empty() && (slab->rows() != n || slab->cols() != d)) {
-      PANE_ASSIGN_OR_RETURN(
-          *slab,
-          FactorSlab::Create(n, d, options.buffer_pool, options.spill_dir));
-    } else if (slab->rows() != n || slab->cols() != d) {
+  // The caller creates the slabs (so a consumer can hold a stable pointer
+  // during the run, and so the caller decides whether they spill).
+  for (const FactorSlab* slab : {&out->forward, &out->backward}) {
+    if (slab->rows() != n || slab->cols() != d) {
       return Status::InvalidArgument("output slab shape must be n x d");
     }
   }
@@ -359,6 +355,8 @@ Result<AffinitySlabs> ComputeAffinitySlabs(const CsrMatrix& p,
                                            const AffinityEngineOptions& options,
                                            AffinityEngineStats* stats) {
   AffinitySlabs out;
+  PANE_ASSIGN_OR_RETURN(out.forward, FactorSlab::Create(r.rows(), r.cols()));
+  PANE_ASSIGN_OR_RETURN(out.backward, FactorSlab::Create(r.rows(), r.cols()));
   PANE_RETURN_NOT_OK(
       ComputeAffinityIntoSlabs(p, p_transposed, r, options, &out, stats));
   return out;

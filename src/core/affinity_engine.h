@@ -10,9 +10,9 @@
 // row-parallel pass over the backward slab once all panels have landed (row
 // sums span every panel).
 //
-// The outputs are FactorSlabs (src/matrix/factor_slab.h): in RAM, or
-// spilled through the run's BufferPool when the caller's memory budget
-// cannot hold the factors — panels then run sequentially and each finished
+// The outputs are caller-created FactorSlabs (src/matrix/factor_slab.h):
+// in RAM, or spilled through the run's BufferPool when the caller's memory
+// budget cannot hold the factors — panels then run sequentially and each finished
 // panel's pages are evicted from the pool, so peak RSS tracks the scratch
 // budget rather than 2 n d. A consumer callback fires as
 // panels land; the engine-aware greedy init uses the forward-complete event
@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string>
 
 #include "src/common/status.h"
 #include "src/core/affinity.h"
@@ -72,11 +71,6 @@ struct AffinityEngineOptions {
   /// Explicit panel-width override (tests, benches). 0 => derive from the
   /// budget. Values > d are clamped to d.
   int64_t panel_width = 0;
-  /// Spill pool for the slabs the engine creates itself (not owned; must
-  /// outlive them): null => in RAM. Pre-created caller slabs keep theirs.
-  store::BufferPool* buffer_pool = nullptr;
-  /// Spill-file directory for engine-created spilled slabs ("" => temp dir).
-  std::string spill_dir;
   /// Optional panel consumer; invoked under an engine mutex (events are
   /// serialized) from whichever thread finished the panel.
   std::function<void(const AffinityPanelEvent&)> panel_consumer;
@@ -96,10 +90,10 @@ struct AffinityEngineStats {
 };
 
 /// \brief Core entry: runs the engine on prebuilt P, P^T and attribute
-/// matrix R, writing into caller-owned slabs. The slabs must either be
-/// empty (they are created on options.buffer_pool) or already shaped n x d
-/// — pre-creating them is what lets a consumer callback observe them while
-/// the run is in flight.
+/// matrix R, writing into caller-owned slabs, which must already be shaped
+/// n x d (InvalidArgument otherwise). The caller decides where they live —
+/// in RAM or spilled through its BufferPool — and pre-creating them is what
+/// lets a consumer callback observe them while the run is in flight.
 Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
                                 const CsrMatrix& p_transposed,
                                 const CsrMatrix& r,
@@ -107,7 +101,8 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
                                 AffinitySlabs* out,
                                 AffinityEngineStats* stats = nullptr);
 
-/// \brief Slab-returning convenience over ComputeAffinityIntoSlabs.
+/// \brief Slab-returning convenience over ComputeAffinityIntoSlabs; the
+/// slabs it creates live in RAM (tests, benches).
 Result<AffinitySlabs> ComputeAffinitySlabs(const CsrMatrix& p,
                                            const CsrMatrix& p_transposed,
                                            const CsrMatrix& r,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -311,6 +312,62 @@ Result<EmbeddingState> RandomInit(const AffinitySlabs& affinity,
   state.xf.FillGaussian(&rng, 0.0, scale);
   state.xb.FillGaussian(&rng, 0.0, scale);
   state.y.FillGaussian(&rng, 0.0, scale);
+  PANE_ASSIGN_OR_RETURN(state.sf, CreateResidualSlab(n, d, options));
+  PANE_ASSIGN_OR_RETURN(state.sb, CreateResidualSlab(n, d, options));
+  PANE_RETURN_NOT_OK(BuildResidualSlab(state.xf, state.y, affinity.forward,
+                                       &state.sf, options.pool));
+  PANE_RETURN_NOT_OK(BuildResidualSlab(state.xb, state.y, affinity.backward,
+                                       &state.sb, options.pool));
+  return state;
+}
+
+Status ValidateWarmStart(const PaneEmbedding& previous, int64_t n, int64_t d,
+                         int k) {
+  const int64_t h = k / 2;
+  const int64_t n_prev = previous.xf.rows();
+  const auto shape = [](const DenseMatrix& m) {
+    return std::to_string(m.rows()) + " x " + std::to_string(m.cols());
+  };
+  if (previous.y.rows() != d || previous.y.cols() != h) {
+    return Status::InvalidArgument(
+        "warm start y is " + shape(previous.y) + "; it must be " +
+        std::to_string(d) + " x " + std::to_string(h) +
+        " (d x k/2: a warm start requires a fixed attribute set)");
+  }
+  if (n_prev == 0 || n_prev > n || previous.xf.cols() != h) {
+    return Status::InvalidArgument(
+        "warm start xf is " + shape(previous.xf) + "; it must be n_prev x " +
+        std::to_string(h) + " (k/2) with 0 < n_prev <= " + std::to_string(n) +
+        " nodes (compact/remap ids before a warm start on a shrunk graph)");
+  }
+  if (previous.xb.rows() != n_prev || previous.xb.cols() != h) {
+    return Status::InvalidArgument("warm start xb is " + shape(previous.xb) +
+                                   "; it must match xf: " +
+                                   std::to_string(n_prev) + " x " +
+                                   std::to_string(h));
+  }
+  return Status::OK();
+}
+
+Result<EmbeddingState> WarmInit(const AffinitySlabs& affinity,
+                                const PaneEmbedding& previous,
+                                const InitOptions& options) {
+  PANE_RETURN_NOT_OK(ValidateInit(affinity, options));
+  const int64_t n = affinity.forward.rows();
+  const int64_t d = affinity.forward.cols();
+  PANE_RETURN_NOT_OK(ValidateWarmStart(previous, n, d, options.k));
+  const int64_t n_prev = previous.xf.rows();
+  const int h = options.k / 2;
+  EmbeddingState state;
+  state.y = previous.y;
+  state.xf.Resize(n, h);
+  state.xb.Resize(n, h);
+  state.xf.SetBlock(0, 0, previous.xf);
+  state.xb.SetBlock(0, 0, previous.xb);
+  ParallelFor(options.pool, n_prev, n, [&](int64_t begin, int64_t end) {
+    ProjectRows(affinity.forward, state.y, &state.xf, begin, end);
+    ProjectRows(affinity.backward, state.y, &state.xb, begin, end);
+  });
   PANE_ASSIGN_OR_RETURN(state.sf, CreateResidualSlab(n, d, options));
   PANE_ASSIGN_OR_RETURN(state.sb, CreateResidualSlab(n, d, options));
   PANE_RETURN_NOT_OK(BuildResidualSlab(state.xf, state.y, affinity.forward,

@@ -3,6 +3,8 @@
 // F' gives Xf = U Sigma, Y = V with Xf Y^T ~= F'; since V is (near)
 // unitary, Xb = B' Y immediately also approximates B' — so CCD starts close
 // to a joint optimum and needs few iterations (Section 5.7, Figures 7-8).
+// Beside them sit the two other seeds Pane::Train can choose: random
+// (PANE-R) and a warm start from a previous embedding (evolving graphs).
 //
 // The init layer consumes the affinity factors and produces the residuals
 // as FactorSlabs: every F' / B' access streams row blocks through one code
@@ -21,6 +23,7 @@
 #include "src/common/status.h"
 #include "src/common/sync.h"
 #include "src/core/affinity.h"
+#include "src/core/embedding.h"
 #include "src/matrix/dense_matrix.h"
 #include "src/matrix/factor_slab.h"
 
@@ -79,6 +82,20 @@ Result<EmbeddingState> SmGreedyInit(const AffinitySlabs& affinity,
 /// Xf, Xb, Y scaled by 1/sqrt(k/2), residuals computed from them.
 Result<EmbeddingState> RandomInit(const AffinitySlabs& affinity,
                                   const InitOptions& options);
+
+/// \brief Checks that `previous` can warm-start a run on a graph with n
+/// nodes and d attributes at space budget k: y d x k/2, xf and xb
+/// n_prev x k/2 with 0 < n_prev <= n. Each error names the offending block.
+Status ValidateWarmStart(const PaneEmbedding& previous, int64_t n, int64_t d,
+                         int k);
+
+/// \brief Warm seeding from a previous embedding: Y and the first n_prev
+/// rows of Xf / Xb are copied, rows of nodes added since are projected as
+/// Xf[v] = F'[v] Y and Xb[v] = B'[v] Y (the GreedyInit backward rule, no
+/// SVD), and the residuals are computed from them.
+Result<EmbeddingState> WarmInit(const AffinitySlabs& affinity,
+                                const PaneEmbedding& previous,
+                                const InitOptions& options);
 
 /// \brief Engine-aware SMGreedyInit: Algorithm 7 whose per-block F'
 /// RandSVDs are driven by the affinity engine's panel stream.
@@ -141,8 +158,7 @@ class EngineAwareInit {
 };
 
 /// \brief Streams S = X Y^T - F into the residual slab `s` (row blocks,
-/// release-as-you-go under spill). Shared by the init family and the
-/// incremental refresh path.
+/// release-as-you-go under spill). Shared by the init family.
 Status BuildResidualSlab(const DenseMatrix& x, const DenseMatrix& y,
                          const FactorSlab& f, FactorSlab* s,
                          ThreadPool* pool = nullptr);

@@ -34,11 +34,16 @@ Status ValidatePaneOptions(const PaneOptions& options) {
 }
 
 Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
-                                  PaneStats* stats) const {
+                                  PaneStats* stats,
+                                  const PaneEmbedding* warm_start) const {
   const PaneOptions& opt = options_;
   PANE_RETURN_NOT_OK(ValidatePaneOptions(opt));
   if (graph.num_nodes() == 0 || graph.num_attributes() == 0) {
     return Status::InvalidArgument("graph must have nodes and attributes");
+  }
+  if (warm_start != nullptr) {
+    PANE_RETURN_NOT_OK(ValidateWarmStart(*warm_start, graph.num_nodes(),
+                                         graph.num_attributes(), opt.k));
   }
   if (opt.k / 2 > graph.num_attributes()) {
     PANE_LOG(WARNING) << "k/2 = " << opt.k / 2 << " exceeds d = "
@@ -95,7 +100,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   // Declared after `affinity` so its destructor (which joins the helper
   // thread reading the slabs) runs first on every exit path.
   std::optional<EngineAwareInit> streamed_init;
-  if (opt.greedy_init && pool != nullptr) {
+  if (warm_start == nullptr && opt.greedy_init && pool != nullptr) {
     streamed_init.emplace(&affinity, init_options);
   }
 
@@ -106,7 +111,6 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     engine_options.t = t;
     engine_options.pool = pool.get();
     engine_options.memory_budget_mb = budget_mb;
-    engine_options.spill_dir = opt.spill_dir;
     if (streamed_init.has_value()) {
       // Fold Algorithm 7's per-block F' SVDs into the panel stream: they
       // start the moment the forward slab is final, while the backward
@@ -119,11 +123,15 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
         graph, engine_options, &affinity, &out_stats->affinity));
   }
 
-  // Phase 2a: seeding (Algorithm 3 / 7, or random for PANE-R).
+  // Phase 2a: seeding (a warm start, Algorithm 3 / 7, or random for
+  // PANE-R).
   EmbeddingState state;
   {
     ScopedTimer timer(&out_stats->init_seconds);
-    if (!opt.greedy_init) {
+    if (warm_start != nullptr) {
+      PANE_ASSIGN_OR_RETURN(state,
+                            WarmInit(affinity, *warm_start, init_options));
+    } else if (!opt.greedy_init) {
       PANE_ASSIGN_OR_RETURN(state, RandomInit(affinity, init_options));
     } else if (streamed_init.has_value()) {
       PANE_ASSIGN_OR_RETURN(state, streamed_init->Finish());

@@ -1,11 +1,19 @@
 // Top-level PANE driver: Algorithm 1 (single thread) and Algorithm 5
-// (parallel), assembling affinity approximation (APMI / PAPMI), greedy
-// initialization (GreedyInit / engine-aware SMGreedyInit) and CCD
-// refinement (SVDCCD / PSVDCCD) into one Train() call, under one memory
-// budget: --memory-budget-mb sizes the affinity panel scratch and the CCD
-// strips, and decides whether the pipeline's four n x d factors (F', B',
-// Sf, Sb) live in RAM or are spilled through one store::BufferPool whose
-// residency budget is half the pipeline budget.
+// (parallel), assembling affinity approximation (APMI / PAPMI), seeding
+// (GreedyInit / engine-aware SMGreedyInit, random for PANE-R, or a warm
+// start from a previous embedding) and CCD refinement (SVDCCD / PSVDCCD)
+// into one Train() call, under one memory budget: --memory-budget-mb sizes
+// the affinity panel scratch and the CCD strips, and decides whether the
+// pipeline's four n x d factors (F', B', Sf, Sb) live in RAM or are spilled
+// through one store::BufferPool whose residency budget is half the pipeline
+// budget.
+//
+// The warm start is the time-varying-graph extension the paper's conclusion
+// leaves as future work: after a batch of edge/attribute updates, Train
+// recomputes the (linear-time) affinity on the updated graph and seeds CCD
+// from the previous embedding instead of a RandSVD, which for modest
+// batches sits far closer to the new optimum — so a couple of CCD sweeps
+// (ccd_iterations = 2) suffice.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +74,7 @@ struct PaneStats {
   int t = 0;                      ///< derived iteration count
   double affinity_seconds = 0.0;  ///< APMI / PAPMI phase
   AffinityEngineStats affinity;   ///< panel decomposition + scratch bytes
-  double init_seconds = 0.0;      ///< GreedyInit / SMGreedyInit phase
+  double init_seconds = 0.0;      ///< seeding phase (greedy/random/warm)
   double ccd_seconds = 0.0;       ///< CCD refinement phase
   double total_seconds = 0.0;
   double objective_initial = 0.0;  ///< Equation (4) right after init
@@ -84,8 +92,17 @@ class Pane {
   explicit Pane(PaneOptions options) : options_(options) {}
 
   /// Runs the full pipeline. `stats` (optional) receives phase timings.
+  ///
+  /// `warm_start` (optional) seeds CCD from a previous embedding instead of
+  /// greedy or random init (it takes precedence over greedy_init): its rows
+  /// are copied, and nodes added since are projected as F'[v] Y and B'[v] Y
+  /// (the GreedyInit backward rule, no SVD). Its xf and xb must be
+  /// n_prev x k/2 with 0 < n_prev <= n, and its y d x k/2: the attribute
+  /// set is fixed and the node count may grow but not shrink
+  /// (delete-and-compact is the caller's remapping concern).
   Result<PaneEmbedding> Train(const AttributedGraph& graph,
-                              PaneStats* stats = nullptr) const;
+                              PaneStats* stats = nullptr,
+                              const PaneEmbedding* warm_start = nullptr) const;
 
   const PaneOptions& options() const { return options_; }
 

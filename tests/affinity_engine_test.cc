@@ -369,6 +369,10 @@ TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndBudget) {
   options.memory_budget_mb = 2;
   AffinityEngineStats stats;
   AffinitySlabs got;
+  got.forward = FactorSlab::Create(g.num_nodes(), g.num_attributes())
+                    .ValueOrDie();
+  got.backward = FactorSlab::Create(g.num_nodes(), g.num_attributes())
+                     .ValueOrDie();
   ASSERT_TRUE(ComputeGraphAffinityIntoSlabs(g, options, &got, &stats).ok());
   ExpectBitwiseEqual(ReferenceAffinity(in, 0.5, options.t), got,
                      "graph entry pool+budget");
@@ -406,9 +410,15 @@ TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
       options.t = 4;
       options.pool = threads;
       options.memory_budget_mb = budget_mb;
-      options.buffer_pool = &buffer_pool;
+      const int64_t n = in.r->rows();
+      const int64_t d = in.r->cols();
+      AffinitySlabs got;
+      got.forward = FactorSlab::Create(n, d, &buffer_pool).ValueOrDie();
+      got.backward = FactorSlab::Create(n, d, &buffer_pool).ValueOrDie();
       AffinityEngineStats stats;
-      const AffinitySlabs got = RunEngine(in, options, &stats);
+      ASSERT_TRUE(
+          ComputeAffinityIntoSlabs(in.p, in.pt, *in.r, options, &got, &stats)
+              .ok());
       const std::string label =
           std::string(threads == nullptr ? "serial" : "pooled") +
           " budget=" + std::to_string(budget_mb);
@@ -461,6 +471,20 @@ TEST(AffinityEngineTest, IntoSlabsRejectsMisshapenSlabs) {
   out.forward = DenseMatrix(2, 2);  // wrong shape, non-empty
   EXPECT_FALSE(
       ComputeAffinityIntoSlabs(in.p, in.pt, *in.r, options, &out).ok());
+}
+
+TEST(AffinityEngineTest, IntoSlabsRejectsEmptySlabs) {
+  // The engine never creates its outputs: the caller owns where they live.
+  const AttributedGraph g = testing::Figure1Graph();
+  const GraphInputs in = MakeInputs(g);
+  AffinityEngineOptions options;
+  options.t = 2;
+  AffinitySlabs out;  // both 0 x 0
+  const Status status =
+      ComputeAffinityIntoSlabs(in.p, in.pt, *in.r, options, &out);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+  EXPECT_TRUE(out.forward.empty());
+  EXPECT_TRUE(out.backward.empty());
 }
 
 TEST(AffinityEngineTest, InputValidation) {

@@ -1,14 +1,15 @@
-// Tests for the warm-start refresh (time-varying graph extension): shape
-// validation, quality after small update batches, and the warm-vs-cold
-// advantage that justifies the module.
-#include "src/core/incremental.h"
-
+// Tests for the warm start of Pane::Train (the time-varying graph
+// extension): validation of the options and of the previous embedding,
+// quality after small update batches, and the warm-vs-cold advantage that
+// justifies seeding from the previous embedding.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "src/common/random.h"
+#include "src/core/pane.h"
 #include "src/tasks/link_prediction.h"
 #include "test_util.h"
 
@@ -49,42 +50,120 @@ AttributedGraph Perturb(const AttributedGraph& g, int64_t extra_edges,
   return builder.Build(false).ValueOrDie();
 }
 
-TEST(RefreshTest, ValidatesInputs) {
-  const AttributedGraph g = testing::SmallSbm(141, 200);
+// The options the base embeddings below train with.
+PaneOptions TrainOptions(int k) {
   PaneOptions options;
-  options.k = 16;
-  const auto base = Pane(options).Train(g).ValueOrDie();
+  options.k = k;
+  return options;
+}
+
+// The options every warm start below refreshes with: the training options
+// plus two CCD sweeps on top of the warm seed.
+PaneOptions WarmOptions(int k, int threads = 1) {
+  PaneOptions options = TrainOptions(k);
+  options.num_threads = threads;
+  options.ccd_iterations = 2;
+  return options;
+}
+
+Result<PaneEmbedding> WarmTrain(const PaneOptions& options,
+                                const AttributedGraph& g,
+                                const PaneEmbedding& previous,
+                                PaneStats* stats = nullptr) {
+  return Pane(options).Train(g, stats, &previous);
+}
+
+void ExpectInvalid(const Result<PaneEmbedding>& result,
+                   const std::string& needle) {
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsInvalidArgument())
+      << result.status().ToString();
+  EXPECT_NE(result.status().ToString().find(needle), std::string::npos)
+      << result.status().ToString();
+}
+
+TEST(WarmStartTest, ValidatesInputs) {
+  const AttributedGraph g = testing::SmallSbm(141, 200);
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
 
   // Attribute count change rejected.
   GraphBuilder builder(10, g.num_attributes() + 1);
   builder.AddEdge(0, 1);
   builder.AddNodeAttribute(0, 0, 1.0);
   const AttributedGraph wrong_d = builder.Build(false).ValueOrDie();
-  EXPECT_FALSE(RefreshEmbedding(wrong_d, base, RefreshOptions{}).ok());
+  ExpectInvalid(WarmTrain(WarmOptions(16), wrong_d, base), "warm start y");
 
   // Node shrinkage rejected.
   GraphBuilder small(10, g.num_attributes());
   small.AddEdge(0, 1);
   small.AddNodeAttribute(0, 0, 1.0);
-  EXPECT_FALSE(
-      RefreshEmbedding(small.Build(false).ValueOrDie(), base, RefreshOptions{})
-          .ok());
+  ExpectInvalid(
+      WarmTrain(WarmOptions(16), small.Build(false).ValueOrDie(), base),
+      "warm start xf");
 
   // The budget's byte count (mb << 20) must fit in int64_t: the largest
   // such budget refreshes, one more MiB is rejected instead of wrapping.
-  RefreshOptions budget;
+  PaneOptions budget = WarmOptions(16);
   budget.ccd_iterations = 1;
   budget.memory_budget_mb = std::numeric_limits<int64_t>::max() >> 20;
-  EXPECT_TRUE(RefreshEmbedding(g, base, budget).ok());
+  EXPECT_TRUE(WarmTrain(budget, g, base).ok());
   budget.memory_budget_mb += 1;
-  EXPECT_TRUE(
-      RefreshEmbedding(g, base, budget).status().IsInvalidArgument());
+  EXPECT_TRUE(WarmTrain(budget, g, base).status().IsInvalidArgument());
   budget.memory_budget_mb = -1;
-  EXPECT_TRUE(
-      RefreshEmbedding(g, base, budget).status().IsInvalidArgument());
+  EXPECT_TRUE(WarmTrain(budget, g, base).status().IsInvalidArgument());
 }
 
-TEST(RefreshTest, SmallUpdateKeepsQuality) {
+TEST(WarmStartTest, RejectsOutOfRangeAlphaAndEpsilon) {
+  const AttributedGraph g = testing::SmallSbm(146, 200);
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
+  for (const double bad : {0.0, 1.0, 1.5, -0.5}) {
+    PaneOptions options = WarmOptions(16);
+    options.alpha = bad;
+    ExpectInvalid(WarmTrain(options, g, base), "alpha");
+    options = WarmOptions(16);
+    options.epsilon = bad;
+    ExpectInvalid(WarmTrain(options, g, base), "epsilon");
+  }
+}
+
+TEST(WarmStartTest, RejectsXbWithMissingRows) {
+  const AttributedGraph g = testing::SmallSbm(147, 200);
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
+  PaneEmbedding half = base;
+  half.xb = DenseMatrix(base.xb.rows() / 2, base.xb.cols());
+  ExpectInvalid(WarmTrain(WarmOptions(16), g, half), "warm start xb");
+}
+
+TEST(WarmStartTest, RejectsXbWithExtraColumn) {
+  const AttributedGraph g = testing::SmallSbm(148, 200);
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
+  PaneEmbedding wide = base;
+  wide.xb = DenseMatrix(base.xb.rows(), base.xb.cols() + 1);
+  ExpectInvalid(WarmTrain(WarmOptions(16), g, wide), "warm start xb");
+}
+
+TEST(WarmStartTest, RejectsYWithMissingColumn) {
+  const AttributedGraph g = testing::SmallSbm(149, 200);
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
+  PaneEmbedding narrow = base;
+  narrow.y = DenseMatrix(base.y.rows(), base.y.cols() - 1);
+  ExpectInvalid(WarmTrain(WarmOptions(16), g, narrow), "warm start y");
+}
+
+TEST(WarmStartTest, RejectsShapesThatDisagreeWithK) {
+  const AttributedGraph g = testing::SmallSbm(150, 200);
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
+  // A k = 16 embedding cannot seed a k = 32 run.
+  ExpectInvalid(WarmTrain(WarmOptions(32), g, base), "warm start y");
+  // Nor can one without node rows seed anything.
+  PaneEmbedding empty;
+  empty.xf = DenseMatrix(0, base.xf.cols());
+  empty.xb = DenseMatrix(0, base.xb.cols());
+  empty.y = base.y;
+  ExpectInvalid(WarmTrain(WarmOptions(16), g, empty), "warm start xf");
+}
+
+TEST(WarmStartTest, SmallUpdateKeepsQuality) {
   const AttributedGraph g = testing::SmallSbm(142, 400);
   PaneOptions options;
   options.k = 32;
@@ -92,9 +171,9 @@ TEST(RefreshTest, SmallUpdateKeepsQuality) {
 
   const AttributedGraph updated = Perturb(g, /*extra_edges=*/60,
                                           /*extra_nodes=*/0, 1);
-  RefreshStats stats;
+  PaneStats stats;
   const auto refreshed =
-      RefreshEmbedding(updated, base, RefreshOptions{}, &stats).ValueOrDie();
+      WarmTrain(WarmOptions(32), updated, base, &stats).ValueOrDie();
 
   // Full retrain objective as the reference.
   PaneStats full_stats;
@@ -104,16 +183,15 @@ TEST(RefreshTest, SmallUpdateKeepsQuality) {
   EXPECT_EQ(refreshed.xf.rows(), updated.num_nodes());
 }
 
-TEST(RefreshTest, WarmStartBeatsColdAtEqualBudget) {
+TEST(WarmStartTest, WarmStartBeatsColdAtEqualBudget) {
   const AttributedGraph g = testing::SmallSbm(143, 400);
   PaneOptions options;
   options.k = 32;
   const auto base = Pane(options).Train(g).ValueOrDie();
   const AttributedGraph updated = Perturb(g, 80, 0, 2);
 
-  RefreshStats warm_stats;
-  (void)RefreshEmbedding(updated, base, RefreshOptions{}, &warm_stats)
-      .ValueOrDie();
+  PaneStats warm_stats;
+  (void)WarmTrain(WarmOptions(32), updated, base, &warm_stats).ValueOrDie();
 
   // Cold start with the same 2-iteration budget but random init.
   PaneOptions cold = options;
@@ -125,14 +203,12 @@ TEST(RefreshTest, WarmStartBeatsColdAtEqualBudget) {
   EXPECT_LT(warm_stats.objective_final, cold_stats.objective_final);
 }
 
-TEST(RefreshTest, HandlesNewNodes) {
+TEST(WarmStartTest, HandlesNewNodes) {
   const AttributedGraph g = testing::SmallSbm(144, 300);
-  PaneOptions options;
-  options.k = 16;
-  const auto base = Pane(options).Train(g).ValueOrDie();
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
   const AttributedGraph updated = Perturb(g, 20, /*extra_nodes=*/30, 3);
   const auto refreshed =
-      RefreshEmbedding(updated, base, RefreshOptions{}).ValueOrDie();
+      WarmTrain(WarmOptions(16), updated, base).ValueOrDie();
   EXPECT_EQ(refreshed.xf.rows(), 330);
   // New-node rows are live (finite, not all zero).
   double tail_norm = 0.0;
@@ -145,21 +221,18 @@ TEST(RefreshTest, HandlesNewNodes) {
   EXPECT_GT(tail_norm, 0.0);
 }
 
-TEST(RefreshTest, ParallelRefreshMatchesSerialQuality) {
+TEST(WarmStartTest, ParallelRefreshMatchesSerialQuality) {
   const AttributedGraph g = testing::SmallSbm(145, 300);
-  PaneOptions options;
-  options.k = 16;
-  const auto base = Pane(options).Train(g).ValueOrDie();
+  const auto base = Pane(TrainOptions(16)).Train(g).ValueOrDie();
   const AttributedGraph updated = Perturb(g, 50, 0, 4);
 
-  RefreshOptions serial;
-  RefreshStats serial_stats;
-  (void)RefreshEmbedding(updated, base, serial, &serial_stats).ValueOrDie();
+  PaneStats serial_stats;
+  (void)WarmTrain(WarmOptions(16), updated, base, &serial_stats)
+      .ValueOrDie();
 
-  RefreshOptions parallel;
-  parallel.num_threads = 4;
-  RefreshStats parallel_stats;
-  (void)RefreshEmbedding(updated, base, parallel, &parallel_stats)
+  PaneStats parallel_stats;
+  (void)WarmTrain(WarmOptions(16, /*threads=*/4), updated, base,
+                  &parallel_stats)
       .ValueOrDie();
 
   EXPECT_NEAR(parallel_stats.objective_final, serial_stats.objective_final,

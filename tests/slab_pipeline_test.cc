@@ -1,13 +1,13 @@
 // Whole-pipeline tests for the FactorSlab storage layer: a spill-forced
-// Pane::Train must produce bitwise-identical embeddings to the in-RAM and
-// unbounded runs on the same seed, spilled runs' scratch must respect the
-// budget, and spill files must vanish on success and on error paths.
+// Pane::Train (cold or warm-started) must produce bitwise-identical
+// embeddings to the in-RAM and unbounded runs on the same seed, spilled
+// runs' scratch must respect the budget, and spill files must vanish on
+// success and on error paths.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 
-#include "src/core/incremental.h"
 #include "src/core/pane.h"
 #include "test_util.h"
 
@@ -118,23 +118,23 @@ TEST(SlabPipelineTest, MissingSpillDirFailsWithoutSideEffects) {
   EXPECT_FALSE(fs::exists(options.spill_dir));
 }
 
-TEST(SlabPipelineTest, RefreshRunsSpilledAndMatchesInRam) {
+TEST(SlabPipelineTest, WarmStartRunsSpilledAndMatchesInRam) {
   const AttributedGraph g = testing::SmallSbm(78, kNodes);
   const auto base =
       Pane(BudgetedOptions(2, 0, SlabPolicy::kAuto)).Train(g).ValueOrDie();
-  RefreshOptions in_ram;
-  in_ram.num_threads = 2;
-  RefreshOptions spill = in_ram;
+  PaneOptions in_ram = BudgetedOptions(2, 0, SlabPolicy::kAuto);
+  in_ram.ccd_iterations = 2;
+  PaneOptions spill = in_ram;
   spill.memory_budget_mb = kBudgetMb;
   spill.slab_policy = SlabPolicy::kSpill;
-  RefreshStats spill_stats;
+  PaneStats spill_stats;
   const auto refreshed_ram =
-      RefreshEmbedding(g, base, in_ram).ValueOrDie();
+      Pane(in_ram).Train(g, nullptr, &base).ValueOrDie();
   const auto refreshed_spill =
-      RefreshEmbedding(g, base, spill, &spill_stats).ValueOrDie();
+      Pane(spill).Train(g, &spill_stats, &base).ValueOrDie();
   EXPECT_TRUE(spill_stats.slabs_spilled);
   ExpectBitwiseEqual(refreshed_spill, refreshed_ram,
-                     "refresh spilled vs in-RAM");
+                     "warm start spilled vs in-RAM");
 }
 
 }  // namespace

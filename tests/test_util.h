@@ -63,6 +63,10 @@ inline AffinitySlabs GraphAffinity(const AttributedGraph& g,
   options.alpha = alpha;
   options.t = ComputeIterationCount(epsilon, alpha);
   AffinitySlabs affinity;
+  affinity.forward =
+      FactorSlab::Create(g.num_nodes(), g.num_attributes()).ValueOrDie();
+  affinity.backward =
+      FactorSlab::Create(g.num_nodes(), g.num_attributes()).ValueOrDie();
   PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity));
   return affinity;
 }

@@ -47,6 +47,15 @@
 # src/store/, where store::BufferPool decides when spilled pages are written
 # back and dropped. FactorSlab and every other spill consumer go through the
 # pool, so a second self-managed residency path cannot grow back beside it.
+#
+# Rule 7 — one training driver: in src/, the pipeline's building blocks
+# MakeSpillPool( (the spill decision), ComputeGraphAffinityIntoSlabs( (the
+# affinity phase) and CcdRefine( (the refinement phase) may be called ONLY
+# from src/core/pane.cc. Every training run, cold or warm-started, goes
+# through Pane::Train, so a second driver with its own validation and spill
+# decision cannot be copied beside it again. Declarations and definitions
+# (a line that starts with the return type) are exempt; tests/ and bench/
+# may call the phases directly to exercise one of them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -144,6 +153,21 @@ if [[ -n "$residency_hits" ]]; then
   echo "$residency_hits" >&2
   echo "lint: spilled pages belong to store::BufferPool; register the" >&2
   echo "lint: mapping with the pool instead of managing residency directly" >&2
+  status=1
+fi
+
+# --- Rule 7: pipeline phases called outside the one training driver -------
+driver_fns='(MakeSpillPool|ComputeGraphAffinityIntoSlabs|CcdRefine)'
+driver_hits=$(grep -rEn "\b${driver_fns}\(" src \
+                --include='*.h' --include='*.cc' --include='*.cpp' \
+              | grep -Ev '^src/core/pane\.cc:' \
+              | grep -Ev "^[^:]+:[0-9]+:[A-Za-z_][A-Za-z0-9_:<>]*[[:space:]]+${driver_fns}\(" \
+              || true)
+if [[ -n "$driver_hits" ]]; then
+  echo "lint: training pipeline phase called outside src/core/pane.cc:" >&2
+  echo "$driver_hits" >&2
+  echo "lint: train through Pane::Train (a warm start is its warm_start" >&2
+  echo "lint: argument) instead of driving the phases from a second place" >&2
   status=1
 fi
 
