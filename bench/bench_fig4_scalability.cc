@@ -40,7 +40,7 @@ namespace {
 // fixed budget, spill-forced first (smallest footprint; VmHWM is monotone),
 // then in-RAM slabs at the same budget, then unbounded last. The
 // spill row's delta is the bounded-memory claim: scratch + streaming floors
-// instead of the 4 n d factor set.
+// instead of the 2 n d factor set.
 void RunWholePipelineBudgetSection(const AttributedGraph& g,
                                    int64_t budget_mb) {
   bench::PrintHeader(

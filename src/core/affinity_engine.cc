@@ -90,9 +90,15 @@ PanelDecomposition DecomposePanels(int64_t n, int64_t d, int64_t num_workers,
   }
   if (options.memory_budget_mb <= 0) {
     // Unbounded: whole attribute set when serial (APMI), one block per
-    // worker when pooled (PAPMI).
-    finish(num_workers <= 1 ? d
-                            : (d + num_workers - 1) / num_workers);
+    // worker when pooled (PAPMI), narrowed so the panels in flight fit the
+    // unbounded scratch cap.
+    const int64_t historical =
+        num_workers <= 1 ? d : (d + num_workers - 1) / num_workers;
+    const int64_t in_flight = allow_panel_parallel ? max_in_flight : 1;
+    finish(std::min(historical,
+                    std::max(kUnboundedScratchMinColumns,
+                             kUnboundedScratchBytes /
+                                 (bytes_per_column * in_flight))));
     return out;
   }
 

@@ -64,9 +64,10 @@ struct AffinityEngineOptions {
   /// Memory budget in MiB for the panel scratch buffers (the output slabs
   /// and the normalized copies of R are not counted — they are fixed costs
   /// of the result itself; spilled slabs barely dent RSS at all). 0 =>
-  /// unbounded: the panel width defaults to the whole attribute set when
-  /// serial and ceil(d / num_threads) when pooled, which reproduces the
-  /// historical APMI / PAPMI memory shapes.
+  /// unbounded: the panel width is the whole attribute set when serial and
+  /// ceil(d / num_threads) when pooled (the historical APMI / PAPMI shapes),
+  /// narrowed where needed so the panels in flight hold at most
+  /// kUnboundedScratchBytes (floor: kUnboundedScratchMinColumns columns).
   int64_t memory_budget_mb = 0;
   /// Explicit panel-width override (tests, benches). 0 => derive from the
   /// budget. Values > d are clamped to d.

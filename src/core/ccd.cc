@@ -20,19 +20,19 @@ constexpr double kDenominatorFloor = 1e-300;
 // Row granularity for release-as-you-go streaming over spilled residuals.
 constexpr int64_t kStreamChunkRows = 4096;
 
-// Residual columns gathered per phase-2 strip: budget-derived, with a
-// cache-friendly default when unbounded. Pure residency/locality knob — the
-// per-column arithmetic is identical for every width.
+// Residual columns gathered per phase-2 strip: budget-derived, and under
+// the unbounded scratch cap when unbounded. Pure residency/locality knob —
+// the per-column arithmetic is identical for every width.
 int64_t StripWidth(int64_t n, int64_t d, int64_t memory_budget_mb) {
   if (d <= 0) return 1;
   const int64_t bytes_per_column =
       2 * static_cast<int64_t>(sizeof(double)) * std::max<int64_t>(n, 1);
-  // Unbounded runs still cap the strip scratch (32 MiB) so the buffers stay
-  // a rounding error next to the n x d residuals they stage.
-  const int64_t budget_bytes = memory_budget_mb > 0
-                                   ? (memory_budget_mb << 20)
-                                   : (int64_t{32} << 20);
-  return std::clamp<int64_t>(budget_bytes / bytes_per_column, 1, d);
+  const int64_t columns =
+      memory_budget_mb > 0
+          ? (memory_budget_mb << 20) / bytes_per_column
+          : std::max(kUnboundedScratchMinColumns,
+                     kUnboundedScratchBytes / bytes_per_column);
+  return std::clamp<int64_t>(columns, 1, d);
 }
 
 // Row groups: phase 1 runs 4 node rows at once, which hands the kernels 8

@@ -4,7 +4,8 @@
 // Equations 13-14 / 16 / 18-19), then fixes Xf / Xb and sweeps the rows of Y
 // (updating residual columns in O(n), Equations 15 / 17 / 20).
 //
-// The residuals live in FactorSlabs. Phase 1 streams row blocks (zero-copy
+// The residuals live in FactorSlabs (the former F' / B' slabs, which init
+// overwrote in place). Phase 1 streams row blocks (zero-copy
 // under either backing, pages released as blocks finish when spilled).
 // Phase 2 needs residual columns, which are hostile to a row-major slab, so
 // it gathers a strip of columns per sequential scan over the rows, updates
@@ -56,9 +57,10 @@ struct CcdOptions {
   /// attribute rows across workers (Algorithm 8). nullptr => serial
   /// Algorithm 4.
   ThreadPool* pool = nullptr;
-  /// Memory budget in MiB for the phase-2 strip buffers; 0 => a fixed
-  /// cache-friendly default width. Affects residency and locality only —
-  /// never the arithmetic.
+  /// Memory budget in MiB for the phase-2 strip buffers; 0 => unbounded,
+  /// the strips capped at kUnboundedScratchBytes (floor:
+  /// kUnboundedScratchMinColumns columns). Affects residency and locality
+  /// only — never the arithmetic.
   int64_t memory_budget_mb = 0;
   /// Optional per-iteration objective trace (appended; Figures 7-8).
   std::vector<double>* objective_trace = nullptr;

@@ -4,13 +4,13 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/matrix/gemm.h"
 #include "src/matrix/matrix_kernels.h"
 #include "src/matrix/rand_svd.h"
-#include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 
 namespace pane {
@@ -44,61 +44,46 @@ void ProjectRows(const FactorSlab& f, const DenseMatrix& y, DenseMatrix* out,
   }
 }
 
-// Rows [begin, end) of s = x y^T - f, the GemmTransBAddScaledRows expression
-// (alpha = 1, beta = -1) with the wide operands streamed through slabs.
-void ResidualRows(const DenseMatrix& x, const DenseMatrix& y,
-                  const FactorSlab& f, FactorSlab* s, int64_t begin,
-                  int64_t end) {
+// Rows [begin, end) of f <- x y^T - f in place, the GemmTransBAddScaledRows
+// expression (alpha = 1, beta = -1) with f streamed through its slab. Each
+// row's d dots come from one dot_rows call (the d rows of y against the
+// row of x, bitwise Dot(x_row, y.Row(j), h)) before the row is overwritten.
+void ResidualRows(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
+                  int64_t begin, int64_t end) {
+  const auto dot_rows = GetMatrixKernels().dot_rows;
   const int64_t h = x.cols();
-  const int64_t d = f.cols();
+  const int64_t d = f->cols();
+  std::vector<const double*> y_rows(static_cast<size_t>(d));
+  for (int64_t j = 0; j < d; ++j) y_rows[static_cast<size_t>(j)] = y.Row(j);
+  std::vector<double> dots(static_cast<size_t>(d));
   for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
     const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
     for (int64_t i = chunk; i < chunk_end; ++i) {
-      double* s_row = s->Row(i);
-      const double* x_row = x.Row(i);
-      const double* f_row = f.Row(i);
+      double* f_row = f->Row(i);
+      dot_rows(y_rows.data(), d, x.Row(i), h, dots.data());
       for (int64_t j = 0; j < d; ++j) {
-        s_row[j] = 1.0 * Dot(x_row, y.Row(j), h) + -1.0 * f_row[j];
+        f_row[j] = 1.0 * dots[static_cast<size_t>(j)] + -1.0 * f_row[j];
       }
     }
-    ReleaseRowsOrWarn(f, chunk, chunk_end, /*dirty=*/false);
-    ReleaseRowsOrWarn(*s, chunk, chunk_end, /*dirty=*/true);
+    ReleaseRowsOrWarn(*f, chunk, chunk_end, /*dirty=*/true);
   }
 }
 
-Result<FactorSlab> CreateResidualSlab(int64_t rows, int64_t cols,
-                                      const InitOptions& options) {
-  return FactorSlab::Create(rows, cols, options.buffer_pool,
-                            options.spill_dir);
+// Every row of f <- x y^T - f, row-parallel on `pool`.
+void BuildResiduals(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
+                    ThreadPool* pool) {
+  ParallelFor(pool, 0, f->rows(), [&](int64_t begin, int64_t end) {
+    ResidualRows(x, y, f, begin, end);
+  });
 }
 
 }  // namespace
 
-Status BuildResidualSlab(const DenseMatrix& x, const DenseMatrix& y,
-                         const FactorSlab& f, FactorSlab* s,
-                         ThreadPool* pool) {
-  if (s == nullptr) return Status::InvalidArgument("null residual slab");
-  if (x.rows() != f.rows() || y.rows() != f.cols() ||
-      x.cols() != y.cols() || s->rows() != f.rows() ||
-      s->cols() != f.cols()) {
-    return Status::InvalidArgument("residual shape mismatch");
-  }
-  if (pool == nullptr || pool->num_threads() == 1) {
-    ResidualRows(x, y, f, s, 0, f.rows());
-    return Status::OK();
-  }
-  ParallelFor(pool, 0, f.rows(), [&](int64_t begin, int64_t end) {
-    ResidualRows(x, y, f, s, begin, end);
-  });
-  return Status::OK();
-}
-
-Result<EmbeddingState> GreedyInit(const AffinitySlabs& affinity,
+Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
                                   const InitOptions& options) {
   PANE_RETURN_NOT_OK(ValidateInit(affinity, options));
   const int h = options.k / 2;
   const int64_t n = affinity.forward.rows();
-  const int64_t d = affinity.forward.cols();
 
   // Line 1: U, Sigma, V <- RandSVD(F', k/2, t), streamed from the slab.
   RandSvdOptions svd_options;
@@ -121,15 +106,15 @@ Result<EmbeddingState> GreedyInit(const AffinitySlabs& affinity,
   state.xb.Resize(n, h);
   ProjectRows(affinity.backward, state.y, &state.xb, 0, n);
 
-  // Line 3: Sf <- Xf Y^T - F', Sb <- Xb Y^T - B'.
-  PANE_ASSIGN_OR_RETURN(state.sf, CreateResidualSlab(n, d, options));
-  PANE_ASSIGN_OR_RETURN(state.sb, CreateResidualSlab(n, d, options));
-  ResidualRows(state.xf, state.y, affinity.forward, &state.sf, 0, n);
-  ResidualRows(state.xb, state.y, affinity.backward, &state.sb, 0, n);
+  // Line 3: Sf <- Xf Y^T - F', Sb <- Xb Y^T - B', in place.
+  ResidualRows(state.xf, state.y, &affinity.forward, 0, n);
+  ResidualRows(state.xb, state.y, &affinity.backward, 0, n);
+  state.sf = std::move(affinity.forward);
+  state.sb = std::move(affinity.backward);
   return state;
 }
 
-EngineAwareInit::EngineAwareInit(const AffinitySlabs* affinity,
+EngineAwareInit::EngineAwareInit(AffinitySlabs* affinity,
                                  const InitOptions& options)
     : affinity_(affinity), options_(options) {
   setup_status_ = affinity_ == nullptr
@@ -232,7 +217,7 @@ void EngineAwareInit::OnForwardSlabComplete() {
 
 Result<EmbeddingState> EngineAwareInit::Finish() {
   PANE_RETURN_NOT_OK(setup_status_);
-  if (nb_ == 1) return GreedyInit(*affinity_, options_);
+  if (nb_ == 1) return GreedyInit(std::move(*affinity_), options_);
 
   const int64_t n = affinity_->forward.rows();
   const int64_t d = affinity_->forward.cols();
@@ -244,12 +229,17 @@ Result<EmbeddingState> EngineAwareInit::Finish() {
   options_.pool->RunBlocks(nb_, [this](int) { ClaimLoop(false); });
   if (helper_.joinable()) helper_.join();
   for (const Status& s : block_status_) PANE_RETURN_NOT_OK(s);
+  // The per-block factors die with this call, not with the instance: they
+  // were allocated on the pool threads, and held through CCD they would pin
+  // those threads' allocator arenas, block SVD temporaries included.
+  const std::vector<DenseMatrix> u_blocks = std::move(u_blocks_);
+  const std::vector<DenseMatrix> v_blocks = std::move(v_blocks_);
 
   // Line 4: V <- [V1 ... Vnb]^T, a (nb * k/2) x d stack of the per-block
   // right factors.
   DenseMatrix v_stack(static_cast<int64_t>(nb_) * h_, d);
   for (int b = 0; b < nb_; ++b) {
-    const DenseMatrix vt = v_blocks_[static_cast<size_t>(b)].Transposed();
+    const DenseMatrix vt = v_blocks[static_cast<size_t>(b)].Transposed();
     v_stack.SetBlock(static_cast<int64_t>(b) * h_, 0, vt);
   }
 
@@ -269,35 +259,30 @@ Result<EmbeddingState> EngineAwareInit::Finish() {
   }
 
   // Lines 7-11: assemble per block: Xf[Vi] = Ui W[(i-1)k/2 : i k/2],
-  // Xb[Vi] = B'[Vi] Y, residual rows streamed straight into the slabs.
+  // Xb[Vi] = B'[Vi] Y, then the block's residual rows overwrite its F' / B'
+  // rows, whose last reads (the block SVD, the Xb projection) are done.
   state.xf.Resize(n, h_);
   state.xb.Resize(n, h_);
-  PANE_ASSIGN_OR_RETURN(state.sf, CreateResidualSlab(n, d, options_));
-  PANE_ASSIGN_OR_RETURN(state.sb, CreateResidualSlab(n, d, options_));
   options_.pool->RunBlocks(nb_, [&](int b) {
     const Range& blk = node_blocks[static_cast<size_t>(b)];
     if (blk.size() == 0) return;
     const DenseMatrix w_block = w.RowBlock(
         static_cast<int64_t>(b) * h_, static_cast<int64_t>(b + 1) * h_);
     DenseMatrix xf_block;
-    Gemm(u_blocks_[static_cast<size_t>(b)], w_block, &xf_block);
+    Gemm(u_blocks[static_cast<size_t>(b)], w_block, &xf_block);
     state.xf.SetBlock(blk.begin, 0, xf_block);
     ProjectRows(affinity_->backward, state.y, &state.xb, blk.begin, blk.end);
-    ResidualRows(state.xf, state.y, affinity_->forward, &state.sf, blk.begin,
+    ResidualRows(state.xf, state.y, &affinity_->forward, blk.begin,
                  blk.end);
-    ResidualRows(state.xb, state.y, affinity_->backward, &state.sb,
-                 blk.begin, blk.end);
+    ResidualRows(state.xb, state.y, &affinity_->backward, blk.begin,
+                 blk.end);
   });
+  state.sf = std::move(affinity_->forward);
+  state.sb = std::move(affinity_->backward);
   return state;
 }
 
-Result<EmbeddingState> SmGreedyInit(const AffinitySlabs& affinity,
-                                    const InitOptions& options) {
-  EngineAwareInit init(&affinity, options);
-  return init.Finish();
-}
-
-Result<EmbeddingState> RandomInit(const AffinitySlabs& affinity,
+Result<EmbeddingState> RandomInit(AffinitySlabs affinity,
                                   const InitOptions& options) {
   PANE_RETURN_NOT_OK(ValidateInit(affinity, options));
   const int h = options.k / 2;
@@ -312,12 +297,10 @@ Result<EmbeddingState> RandomInit(const AffinitySlabs& affinity,
   state.xf.FillGaussian(&rng, 0.0, scale);
   state.xb.FillGaussian(&rng, 0.0, scale);
   state.y.FillGaussian(&rng, 0.0, scale);
-  PANE_ASSIGN_OR_RETURN(state.sf, CreateResidualSlab(n, d, options));
-  PANE_ASSIGN_OR_RETURN(state.sb, CreateResidualSlab(n, d, options));
-  PANE_RETURN_NOT_OK(BuildResidualSlab(state.xf, state.y, affinity.forward,
-                                       &state.sf, options.pool));
-  PANE_RETURN_NOT_OK(BuildResidualSlab(state.xb, state.y, affinity.backward,
-                                       &state.sb, options.pool));
+  BuildResiduals(state.xf, state.y, &affinity.forward, options.pool);
+  BuildResiduals(state.xb, state.y, &affinity.backward, options.pool);
+  state.sf = std::move(affinity.forward);
+  state.sb = std::move(affinity.backward);
   return state;
 }
 
@@ -349,7 +332,7 @@ Status ValidateWarmStart(const PaneEmbedding& previous, int64_t n, int64_t d,
   return Status::OK();
 }
 
-Result<EmbeddingState> WarmInit(const AffinitySlabs& affinity,
+Result<EmbeddingState> WarmInit(AffinitySlabs affinity,
                                 const PaneEmbedding& previous,
                                 const InitOptions& options) {
   PANE_RETURN_NOT_OK(ValidateInit(affinity, options));
@@ -368,12 +351,10 @@ Result<EmbeddingState> WarmInit(const AffinitySlabs& affinity,
     ProjectRows(affinity.forward, state.y, &state.xf, begin, end);
     ProjectRows(affinity.backward, state.y, &state.xb, begin, end);
   });
-  PANE_ASSIGN_OR_RETURN(state.sf, CreateResidualSlab(n, d, options));
-  PANE_ASSIGN_OR_RETURN(state.sb, CreateResidualSlab(n, d, options));
-  PANE_RETURN_NOT_OK(BuildResidualSlab(state.xf, state.y, affinity.forward,
-                                       &state.sf, options.pool));
-  PANE_RETURN_NOT_OK(BuildResidualSlab(state.xb, state.y, affinity.backward,
-                                       &state.sb, options.pool));
+  BuildResiduals(state.xf, state.y, &affinity.forward, options.pool);
+  BuildResiduals(state.xb, state.y, &affinity.backward, options.pool);
+  state.sf = std::move(affinity.forward);
+  state.sb = std::move(affinity.backward);
   return state;
 }
 

@@ -6,17 +6,20 @@
 // Beside them sit the two other seeds Pane::Train can choose: random
 // (PANE-R) and a warm start from a previous embedding (evolving graphs).
 //
-// The init layer consumes the affinity factors and produces the residuals
-// as FactorSlabs: every F' / B' access streams row blocks through one code
-// path whether the slab lives in RAM or is spilled through a BufferPool,
-// so spilled and in-RAM runs are bitwise identical. EngineAwareInit folds
+// The init layer takes ownership of the affinity slabs and turns them into
+// the residuals in place: line 3 of Algorithms 3 / 7 overwrites each row of
+// F' / B' with Sf = Xf Y^T - F' / Sb = Xb Y^T - B' after the row's last F' /
+// B' read (the block SVDs, and the projection Xb = B' Y), so training holds
+// two n x d slabs. Every F' / B' access streams row blocks
+// through one code path whether the slab lives in RAM or is spilled through
+// a BufferPool, so spilled and in-RAM runs are bitwise identical, and the
+// returned sf / sb are the very slabs passed in. EngineAwareInit folds
 // Algorithm 7 into the affinity engine's panel stream: the per-block
 // RandSVDs of F' start the moment the engine reports the forward slab
 // final, overlapping with the backward panels still streaming.
 #pragma once
 
 #include <atomic>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -32,8 +35,8 @@ namespace pane {
 class ThreadPool;
 
 /// \brief Embeddings plus the dynamically maintained CCD residuals. The
-/// small factors stay dense; the n x d residuals are slabs so they follow
-/// the pipeline's memory budget (in-RAM or spilled).
+/// small factors stay dense; the n x d residuals are the former affinity
+/// slabs, so they follow the pipeline's memory budget (in-RAM or spilled).
 struct EmbeddingState {
   DenseMatrix xf;  // n x k/2 forward embeddings
   DenseMatrix xb;  // n x k/2 backward embeddings
@@ -53,11 +56,6 @@ struct InitOptions {
   /// Worker pool; its size is the block count nb of Algorithm 7. nullptr or
   /// size 1 => the serial Algorithm 3.
   ThreadPool* pool = nullptr;
-  /// Spill pool for the residual slabs Sf / Sb this phase creates (not
-  /// owned; must outlive the returned EmbeddingState): null => in RAM.
-  store::BufferPool* buffer_pool = nullptr;
-  /// Spill directory for spilled residuals ("" => temp dir).
-  std::string spill_dir;
   /// Memory budget in MiB; bounds how many F' row blocks hold pages
   /// concurrently when the affinity slabs are spilled (0 => no cap). Does
   /// not affect the arithmetic — only residency.
@@ -65,22 +63,13 @@ struct InitOptions {
 };
 
 /// \brief Algorithm 3: seeds (Xf, Xb, Y) from one RandSVD of F' (streamed
-/// from the slab) and computes the residuals.
-Result<EmbeddingState> GreedyInit(const AffinitySlabs& affinity,
+/// from the slab) and turns F' / B' into the residuals Sf / Sb in place.
+Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
                                   const InitOptions& options);
 
-/// \brief Algorithm 7: splits F' into row blocks (one per pool worker),
-/// RandSVDs each block, merges the per-block right factors with a second
-/// small RandSVD, and assembles Xf[Vi] = Ui * Wi, Xb = B' Y. At t = infinity
-/// this matches GreedyInit exactly (Lemma 4.2); at finite t the extra
-/// factorization error is the parallel-vs-serial utility gap measured in
-/// Section 5.
-Result<EmbeddingState> SmGreedyInit(const AffinitySlabs& affinity,
-                                    const InitOptions& options);
-
 /// \brief Random seeding (the PANE-R ablation of Section 5.7): Gaussian
-/// Xf, Xb, Y scaled by 1/sqrt(k/2), residuals computed from them.
-Result<EmbeddingState> RandomInit(const AffinitySlabs& affinity,
+/// Xf, Xb, Y scaled by 1/sqrt(k/2), residuals computed from them in place.
+Result<EmbeddingState> RandomInit(AffinitySlabs affinity,
                                   const InitOptions& options);
 
 /// \brief Checks that `previous` can warm-start a run on a graph with n
@@ -92,25 +81,32 @@ Status ValidateWarmStart(const PaneEmbedding& previous, int64_t n, int64_t d,
 /// \brief Warm seeding from a previous embedding: Y and the first n_prev
 /// rows of Xf / Xb are copied, rows of nodes added since are projected as
 /// Xf[v] = F'[v] Y and Xb[v] = B'[v] Y (the GreedyInit backward rule, no
-/// SVD), and the residuals are computed from them.
-Result<EmbeddingState> WarmInit(const AffinitySlabs& affinity,
+/// SVD), and the residuals are computed from them in place.
+Result<EmbeddingState> WarmInit(AffinitySlabs affinity,
                                 const PaneEmbedding& previous,
                                 const InitOptions& options);
 
-/// \brief Engine-aware SMGreedyInit: Algorithm 7 whose per-block F'
-/// RandSVDs are driven by the affinity engine's panel stream.
+/// \brief Algorithm 7 (SMGreedyInit), with its per-block F' RandSVDs driven
+/// by the affinity engine's panel stream: F' is split into row blocks (one
+/// per pool worker), each block is RandSVD'd, the per-block right factors
+/// are merged with a second small RandSVD, and Xf[Vi] = Ui * Wi, Xb = B' Y
+/// are assembled. At t = infinity this matches GreedyInit exactly
+/// (Lemma 4.2); at finite t the extra factorization error is the
+/// parallel-vs-serial utility gap measured in Section 5. A serial pool runs
+/// GreedyInit.
 ///
 /// Bind an instance to the (pre-created) affinity slabs, wire
 /// OnForwardSlabComplete into the engine's panel consumer, run the engine,
 /// then call Finish(). When the forward slab lands, a helper thread starts
 /// claiming block SVDs while the engine's pool is still streaming the
-/// backward panels; Finish() drains the remaining blocks on the pool and
-/// merges. Work is claimed from one atomic counter and every block's math
-/// is independent of who computes it, so the result is bitwise identical to
-/// SmGreedyInit — overlap changes the schedule, never the answer.
+/// backward panels; Finish() drains the remaining blocks on the pool,
+/// merges, and moves the slabs out as the residuals. Work is claimed from
+/// one atomic counter and every block's math is independent of who computes
+/// it, so overlap changes the schedule, never the answer.
 class EngineAwareInit {
  public:
-  EngineAwareInit(const AffinitySlabs* affinity, const InitOptions& options);
+  /// `affinity` must outlive the instance; Finish() moves its slabs out.
+  EngineAwareInit(AffinitySlabs* affinity, const InitOptions& options);
   ~EngineAwareInit();  // joins the helper thread if Finish was never reached
 
   EngineAwareInit(const EngineAwareInit&) = delete;
@@ -121,8 +117,9 @@ class EngineAwareInit {
   /// single-threaded).
   void OnForwardSlabComplete();
 
-  /// Drains unclaimed blocks, merges, assembles the state. Call once, after
-  /// the engine run has returned successfully.
+  /// Drains unclaimed blocks, merges, assembles the state, whose sf / sb
+  /// are the bound slabs overwritten in place. Call once, after the engine
+  /// run has returned successfully.
   Result<EmbeddingState> Finish();
 
   /// Blocks whose SVD ran overlapped with the backward panel stream.
@@ -134,7 +131,7 @@ class EngineAwareInit {
   void ClaimLoop(bool overlapped) PANE_EXCLUDES(inflight_mutex_);
   void RunBlock(int b);
 
-  const AffinitySlabs* affinity_;
+  AffinitySlabs* affinity_;
   InitOptions options_;
   Status setup_status_;
   int nb_ = 1;
@@ -156,12 +153,6 @@ class EngineAwareInit {
   CondVar inflight_cv_;
   int64_t inflight_blocks_ PANE_GUARDED_BY(inflight_mutex_) = 0;
 };
-
-/// \brief Streams S = X Y^T - F into the residual slab `s` (row blocks,
-/// release-as-you-go under spill). Shared by the init family.
-Status BuildResidualSlab(const DenseMatrix& x, const DenseMatrix& y,
-                         const FactorSlab& f, FactorSlab* s,
-                         ThreadPool* pool = nullptr);
 
 /// \brief Objective of Equation (4) given maintained residuals:
 /// ||Sf||_F^2 + ||Sb||_F^2.

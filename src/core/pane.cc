@@ -66,12 +66,13 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   }
 
   // One budget, one spill decision: the pipeline's resident factor cost is
-  // the four n x d slabs (F', B' during affinity/init, Sf, Sb through CCD);
-  // when that exceeds the budget they are all spilled through one pool.
+  // two n x d slabs, F' and B' through affinity and init, which init turns
+  // into Sf and Sb in place for CCD; when that exceeds the budget both are
+  // spilled through one pool.
   const int64_t n = graph.num_nodes();
   const int64_t d = graph.num_attributes();
   const int64_t slab_bytes =
-      4 * n * d * static_cast<int64_t>(sizeof(double));
+      2 * n * d * static_cast<int64_t>(sizeof(double));
   const std::unique_ptr<store::BufferPool> buffer_pool =
       MakeSpillPool(opt.slab_policy, budget_mb, slab_bytes);
   out_stats->slabs_spilled = buffer_pool != nullptr;
@@ -93,8 +94,6 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   init_options.t = t;
   init_options.seed = opt.seed;
   init_options.pool = pool.get();
-  init_options.buffer_pool = buffer_pool.get();
-  init_options.spill_dir = opt.spill_dir;
   init_options.memory_budget_mb = budget_mb;
 
   // Declared after `affinity` so its destructor (which joins the helper
@@ -124,26 +123,24 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   }
 
   // Phase 2a: seeding (a warm start, Algorithm 3 / 7, or random for
-  // PANE-R).
+  // PANE-R). Each takes the affinity slabs and returns them as Sf / Sb.
   EmbeddingState state;
   {
     ScopedTimer timer(&out_stats->init_seconds);
     if (warm_start != nullptr) {
-      PANE_ASSIGN_OR_RETURN(state,
-                            WarmInit(affinity, *warm_start, init_options));
+      PANE_ASSIGN_OR_RETURN(
+          state, WarmInit(std::move(affinity), *warm_start, init_options));
     } else if (!opt.greedy_init) {
-      PANE_ASSIGN_OR_RETURN(state, RandomInit(affinity, init_options));
+      PANE_ASSIGN_OR_RETURN(state,
+                            RandomInit(std::move(affinity), init_options));
     } else if (streamed_init.has_value()) {
       PANE_ASSIGN_OR_RETURN(state, streamed_init->Finish());
       out_stats->init_blocks_overlapped = streamed_init->blocks_overlapped();
     } else {
-      PANE_ASSIGN_OR_RETURN(state, GreedyInit(affinity, init_options));
+      PANE_ASSIGN_OR_RETURN(state,
+                            GreedyInit(std::move(affinity), init_options));
     }
   }
-  // F' / B' are fully consumed: free them (and their spill files) before
-  // CCD instead of carrying 2 n d dead weight through refinement.
-  streamed_init.reset();
-  affinity = AffinitySlabs{};
   out_stats->objective_initial = Objective(state);
 
   // Phase 2b: CCD refinement (Algorithm 4 / 8).

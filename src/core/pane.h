@@ -4,9 +4,10 @@
 // start from a previous embedding) and CCD refinement (SVDCCD / PSVDCCD)
 // into one Train() call, under one memory budget: --memory-budget-mb sizes
 // the affinity panel scratch and the CCD strips, and decides whether the
-// pipeline's four n x d factors (F', B', Sf, Sb) live in RAM or are spilled
-// through one store::BufferPool whose residency budget is half the pipeline
-// budget.
+// pipeline's two n x d slabs live in RAM or are spilled through one
+// store::BufferPool whose residency budget is half the pipeline budget. The
+// slabs hold F' and B' through affinity and init, which overwrites them in
+// place with the residuals Sf and Sb that CCD refines.
 //
 // The warm start is the time-varying-graph extension the paper's conclusion
 // leaves as future work: after a batch of edge/attribute updates, Train
@@ -44,11 +45,12 @@ struct PaneOptions {
   int ccd_iterations = 0;
   /// Single whole-pipeline memory budget in MiB (--memory-budget-mb). Sizes
   /// the affinity engine's panel scratch and CCD's phase-2 strips, and —
-  /// under SlabPolicy::kAuto — spills the four n x d factor slabs whenever
-  /// 4 n d doubles exceed the budget: they go to memory-mapped files whose
+  /// under SlabPolicy::kAuto — spills the two n x d factor slabs whenever
+  /// 2 n d doubles exceed the budget: they go to memory-mapped files whose
   /// pages one BufferPool evicts (clock policy, pool-page granularity) only
   /// under pressure, so graphs whose factors exceed RAM still run.
-  /// 0 => unbounded, all in RAM. Spilled and in-RAM runs produce
+  /// 0 => unbounded: all in RAM, with each phase's scratch capped at
+  /// kUnboundedScratchBytes. Spilled and in-RAM runs produce
   /// bitwise-identical embeddings.
   int64_t memory_budget_mb = 0;
   /// Spill decision; kAuto applies the budget rule above, kInRam / kSpill
@@ -80,7 +82,7 @@ struct PaneStats {
   double objective_initial = 0.0;  ///< Equation (4) right after init
   double objective_final = 0.0;    ///< Equation (4) after refinement
   bool slabs_spilled = false;      ///< factors were spilled through the pool
-  int64_t slab_bytes = 0;          ///< the four n x d factors (F',B',Sf,Sb)
+  int64_t slab_bytes = 0;          ///< the two n x d slabs (F'/Sf, B'/Sb)
   int init_blocks_overlapped = 0;  ///< init block SVDs run during affinity
   CcdStats ccd;                    ///< phase-2 strip decomposition
   store::BufferPool::Stats pool;   ///< eviction/write-back counters (spilled)

@@ -1,11 +1,11 @@
 // FactorSlab: the row-major n x d factor store behind every big matrix in
-// the PANE pipeline — the affinity outputs F' / B' and the CCD residuals
-// Sf / Sb. A slab either holds a DenseMatrix (in RAM) or is spilled: a
-// memory-mapped spill file (MAP_SHARED on a file unlinked on destruction)
-// registered with a store::BufferPool, which keeps pages resident until
-// pool-wide budget pressure evicts them (clock policy, pool-page
-// granularity). "Spilled" means exactly "has a pool"; there is no other
-// spill path.
+// the PANE pipeline — the affinity outputs F' / B', which init overwrites
+// in place with the CCD residuals Sf / Sb. A slab either holds a
+// DenseMatrix (in RAM) or is spilled: a memory-mapped spill file
+// (MAP_SHARED on a file unlinked on destruction) registered with a
+// store::BufferPool, which keeps pages resident until pool-wide budget
+// pressure evicts them (clock policy, pool-page granularity). "Spilled"
+// means exactly "has a pool"; there is no other spill path.
 //
 // Both forms expose the same flat row-major address space, so every kernel
 // runs one code path regardless of where the bytes live — which is what
@@ -155,15 +155,24 @@ class FactorSlab {
 /// exceed it; kInRam / kSpill force one answer (benches, tests).
 enum class SlabPolicy { kAuto, kInRam, kSpill };
 
+/// \brief The scratch cap of an unbounded run (memory_budget_mb == 0): the
+/// affinity panels in flight and the CCD strips each hold at most this
+/// many bytes, but never fewer than kUnboundedScratchMinColumns columns.
+/// Residency only: no phase's arithmetic depends on its scratch width.
+constexpr int64_t kUnboundedScratchBytes = int64_t{4} << 20;
+constexpr int64_t kUnboundedScratchMinColumns = 16;
+
 /// \brief Checks a memory budget in MiB: non-negative, and small enough that
 /// its byte count (memory_budget_mb << 20) fits in int64_t — a larger value
 /// would wrap negative and read as a tiny budget.
 Status ValidateMemoryBudgetMb(int64_t memory_budget_mb);
 
-/// \brief The pipeline's one spill decision. Returns the BufferPool every
-/// spilled factor slab of the run registers with — its residency budget is
-/// half the pipeline budget, the other half staying with the panel scratch
-/// and CCD strips — or nullptr when the slabs stay in RAM.
+/// \brief The pipeline's one spill decision: under kAuto, spill when a
+/// budget is set and `resident_slab_bytes` (the run's two n x d slabs,
+/// F' / B' and then, in place, Sf / Sb) exceeds it. Returns the BufferPool
+/// every spilled factor slab of the run registers with — its residency
+/// budget is half the pipeline budget, the other half staying with the
+/// panel scratch and CCD strips — or nullptr when the slabs stay in RAM.
 std::unique_ptr<store::BufferPool> MakeSpillPool(SlabPolicy policy,
                                                  int64_t memory_budget_mb,
                                                  int64_t resident_slab_bytes);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -267,6 +268,38 @@ TEST(AffinityEngineTest, UnboundedDefaultsReproduceHistoricalShapes) {
   EXPECT_EQ(stats.panel_width, 16);
   EXPECT_EQ(stats.num_panels, 5);
   EXPECT_TRUE(stats.panel_parallel);
+}
+
+TEST(AffinityEngineTest, UnboundedScratchCappedAndBitwiseEqualToHistorical) {
+  // n = 4000, d = 80: the historical shapes would hold 80 x 64000 B = 5.1 MB
+  // of scratch serially and 3 in-flight x 40 x 64000 B = 7.7 MB with two
+  // workers, both over the unbounded cap; the capped widths must fit it and
+  // reproduce the historical widths' bytes.
+  const AttributedGraph g = testing::SmallSbm(47, 4000);
+  const GraphInputs in = MakeInputs(g);
+  const int64_t n = in.r->rows();
+  const int64_t d = in.r->cols();
+  for (const int threads : {1, 2}) {
+    ThreadPool pool(threads);
+    AffinityEngineOptions options;
+    options.alpha = 0.5;
+    options.t = 3;
+    options.pool = &pool;
+    const int64_t historical = (d + threads - 1) / threads;
+    const std::string what = "threads=" + std::to_string(threads);
+    AffinityEngineStats capped_stats, historical_stats;
+    const AffinitySlabs capped = RunEngine(in, options, &capped_stats);
+    options.panel_width = historical;
+    const AffinitySlabs uncapped = RunEngine(in, options, &historical_stats);
+    EXPECT_GT(historical_stats.scratch_bytes, kUnboundedScratchBytes) << what;
+    EXPECT_LE(capped_stats.scratch_bytes, kUnboundedScratchBytes) << what;
+    EXPECT_LT(capped_stats.panel_width, historical) << what;
+    const size_t bytes = static_cast<size_t>(n * d) * sizeof(double);
+    EXPECT_EQ(std::memcmp(capped.forward.data(), uncapped.forward.data(),
+                          bytes), 0) << what;
+    EXPECT_EQ(std::memcmp(capped.backward.data(), uncapped.backward.data(),
+                          bytes), 0) << what;
+  }
 }
 
 TEST(AffinityEngineTest, NegativeBackwardRowSumZeroesRowLikeReference) {

@@ -216,7 +216,9 @@ TEST(BufferPoolTest, ContendedPinUnpinKeepsDataIntact) {
 /// through the buffer pool returns bitwise the same factors as the
 /// unbounded in-RAM run.
 TEST(BufferPoolTest, PooledSpillTrainsBitwiseIdentical) {
-  const AttributedGraph graph = testing::SmallSbm(/*seed=*/77, /*n=*/300);
+  // n = 500: the two n x d slabs (2 x 500 x 80 x 8 B = 640 kB) outgrow the
+  // half-MiB pool a 1 MiB budget gives, so the pool must evict.
+  const AttributedGraph graph = testing::SmallSbm(/*seed=*/77, /*n=*/500);
   const auto train = [&graph](SlabPolicy policy, int64_t budget_mb,
                               PaneStats* stats) {
     PaneOptions options;

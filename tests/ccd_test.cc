@@ -262,6 +262,12 @@ void ExpectCcdMatchesOracle(const OracleFactors& start,
       const std::string where = what + " threads=" + std::to_string(threads) +
                                 (pooled ? " pooled" : " in-RAM");
       EXPECT_EQ(stats.strip_width, strip_width) << where;
+      EXPECT_EQ(stats.scratch_bytes,
+                2 * strip_width * n * static_cast<int64_t>(sizeof(double)))
+          << where;
+      if (budget_mb == 0) {
+        EXPECT_LE(stats.scratch_bytes, kUnboundedScratchBytes) << where;
+      }
       ExpectSameBytes(want.xf.data(), state.xf.data(), n * want.xf.cols(),
                       where + " xf");
       ExpectSameBytes(want.xb.data(), state.xb.data(), n * want.xb.cols(),
@@ -306,6 +312,23 @@ TEST(CcdOracleTest, MatchesPerRowSweepAtNarrowStrips) {
     ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/1, width,
                            "n=" + std::to_string(n));
   }
+}
+
+TEST(CcdOracleTest, UnboundedStripsCappedAndMatchWholeStrips) {
+  // n = 8000: a residual column costs 2 x 8 x 8000 = 128000 B of strip, so
+  // the unbounded cap holds 32 of the d = 40 columns (strips 32, 8), while
+  // a 5 MiB budget holds all 40. Both match the per-row oracle, hence each
+  // other, byte for byte.
+  constexpr int kIterations = 2;
+  constexpr int64_t kN = 8000;
+  constexpr int64_t kD = 40;
+  const OracleFactors start = RandomFactors(kN, kD, 5, 8040);
+  OracleFactors want = start;
+  ReferenceCcd(&want, kIterations);
+  ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/0,
+                         /*strip_width=*/32, "unbounded");
+  ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/5,
+                         /*strip_width=*/kD, "whole strip");
 }
 
 TEST(CcdTest, GreedyBeatsRandomAtEqualIterations) {

@@ -1,14 +1,21 @@
-// Tests for GreedyInit (Algorithm 3) and SMGreedyInit (Algorithm 7):
-// residual consistency, the near-unitary Y property the seeding relies on,
-// Lemma 4.2-style agreement at high rank, and the greedy-vs-random quality
-// gap that motivates Section 5.7.
+// Tests for GreedyInit (Algorithm 3) and EngineAwareInit (SMGreedyInit,
+// Algorithm 7): residual consistency, the near-unitary Y property the
+// seeding relies on, Lemma 4.2-style agreement at high rank, the
+// greedy-vs-random quality gap that motivates Section 5.7, and that every
+// init writes its residuals into the affinity slabs it was given.
 #include "src/core/greedy_init.h"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <functional>
+#include <string>
+#include <utility>
+
 #include "src/common/random.h"
 #include "src/matrix/gemm.h"
 #include "src/parallel/thread_pool.h"
+#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -90,35 +97,43 @@ TEST(RandomInitTest, ResidualsConsistent) {
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
-TEST(SmGreedyInitTest, ResidualsConsistent) {
+// Algorithm 7 as Pane::Train runs it: bound to the slabs, then Finish()
+// (the panel stream's OnForwardSlabComplete only changes the schedule).
+Result<EmbeddingState> SplitMergeInit(AffinitySlabs affinity,
+                                      const InitOptions& options) {
+  EngineAwareInit init(&affinity, options);
+  return init.Finish();
+}
+
+TEST(EngineAwareInitTest, ResidualsConsistent) {
   const AffinitySlabs affinity = TestAffinity();
   ThreadPool pool(4);
   const auto state =
-      SmGreedyInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
+      SplitMergeInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
-TEST(SmGreedyInitTest, QualityCloseToSerial) {
+TEST(EngineAwareInitTest, QualityCloseToSerial) {
   const AffinitySlabs affinity = TestAffinity();
   ThreadPool pool(4);
   const auto serial = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
   const auto parallel =
-      SmGreedyInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
+      SplitMergeInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
   // Split-merge SVD introduces bounded extra error (Section 4.2): the
   // parallel objective stays within a modest factor of the serial one.
   EXPECT_LT(Objective(parallel), 1.5 * Objective(serial) + 1e-9);
 }
 
-TEST(SmGreedyInitTest, SingleThreadPoolDelegatesToSerial) {
+TEST(EngineAwareInitTest, SingleThreadPoolDelegatesToSerial) {
   const AffinitySlabs affinity = TestAffinity(150, 45);
   ThreadPool pool(1);
-  const auto a = SmGreedyInit(affinity, InitFor(16, 5, &pool)).ValueOrDie();
+  const auto a = SplitMergeInit(affinity, InitFor(16, 5, &pool)).ValueOrDie();
   const auto b = GreedyInit(affinity, InitFor(16, 5)).ValueOrDie();
   EXPECT_EQ(a.xf.MaxAbsDiff(b.xf), 0.0);
   EXPECT_EQ(a.y.MaxAbsDiff(b.y), 0.0);
 }
 
-TEST(SmGreedyInitTest, Lemma42HighRankRecovery) {
+TEST(EngineAwareInitTest, Lemma42HighRankRecovery) {
   // At k/2 >= rank(F'), both inits satisfy Xf Y^T = F' (Sf = 0). We build a
   // low-rank affinity stand-in to make the rank condition achievable.
   Rng rng(46);
@@ -132,10 +147,93 @@ TEST(SmGreedyInitTest, Lemma42HighRankRecovery) {
   ThreadPool pool(3);
   const auto serial = GreedyInit(affinity, InitFor(16, 10)).ValueOrDie();
   const auto parallel =
-      SmGreedyInit(affinity, InitFor(16, 10, &pool)).ValueOrDie();
+      SplitMergeInit(affinity, InitFor(16, 10, &pool)).ValueOrDie();
   const double scale = f.FrobeniusNorm();
   EXPECT_LT(serial.sf.FrobeniusNorm() / scale, 1e-8);
   EXPECT_LT(parallel.sf.FrobeniusNorm() / scale, 1e-8);
+}
+
+// --- In-place residuals ---------------------------------------------------
+
+// Each init returns the slabs it was given as Sf / Sb: the same buffer when
+// in RAM, the same spill file (and no new pool region) when spilled, with
+// every byte equal to the GemmTransBAddScaled(x, y, 1, F', -1) oracle.
+using InitFn = std::function<Result<EmbeddingState>(AffinitySlabs)>;
+
+void ExpectResidualsInPlace(const AffinitySlabs& source, const InitFn& init,
+                            const std::string& what) {
+  const DenseMatrix forward = source.forward.ToDense().ValueOrDie();
+  const DenseMatrix backward = source.backward.ToDense().ValueOrDie();
+  for (const bool spilled : {false, true}) {
+    const std::string where = what + (spilled ? " spilled" : " in RAM");
+    store::BufferPool::Options pool_options;
+    pool_options.budget_bytes = 64 * 1024;  // forces evictions
+    pool_options.page_bytes = 4096;
+    store::BufferPool buffer_pool(pool_options);
+    store::BufferPool* spill = spilled ? &buffer_pool : nullptr;
+    AffinitySlabs affinity;
+    affinity.forward = FactorSlab::FromDense(forward, spill).ValueOrDie();
+    affinity.backward = FactorSlab::FromDense(backward, spill).ValueOrDie();
+    const double* forward_data = affinity.forward.data();
+    const double* backward_data = affinity.backward.data();
+    const std::string forward_path = affinity.forward.spill_path();
+    const std::string backward_path = affinity.backward.spill_path();
+    const int64_t registered = buffer_pool.stats().registered_bytes;
+
+    const EmbeddingState state = init(std::move(affinity)).ValueOrDie();
+    EXPECT_EQ(state.sf.data(), forward_data) << where;
+    EXPECT_EQ(state.sb.data(), backward_data) << where;
+    EXPECT_EQ(state.sf.spilled(), spilled) << where;
+    EXPECT_EQ(state.sf.spill_path(), forward_path) << where;
+    EXPECT_EQ(state.sb.spill_path(), backward_path) << where;
+    EXPECT_EQ(buffer_pool.stats().registered_bytes, registered) << where;
+
+    DenseMatrix sf_want, sb_want;
+    GemmTransBAddScaled(state.xf, state.y, 1.0, forward, -1.0, &sf_want);
+    GemmTransBAddScaled(state.xb, state.y, 1.0, backward, -1.0, &sb_want);
+    const DenseMatrix sf = state.sf.ToDense().ValueOrDie();
+    const DenseMatrix sb = state.sb.ToDense().ValueOrDie();
+    const size_t bytes = static_cast<size_t>(sf_want.rows() * sf_want.cols()) *
+                         sizeof(double);
+    EXPECT_EQ(std::memcmp(sf.data(), sf_want.data(), bytes), 0) << where;
+    EXPECT_EQ(std::memcmp(sb.data(), sb_want.data(), bytes), 0) << where;
+  }
+}
+
+TEST(InPlaceResidualTest, GreedyInit) {
+  ExpectResidualsInPlace(TestAffinity(), [](AffinitySlabs a) {
+    return GreedyInit(std::move(a), InitFor(32, 6));
+  }, "GreedyInit");
+}
+
+TEST(InPlaceResidualTest, EngineAwareInit) {
+  const AffinitySlabs affinity = TestAffinity();
+  for (const int threads : {2, 4}) {
+    ThreadPool pool(threads);
+    ExpectResidualsInPlace(affinity, [&](AffinitySlabs a) {
+      return SplitMergeInit(std::move(a), InitFor(32, 6, &pool));
+    }, "EngineAwareInit threads=" + std::to_string(threads));
+  }
+}
+
+TEST(InPlaceResidualTest, RandomInit) {
+  ThreadPool pool(3);
+  ExpectResidualsInPlace(TestAffinity(), [&](AffinitySlabs a) {
+    return RandomInit(std::move(a), InitFor(32, 5, &pool, /*seed=*/7));
+  }, "RandomInit");
+}
+
+TEST(InPlaceResidualTest, WarmInit) {
+  const AffinitySlabs affinity = TestAffinity();
+  const EmbeddingState seed = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
+  PaneEmbedding previous;  // the first 200 of 300 nodes: 100 projected rows
+  previous.xf = seed.xf.RowBlock(0, 200);
+  previous.xb = seed.xb.RowBlock(0, 200);
+  previous.y = seed.y;
+  ThreadPool pool(3);
+  ExpectResidualsInPlace(affinity, [&](AffinitySlabs a) {
+    return WarmInit(std::move(a), previous, InitFor(32, 6, &pool));
+  }, "WarmInit");
 }
 
 TEST(ObjectiveTest, MatchesDefinition) {

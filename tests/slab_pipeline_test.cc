@@ -17,8 +17,8 @@ namespace {
 namespace fs = std::filesystem;
 
 // Big enough that a 1 MiB budget spills under the kAuto rule:
-// 4 n d doubles = 4 * 500 * 80 * 8 = 1.28 MB > 1 MiB.
-constexpr int64_t kNodes = 500;
+// 2 n d doubles = 2 * 1000 * 80 * 8 = 1.28 MB > 1 MiB.
+constexpr int64_t kNodes = 1000;
 constexpr int64_t kBudgetMb = 1;
 
 PaneOptions BudgetedOptions(int threads, int64_t budget_mb,
@@ -103,9 +103,42 @@ TEST(SlabPipelineTest, SpillFilesRemovedAfterTraining) {
   PaneOptions options = BudgetedOptions(3, kBudgetMb, SlabPolicy::kSpill);
   options.spill_dir = dir.string();
   ASSERT_TRUE(Pane(options).Train(g).ok());
-  // Every slab (F', B', Sf, Sb) unlinked its spill file on destruction.
+  // Both slabs (F' / B', then Sf / Sb in place) unlinked their spill files
+  // on destruction.
   EXPECT_TRUE(fs::is_empty(dir)) << "stray spill files left in " << dir;
   fs::remove_all(dir);
+}
+
+TEST(SlabPipelineTest, SlabBytesCountTwoNByDSlabs) {
+  const AttributedGraph g = testing::SmallSbm(79, 200);
+  PaneStats stats;
+  ASSERT_TRUE(
+      Pane(BudgetedOptions(2, 0, SlabPolicy::kAuto)).Train(g, &stats).ok());
+  EXPECT_EQ(stats.slab_bytes, 2 * g.num_nodes() * g.num_attributes() *
+                                  static_cast<int64_t>(sizeof(double)));
+  EXPECT_FALSE(stats.slabs_spilled);
+}
+
+TEST(SlabPipelineTest, BudgetBetweenTwoAndFourSlabsTrainsInRam) {
+  // 2 MiB lies between 2 n d doubles (1.28 MB) and 4 n d doubles
+  // (2.56 MB): the run's two slabs fit, so kAuto keeps them in RAM.
+  const AttributedGraph g = testing::SmallSbm(80, kNodes);
+  const int64_t two_slabs = 2 * g.num_nodes() * g.num_attributes() *
+                            static_cast<int64_t>(sizeof(double));
+  constexpr int64_t kBetweenMb = 2;
+  ASSERT_LT(two_slabs, kBetweenMb << 20);
+  ASSERT_GT(2 * two_slabs, kBetweenMb << 20);
+  PaneStats auto_stats, spill_stats;
+  const auto in_ram = Pane(BudgetedOptions(2, kBetweenMb, SlabPolicy::kAuto))
+                          .Train(g, &auto_stats)
+                          .ValueOrDie();
+  const auto spilled =
+      Pane(BudgetedOptions(2, kBetweenMb, SlabPolicy::kSpill))
+          .Train(g, &spill_stats)
+          .ValueOrDie();
+  EXPECT_FALSE(auto_stats.slabs_spilled);
+  EXPECT_TRUE(spill_stats.slabs_spilled);
+  ExpectBitwiseEqual(in_ram, spilled, "kAuto in RAM vs spilled");
 }
 
 TEST(SlabPipelineTest, MissingSpillDirFailsWithoutSideEffects) {

@@ -72,7 +72,7 @@ inline AffinitySlabs GraphAffinity(const AttributedGraph& g,
 }
 
 /// Init options for space budget k and t RandSVD power iterations; `pool`
-/// selects SMGreedyInit's block count.
+/// selects EngineAwareInit's block count (Algorithm 7).
 inline InitOptions InitFor(int k, int t, ThreadPool* pool = nullptr,
                            uint64_t seed = 42) {
   InitOptions options;

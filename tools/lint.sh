@@ -56,6 +56,12 @@
 # decision cannot be copied beside it again. Declarations and definitions
 # (a line that starts with the return type) are exempt; tests/ and bench/
 # may call the phases directly to exercise one of them.
+#
+# Rule 8 — two n x d slabs per training run: in src/core/, FactorSlab::Create(
+# may be called ONLY from pane.cc (the run's two affinity slabs) and
+# affinity_engine.cc (ComputeAffinitySlabs' in-RAM convenience). Init writes
+# the residuals Sf / Sb into the F' / B' slabs it is given, so a separate
+# residual slab created in greedy_init.cc or ccd.cc cannot grow back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -168,6 +174,18 @@ if [[ -n "$driver_hits" ]]; then
   echo "$driver_hits" >&2
   echo "lint: train through Pane::Train (a warm start is its warm_start" >&2
   echo "lint: argument) instead of driving the phases from a second place" >&2
+  status=1
+fi
+
+# --- Rule 8: factor slabs created outside the driver and the engine -------
+slab_hits=$(grep -rEn 'FactorSlab::Create\(' src/core \
+              --include='*.h' --include='*.cc' \
+            | grep -Ev '^src/core/(pane|affinity_engine)\.cc:' || true)
+if [[ -n "$slab_hits" ]]; then
+  echo "lint: FactorSlab::Create outside src/core/pane.cc and affinity_engine.cc:" >&2
+  echo "$slab_hits" >&2
+  echo "lint: init overwrites F' / B' with Sf / Sb in place; a training run" >&2
+  echo "lint: holds the two slabs Pane::Train creates, not a second pair" >&2
   status=1
 fi
 
