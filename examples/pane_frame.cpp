@@ -2,10 +2,10 @@
 // newline-delimited text of line_protocol.h and the length-prefixed
 // binary framing of frame_protocol.h, one payload per line / frame.
 //
-//   # drive a frame-mode server from a text script and diff against the
-//   # line-mode golden transcript
+//   # drive a server over frames from a text script (it sniffs the frame
+//   # magic) and diff against the line-mode golden transcript
 //   ./pane_frame --encode < queries.txt |
-//     ./pane_server --embedding=emb.ctn --protocol=frame |
+//     ./pane_server --embedding=emb.ctn |
 //     ./pane_frame --decode > responses.txt
 //
 // --decode exits nonzero on any framing error (garbage magic, hostile

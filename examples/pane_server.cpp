@@ -27,7 +27,13 @@
 //
 // Either way the router's responses are byte-identical to an unsharded
 // server over the same artifact; a dead shard degrades the affected
-// queries to `err shard unavailable` rather than a partial merge.
+// queries to `err shard unavailable` rather than a partial merge. An
+// unsharded server is shard 0/1: it and a --shard=i/N server build their
+// engine with the same QueryEngine::Create call, a --local-shards fleet
+// builds each of its engines with it too.
+//
+// Each connection (and stdin) speaks the wire its first byte selects: the
+// frame magic for length-prefixed frames, anything else for lines.
 //
 // Because the store maps the artifact read-only (MAP_SHARED), any number of
 // pane_server processes over the same file — shard servers included —
@@ -48,7 +54,6 @@
 #include "src/common/string_util.h"
 #include "src/common/timer.h"
 #include "src/graph/graph_io.h"
-#include "src/matrix/gemm.h"
 #include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/embedding_store.h"
@@ -94,10 +99,6 @@ int main(int argc, char** argv) {
                   "/ existing out-edges of the query node are skipped");
   flags.AddInt("port", 0, "TCP port to listen on (0 = serve stdin/stdout; "
                           "loopback only)");
-  flags.AddString("protocol", "auto",
-                  "wire format: 'line' (newline-delimited text), 'frame' "
-                  "(length-prefixed binary), or 'auto' (sniff per "
-                  "connection from the first byte)");
   flags.AddInt("max-connections", 256,
                "open-connection cap; connections beyond it are refused "
                "with 'err server busy' and closed");
@@ -118,7 +119,8 @@ int main(int argc, char** argv) {
                   "pruned-index container path: when the file exists the "
                   "indexes are loaded from it (skipping the k-means build); "
                   "when it does not, they are built and saved there for the "
-                  "next start");
+                  "next start; needs --pruned and one engine (refused with "
+                  "--local-shards or --shards)");
   flags.AddInt("memory-budget-mb", 0,
                "caps the engine's per-batch scoring scratch (0 = default)");
   flags.AddInt("local-shards", 0,
@@ -161,10 +163,16 @@ int main(int argc, char** argv) {
                  int{!shard_flag.empty()} <=
              1)
       << "--shard, --shards and --local-shards are mutually exclusive";
-  int shard_index = 0, shard_count = 0;  // count 0: the whole artifact
+  int shard_index = 0, shard_count = 1;  // 0/1: the whole artifact
   if (!shard_flag.empty()) {
     std::tie(shard_index, shard_count) = ParseShardPosition(shard_flag);
   }
+  // The index file belongs to one engine; a router would never read it.
+  const std::string ivf_path = flags.GetString("ivf");
+  PANE_CHECK(ivf_path.empty() || flags.GetBool("pruned"))
+      << "--ivf needs --pruned";
+  PANE_CHECK(ivf_path.empty() || (!remote_router && local_shards == 0))
+      << "--ivf cannot be combined with --local-shards or --shards";
   // Checked before the shift: a negative or huge value must not reach it.
   const int64_t max_frame_mb = flags.GetInt("max-frame-mb");
   constexpr int64_t kMaxFrameMb = pane::serve::kMaxFramePayload >> 20;
@@ -216,28 +224,20 @@ int main(int argc, char** argv) {
     engine_options.pool = &pool;
     engine_options.memory_budget_mb = flags.GetInt("memory-budget-mb");
     engine_options.metrics = &registry;
-    auto created = [&]() -> pane::Result<pane::serve::QueryEngine> {
-      if (shard_count == 0) {
-        return pane::serve::QueryEngine::Create(*store, engine_options);
-      }
-      // One shard of the artifact, built exactly as a --local-shards fleet
-      // builds each of its shards.
-      pane::DenseMatrix gram;
-      if (store->has_attribute_factors()) {
-        pane::GemmTransA(store->y(), store->y(), &gram);
-      }
-      return pane::serve::CreateShardEngine(
-          *store, gram.View(),
-          pane::serve::MakeShardPlan(store->num_nodes(),
-                                     store->num_attributes(), shard_count)
-              .shards[static_cast<size_t>(shard_index)],
-          engine_options);
-    }();
+    // The whole artifact is shard 0/1; --shard=i/N serves the row ranges
+    // MakeShardPlan gives shard i, exactly as a --local-shards fleet cuts
+    // them.
+    auto created = pane::serve::QueryEngine::Create(
+        *store,
+        pane::serve::MakeShardPlan(store->num_nodes(),
+                                   store->num_attributes(), shard_count)
+            .shards[static_cast<size_t>(shard_index)],
+        pane::ConstMatrixView(), engine_options);
     PANE_CHECK(created.ok()) << created.status();
     engine = std::make_unique<pane::serve::QueryEngine>(
         created.MoveValueUnsafe());
-    if (flags.GetBool("verbose") && engine->sharded()) {
-      const pane::serve::ShardSpec& spec = engine->shard();
+    if (flags.GetBool("verbose")) {
+      const pane::serve::ShardSpec& spec = engine->spec();
       std::fprintf(stderr, "shard: %lld/%lld nodes=%lld:%lld attrs=%lld:%lld\n",
                    static_cast<long long>(spec.shard_index),
                    static_cast<long long>(spec.shard_count),
@@ -248,7 +248,6 @@ int main(int argc, char** argv) {
     }
 
     if (flags.GetBool("pruned")) {
-      const std::string ivf_path = flags.GetString("ivf");
       std::error_code ec;
       if (!ivf_path.empty() && std::filesystem::exists(ivf_path, ec)) {
         // Restart path: adopt the saved indexes instead of re-running
@@ -294,10 +293,6 @@ int main(int argc, char** argv) {
   server_options.cache_capacity = flags.GetInt("cache-size");
   server_options.pruned = flags.GetBool("pruned");
   server_options.nprobe = flags.GetInt("nprobe");
-  PANE_CHECK(pane::serve::ParseProtocolName(flags.GetString("protocol"),
-                                            &server_options.protocol))
-      << "--protocol must be 'auto', 'line', or 'frame', got '"
-      << flags.GetString("protocol") << "'";
   server_options.max_connections = flags.GetInt("max-connections");
   server_options.idle_timeout_ms = flags.GetInt("idle-timeout-ms");
   server_options.max_frame_bytes = max_frame_mb << 20;

@@ -10,10 +10,11 @@
 // asc) order. The serve-smoke CI job does exactly that. Don't script
 // `stats` into a diffed run; it is server-side only.
 //
-// With --protocol=frame the same conversation runs over the binary
-// length-prefixed framing of frame_protocol.h instead of lines, so the
-// frame leg of the differential harness can `cmp` server and reference
-// bytes too.
+// Like pane_server, it picks the wire from the first byte of stdin: a
+// stream that starts with the frame magic runs the same conversation over
+// the binary length-prefixed framing of frame_protocol.h, anything else
+// over lines, so the frame leg of the differential harness can `cmp`
+// server and reference bytes too.
 //
 //   ./pane_topk --embedding=emb.ctn [--graph=/data/cora] < queries.txt
 #include <iostream>
@@ -29,7 +30,6 @@
 #include "src/parallel/thread_pool.h"
 #include "src/serve/frame_protocol.h"
 #include "src/serve/line_protocol.h"
-#include "src/serve/protocol.h"
 #include "src/serve/shard_plan.h"
 
 namespace {
@@ -87,14 +87,11 @@ std::string Respond(const pane::PaneEmbedding& embedding,
   if (r.type == Request::Type::kPlan) {
     // Same full-range 0/1 plan an unsharded pane_server reports, so the
     // shard-smoke differential can script `plan` through both sides.
-    pane::serve::ShardSpec spec;
-    spec.shard_index = 0;
-    spec.shard_count = 1;
-    spec.num_nodes = embedding.num_nodes();
-    spec.num_attributes = embedding.num_attributes();
+    pane::serve::ShardSpec spec =
+        pane::serve::MakeShardPlan(embedding.num_nodes(),
+                                   embedding.num_attributes(), 1)
+            .shards[0];
     spec.dim = embedding.xf.cols();
-    spec.node_end = spec.num_nodes;
-    spec.attr_end = spec.num_attributes;
     spec.has_attributes = true;
     spec.has_links = true;
     return pane::serve::FormatPlanResponse(spec);
@@ -134,9 +131,6 @@ int main(int argc, char** argv) {
   flags.AddString("graph", "",
                   "optional graph for recommendation mode (same semantics "
                   "as pane_server --graph)");
-  flags.AddString("protocol", "line",
-                  "wire format: 'line' (newline-delimited text) or 'frame' "
-                  "(length-prefixed binary)");
   PANE_CHECK_OK(flags.Parse(argc, argv));
   PANE_CHECK(!flags.GetString("embedding").empty())
       << "--embedding=<artifact> is required";
@@ -165,15 +159,8 @@ int main(int argc, char** argv) {
     exclude = &exclude_graph;
   }
 
-  pane::serve::Protocol protocol = pane::serve::Protocol::kLine;
-  PANE_CHECK(pane::serve::ParseProtocolName(flags.GetString("protocol"),
-                                            &protocol) &&
-             protocol != pane::serve::Protocol::kAuto)
-      << "--protocol must be 'line' or 'frame', got '"
-      << flags.GetString("protocol") << "'";
-
   bool quit = false;
-  if (protocol == pane::serve::Protocol::kLine) {
+  if (std::cin.peek() != pane::serve::kFrameMagic) {
     std::string line;
     while (!quit && std::getline(std::cin, line)) {
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;

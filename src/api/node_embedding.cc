@@ -137,7 +137,7 @@ Result<NodeEmbedding> NodeEmbedding::Load(const std::string& path) {
   }
   PANE_ASSIGN_OR_RETURN(
       store::EmbeddingExtents extents,
-      store::ReadEmbeddingStreams(container, /*verify_payloads=*/true));
+      store::ReadEmbeddingStreams(container));
   if (extents.link_convention < 0 ||
       extents.link_convention >
           static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {

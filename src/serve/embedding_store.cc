@@ -16,8 +16,7 @@ ConstMatrixView ViewOf(const store::MatrixExtent& e) {
 
 }  // namespace
 
-Result<EmbeddingStore> EmbeddingStore::Open(
-    const std::string& path, const EmbeddingStoreOptions& options) {
+Result<EmbeddingStore> EmbeddingStore::Open(const std::string& path) {
   EmbeddingStore store;
   PANE_ASSIGN_OR_RETURN(store::Container container,
                         store::Container::Open(path));
@@ -28,8 +27,7 @@ Result<EmbeddingStore> EmbeddingStore::Open(
   }
   PANE_ASSIGN_OR_RETURN(
       store::EmbeddingExtents extents,
-      store::ReadEmbeddingStreams(*store.container_,
-                                  options.verify_checksums));
+      store::ReadEmbeddingStreams(*store.container_));
   if (extents.link_convention < 0 ||
       extents.link_convention >
           static_cast<int8_t>(LinkConvention::kAsymmetricDot)) {

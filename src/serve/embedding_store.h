@@ -29,13 +29,6 @@
 namespace pane {
 namespace serve {
 
-struct EmbeddingStoreOptions {
-  /// CRC32C-verify each matrix stream's pages at open. Verification touches (faults) every page of every stream; turn it
-  /// off when the store should serve a subset of the blocks — e.g. Y only —
-  /// without ever faulting Xf / Xb.
-  bool verify_checksums = true;
-};
-
 class EmbeddingStore {
  public:
   EmbeddingStore() = default;
@@ -46,11 +39,9 @@ class EmbeddingStore {
 
   /// Maps a store:: container written by NodeEmbedding::SaveContainer.
   /// Every shape is validated against its stream's size, so a corrupt
-  /// artifact yields a Status, never an OOM or an out-of-bounds read. The
-  /// checksum policy is options.verify_checksums.
-  static Result<EmbeddingStore> Open(const std::string& path,
-                                     const EmbeddingStoreOptions& options =
-                                         EmbeddingStoreOptions());
+  /// artifact yields a Status, never an OOM or an out-of-bounds read.
+  /// Every matrix stream's pages are CRC32C-verified at open.
+  static Result<EmbeddingStore> Open(const std::string& path);
 
   const std::string& method() const { return method_; }
   LinkConvention link_convention() const { return link_convention_; }

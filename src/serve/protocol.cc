@@ -6,38 +6,9 @@
 namespace pane {
 namespace serve {
 
-bool ParseProtocolName(std::string_view name, Protocol* out) {
-  if (name == "auto") {
-    *out = Protocol::kAuto;
-  } else if (name == "line") {
-    *out = Protocol::kLine;
-  } else if (name == "frame") {
-    *out = Protocol::kFrame;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* ProtocolName(Protocol protocol) {
-  switch (protocol) {
-    case Protocol::kAuto:
-      return "auto";
-    case Protocol::kLine:
-      return "line";
-    case Protocol::kFrame:
-      return "frame";
-  }
-  return "auto";
-}
-
-std::unique_ptr<ProtocolCodec> MakeCodec(Protocol requested,
-                                         unsigned char first,
+std::unique_ptr<ProtocolCodec> MakeCodec(unsigned char first,
                                          size_t max_frame_payload) {
-  if (requested == Protocol::kAuto) {
-    requested = first == kFrameMagic ? Protocol::kFrame : Protocol::kLine;
-  }
-  if (requested == Protocol::kFrame) {
+  if (first == kFrameMagic) {
     return std::make_unique<FrameCodec>(max_frame_payload);
   }
   return std::make_unique<LineCodec>();

@@ -18,9 +18,8 @@
 // golden transcript.
 //
 // Which codec a connection speaks is decided once, from its first byte
-// (DetectProtocol): a frame stream always begins with the non-ASCII frame
-// magic, a line stream with a printable verb. A server may also pin the
-// codec per ServerOptions instead of sniffing.
+// (MakeCodec): a frame stream always begins with the non-ASCII frame magic
+// 0xAB, and no line request can start with that byte.
 #pragma once
 
 #include <cstddef>
@@ -30,18 +29,6 @@
 
 namespace pane {
 namespace serve {
-
-/// Wire format selection for a server or a tool endpoint.
-enum class Protocol : int8_t {
-  kAuto,   ///< sniff per connection from the first byte
-  kLine,   ///< newline-delimited text (line_protocol.h)
-  kFrame,  ///< length-prefixed binary frames (frame_protocol.h)
-};
-
-/// Parses a --protocol flag value ("auto" / "line" / "frame"); returns
-/// false on anything else.
-bool ParseProtocolName(std::string_view name, Protocol* out);
-const char* ProtocolName(Protocol protocol);
 
 class ProtocolCodec {
  public:
@@ -77,11 +64,10 @@ class ProtocolCodec {
 };
 
 /// Codec for a connection whose first byte is `first`: the frame magic
-/// selects FrameCodec, anything else LineCodec. `requested` != kAuto
-/// overrides sniffing. `max_frame_payload` bounds inbound frame lengths
-/// for the frame codec (0 = the protocol default, kMaxFramePayload).
-std::unique_ptr<ProtocolCodec> MakeCodec(Protocol requested,
-                                         unsigned char first,
+/// selects FrameCodec, anything else LineCodec. `max_frame_payload` bounds
+/// inbound frame lengths for the frame codec (0 = the protocol default,
+/// kMaxFramePayload).
+std::unique_ptr<ProtocolCodec> MakeCodec(unsigned char first,
                                          size_t max_frame_payload = 0);
 
 }  // namespace serve

@@ -291,22 +291,7 @@ std::vector<int64_t> ExcludedIds(const CsrMatrix& matrix, int64_t row) {
   return ids;  // CSR columns are sorted, so the list is ascending
 }
 
-void QueryEngine::Init(ConstMatrixView xf, ConstMatrixView xb,
-                       ConstMatrixView y, const QueryEngineOptions& options) {
-  xf_ = xf;
-  xb_ = xb;
-  y_ = y;
-  pool_ = options.pool;
-  const int64_t h = xf.cols();
-  const BlockShape shape = DeriveBlockShape(options, h);
-  query_block_ = shape.query_block;
-  candidate_tile_ = shape.candidate_tile;
-  screen_eps_ = 2.0 * (Gamma(h + 2, 0x1p-24) + Gamma(h + 2, 0x1p-53));
-  screen_alpha_ = 2.0 * static_cast<double>(h + 1) * 0x1p-149;
-  if (options.metrics != nullptr) ResolveMetrics(options.metrics);
-}
-
-void QueryEngine::BuildScreens(int64_t node_begin, int64_t node_end) {
+void QueryEngine::BuildScreens() {
   const int64_t h = dim();
   // Zero-filled, so the last panel's padding scores 0 (and is never read).
   const auto allocate = [h](int64_t count, ScreenRows* screen) {
@@ -316,15 +301,15 @@ void QueryEngine::BuildScreens(int64_t node_begin, int64_t node_end) {
                           0.0f);
     screen->norms.resize(static_cast<size_t>(count));
   };
-  const auto copy_rows = [&](ConstMatrixView rows, ScreenRows* screen) {
-    allocate(rows.rows(), screen);
-    RunRanges(pool_, rows.rows(), [&](int64_t begin, int64_t end) {
-      ConvertRows(rows.Row(begin), end - begin, h, begin,
-                  screen->panels.data(), screen->norms.data());
+  if (y_.rows() > 0) {
+    allocate(y_.rows(), &attr_screen_);
+    RunRanges(pool_, y_.rows(), [&](int64_t begin, int64_t end) {
+      ConvertRows(y_.Row(begin), end - begin, h, begin,
+                  attr_screen_.panels.data(), attr_screen_.norms.data());
     });
-  };
-  if (y_.rows() > 0) copy_rows(y_, &attr_screen_);
-  const int64_t count = node_end - node_begin;
+  }
+  const int64_t node_begin = spec_.node_begin;
+  const int64_t count = spec_.node_end - node_begin;
   if (count == 0 || gram_.rows() == 0) return;
   allocate(count, &link_screen_);
   // Z = Xb G a chunk of rows at a time, never all of it in f64: the same
@@ -344,29 +329,95 @@ void QueryEngine::BuildScreens(int64_t node_begin, int64_t node_end) {
 
 Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
                                         ConstMatrixView xb, ConstMatrixView y,
+                                        ShardSpec spec, ConstMatrixView gram,
                                         const QueryEngineOptions& options) {
   if (xf.rows() == 0 || xf.cols() == 0) {
     return Status::InvalidArgument("QueryEngine requires a forward factor");
   }
   PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
+  const int64_t n = xf.rows();
+  const int64_t d = y.rows();
   const int64_t h = xf.cols();
-  if (xb.rows() > 0 && (xb.rows() != xf.rows() || xb.cols() != h)) {
+  if (xb.rows() > 0 && (xb.rows() != n || xb.cols() != h)) {
     return Status::InvalidArgument("QueryEngine xb shape mismatch");
   }
-  if (y.rows() > 0 && y.cols() != h) {
+  if (d > 0 && y.cols() != h) {
     return Status::InvalidArgument("QueryEngine y shape mismatch");
   }
+  if (gram.rows() > 0 &&
+      (xb.rows() == 0 || gram.rows() != h || gram.cols() != h)) {
+    return Status::InvalidArgument(
+        "QueryEngine gram must be the h x h Y^T Y, beside xb");
+  }
+  if (spec.shard_count <= 0 || spec.shard_index < 0 ||
+      spec.shard_index >= spec.shard_count) {
+    return Status::InvalidArgument(
+        "shard position " + std::to_string(spec.shard_index) + "/" +
+        std::to_string(spec.shard_count) + " needs 0 <= i < N");
+  }
+  if (spec.num_nodes != n || spec.num_attributes != d ||
+      spec.node_begin < 0 || spec.node_end < spec.node_begin ||
+      spec.node_end > n || spec.attr_begin < 0 ||
+      spec.attr_end < spec.attr_begin || spec.attr_end > d) {
+    return Status::InvalidArgument(
+        "shard ranges were not cut from this " + std::to_string(n) + " x " +
+        std::to_string(d) + " candidate space");
+  }
   QueryEngine engine;
-  engine.Init(xf, xb, y, options);
-  if (options.precompute_link_gram && xb.rows() > 0 && y.rows() > 0) {
+  engine.xf_ = xf;
+  engine.xb_ = xb;
+  if (spec.attr_end > spec.attr_begin) {
+    engine.y_ = ConstMatrixView(y.Row(spec.attr_begin),
+                                spec.attr_end - spec.attr_begin, h);
+  }
+  engine.pool_ = options.pool;
+  const BlockShape shape = DeriveBlockShape(options, h);
+  engine.query_block_ = shape.query_block;
+  engine.candidate_tile_ = shape.candidate_tile;
+  engine.screen_eps_ = 2.0 * (Gamma(h + 2, 0x1p-24) + Gamma(h + 2, 0x1p-53));
+  engine.screen_alpha_ = 2.0 * static_cast<double>(h + 1) * 0x1p-149;
+  if (options.metrics != nullptr) engine.ResolveMetrics(options.metrics);
+  if (gram.rows() > 0) {
+    engine.gram_.Resize(h, h);
+    std::copy(gram.data(), gram.data() + h * h, engine.gram_.data());
+  } else if (options.precompute_link_gram && xb.rows() > 0 && d > 0) {
     // Same kernel EdgeScorer runs for G, so p(u, w) matches it bitwise.
     GemmTransA(y, y, &engine.gram_);
   }
-  engine.num_attributes_ = y.rows();
-  engine.supports_attributes_ = xb.rows() > 0 && y.rows() > 0;
-  engine.supports_links_ = engine.gram_.rows() > 0;
-  engine.BuildScreens(0, xf.rows());
+  spec.dim = h;
+  spec.has_attributes = xb.rows() > 0 && d > 0;
+  spec.has_links = engine.gram_.rows() > 0;
+  engine.spec_ = spec;
+  engine.BuildScreens();
   return engine;
+}
+
+Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
+                                        ConstMatrixView xb, ConstMatrixView y,
+                                        const QueryEngineOptions& options) {
+  return Create(xf, xb, y, MakeShardPlan(xf.rows(), y.rows(), 1).shards[0],
+                ConstMatrixView(), options);
+}
+
+Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
+                                        const ShardSpec& spec,
+                                        ConstMatrixView gram,
+                                        const QueryEngineOptions& options) {
+  if (!store.has_attribute_factors()) {
+    return Status::InvalidArgument(
+        "serving engine requires the xf/xb/y factor blocks (artifact "
+        "method '" +
+        store.method() + "' lacks them)");
+  }
+  return Create(store.xf(), store.xb(), store.y(), spec, gram, options);
+}
+
+Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
+                                        const QueryEngineOptions& options) {
+  return Create(
+      store,
+      MakeShardPlan(store.num_nodes(), store.num_attributes(), 1).shards[0],
+      ConstMatrixView(), options);
 }
 
 void QueryEngine::ResolveMetrics(obs::MetricsRegistry* registry) {
@@ -408,62 +459,9 @@ void QueryEngine::AccumulateRange(EngineCallStats* call_stats,
   }
 }
 
-Result<QueryEngine> QueryEngine::CreateSharded(
-    ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
-    ConstMatrixView gram, const ShardSpec& shard,
-    const QueryEngineOptions& options) {
-  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
-  if (xf.rows() != shard.num_nodes || xf.cols() != shard.dim ||
-      xb.rows() != shard.num_nodes || xb.cols() != shard.dim) {
-    return Status::InvalidArgument(
-        "sharded engine needs the full xf/xb factors (" +
-        std::to_string(shard.num_nodes) + " x " + std::to_string(shard.dim) +
-        ")");
-  }
-  if (y.rows() != shard.attr_end - shard.attr_begin ||
-      (y.rows() > 0 && y.cols() != shard.dim)) {
-    return Status::InvalidArgument(
-        "sharded engine y slice disagrees with the shard's attribute range");
-  }
-  if (shard.node_begin < 0 || shard.node_end < shard.node_begin ||
-      shard.node_end > shard.num_nodes) {
-    return Status::InvalidArgument(
-        "sharded engine node range lies outside [0, n)");
-  }
-  if (gram.rows() != shard.dim || gram.cols() != shard.dim) {
-    return Status::InvalidArgument(
-        "sharded engine needs the h x h gram Y^T Y of the full Y");
-  }
-  QueryEngine engine;
-  engine.Init(xf, xb, y, options);
-  engine.gram_.Resize(gram.rows(), gram.cols());
-  std::copy(gram.data(), gram.data() + gram.rows() * gram.cols(),
-            engine.gram_.data());
-  engine.attr_base_ = shard.attr_begin;
-  engine.link_base_ = shard.node_begin;
-  engine.num_attributes_ = shard.num_attributes;
-  engine.supports_attributes_ = shard.has_attributes;
-  engine.supports_links_ = shard.has_links;
-  engine.sharded_ = true;
-  engine.shard_ = shard;
-  engine.BuildScreens(shard.node_begin, shard.node_end);
-  return engine;
-}
-
-Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
-                                        const QueryEngineOptions& options) {
-  if (!store.has_attribute_factors()) {
-    return Status::InvalidArgument(
-        "serving engine requires the xf/xb/y factor blocks (artifact "
-        "method '" +
-        store.method() + "' lacks them)");
-  }
-  return Create(store.xf(), store.xb(), store.y(), options);
-}
-
 double QueryEngine::ExactAttributeScore(int64_t v, int64_t r) const {
   const int64_t h = dim();
-  const double* yr = y_.Row(r - attr_base_);
+  const double* yr = y_.Row(r - spec_.attr_begin);
   return Dot(xf_.Row(v), yr, h) + Dot(xb_.Row(v), yr, h);
 }
 
@@ -481,7 +479,7 @@ void QueryEngine::ProcessRange(Family family,
                                EngineCallStats* call_stats) const {
   const bool attributes = family == Family::kAttributes;
   const ScreenRows& screen = attributes ? attr_screen_ : link_screen_;
-  const int64_t base = attributes ? attr_base_ : link_base_;
+  const int64_t base = attributes ? spec_.attr_begin : spec_.node_begin;
   const int64_t count = screen.count;
   const int64_t h = dim();
   // Stage clocks are read per tile only when the caller asked for the
@@ -583,40 +581,105 @@ void QueryEngine::ProcessRange(Family family,
   AccumulateRange(call_stats, counts);
 }
 
-std::vector<Ranking> QueryEngine::TopKAttributes(
-    const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
-    EngineCallStats* call_stats) const {
-  PANE_CHECK(supports_attributes())
-      << "attribute queries need the xb and y factor blocks";
+void QueryEngine::ProbeRange(Family family,
+                             const std::vector<TopKQuery>& queries,
+                             int64_t nprobe, const AttributedGraph* exclude,
+                             int64_t begin, int64_t end,
+                             std::vector<Ranking>* results,
+                             EngineCallStats* call_stats) const {
+  const bool attributes = family == Family::kAttributes;
+  const IvfIndex& index = attributes ? attr_index_ : link_index_;
+  const int64_t h = dim();
+  const bool count = call_stats != nullptr || ivf_scanned_total_ != nullptr;
+  std::vector<double> sum(static_cast<size_t>(h));  // Eq. 21's xf + xb
+  int64_t scanned = 0;
+  const int64_t start_ns = call_stats != nullptr ? MonotonicNanos() : 0;
+  for (int64_t i = begin; i < end; ++i) {
+    const TopKQuery& query = queries[static_cast<size_t>(i)];
+    const double* x = xf_.Row(query.node);
+    if (attributes) {
+      const double* bk = xb_.Row(query.node);
+      for (int64_t t = 0; t < h; ++t) sum[static_cast<size_t>(t)] = x[t] + bk[t];
+      x = sum.data();
+    }
+    const std::vector<int64_t> ex =
+        exclude != nullptr
+            ? ExcludedIds(attributes ? exclude->attributes()
+                                     : exclude->adjacency(),
+                          query.node)
+            : std::vector<int64_t>();
+    (*results)[static_cast<size_t>(i)] = index.Search(
+        x, query.k, nprobe, ex, /*skip_id=*/attributes ? -1 : query.node,
+        /*id_base=*/attributes ? spec_.attr_begin : spec_.node_begin,
+        count ? &scanned : nullptr);
+  }
+  RangeCounts counts;
+  counts.scan_ns = call_stats != nullptr ? MonotonicNanos() - start_ns : 0;
+  counts.ivf_scanned = scanned;
+  counts.ivf_pruned =
+      count ? (end - begin) * index.num_candidates() - scanned : 0;
+  AccumulateRange(call_stats, counts);
+}
+
+std::vector<Ranking> QueryEngine::TopK(Family family,
+                                       const std::vector<TopKQuery>& queries,
+                                       bool pruned, int64_t nprobe,
+                                       const AttributedGraph* exclude,
+                                       EngineCallStats* call_stats) const {
+  const bool attributes = family == Family::kAttributes;
+  PANE_CHECK(attributes ? supports_attributes() : supports_links())
+      << (attributes ? "attribute queries need the xb and y factor blocks"
+                     : "link queries need G = Y^T Y (let Create derive it "
+                       "from xb and y)");
   for (const TopKQuery& q : queries) {
     PANE_CHECK(q.node >= 0 && q.node < num_nodes());
     PANE_CHECK(q.k > 0);
   }
   std::vector<Ranking> results(queries.size());
+  // An empty local slice contributes nothing to any merge.
+  if ((attributes ? attr_screen_ : link_screen_).count == 0) return results;
+  PANE_CHECK(!pruned || !(attributes ? attr_index_ : link_index_).empty())
+      << "call BuildPrunedIndex before pruned "
+      << (attributes ? "attribute" : "link") << " queries";
   RunRanges(pool_, static_cast<int64_t>(queries.size()),
             [&](int64_t begin, int64_t end) {
-              ProcessRange(Family::kAttributes, queries, exclude, begin,
-                           end, &results, call_stats);
+              if (pruned) {
+                ProbeRange(family, queries, nprobe, exclude, begin, end,
+                           &results, call_stats);
+              } else {
+                ProcessRange(family, queries, exclude, begin, end, &results,
+                             call_stats);
+              }
             });
   return results;
+}
+
+std::vector<Ranking> QueryEngine::TopKAttributes(
+    const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
+    EngineCallStats* call_stats) const {
+  return TopK(Family::kAttributes, queries, /*pruned=*/false, /*nprobe=*/0,
+              exclude, call_stats);
 }
 
 std::vector<Ranking> QueryEngine::TopKTargets(
     const std::vector<TopKQuery>& queries, const AttributedGraph* exclude,
     EngineCallStats* call_stats) const {
-  PANE_CHECK(supports_links())
-      << "link queries need G = Y^T Y (let Create derive it from xb and y)";
-  for (const TopKQuery& q : queries) {
-    PANE_CHECK(q.node >= 0 && q.node < num_nodes());
-    PANE_CHECK(q.k > 0);
-  }
-  std::vector<Ranking> results(queries.size());
-  RunRanges(pool_, static_cast<int64_t>(queries.size()),
-            [&](int64_t begin, int64_t end) {
-              ProcessRange(Family::kTargets, queries, exclude, begin, end,
-                           &results, call_stats);
-            });
-  return results;
+  return TopK(Family::kTargets, queries, /*pruned=*/false, /*nprobe=*/0,
+              exclude, call_stats);
+}
+
+std::vector<Ranking> QueryEngine::TopKAttributesPruned(
+    const std::vector<TopKQuery>& queries, int64_t nprobe,
+    const AttributedGraph* exclude, EngineCallStats* call_stats) const {
+  return TopK(Family::kAttributes, queries, /*pruned=*/true, nprobe, exclude,
+              call_stats);
+}
+
+std::vector<Ranking> QueryEngine::TopKTargetsPruned(
+    const std::vector<TopKQuery>& queries, int64_t nprobe,
+    const AttributedGraph* exclude, EngineCallStats* call_stats) const {
+  return TopK(Family::kTargets, queries, /*pruned=*/true, nprobe, exclude,
+              call_stats);
 }
 
 std::vector<double> QueryEngine::AttributeScores(
@@ -755,109 +818,6 @@ Status QueryEngine::LoadPrunedIndex(const std::string& path) {
   if (have_attr) attr_index_ = std::move(attr_loaded);
   if (have_link) link_index_ = std::move(link_loaded);
   return Status::OK();
-}
-
-std::vector<Ranking> QueryEngine::TopKAttributesPruned(
-    const std::vector<TopKQuery>& queries, int64_t nprobe,
-    const AttributedGraph* exclude, EngineCallStats* call_stats) const {
-  PANE_CHECK(!attr_index_.empty() || (sharded_ && y_.rows() == 0))
-      << "call BuildPrunedIndex before pruned attribute queries";
-  const int64_t h = xf_.cols();
-  std::vector<Ranking> results(queries.size());
-  // A shard holding no attribute rows contributes nothing to any merge.
-  if (attr_index_.empty()) {
-    for (const TopKQuery& q : queries) {
-      PANE_CHECK(q.node >= 0 && q.node < num_nodes());
-      PANE_CHECK(q.k > 0);
-    }
-    return results;
-  }
-  const bool count = call_stats != nullptr || ivf_scanned_total_ != nullptr;
-  RunRanges(pool_, static_cast<int64_t>(queries.size()),
-            [&](int64_t begin, int64_t end) {
-              std::vector<double> qv(static_cast<size_t>(h));
-              int64_t scanned = 0;
-              const int64_t start_ns =
-                  call_stats != nullptr ? MonotonicNanos() : 0;
-              for (int64_t i = begin; i < end; ++i) {
-                const TopKQuery& query = queries[static_cast<size_t>(i)];
-                PANE_CHECK(query.node >= 0 && query.node < num_nodes());
-                PANE_CHECK(query.k > 0);
-                const double* f = xf_.Row(query.node);
-                const double* bk = xb_.Row(query.node);
-                for (int64_t t = 0; t < h; ++t) {
-                  qv[static_cast<size_t>(t)] = f[t] + bk[t];
-                }
-                const std::vector<int64_t> ex =
-                    exclude != nullptr
-                        ? ExcludedIds(exclude->attributes(), query.node)
-                        : std::vector<int64_t>();
-                results[static_cast<size_t>(i)] = attr_index_.Search(
-                    qv.data(), query.k, nprobe, ex, /*skip_id=*/-1,
-                    /*id_base=*/attr_base_, count ? &scanned : nullptr);
-              }
-              const int64_t scan_ns =
-                  call_stats != nullptr ? MonotonicNanos() - start_ns : 0;
-              const int64_t pruned =
-                  count ? (end - begin) * attr_index_.num_candidates() -
-                              scanned
-                        : 0;
-              RangeCounts counts;
-              counts.scan_ns = scan_ns;
-              counts.ivf_scanned = scanned;
-              counts.ivf_pruned = pruned;
-              AccumulateRange(call_stats, counts);
-            });
-  return results;
-}
-
-std::vector<Ranking> QueryEngine::TopKTargetsPruned(
-    const std::vector<TopKQuery>& queries, int64_t nprobe,
-    const AttributedGraph* exclude, EngineCallStats* call_stats) const {
-  PANE_CHECK(!link_index_.empty() ||
-             (sharded_ && link_screen_.count == 0))
-      << "call BuildPrunedIndex before pruned link queries";
-  std::vector<Ranking> results(queries.size());
-  if (link_index_.empty()) {
-    for (const TopKQuery& q : queries) {
-      PANE_CHECK(q.node >= 0 && q.node < num_nodes());
-      PANE_CHECK(q.k > 0);
-    }
-    return results;
-  }
-  const bool count = call_stats != nullptr || ivf_scanned_total_ != nullptr;
-  RunRanges(pool_, static_cast<int64_t>(queries.size()),
-            [&](int64_t begin, int64_t end) {
-              int64_t scanned = 0;
-              const int64_t start_ns =
-                  call_stats != nullptr ? MonotonicNanos() : 0;
-              for (int64_t i = begin; i < end; ++i) {
-                const TopKQuery& query = queries[static_cast<size_t>(i)];
-                PANE_CHECK(query.node >= 0 && query.node < num_nodes());
-                PANE_CHECK(query.k > 0);
-                const std::vector<int64_t> ex =
-                    exclude != nullptr
-                        ? ExcludedIds(exclude->adjacency(), query.node)
-                        : std::vector<int64_t>();
-                results[static_cast<size_t>(i)] =
-                    link_index_.Search(xf_.Row(query.node), query.k, nprobe,
-                                       ex, /*skip_id=*/query.node,
-                                       /*id_base=*/link_base_,
-                                       count ? &scanned : nullptr);
-              }
-              const int64_t scan_ns =
-                  call_stats != nullptr ? MonotonicNanos() - start_ns : 0;
-              const int64_t pruned =
-                  count ? (end - begin) * link_index_.num_candidates() -
-                              scanned
-                        : 0;
-              RangeCounts counts;
-              counts.scan_ns = scan_ns;
-              counts.ivf_scanned = scanned;
-              counts.ivf_pruned = pruned;
-              AccumulateRange(call_stats, counts);
-            });
-  return results;
 }
 
 }  // namespace serve

@@ -29,6 +29,13 @@
 // indexes (src/serve/ivf_index.h) built from the screen rows, for
 // sublinear approximate retrieval with `nprobe` as the measured-recall
 // knob.
+//
+// Every engine is a shard (src/serve/shard_plan.h): one builder takes the
+// full factor views and a ShardSpec, and the engine scans only the spec's
+// candidate rows while speaking global ids. An unsharded engine is shard 0
+// of 1, MakeShardPlan(n, d, 1).shards[0], so there is no second mode: a
+// family whose local slice is empty (more shards than rows) answers empty
+// rankings in both exact and pruned mode.
 #pragma once
 
 #include <atomic>
@@ -107,36 +114,43 @@ class QueryEngine {
   QueryEngine(QueryEngine&&) = default;
   QueryEngine& operator=(QueryEngine&&) = default;
 
-  /// Builds an engine over factor views (xf / xb: n x h, y: d x h). The
-  /// viewed storage must outlive the engine. When xb / y are present and
-  /// precompute_link_gram is set, the engine keeps G = Y^T Y, derived with
-  /// the kernels EdgeScorer uses, and computes each needed row of
-  /// Z = Xb G on demand, so link scores match EdgeScorer bitwise.
+  /// The one engine builder: shard `spec` of the candidate space of the
+  /// full factor views (xf / xb: n x h, y: d x h; the viewed storage must
+  /// outlive the engine). An unsharded engine is shard 0 of 1,
+  /// MakeShardPlan(n, d, 1).shards[0]. The engine scans Y rows
+  /// [attr_begin, attr_end) and link candidates [node_begin, node_end),
+  /// but accepts and returns *global* ids everywhere — queries, exclusion
+  /// lists, pair ids and top-k results — so a router merges per-shard
+  /// answers without id translation, and tie-breaks resolve in global
+  /// order. Link scores need G = Y^T Y (h x h): `gram` (copied) when
+  /// non-empty, so a fleet derives it once; otherwise derived here from y
+  /// with the kernels EdgeScorer uses when precompute_link_gram is set and
+  /// xb / y are present. Each needed row of Z = Xb G is computed on demand,
+  /// so link scores match EdgeScorer bitwise for any shard count. The
+  /// builder fills in the spec's width and capabilities; a position outside
+  /// 0 <= i < N, ranges not cut from (n, d) or a shape mismatch is an
+  /// InvalidArgument.
+  static Result<QueryEngine> Create(ConstMatrixView xf, ConstMatrixView xb,
+                                    ConstMatrixView y, ShardSpec spec,
+                                    ConstMatrixView gram,
+                                    const QueryEngineOptions& options);
+
+  /// The whole candidate space of the views: shard 0 of 1.
   static Result<QueryEngine> Create(ConstMatrixView xf, ConstMatrixView xb,
                                     ConstMatrixView y,
                                     const QueryEngineOptions& options);
 
-  /// Engine over a mapped artifact (factor blocks required; the store must
-  /// outlive the engine).
+  /// Shard `spec` of a mapped artifact (factor blocks required; the store
+  /// must outlive the engine). A shard is a row-range view of the one
+  /// artifact; `gram` as for the view builder.
   static Result<QueryEngine> Create(const EmbeddingStore& store,
+                                    const ShardSpec& spec,
+                                    ConstMatrixView gram,
                                     const QueryEngineOptions& options);
 
-  /// Engine over one shard: the full query-side factors (xf / xb: n x h),
-  /// the local attribute slice (y: rows [attr_begin, attr_end), may be
-  /// empty) and `gram` = Y^T Y of the full Y (h x h, copied), from which
-  /// the shard derives its rows [node_begin, node_end) of Z = Xb G — never
-  /// from a per-shard Y, so link scores stay bitwise the unsharded
-  /// engine's. The engine scans only its slices but accepts and returns
-  /// *global* ids everywhere — queries, exclusion lists, pair ids, and
-  /// top-k results — so the router merges per-shard answers without any
-  /// id translation, and tie-breaks resolve in global-index order. Callers
-  /// over an artifact go through CreateShardEngine (router.h).
-  static Result<QueryEngine> CreateSharded(ConstMatrixView xf,
-                                           ConstMatrixView xb,
-                                           ConstMatrixView y,
-                                           ConstMatrixView gram,
-                                           const ShardSpec& shard,
-                                           const QueryEngineOptions& options);
+  /// The whole mapped artifact: shard 0 of 1.
+  static Result<QueryEngine> Create(const EmbeddingStore& store,
+                                    const QueryEngineOptions& options);
 
   // ---- Exact mode -------------------------------------------------------
 
@@ -191,6 +205,8 @@ class QueryEngine {
 
   /// Approximate top-k through the IVF indexes; same exclusion / self-skip
   /// semantics as the exact calls, scores computed in single precision.
+  /// A family needs its index unless its local slice is empty, which
+  /// answers empty rankings.
   /// The pruned path has no tile/select split, so `call_stats` gets the
   /// whole probe under scan_ns plus the scanned/pruned candidate counts.
   std::vector<Ranking> TopKAttributesPruned(
@@ -210,22 +226,22 @@ class QueryEngine {
   int64_t dim() const { return xf_.cols(); }
   /// Global attribute count — for a shard this is the plan's d, not the
   /// local slice height.
-  int64_t num_attributes() const { return num_attributes_; }
-  bool supports_attributes() const { return supports_attributes_; }
-  bool supports_links() const { return supports_links_; }
+  int64_t num_attributes() const { return spec_.num_attributes; }
+  /// Capability is a *global* property: a shard whose local slice is empty
+  /// still supports the query family and answers with empty rankings.
+  bool supports_attributes() const { return spec_.has_attributes; }
+  bool supports_links() const { return spec_.has_links; }
 
-  bool sharded() const { return sharded_; }
-  /// Only meaningful when sharded() (an unsharded engine owns everything).
-  const ShardSpec& shard() const { return shard_; }
+  /// The candidate space this engine answers for — shard 0 of 1 when
+  /// unsharded — with the width and capabilities filled in.
+  const ShardSpec& spec() const { return spec_; }
   /// Whether this engine holds the candidate row for a global id — pair
   /// requests must be routed to the owner.
   bool OwnsAttribute(int64_t attribute) const {
-    return !sharded_ || (attribute >= shard_.attr_begin &&
-                         attribute < shard_.attr_end);
+    return attribute >= spec_.attr_begin && attribute < spec_.attr_end;
   }
   bool OwnsTarget(int64_t node) const {
-    return !sharded_ ||
-           (node >= shard_.node_begin && node < shard_.node_end);
+    return node >= spec_.node_begin && node < spec_.node_end;
   }
 
   /// The realized blocking (after the budget cap).
@@ -257,13 +273,9 @@ class QueryEngine {
   QueryEngine() = default;
 
   void ResolveMetrics(obs::MetricsRegistry* registry);
-  /// Shape, blocking, certificate and metric set-up shared by Create and
-  /// CreateSharded.
-  void Init(ConstMatrixView xf, ConstMatrixView xb, ConstMatrixView y,
-            const QueryEngineOptions& options);
   /// Builds attr_screen_ from y_ and link_screen_ from rows
   /// [node_begin, node_end) of xb_ times gram_.
-  void BuildScreens(int64_t node_begin, int64_t node_end);
+  void BuildScreens();
 
   /// Exact f64 scores — the arithmetic of PaneEmbedding::AttributeScore
   /// and EdgeScorer::Score. Ids are global; `z_row` is h doubles of
@@ -271,11 +283,24 @@ class QueryEngine {
   double ExactAttributeScore(int64_t v, int64_t r) const;
   double ExactLinkScore(int64_t u, int64_t w, double* z_row) const;
 
+  /// The check-and-dispatch of every top-k call: validates the queries,
+  /// then runs ProcessRange (exact) or ProbeRange (pruned) over query
+  /// ranges. An empty local slice answers empty rankings; a pruned call
+  /// over a non-empty slice needs its index.
+  std::vector<Ranking> TopK(Family family,
+                            const std::vector<TopKQuery>& queries, bool pruned,
+                            int64_t nprobe, const AttributedGraph* exclude,
+                            EngineCallStats* call_stats) const;
   /// Screen, certify and rescore queries [begin, end) of one family.
   void ProcessRange(Family family, const std::vector<TopKQuery>& queries,
                     const AttributedGraph* exclude, int64_t begin,
                     int64_t end, std::vector<Ranking>* results,
                     EngineCallStats* call_stats) const;
+  /// Probe the family's IVF index for queries [begin, end).
+  void ProbeRange(Family family, const std::vector<TopKQuery>& queries,
+                  int64_t nprobe, const AttributedGraph* exclude,
+                  int64_t begin, int64_t end, std::vector<Ranking>* results,
+                  EngineCallStats* call_stats) const;
   /// Folds one range's counters into the registry handles (if any) and the
   /// caller's EngineCallStats (if any).
   void AccumulateRange(EngineCallStats* call_stats,
@@ -292,17 +317,9 @@ class QueryEngine {
   ThreadPool* pool_ = nullptr;
   int64_t query_block_ = 0;
   int64_t candidate_tile_ = 0;
-  // Global id of local candidate row 0 (attribute / link screen rows
-  // respectively); 0 unsharded.
-  int64_t attr_base_ = 0;
-  int64_t link_base_ = 0;
-  int64_t num_attributes_ = 0;  // global d
-  // Capability is a *global* property: a shard whose local slice is empty
-  // still "supports" the query family and answers with an empty ranking.
-  bool supports_attributes_ = false;
-  bool supports_links_ = false;
-  bool sharded_ = false;
-  ShardSpec shard_;
+  // attr_begin / node_begin are the global ids of local candidate row 0
+  // of the attribute / link screens.
+  ShardSpec spec_;
   IvfIndex attr_index_, link_index_;
   // Registry handles (null without a registry). The pointed-to metrics are
   // thread-safe, so recording from const query paths keeps the engine's

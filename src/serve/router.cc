@@ -14,21 +14,6 @@ namespace pane {
 namespace serve {
 namespace {
 
-/// Plan position 0/1 owning the full candidate space: what an unsharded
-/// engine, or a router fronting a whole fleet, reports.
-ShardSpec WholeSpace(int64_t n, int64_t d, int64_t dim, bool attributes,
-                     bool links) {
-  ShardSpec spec;
-  spec.num_nodes = n;
-  spec.num_attributes = d;
-  spec.node_end = n;
-  spec.attr_end = d;
-  spec.dim = dim;
-  spec.has_attributes = attributes;
-  spec.has_links = links;
-  return spec;
-}
-
 /// A hop's status, demoted to an error when the shard answered fewer
 /// results than it was asked for.
 Status Answered(const Status& status, size_t got, size_t want) {
@@ -48,18 +33,9 @@ LocalShard::LocalShard(const QueryEngine* engine, const ServerOptions& options)
       nprobe_(options.nprobe),
       exclude_(options.exclude) {
   PANE_CHECK(engine_ != nullptr);
-  // A shard whose local candidate slice is empty legitimately has no
-  // index — it answers pruned queries with empty rankings.
-  PANE_CHECK(!pruned_ || engine_->has_pruned_index() || engine_->sharded())
-      << "pruned serving mode needs BuildPrunedIndex on the engine";
 }
 
-Result<ShardSpec> LocalShard::Plan() {
-  if (engine_->sharded()) return engine_->shard();
-  return WholeSpace(engine_->num_nodes(), engine_->num_attributes(),
-                    engine_->dim(), engine_->supports_attributes(),
-                    engine_->supports_links());
-}
+Result<ShardSpec> LocalShard::Plan() { return engine_->spec(); }
 
 Status LocalShard::TopK(Request::Type family,
                         const std::vector<TopKQuery>& queries,
@@ -102,8 +78,7 @@ Status LocalShard::Scores(Request::Type family, const PairList& pairs,
 }
 
 std::string LocalShard::describe() const {
-  return "local:" +
-         std::to_string(engine_->sharded() ? engine_->shard().shard_index : 0);
+  return "local:" + std::to_string(engine_->spec().shard_index);
 }
 
 std::string LocalShard::StatsSuffix() const {
@@ -270,9 +245,13 @@ Result<Router> Router::Create(
 }
 
 Result<ShardSpec> Router::Plan() {
+  ShardSpec spec = MakeShardPlan(plan_.num_nodes, plan_.num_attributes, 1)
+                       .shards[0];
   const ShardSpec& first = plan_.shards[0];
-  return WholeSpace(plan_.num_nodes, plan_.num_attributes, first.dim,
-                    first.has_attributes, first.has_links);
+  spec.dim = first.dim;
+  spec.has_attributes = first.has_attributes;
+  spec.has_links = first.has_links;
+  return spec;
 }
 
 Status Router::CallShard(
@@ -422,43 +401,7 @@ std::string Router::StatsSuffix() const {
   return out;
 }
 
-// ---- Shard engines ------------------------------------------------------
-
-Result<QueryEngine> CreateShardEngine(const EmbeddingStore& store,
-                                      ConstMatrixView gram, ShardSpec spec,
-                                      const QueryEngineOptions& options) {
-  if (spec.shard_count <= 0 || spec.shard_index < 0 ||
-      spec.shard_index >= spec.shard_count) {
-    return Status::InvalidArgument(
-        "shard position " + std::to_string(spec.shard_index) + "/" +
-        std::to_string(spec.shard_count) + " needs 0 <= i < N");
-  }
-  if (!store.has_attribute_factors()) {
-    return Status::InvalidArgument(
-        "sharding needs the xf/xb/y factor blocks (artifact method '" +
-        store.method() + "' lacks them)");
-  }
-  const ConstMatrixView y = store.y();
-  const int64_t h = y.cols();
-  if (spec.num_nodes != store.num_nodes() || spec.num_attributes != y.rows() ||
-      spec.attr_begin < 0 || spec.attr_end < spec.attr_begin ||
-      spec.attr_end > y.rows()) {
-    return Status::InvalidArgument(
-        "shard ranges were not cut from this artifact's " +
-        std::to_string(store.num_nodes()) + " x " + std::to_string(y.rows()) +
-        " candidate space");
-  }
-  spec.dim = h;
-  spec.has_attributes = true;
-  spec.has_links = true;
-  ConstMatrixView y_slice;
-  if (spec.attr_end > spec.attr_begin) {
-    y_slice = ConstMatrixView(y.Row(spec.attr_begin),
-                              spec.attr_end - spec.attr_begin, h);
-  }
-  return QueryEngine::CreateSharded(store.xf(), store.xb(), y_slice, gram,
-                                    spec, options);
-}
+// ---- Local fleets -------------------------------------------------------
 
 Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
                                     int num_shards,
@@ -478,7 +421,7 @@ Result<LocalFleet> BuildLocalShards(const EmbeddingStore& store,
   for (const ShardSpec& spec : plan.shards) {
     PANE_ASSIGN_OR_RETURN(
         QueryEngine engine,
-        CreateShardEngine(store, gram.View(), spec, engine_options));
+        QueryEngine::Create(store, spec, gram.View(), engine_options));
     auto owned = std::make_unique<QueryEngine>(std::move(engine));
     if (ivf != nullptr) {
       PANE_RETURN_NOT_OK(owned->BuildPrunedIndex(*ivf));

@@ -1,10 +1,12 @@
 // The scatter-gather layer of the sharded serving fabric. A Router fronts
-// N shard backends — each one EmbeddingStore slice + QueryEngine, either
-// in-process (LocalShard) or a remote pane_server reached over the frame
-// protocol (RemoteShard) — and answers every query with byte-exactly the
-// payload an unsharded server would produce. Backends and the router share
-// one typed interface (ShardBackend): top-k queries in, Rankings out; pairs
-// in, scores out.
+// N shard backends — each one QueryEngine over a row range of the one
+// artifact, either in-process (LocalShard) or a remote pane_server reached
+// over the frame protocol (RemoteShard) — and answers every query with
+// byte-exactly the payload an unsharded server would produce. Backends and
+// the router share one typed interface (ShardBackend): top-k queries in,
+// Rankings out; pairs in, scores out. There is no separate unsharded mode:
+// an unsharded server is shard 0 of 1, its engine built by the same
+// QueryEngine::Create as every shard's.
 //
 //   top-k    fan the queries out to every shard, k-way MergeTopK each
 //            query's already-sorted per-shard rankings (global ids) under
@@ -119,12 +121,15 @@ class ShardBackend {
   virtual std::string describe() const = 0;
 };
 
-/// In-process shard: calls a (sharded or whole) QueryEngine directly with
-/// the fronting server's serving semantics.
+/// In-process shard: calls a QueryEngine — every engine is a shard, the
+/// unsharded one shard 0 of 1 — directly with the fronting server's serving
+/// semantics. Plan() is the engine's spec().
 class LocalShard final : public ShardBackend {
  public:
   /// `engine` must outlive the shard. Only the serving semantics of
-  /// `options` apply: pruned / nprobe / exclude.
+  /// `options` apply: pruned / nprobe / exclude. A pruned query over a
+  /// non-empty local slice needs the engine's index (BuildPrunedIndex or
+  /// LoadPrunedIndex) by the time it runs.
   LocalShard(const QueryEngine* engine, const ServerOptions& options);
 
   Result<ShardSpec> Plan() override;
@@ -255,20 +260,8 @@ class Router final : public ShardBackend {
   std::vector<std::unique_ptr<obs::Histogram>> owned_latency_;
 };
 
-/// The one builder of a shard engine: shard `spec` of `store` (which must
-/// stay alive and hold the xf/xb/y factor blocks) as a row-range view of
-/// the artifact. `spec` carries the plan position and ranges
-/// (MakeShardPlan(n, d, N).shards[i]); the builder fills in the width and
-/// capabilities. `gram` is Y^T Y of the store's full Y (h x h), from which
-/// the shard derives its rows of Z, bitwise the unsharded engine's. A
-/// position outside 0 <= i < N, ranges that do not fit the artifact, or a
-/// store without factor blocks is an InvalidArgument.
-Result<QueryEngine> CreateShardEngine(const EmbeddingStore& store,
-                                      ConstMatrixView gram, ShardSpec spec,
-                                      const QueryEngineOptions& options);
-
 /// A complete in-process shard fleet over one store: G = Y^T Y derived
-/// once and every shard engine built by CreateShardEngine over the plan's
+/// once and every shard engine built by QueryEngine::Create over the plan's
 /// ranges, one LocalShard backend per engine. The struct owns everything
 /// the backends borrow, so keep it alive as long as the Router.
 struct LocalFleet {

@@ -77,7 +77,7 @@ void PaneServer::Init() {
   transport_options.metrics = metrics_;
   transport_ = std::make_unique<EpollTransport>(
       [this]() -> std::unique_ptr<ConnectionHandler> {
-        return std::make_unique<ServeSession>(this, options_.protocol);
+        return std::make_unique<ServeSession>(this);
       },
       transport_options);
 }
@@ -368,7 +368,7 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
 }
 
 void PaneServer::ServeStream(std::istream& in, std::ostream& out) {
-  ServeSession session(this, options_.protocol);
+  ServeSession session(this);
   std::string input;
   std::string output;
   std::string chunk;

@@ -35,7 +35,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/serve/line_protocol.h"
-#include "src/serve/protocol.h"
 #include "src/serve/query_engine.h"
 #include "src/serve/shard_plan.h"
 
@@ -58,9 +57,6 @@ struct ServerOptions {
   /// Recommendation mode: skip attributes / out-neighbors the query node
   /// already has in this graph (must outlive the server).
   const AttributedGraph* exclude = nullptr;
-  /// Wire format: kAuto sniffs per connection from the first byte; kLine /
-  /// kFrame pin the codec for every connection and stream.
-  Protocol protocol = Protocol::kAuto;
   /// Connections beyond this cap are refused with `err server busy` and
   /// an immediate close (the transport's 503).
   int64_t max_connections = 256;

@@ -9,9 +9,8 @@
 namespace pane {
 namespace serve {
 
-ServeSession::ServeSession(PaneServer* server, Protocol requested)
+ServeSession::ServeSession(PaneServer* server)
     : server_(server),
-      requested_(requested),
       timed_(server->metrics() != nullptr) {
   batch_.reserve(static_cast<size_t>(server_->options().batch_size));
 }
@@ -70,7 +69,7 @@ ConnectionHandler::Action ServeSession::Pump(std::string* input,
   if (codec_ == nullptr) {
     if (input->empty()) return at_eof ? Action::kClose : Action::kKeepOpen;
     codec_ = MakeCodec(
-        requested_, static_cast<unsigned char>((*input)[0]),
+        static_cast<unsigned char>((*input)[0]),
         static_cast<size_t>(server_->options().max_frame_bytes));
   }
   const bool framed = std::strcmp(codec_->name(), "frame") == 0;

@@ -2,8 +2,8 @@
 // sitting between the transport (raw byte buffers) and the PaneServer
 // batching core (parsed requests). The session owns exactly three things:
 //
-//   - which codec the connection speaks (pinned by ServerOptions::protocol
-//     or sniffed from the first byte via MakeCodec),
+//   - which codec the connection speaks (sniffed from the first byte via
+//     MakeCodec),
 //   - the per-connection batch of decoded-but-unanswered requests,
 //   - the quit flag that turns a `quit` response into a connection close.
 //
@@ -38,7 +38,7 @@ class ServeSession final : public ConnectionHandler {
   /// The server must outlive the session (the transport guarantees this:
   /// sessions live in connections the transport closes before returning
   /// from Run()).
-  ServeSession(PaneServer* server, Protocol requested);
+  explicit ServeSession(PaneServer* server);
 
   Action OnData(std::string* input, std::string* output) override;
   void OnEof(std::string* input, std::string* output) override;
@@ -54,7 +54,6 @@ class ServeSession final : public ConnectionHandler {
   void FlushBatch(std::string* output);
 
   PaneServer* server_;
-  Protocol requested_;
   std::unique_ptr<ProtocolCodec> codec_;  // chosen on the first byte
   std::vector<PaneServer::BatchEntry> batch_;
   bool quit_ = false;

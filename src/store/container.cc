@@ -436,15 +436,6 @@ Result<Container::StreamView> Container::Read(const std::string& name) const {
                           "'");
 }
 
-Result<Container::StreamView> Container::Peek(const std::string& name) const {
-  const StreamEntry* entry = Find(name);
-  if (entry == nullptr) {
-    return Status::NotFound("container " + path_ + " has no stream '" + name +
-                            "'");
-  }
-  return ViewOf(*entry);
-}
-
 Container::StreamView Container::ViewOf(const StreamEntry& entry) const {
   StreamView view;
   view.type = static_cast<PageType>(entry.type);

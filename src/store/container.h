@@ -104,12 +104,6 @@ class Container {
   /// Checksums the stream's pages (first call only) and returns its payload.
   Result<StreamView> Read(const std::string& name) const;
 
-  /// Like Read but skips checksum verification. For consumers that must not
-  /// fault pages they are not going to serve (e.g. an EmbeddingStore opened
-  /// with verify_checksums=false pointing views at streams it may never
-  /// touch); everything else should use Read.
-  Result<StreamView> Peek(const std::string& name) const;
-
   /// Read + element-type check: payload size must be a multiple of sizeof(T).
   /// Alignment is guaranteed by page alignment of stream payloads.
   template <typename T>

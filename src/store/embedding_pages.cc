@@ -34,7 +34,7 @@ T ReadPod(const char* p) {
 /// must NOT exist — a stray stream means the artifact is inconsistent).
 Status ResolveMatrix(const Container& container, const std::string& name,
                      int64_t rows, int64_t cols, bool expected,
-                     bool verify_payloads, MatrixExtent* out) {
+                     MatrixExtent* out) {
   if (!expected) {
     if (container.Contains(name)) {
       return Status::IOError("container " + container.path() + " stream '" +
@@ -50,9 +50,7 @@ Status ResolveMatrix(const Container& container, const std::string& name,
   }
   // `cols` is bounded by the stream's size before the product is formed,
   // so a hostile meta shape cannot overflow into a match.
-  Result<Container::StreamView> view_result =
-      verify_payloads ? container.Read(name) : container.Peek(name);
-  PANE_ASSIGN_OR_RETURN(Container::StreamView view, std::move(view_result));
+  PANE_ASSIGN_OR_RETURN(Container::StreamView view, container.Read(name));
   const int64_t doubles = view.bytes / static_cast<int64_t>(sizeof(double));
   if (rows <= 0 || cols <= 0 || cols > doubles / rows ||
       rows * cols * static_cast<int64_t>(sizeof(double)) != view.bytes) {
@@ -134,8 +132,7 @@ Status AppendEmbeddingStreams(const EmbeddingExtents& embedding,
   return Status::OK();
 }
 
-Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container,
-                                              bool verify_payloads) {
+Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container) {
   PANE_ASSIGN_OR_RETURN(Container::StreamView meta,
                         container.Read(kEmbMetaStream));
   const std::string& path = container.path();
@@ -176,16 +173,16 @@ Result<EmbeddingExtents> ReadEmbeddingStreams(const Container& container,
 
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbFeaturesStream, shapes[0],
                                    shapes[1], /*expected=*/true,
-                                   verify_payloads, &out.features));
+                                   &out.features));
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbXfStream, shapes[2],
                                    shapes[3], (mask & kMaskXf) != 0,
-                                   verify_payloads, &out.xf));
+                                   &out.xf));
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbXbStream, shapes[4],
                                    shapes[5], (mask & kMaskXb) != 0,
-                                   verify_payloads, &out.xb));
+                                   &out.xb));
   PANE_RETURN_NOT_OK(ResolveMatrix(container, kEmbYStream, shapes[6],
                                    shapes[7], (mask & kMaskY) != 0,
-                                   verify_payloads, &out.y));
+                                   &out.y));
   return out;
 }
 

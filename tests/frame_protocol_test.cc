@@ -103,7 +103,7 @@ TEST(FrameCodecTest, TruncationAtEveryBoundaryNeedsMoreNeverErrs) {
 
 TEST(FrameCodecTest, GarbageMagicIsRejectedFromTheFirstWrongByte) {
   FrameCodec codec;
-  // A line-protocol stream fed to a pinned frame codec: wrong magic.
+  // A line-protocol stream fed to a frame codec: wrong magic.
   for (const std::string& wire :
        {std::string("attr 3 5\n"), std::string(1, '\0'),
         std::string({static_cast<char>(serve::kFrameMagic), 'X'}),
@@ -191,28 +191,8 @@ TEST(FrameCodecTest, ByteAtATimeReassemblyAcrossWakeups) {
 }
 
 TEST(FrameCodecTest, AutoDetectionPicksCodecFromFirstByte) {
-  EXPECT_STREQ(
-      serve::MakeCodec(serve::Protocol::kAuto, serve::kFrameMagic)->name(),
-      "frame");
-  EXPECT_STREQ(serve::MakeCodec(serve::Protocol::kAuto, 'a')->name(), "line");
-  // Pinning overrides sniffing in both directions.
-  EXPECT_STREQ(serve::MakeCodec(serve::Protocol::kLine, serve::kFrameMagic)
-                   ->name(),
-               "line");
-  EXPECT_STREQ(serve::MakeCodec(serve::Protocol::kFrame, 'a')->name(),
-               "frame");
-}
-
-TEST(ProtocolNameTest, ParsesAndPrints) {
-  serve::Protocol protocol = serve::Protocol::kAuto;
-  EXPECT_TRUE(serve::ParseProtocolName("line", &protocol));
-  EXPECT_EQ(protocol, serve::Protocol::kLine);
-  EXPECT_TRUE(serve::ParseProtocolName("frame", &protocol));
-  EXPECT_EQ(protocol, serve::Protocol::kFrame);
-  EXPECT_TRUE(serve::ParseProtocolName("auto", &protocol));
-  EXPECT_EQ(protocol, serve::Protocol::kAuto);
-  EXPECT_FALSE(serve::ParseProtocolName("http", &protocol));
-  EXPECT_STREQ(serve::ProtocolName(serve::Protocol::kFrame), "frame");
+  EXPECT_STREQ(serve::MakeCodec(serve::kFrameMagic)->name(), "frame");
+  EXPECT_STREQ(serve::MakeCodec('a')->name(), "line");
 }
 
 // ---- Frame conversations through a real server --------------------------
@@ -232,11 +212,9 @@ serve::QueryEngine SmallEngine() {
 }
 
 std::string ServeWire(const serve::QueryEngine& engine,
-                      const std::string& wire, serve::Protocol protocol,
+                      const std::string& wire,
                       serve::PaneServer::Counters* counters = nullptr) {
-  serve::ServerOptions options;
-  options.protocol = protocol;
-  serve::PaneServer server(&engine, options);
+  serve::PaneServer server(&engine, serve::ServerOptions());
   std::istringstream in(wire);
   std::ostringstream out;
   server.ServeStream(in, out);
@@ -256,11 +234,9 @@ TEST(FrameServingTest, FrameAndLineConversationsDecodeIdentically) {
     frame_wire += Frame(r);
   }
 
-  const std::string line_out =
-      ServeWire(engine, line_wire, serve::Protocol::kAuto);
+  const std::string line_out = ServeWire(engine, line_wire);
   serve::PaneServer::Counters counters;
-  const std::string frame_out =
-      ServeWire(engine, frame_wire, serve::Protocol::kAuto, &counters);
+  const std::string frame_out = ServeWire(engine, frame_wire, &counters);
 
   // Line responses, stripped of their framing ('\n'), must equal frame
   // payloads, stripped of theirs.
@@ -276,22 +252,12 @@ TEST(FrameServingTest, FrameAndLineConversationsDecodeIdentically) {
   EXPECT_EQ(counters.frames, requests.size());
 }
 
-TEST(FrameServingTest, PinnedLineCodecTreatsFrameBytesAsGarbageText) {
-  const serve::QueryEngine engine = SmallEngine();
-  // Frame bytes contain no '\n', so a pinned line codec answers the whole
-  // stream as one trailing malformed request at EOF.
-  const std::string out =
-      ServeWire(engine, Frame("attr 2 3"), serve::Protocol::kLine);
-  EXPECT_EQ(out.rfind("err ", 0), 0u) << out;
-}
-
 TEST(FrameServingTest, FramingErrorAnswersDecodedRequestsThenCloses) {
   const serve::QueryEngine engine = SmallEngine();
   serve::PaneServer::Counters counters;
   std::string wire = Frame("attr 2 3");
   wire += "garbage that is not a frame header";
-  const std::string out =
-      ServeWire(engine, wire, serve::Protocol::kAuto, &counters);
+  const std::string out = ServeWire(engine, wire, &counters);
   std::vector<std::string> payloads;
   ASSERT_NO_FATAL_FAILURE(DecodeAll(out, &payloads));
   ASSERT_EQ(payloads.size(), 2u);
@@ -306,7 +272,7 @@ TEST(FrameServingTest, TruncatedFinalFrameIsAnErrorNotARequest) {
   std::string wire = Frame("attr 2 3");
   const std::string full = Frame("pair 0 1");
   wire += full.substr(0, full.size() - 3);  // cut mid-payload
-  const std::string out = ServeWire(engine, wire, serve::Protocol::kAuto);
+  const std::string out = ServeWire(engine, wire);
   std::vector<std::string> payloads;
   ASSERT_NO_FATAL_FAILURE(DecodeAll(out, &payloads));
   ASSERT_EQ(payloads.size(), 2u);

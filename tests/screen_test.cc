@@ -15,6 +15,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/random.h"
@@ -166,8 +167,8 @@ Hostile MakeHostile(int64_t h, bool specials_in_y, uint64_t seed) {
 
 // ---- Engines under test ------------------------------------------------------
 
-/// One exact top-k answerer: an unsharded engine, or a fleet of shard
-/// engines merged with MergeTopK.
+/// One exact top-k answerer: the shard engines of one plan (one engine
+/// when unsharded), merged with MergeTopK.
 struct Fleet {
   std::vector<serve::QueryEngine> engines;
 
@@ -190,25 +191,21 @@ struct Fleet {
   }
 };
 
-/// Shards over the plan's row ranges; link rows come from `gram` (as
-/// CreateShardEngine hands it out).
+/// The plan's shards, each built by the one builder; link rows come from
+/// the shared `gram`. One shard is the unsharded engine, built by the
+/// 0/1 entry point, which derives G itself.
 Fleet MakeShards(const PaneEmbedding& e, int num_shards, ConstMatrixView gram,
                  const serve::QueryEngineOptions& options) {
-  const int64_t h = e.xf.cols();
   Fleet fleet;
   const serve::ShardPlan plan =
       serve::MakeShardPlan(e.num_nodes(), e.num_attributes(), num_shards);
-  for (serve::ShardSpec spec : plan.shards) {
-    spec.dim = h;
-    spec.has_attributes = true;
-    spec.has_links = true;
-    ConstMatrixView y_slice;
-    if (spec.attr_end > spec.attr_begin) {
-      y_slice = ConstMatrixView(e.y.Row(spec.attr_begin),
-                                spec.attr_end - spec.attr_begin, h);
-    }
-    auto engine = serve::QueryEngine::CreateSharded(
-        e.xf.View(), e.xb.View(), y_slice, gram, spec, options);
+  for (const serve::ShardSpec& spec : plan.shards) {
+    auto engine =
+        num_shards == 1
+            ? serve::QueryEngine::Create(e.xf.View(), e.xb.View(),
+                                         e.y.View(), options)
+            : serve::QueryEngine::Create(e.xf.View(), e.xb.View(),
+                                         e.y.View(), spec, gram, options);
     EXPECT_TRUE(engine.ok()) << engine.status();
     fleet.engines.push_back(engine.MoveValueUnsafe());
   }
@@ -257,38 +254,29 @@ struct ScreenCase {
 
 class ScreenDifferentialTest : public ::testing::TestWithParam<ScreenCase> {};
 
-TEST_P(ScreenDifferentialTest, UnshardedEnginesMatchTheOracle) {
-  const Hostile f = MakeHostile(GetParam().h, GetParam().specials_in_y, 5);
-  const EdgeScorer scorer(f.e);
+TEST_P(ScreenDifferentialTest, EnginesMatchTheOracleForAnyShardCount) {
   ThreadPool pool(3);
-  serve::QueryEngineOptions serial, narrow, pooled;
+  serve::QueryEngineOptions serial, narrow, pooled, tiled;
   narrow.query_block = 7;
   narrow.candidate_tile = 64;  // several tiles: the cut rises across them
   pooled.pool = &pool;
-  for (const serve::QueryEngineOptions* options : {&serial, &narrow, &pooled}) {
-    // Derived G: Z rows computed on demand.
-    Fleet derived;
-    auto engine = serve::QueryEngine::Create(f.e.xf.View(), f.e.xb.View(),
-                                             f.e.y.View(), *options);
-    ASSERT_TRUE(engine.ok()) << engine.status();
-    derived.engines.push_back(engine.MoveValueUnsafe());
-    ExpectMatchesOracle(f, scorer, derived, true, "derived");
-    ExpectMatchesOracle(f, scorer, derived, false, "derived");
-  }
-}
-
-TEST_P(ScreenDifferentialTest, ShardedEnginesMatchTheOracle) {
-  const Hostile f = MakeHostile(GetParam().h, GetParam().specials_in_y, 6);
-  const EdgeScorer scorer(f.e);
-  DenseMatrix gram;
-  GemmTransA(f.e.y.View(), f.e.y.View(), &gram);
-  serve::QueryEngineOptions options;
-  options.candidate_tile = 64;
-  for (int shards = 1; shards <= 4; ++shards) {
-    const std::string what = std::to_string(shards) + " shards";
-    const Fleet fleet = MakeShards(f.e, shards, gram.View(), options);
-    ExpectMatchesOracle(f, scorer, fleet, true, what);
-    ExpectMatchesOracle(f, scorer, fleet, false, what);
+  tiled.candidate_tile = 64;
+  // Each blocking runs 1-4 shards (1 = the unsharded engine) over its own
+  // fixture draw.
+  const std::vector<std::pair<uint64_t, const serve::QueryEngineOptions*>>
+      runs = {{5, &serial}, {5, &narrow}, {5, &pooled}, {6, &tiled}};
+  for (const auto& [seed, options] : runs) {
+    const Hostile f = MakeHostile(GetParam().h, GetParam().specials_in_y, seed);
+    const EdgeScorer scorer(f.e);
+    DenseMatrix gram;
+    GemmTransA(f.e.y.View(), f.e.y.View(), &gram);
+    for (int shards = 1; shards <= 4; ++shards) {
+      const std::string what = "seed " + std::to_string(seed) + ", " +
+                               std::to_string(shards) + " shards";
+      const Fleet fleet = MakeShards(f.e, shards, gram.View(), *options);
+      ExpectMatchesOracle(f, scorer, fleet, true, what);
+      ExpectMatchesOracle(f, scorer, fleet, false, what);
+    }
   }
 }
 

@@ -333,13 +333,6 @@ TEST_F(EmbeddingStoreTest, OpensContainerArtifact) {
   ExpectViewEqualsMatrix(store->xf(), artifact_.xf);
   ExpectViewEqualsMatrix(store->xb(), artifact_.xb);
   ExpectViewEqualsMatrix(store->y(), artifact_.y);
-  // Unverified open (the serving fast path that never faults pages it does
-  // not serve) must expose the same views.
-  serve::EmbeddingStoreOptions options;
-  options.verify_checksums = false;
-  auto unverified = serve::EmbeddingStore::Open(path_, options);
-  ASSERT_TRUE(unverified.ok()) << unverified.status();
-  ExpectViewEqualsMatrix(unverified->y(), artifact_.y);
 }
 
 TEST_F(EmbeddingStoreTest, StoreOutlivesUnlinkedFile) {

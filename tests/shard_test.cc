@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -217,16 +218,16 @@ TEST(ShardEngineTest, BuilderRejectsBadPositionsAndFactorlessStores) {
       serve::MakeShardPlan(store->num_nodes(), store->num_attributes(), 3);
   const auto build = [&gram](const serve::EmbeddingStore& from,
                              const ShardSpec& spec) {
-    return serve::CreateShardEngine(from, gram.View(), spec,
-                                    serve::QueryEngineOptions())
+    return serve::QueryEngine::Create(from, spec, gram.View(),
+                                      serve::QueryEngineOptions())
         .status();
   };
   for (size_t i = 0; i < plan.shards.size(); ++i) {
-    auto engine = serve::CreateShardEngine(*store, gram.View(),
-                                           plan.shards[i],
-                                           serve::QueryEngineOptions());
+    auto engine = serve::QueryEngine::Create(*store, plan.shards[i],
+                                             gram.View(),
+                                             serve::QueryEngineOptions());
     ASSERT_TRUE(engine.ok()) << engine.status();
-    EXPECT_EQ(serve::FormatPlanResponse(engine->shard()),
+    EXPECT_EQ(serve::FormatPlanResponse(engine->spec()),
               serve::FormatPlanResponse(
                   ReportedSpec(plan, i, store->xf().cols())));
   }
@@ -378,20 +379,20 @@ TEST(ShardRouterTest, RejectsBackendsOutOfPlanOrder) {
   EXPECT_FALSE(router.ok());
 }
 
-TEST(ShardRouterTest, PrunedFleetServesWellFormedRankings) {
-  // Pruned answers are approximate (per-slice k-means), so the reference
-  // is not the unsharded pruned server but the fleet's own engines: every
-  // answer must be byte-identical to MergeTopK over each shard engine's
-  // direct pruned top-k.
-  const ShardFixture& f = ShardFixture::Get();
-  auto store = serve::EmbeddingStore::Open(f.artifact_path);
-  ASSERT_TRUE(store.ok()) << store.status();
+/// Pruned answers are approximate (per-slice k-means), so the reference is
+/// not the unsharded pruned server but the fleet's own engines: every answer
+/// of a pruned `shards`-way local fleet over `store` must be byte-identical
+/// to MergeTopK over each shard engine's direct pruned top-k.
+void ExpectPrunedFleetMergesItsEngines(const serve::EmbeddingStore& store,
+                                       int shards,
+                                       const std::vector<int64_t>& nodes) {
   serve::ServerOptions server_options;
   server_options.pruned = true;
   server_options.nprobe = 8;
   serve::IvfOptions ivf;
   ivf.kmeans_iters = 4;
-  auto fleet = serve::BuildLocalShards(*store, 3, serve::QueryEngineOptions(),
+  auto fleet = serve::BuildLocalShards(store, shards,
+                                       serve::QueryEngineOptions(),
                                        server_options, &ivf);
   ASSERT_TRUE(fleet.ok()) << fleet.status();
   auto router = serve::Router::Create(std::move(fleet->backends),
@@ -399,9 +400,8 @@ TEST(ShardRouterTest, PrunedFleetServesWellFormedRankings) {
   ASSERT_TRUE(router.ok()) << router.status();
   serve::PaneServer server(&*router, server_options);
 
-  const int64_t n = store->num_nodes();
   std::string script, expected;
-  for (const int64_t node : {int64_t{0}, int64_t{3}, int64_t{42}, n - 1}) {
+  for (const int64_t node : nodes) {
     for (const int64_t k : {int64_t{1}, int64_t{4}, int64_t{5}}) {
       for (const bool attrs : {true, false}) {
         serve::Request r;
@@ -421,6 +421,93 @@ TEST(ShardRouterTest, PrunedFleetServesWellFormedRankings) {
     }
   }
   EXPECT_EQ(ServeScript(&server, script), expected);
+}
+
+TEST(ShardRouterTest, PrunedFleetServesWellFormedRankings) {
+  const ShardFixture& f = ShardFixture::Get();
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const int64_t n = store->num_nodes();
+  ExpectPrunedFleetMergesItsEngines(*store, 3, {0, 3, 42, n - 1});
+}
+
+TEST(ShardRouterTest, PrunedFleetWithEmptySlicesMergesItsEngines) {
+  // 4 nodes and 3 attributes cut 5 ways: shards 3 and 4 hold no attribute
+  // rows and shard 4 no link candidates, so they have no index for that
+  // family and answer it with empty rankings, which the merge absorbs.
+  PaneEmbedding tiny;
+  tiny.xf.Resize(4, 4);
+  tiny.xb.Resize(4, 4);
+  tiny.y.Resize(3, 4);
+  for (int64_t t = 0; t < 4; ++t) {
+    for (int64_t i = 0; i < 4; ++i) {
+      tiny.xf(i, t) = std::sin(1.0 + i + 0.3 * t);
+      tiny.xb(i, t) = std::cos(2.0 + i - 0.7 * t);
+    }
+    for (int64_t r = 0; r < 3; ++r) tiny.y(r, t) = std::sin(3.0 * r + t);
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("shard_tiny_" + std::to_string(::getpid()) + ".ctn"))
+          .string();
+  ASSERT_TRUE(NodeEmbedding::FromPane(tiny).SaveContainer(path).ok());
+  auto store = serve::EmbeddingStore::Open(path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const ShardPlan plan = serve::MakeShardPlan(4, 3, 5);
+  ASSERT_EQ(plan.shards[3].attr_begin, plan.shards[3].attr_end);
+  ASSERT_EQ(plan.shards[4].node_begin, plan.shards[4].node_end);
+  ExpectPrunedFleetMergesItsEngines(*store, 5, {0, 1, 2, 3});
+  std::filesystem::remove(path);
+}
+
+TEST(ShardEngineDeathTest, PrunedLocalShardWithoutIndexDies) {
+  // Only an empty local slice may go without an index: a pruned query over
+  // a shard whose slices hold rows, but that never built one, must abort
+  // rather than answer empty rankings the merge would silently absorb.
+  const ShardFixture& f = ShardFixture::Get();
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  const ShardSpec spec =
+      serve::MakeShardPlan(store->num_nodes(), store->num_attributes(), 2)
+          .shards[0];
+  auto engine = serve::QueryEngine::Create(*store, spec, ConstMatrixView(),
+                                           serve::QueryEngineOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  ASSERT_GT(spec.attr_end, spec.attr_begin);
+  ASSERT_GT(spec.node_end, spec.node_begin);
+  serve::ServerOptions options;
+  options.pruned = true;
+  serve::LocalShard shard(&*engine, options);
+  std::vector<Ranking> rankings;
+  EXPECT_DEATH(shard.TopK(serve::Request::Type::kTopKAttributes, {{0, 3}},
+                          &rankings, nullptr),
+               "BuildPrunedIndex");
+  EXPECT_DEATH(shard.TopK(serve::Request::Type::kTopKTargets, {{0, 3}},
+                          &rankings, nullptr),
+               "BuildPrunedIndex");
+}
+
+TEST(ShardEngineTest, UnshardedServerAnswersPlanAsShardZeroOfOne) {
+  const ShardFixture& f = ShardFixture::Get();
+  auto store = serve::EmbeddingStore::Open(f.artifact_path);
+  ASSERT_TRUE(store.ok()) << store.status();
+  auto engine = serve::QueryEngine::Create(*store, {});
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  serve::PaneServer server(&*engine, serve::ServerOptions());
+  const int64_t n = store->num_nodes();
+  const int64_t d = store->num_attributes();
+  const int64_t h = store->xf().cols();
+  ShardSpec whole = serve::MakeShardPlan(n, d, 1).shards[0];
+  whole.dim = h;
+  whole.has_attributes = true;
+  whole.has_links = true;
+  const std::string want = "plan ok shard=0/1 nodes=0:" + std::to_string(n) +
+                           "/" + std::to_string(n) + " attrs=0:" +
+                           std::to_string(d) + "/" + std::to_string(d) +
+                           " dim=" + std::to_string(h) +
+                           " attr_scoring=1 link_scoring=1";
+  EXPECT_EQ(serve::FormatPlanResponse(whole), want);
+  EXPECT_EQ(ServeScript(&server, "plan\n"), want + "\n");
 }
 
 TEST(ShardRouterTest, RoutedMetricsCountEachFrontBatchOnce) {
@@ -703,8 +790,8 @@ struct TcpShard {
                         const DenseMatrix& gram, const ShardSpec& spec,
                         int port = 0) {
     TcpShard shard;
-    auto engine = serve::CreateShardEngine(store, gram.View(), spec,
-                                           serve::QueryEngineOptions());
+    auto engine = serve::QueryEngine::Create(store, spec, gram.View(),
+                                             serve::QueryEngineOptions());
     PANE_CHECK(engine.ok()) << engine.status();
     shard.engine =
         std::make_unique<serve::QueryEngine>(engine.MoveValueUnsafe());
@@ -798,7 +885,7 @@ TEST(ShardRouterTest, RemoteFleetOverTcpMatchesUnshardedAndDegradesOnDeath) {
     // merge), pairs owned by the dead shard degrade, pairs owned by live
     // shards still answer, and the stats line reports the death.
     fleet.shards[1].Stop();
-    const ShardSpec& dead = fleet.shards[1].engine->shard();
+    const ShardSpec& dead = fleet.shards[1].engine->spec();
     std::ostringstream post;
     post << "attr 5 3\n";
     post << "pattr 0 " << dead.attr_begin << "\n";  // dead shard's range
@@ -840,7 +927,7 @@ TEST(ShardRouterTest, RemoteShardServingForeignRowsDegradesInsteadOfMerging) {
   fleet.shards[1].Stop();
   fleet.shards[1].server.reset();
   TcpShard imposter =
-      TcpShard::Start(*store, gram, fleet.shards[0].engine->shard(),
+      TcpShard::Start(*store, gram, fleet.shards[0].engine->spec(),
                       fleet.shards[1].port);
   // The first hop may still fail on the dropped connection; the second
   // reaches the imposter.

@@ -62,6 +62,12 @@
 # affinity_engine.cc (ComputeAffinitySlabs' in-RAM convenience). Init writes
 # the residuals Sf / Sb into the F' / B' slabs it is given, so a separate
 # residual slab created in greedy_init.cc or ccd.cc cannot grow back.
+#
+# Rule 9 — one shard plan: in src/ and examples/, a ShardSpec's ranges
+# (.node_begin, .node_end, .attr_begin, .attr_end) may be assigned ONLY in
+# src/serve/shard_plan.cc. Every engine is a shard, and a whole-space spec
+# is MakeShardPlan(n, d, 1).shards[0], so a hand-cut range (the way a
+# second "unsharded" mode starts) cannot drift from the plan's split.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -186,6 +192,20 @@ if [[ -n "$slab_hits" ]]; then
   echo "$slab_hits" >&2
   echo "lint: init overwrites F' / B' with Sf / Sb in place; a training run" >&2
   echo "lint: holds the two slabs Pane::Train creates, not a second pair" >&2
+  status=1
+fi
+
+# --- Rule 9: shard ranges cut outside the shard plan ---------------------
+range_hits=$(grep -rEn \
+               '(\.|->)(node_begin|node_end|attr_begin|attr_end)[[:space:]]*=[^=]' \
+               src examples \
+               --include='*.h' --include='*.cc' --include='*.cpp' \
+             | grep -Ev '^src/serve/shard_plan\.cc:' || true)
+if [[ -n "$range_hits" ]]; then
+  echo "lint: shard ranges assigned outside src/serve/shard_plan.cc:" >&2
+  echo "$range_hits" >&2
+  echo "lint: take a spec from MakeShardPlan(n, d, N) (the whole space is" >&2
+  echo "lint: MakeShardPlan(n, d, 1).shards[0]) instead of cutting one by hand" >&2
   status=1
 fi
 
