@@ -67,8 +67,7 @@ std::string MegabyteCell(double bytes) {
 
 PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
                        double alpha, double epsilon, bool greedy_init,
-                       int ccd_iterations, int64_t memory_budget_mb,
-                       SlabPolicy slab_policy) {
+                       int ccd_iterations, int64_t memory_budget_mb) {
   PaneOptions options;
   options.k = k;
   options.num_threads = num_threads;
@@ -77,7 +76,6 @@ PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
   options.greedy_init = greedy_init;
   options.ccd_iterations = ccd_iterations;
   options.memory_budget_mb = memory_budget_mb;
-  options.slab_policy = slab_policy;
   PaneRun run;
   auto result = Pane(options).Train(graph, &run.stats);
   PANE_CHECK(result.ok()) << result.status();

@@ -40,8 +40,8 @@ int64_t PeakRssBytes();
 std::string MegabyteCell(double bytes);
 
 /// Trains PANE with paper-default alpha / epsilon. `memory_budget_mb` is
-/// the whole-pipeline budget of PaneOptions; `slab_policy` can force the
-/// factors in RAM or into the spill pool for comparisons at a fixed budget.
+/// the whole-pipeline budget of PaneOptions: a budget below the two n x d
+/// slabs spills them, one that holds them keeps them in RAM.
 struct PaneRun {
   PaneEmbedding embedding;
   PaneStats stats;
@@ -49,8 +49,7 @@ struct PaneRun {
 PaneRun TrainPaneOrDie(const AttributedGraph& graph, int k, int num_threads,
                        double alpha = 0.5, double epsilon = 0.015,
                        bool greedy_init = true, int ccd_iterations = 0,
-                       int64_t memory_budget_mb = 0,
-                       SlabPolicy slab_policy = SlabPolicy::kAuto);
+                       int64_t memory_budget_mb = 0);
 
 }  // namespace bench
 }  // namespace pane

@@ -7,8 +7,9 @@
 // 4b flat-ish slow growth; 4c time dropping ~10x from eps=0.001 to 0.25.
 //   4d (extension): peak RSS and throughput under --memory-budget-mb —
 //       first the affinity phase alone across budgets, then the whole
-//       pipeline (affinity + init + CCD) comparing spilled and in-RAM
-//       factor slabs at one fixed budget against the unbounded run. Tight
+//       pipeline (affinity + init + CCD) comparing spilled factor slabs
+//       under a tight budget, in-RAM slabs under one that holds them, and
+//       the unbounded run. Tight
 //       budgets must hold the process high-water mark below the unbounded
 //       run at equal threads; spilled slabs must hold it near budget + the
 //       output-slab floor.
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +28,7 @@
 #include "src/common/string_util.h"
 #include "src/common/timer.h"
 #include "src/core/affinity_engine.h"
+#include "src/core/pane.h"
 #include "src/datasets/registry.h"
 #include "src/parallel/thread_pool.h"
 
@@ -36,26 +39,27 @@ namespace {
 // peak-RSS increase is attributable to that row's larger scratch; the
 // unbounded run goes last so a budget violation is visible as the final
 // jump).
-// Whole-pipeline rows for the 4d extension: affinity + init + CCD at one
-// fixed budget, spill-forced first (smallest footprint; VmHWM is monotone),
-// then in-RAM slabs at the same budget, then unbounded last. The
-// spill row's delta is the bounded-memory claim: scratch + streaming floors
-// instead of the 2 n d factor set.
+// Whole-pipeline rows for the 4d extension: affinity + init + CCD at a
+// budget below the two n x d slabs, which spills them (smallest footprint
+// first; VmHWM is monotone), then at the smallest budget that holds them in
+// RAM, then unbounded last. The spill row's delta is the bounded-memory
+// claim: scratch + streaming floors instead of the 2 n d factor set.
 void RunWholePipelineBudgetSection(const AttributedGraph& g,
                                    int64_t budget_mb) {
   bench::PrintHeader(
       "Figure 4d (extension): whole pipeline vs --memory-budget-mb",
-      "full Train (affinity + init + CCD), k=64, nb=10; spilled vs "
-      "in-RAM at one fixed budget, unbounded last (VmHWM monotone)");
+      "full Train (affinity + init + CCD), k=64, nb=10; spilled below the "
+      "slabs, in RAM at them, unbounded last (VmHWM monotone)");
   struct Config {
     const char* name;
     int64_t budget_mb;
-    SlabPolicy policy;
   };
+  const int64_t slab_bytes = 2 * static_cast<int64_t>(sizeof(double)) *
+                             g.num_nodes() * g.num_attributes();
   const Config configs[] = {
-      {"spill @budget", budget_mb, SlabPolicy::kSpill},
-      {"in-RAM @budget", budget_mb, SlabPolicy::kInRam},
-      {"unbounded", 0, SlabPolicy::kInRam},
+      {"spill @budget", budget_mb},
+      {"in-RAM @slabs", (slab_bytes + (int64_t{1} << 20) - 1) >> 20},
+      {"unbounded", 0},
   };
   bench::PrintRow("config", {"width", "panels", "scratch", "slabs",
                              "overlap", "peak RSS", "dRSS", "time"});
@@ -64,7 +68,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
     const auto run = bench::TrainPaneOrDie(g, /*k=*/64, /*num_threads=*/10,
                                            0.5, 0.015, /*greedy_init=*/true,
                                            /*ccd_iterations=*/0,
-                                           config.budget_mb, config.policy);
+                                           config.budget_mb);
     const int64_t rss_after = bench::PeakRssBytes();
     bench::PrintRow(
         config.name,
@@ -146,14 +150,23 @@ void RunMemoryBudgetSection(double scale) {
     // report a 0 delta.
     const int64_t rss_before = bench::PeakRssBytes();
     WallTimer timer;
+    // The sizes and slab backing Pane::Train would use at this budget.
+    const MemoryPlan plan = PlanMemory(n, d, nb, budget);
+    std::unique_ptr<store::BufferPool> buffer_pool;
+    if (plan.pool_bytes > 0) {
+      store::BufferPool::Options pool_options;
+      pool_options.budget_bytes = plan.pool_bytes;
+      buffer_pool = std::make_unique<store::BufferPool>(pool_options);
+    }
     AffinityEngineOptions options;
     options.t = t;
     options.pool = &pool;
-    options.memory_budget_mb = budget;
+    options.panel_width = plan.panel_width;
     AffinityEngineStats stats;
     AffinitySlabs affinity;
-    affinity.forward = FactorSlab::Create(n, d).ValueOrDie();
-    affinity.backward = FactorSlab::Create(n, d).ValueOrDie();
+    affinity.forward = FactorSlab::Create(n, d, buffer_pool.get()).ValueOrDie();
+    affinity.backward =
+        FactorSlab::Create(n, d, buffer_pool.get()).ValueOrDie();
     PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity, &stats));
     const double seconds = timer.ElapsedSeconds();
     const int64_t rss_after = bench::PeakRssBytes();

@@ -13,6 +13,7 @@
 #include "src/core/affinity_engine.h"
 #include "src/core/ccd.h"
 #include "src/core/greedy_init.h"
+#include "src/core/pane.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/text_parser.h"
@@ -204,6 +205,8 @@ void BM_ApmiIterationCost(benchmark::State& state) {
   const CsrMatrix pt = p.Transposed();
   AffinityEngineOptions options;
   options.t = 6;
+  options.panel_width =
+      PlanMemory(g.num_nodes(), g.num_attributes(), 1, 0).panel_width;
   for (auto _ : state) {
     auto result = ComputeAffinitySlabs(p, pt, g.attributes(), options);
     benchmark::DoNotOptimize(result.ok());
@@ -218,12 +221,15 @@ void BM_CcdSweep(benchmark::State& state) {
   const int k = static_cast<int>(state.range(2));
   const auto seed_state =
       GreedyInit(BenchAffinity(g), SeedOptions(k)).ValueOrDie();
-  ThreadPool pool(static_cast<int>(state.range(3)));
+  const int threads = static_cast<int>(state.range(3));
+  ThreadPool pool(threads);
   for (auto _ : state) {
     EmbeddingState working = seed_state;
     CcdOptions options;
     options.iterations = 1;
     options.pool = &pool;
+    options.strip_width =
+        PlanMemory(g.num_nodes(), g.num_attributes(), threads, 0).strip_width;
     benchmark::DoNotOptimize(CcdRefine(&working, options).ok());
   }
 }
@@ -284,6 +290,8 @@ void BM_ResidualIncremental(benchmark::State& state) {
   auto working = GreedyInit(BenchAffinity(g), SeedOptions(64)).ValueOrDie();
   CcdOptions options;
   options.iterations = 1;
+  options.strip_width =
+      PlanMemory(g.num_nodes(), g.num_attributes(), 1, 0).strip_width;
   for (auto _ : state) {
     benchmark::DoNotOptimize(CcdRefine(&working, options).ok());
   }

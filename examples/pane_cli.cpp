@@ -67,10 +67,12 @@ int main(int argc, char** argv) {
   flags.AddDouble("epsilon", 0.015, "affinity error threshold (PANE)");
   flags.AddInt("threads", 4, "worker threads (1 = Algorithm 1)");
   flags.AddInt("memory-budget-mb", 0,
-               "whole-pipeline memory budget in MiB (PANE): panel scratch, "
-               "CCD strips, and spill of the n x d factors through the "
-               "buffer pool when they exceed it (0 = unbounded; see README "
-               "\"Memory model & tuning\")");
+               "whole-pipeline memory budget in MiB (PANE), which one memory "
+               "plan turns into every size the run uses: the n x d factors "
+               "spill through a buffer pool of half the budget when they "
+               "exceed it, and the affinity panels and CCD strips narrow to "
+               "fit it (0 = unbounded: in RAM, 4 MiB of scratch per phase; "
+               "see README \"Memory model & tuning\")");
   flags.AddString("spill-dir", "",
                   "directory for factor spill files (default: temp dir)");
   flags.AddBool("verbose", false,

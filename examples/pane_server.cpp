@@ -20,7 +20,8 @@
 //   # row shards, each scanned by a serial engine, fanned out in parallel
 //   ./pane_server --embedding=emb.ctn --local-shards=4 --port=7077
 //   # router over remote shard servers, each serving shard i of N of the
-//   # same artifact (--pruned, --ivf and --graph apply per shard as usual)
+//   # same artifact (--pruned, --ivf, --graph and the other engine flags
+//   # apply per shard; the router refuses them)
 //   ./pane_server --embedding=emb.ctn --shard=0/2 --port=7071 &
 //   ./pane_server --embedding=emb.ctn --shard=1/2 --port=7072 &
 //   ./pane_server --shards=127.0.0.1:7071,127.0.0.1:7072 --port=7077
@@ -44,6 +45,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <thread>
 #include <tuple>
@@ -109,7 +111,10 @@ int main(int argc, char** argv) {
   flags.AddInt("cache-size", 1024, "LRU result-cache entries (0 disables)");
   flags.AddBool("pruned", false,
                 "serve top-k through the IVF cluster-pruned indexes "
-                "(approximate; see --nprobe)");
+                "(approximate; see --nprobe). Like --nprobe, --clusters, "
+                "--kmeans-iters, --seed and --memory-budget-mb it configures "
+                "this process's engines, so --shards refuses it: set it on "
+                "each shard server");
   flags.AddInt("nprobe", 8, "clusters probed per pruned query (recall knob)");
   flags.AddInt("clusters", 0,
                "IVF clusters (0 = ceil(sqrt(#candidates)))");
@@ -134,7 +139,9 @@ int main(int argc, char** argv) {
   flags.AddString("shards", "",
                   "router mode over remote shards: comma-separated "
                   "host:port list of shard servers, in plan order "
-                  "(--embedding not needed)");
+                  "(--embedding not needed; --graph, --ivf and the engine "
+                  "flags --pruned, --nprobe, --clusters, --kmeans-iters, "
+                  "--seed and --memory-budget-mb are refused)");
   flags.AddInt("hop-timeout-ms", 2000,
                "router: per-shard-hop deadline; a shard missing it answers "
                "'err shard unavailable'");
@@ -153,6 +160,7 @@ int main(int argc, char** argv) {
                "log one structured stage breakdown per engine batch whose "
                "traced total reaches this many microseconds (0 disables)");
   flags.AddBool("verbose", false, "log store / engine configuration");
+  const std::map<std::string, std::string> defaults = flags.ValueMap();
   PANE_CHECK_OK(flags.Parse(argc, argv));
 
   const std::string shards_flag = flags.GetString("shards");
@@ -166,6 +174,18 @@ int main(int argc, char** argv) {
   int shard_index = 0, shard_count = 1;  // 0/1: the whole artifact
   if (!shard_flag.empty()) {
     std::tie(shard_index, shard_count) = ParseShardPosition(shard_flag);
+  }
+  // A remote router builds no engine: pruning, the IVF build and the
+  // engine's scratch budget are each shard server's own flags, and one set
+  // on the router would reach nothing.
+  if (remote_router) {
+    const std::map<std::string, std::string> values = flags.ValueMap();
+    for (const char* name : {"pruned", "nprobe", "clusters", "kmeans-iters",
+                             "seed", "memory-budget-mb"}) {
+      PANE_CHECK(values.at(name) == defaults.at(name))
+          << "--" << name << " applies to each shard server, not to a "
+          << "--shards router";
+    }
   }
   // The index file belongs to one engine; a router would never read it.
   const std::string ivf_path = flags.GetString("ivf");

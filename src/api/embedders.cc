@@ -54,8 +54,7 @@ class PaneEmbedder : public Embedder {
                      << " scratch=" << stats.affinity.scratch_bytes
                      << "B outputs=" << stats.affinity.output_bytes << "B"
                      << (stats.affinity.panel_parallel ? " panel-parallel"
-                                                       : " row-parallel")
-                     << (stats.affinity.budget_clamped ? " (clamped)" : "");
+                                                       : " row-parallel");
       PANE_LOG(INFO) << name() << " slabs: "
                      << (stats.slabs_spilled ? "mmap-spill" : "in-RAM")
                      << " total=" << stats.slab_bytes

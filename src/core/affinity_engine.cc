@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/logging.h"
 #include "src/common/sync.h"
 #include "src/matrix/spmm.h"
 #include "src/parallel/thread_pool.h"
@@ -15,10 +14,6 @@ namespace {
 
 // term + next, doubles.
 constexpr int64_t kScratchBuffersPerPanel = 2;
-
-// Row granularity at which spilled slabs give pages back during streaming
-// passes (release calls are no-ops for in-RAM slabs).
-constexpr int64_t kSpillReleaseRows = 4096;
 
 Status ValidateEngineInputs(const CsrMatrix& p, const CsrMatrix& pt,
                             const CsrMatrix& r,
@@ -36,115 +31,10 @@ Status ValidateEngineInputs(const CsrMatrix& p, const CsrMatrix& pt,
     return Status::InvalidArgument("alpha must be in (0, 1)");
   }
   if (options.t < 1) return Status::InvalidArgument("t must be >= 1");
-  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
   if (options.panel_width < 0) {
     return Status::InvalidArgument("panel_width must be >= 0");
   }
   return Status::OK();
-}
-
-// How one run decomposes: panel width, count, and which level of the pool
-// the parallelism lives at.
-struct PanelDecomposition {
-  int64_t width = 0;
-  int64_t num_panels = 0;
-  bool panel_parallel = false;  // panels across workers vs rows within panel
-  int64_t in_flight = 1;        // panels holding scratch concurrently
-  bool clamped = false;
-};
-
-int64_t NumPanels(int64_t d, int64_t width) {
-  return (d + width - 1) / width;
-}
-
-// Decides panel width and parallelism level from the explicit override, the
-// memory budget, or the historical defaults. `num_workers` is the pool size
-// (1 when serial). When panels run across workers, the caller of RunBlocks
-// drains alongside them, so up to num_workers + 1 panels hold scratch at
-// once and the budget is divided accordingly; when panels run in sequence
-// (row-parallel SpMM inside each), a single panel owns all the scratch and
-// gets the whole budget. Spilled runs force the sequential shape: finished
-// panels immediately return their slab pages, so exactly one panel's pages
-// plus one panel's scratch are resident at a time.
-PanelDecomposition DecomposePanels(int64_t n, int64_t d, int64_t num_workers,
-                                   const AffinityEngineOptions& options,
-                                   bool allow_panel_parallel) {
-  PanelDecomposition out;
-  const int64_t bytes_per_column =
-      kScratchBuffersPerPanel * static_cast<int64_t>(sizeof(double)) * n;
-  const int64_t max_in_flight = num_workers > 1 ? num_workers + 1 : 1;
-
-  const auto finish = [&](int64_t width) {
-    out.width = width;
-    out.num_panels = NumPanels(d, width);
-    out.panel_parallel = allow_panel_parallel && num_workers > 1 &&
-                         2 * out.num_panels >= num_workers;
-    out.in_flight = out.panel_parallel
-                        ? std::min(max_in_flight, 2 * out.num_panels)
-                        : 1;
-  };
-
-  if (options.panel_width > 0) {
-    finish(std::min(options.panel_width, d));
-    return out;
-  }
-  if (options.memory_budget_mb <= 0) {
-    // Unbounded: whole attribute set when serial (APMI), one block per
-    // worker when pooled (PAPMI), narrowed so the panels in flight fit the
-    // unbounded scratch cap.
-    const int64_t historical =
-        num_workers <= 1 ? d : (d + num_workers - 1) / num_workers;
-    const int64_t in_flight = allow_panel_parallel ? max_in_flight : 1;
-    finish(std::min(historical,
-                    std::max(kUnboundedScratchMinColumns,
-                             kUnboundedScratchBytes /
-                                 (bytes_per_column * in_flight))));
-    return out;
-  }
-
-  const int64_t budget_bytes = options.memory_budget_mb << 20;
-  // First assume a single in-flight panel (the row-parallel shape, which
-  // uses the whole budget). Only when that already yields enough panels to
-  // occupy the pool does the engine try panel-parallel execution, which
-  // re-divides the budget across the concurrent panels.
-  const int64_t solo_width = std::min(budget_bytes / bytes_per_column, d);
-  if (!allow_panel_parallel) {
-    if (solo_width >= 1) {
-      out.width = solo_width;
-      out.num_panels = NumPanels(d, out.width);
-      return out;
-    }
-  } else {
-    if (num_workers > 1 && solo_width >= 1 &&
-        2 * NumPanels(d, solo_width) < num_workers) {
-      finish(solo_width);
-      return out;
-    }
-    const int64_t divided_width =
-        budget_bytes / (bytes_per_column * max_in_flight);
-    if (divided_width >= 1) {
-      finish(std::min(divided_width, d));
-      return out;
-    }
-    // The budget admits sequential panels but not one panel per in-flight
-    // worker: respect the budget and keep the parallelism at the row level
-    // inside each panel.
-    if (solo_width >= 1) {
-      out.width = std::min(solo_width, d);
-      out.num_panels = NumPanels(d, out.width);
-      return out;
-    }
-  }
-  // Below even one sequential width-1 panel: clamp, and run sequentially so
-  // the overshoot is a single panel's scratch, not max_in_flight of them.
-  out.clamped = true;
-  PANE_LOG(WARNING) << "affinity memory budget " << options.memory_budget_mb
-                    << " MiB is below one width-1 panel ("
-                    << bytes_per_column
-                    << " bytes); clamping to one sequential width-1 panel";
-  out.width = 1;
-  out.num_panels = d;
-  return out;
 }
 
 // One direction-tagged column panel [begin, end) of the attribute set.
@@ -191,31 +81,33 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   const int64_t nb = pool != nullptr ? pool->num_threads() : 1;
 
   // Two-level parallelism: when there are enough panels to occupy the pool,
-  // panels run across workers (each serial inside, the Algorithm 6 shape);
-  // otherwise panels run in sequence and the pool row-partitions the SpMM
-  // inside each panel. Either way each output element is produced by exactly
-  // one thread with unchanged per-element summation order, so the result is
-  // bitwise independent of the decomposition — including the spilled shape,
-  // which always runs panels sequentially so it can return each finished
-  // panel's pages before starting the next.
-  const PanelDecomposition decomp =
-      DecomposePanels(n, d, nb, options, /*allow_panel_parallel=*/!spilled);
-  const int64_t width = decomp.width;
-  const bool panel_parallel = decomp.panel_parallel;
+  // panels run across workers (each serial inside, the Algorithm 6 shape),
+  // and with the caller draining alongside them up to nb + 1 hold scratch
+  // at once; otherwise panels run in sequence and the pool row-partitions
+  // the SpMM inside each panel. Either way each output element is produced
+  // by exactly one thread with unchanged per-element summation order, so
+  // the result is bitwise independent of the decomposition — including the
+  // spilled shape, which always runs panels sequentially so it can return
+  // each finished panel's pages before starting the next.
+  const int64_t width =
+      options.panel_width > 0 ? std::min(options.panel_width, d) : d;
+  const int64_t num_panels = (d + width - 1) / width;
+  const bool panel_parallel = !spilled && nb > 1 && 2 * num_panels >= nb;
+  const int64_t in_flight =
+      panel_parallel ? std::min(nb + 1, 2 * num_panels) : 1;
   ThreadPool* row_pool = panel_parallel ? nullptr : pool;
 
   st->panel_width = width;
-  st->num_panels = decomp.num_panels;
-  st->budget_clamped = decomp.clamped;
+  st->num_panels = num_panels;
   st->panel_parallel = panel_parallel;
-  st->scratch_bytes = decomp.in_flight * kScratchBuffersPerPanel *
+  st->scratch_bytes = in_flight * kScratchBuffersPerPanel *
                       static_cast<int64_t>(sizeof(double)) * n * width;
 
   const CsrMatrix rr = r.RowNormalized();
   const CsrMatrix rc = r.ColNormalized();
 
   std::vector<PanelTask> tasks;
-  tasks.reserve(static_cast<size_t>(2 * decomp.num_panels));
+  tasks.reserve(static_cast<size_t>(2 * num_panels));
   for (const bool forward : {true, false}) {
     for (int64_t begin = 0; begin < d; begin += width) {
       tasks.push_back(PanelTask{forward, begin, std::min(begin + width, d)});
@@ -235,11 +127,11 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
     event.forward = task.forward;
     event.col_begin = task.begin;
     event.col_end = task.end;
-    event.num_panels = decomp.num_panels;
+    event.num_panels = num_panels;
     int64_t& done = task.forward ? forward_done : backward_done;
     event.panels_done = ++done;
     event.forward_complete =
-        task.forward && event.panels_done == decomp.num_panels;
+        task.forward && event.panels_done == num_panels;
     options.panel_consumer(event);
   };
 
@@ -306,7 +198,7 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
 
     // Spilled panels run sequentially, so the finished panel can hand every
     // resident page of its slab back to the pool before the next panel
-    // starts — this is what keeps affinity-phase RSS near the scratch budget
+    // starts — this is what keeps affinity-phase RSS near the panel scratch
     // instead of 2 n d. (The pages stay authoritative in the page cache;
     // later panels and the backward SPMI pass refault what they touch.)
     DropResidencyOrWarn(*slab);
@@ -326,8 +218,8 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   // release their pages as they finish.
   const auto backward_rows = [&](int64_t row_begin, int64_t row_end) {
     for (int64_t chunk = row_begin; chunk < row_end;
-         chunk += kSpillReleaseRows) {
-      const int64_t chunk_end = std::min(chunk + kSpillReleaseRows, row_end);
+         chunk += kStreamChunkRows) {
+      const int64_t chunk_end = std::min(chunk + kStreamChunkRows, row_end);
       for (int64_t i = chunk; i < chunk_end; ++i) {
         double* row = out->backward.Row(i);
         double rs = 0.0;

@@ -11,20 +11,23 @@
 // sums span every panel).
 //
 // The outputs are caller-created FactorSlabs (src/matrix/factor_slab.h):
-// in RAM, or spilled through the run's BufferPool when the caller's memory
-// budget cannot hold the factors — panels then run sequentially and each finished
-// panel's pages are evicted from the pool, so peak RSS tracks the scratch
-// budget rather than 2 n d. A consumer callback fires as
-// panels land; the engine-aware greedy init uses the forward-complete event
-// to start RandSVD-ing F' row blocks while the backward panels are still
-// streaming.
+// in RAM, or spilled through the run's BufferPool — panels then run
+// sequentially and each finished panel's pages are evicted from the pool,
+// so peak RSS tracks the panel scratch rather than 2 n d. A consumer
+// callback fires as panels land; the engine-aware greedy init uses the
+// forward-complete event to start RandSVD-ing F' row blocks while the
+// backward panels are still streaming.
 //
-// Peak scratch is O(n x panel_width x in-flight panels), derived from the
-// caller-supplied memory budget. Column blocks of a sparse-dense product
-// are independent (Lemma 4.1), and the engine preserves per-element
-// summation order, so its output is bitwise identical to the unfused
-// reference (ApmiProbabilities + SpmiFromProbabilities) for every panel
-// decomposition and thread count, spilled or in RAM.
+// The engine never sees the memory budget: the caller gives it a panel
+// width (Pane::Train takes it from its memory plan, PlanMemory in
+// src/core/pane.h), and the engine only chooses where the parallelism
+// lives for that width — panels across workers, or row blocks inside one
+// panel at a time. Peak scratch is in-flight panels x 2 x 8 x n x width.
+// Column blocks of a sparse-dense product are independent (Lemma 4.1), and
+// the engine preserves per-element summation order, so its output is
+// bitwise identical to the unfused reference (ApmiProbabilities +
+// SpmiFromProbabilities) for every panel width and thread count, spilled
+// or in RAM.
 #pragma once
 
 #include <cstdint>
@@ -61,16 +64,8 @@ struct AffinityEngineOptions {
   int t = 5;
   /// Worker pool; nullptr or size 1 => serial.
   ThreadPool* pool = nullptr;
-  /// Memory budget in MiB for the panel scratch buffers (the output slabs
-  /// and the normalized copies of R are not counted — they are fixed costs
-  /// of the result itself; spilled slabs barely dent RSS at all). 0 =>
-  /// unbounded: the panel width is the whole attribute set when serial and
-  /// ceil(d / num_threads) when pooled (the historical APMI / PAPMI shapes),
-  /// narrowed where needed so the panels in flight hold at most
-  /// kUnboundedScratchBytes (floor: kUnboundedScratchMinColumns columns).
-  int64_t memory_budget_mb = 0;
-  /// Explicit panel-width override (tests, benches). 0 => derive from the
-  /// budget. Values > d are clamped to d.
+  /// Attribute columns per panel; 0 => one panel spanning every column.
+  /// Values > d are clamped to d.
   int64_t panel_width = 0;
   /// Optional panel consumer; invoked under an engine mutex (events are
   /// serialized) from whichever thread finished the panel.
@@ -78,13 +73,12 @@ struct AffinityEngineOptions {
 };
 
 /// \brief How one engine run decomposed the problem; filled analytically
-/// before the panels execute, so tests can assert the budget is respected.
+/// before the panels execute.
 struct AffinityEngineStats {
   int64_t panel_width = 0;   ///< columns per panel (last panel may be narrower)
   int64_t num_panels = 0;    ///< panels per direction
   int64_t scratch_bytes = 0; ///< peak panel scratch: in-flight x 2 x 8 x n x w
   int64_t output_bytes = 0;  ///< the two n x d output slabs
-  bool budget_clamped = false;  ///< budget < one width-1 panel; ran at width 1
   bool panel_parallel = false;  ///< true: panels across workers;
                                 ///< false: row blocks within a panel
   bool spilled = false;         ///< outputs were spilled through a pool

@@ -17,24 +17,6 @@ namespace {
 // column is identically zero.
 constexpr double kDenominatorFloor = 1e-300;
 
-// Row granularity for release-as-you-go streaming over spilled residuals.
-constexpr int64_t kStreamChunkRows = 4096;
-
-// Residual columns gathered per phase-2 strip: budget-derived, and under
-// the unbounded scratch cap when unbounded. Pure residency/locality knob —
-// the per-column arithmetic is identical for every width.
-int64_t StripWidth(int64_t n, int64_t d, int64_t memory_budget_mb) {
-  if (d <= 0) return 1;
-  const int64_t bytes_per_column =
-      2 * static_cast<int64_t>(sizeof(double)) * std::max<int64_t>(n, 1);
-  const int64_t columns =
-      memory_budget_mb > 0
-          ? (memory_budget_mb << 20) / bytes_per_column
-          : std::max(kUnboundedScratchMinColumns,
-                     kUnboundedScratchBytes / bytes_per_column);
-  return std::clamp<int64_t>(columns, 1, d);
-}
-
 // Row groups: phase 1 runs 4 node rows at once, which hands the kernels 8
 // residual rows (their sf and sb rows); phase 2 runs 8 strip columns at
 // once, one kernel call for their sf columns and one for their sb columns.
@@ -167,13 +149,16 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
   if (options.iterations < 0) {
     return Status::InvalidArgument("iterations must be >= 0");
   }
-  PANE_RETURN_NOT_OK(ValidateMemoryBudgetMb(options.memory_budget_mb));
+  if (options.strip_width < 0) {
+    return Status::InvalidArgument("strip_width must be >= 0");
+  }
 
   ThreadPool* pool = options.pool;
   const int nb = pool != nullptr ? pool->num_threads() : 1;
   const std::vector<Range> node_blocks = PartitionRange(n, nb);
 
-  const int64_t strip = StripWidth(n, d, options.memory_budget_mb);
+  const int64_t strip = std::max<int64_t>(
+      1, options.strip_width > 0 ? std::min(options.strip_width, d) : d);
   if (options.stats != nullptr) {
     options.stats->strip_width = strip;
     options.stats->scratch_bytes =
@@ -213,9 +198,9 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
     }
 
     // ----- Phase 2 (Algorithm 4 lines 10-14 / Algorithm 8 lines 11-16):
-    // Xf / Xb fixed, sweep Y rows. Residual columns are gathered a strip at
-    // a time with sequential row scans (slab-friendly), updated in the
-    // contiguous strip buffers, and scattered back.
+    // Xf / Xb fixed, sweep Y rows. Residual columns are copied a strip at a
+    // time into the contiguous strip buffers with sequential row scans
+    // (slab-friendly), updated there, and copied back.
     const DenseMatrix xft = state->xf.Transposed();
     const DenseMatrix xbt = state->xb.Transposed();
     std::vector<double> x_denoms = ColumnSquaredNorms(xft);
@@ -226,43 +211,37 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
       }
     }
     const std::vector<int64_t> x_active = ActiveCoordinates(x_denoms);
+    // One row pass writes the `put_cols` buffered columns back from
+    // `put_begin` and loads `get_cols` columns from `get_begin`. A row's
+    // buffer slots belong to that row alone, so each row stores its old
+    // strip before its new one lands in the same slots.
+    const auto copy_strips = [&](int64_t put_begin, int64_t put_cols,
+                                 int64_t get_begin, int64_t get_cols) {
+      ScopedTimer timer(&strip_copy_seconds);
+      ParallelFor(pool, 0, n, [&](int64_t begin, int64_t end) {
+        for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
+          const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
+          for (int64_t i = chunk; i < chunk_end; ++i) {
+            double* sf_row = state->sf.Row(i);
+            double* sb_row = state->sb.Row(i);
+            for (int64_t l = 0; l < put_cols; ++l) {
+              sf_row[put_begin + l] = sf_strip[static_cast<size_t>(l * n + i)];
+              sb_row[put_begin + l] = sb_strip[static_cast<size_t>(l * n + i)];
+            }
+            for (int64_t l = 0; l < get_cols; ++l) {
+              sf_strip[static_cast<size_t>(l * n + i)] = sf_row[get_begin + l];
+              sb_strip[static_cast<size_t>(l * n + i)] = sb_row[get_begin + l];
+            }
+          }
+          ReleaseRowsOrWarn(state->sf, chunk, chunk_end, put_cols > 0);
+          ReleaseRowsOrWarn(state->sb, chunk, chunk_end, put_cols > 0);
+        }
+      });
+    };
+    copy_strips(0, 0, 0, std::min(strip, d));
     for (int64_t col_begin = 0; col_begin < d; col_begin += strip) {
       const int64_t col_end = std::min(col_begin + strip, d);
       const int64_t c = col_end - col_begin;
-      const auto gather_rows = [&](int64_t begin, int64_t end) {
-        for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
-          const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
-          for (int64_t i = chunk; i < chunk_end; ++i) {
-            const double* sf_row = state->sf.Row(i) + col_begin;
-            const double* sb_row = state->sb.Row(i) + col_begin;
-            for (int64_t l = 0; l < c; ++l) {
-              sf_strip[static_cast<size_t>(l * n + i)] = sf_row[l];
-              sb_strip[static_cast<size_t>(l * n + i)] = sb_row[l];
-            }
-          }
-          ReleaseRowsOrWarn(state->sf, chunk, chunk_end, /*dirty=*/false);
-          ReleaseRowsOrWarn(state->sb, chunk, chunk_end, /*dirty=*/false);
-        }
-      };
-      const auto scatter_rows = [&](int64_t begin, int64_t end) {
-        for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
-          const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
-          for (int64_t i = chunk; i < chunk_end; ++i) {
-            double* sf_row = state->sf.Row(i) + col_begin;
-            double* sb_row = state->sb.Row(i) + col_begin;
-            for (int64_t l = 0; l < c; ++l) {
-              sf_row[l] = sf_strip[static_cast<size_t>(l * n + i)];
-              sb_row[l] = sb_strip[static_cast<size_t>(l * n + i)];
-            }
-          }
-          ReleaseRowsOrWarn(state->sf, chunk, chunk_end, /*dirty=*/true);
-          ReleaseRowsOrWarn(state->sb, chunk, chunk_end, /*dirty=*/true);
-        }
-      };
-      {
-        ScopedTimer timer(&strip_copy_seconds);
-        ParallelFor(pool, 0, n, gather_rows);
-      }
       {
         ScopedTimer timer(&attribute_sweep_seconds);
         const auto update = [&](int64_t begin, int64_t end) {
@@ -280,10 +259,7 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
           });
         }
       }
-      {
-        ScopedTimer timer(&strip_copy_seconds);
-        ParallelFor(pool, 0, n, scatter_rows);
-      }
+      copy_strips(col_begin, c, col_end, std::min(strip, d - col_end));
     }
 
     if (options.objective_trace != nullptr) {

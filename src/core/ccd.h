@@ -8,11 +8,14 @@
 // overwrote in place). Phase 1 streams row blocks (zero-copy
 // under either backing, pages released as blocks finish when spilled).
 // Phase 2 needs residual columns, which are hostile to a row-major slab, so
-// it gathers a strip of columns per sequential scan over the rows, updates
-// every attribute row of the strip against the contiguous strip buffers,
-// and scatters the strip back — the strip width follows the memory budget,
-// and since gather/scatter is pure copying the results are bitwise
-// identical for every strip width, backing, and thread count.
+// it copies a strip of columns into contiguous strip buffers, updates every
+// attribute row of the strip against them, and copies the strip back. One
+// sequential scan over the rows does both copies between two strips: each
+// row writes strip s back, then loads strip s + 1 into the same buffer
+// slots. The strip width is the caller's (Pane::Train takes it from its
+// memory plan, PlanMemory in src/core/pane.h), and since the copies are
+// pure copying the results are bitwise identical for every strip width,
+// backing, and thread count.
 //
 // Both phases run rows in groups over the coordinates whose denominator is
 // not skipped: 4 node rows (8 residual rows, sf and sb) in phase 1, 8 strip
@@ -42,26 +45,24 @@ class ThreadPool;
 /// read once per phase (per strip in phase 2), never per row; transposes,
 /// denominators and the objective trace fall outside them.
 struct CcdStats {
-  int64_t strip_width = 0;    ///< residual columns gathered per strip
+  int64_t strip_width = 0;    ///< residual columns copied per strip
   int64_t scratch_bytes = 0;  ///< the two strip buffers: 2 x 8 x n x strip
   double node_sweep_seconds = 0.0;       ///< phase 1: Xf / Xb row updates
   double attribute_sweep_seconds = 0.0;  ///< phase 2: Y row updates
-  double strip_copy_seconds = 0.0;       ///< phase 2 gather + scatter
+  double strip_copy_seconds = 0.0;       ///< phase 2 strip copies
 };
 
 struct CcdOptions {
   /// Number of full CCD sweeps (the t of Algorithm 1 by default).
   int iterations = 5;
   /// Worker pool: node-row blocks in phase 1; in phase 2 the pool
-  /// row-parallelizes the strip gather/scatter scans and splits the strip's
+  /// row-parallelizes the strip copy scans and splits the strip's
   /// attribute rows across workers (Algorithm 8). nullptr => serial
   /// Algorithm 4.
   ThreadPool* pool = nullptr;
-  /// Memory budget in MiB for the phase-2 strip buffers; 0 => unbounded,
-  /// the strips capped at kUnboundedScratchBytes (floor:
-  /// kUnboundedScratchMinColumns columns). Affects residency and locality
-  /// only — never the arithmetic.
-  int64_t memory_budget_mb = 0;
+  /// Residual columns per phase-2 strip; 0 => one strip of every column.
+  /// Affects residency and locality only — never the arithmetic.
+  int64_t strip_width = 0;
   /// Optional per-iteration objective trace (appended; Figures 7-8).
   std::vector<double>* objective_trace = nullptr;
   /// Optional streaming diagnostics.

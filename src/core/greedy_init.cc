@@ -16,9 +16,6 @@
 namespace pane {
 namespace {
 
-// Row granularity for release-as-you-go streaming over spilled slabs.
-constexpr int64_t kStreamChunkRows = 4096;
-
 Status ValidateInit(const AffinitySlabs& affinity, const InitOptions& options) {
   if (options.k < 2 || options.k % 2 != 0) {
     return Status::InvalidArgument("space budget k must be even and >= 2");
@@ -27,7 +24,10 @@ Status ValidateInit(const AffinitySlabs& affinity, const InitOptions& options) {
       affinity.forward.cols() != affinity.backward.cols()) {
     return Status::InvalidArgument("F' and B' shapes differ");
   }
-  return ValidateMemoryBudgetMb(options.memory_budget_mb);
+  if (options.max_inflight_blocks < 0) {
+    return Status::InvalidArgument("max_inflight_blocks must be >= 0");
+  }
+  return Status::OK();
 }
 
 // Rows [begin, end) of out = F * y through Gemm's i-k-j skip-zero kernel,
@@ -129,18 +129,6 @@ EngineAwareInit::EngineAwareInit(AffinitySlabs* affinity,
   u_blocks_.resize(static_cast<size_t>(nb_));
   v_blocks_.resize(static_cast<size_t>(nb_));
   block_status_.resize(static_cast<size_t>(nb_));
-  if (affinity_->forward.spilled() && options_.memory_budget_mb > 0) {
-    // Residency cap: at most ceil(budget / block bytes) blocks of the
-    // spilled F' may hold pages at once (floor of one block). Affects the
-    // schedule only, never the arithmetic.
-    const int64_t n = affinity_->forward.rows();
-    const int64_t block_rows = (n + nb_ - 1) / nb_;
-    const int64_t block_bytes = std::max<int64_t>(
-        1, block_rows * affinity_->forward.cols() *
-               static_cast<int64_t>(sizeof(double)));
-    max_inflight_blocks_ = std::clamp<int64_t>(
-        (options_.memory_budget_mb << 20) / block_bytes, 1, nb_);
-  }
 }
 
 EngineAwareInit::~EngineAwareInit() {
@@ -187,15 +175,15 @@ void EngineAwareInit::ClaimLoop(bool overlapped) {
     // drain-phase work and must not inflate the stat.
     const bool count_overlapped =
         overlapped && !draining_.load(std::memory_order_relaxed);
-    if (max_inflight_blocks_ > 0) {
+    if (options_.max_inflight_blocks > 0) {
       MutexLock lock(&inflight_mutex_);
-      while (inflight_blocks_ >= max_inflight_blocks_) {
+      while (inflight_blocks_ >= options_.max_inflight_blocks) {
         inflight_cv_.Wait(&inflight_mutex_);
       }
       ++inflight_blocks_;
     }
     RunBlock(b);
-    if (max_inflight_blocks_ > 0) {
+    if (options_.max_inflight_blocks > 0) {
       {
         MutexLock lock(&inflight_mutex_);
         --inflight_blocks_;

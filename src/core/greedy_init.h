@@ -36,7 +36,7 @@ class ThreadPool;
 
 /// \brief Embeddings plus the dynamically maintained CCD residuals. The
 /// small factors stay dense; the n x d residuals are the former affinity
-/// slabs, so they follow the pipeline's memory budget (in-RAM or spilled).
+/// slabs, in RAM or spilled wherever those were created.
 struct EmbeddingState {
   DenseMatrix xf;  // n x k/2 forward embeddings
   DenseMatrix xb;  // n x k/2 backward embeddings
@@ -56,10 +56,10 @@ struct InitOptions {
   /// Worker pool; its size is the block count nb of Algorithm 7. nullptr or
   /// size 1 => the serial Algorithm 3.
   ThreadPool* pool = nullptr;
-  /// Memory budget in MiB; bounds how many F' row blocks hold pages
-  /// concurrently when the affinity slabs are spilled (0 => no cap). Does
-  /// not affect the arithmetic — only residency.
-  int64_t memory_budget_mb = 0;
+  /// How many F' row blocks EngineAwareInit lets hold pages at once (0 =>
+  /// no cap); Pane::Train takes it from its memory plan, which caps only
+  /// spilled runs. Affects the schedule only, never the arithmetic.
+  int64_t max_inflight_blocks = 0;
 };
 
 /// \brief Algorithm 3: seeds (Xf, Xb, Y) from one RandSVD of F' (streamed
@@ -102,7 +102,9 @@ Result<EmbeddingState> WarmInit(AffinitySlabs affinity,
 /// backward panels; Finish() drains the remaining blocks on the pool,
 /// merges, and moves the slabs out as the residuals. Work is claimed from
 /// one atomic counter and every block's math is independent of who computes
-/// it, so overlap changes the schedule, never the answer.
+/// it, so overlap changes the schedule, never the answer; so does
+/// InitOptions::max_inflight_blocks, which a spilled run's memory plan sets
+/// to bound how many blocks of the spilled F' hold pages at once.
 class EngineAwareInit {
  public:
   /// `affinity` must outlive the instance; Finish() moves its slabs out.
@@ -136,7 +138,6 @@ class EngineAwareInit {
   Status setup_status_;
   int nb_ = 1;
   int h_ = 0;
-  int64_t max_inflight_blocks_ = 0;  // residency cap under spill (0 => none)
   std::vector<DenseMatrix> u_blocks_;
   std::vector<DenseMatrix> v_blocks_;
   std::vector<Status> block_status_;

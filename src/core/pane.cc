@@ -33,6 +33,49 @@ Status ValidatePaneOptions(const PaneOptions& options) {
   return ValidateMemoryBudgetMb(options.memory_budget_mb);
 }
 
+MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
+                      int64_t memory_budget_mb) {
+  MemoryPlan plan;
+  const int64_t budget_bytes = memory_budget_mb << 20;
+  const int64_t double_bytes = static_cast<int64_t>(sizeof(double));
+  const bool spill =
+      budget_bytes > 0 && 2 * n * d * double_bytes > budget_bytes;
+  if (spill) plan.pool_bytes = budget_bytes / 2;
+
+  // Panels and strips both hold two n-double buffers per column.
+  const int64_t bytes_per_column = 2 * double_bytes * std::max<int64_t>(n, 1);
+  const int64_t share =
+      budget_bytes > 0 ? budget_bytes : kUnboundedScratchBytes;
+  const int64_t min_columns =
+      budget_bytes > 0 ? 1 : kUnboundedScratchMinColumns;
+  const auto fit = [&](int64_t columns, int64_t in_flight) {
+    const int64_t fitted = share / (bytes_per_column * in_flight);
+    return std::max<int64_t>(
+        1, std::min(columns, std::max(min_columns, fitted)));
+  };
+  const bool pooled_panels = threads > 1 && !spill;
+  const int64_t panel_in_flight = pooled_panels ? threads + 1 : 1;
+  plan.panel_width =
+      fit(pooled_panels ? (d + threads - 1) / threads : d, panel_in_flight);
+  plan.strip_width = fit(d, 1);
+  plan.clamped =
+      budget_bytes > 0 && share < bytes_per_column * panel_in_flight;
+  if (plan.clamped) {
+    PANE_LOG(WARNING) << "memory budget " << memory_budget_mb
+                      << " MiB is below one width-1 affinity panel ("
+                      << bytes_per_column * panel_in_flight
+                      << " bytes in flight); running width-1 panels over it";
+  }
+
+  if (spill && threads > 1) {
+    const int64_t block_bytes = std::max<int64_t>(
+        1, (n + threads - 1) / threads * d * double_bytes);
+    plan.max_inflight_blocks =
+        std::clamp<int64_t>(budget_bytes / block_bytes, 1, threads);
+  }
+  return plan;
+}
+
 Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
                                   PaneStats* stats,
                                   const PaneEmbedding* warm_start) const {
@@ -50,8 +93,6 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
                       << graph.num_attributes()
                       << "; surplus dimensions carry no signal";
   }
-  const int64_t budget_mb = opt.memory_budget_mb;
-
   const int t = ComputeIterationCount(opt.epsilon, opt.alpha);
   const int ccd_iters = opt.ccd_iterations > 0 ? opt.ccd_iterations : t;
   PaneStats local_stats;
@@ -65,18 +106,19 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     pool = std::make_unique<ThreadPool>(opt.num_threads);
   }
 
-  // One budget, one spill decision: the pipeline's resident factor cost is
-  // two n x d slabs, F' and B' through affinity and init, which init turns
-  // into Sf and Sb in place for CCD; when that exceeds the budget both are
-  // spilled through one pool.
+  // The run's one memory plan: every phase below takes its sizes from it.
   const int64_t n = graph.num_nodes();
   const int64_t d = graph.num_attributes();
-  const int64_t slab_bytes =
-      2 * n * d * static_cast<int64_t>(sizeof(double));
-  const std::unique_ptr<store::BufferPool> buffer_pool =
-      MakeSpillPool(opt.slab_policy, budget_mb, slab_bytes);
+  const MemoryPlan plan = PlanMemory(n, d, opt.num_threads,
+                                     opt.memory_budget_mb);
+  std::unique_ptr<store::BufferPool> buffer_pool;
+  if (plan.pool_bytes > 0) {
+    store::BufferPool::Options pool_options;
+    pool_options.budget_bytes = plan.pool_bytes;
+    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
+  }
   out_stats->slabs_spilled = buffer_pool != nullptr;
-  out_stats->slab_bytes = slab_bytes;
+  out_stats->slab_bytes = 2 * n * d * static_cast<int64_t>(sizeof(double));
 
   // Phase 1: affinity approximation (Algorithm 2 / 6) via the
   // panel-streamed engine; P and P^T are built once inside it. The slabs
@@ -94,7 +136,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   init_options.t = t;
   init_options.seed = opt.seed;
   init_options.pool = pool.get();
-  init_options.memory_budget_mb = budget_mb;
+  init_options.max_inflight_blocks = plan.max_inflight_blocks;
 
   // Declared after `affinity` so its destructor (which joins the helper
   // thread reading the slabs) runs first on every exit path.
@@ -109,7 +151,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     engine_options.alpha = opt.alpha;
     engine_options.t = t;
     engine_options.pool = pool.get();
-    engine_options.memory_budget_mb = budget_mb;
+    engine_options.panel_width = plan.panel_width;
     if (streamed_init.has_value()) {
       // Fold Algorithm 7's per-block F' SVDs into the panel stream: they
       // start the moment the forward slab is final, while the backward
@@ -149,7 +191,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     CcdOptions ccd_options;
     ccd_options.iterations = ccd_iters;
     ccd_options.pool = pool.get();
-    ccd_options.memory_budget_mb = budget_mb;
+    ccd_options.strip_width = plan.strip_width;
     ccd_options.stats = &out_stats->ccd;
     PANE_RETURN_NOT_OK(CcdRefine(&state, ccd_options));
   }

@@ -2,12 +2,15 @@
 // (parallel), assembling affinity approximation (APMI / PAPMI), seeding
 // (GreedyInit / engine-aware SMGreedyInit, random for PANE-R, or a warm
 // start from a previous embedding) and CCD refinement (SVDCCD / PSVDCCD)
-// into one Train() call, under one memory budget: --memory-budget-mb sizes
-// the affinity panel scratch and the CCD strips, and decides whether the
-// pipeline's two n x d slabs live in RAM or are spilled through one
-// store::BufferPool whose residency budget is half the pipeline budget. The
-// slabs hold F' and B' through affinity and init, which overwrites them in
-// place with the residuals Sf and Sb that CCD refines.
+// into one Train() call. The slabs hold F' and B' through affinity and
+// init, which overwrites them in place with the residuals Sf and Sb that
+// CCD refines.
+//
+// One memory plan: PlanMemory is the only code that turns
+// --memory-budget-mb into sizes. Train calls it once, before any phase
+// runs, and hands each phase a shape — whether the two n x d slabs spill
+// and the pool's residency budget, the affinity panel width, the CCD strip
+// width and the init's in-flight block cap. No phase sees the budget.
 //
 // The warm start is the time-varying-graph extension the paper's conclusion
 // leaves as future work: after a batch of edge/attribute updates, Train
@@ -43,19 +46,15 @@ struct PaneOptions {
   /// CCD sweeps; 0 => use the derived t (Algorithm 1 behaviour). The
   /// Figures 7-8 experiments sweep this explicitly.
   int ccd_iterations = 0;
-  /// Single whole-pipeline memory budget in MiB (--memory-budget-mb). Sizes
-  /// the affinity engine's panel scratch and CCD's phase-2 strips, and —
-  /// under SlabPolicy::kAuto — spills the two n x d factor slabs whenever
-  /// 2 n d doubles exceed the budget: they go to memory-mapped files whose
+  /// Single whole-pipeline memory budget in MiB (--memory-budget-mb), which
+  /// PlanMemory turns into the run's sizes. When the two n x d factor slabs
+  /// (2 n d doubles) exceed it they are spilled: memory-mapped files whose
   /// pages one BufferPool evicts (clock policy, pool-page granularity) only
-  /// under pressure, so graphs whose factors exceed RAM still run.
-  /// 0 => unbounded: all in RAM, with each phase's scratch capped at
+  /// under pressure, so graphs whose factors exceed RAM still run. 0 =>
+  /// unbounded: all in RAM, each phase's scratch capped at
   /// kUnboundedScratchBytes. Spilled and in-RAM runs produce
   /// bitwise-identical embeddings.
   int64_t memory_budget_mb = 0;
-  /// Spill decision; kAuto applies the budget rule above, kInRam / kSpill
-  /// force one answer (benches, tests).
-  SlabPolicy slab_policy = SlabPolicy::kAuto;
   /// Directory for spill files ("" => the system temp directory). Files are
   /// removed when their slab is destroyed, including on error paths.
   std::string spill_dir;
@@ -70,6 +69,49 @@ struct PaneOptions {
 /// memory_budget_mb in [0, INT64_MAX >> 20].
 /// Called up front by Pane::Train and by the api layer's option validation.
 Status ValidatePaneOptions(const PaneOptions& options);
+
+/// \brief The scratch share of an unbounded run (memory_budget_mb == 0): the
+/// affinity panels in flight and the CCD strips each hold at most this many
+/// bytes, but never fewer than kUnboundedScratchMinColumns columns.
+constexpr int64_t kUnboundedScratchBytes = int64_t{4} << 20;
+constexpr int64_t kUnboundedScratchMinColumns = 16;
+
+/// \brief Every size a training run takes from its memory budget. Residency
+/// and locality only: no phase's arithmetic depends on any of them.
+struct MemoryPlan {
+  /// Residency budget of the pool the two n x d slabs spill through; 0 =>
+  /// the slabs stay in RAM.
+  int64_t pool_bytes = 0;
+  /// Columns per affinity panel (AffinityEngineOptions::panel_width).
+  int64_t panel_width = 0;
+  /// Residual columns per CCD phase-2 strip (CcdOptions::strip_width).
+  int64_t strip_width = 0;
+  /// Spilled F' row blocks EngineAwareInit lets hold pages at once
+  /// (InitOptions::max_inflight_blocks); 0 => no cap.
+  int64_t max_inflight_blocks = 0;
+  /// The budget is below the panels in flight at width 1; they run at
+  /// width 1 and overshoot it (a warning is logged).
+  bool clamped = false;
+};
+
+/// \brief The one memory policy of a run over n nodes, d attributes and
+/// `threads` workers; `memory_budget_mb` must be valid
+/// (ValidateMemoryBudgetMb).
+///
+/// - Spill: when a budget M is set and the two slabs' 2 n d doubles exceed
+///   it, into a pool of M / 2.
+/// - Widths: one rule for panels and strips. The historical shape — every
+///   column for a strip and for a serial or spilled panel, ceil(d / threads)
+///   for a pooled in-RAM panel (the APMI / PAPMI shapes) — is narrowed
+///   until what is in flight fits the scratch share: threads + 1 pooled
+///   panels (the workers and the draining caller), or one serial or
+///   spilled panel or strip. The share is M when bounded and
+///   kUnboundedScratchBytes when not; the floor is 1 column bounded and
+///   kUnboundedScratchMinColumns unbounded.
+/// - Init: a spilled pooled run lets at most M / (one F' row block's
+///   bytes) blocks hold pages at once, between 1 and threads.
+MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
+                      int64_t memory_budget_mb);
 
 /// \brief Phase timings and diagnostics from one Train() run.
 struct PaneStats {

@@ -297,17 +297,4 @@ Status ValidateMemoryBudgetMb(int64_t memory_budget_mb) {
   return Status::OK();
 }
 
-std::unique_ptr<store::BufferPool> MakeSpillPool(SlabPolicy policy,
-                                                 int64_t memory_budget_mb,
-                                                 int64_t resident_slab_bytes) {
-  const bool spill =
-      policy == SlabPolicy::kSpill ||
-      (policy == SlabPolicy::kAuto && memory_budget_mb > 0 &&
-       resident_slab_bytes > (memory_budget_mb << 20));
-  if (!spill) return nullptr;
-  store::BufferPool::Options options;
-  options.budget_bytes = (memory_budget_mb << 20) / 2;
-  return std::make_unique<store::BufferPool>(options);
-}
-
 }  // namespace pane

@@ -15,10 +15,13 @@
 // marks them for write-back when dirty; the page cache keeps the
 // authoritative copy, so re-acquisition is lossless. For an in-RAM slab
 // every release is a no-op, so callers sprinkle releases unconditionally.
+//
+// A slab never sees the memory budget: whether a run's slabs spill, and how
+// large their pool is, is the training memory plan's call (PlanMemory in
+// src/core/pane.h), made once before the slabs are created.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/common/status.h"
@@ -150,32 +153,15 @@ class FactorSlab {
   store::BufferPool::RegionId region_ = -1;  // -1 when nothing is mapped
 };
 
-/// \brief How the pipeline decides where its factor slabs live. kAuto spills
-/// exactly when a memory budget is set and the resident slab total would
-/// exceed it; kInRam / kSpill force one answer (benches, tests).
-enum class SlabPolicy { kAuto, kInRam, kSpill };
-
-/// \brief The scratch cap of an unbounded run (memory_budget_mb == 0): the
-/// affinity panels in flight and the CCD strips each hold at most this
-/// many bytes, but never fewer than kUnboundedScratchMinColumns columns.
-/// Residency only: no phase's arithmetic depends on its scratch width.
-constexpr int64_t kUnboundedScratchBytes = int64_t{4} << 20;
-constexpr int64_t kUnboundedScratchMinColumns = 16;
-
 /// \brief Checks a memory budget in MiB: non-negative, and small enough that
-/// its byte count (memory_budget_mb << 20) fits in int64_t — a larger value
-/// would wrap negative and read as a tiny budget.
+/// its byte count (the budget << 20) fits in int64_t — a larger value would
+/// wrap negative and read as a tiny budget.
 Status ValidateMemoryBudgetMb(int64_t memory_budget_mb);
 
-/// \brief The pipeline's one spill decision: under kAuto, spill when a
-/// budget is set and `resident_slab_bytes` (the run's two n x d slabs,
-/// F' / B' and then, in place, Sf / Sb) exceeds it. Returns the BufferPool
-/// every spilled factor slab of the run registers with — its residency
-/// budget is half the pipeline budget, the other half staying with the
-/// panel scratch and CCD strips — or nullptr when the slabs stay in RAM.
-std::unique_ptr<store::BufferPool> MakeSpillPool(SlabPolicy policy,
-                                                 int64_t memory_budget_mb,
-                                                 int64_t resident_slab_bytes);
+/// \brief Rows a streaming pass over a slab handles between releases: a
+/// spilled slab gives a chunk's pages back to its pool as the chunk
+/// finishes, so a pass pins at most one chunk per thread.
+constexpr int64_t kStreamChunkRows = 4096;
 
 /// \brief The streaming passes' release policy, in one place: residency
 /// failures are advisory (the data is intact, only the RSS bound slips), so

@@ -1,21 +1,21 @@
 // Tests for the panel-streamed affinity engine: every panel decomposition
-// (width 1, width > d, non-divisible widths, budget-derived widths), thread
-// count (Lemma 4.1: PAPMI's block-parallel run equals serial APMI) and
-// spilled or in-RAM output must reproduce the unfused serial reference
-// (ApmiProbabilities + SpmiFromProbabilities) bitwise, and the engine's
-// reported scratch allocation must respect the memory budget.
+// (width 1, width > d, non-divisible widths, the memory plan's widths),
+// thread count (Lemma 4.1: PAPMI's block-parallel run equals serial APMI)
+// and spilled or in-RAM output must reproduce the unfused serial reference
+// (ApmiProbabilities + SpmiFromProbabilities) bitwise. How a budget becomes
+// a width is the memory plan's test (memory_plan_test.cc).
 #include "src/core/affinity_engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "src/common/sync.h"
 #include "src/core/affinity.h"
 #include "src/core/apmi.h"
+#include "src/core/pane.h"
 #include "src/parallel/thread_pool.h"
 #include "src/store/buffer_pool.h"
 #include "test_util.h"
@@ -131,145 +131,6 @@ TEST(AffinityEngineTest, Figure1GraphAllWidths) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Budget-derived widths.
-
-TEST(AffinityEngineTest, BudgetDerivesWidthAndRespectsIt) {
-  const AttributedGraph g = testing::SmallSbm(43, 400);  // n=400, d=80
-  const GraphInputs in = MakeInputs(g);
-  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 5);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 5;
-  // 1 MiB budget, serial: width = 2^20 / (2 * 8 * 400) = 163 -> clamped to
-  // d = 80 here; shrink the budget until the width is genuinely partial.
-  options.memory_budget_mb = 1;
-  AffinityEngineStats stats;
-  const AffinitySlabs got = RunEngine(in, options, &stats);
-  ExpectBitwiseEqual(reference, got, "budget=1MiB");
-  EXPECT_FALSE(stats.budget_clamped);
-  // Regression: the reported scratch allocation never exceeds the budget
-  // when the budget admits at least one width-1 panel.
-  EXPECT_LE(stats.scratch_bytes, options.memory_budget_mb << 20);
-}
-
-TEST(AffinityEngineTest, PooledBudgetSequentialPanelsGetWholeBudget) {
-  // n=500, 8 workers, 1 MiB: a single full-width panel fits the budget, so
-  // the engine runs panels in sequence (row-parallel inside) rather than
-  // slicing the budget across in-flight panels it will never have.
-  const AttributedGraph g = testing::SmallSbm(44, 500);
-  const GraphInputs in = MakeInputs(g);
-  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 5);
-  ThreadPool pool(8);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 5;
-  options.pool = &pool;
-  options.memory_budget_mb = 1;
-  AffinityEngineStats stats;
-  const AffinitySlabs got = RunEngine(in, options, &stats);
-  ExpectBitwiseEqual(reference, got, "pooled budget=1MiB sequential");
-  EXPECT_FALSE(stats.budget_clamped);
-  EXPECT_FALSE(stats.panel_parallel);
-  EXPECT_EQ(stats.panel_width, in.r->cols());  // whole budget, one panel
-  EXPECT_LE(stats.scratch_bytes, options.memory_budget_mb << 20);
-}
-
-TEST(AffinityEngineTest, PooledBudgetRespectedAcrossInFlightPanels) {
-  // n=4000, 4 workers, 1 MiB: the budget-wide panel already splits into
-  // enough panels to occupy the pool, so the engine goes panel-parallel and
-  // re-divides the budget across the up-to-5 (workers + draining caller)
-  // panels in flight.
-  const AttributedGraph g = testing::SmallSbm(44, 4000);
-  const GraphInputs in = MakeInputs(g);
-  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 5);
-  ThreadPool pool(4);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 5;
-  options.pool = &pool;
-  options.memory_budget_mb = 1;
-  AffinityEngineStats stats;
-  const AffinitySlabs got = RunEngine(in, options, &stats);
-  ExpectBitwiseEqual(reference, got, "pooled budget=1MiB panel-parallel");
-  EXPECT_FALSE(stats.budget_clamped);
-  EXPECT_TRUE(stats.panel_parallel);
-  // 4 workers sharing 1 MiB across in-flight panels must shrink the width
-  // well below the whole-budget derivation.
-  EXPECT_LT(stats.panel_width, in.r->cols());
-  EXPECT_LE(stats.scratch_bytes, options.memory_budget_mb << 20);
-}
-
-TEST(AffinityEngineTest, BudgetBelowPanelParallelFallsBackToSequential) {
-  // n=9000, 8 workers, 1 MiB: one panel per in-flight worker would need
-  // width < 1, but sequential width-7 panels (2^20 / (2*8*9000) = 7) fit.
-  // The engine must prefer the budget-respecting sequential decomposition
-  // over clamping into a budget-violating panel-parallel one.
-  const AttributedGraph g = testing::SmallSbm(45, 9000);
-  const GraphInputs in = MakeInputs(g);
-  ThreadPool pool(8);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 2;
-  options.pool = &pool;
-  options.memory_budget_mb = 1;
-  AffinityEngineStats stats;
-  const AffinitySlabs got = RunEngine(in, options, &stats);
-  EXPECT_FALSE(stats.budget_clamped);
-  EXPECT_FALSE(stats.panel_parallel);
-  EXPECT_EQ(stats.panel_width, 7);
-  EXPECT_LE(stats.scratch_bytes, options.memory_budget_mb << 20);
-  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 2);
-  ExpectBitwiseEqual(reference, got, "sequential fallback panels");
-}
-
-TEST(AffinityEngineTest, BudgetSmallerThanOnePanelClampsWithWarningFlag) {
-  // Even a single sequential width-1 panel exceeds the budget:
-  // 2 * 8 * n = 1,120,000 bytes > 1 MiB for n=70000. The engine clamps to
-  // one width-1 panel at a time (the smallest possible overshoot) and says
-  // so via budget_clamped.
-  const AttributedGraph g = testing::SmallSbm(46, 70000);
-  const GraphInputs in = MakeInputs(g);
-  ThreadPool pool(4);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 2;
-  options.pool = &pool;
-  options.memory_budget_mb = 1;
-  AffinityEngineStats stats;
-  const AffinitySlabs got = RunEngine(in, options, &stats);
-  EXPECT_TRUE(stats.budget_clamped);
-  EXPECT_FALSE(stats.panel_parallel);
-  EXPECT_EQ(stats.panel_width, 1);
-  EXPECT_EQ(stats.num_panels, in.r->cols());
-  // Overshoot is bounded by one panel's scratch, not max_in_flight of them.
-  EXPECT_EQ(stats.scratch_bytes,
-            2 * static_cast<int64_t>(sizeof(double)) * in.r->rows());
-  const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 2);
-  ExpectBitwiseEqual(reference, got, "clamped width-1 panels");
-}
-
-TEST(AffinityEngineTest, UnboundedDefaultsReproduceHistoricalShapes) {
-  const AttributedGraph g = testing::SmallSbm(46, 200);  // d = 80
-  const GraphInputs in = MakeInputs(g);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 3;
-  AffinityEngineStats stats;
-  RunEngine(in, options, &stats);
-  // Serial, unbounded: one panel spanning the whole attribute set (APMI).
-  EXPECT_EQ(stats.panel_width, 80);
-  EXPECT_EQ(stats.num_panels, 1);
-
-  ThreadPool pool(5);
-  options.pool = &pool;
-  RunEngine(in, options, &stats);
-  // Pooled, unbounded: ceil(d / nb) columns per worker (PAPMI).
-  EXPECT_EQ(stats.panel_width, 16);
-  EXPECT_EQ(stats.num_panels, 5);
-  EXPECT_TRUE(stats.panel_parallel);
-}
-
 TEST(AffinityEngineTest, UnboundedScratchCappedAndBitwiseEqualToHistorical) {
   // n = 4000, d = 80: the historical shapes would hold 80 x 64000 B = 5.1 MB
   // of scratch serially and 3 in-flight x 40 x 64000 B = 7.7 MB with two
@@ -285,6 +146,7 @@ TEST(AffinityEngineTest, UnboundedScratchCappedAndBitwiseEqualToHistorical) {
     options.alpha = 0.5;
     options.t = 3;
     options.pool = &pool;
+    options.panel_width = PlanMemory(n, d, threads, 0).panel_width;
     const int64_t historical = (d + threads - 1) / threads;
     const std::string what = "threads=" + std::to_string(threads);
     AffinityEngineStats capped_stats, historical_stats;
@@ -341,6 +203,11 @@ TEST(AffinityEngineTest, NegativeBackwardRowSumZeroesRowLikeReference) {
 
 class Lemma41ThreadSweep : public ::testing::TestWithParam<int> {};
 
+// PAPMI's shape: one block of ceil(d / nb) columns per worker.
+int64_t PapmiWidth(const GraphInputs& in, int nb) {
+  return (in.r->cols() + nb - 1) / nb;
+}
+
 TEST_P(Lemma41ThreadSweep, PooledIdenticalToSerialReference) {
   const int nb = GetParam();
   const AttributedGraph g = testing::SmallSbm(31, 300);
@@ -350,6 +217,7 @@ TEST_P(Lemma41ThreadSweep, PooledIdenticalToSerialReference) {
   options.alpha = 0.5;
   options.t = 5;
   options.pool = &pool;
+  options.panel_width = PapmiWidth(in, nb);
   ExpectBitwiseEqual(ReferenceAffinity(in, 0.5, 5), RunEngine(in, options),
                      "nb=" + std::to_string(nb));
 }
@@ -366,6 +234,7 @@ TEST(AffinityEngineTest, Lemma41MoreBlocksThanAttributes) {
   options.alpha = 0.3;
   options.t = 4;
   options.pool = &pool;
+  options.panel_width = PapmiWidth(in, 8);
   ExpectBitwiseEqual(ReferenceAffinity(in, 0.3, 4), RunEngine(in, options),
                      "figure1 nb=8");
 }
@@ -380,6 +249,7 @@ TEST(AffinityEngineTest, Lemma41DifferentAlphaAndT) {
       options.alpha = alpha;
       options.t = t;
       options.pool = &pool;
+      options.panel_width = PapmiWidth(in, 4);
       ExpectBitwiseEqual(ReferenceAffinity(in, alpha, t),
                          RunEngine(in, options),
                          "alpha=" + std::to_string(alpha) +
@@ -391,7 +261,7 @@ TEST(AffinityEngineTest, Lemma41DifferentAlphaAndT) {
 // ---------------------------------------------------------------------------
 // Graph-level entry.
 
-TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndBudget) {
+TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndPanelWidth) {
   const AttributedGraph g = testing::SmallSbm(47, 300);
   const GraphInputs in = MakeInputs(g);
   ThreadPool pool(4);
@@ -399,7 +269,7 @@ TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndBudget) {
   options.alpha = 0.5;
   options.t = ComputeIterationCount(0.015, 0.5);
   options.pool = &pool;
-  options.memory_budget_mb = 2;
+  options.panel_width = 7;
   AffinityEngineStats stats;
   AffinitySlabs got;
   got.forward = FactorSlab::Create(g.num_nodes(), g.num_attributes())
@@ -408,16 +278,19 @@ TEST(AffinityEngineTest, GraphEntryAcceptsPoolAndBudget) {
                      .ValueOrDie();
   ASSERT_TRUE(ComputeGraphAffinityIntoSlabs(g, options, &got, &stats).ok());
   ExpectBitwiseEqual(ReferenceAffinity(in, 0.5, options.t), got,
-                     "graph entry pool+budget");
-  EXPECT_LE(stats.scratch_bytes, int64_t{2} << 20);
+                     "graph entry pool+width");
+  // Panel-parallel: the 4 workers and the draining caller hold scratch.
+  EXPECT_EQ(stats.panel_width, 7);
+  EXPECT_TRUE(stats.panel_parallel);
+  EXPECT_EQ(stats.scratch_bytes, 5 * 2 * 8 * g.num_nodes() * 7);
 }
 
 TEST(AffinityEngineTest, EmptyMatricesReturnEmptyOutputs) {
-  // n = 0 with a budget used to divide by zero deriving the panel width.
+  // n = 0 returns before the panels are cut.
   const CsrMatrix p = CsrMatrix::FromTriplets(0, 0, {}).ValueOrDie();
   const CsrMatrix r = CsrMatrix::FromTriplets(0, 3, {}).ValueOrDie();
   AffinityEngineOptions options;
-  options.memory_budget_mb = 1;
+  options.panel_width = 1;
   const auto out = ComputeAffinitySlabs(p, p, r, options);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->forward.rows(), 0);
@@ -429,20 +302,21 @@ TEST(AffinityEngineTest, EmptyMatricesReturnEmptyOutputs) {
 // Spilled outputs and the panel consumer.
 
 TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
-  // Spilled through an evicting pool, serial and pooled, budgeted and
-  // unbounded: always the reference's bytes.
+  // Spilled through an evicting pool, serial and pooled, one panel of
+  // every column or width-1 panels: always the reference's bytes, and one
+  // panel's scratch at a time.
   const AttributedGraph g = testing::SmallSbm(48, 250);
   const GraphInputs in = MakeInputs(g);
   const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 4);
   ThreadPool pool(4);
   for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
-    for (const int64_t budget_mb : {0, 1}) {
+    for (const int64_t width : {0, 1}) {
       store::BufferPool buffer_pool(TightPool());
       AffinityEngineOptions options;
       options.alpha = 0.5;
       options.t = 4;
       options.pool = threads;
-      options.memory_budget_mb = budget_mb;
+      options.panel_width = width;
       const int64_t n = in.r->rows();
       const int64_t d = in.r->cols();
       AffinitySlabs got;
@@ -454,10 +328,12 @@ TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
               .ok());
       const std::string label =
           std::string(threads == nullptr ? "serial" : "pooled") +
-          " budget=" + std::to_string(budget_mb);
+          " width=" + std::to_string(width);
       ASSERT_TRUE(got.forward.spilled()) << label;
       EXPECT_TRUE(stats.spilled) << label;
       EXPECT_FALSE(stats.panel_parallel) << label;  // spill runs in sequence
+      EXPECT_EQ(stats.panel_width, width == 0 ? d : width) << label;
+      EXPECT_EQ(stats.scratch_bytes, 2 * 8 * n * stats.panel_width) << label;
       EXPECT_GT(buffer_pool.stats().evicted_pages, 0) << label;
       ExpectBitwiseEqual(reference, got, label);
     }
@@ -530,12 +406,6 @@ TEST(AffinityEngineTest, InputValidation) {
   options.t = 0;  // out of range
   EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
   options.t = 3;
-  options.memory_budget_mb = -1;
-  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
-  // A budget whose byte count overflows int64_t.
-  options.memory_budget_mb = (std::numeric_limits<int64_t>::max() >> 20) + 1;
-  EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
-  options.memory_budget_mb = 0;
   options.panel_width = -2;
   EXPECT_FALSE(ComputeAffinitySlabs(in.p, in.pt, *in.r, options).ok());
   options.panel_width = 0;

@@ -216,25 +216,24 @@ TEST(BufferPoolTest, ContendedPinUnpinKeepsDataIntact) {
 /// through the buffer pool returns bitwise the same factors as the
 /// unbounded in-RAM run.
 TEST(BufferPoolTest, PooledSpillTrainsBitwiseIdentical) {
-  // n = 500: the two n x d slabs (2 x 500 x 80 x 8 B = 640 kB) outgrow the
-  // half-MiB pool a 1 MiB budget gives, so the pool must evict.
-  const AttributedGraph graph = testing::SmallSbm(/*seed=*/77, /*n=*/500);
-  const auto train = [&graph](SlabPolicy policy, int64_t budget_mb,
-                              PaneStats* stats) {
+  // n = 1000: the two n x d slabs (2 x 1000 x 80 x 8 B = 1.28 MB) exceed
+  // a 1 MiB budget, so they spill, and outgrow the half-MiB pool it gives,
+  // so the pool must evict.
+  const AttributedGraph graph = testing::SmallSbm(/*seed=*/77, /*n=*/1000);
+  const auto train = [&graph](int64_t budget_mb, PaneStats* stats) {
     PaneOptions options;
     options.k = 32;
     options.num_threads = 3;
     options.ccd_iterations = 2;
     options.memory_budget_mb = budget_mb;
-    options.slab_policy = policy;
     auto result = Pane(options).Train(graph, stats);
     EXPECT_TRUE(result.ok()) << result.status();
     return result.MoveValueUnsafe();
   };
 
   PaneStats ram_stats, pooled_stats;
-  const PaneEmbedding in_ram = train(SlabPolicy::kInRam, 0, &ram_stats);
-  const PaneEmbedding pooled = train(SlabPolicy::kSpill, 1, &pooled_stats);
+  const PaneEmbedding in_ram = train(0, &ram_stats);
+  const PaneEmbedding pooled = train(1, &pooled_stats);
 
   EXPECT_FALSE(ram_stats.slabs_spilled);
   EXPECT_TRUE(pooled_stats.slabs_spilled);

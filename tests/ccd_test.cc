@@ -229,13 +229,12 @@ void ExpectSameBytes(const double* want, const double* got, int64_t count,
       << what;
 }
 
-// Runs CcdRefine on a copy of `start` for every thread count, in RAM and
-// spilled, and holds each result against `want`; `strip_width` is the strip the
-// budget must give.
+// Runs CcdRefine on a copy of `start` with `strip_width`-column strips for
+// every thread count, in RAM and spilled, and holds each result against
+// `want`.
 void ExpectCcdMatchesOracle(const OracleFactors& start,
                             const OracleFactors& want, int iterations,
-                            int64_t budget_mb, int64_t strip_width,
-                            const std::string& what) {
+                            int64_t strip_width, const std::string& what) {
   const int64_t n = start.xf.rows();
   const int64_t d = start.y.rows();
   for (const int threads : {1, 2, 3}) {
@@ -256,7 +255,7 @@ void ExpectCcdMatchesOracle(const OracleFactors& start,
       CcdOptions options;
       options.iterations = iterations;
       options.pool = threads > 1 ? &thread_pool : nullptr;
-      options.memory_budget_mb = budget_mb;
+      options.strip_width = strip_width;
       options.stats = &stats;
       ASSERT_TRUE(CcdRefine(&state, options).ok());
       const std::string where = what + " threads=" + std::to_string(threads) +
@@ -265,9 +264,6 @@ void ExpectCcdMatchesOracle(const OracleFactors& start,
       EXPECT_EQ(stats.scratch_bytes,
                 2 * strip_width * n * static_cast<int64_t>(sizeof(double)))
           << where;
-      if (budget_mb == 0) {
-        EXPECT_LE(stats.scratch_bytes, kUnboundedScratchBytes) << where;
-      }
       ExpectSameBytes(want.xf.data(), state.xf.data(), n * want.xf.cols(),
                       where + " xf");
       ExpectSameBytes(want.xb.data(), state.xb.data(), n * want.xb.cols(),
@@ -288,8 +284,7 @@ TEST(CcdOracleTest, MatchesPerRowSweepAtFullStrips) {
         const OracleFactors start = RandomFactors(n, d, h, 100 + n + d + h);
         OracleFactors want = start;
         ReferenceCcd(&want, kIterations);
-        ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/0,
-                               /*strip_width=*/d,
+        ExpectCcdMatchesOracle(start, want, kIterations, /*strip_width=*/d,
                                "n=" + std::to_string(n) + " d=" +
                                    std::to_string(d) + " h=" +
                                    std::to_string(h));
@@ -299,9 +294,8 @@ TEST(CcdOracleTest, MatchesPerRowSweepAtFullStrips) {
 }
 
 TEST(CcdOracleTest, MatchesPerRowSweepAtNarrowStrips) {
-  // A 1 MiB budget holds 65536 / n residual columns (two n-double strips
-  // per column): width 1 at n = 40000 and width 3 (strips 3, 3, 1) at
-  // n = 20000.
+  // Width 1 at n = 40000 and width 3 (strips 3, 3, 1) at n = 20000: the
+  // strips a 1 MiB budget gives these shapes (memory_plan_test.cc).
   constexpr int kIterations = 2;
   constexpr int64_t kD = 7;
   for (const auto& [n, width] : {std::pair<int64_t, int64_t>{40000, 1},
@@ -309,26 +303,25 @@ TEST(CcdOracleTest, MatchesPerRowSweepAtNarrowStrips) {
     const OracleFactors start = RandomFactors(n, kD, 5, 7 + n);
     OracleFactors want = start;
     ReferenceCcd(&want, kIterations);
-    ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/1, width,
+    ExpectCcdMatchesOracle(start, want, kIterations, width,
                            "n=" + std::to_string(n));
   }
 }
 
 TEST(CcdOracleTest, UnboundedStripsCappedAndMatchWholeStrips) {
-  // n = 8000: a residual column costs 2 x 8 x 8000 = 128000 B of strip, so
-  // the unbounded cap holds 32 of the d = 40 columns (strips 32, 8), while
-  // a 5 MiB budget holds all 40. Both match the per-row oracle, hence each
-  // other, byte for byte.
+  // n = 8000, d = 40: strips 32, 8 (the unbounded cap's width at this
+  // shape) and one strip of all 40 (a 5 MiB budget's) both match the
+  // per-row oracle, hence each other, byte for byte.
   constexpr int kIterations = 2;
   constexpr int64_t kN = 8000;
   constexpr int64_t kD = 40;
   const OracleFactors start = RandomFactors(kN, kD, 5, 8040);
   OracleFactors want = start;
   ReferenceCcd(&want, kIterations);
-  ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/0,
-                         /*strip_width=*/32, "unbounded");
-  ExpectCcdMatchesOracle(start, want, kIterations, /*budget_mb=*/5,
-                         /*strip_width=*/kD, "whole strip");
+  ExpectCcdMatchesOracle(start, want, kIterations, /*strip_width=*/32,
+                         "unbounded");
+  ExpectCcdMatchesOracle(start, want, kIterations, /*strip_width=*/kD,
+                         "whole strip");
 }
 
 TEST(CcdTest, GreedyBeatsRandomAtEqualIterations) {

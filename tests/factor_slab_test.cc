@@ -2,7 +2,7 @@
 // same bytes, the RowBlock acquire/release protocol keeps content across
 // pool evictions, a spilled slab's pool region and spill file live exactly
 // as long as the slab (moved with it, released on reassignment, destruction
-// and error paths), and the one spill decision the pipeline budget uses.
+// and error paths).
 #include "src/matrix/factor_slab.h"
 
 #include <gtest/gtest.h>
@@ -181,22 +181,6 @@ TEST(FactorSlabTest, EmptySlabNeedsNoFile) {
   EXPECT_EQ(pool.stats().registered_bytes, 0);
   EXPECT_TRUE(slab.DropResidency().ok());
   EXPECT_TRUE(slab.ReleaseRowRange(0, 0, /*dirty=*/true).ok());
-}
-
-TEST(MakeSpillPoolTest, AutoFollowsBudget) {
-  // No budget => always RAM.
-  EXPECT_EQ(MakeSpillPool(SlabPolicy::kAuto, 0, int64_t{1} << 40), nullptr);
-  // Budget covers the slabs => RAM; smaller => a pool at half the budget.
-  EXPECT_EQ(MakeSpillPool(SlabPolicy::kAuto, 64, 32 << 20), nullptr);
-  const auto pool = MakeSpillPool(SlabPolicy::kAuto, 16, 32 << 20);
-  ASSERT_NE(pool, nullptr);
-  EXPECT_EQ(pool->budget_bytes(), 8 << 20);
-  // Forced policies ignore the budget; a forced spill without a budget
-  // gets an unbounded pool.
-  EXPECT_EQ(MakeSpillPool(SlabPolicy::kInRam, 1, 32 << 20), nullptr);
-  const auto forced = MakeSpillPool(SlabPolicy::kSpill, 0, 0);
-  ASSERT_NE(forced, nullptr);
-  EXPECT_EQ(forced->budget_bytes(), 0);
 }
 
 }  // namespace

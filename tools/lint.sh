@@ -49,11 +49,10 @@
 # pool, so a second self-managed residency path cannot grow back beside it.
 #
 # Rule 7 — one training driver: in src/, the pipeline's building blocks
-# MakeSpillPool( (the spill decision), ComputeGraphAffinityIntoSlabs( (the
-# affinity phase) and CcdRefine( (the refinement phase) may be called ONLY
-# from src/core/pane.cc. Every training run, cold or warm-started, goes
-# through Pane::Train, so a second driver with its own validation and spill
-# decision cannot be copied beside it again. Declarations and definitions
+# ComputeGraphAffinityIntoSlabs( (the affinity phase) and CcdRefine( (the
+# refinement phase) may be called ONLY from src/core/pane.cc. Every training
+# run, cold or warm-started, goes through Pane::Train, so a second driver
+# with its own validation and memory plan cannot be copied beside it again. Declarations and definitions
 # (a line that starts with the return type) are exempt; tests/ and bench/
 # may call the phases directly to exercise one of them.
 #
@@ -68,6 +67,14 @@
 # src/serve/shard_plan.cc. Every engine is a shard, and a whole-space spec
 # is MakeShardPlan(n, d, 1).shards[0], so a hand-cut range (the way a
 # second "unsharded" mode starts) cannot drift from the plan's split.
+#
+# Rule 10 — one memory plan: in src/core/ and src/matrix/, the identifier
+# memory_budget_mb may appear ONLY in src/core/pane.{h,cc} (PaneOptions,
+# ValidatePaneOptions and PlanMemory, which turns the budget into every
+# size a run uses) and in ValidateMemoryBudgetMb's declaration and
+# definition. The phases take shapes — a panel width, a strip width, an
+# in-flight block cap, a pool — so a second rule for turning the budget
+# into sizes cannot grow back inside one of them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -169,7 +176,7 @@ if [[ -n "$residency_hits" ]]; then
 fi
 
 # --- Rule 7: pipeline phases called outside the one training driver -------
-driver_fns='(MakeSpillPool|ComputeGraphAffinityIntoSlabs|CcdRefine)'
+driver_fns='(ComputeGraphAffinityIntoSlabs|CcdRefine)'
 driver_hits=$(grep -rEn "\b${driver_fns}\(" src \
                 --include='*.h' --include='*.cc' --include='*.cpp' \
               | grep -Ev '^src/core/pane\.cc:' \
@@ -206,6 +213,31 @@ if [[ -n "$range_hits" ]]; then
   echo "$range_hits" >&2
   echo "lint: take a spec from MakeShardPlan(n, d, N) (the whole space is" >&2
   echo "lint: MakeShardPlan(n, d, 1).shards[0]) instead of cutting one by hand" >&2
+  status=1
+fi
+
+# --- Rule 10: the memory budget read outside the memory plan --------------
+# Skips ValidateMemoryBudgetMb's declaration line and its definition (the
+# signature line that opens a body, through the closing brace in column 0);
+# a call of it elsewhere is a read like any other.
+budget_hits=$(grep -rlE '\bmemory_budget_mb\b' src/core src/matrix \
+                --include='*.h' --include='*.cc' \
+              | grep -Ev '^src/core/pane\.(h|cc)$' \
+              | while read -r file; do
+                  awk -v file="$file" '
+                    /^Status ValidateMemoryBudgetMb\(/ {
+                      skip = /\{[[:space:]]*$/; next
+                    }
+                    skip { if (/^}/) skip = 0; next }
+                    /(^|[^A-Za-z0-9_])memory_budget_mb([^A-Za-z0-9_]|$)/ {
+                      print file ":" FNR ":" $0
+                    }' "$file"
+                done || true)
+if [[ -n "$budget_hits" ]]; then
+  echo "lint: memory_budget_mb outside src/core/pane.{h,cc}:" >&2
+  echo "$budget_hits" >&2
+  echo "lint: take the size from the run's MemoryPlan (PlanMemory) and pass" >&2
+  echo "lint: the phase a width or cap instead of the budget" >&2
   status=1
 fi
 
