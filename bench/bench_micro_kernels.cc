@@ -91,21 +91,6 @@ void BM_SpMMParallel(benchmark::State& state) {
 }
 BENCHMARK(BM_SpMMParallel)->Arg(1)->Arg(2)->Arg(4);
 
-void BM_SpMV(benchmark::State& state) {
-  const int64_t n = 8000;
-  const AttributedGraph g = BenchGraph(n);
-  const CsrMatrix p = g.RandomWalkMatrix();
-  std::vector<double> x(static_cast<size_t>(n), 1.0);
-  std::vector<double> y;
-  ThreadPool pool(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    SpMV(p, x, &y, &pool);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * p.nnz());
-}
-BENCHMARK(BM_SpMV)->Arg(1)->Arg(4);
-
 // --- Ingestion kernels -----------------------------------------------------
 
 // ~200k-line "u v" edge text, the input shape of LoadGraphText / the SNAP
@@ -184,6 +169,22 @@ void BM_Gemm(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n * 200 * 64);
 }
 BENCHMARK(BM_Gemm)->Arg(2000)->Arg(8000);
+
+// C = A^T Q at the shape of RandSvd's projection on one init block: A is
+// n x 300 (arg), Q is n x 72 (k/2 = 64 plus the oversample of 8).
+void BM_GemmTransA(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(5);
+  DenseMatrix a(n, 300), q(n, 72), c;
+  a.FillGaussian(&rng);
+  q.FillGaussian(&rng);
+  for (auto _ : state) {
+    GemmTransA(a, q, &c);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * n * 300 * 72);
+}
+BENCHMARK(BM_GemmTransA)->Arg(1500)->Arg(3000);
 
 void BM_RandSvd(benchmark::State& state) {
   Rng rng(3);
@@ -306,9 +307,10 @@ void BM_ResidualRecompute(benchmark::State& state) {
   const DenseMatrix backward = affinity.backward.ToDense().ValueOrDie();
   DenseMatrix sf, sb;
   for (auto _ : state) {
-    GemmTransBAddScaled(seed_state.xf, seed_state.y, 1.0, forward, -1.0, &sf);
-    GemmTransBAddScaled(seed_state.xb, seed_state.y, 1.0, backward, -1.0,
-                        &sb);
+    GemmTransB(seed_state.xf, seed_state.y, &sf);
+    sf.Sub(forward);
+    GemmTransB(seed_state.xb, seed_state.y, &sb);
+    sb.Sub(backward);
     benchmark::DoNotOptimize(sf.data());
   }
 }

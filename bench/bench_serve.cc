@@ -551,39 +551,6 @@ void Run() {
       "(shard_test).\n",
       shard2_speedup, shard4_speedup, std::thread::hardware_concurrency());
 
-  // ---- Metrics overhead (A/B) -------------------------------------------
-  // The same exact attr batches through PaneServer::ExecuteBatch with the
-  // metrics subsystem disabled vs enabled. Disabled means no registry, no
-  // stage histograms, and no clock reads — the honest baseline for the
-  // < 3% acceptance bound.
-  PrintHeader("Metrics overhead",
-              "exact attr batches, metrics_enabled off vs on "
-              "(target < 3% QPS loss)");
-  {
-    serve::ServerOptions ab_options;
-    ab_options.cache_capacity = 0;
-    auto ab_engine = serve::QueryEngine::Create(
-        embedding.xf.View(), embedding.xb.View(), embedding.y.View(),
-        serve::QueryEngineOptions());
-    PANE_CHECK(ab_engine.ok()) << ab_engine.status();
-    ab_options.metrics_enabled = false;
-    serve::PaneServer off(&*ab_engine, ab_options);
-    ab_options.metrics_enabled = true;
-    serve::PaneServer on(&*ab_engine, ab_options);
-    // Interleaved best-of-two per side: the bound is about steady-state
-    // instrumentation cost, not first-touch page faults.
-    double qps_off = 0.0, qps_on = 0.0;
-    for (int pass = 0; pass < 2; ++pass) {
-      qps_off = std::max(qps_off, measure_qps(&off, attr_payloads));
-      qps_on = std::max(qps_on, measure_qps(&on, attr_payloads));
-    }
-    char overhead_cell[32];
-    std::snprintf(overhead_cell, sizeof(overhead_cell), "%.2f%%",
-                  (qps_off - qps_on) / qps_off * 100.0);
-    PrintRow("metrics", {"off", "on", "overhead"});
-    PrintRow("attr QPS", {QpsCell(qps_off), QpsCell(qps_on), overhead_cell});
-  }
-
   // ---- Metrics exposition round-trip ------------------------------------
   // A 2-shard local fleet sharing one registry, driven through the full
   // session path (decode -> batch -> encode), then the `metrics` verb: the

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/matrix/rand_svd_sparse.h"
+#include "src/matrix/rand_svd.h"
 #include "src/matrix/spmm.h"
 #include "src/matrix/vector_ops.h"
 

@@ -5,7 +5,7 @@
 #include "src/common/random.h"
 #include "src/common/string_util.h"
 #include "src/matrix/gemm.h"
-#include "src/matrix/rand_svd_sparse.h"
+#include "src/matrix/rand_svd.h"
 #include "src/matrix/spmm.h"
 #include "src/matrix/svd.h"
 

@@ -44,10 +44,10 @@ void ProjectRows(const FactorSlab& f, const DenseMatrix& y, DenseMatrix* out,
   }
 }
 
-// Rows [begin, end) of f <- x y^T - f in place, the GemmTransBAddScaledRows
-// expression (alpha = 1, beta = -1) with f streamed through its slab. Each
-// row's d dots come from one dot_rows call (the d rows of y against the
-// row of x, bitwise Dot(x_row, y.Row(j), h)) before the row is overwritten.
+// Rows [begin, end) of f <- x y^T - f in place, bitwise GemmTransB(x, y)
+// followed by Sub(f), with f streamed through its slab. Each row's d dots
+// come from one dot_rows call (the d rows of y against the row of x,
+// bitwise Dot(x_row, y.Row(j), h)) before the row is overwritten.
 void ResidualRows(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
                   int64_t begin, int64_t end) {
   const auto dot_rows = GetMatrixKernels().dot_rows;
@@ -62,7 +62,7 @@ void ResidualRows(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
       double* f_row = f->Row(i);
       dot_rows(y_rows.data(), d, x.Row(i), h, dots.data());
       for (int64_t j = 0; j < d; ++j) {
-        f_row[j] = 1.0 * dots[static_cast<size_t>(j)] + -1.0 * f_row[j];
+        f_row[j] = dots[static_cast<size_t>(j)] - f_row[j];
       }
     }
     ReleaseRowsOrWarn(*f, chunk, chunk_end, /*dirty=*/true);

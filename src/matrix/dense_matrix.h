@@ -61,9 +61,13 @@ class DenseMatrix {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
-  /// Read-only view of the whole matrix (see ConstMatrixView).
+  /// Read-only view of the whole matrix (see ConstMatrixView). The
+  /// conversion lets a DenseMatrix go wherever a kernel takes a view.
   ConstMatrixView View() const {
     return ConstMatrixView(data_.data(), rows_, cols_);
+  }
+  operator ConstMatrixView() const {  // NOLINT(runtime/explicit)
+    return View();
   }
 
   /// Reshapes to rows x cols, discarding contents (zero-filled).

@@ -1,6 +1,9 @@
-// Dense matrix-multiply kernels used by randomized SVD (Q^T A, A Omega),
-// greedy initialization (Xf = U Sigma, Xb = B' Y), and residual formation
-// (Sf = Xf Y^T - F'). Cache-aware loop orders, optionally row-parallel.
+// Dense matrix-multiply kernels used by randomized SVD (A Omega, A^T Q),
+// greedy initialization (Xf = U Sigma), the baselines' normal equations
+// and the served link Gram G = Y^T Y. One entry point per product; every
+// operand is a ConstMatrixView, so a DenseMatrix (through its implicit
+// conversion) and a FactorSlab or artifact row range reach the same
+// kernel with the same arithmetic. Optionally row-parallel.
 #pragma once
 
 #include "src/matrix/dense_matrix.h"
@@ -9,49 +12,22 @@ namespace pane {
 
 class ThreadPool;
 
-/// C = A * B. C resized to (A.rows, B.cols).
-void Gemm(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
+/// C = A * B. C resized to (A.rows, B.cols). Runs the dispatched i-k-j
+/// kernel (MatrixKernels::gemm_rows), row-parallel on `pool`.
+void Gemm(ConstMatrixView a, ConstMatrixView b, DenseMatrix* c,
           ThreadPool* pool = nullptr);
 
-/// View-A variant: streams rows of `a` (e.g. a FactorSlab row range)
-/// through the same kernel — per-element arithmetic identical to the
-/// DenseMatrix form.
-void Gemm(ConstMatrixView a, const DenseMatrix& b, DenseMatrix* c,
-          ThreadPool* pool = nullptr);
-
-/// View-B variant (B = Q^T A with A a slab view).
-void Gemm(const DenseMatrix& a, ConstMatrixView b, DenseMatrix* c,
-          ThreadPool* pool = nullptr);
-
-/// C = A^T * B. C resized to (A.cols, B.cols).
-void GemmTransA(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
-                ThreadPool* pool = nullptr);
-
-/// View-A variant of C = A^T * B that streams rows of `a` instead of
-/// materializing the d x n transpose — the accumulation order per output
-/// element (ascending row index of A) matches the transpose-then-multiply
-/// form bitwise, so RandSVD produces identical factors through either.
-void GemmTransA(ConstMatrixView a, const DenseMatrix& b, DenseMatrix* c,
-                ThreadPool* pool = nullptr);
-
-/// View-B variant of C = A^T * B (A is small and still transposed).
-void GemmTransA(const DenseMatrix& a, ConstMatrixView b, DenseMatrix* c,
-                ThreadPool* pool = nullptr);
-
-/// Both-views variant of C = A^T * B (e.g. Y^T Y over an mmap-backed
-/// artifact view); streams rows of A like the view-A form, same
-/// accumulation order.
+/// C = A^T * B. C resized to (A.cols, B.cols). Streams the rows of A
+/// (MatrixKernels::gemm_trans_a_cols) instead of forming the transpose; per
+/// output element the additions arrive in ascending row index of A with
+/// zero entries of A skipped, so the bits equal Gemm over the explicit
+/// transpose. Output rows are split across `pool`.
 void GemmTransA(ConstMatrixView a, ConstMatrixView b, DenseMatrix* c,
                 ThreadPool* pool = nullptr);
 
-/// C = A * B^T. C resized to (A.rows, B.rows).
-void GemmTransB(const DenseMatrix& a, const DenseMatrix& b, DenseMatrix* c,
+/// C = A * B^T. C resized to (A.rows, B.rows); C[i][j] = Dot(A_i, B_j).
+/// A residual X Y^T - F is GemmTransB(x, y) followed by Sub(F).
+void GemmTransB(ConstMatrixView a, ConstMatrixView b, DenseMatrix* c,
                 ThreadPool* pool = nullptr);
-
-/// C = alpha * A * B^T + beta * C0, with C0 given (C resized; used for
-/// residuals Sf = Xf Y^T - F' in one pass: alpha=1, beta=-1, c0=F').
-void GemmTransBAddScaled(const DenseMatrix& a, const DenseMatrix& b,
-                         double alpha, const DenseMatrix& c0, double beta,
-                         DenseMatrix* c, ThreadPool* pool = nullptr);
 
 }  // namespace pane

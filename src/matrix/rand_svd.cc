@@ -1,18 +1,26 @@
 #include "src/matrix/rand_svd.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/common/random.h"
+#include "src/matrix/csr_matrix.h"
 #include "src/matrix/gemm.h"
 #include "src/matrix/qr.h"
+#include "src/matrix/spmm.h"
 #include "src/matrix/svd.h"
 
 namespace pane {
+namespace {
 
-Status RandSvd(ConstMatrixView a, int k, const RandSvdOptions& options,
-               DenseMatrix* u, std::vector<double>* sigma, DenseMatrix* v) {
-  const int64_t n = a.rows();
-  const int64_t d = a.cols();
+// out = A * x or out = A^T * x for a thin dense panel x.
+using Product = std::function<void(const DenseMatrix& x, DenseMatrix* out)>;
+
+// The subspace iteration over an n x d operator given by its two products.
+Status SubspaceIteration(int64_t n, int64_t d, const Product& times,
+                         const Product& times_transposed, int k,
+                         const RandSvdOptions& options, DenseMatrix* u,
+                         std::vector<double>* sigma, DenseMatrix* v) {
   if (k <= 0) return Status::InvalidArgument("RandSvd requires k > 0");
   if (n == 0 || d == 0) {
     return Status::InvalidArgument("RandSvd on an empty matrix");
@@ -27,26 +35,26 @@ Status RandSvd(ConstMatrixView a, int k, const RandSvdOptions& options,
   DenseMatrix omega(d, r);
   omega.FillGaussian(&rng);
   DenseMatrix y;
-  Gemm(a, omega, &y, options.pool);
+  times(omega, &y);
   DenseMatrix q;
   PANE_RETURN_NOT_OK(ThinQr(y, &q, /*r=*/nullptr, &rng));
 
   // Subspace (power) iteration with QR re-orthonormalization each half-step.
   DenseMatrix z, qz;
   for (int iter = 0; iter < options.power_iters; ++iter) {
-    GemmTransA(a, q, &z, options.pool);  // z = A^T q, d x r
+    times_transposed(q, &z);  // z = A^T q, d x r
     PANE_RETURN_NOT_OK(ThinQr(z, &qz, nullptr, &rng));
-    Gemm(a, qz, &y, options.pool);  // y = A qz, n x r
+    times(qz, &y);  // y = A qz, n x r
     PANE_RETURN_NOT_OK(ThinQr(y, &q, nullptr, &rng));
   }
 
-  // Project: B = Q^T A (r x d); its exact SVD gives the truncated factors.
-  DenseMatrix b;
-  GemmTransA(q, a, &b, options.pool);
-  const DenseMatrix bt = b.Transposed();  // d x r, tall for JacobiSvd
-  DenseMatrix w;                          // d x r: right singular vectors of A
-  std::vector<double> sig;                // r singular values
-  DenseMatrix zz;                         // r x r: B^T = W Sig ZZ^T
+  // Project: B^T = A^T Q (d x r, tall for JacobiSvd); its exact SVD gives
+  // the truncated factors.
+  DenseMatrix bt;
+  times_transposed(q, &bt);
+  DenseMatrix w;            // d x r: right singular vectors of A
+  std::vector<double> sig;  // r singular values
+  DenseMatrix zz;           // r x r: B^T = W Sig ZZ^T
   PANE_RETURN_NOT_OK(JacobiSvd(bt, &w, &sig, &zz));
 
   // A ~= Q B = Q (ZZ Sig W^T), so left factors are Q * ZZ.
@@ -79,10 +87,36 @@ Status RandSvd(ConstMatrixView a, int k, const RandSvdOptions& options,
   return Status::OK();
 }
 
-Status RandSvd(const DenseMatrix& a, int k, const RandSvdOptions& options,
+}  // namespace
+
+Status RandSvd(ConstMatrixView a, int k, const RandSvdOptions& options,
                DenseMatrix* u, std::vector<double>* sigma, DenseMatrix* v) {
-  return RandSvd(a.View(), k, options, u, sigma, v);
+  return SubspaceIteration(
+      a.rows(), a.cols(),
+      [&](const DenseMatrix& x, DenseMatrix* out) {
+        Gemm(a, x, out, options.pool);
+      },
+      [&](const DenseMatrix& x, DenseMatrix* out) {
+        GemmTransA(a, x, out, options.pool);
+      },
+      k, options, u, sigma, v);
+}
+
+Status RandSvdSparse(const CsrMatrix& a, const CsrMatrix& a_transposed, int k,
+                     const RandSvdOptions& options, DenseMatrix* u,
+                     std::vector<double>* sigma, DenseMatrix* v) {
+  if (a_transposed.rows() != a.cols() || a_transposed.cols() != a.rows()) {
+    return Status::InvalidArgument("a_transposed shape mismatch");
+  }
+  return SubspaceIteration(
+      a.rows(), a.cols(),
+      [&](const DenseMatrix& x, DenseMatrix* out) {
+        SpMM(a, x, out, options.pool);
+      },
+      [&](const DenseMatrix& x, DenseMatrix* out) {
+        SpMM(a_transposed, x, out, options.pool);
+      },
+      k, options, u, sigma, v);
 }
 
 }  // namespace pane
-

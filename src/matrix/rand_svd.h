@@ -4,6 +4,15 @@
 // spectrum decays — which the log-scaled affinity matrices F', B' do — its
 // accuracy matches the block-Krylov variant at the iteration counts PANE
 // uses, while needing one n x (k+p) panel instead of a q-times-wider one.
+//
+// The iteration only ever applies A and A^T to thin panels, so it runs
+// once, over an operator: RandSvd supplies Gemm / GemmTransA on a dense
+// view, RandSvdSparse supplies SpMM on a CSR matrix and its transpose (the
+// NRP and TADW baselines, where densifying the n x n input is exactly the
+// scalability failure the paper attributes to prior methods). Both reach
+// the same sketch, power loop, projection B^T = A^T Q, JacobiSvd and
+// rank-padding tail, so the same matrix gives the same bits through
+// either.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +23,7 @@
 
 namespace pane {
 
+class CsrMatrix;
 class ThreadPool;
 
 struct RandSvdOptions {
@@ -23,7 +33,7 @@ struct RandSvdOptions {
   int power_iters = 6;
   /// Sketch seed; fixed default keeps runs reproducible.
   uint64_t seed = 0x7a9e5eedULL;
-  /// Optional pool for the GEMMs inside the iteration.
+  /// Optional pool for the products inside the iteration.
   ThreadPool* pool = nullptr;
 };
 
@@ -36,15 +46,17 @@ struct RandSvdOptions {
 /// (GreedyInit) can rely on U, V always having exactly k orthonormal
 /// columns regardless of input rank.
 ///
-/// The view form is the primary entry point: `a` is only ever streamed
-/// row-wise (A Omega, A^T Q), so it accepts a FactorSlab view — including a
-/// memory-mapped spill slab — without materializing A or A^T. The
-/// DenseMatrix overload delegates to it, so both forms share one arithmetic
-/// path and produce bitwise-identical factors.
+/// `a` is only ever streamed row-wise (A Omega, A^T Q), so it may be a
+/// FactorSlab view — including a memory-mapped spill slab — and is never
+/// materialized or transposed. A DenseMatrix converts to its view.
 Status RandSvd(ConstMatrixView a, int k, const RandSvdOptions& options,
                DenseMatrix* u, std::vector<double>* sigma, DenseMatrix* v);
 
-Status RandSvd(const DenseMatrix& a, int k, const RandSvdOptions& options,
-               DenseMatrix* u, std::vector<double>* sigma, DenseMatrix* v);
+/// \brief RandSvd of sparse `a`, with A^T products run on `a_transposed`
+/// (A^T prebuilt by the caller). Same outputs, bitwise, as RandSvd over
+/// the dense form of `a`.
+Status RandSvdSparse(const CsrMatrix& a, const CsrMatrix& a_transposed, int k,
+                     const RandSvdOptions& options, DenseMatrix* u,
+                     std::vector<double>* sigma, DenseMatrix* v);
 
 }  // namespace pane

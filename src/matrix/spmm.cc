@@ -114,35 +114,4 @@ void SpMMPanelStep(const CsrMatrix& a, const DenseMatrix& x, double scale,
   });
 }
 
-namespace {
-
-// Computes rows [row_begin, row_end) of y = A * x.
-void SpMVRows(const CsrMatrix& a, const std::vector<double>& x,
-              std::vector<double>* y, int64_t row_begin, int64_t row_end) {
-  for (int64_t i = row_begin; i < row_end; ++i) {
-    const CsrMatrix::RowView row = a.Row(i);
-    double s = 0.0;
-    for (int64_t p = 0; p < row.length; ++p) {
-      s += row.vals[p] * x[static_cast<size_t>(row.cols[p])];
-    }
-    (*y)[static_cast<size_t>(i)] = s;
-  }
-}
-
-}  // namespace
-
-void SpMV(const CsrMatrix& a, const std::vector<double>& x,
-          std::vector<double>* y, ThreadPool* pool) {
-  PANE_CHECK(static_cast<int64_t>(x.size()) == a.cols());
-  PANE_CHECK(y != &x) << "SpMV cannot run in place";
-  y->assign(static_cast<size_t>(a.rows()), 0.0);
-  if (pool == nullptr || pool->num_threads() == 1) {
-    SpMVRows(a, x, y, 0, a.rows());
-    return;
-  }
-  ParallelFor(pool, 0, a.rows(), [&](int64_t begin, int64_t end) {
-    SpMVRows(a, x, y, begin, end);
-  });
-}
-
 }  // namespace pane

@@ -1,6 +1,8 @@
 // Sparse-times-dense kernels. The APMI iteration (Algorithm 2, lines 4-5)
 // is Pf <- (1-a) * P * Pf + a * Pf0, i.e. repeated CSR x dense multiplies;
 // these kernels are where PANE spends its O(md log(1/eps)) affinity phase.
+// SpMM on a CSR matrix and on its transpose are also the two products
+// RandSvdSparse hands the subspace iteration (the NRP / TADW baselines).
 #pragma once
 
 #include "src/matrix/csr_matrix.h"
@@ -40,11 +42,5 @@ void SpMMPanelStep(const CsrMatrix& a, const DenseMatrix& x, double scale,
                    DenseMatrix* next, double acc_scale, double* slab,
                    int64_t slab_cols, int64_t slab_col,
                    ThreadPool* pool = nullptr);
-
-/// y = A * x for a dense vector x (length A.cols); y resized to A.rows.
-/// Row-parallel across the pool's workers when pool is non-null, matching
-/// the SpMM partitioning.
-void SpMV(const CsrMatrix& a, const std::vector<double>& x,
-          std::vector<double>* y, ThreadPool* pool = nullptr);
 
 }  // namespace pane

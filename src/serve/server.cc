@@ -56,20 +56,18 @@ void PaneServer::Init() {
       << "max_frame_bytes must be in [0, " << kMaxFramePayload << "], got "
       << options_.max_frame_bytes;
   spec_ = executor_->Plan().ValueOrDie();
-  if (options_.metrics_enabled) {
-    if (options_.metrics != nullptr) {
-      metrics_ = options_.metrics;
-    } else {
-      owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
-      metrics_ = owned_metrics_.get();
-    }
-    for (int s = 0; s < obs::kNumStages; ++s) {
-      stage_us_[s] = metrics_->GetHistogram(
-          std::string("pane_stage_") +
-          obs::StageName(static_cast<obs::Stage>(s)) + "_us");
-    }
-    batch_us_ = metrics_->GetHistogram("pane_server_batch_us");
+  if (options_.metrics != nullptr) {
+    metrics_ = options_.metrics;
+  } else {
+    owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics_ = owned_metrics_.get();
   }
+  for (int s = 0; s < obs::kNumStages; ++s) {
+    stage_us_[s] = metrics_->GetHistogram(
+        std::string("pane_stage_") +
+        obs::StageName(static_cast<obs::Stage>(s)) + "_us");
+  }
+  batch_us_ = metrics_->GetHistogram("pane_server_batch_us");
   TransportOptions transport_options;
   transport_options.max_connections = options_.max_connections;
   transport_options.idle_timeout_ms = options_.idle_timeout_ms;
@@ -121,7 +119,6 @@ void PaneServer::RecordFrames(uint64_t delta) {
 }
 
 void PaneServer::RecordStageTime(obs::Stage stage, int64_t us) {
-  if (metrics_ == nullptr) return;
   stage_us_[static_cast<int>(stage)]->Record(us);
 }
 
@@ -149,8 +146,7 @@ std::string PaneServer::MetricsResponse() const {
   // The registry first (stage/transport/engine/router series), then the
   // served-request counters as their own families, then the explicit
   // terminator clients scan for — a multi-line payload needs one.
-  std::string out;
-  if (metrics_ != nullptr) out = metrics_->RenderPrometheus();
+  std::string out = metrics_->RenderPrometheus();
   const Counters snapshot = counters();
   const auto counter = [&out](const char* name, uint64_t value) {
     out += "# TYPE ";
@@ -180,14 +176,11 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
   if (batch->empty()) return;
   const size_t count = batch->size();
   responses->resize(count);
-  // Timing runs when the batch can land anywhere observable: the stage
-  // histograms or a slow-query line. A disabled subsystem pays no clock
-  // reads at all.
-  const bool timing = metrics_ != nullptr || options_.slow_query_us > 0;
+  // Every batch is timed: its stages land in the histograms and, past
+  // slow_query_us, in a slow-query line.
   obs::RequestTrace local_trace;
-  obs::RequestTrace* t =
-      trace != nullptr ? trace : (timing ? &local_trace : nullptr);
-  const int64_t batch_start_us = timing ? MonotonicMicros() : 0;
+  obs::RequestTrace* t = trace != nullptr ? trace : &local_trace;
+  const int64_t batch_start_us = MonotonicMicros();
   // Key -> index of the entry that owns the executor work for it.
   std::unordered_map<Request, size_t, RequestHash> first_seen;
   std::vector<size_t> duplicates;  // entries answered by an earlier twin
@@ -312,30 +305,28 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
   }
   if (ran_engine) Count(&Counters::batches);
 
-  if (metrics_ != nullptr) {
-    // Decode / batch-wait come stamped on an external (session) trace.
-    // Of the executor stages, only the ones it stamped are recorded (an
-    // engine's scan/select, a router's fan-out/merge), so every histogram
-    // stays zero-free by design.
-    if (trace != nullptr) {
-      stage_us_[static_cast<int>(obs::Stage::kDecode)]->Record(
-          trace->us(obs::Stage::kDecode));
-      stage_us_[static_cast<int>(obs::Stage::kBatchWait)]->Record(
-          trace->us(obs::Stage::kBatchWait));
-    }
-    if (ran_engine && t != nullptr) {
-      for (const obs::Stage stage : {obs::Stage::kScan, obs::Stage::kSelect,
-                                     obs::Stage::kFanout, obs::Stage::kMerge}) {
-        if (t->stamped(stage)) {
-          stage_us_[static_cast<int>(stage)]->Record(t->us(stage));
-        }
+  // Decode / batch-wait come stamped on an external (session) trace. Of
+  // the executor stages, only the ones it stamped are recorded (an
+  // engine's scan/select, a router's fan-out/merge), so every histogram
+  // stays zero-free by design.
+  if (trace != nullptr) {
+    stage_us_[static_cast<int>(obs::Stage::kDecode)]->Record(
+        trace->us(obs::Stage::kDecode));
+    stage_us_[static_cast<int>(obs::Stage::kBatchWait)]->Record(
+        trace->us(obs::Stage::kBatchWait));
+  }
+  if (ran_engine) {
+    for (const obs::Stage stage : {obs::Stage::kScan, obs::Stage::kSelect,
+                                   obs::Stage::kFanout, obs::Stage::kMerge}) {
+      if (t->stamped(stage)) {
+        stage_us_[static_cast<int>(stage)]->Record(t->us(stage));
       }
     }
-    batch_us_->Record(MonotonicMicros() - batch_start_us);
   }
+  batch_us_->Record(MonotonicMicros() - batch_start_us);
   // One structured line per offending engine batch (encode happens later
   // in the session, outside this window).
-  if (options_.slow_query_us > 0 && ran_engine && t != nullptr &&
+  if (options_.slow_query_us > 0 && ran_engine &&
       t->total_us() >= options_.slow_query_us) {
     std::string first;
     for (const BatchEntry& entry : *batch) {

@@ -67,14 +67,10 @@ struct ServerOptions {
   /// feeds this.
   int64_t max_frame_bytes = 0;
   /// Registry for the per-stage histograms, the transport metrics, and the
-  /// `metrics` verb. Null (with metrics_enabled) makes the server own a
-  /// private registry; a shared one (pane_server wires the same registry
-  /// into engine, router, and server) must outlive the server.
+  /// `metrics` verb. Null makes the server own a private registry; a shared
+  /// one (pane_server wires the same registry into engine, router, and
+  /// server) must outlive the server.
   obs::MetricsRegistry* metrics = nullptr;
-  /// False disables the metrics subsystem entirely — no registry, no stage
-  /// timing, no clock reads (the bench A/B switch). The `metrics` verb then
-  /// answers an empty exposition.
-  bool metrics_enabled = true;
   /// Batches whose traced stage total (decode through merge; encode happens
   /// after the batch returns) reaches this many microseconds log one
   /// structured `slow_query` line. 0 disables.
@@ -153,15 +149,10 @@ class PaneServer {
   /// Counts decoded binary frames (called by frame-codec sessions).
   void RecordFrames(uint64_t delta = 1) PANE_EXCLUDES(stats_mutex_);
 
-  /// Records one stage sample into the per-stage histogram (no-op when the
-  /// metrics subsystem is disabled). The session layer uses this for the
-  /// stages that live outside ExecuteBatch (encode).
+  /// Records one stage sample into the per-stage histogram. The session
+  /// layer uses this for the stages that live outside ExecuteBatch
+  /// (encode).
   void RecordStageTime(obs::Stage stage, int64_t us);
-
-  /// The registry backing this server's metrics — the options' pointer,
-  /// the server-owned one, or null when metrics_enabled is false. Sessions
-  /// branch on this to skip timing entirely.
-  obs::MetricsRegistry* metrics() const { return metrics_; }
 
   const ServerOptions& options() const { return options_; }
 
@@ -210,13 +201,12 @@ class PaneServer {
   mutable Mutex stats_mutex_;
   Counters counters_ PANE_GUARDED_BY(stats_mutex_);
 
-  /// Backs metrics_ when the options supply no registry (and metrics are
-  /// enabled); metrics_ is the single pointer every record path checks.
+  /// Backs metrics_ when the options supply no registry; metrics_ (the
+  /// options' registry or this one) is never null after Init.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
   obs::MetricsRegistry* metrics_ = nullptr;
   /// Per-stage histograms (pane_stage_<name>_us), indexed by obs::Stage,
-  /// plus the whole-batch one; handles resolved once in Init, null when
-  /// metrics are disabled.
+  /// plus the whole-batch one; handles resolved once in Init.
   obs::Histogram* stage_us_[obs::kNumStages] = {};
   obs::Histogram* batch_us_ = nullptr;
 

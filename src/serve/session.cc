@@ -9,9 +9,7 @@
 namespace pane {
 namespace serve {
 
-ServeSession::ServeSession(PaneServer* server)
-    : server_(server),
-      timed_(server->metrics() != nullptr) {
+ServeSession::ServeSession(PaneServer* server) : server_(server) {
   batch_.reserve(static_cast<size_t>(server_->options().batch_size));
 }
 
@@ -25,7 +23,7 @@ void ServeSession::OnEof(std::string* input, std::string* output) {
 }
 
 void ServeSession::PushPayload(std::string_view payload) {
-  if (timed_ && batch_.empty()) batch_first_us_ = MonotonicMicros();
+  if (batch_.empty()) batch_first_us_ = MonotonicMicros();
   PaneServer::BatchEntry entry;
   const auto parsed = ParseRequestLine(payload);
   if (parsed.ok()) {
@@ -39,22 +37,16 @@ void ServeSession::PushPayload(std::string_view payload) {
 
 void ServeSession::FlushBatch(std::string* output) {
   if (batch_.empty()) return;
-  if (timed_) {
-    trace_.Add(obs::Stage::kBatchWait,
-               MonotonicMicros() - batch_first_us_);
-  }
+  trace_.Add(obs::Stage::kBatchWait, MonotonicMicros() - batch_first_us_);
   std::vector<std::string> responses;
-  server_->ExecuteBatch(&batch_, &responses, &quit_,
-                        timed_ ? &trace_ : nullptr);
-  const int64_t encode_start_us = timed_ ? MonotonicMicros() : 0;
+  server_->ExecuteBatch(&batch_, &responses, &quit_, &trace_);
+  const int64_t encode_start_us = MonotonicMicros();
   for (const std::string& response : responses) {
     codec_->Encode(response, output);
   }
-  if (timed_) {
-    server_->RecordStageTime(obs::Stage::kEncode,
-                             MonotonicMicros() - encode_start_us);
-    trace_.Reset();
-  }
+  server_->RecordStageTime(obs::Stage::kEncode,
+                           MonotonicMicros() - encode_start_us);
+  trace_.Reset();
 }
 
 ConnectionHandler::Action ServeSession::Pump(std::string* input,
@@ -80,7 +72,7 @@ ConnectionHandler::Action ServeSession::Pump(std::string* input,
   while (!close) {
     // Decode = framing scan + request parse; only completed messages are
     // charged (a partial tail or flush marker is noise, not a stage).
-    const int64_t decode_start_us = timed_ ? MonotonicMicros() : 0;
+    const int64_t decode_start_us = MonotonicMicros();
     std::string_view payload;
     std::string error;
     const ProtocolCodec::Decoded decoded =
@@ -104,9 +96,7 @@ ConnectionHandler::Action ServeSession::Pump(std::string* input,
     }
     if (framed) server_->RecordFrames();
     PushPayload(payload);
-    if (timed_) {
-      trace_.Add(obs::Stage::kDecode, MonotonicMicros() - decode_start_us);
-    }
+    trace_.Add(obs::Stage::kDecode, MonotonicMicros() - decode_start_us);
     const PaneServer::BatchEntry& last = batch_.back();
     const bool is_quit =
         !last.parse_error && last.request.type == Request::Type::kQuit;

@@ -58,9 +58,6 @@ class ServeSession final : public ConnectionHandler {
   std::vector<PaneServer::BatchEntry> batch_;
   bool quit_ = false;
 
-  /// Stage timing, on when the server's metrics subsystem is (fixed at
-  /// construction — no per-message branch re-derivation).
-  const bool timed_;
   /// The current batch's stage timeline: the session stamps decode and
   /// batch-wait, ExecuteBatch adds the engine-side stages, encode is
   /// recorded directly after the batch returns. Reset per batch.

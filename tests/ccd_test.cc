@@ -14,7 +14,6 @@
 
 #include "src/common/random.h"
 #include "src/core/greedy_init.h"
-#include "src/matrix/gemm.h"
 #include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
 #include "src/store/buffer_pool.h"
@@ -24,19 +23,10 @@ namespace pane {
 namespace {
 
 using testing::InitFor;
+using testing::ResidualConsistencyError;
 
 AffinitySlabs TestAffinity(int64_t n = 250, uint64_t seed = 51) {
   return testing::GraphAffinity(testing::SmallSbm(seed, n));
-}
-
-double ResidualConsistencyError(const EmbeddingState& s,
-                                const AffinitySlabs& affinity) {
-  DenseMatrix sf_expected, sb_expected;
-  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward.ToDense().ValueOrDie(),
-                      -1.0, &sf_expected);
-  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward.ToDense().ValueOrDie(),
-                      -1.0, &sb_expected);
-  return s.sf.MaxAbsDiff(sf_expected) + s.sb.MaxAbsDiff(sb_expected);
 }
 
 TEST(CcdTest, ObjectiveNonIncreasingFromRandomInit) {

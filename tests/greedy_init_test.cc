@@ -22,19 +22,10 @@ namespace pane {
 namespace {
 
 using testing::InitFor;
+using testing::ResidualConsistencyError;
 
 AffinitySlabs TestAffinity(int64_t n = 300, uint64_t seed = 41) {
   return testing::GraphAffinity(testing::SmallSbm(seed, n));
-}
-
-double ResidualConsistencyError(const EmbeddingState& s,
-                                const AffinitySlabs& affinity) {
-  DenseMatrix sf_expected, sb_expected;
-  GemmTransBAddScaled(s.xf, s.y, 1.0, affinity.forward.ToDense().ValueOrDie(),
-                      -1.0, &sf_expected);
-  GemmTransBAddScaled(s.xb, s.y, 1.0, affinity.backward.ToDense().ValueOrDie(),
-                      -1.0, &sb_expected);
-  return s.sf.MaxAbsDiff(sf_expected) + s.sb.MaxAbsDiff(sb_expected);
 }
 
 double OrthonormalityError(const DenseMatrix& q) {
@@ -157,7 +148,7 @@ TEST(EngineAwareInitTest, Lemma42HighRankRecovery) {
 
 // Each init returns the slabs it was given as Sf / Sb: the same buffer when
 // in RAM, the same spill file (and no new pool region) when spilled, with
-// every byte equal to the GemmTransBAddScaled(x, y, 1, F', -1) oracle.
+// every byte equal to the testing::Residual(x, y, F') oracle.
 using InitFn = std::function<Result<EmbeddingState>(AffinitySlabs)>;
 
 void ExpectResidualsInPlace(const AffinitySlabs& source, const InitFn& init,
@@ -188,9 +179,8 @@ void ExpectResidualsInPlace(const AffinitySlabs& source, const InitFn& init,
     EXPECT_EQ(state.sb.spill_path(), backward_path) << where;
     EXPECT_EQ(buffer_pool.stats().registered_bytes, registered) << where;
 
-    DenseMatrix sf_want, sb_want;
-    GemmTransBAddScaled(state.xf, state.y, 1.0, forward, -1.0, &sf_want);
-    GemmTransBAddScaled(state.xb, state.y, 1.0, backward, -1.0, &sb_want);
+    const DenseMatrix sf_want = testing::Residual(state.xf, state.y, forward);
+    const DenseMatrix sb_want = testing::Residual(state.xb, state.y, backward);
     const DenseMatrix sf = state.sf.ToDense().ValueOrDie();
     const DenseMatrix sb = state.sb.ToDense().ValueOrDie();
     const size_t bytes = static_cast<size_t>(sf_want.rows() * sf_want.cols()) *

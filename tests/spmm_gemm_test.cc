@@ -1,15 +1,20 @@
 // Tests for the multiply kernels: sparse-dense and dense-dense, serial vs
-// parallel, against naive references (bitwise for the affinity panel step).
+// parallel, against naive references (bitwise for the affinity panel step
+// and for streaming A^T B against the explicit transpose).
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "src/common/random.h"
 #include "src/matrix/csr_matrix.h"
 #include "src/matrix/gemm.h"
 #include "src/matrix/spmm.h"
 #include "src/parallel/thread_pool.h"
+#include "test_util.h"
 
 namespace pane {
 namespace {
@@ -125,36 +130,6 @@ TEST(SpMMPanelStepTest, MatchesScalarLoopBitwise) {
   }
 }
 
-TEST(SpMVTest, MatchesDense) {
-  Rng rng(4);
-  const CsrMatrix a = RandomSparse(15, 10, 60, &rng);
-  std::vector<double> x(10);
-  for (double& v : x) v = rng.Gaussian();
-  std::vector<double> y;
-  SpMV(a, x, &y);
-  const DenseMatrix ad = a.ToDense();
-  for (int64_t i = 0; i < 15; ++i) {
-    double expected = 0.0;
-    for (int64_t j = 0; j < 10; ++j) expected += ad(i, j) * x[static_cast<size_t>(j)];
-    EXPECT_NEAR(y[static_cast<size_t>(i)], expected, 1e-12);
-  }
-}
-
-TEST(SpMVTest, ParallelMatchesSequential) {
-  Rng rng(6);
-  const CsrMatrix a = RandomSparse(63, 40, 500, &rng);
-  std::vector<double> x(40);
-  for (double& v : x) v = rng.Gaussian();
-  std::vector<double> sequential, parallel;
-  SpMV(a, x, &sequential);
-  ThreadPool pool(4);
-  SpMV(a, x, &parallel, &pool);
-  ASSERT_EQ(sequential.size(), parallel.size());
-  for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_DOUBLE_EQ(sequential[i], parallel[i]) << i;
-  }
-}
-
 TEST(GemmTest, MatchesNaive) {
   Rng rng(5);
   DenseMatrix a(17, 23), b(23, 11);
@@ -177,14 +152,64 @@ TEST(GemmTest, ParallelMatchesSerial) {
   EXPECT_EQ(serial.MaxAbsDiff(parallel), 0.0);
 }
 
-TEST(GemmTransATest, MatchesNaive) {
-  Rng rng(7);
-  DenseMatrix a(20, 8), b(20, 5);
-  a.FillGaussian(&rng);
-  b.FillGaussian(&rng);
+// GemmTransA's reference: the explicit transpose through Gemm, the body
+// the streaming kernel replaced.
+DenseMatrix TransposeThenGemm(const DenseMatrix& a, const DenseMatrix& b) {
   DenseMatrix c;
-  GemmTransA(a, b, &c);
-  EXPECT_LT(c.MaxAbsDiff(NaiveMultiply(a.Transposed(), b)), 1e-11);
+  Gemm(a.Transposed(), b, &c);
+  return c;
+}
+
+void ExpectSameBits(const DenseMatrix& got, const DenseMatrix& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(double) * static_cast<size_t>(want.size())),
+            0)
+      << what;
+}
+
+TEST(GemmTransATest, MatchesNaive) {
+  // Streaming A^T B must give the transpose-then-Gemm bits for odd shapes
+  // (the 4-wide vector body plus every tail) and for the entries whose
+  // handling differs between "skip" and "add": zeros and -0.0 in A are
+  // skipped by both, while ±inf and NaN in either operand must propagate
+  // identically. Serial and pooled, including one-column A (one worker).
+  Rng rng(7);
+  ThreadPool pool(3);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double specials[] = {0.0, -0.0, inf, -inf, nan};
+  for (const auto& [n, d, k] : std::vector<std::array<int64_t, 3>>{
+           {1, 1, 1}, {1, 7, 3}, {5, 1, 9}, {20, 8, 5}, {33, 13, 7},
+           {64, 17, 11}}) {
+    DenseMatrix a(n, d), b(n, k);
+    a.FillGaussian(&rng);
+    b.FillGaussian(&rng);
+    for (const bool hostile : {false, true}) {
+      if (hostile) {
+        // About a quarter of the entries of each operand become specials.
+        for (DenseMatrix* m : {&a, &b}) {
+          for (int64_t e = 0; e < m->size(); ++e) {
+            if (rng.UniformInt(uint64_t{4}) == 0) {
+              m->data()[e] = specials[rng.UniformInt(uint64_t{5})];
+            }
+          }
+        }
+      }
+      const DenseMatrix want = TransposeThenGemm(a, b);
+      for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        const std::string what =
+            std::to_string(n) + "x" + std::to_string(d) + "x" +
+            std::to_string(k) + (hostile ? " hostile" : "") +
+            (threads != nullptr ? " pooled" : " serial");
+        DenseMatrix c;
+        GemmTransA(a, b, &c, threads);
+        ExpectSameBits(c, want, what);
+      }
+    }
+  }
 }
 
 TEST(GemmTransBTest, MatchesNaive) {
@@ -197,17 +222,28 @@ TEST(GemmTransBTest, MatchesNaive) {
   EXPECT_LT(c.MaxAbsDiff(NaiveMultiply(a, b.Transposed())), 1e-11);
 }
 
-TEST(GemmTransBAddScaledTest, ResidualForm) {
+TEST(GemmTransBTest, ResidualOracleIsProductMinusF) {
+  // testing::Residual (GemmTransB, then Sub) is the oracle the in-place
+  // residuals are held to; it must be X Y^T - F.
   Rng rng(9);
   DenseMatrix x(10, 4), y(6, 4), f(10, 6);
   x.FillGaussian(&rng);
   y.FillGaussian(&rng);
   f.FillGaussian(&rng);
-  DenseMatrix s;
-  GemmTransBAddScaled(x, y, 1.0, f, -1.0, &s);  // S = X Y^T - F
+  const DenseMatrix s = testing::Residual(x, y, f);
   DenseMatrix expected = NaiveMultiply(x, y.Transposed());
   expected.Sub(f);
   EXPECT_LT(s.MaxAbsDiff(expected), 1e-11);
+}
+
+TEST(GemmTest, InPlaceAborts) {
+  // The guard compares storage, so a view of C's own rows is caught too.
+  DenseMatrix a(4, 4), b(4, 4);
+  a.Fill(1.0);
+  b.Fill(2.0);
+  EXPECT_DEATH(Gemm(a, b, &a), "in place");
+  EXPECT_DEATH(GemmTransA(a, b, &b), "in place");
+  EXPECT_DEATH(GemmTransB(ConstMatrixView(a.Row(1), 2, 4), b, &a), "in place");
 }
 
 TEST(GemmTest, ShapeMismatchAborts) {

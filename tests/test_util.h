@@ -12,6 +12,7 @@
 #include "src/core/greedy_init.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/matrix/gemm.h"
 #include "src/store/container.h"
 
 namespace pane {
@@ -81,6 +82,26 @@ inline InitOptions InitFor(int k, int t, ThreadPool* pool = nullptr,
   options.pool = pool;
   options.seed = seed;
   return options;
+}
+
+/// The residual X Y^T - F: GemmTransB, then Sub. The init tests hold the
+/// in-place residuals to it byte for byte, the CCD tests within tolerance.
+inline DenseMatrix Residual(const DenseMatrix& x, const DenseMatrix& y,
+                            const DenseMatrix& f) {
+  DenseMatrix s;
+  GemmTransB(x, y, &s);
+  s.Sub(f);
+  return s;
+}
+
+/// max |Sf - (Xf Y^T - F')| + max |Sb - (Xb Y^T - B')| of a state against
+/// the affinity it was built from (0 when the residuals are consistent).
+inline double ResidualConsistencyError(const EmbeddingState& s,
+                                       const AffinitySlabs& affinity) {
+  return s.sf.MaxAbsDiff(
+             Residual(s.xf, s.y, affinity.forward.ToDense().ValueOrDie())) +
+         s.sb.MaxAbsDiff(
+             Residual(s.xb, s.y, affinity.backward.ToDense().ValueOrDie()));
 }
 
 /// Edits one container stream's payload in place; returns false to drop the

@@ -75,6 +75,15 @@
 # definition. The phases take shapes — a panel width, a strip width, an
 # in-flight block cap, a pool — so a second rule for turning the budget
 # into sizes cannot grow back inside one of them.
+#
+# Rule 11 — one subspace iteration: in src/, ThinQr( and
+# OrthonormalizeColumns( may be called ONLY from src/matrix/rand_svd.cc,
+# where RandSvd and RandSvdSparse share one sketch / power loop /
+# projection / rank-padding code over an operator's A X and A^T X.
+# src/matrix/qr.{h,cc} (the declarations and definitions, which build one
+# on the other) are exempt. A caller with a new operand kind (a new
+# sparse format, a factor slab) supplies the two products instead of
+# copying the iteration.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -238,6 +247,18 @@ if [[ -n "$budget_hits" ]]; then
   echo "$budget_hits" >&2
   echo "lint: take the size from the run's MemoryPlan (PlanMemory) and pass" >&2
   echo "lint: the phase a width or cap instead of the budget" >&2
+  status=1
+fi
+
+# --- Rule 11: the subspace iteration copied outside RandSvd --------------
+qr_hits=$(grep -rEn '\b(ThinQr|OrthonormalizeColumns)\(' src \
+            --include='*.h' --include='*.cc' --include='*.cpp' \
+          | grep -Ev '^src/matrix/(rand_svd\.cc|qr\.(h|cc)):' || true)
+if [[ -n "$qr_hits" ]]; then
+  echo "lint: ThinQr/OrthonormalizeColumns outside src/matrix/rand_svd.cc:" >&2
+  echo "$qr_hits" >&2
+  echo "lint: hand RandSvd (or RandSvdSparse) the operator's products" >&2
+  echo "lint: instead of running a second subspace iteration" >&2
   status=1
 fi
 
