@@ -62,7 +62,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
       {"unbounded", 0},
   };
   bench::PrintRow("config", {"width", "panels", "scratch", "slabs",
-                             "overlap", "peak RSS", "dRSS", "time"});
+                             "peak RSS", "dRSS", "time"});
   for (const Config& config : configs) {
     const int64_t rss_before = bench::PeakRssBytes();
     const auto run = bench::TrainPaneOrDie(g, /*k=*/64, /*num_threads=*/10,
@@ -80,7 +80,6 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
              static_cast<double>(run.stats.affinity.scratch_bytes +
                                  run.stats.ccd.scratch_bytes)),
          run.stats.slabs_spilled ? "pool" : "RAM",
-         StrFormat("%d", run.stats.init_blocks_overlapped),
          bench::MegabyteCell(static_cast<double>(rss_after)),
          rss_before < 0 || rss_after < 0
              ? "-"

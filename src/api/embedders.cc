@@ -61,9 +61,7 @@ class PaneEmbedder : public Embedder {
                      << "B pool evicted=" << stats.pool.evicted_pages
                      << " written_back=" << stats.pool.writeback_pages
                      << " resident_peak=" << stats.pool.resident_peak_bytes
-                     << "B; init blocks overlapped="
-                     << stats.init_blocks_overlapped
-                     << "; ccd strip=" << stats.ccd.strip_width
+                     << "B; ccd strip=" << stats.ccd.strip_width
                      << " scratch=" << stats.ccd.scratch_bytes
                      << "B node_sweep=" << stats.ccd.node_sweep_seconds
                      << "s attribute_sweep="

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/sync.h"
 #include "src/matrix/spmm.h"
 #include "src/parallel/thread_pool.h"
 
@@ -58,8 +57,7 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   const int64_t d = r.cols();
   const double alpha = options.alpha;
 
-  // The caller creates the slabs (so a consumer can hold a stable pointer
-  // during the run, and so the caller decides whether they spill).
+  // The caller creates the slabs, so the caller decides whether they spill.
   for (const FactorSlab* slab : {&out->forward, &out->backward}) {
     if (slab->rows() != n || slab->cols() != d) {
       return Status::InvalidArgument("output slab shape must be n x d");
@@ -113,27 +111,6 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
       tasks.push_back(PanelTask{forward, begin, std::min(begin + width, d)});
     }
   }
-
-  // Panel-completion bookkeeping for the consumer callback. The mutex
-  // guards the done counters and serializes consumer invocations (the
-  // consumer contract: at most one callback at a time).
-  Mutex consumer_mutex;
-  int64_t forward_done = 0;
-  int64_t backward_done = 0;
-  const auto notify = [&](const PanelTask& task) {
-    if (!options.panel_consumer) return;
-    MutexLock lock(&consumer_mutex);
-    AffinityPanelEvent event;
-    event.forward = task.forward;
-    event.col_begin = task.begin;
-    event.col_end = task.end;
-    event.num_panels = num_panels;
-    int64_t& done = task.forward ? forward_done : backward_done;
-    event.panels_done = ++done;
-    event.forward_complete =
-        task.forward && event.panels_done == num_panels;
-    options.panel_consumer(event);
-  };
 
   const auto run_panel = [&](const PanelTask& task) {
     const CsrMatrix& m = task.forward ? p : p_transposed;
@@ -202,7 +179,6 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
     // instead of 2 n d. (The pages stay authoritative in the page cache;
     // later panels and the backward SPMI pass refault what they touch.)
     DropResidencyOrWarn(*slab);
-    notify(task);
   };
 
   if (panel_parallel) {

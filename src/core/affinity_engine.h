@@ -13,10 +13,8 @@
 // The outputs are caller-created FactorSlabs (src/matrix/factor_slab.h):
 // in RAM, or spilled through the run's BufferPool — panels then run
 // sequentially and each finished panel's pages are evicted from the pool,
-// so peak RSS tracks the panel scratch rather than 2 n d. A consumer
-// callback fires as panels land; the engine-aware greedy init uses the
-// forward-complete event to start RandSVD-ing F' row blocks while the
-// backward panels are still streaming.
+// so peak RSS tracks the panel scratch rather than 2 n d. Both slabs are
+// final when the engine returns.
 //
 // The engine never sees the memory budget: the caller gives it a panel
 // width (Pane::Train takes it from its memory plan, PlanMemory in
@@ -31,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/status.h"
 #include "src/core/affinity.h"
@@ -43,20 +40,6 @@ namespace pane {
 
 class ThreadPool;
 
-/// \brief One finished column panel, reported to the consumer callback.
-struct AffinityPanelEvent {
-  bool forward = true;       ///< which direction's slab the panel landed in
-  int64_t col_begin = 0;     ///< attribute column range of the panel
-  int64_t col_end = 0;
-  int64_t panels_done = 0;   ///< finished panels in this direction so far
-  int64_t num_panels = 0;    ///< total panels per direction
-  /// True on the event that completes the forward direction: F' (including
-  /// its fused SPMI transform) is final and may be consumed while the
-  /// backward panels are still streaming. B' is final only when the engine
-  /// returns (its SPMI row pass spans every panel).
-  bool forward_complete = false;
-};
-
 struct AffinityEngineOptions {
   /// Random-walk stopping probability, in (0, 1).
   double alpha = 0.5;
@@ -67,9 +50,6 @@ struct AffinityEngineOptions {
   /// Attribute columns per panel; 0 => one panel spanning every column.
   /// Values > d are clamped to d.
   int64_t panel_width = 0;
-  /// Optional panel consumer; invoked under an engine mutex (events are
-  /// serialized) from whichever thread finished the panel.
-  std::function<void(const AffinityPanelEvent&)> panel_consumer;
 };
 
 /// \brief How one engine run decomposed the problem; filled analytically
@@ -86,9 +66,8 @@ struct AffinityEngineStats {
 
 /// \brief Core entry: runs the engine on prebuilt P, P^T and attribute
 /// matrix R, writing into caller-owned slabs, which must already be shaped
-/// n x d (InvalidArgument otherwise). The caller decides where they live —
-/// in RAM or spilled through its BufferPool — and pre-creating them is what
-/// lets a consumer callback observe them while the run is in flight.
+/// n x d (InvalidArgument otherwise). The caller decides where they live:
+/// in RAM or spilled through its BufferPool.
 Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
                                 const CsrMatrix& p_transposed,
                                 const CsrMatrix& r,

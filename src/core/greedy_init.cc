@@ -69,6 +69,16 @@ void ResidualRows(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
   }
 }
 
+// m <- m diag(sigma): column j of m scaled by sigma[j] (U Sigma, Phi Sigma).
+void ScaleColumns(const std::vector<double>& sigma, DenseMatrix* m) {
+  for (int64_t i = 0; i < m->rows(); ++i) {
+    double* row = m->Row(i);
+    for (int64_t j = 0; j < m->cols(); ++j) {
+      row[j] *= sigma[static_cast<size_t>(j)];
+    }
+  }
+}
+
 // Every row of f <- x y^T - f, row-parallel on `pool`.
 void BuildResiduals(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
                     ThreadPool* pool) {
@@ -77,11 +87,9 @@ void BuildResiduals(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
   });
 }
 
-}  // namespace
-
-Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
-                                  const InitOptions& options) {
-  PANE_RETURN_NOT_OK(ValidateInit(affinity, options));
+// Algorithm 3 (GreedyInit).
+Result<EmbeddingState> SerialGreedyInit(AffinitySlabs affinity,
+                                        const InitOptions& options) {
   const int h = options.k / 2;
   const int64_t n = affinity.forward.rows();
 
@@ -99,10 +107,7 @@ Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
   EmbeddingState state;
   state.y = std::move(v);
   state.xf = std::move(u);
-  for (int64_t i = 0; i < state.xf.rows(); ++i) {
-    double* row = state.xf.Row(i);
-    for (int j = 0; j < h; ++j) row[j] *= sigma[static_cast<size_t>(j)];
-  }
+  ScaleColumns(sigma, &state.xf);
   state.xb.Resize(n, h);
   ProjectRows(affinity.backward, state.y, &state.xb, 0, n);
 
@@ -114,121 +119,57 @@ Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
   return state;
 }
 
-EngineAwareInit::EngineAwareInit(AffinitySlabs* affinity,
-                                 const InitOptions& options)
-    : affinity_(affinity), options_(options) {
-  setup_status_ = affinity_ == nullptr
-                      ? Status::InvalidArgument("null affinity slabs")
-                      : ValidateInit(*affinity_, options_);
-  if (!setup_status_.ok()) return;
-  h_ = options_.k / 2;
-  nb_ = (options_.pool != nullptr && options_.pool->num_threads() > 1)
-            ? options_.pool->num_threads()
-            : 1;
-  if (nb_ == 1) return;  // serial: Finish delegates to GreedyInit
-  u_blocks_.resize(static_cast<size_t>(nb_));
-  v_blocks_.resize(static_cast<size_t>(nb_));
-  block_status_.resize(static_cast<size_t>(nb_));
-}
+// Algorithm 7 (SMGreedyInit) over one F' row block per pool worker.
+Result<EmbeddingState> SplitMergeGreedyInit(AffinitySlabs affinity,
+                                            const InitOptions& options) {
+  ThreadPool* pool = options.pool;
+  const int nb = pool->num_threads();
+  const int h = options.k / 2;
+  const int64_t n = affinity.forward.rows();
+  const int64_t d = affinity.forward.cols();
+  const std::vector<Range> node_blocks = PartitionRange(n, nb);
 
-EngineAwareInit::~EngineAwareInit() {
-  if (helper_.joinable()) helper_.join();
-}
-
-void EngineAwareInit::RunBlock(int b) {
-  const int64_t n = affinity_->forward.rows();
-  const int64_t d = affinity_->forward.cols();
-  const std::vector<Range> node_blocks = PartitionRange(n, nb_);
-  const Range& blk = node_blocks[static_cast<size_t>(b)];
-  if (blk.size() == 0) {
-    u_blocks_[static_cast<size_t>(b)].Resize(0, h_);
-    v_blocks_[static_cast<size_t>(b)].Resize(d, h_);
-    return;
+  // Lines 1-3: per block, Phi, Sigma, Vi <- RandSVD(F'[Vi]) over a
+  // zero-copy row view of the slab, and Ui = Phi Sigma. At most
+  // max_inflight_blocks blocks run at once, so a spilled F' never has more
+  // blocks' pages in flight.
+  std::vector<DenseMatrix> u_blocks(static_cast<size_t>(nb));
+  std::vector<DenseMatrix> v_blocks(static_cast<size_t>(nb));
+  std::vector<Status> block_status(static_cast<size_t>(nb));
+  const int wave =
+      options.max_inflight_blocks > 0
+          ? static_cast<int>(std::min<int64_t>(options.max_inflight_blocks, nb))
+          : nb;
+  for (int first = 0; first < nb; first += wave) {
+    pool->RunBlocks(std::min(wave, nb - first), [&](int i) {
+      const int b = first + i;
+      const Range& blk = node_blocks[static_cast<size_t>(b)];
+      if (blk.size() == 0) return;
+      RandSvdOptions svd_options;
+      svd_options.power_iters = options.t;
+      svd_options.seed = options.seed + static_cast<uint64_t>(b) + 1;
+      std::vector<double> sigma;
+      DenseMatrix& ui = u_blocks[static_cast<size_t>(b)];
+      Status& status = block_status[static_cast<size_t>(b)];
+      status = RandSvd(affinity.forward.ViewRows(blk.begin, blk.end), h,
+                       svd_options, &ui, &sigma,
+                       &v_blocks[static_cast<size_t>(b)]);
+      if (!status.ok()) return;
+      ScaleColumns(sigma, &ui);
+      ReleaseRowsOrWarn(affinity.forward, blk.begin, blk.end,
+                        /*dirty=*/false);
+    });
   }
-  // Lines 1-3 of Algorithm 7: RandSVD of F'[Vi]; Ui = Phi Sigma. The block
-  // is a zero-copy row view of the slab, spilled or not.
-  RandSvdOptions svd_options;
-  svd_options.power_iters = options_.t;
-  svd_options.seed = options_.seed + static_cast<uint64_t>(b) + 1;
-  DenseMatrix phi, vi;
-  std::vector<double> sg;
-  block_status_[static_cast<size_t>(b)] =
-      RandSvd(affinity_->forward.ViewRows(blk.begin, blk.end), h_,
-              svd_options, &phi, &sg, &vi);
-  if (!block_status_[static_cast<size_t>(b)].ok()) return;
-  for (int64_t i = 0; i < phi.rows(); ++i) {
-    double* row = phi.Row(i);
-    for (int j = 0; j < h_; ++j) row[j] *= sg[static_cast<size_t>(j)];
-  }
-  u_blocks_[static_cast<size_t>(b)] = std::move(phi);
-  v_blocks_[static_cast<size_t>(b)] = std::move(vi);
-  ReleaseRowsOrWarn(affinity_->forward, blk.begin, blk.end, /*dirty=*/false);
-}
+  for (const Status& status : block_status) PANE_RETURN_NOT_OK(status);
 
-void EngineAwareInit::ClaimLoop(bool overlapped) {
-  for (;;) {
-    const int b = next_block_.fetch_add(1, std::memory_order_relaxed);
-    if (b >= nb_) return;
-    // A block counts as overlapped only when the helper claims it before
-    // Finish() starts draining — i.e. while the engine is still streaming
-    // backward panels. Claims the helper wins after that are ordinary
-    // drain-phase work and must not inflate the stat.
-    const bool count_overlapped =
-        overlapped && !draining_.load(std::memory_order_relaxed);
-    if (options_.max_inflight_blocks > 0) {
-      MutexLock lock(&inflight_mutex_);
-      while (inflight_blocks_ >= options_.max_inflight_blocks) {
-        inflight_cv_.Wait(&inflight_mutex_);
-      }
-      ++inflight_blocks_;
-    }
-    RunBlock(b);
-    if (options_.max_inflight_blocks > 0) {
-      {
-        MutexLock lock(&inflight_mutex_);
-        --inflight_blocks_;
-      }
-      inflight_cv_.Signal();
-    }
-    if (count_overlapped) overlapped_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void EngineAwareInit::OnForwardSlabComplete() {
-  if (!setup_status_.ok() || nb_ == 1) return;
-  if (helper_started_.exchange(true)) return;
-  // One helper thread claims block SVDs while the engine's pool is still
-  // streaming the backward panels — the overlap Algorithm 7 leaves on the
-  // table when init waits for the whole affinity phase.
-  helper_ = std::thread([this] { ClaimLoop(/*overlapped=*/true); });
-}
-
-Result<EmbeddingState> EngineAwareInit::Finish() {
-  PANE_RETURN_NOT_OK(setup_status_);
-  if (nb_ == 1) return GreedyInit(std::move(*affinity_), options_);
-
-  const int64_t n = affinity_->forward.rows();
-  const int64_t d = affinity_->forward.cols();
-  const std::vector<Range> node_blocks = PartitionRange(n, nb_);
-
-  // Drain whatever the helper has not claimed; the caller and the pool
-  // workers pull from the same counter.
-  draining_.store(true, std::memory_order_relaxed);
-  options_.pool->RunBlocks(nb_, [this](int) { ClaimLoop(false); });
-  if (helper_.joinable()) helper_.join();
-  for (const Status& s : block_status_) PANE_RETURN_NOT_OK(s);
-  // The per-block factors die with this call, not with the instance: they
-  // were allocated on the pool threads, and held through CCD they would pin
-  // those threads' allocator arenas, block SVD temporaries included.
-  const std::vector<DenseMatrix> u_blocks = std::move(u_blocks_);
-  const std::vector<DenseMatrix> v_blocks = std::move(v_blocks_);
-
-  // Line 4: V <- [V1 ... Vnb]^T, a (nb * k/2) x d stack of the per-block
-  // right factors.
-  DenseMatrix v_stack(static_cast<int64_t>(nb_) * h_, d);
-  for (int b = 0; b < nb_; ++b) {
-    const DenseMatrix vt = v_blocks[static_cast<size_t>(b)].Transposed();
-    v_stack.SetBlock(static_cast<int64_t>(b) * h_, 0, vt);
+  // Line 4: V <- [V1 ... Vnb]^T, the (nb k/2) x d stack of the right
+  // factors (an empty block leaves its rows zero). It is allocated after
+  // the waves, not before: on glibc the earlier allocation changed the heap
+  // layout enough to raise a spilled run's peak RSS (in CCD) by ~2 MiB.
+  DenseMatrix v_stack(static_cast<int64_t>(nb) * h, d);
+  for (int b = 0; b < nb; ++b) {
+    v_stack.SetBlock(static_cast<int64_t>(b) * h, 0,
+                     v_blocks[static_cast<size_t>(b)].Transposed());
   }
 
   // Lines 5-6: RandSVD of the stack; W = Phi Sigma, Y = right factor.
@@ -236,38 +177,44 @@ Result<EmbeddingState> EngineAwareInit::Finish() {
   DenseMatrix w;
   {
     RandSvdOptions svd_options;
-    svd_options.power_iters = options_.t;
-    svd_options.seed = options_.seed;
-    std::vector<double> sg;
-    PANE_RETURN_NOT_OK(RandSvd(v_stack, h_, svd_options, &w, &sg, &state.y));
-    for (int64_t i = 0; i < w.rows(); ++i) {
-      double* row = w.Row(i);
-      for (int j = 0; j < h_; ++j) row[j] *= sg[static_cast<size_t>(j)];
-    }
+    svd_options.power_iters = options.t;
+    svd_options.seed = options.seed;
+    std::vector<double> sigma;
+    PANE_RETURN_NOT_OK(RandSvd(v_stack, h, svd_options, &w, &sigma, &state.y));
+    ScaleColumns(sigma, &w);
   }
 
   // Lines 7-11: assemble per block: Xf[Vi] = Ui W[(i-1)k/2 : i k/2],
   // Xb[Vi] = B'[Vi] Y, then the block's residual rows overwrite its F' / B'
   // rows, whose last reads (the block SVD, the Xb projection) are done.
-  state.xf.Resize(n, h_);
-  state.xb.Resize(n, h_);
-  options_.pool->RunBlocks(nb_, [&](int b) {
+  state.xf.Resize(n, h);
+  state.xb.Resize(n, h);
+  pool->RunBlocks(nb, [&](int b) {
     const Range& blk = node_blocks[static_cast<size_t>(b)];
     if (blk.size() == 0) return;
-    const DenseMatrix w_block = w.RowBlock(
-        static_cast<int64_t>(b) * h_, static_cast<int64_t>(b + 1) * h_);
+    const DenseMatrix w_block = w.RowBlock(static_cast<int64_t>(b) * h,
+                                           static_cast<int64_t>(b + 1) * h);
     DenseMatrix xf_block;
     Gemm(u_blocks[static_cast<size_t>(b)], w_block, &xf_block);
     state.xf.SetBlock(blk.begin, 0, xf_block);
-    ProjectRows(affinity_->backward, state.y, &state.xb, blk.begin, blk.end);
-    ResidualRows(state.xf, state.y, &affinity_->forward, blk.begin,
-                 blk.end);
-    ResidualRows(state.xb, state.y, &affinity_->backward, blk.begin,
-                 blk.end);
+    ProjectRows(affinity.backward, state.y, &state.xb, blk.begin, blk.end);
+    ResidualRows(state.xf, state.y, &affinity.forward, blk.begin, blk.end);
+    ResidualRows(state.xb, state.y, &affinity.backward, blk.begin, blk.end);
   });
-  state.sf = std::move(affinity_->forward);
-  state.sb = std::move(affinity_->backward);
+  state.sf = std::move(affinity.forward);
+  state.sb = std::move(affinity.backward);
   return state;
+}
+
+}  // namespace
+
+Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
+                                  const InitOptions& options) {
+  PANE_RETURN_NOT_OK(ValidateInit(affinity, options));
+  if (options.pool == nullptr || options.pool->num_threads() == 1) {
+    return SerialGreedyInit(std::move(affinity), options);
+  }
+  return SplitMergeGreedyInit(std::move(affinity), options);
 }
 
 Result<EmbeddingState> RandomInit(AffinitySlabs affinity,

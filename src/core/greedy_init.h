@@ -13,18 +13,13 @@
 // two n x d slabs. Every F' / B' access streams row blocks
 // through one code path whether the slab lives in RAM or is spilled through
 // a BufferPool, so spilled and in-RAM runs are bitwise identical, and the
-// returned sf / sb are the very slabs passed in. EngineAwareInit folds
-// Algorithm 7 into the affinity engine's panel stream: the per-block
-// RandSVDs of F' start the moment the engine reports the forward slab
-// final, overlapping with the backward panels still streaming.
+// returned sf / sb are the very slabs passed in. Init runs after the
+// affinity phase has returned, as in Algorithm 5.
 #pragma once
 
-#include <atomic>
-#include <thread>
-#include <vector>
+#include <cstdint>
 
 #include "src/common/status.h"
-#include "src/common/sync.h"
 #include "src/core/affinity.h"
 #include "src/core/embedding.h"
 #include "src/matrix/dense_matrix.h"
@@ -56,14 +51,24 @@ struct InitOptions {
   /// Worker pool; its size is the block count nb of Algorithm 7. nullptr or
   /// size 1 => the serial Algorithm 3.
   ThreadPool* pool = nullptr;
-  /// How many F' row blocks EngineAwareInit lets hold pages at once (0 =>
-  /// no cap); Pane::Train takes it from its memory plan, which caps only
-  /// spilled runs. Affects the schedule only, never the arithmetic.
+  /// Algorithm 7's wave size: at most this many F' row blocks are
+  /// RandSVD'd (and hold pages) at once (0 => all nb in one wave).
+  /// Pane::Train takes it from its memory plan, which caps only spilled
+  /// runs. Affects the schedule only, never the arithmetic.
   int64_t max_inflight_blocks = 0;
 };
 
-/// \brief Algorithm 3: seeds (Xf, Xb, Y) from one RandSVD of F' (streamed
-/// from the slab) and turns F' / B' into the residuals Sf / Sb in place.
+/// \brief Greedy seeding; turns F' / B' into the residuals Sf / Sb in place.
+///
+/// A null or 1-thread pool runs Algorithm 3: (Xf, Xb, Y) from one RandSVD of
+/// F', streamed from the slab. A larger pool runs Algorithm 7
+/// (SMGreedyInit): F' is split into one row block per worker, each block is
+/// RandSVD'd (seed + b + 1 for block b; in waves of at most
+/// max_inflight_blocks), the stacked per-block right factors are merged
+/// with a second small RandSVD, and Xf[Vi] = Ui Wi, Xb[Vi] = B'[Vi] Y and
+/// the block's residual rows are assembled per block. At t = infinity the
+/// two agree (Lemma 4.2); at finite t the extra factorization error is the
+/// parallel-vs-serial utility gap measured in Section 5.
 Result<EmbeddingState> GreedyInit(AffinitySlabs affinity,
                                   const InitOptions& options);
 
@@ -85,75 +90,6 @@ Status ValidateWarmStart(const PaneEmbedding& previous, int64_t n, int64_t d,
 Result<EmbeddingState> WarmInit(AffinitySlabs affinity,
                                 const PaneEmbedding& previous,
                                 const InitOptions& options);
-
-/// \brief Algorithm 7 (SMGreedyInit), with its per-block F' RandSVDs driven
-/// by the affinity engine's panel stream: F' is split into row blocks (one
-/// per pool worker), each block is RandSVD'd, the per-block right factors
-/// are merged with a second small RandSVD, and Xf[Vi] = Ui * Wi, Xb = B' Y
-/// are assembled. At t = infinity this matches GreedyInit exactly
-/// (Lemma 4.2); at finite t the extra factorization error is the
-/// parallel-vs-serial utility gap measured in Section 5. A serial pool runs
-/// GreedyInit.
-///
-/// Bind an instance to the (pre-created) affinity slabs, wire
-/// OnForwardSlabComplete into the engine's panel consumer, run the engine,
-/// then call Finish(). When the forward slab lands, a helper thread starts
-/// claiming block SVDs while the engine's pool is still streaming the
-/// backward panels; Finish() drains the remaining blocks on the pool,
-/// merges, and moves the slabs out as the residuals. Work is claimed from
-/// one atomic counter and every block's math is independent of who computes
-/// it, so overlap changes the schedule, never the answer; so does
-/// InitOptions::max_inflight_blocks, which a spilled run's memory plan sets
-/// to bound how many blocks of the spilled F' hold pages at once.
-class EngineAwareInit {
- public:
-  /// `affinity` must outlive the instance; Finish() moves its slabs out.
-  EngineAwareInit(AffinitySlabs* affinity, const InitOptions& options);
-  ~EngineAwareInit();  // joins the helper thread if Finish was never reached
-
-  EngineAwareInit(const EngineAwareInit&) = delete;
-  EngineAwareInit& operator=(const EngineAwareInit&) = delete;
-
-  /// Panel-consumer hook: start overlapped block SVDs. Thread-safe and
-  /// idempotent; a no-op for serial options (the Algorithm 1 path stays
-  /// single-threaded).
-  void OnForwardSlabComplete();
-
-  /// Drains unclaimed blocks, merges, assembles the state, whose sf / sb
-  /// are the bound slabs overwritten in place. Call once, after the engine
-  /// run has returned successfully.
-  Result<EmbeddingState> Finish();
-
-  /// Blocks whose SVD ran overlapped with the backward panel stream.
-  int blocks_overlapped() const {
-    return overlapped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  void ClaimLoop(bool overlapped) PANE_EXCLUDES(inflight_mutex_);
-  void RunBlock(int b);
-
-  AffinitySlabs* affinity_;
-  InitOptions options_;
-  Status setup_status_;
-  int nb_ = 1;
-  int h_ = 0;
-  std::vector<DenseMatrix> u_blocks_;
-  std::vector<DenseMatrix> v_blocks_;
-  std::vector<Status> block_status_;
-  std::atomic<int> next_block_{0};
-  std::atomic<int> overlapped_{0};
-  std::atomic<bool> helper_started_{false};
-  std::atomic<bool> draining_{false};  // Finish() reached; engine is done
-  std::thread helper_;
-  /// Guards the residency throttle only: claim tickets (next_block_) and
-  /// the overlap stat stay atomics; per-block outputs (u_blocks_ /
-  /// v_blocks_ / block_status_) are disjoint slots indexed by the claimed
-  /// block and published by the pool barrier / helper join in Finish().
-  Mutex inflight_mutex_;
-  CondVar inflight_cv_;
-  int64_t inflight_blocks_ PANE_GUARDED_BY(inflight_mutex_) = 0;
-};
 
 /// \brief Objective of Equation (4) given maintained residuals:
 /// ||Sf||_F^2 + ||Sb||_F^2.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -121,8 +120,8 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   out_stats->slab_bytes = 2 * n * d * static_cast<int64_t>(sizeof(double));
 
   // Phase 1: affinity approximation (Algorithm 2 / 6) via the
-  // panel-streamed engine; P and P^T are built once inside it. The slabs
-  // are created up front so the engine-aware init can watch them fill.
+  // panel-streamed engine; P and P^T are built once inside it. The engine
+  // fills the two slabs created here, in RAM or spilled per the plan.
   AffinitySlabs affinity;
   PANE_ASSIGN_OR_RETURN(
       affinity.forward,
@@ -130,21 +129,6 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   PANE_ASSIGN_OR_RETURN(
       affinity.backward,
       FactorSlab::Create(n, d, buffer_pool.get(), opt.spill_dir));
-
-  InitOptions init_options;
-  init_options.k = opt.k;
-  init_options.t = t;
-  init_options.seed = opt.seed;
-  init_options.pool = pool.get();
-  init_options.max_inflight_blocks = plan.max_inflight_blocks;
-
-  // Declared after `affinity` so its destructor (which joins the helper
-  // thread reading the slabs) runs first on every exit path.
-  std::optional<EngineAwareInit> streamed_init;
-  if (warm_start == nullptr && opt.greedy_init && pool != nullptr) {
-    streamed_init.emplace(&affinity, init_options);
-  }
-
   {
     ScopedTimer timer(&out_stats->affinity_seconds);
     AffinityEngineOptions engine_options;
@@ -152,32 +136,27 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     engine_options.t = t;
     engine_options.pool = pool.get();
     engine_options.panel_width = plan.panel_width;
-    if (streamed_init.has_value()) {
-      // Fold Algorithm 7's per-block F' SVDs into the panel stream: they
-      // start the moment the forward slab is final, while the backward
-      // panels are still running.
-      engine_options.panel_consumer = [&](const AffinityPanelEvent& event) {
-        if (event.forward_complete) streamed_init->OnForwardSlabComplete();
-      };
-    }
     PANE_RETURN_NOT_OK(ComputeGraphAffinityIntoSlabs(
         graph, engine_options, &affinity, &out_stats->affinity));
   }
 
-  // Phase 2a: seeding (a warm start, Algorithm 3 / 7, or random for
-  // PANE-R). Each takes the affinity slabs and returns them as Sf / Sb.
+  // Phase 2a: seeding (a warm start, random for PANE-R, or Algorithm 3 / 7).
+  // Each takes the affinity slabs and returns them as Sf / Sb.
   EmbeddingState state;
   {
     ScopedTimer timer(&out_stats->init_seconds);
+    InitOptions init_options;
+    init_options.k = opt.k;
+    init_options.t = t;
+    init_options.seed = opt.seed;
+    init_options.pool = pool.get();
+    init_options.max_inflight_blocks = plan.max_inflight_blocks;
     if (warm_start != nullptr) {
       PANE_ASSIGN_OR_RETURN(
           state, WarmInit(std::move(affinity), *warm_start, init_options));
     } else if (!opt.greedy_init) {
       PANE_ASSIGN_OR_RETURN(state,
                             RandomInit(std::move(affinity), init_options));
-    } else if (streamed_init.has_value()) {
-      PANE_ASSIGN_OR_RETURN(state, streamed_init->Finish());
-      out_stats->init_blocks_overlapped = streamed_init->blocks_overlapped();
     } else {
       PANE_ASSIGN_OR_RETURN(state,
                             GreedyInit(std::move(affinity), init_options));

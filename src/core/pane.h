@@ -1,16 +1,16 @@
 // Top-level PANE driver: Algorithm 1 (single thread) and Algorithm 5
-// (parallel), assembling affinity approximation (APMI / PAPMI), seeding
-// (GreedyInit / engine-aware SMGreedyInit, random for PANE-R, or a warm
-// start from a previous embedding) and CCD refinement (SVDCCD / PSVDCCD)
-// into one Train() call. The slabs hold F' and B' through affinity and
-// init, which overwrites them in place with the residuals Sf and Sb that
-// CCD refines.
+// (parallel), running affinity approximation (APMI / PAPMI), seeding
+// (GreedyInit / SMGreedyInit, random for PANE-R, or a warm start from a
+// previous embedding) and CCD refinement (SVDCCD / PSVDCCD) in sequence in
+// one Train() call. The slabs hold F' and B' through affinity and init,
+// which overwrites them in place with the residuals Sf and Sb that CCD
+// refines.
 //
 // One memory plan: PlanMemory is the only code that turns
 // --memory-budget-mb into sizes. Train calls it once, before any phase
 // runs, and hands each phase a shape — whether the two n x d slabs spill
 // and the pool's residency budget, the affinity panel width, the CCD strip
-// width and the init's in-flight block cap. No phase sees the budget.
+// width and the init's wave size. No phase sees the budget.
 //
 // The warm start is the time-varying-graph extension the paper's conclusion
 // leaves as future work: after a batch of edge/attribute updates, Train
@@ -86,7 +86,7 @@ struct MemoryPlan {
   int64_t panel_width = 0;
   /// Residual columns per CCD phase-2 strip (CcdOptions::strip_width).
   int64_t strip_width = 0;
-  /// Spilled F' row blocks EngineAwareInit lets hold pages at once
+  /// Algorithm 7's wave size: spilled F' row blocks RandSVD'd at once
   /// (InitOptions::max_inflight_blocks); 0 => no cap.
   int64_t max_inflight_blocks = 0;
   /// The budget is below the panels in flight at width 1; they run at
@@ -108,8 +108,8 @@ struct MemoryPlan {
 ///   spilled panel or strip. The share is M when bounded and
 ///   kUnboundedScratchBytes when not; the floor is 1 column bounded and
 ///   kUnboundedScratchMinColumns unbounded.
-/// - Init: a spilled pooled run lets at most M / (one F' row block's
-///   bytes) blocks hold pages at once, between 1 and threads.
+/// - Init: a spilled pooled run RandSVDs its F' row blocks in waves of
+///   M / (one block's bytes), between 1 and threads.
 MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
                       int64_t memory_budget_mb);
 
@@ -125,7 +125,6 @@ struct PaneStats {
   double objective_final = 0.0;    ///< Equation (4) after refinement
   bool slabs_spilled = false;      ///< factors were spilled through the pool
   int64_t slab_bytes = 0;          ///< the two n x d slabs (F'/Sf, B'/Sb)
-  int init_blocks_overlapped = 0;  ///< init block SVDs run during affinity
   CcdStats ccd;                    ///< phase-2 strip decomposition
   store::BufferPool::Stats pool;   ///< eviction/write-back counters (spilled)
 };

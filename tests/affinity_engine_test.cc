@@ -12,7 +12,6 @@
 #include <cstring>
 #include <string>
 
-#include "src/common/sync.h"
 #include "src/core/affinity.h"
 #include "src/core/apmi.h"
 #include "src/core/pane.h"
@@ -338,37 +337,6 @@ TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
       ExpectBitwiseEqual(reference, got, label);
     }
   }
-}
-
-TEST(AffinityEngineTest, PanelConsumerSeesEveryPanelOnce) {
-  const AttributedGraph g = testing::SmallSbm(50, 200);  // d = 80
-  const GraphInputs in = MakeInputs(g);
-  ThreadPool pool(4);
-  AffinityEngineOptions options;
-  options.alpha = 0.5;
-  options.t = 3;
-  options.panel_width = 16;  // 5 panels per direction
-  options.pool = &pool;
-  Mutex mutex;
-  int64_t forward_events = 0;
-  int64_t backward_events = 0;
-  int64_t forward_complete_events = 0;
-  int64_t cols_seen = 0;
-  options.panel_consumer = [&](const AffinityPanelEvent& event) {
-    MutexLock lock(&mutex);
-    (event.forward ? forward_events : backward_events) += 1;
-    if (event.forward_complete) {
-      ++forward_complete_events;
-      EXPECT_EQ(event.panels_done, event.num_panels);
-    }
-    if (event.forward) cols_seen += event.col_end - event.col_begin;
-  };
-  AffinityEngineStats stats;
-  ComputeAffinitySlabs(in.p, in.pt, *in.r, options, &stats).ValueOrDie();
-  EXPECT_EQ(forward_events, stats.num_panels);
-  EXPECT_EQ(backward_events, stats.num_panels);
-  EXPECT_EQ(forward_complete_events, 1);
-  EXPECT_EQ(cols_seen, in.r->cols());
 }
 
 TEST(AffinityEngineTest, IntoSlabsRejectsMisshapenSlabs) {

@@ -1,8 +1,9 @@
-// Tests for GreedyInit (Algorithm 3) and EngineAwareInit (SMGreedyInit,
-// Algorithm 7): residual consistency, the near-unitary Y property the
-// seeding relies on, Lemma 4.2-style agreement at high rank, the
-// greedy-vs-random quality gap that motivates Section 5.7, and that every
-// init writes its residuals into the affinity slabs it was given.
+// Tests for GreedyInit: Algorithm 3 on a null or 1-thread pool, Algorithm 7
+// (SMGreedyInit) on a larger one. Residual consistency, the near-unitary Y
+// property the seeding relies on, Lemma 4.2-style agreement at high rank,
+// the greedy-vs-random quality gap that motivates Section 5.7, that
+// Algorithm 7's wave size never changes the answer, and that every init
+// writes its residuals into the affinity slabs it was given.
 #include "src/core/greedy_init.h"
 
 #include <gtest/gtest.h>
@@ -88,43 +89,34 @@ TEST(RandomInitTest, ResidualsConsistent) {
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
-// Algorithm 7 as Pane::Train runs it: bound to the slabs, then Finish()
-// (the panel stream's OnForwardSlabComplete only changes the schedule).
-Result<EmbeddingState> SplitMergeInit(AffinitySlabs affinity,
-                                      const InitOptions& options) {
-  EngineAwareInit init(&affinity, options);
-  return init.Finish();
-}
-
-TEST(EngineAwareInitTest, ResidualsConsistent) {
+TEST(SmGreedyInitTest, ResidualsConsistent) {
   const AffinitySlabs affinity = TestAffinity();
   ThreadPool pool(4);
-  const auto state =
-      SplitMergeInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
+  const auto state = GreedyInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
   EXPECT_LT(ResidualConsistencyError(state, affinity), 1e-9);
 }
 
-TEST(EngineAwareInitTest, QualityCloseToSerial) {
+TEST(SmGreedyInitTest, QualityCloseToSerial) {
   const AffinitySlabs affinity = TestAffinity();
   ThreadPool pool(4);
   const auto serial = GreedyInit(affinity, InitFor(32, 6)).ValueOrDie();
   const auto parallel =
-      SplitMergeInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
+      GreedyInit(affinity, InitFor(32, 6, &pool)).ValueOrDie();
   // Split-merge SVD introduces bounded extra error (Section 4.2): the
   // parallel objective stays within a modest factor of the serial one.
   EXPECT_LT(Objective(parallel), 1.5 * Objective(serial) + 1e-9);
 }
 
-TEST(EngineAwareInitTest, SingleThreadPoolDelegatesToSerial) {
+TEST(SmGreedyInitTest, SingleThreadPoolRunsAlgorithm3) {
   const AffinitySlabs affinity = TestAffinity(150, 45);
   ThreadPool pool(1);
-  const auto a = SplitMergeInit(affinity, InitFor(16, 5, &pool)).ValueOrDie();
+  const auto a = GreedyInit(affinity, InitFor(16, 5, &pool)).ValueOrDie();
   const auto b = GreedyInit(affinity, InitFor(16, 5)).ValueOrDie();
   EXPECT_EQ(a.xf.MaxAbsDiff(b.xf), 0.0);
   EXPECT_EQ(a.y.MaxAbsDiff(b.y), 0.0);
 }
 
-TEST(EngineAwareInitTest, Lemma42HighRankRecovery) {
+TEST(SmGreedyInitTest, Lemma42HighRankRecovery) {
   // At k/2 >= rank(F'), both inits satisfy Xf Y^T = F' (Sf = 0). We build a
   // low-rank affinity stand-in to make the rank condition achievable.
   Rng rng(46);
@@ -138,10 +130,55 @@ TEST(EngineAwareInitTest, Lemma42HighRankRecovery) {
   ThreadPool pool(3);
   const auto serial = GreedyInit(affinity, InitFor(16, 10)).ValueOrDie();
   const auto parallel =
-      SplitMergeInit(affinity, InitFor(16, 10, &pool)).ValueOrDie();
+      GreedyInit(affinity, InitFor(16, 10, &pool)).ValueOrDie();
   const double scale = f.FrobeniusNorm();
   EXPECT_LT(serial.sf.FrobeniusNorm() / scale, 1e-8);
   EXPECT_LT(parallel.sf.FrobeniusNorm() / scale, 1e-8);
+}
+
+void ExpectSameBytes(const DenseMatrix& want, const DenseMatrix& got,
+                     const std::string& what) {
+  ASSERT_EQ(got.rows(), want.rows()) << what;
+  ASSERT_EQ(got.cols(), want.cols()) << what;
+  const size_t bytes =
+      static_cast<size_t>(want.rows() * want.cols()) * sizeof(double);
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0) << what;
+}
+
+TEST(SmGreedyInitTest, WaveSizeNeverChangesTheAnswer) {
+  // max_inflight_blocks only schedules Algorithm 7's block SVDs: every wave
+  // size, in RAM or spilled, gives the bytes of the uncapped in-RAM run.
+  const AffinitySlabs source = TestAffinity();
+  const DenseMatrix forward = source.forward.ToDense().ValueOrDie();
+  const DenseMatrix backward = source.backward.ToDense().ValueOrDie();
+  ThreadPool pool(4);
+  const EmbeddingState want =
+      GreedyInit(source, InitFor(32, 6, &pool)).ValueOrDie();
+  const DenseMatrix want_sf = want.sf.ToDense().ValueOrDie();
+  const DenseMatrix want_sb = want.sb.ToDense().ValueOrDie();
+  for (const bool spilled : {false, true}) {
+    for (const int64_t cap : {0, 1, 2, 3}) {
+      const std::string where = std::string(spilled ? "spilled" : "in RAM") +
+                                " cap=" + std::to_string(cap);
+      store::BufferPool::Options pool_options;
+      pool_options.budget_bytes = 64 * 1024;  // forces evictions
+      pool_options.page_bytes = 4096;
+      store::BufferPool buffer_pool(pool_options);
+      store::BufferPool* spill = spilled ? &buffer_pool : nullptr;
+      AffinitySlabs affinity;
+      affinity.forward = FactorSlab::FromDense(forward, spill).ValueOrDie();
+      affinity.backward = FactorSlab::FromDense(backward, spill).ValueOrDie();
+      InitOptions options = InitFor(32, 6, &pool);
+      options.max_inflight_blocks = cap;
+      const EmbeddingState got =
+          GreedyInit(std::move(affinity), options).ValueOrDie();
+      ExpectSameBytes(want.xf, got.xf, where + " xf");
+      ExpectSameBytes(want.xb, got.xb, where + " xb");
+      ExpectSameBytes(want.y, got.y, where + " y");
+      ExpectSameBytes(want_sf, got.sf.ToDense().ValueOrDie(), where + " sf");
+      ExpectSameBytes(want_sb, got.sb.ToDense().ValueOrDie(), where + " sb");
+    }
+  }
 }
 
 // --- In-place residuals ---------------------------------------------------
@@ -196,13 +233,13 @@ TEST(InPlaceResidualTest, GreedyInit) {
   }, "GreedyInit");
 }
 
-TEST(InPlaceResidualTest, EngineAwareInit) {
+TEST(InPlaceResidualTest, SmGreedyInit) {
   const AffinitySlabs affinity = TestAffinity();
   for (const int threads : {2, 4}) {
     ThreadPool pool(threads);
     ExpectResidualsInPlace(affinity, [&](AffinitySlabs a) {
-      return SplitMergeInit(std::move(a), InitFor(32, 6, &pool));
-    }, "EngineAwareInit threads=" + std::to_string(threads));
+      return GreedyInit(std::move(a), InitFor(32, 6, &pool));
+    }, "SmGreedyInit threads=" + std::to_string(threads));
   }
 }
 

@@ -72,8 +72,9 @@ inline AffinitySlabs GraphAffinity(const AttributedGraph& g,
   return affinity;
 }
 
-/// Init options for space budget k and t RandSVD power iterations; `pool`
-/// selects EngineAwareInit's block count (Algorithm 7).
+/// Init options for space budget k and t RandSVD power iterations; a pool
+/// of more than one thread makes GreedyInit run Algorithm 7 with one block
+/// per worker.
 inline InitOptions InitFor(int k, int t, ThreadPool* pool = nullptr,
                            uint64_t seed = 42) {
   InitOptions options;

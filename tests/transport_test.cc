@@ -2,8 +2,9 @@
 // loopback sockets: line and frame conversations over TCP, byte-at-a-time
 // request delivery across epoll wakeups, the max-connection refusal path,
 // idle-connection reaping, transport counters surfaced through `stats`,
-// and lifecycle safety (Shutdown before Listen, AcceptLoop without
-// Listen — the old PANE_CHECK ordering trap).
+// lifecycle safety (Shutdown before Listen, AcceptLoop without Listen — the
+// old PANE_CHECK ordering trap), and Nagle off on both ends of the
+// transport's connections.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -87,6 +88,30 @@ std::string ReadUntilSuffix(int fd, const std::string& suffix) {
     out.append(buf, static_cast<size_t>(got));
   }
   return out;
+}
+
+/// The socket in this process whose peer is `peer` (loopback connections
+/// have both ends here), or -1.
+int SocketWithPeer(const sockaddr_in& peer) {
+  for (int fd = 0; fd < 1024; ++fd) {
+    sockaddr_in addr;
+    socklen_t len = sizeof(addr);
+    if (getpeername(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0 &&
+        len == sizeof(addr) && addr.sin_family == AF_INET &&
+        addr.sin_port == peer.sin_port &&
+        addr.sin_addr.s_addr == peer.sin_addr.s_addr) {
+      return fd;
+    }
+  }
+  return -1;
+}
+
+bool NoDelay(int fd) {
+  int value = 0;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0)
+      << std::strerror(errno);
+  return value != 0;
 }
 
 /// A server running its transport loop on a background thread.
@@ -268,6 +293,47 @@ TEST(EpollTransportTest, ManySequentialConnections) {
     EXPECT_EQ(response.rfind("pair 0 1 ok", 0), 0u) << response;
   }
   EXPECT_EQ(running.server().counters().requests, 40u);
+}
+
+// Nagle would hold a response sent while the previous one is unacked until
+// the client's delayed ACK or next request: the lockstep that left served
+// responses in the send queue for one request interval. Whether Nagle
+// actually holds a send depends on ACK timing the test cannot pin down, so
+// the option itself is checked, on the socket the server accepted (found by
+// its peer, the client's address) and on a ShardConnection's socket.
+TEST(EpollTransportTest, AcceptedSocketsSendWithoutNagle) {
+  const serve::QueryEngine engine = SmallEngine();
+  serve::ServerOptions options;
+  RunningServer running(&engine, options);
+  const int fd = ConnectLoopback(running.port());
+  WriteAll(fd, "attr 0 1\n");
+  ReadUntilSuffix(fd, "\n");  // the server has accepted and answered
+  sockaddr_in client;
+  socklen_t len = sizeof(client);
+  ASSERT_EQ(getsockname(fd, reinterpret_cast<sockaddr*>(&client), &len), 0);
+  const int accepted = SocketWithPeer(client);
+  ASSERT_GE(accepted, 0);
+  EXPECT_TRUE(NoDelay(accepted));
+  close(fd);
+}
+
+TEST(ShardConnectionTest, SendsWithoutNagle) {
+  const serve::QueryEngine engine = SmallEngine();
+  serve::ServerOptions options;
+  RunningServer running(&engine, options);
+  serve::ShardConnection connection;
+  ASSERT_TRUE(connection
+                  .Connect("127.0.0.1:" + std::to_string(running.port()),
+                           /*timeout_ms=*/1000)
+                  .ok());
+  sockaddr_in server;
+  std::memset(&server, 0, sizeof(server));
+  server.sin_family = AF_INET;
+  server.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  server.sin_port = htons(static_cast<uint16_t>(running.port()));
+  const int fd = SocketWithPeer(server);
+  ASSERT_GE(fd, 0);
+  EXPECT_TRUE(NoDelay(fd));
 }
 
 }  // namespace

@@ -84,6 +84,13 @@
 # on the other) are exempt. A caller with a new operand kind (a new
 # sparse format, a factor slab) supplies the two products instead of
 # copying the iteration.
+#
+# Rule 12 — threads come from the pool: in src/, a std::thread (or
+# std::jthread) may be named ONLY under src/parallel/, where ThreadPool owns
+# its workers; std::thread::hardware_concurrency is exempt. A phase that
+# wants concurrency runs on the run's pool (RunBlocks / ParallelFor), so a
+# side thread with its own claim counter and throttle cannot grow back
+# beside it. tests/, bench/ and examples/ may start threads of their own.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -259,6 +266,20 @@ if [[ -n "$qr_hits" ]]; then
   echo "$qr_hits" >&2
   echo "lint: hand RandSvd (or RandSvdSparse) the operator's products" >&2
   echo "lint: instead of running a second subspace iteration" >&2
+  status=1
+fi
+
+# --- Rule 12: threads started outside the pool ---------------------------
+thread_hits=$(grep -rEn '\bstd::j?thread\b' src \
+                --include='*.h' --include='*.cc' --include='*.cpp' \
+              | grep -Ev '^src/parallel/' \
+              | sed 's/std::thread::hardware_concurrency//g' \
+              | grep -E '\bstd::j?thread\b' || true)
+if [[ -n "$thread_hits" ]]; then
+  echo "lint: std::thread outside src/parallel/:" >&2
+  echo "$thread_hits" >&2
+  echo "lint: run the work on the run's ThreadPool (RunBlocks/ParallelFor)" >&2
+  echo "lint: instead of starting a thread of its own" >&2
   status=1
 fi
 
