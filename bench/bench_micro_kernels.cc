@@ -156,19 +156,28 @@ void BM_LoadGraphContainer(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadGraphContainer);
 
+// C = A B with A n x inner and B inner x cols (args n, inner, cols). The
+// last shape is one init block's product at the benchmark point: an F'
+// row block of 1500 x 300 against a 300 x 72 sketch (k/2 = 64 plus the
+// oversample of 8), the baseline for a register-tiled gemm_rows.
 void BM_Gemm(benchmark::State& state) {
   const int64_t n = state.range(0);
+  const int64_t inner = state.range(1);
+  const int64_t cols = state.range(2);
   Rng rng(2);
-  DenseMatrix a(n, 200), b(200, 64), c;
+  DenseMatrix a(n, inner), b(inner, cols), c;
   a.FillGaussian(&rng);
   b.FillGaussian(&rng);
   for (auto _ : state) {
     Gemm(a, b, &c);
     benchmark::DoNotOptimize(c.data());
   }
-  state.SetItemsProcessed(state.iterations() * n * 200 * 64);
+  state.SetItemsProcessed(state.iterations() * n * inner * cols);
 }
-BENCHMARK(BM_Gemm)->Arg(2000)->Arg(8000);
+BENCHMARK(BM_Gemm)
+    ->Args({2000, 200, 64})
+    ->Args({8000, 200, 64})
+    ->Args({1500, 300, 72});
 
 // C = A^T Q at the shape of RandSvd's projection on one init block: A is
 // n x 300 (arg), Q is n x 72 (k/2 = 64 plus the oversample of 8).

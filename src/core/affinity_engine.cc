@@ -190,12 +190,12 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
 
   // SPMI transform, backward side: row sums span every panel, so B' is
   // finished with one in-place row-parallel pass over the completed slab.
-  // Rows are contiguous, so a spilled slab streams this pass in chunks that
-  // release their pages as they finish.
+  // Rows are contiguous, so a spilled slab streams this pass in one-page
+  // chunks that release their pages as they finish.
+  const int64_t chunk_rows = StreamChunkRows(out->backward);
   const auto backward_rows = [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t chunk = row_begin; chunk < row_end;
-         chunk += kStreamChunkRows) {
-      const int64_t chunk_end = std::min(chunk + kStreamChunkRows, row_end);
+    for (int64_t chunk = row_begin; chunk < row_end; chunk += chunk_rows) {
+      const int64_t chunk_end = std::min(chunk + chunk_rows, row_end);
       for (int64_t i = chunk; i < chunk_end; ++i) {
         double* row = out->backward.Row(i);
         double rs = 0.0;

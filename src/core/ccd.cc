@@ -164,23 +164,71 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
     options.stats->scratch_bytes =
         2 * strip * n * static_cast<int64_t>(sizeof(double));
   }
+  // sf and sb share a shape and a pool, so one chunk size serves both.
+  const int64_t chunk_rows = StreamChunkRows(state->sf);
   std::vector<double> sf_strip(static_cast<size_t>(strip * n));
   std::vector<double> sb_strip(static_cast<size_t>(strip * n));
   double node_sweep_seconds = 0.0;
   double attribute_sweep_seconds = 0.0;
   double strip_copy_seconds = 0.0;
 
+  // Copies between residual rows [begin, end) and the strip buffers: each
+  // row writes the `put_cols` buffered columns back from `put_begin`, then
+  // loads `get_cols` columns from `get_begin`. A row's buffer slots belong
+  // to that row alone, so each row stores its old strip before its new one
+  // lands in the same slots.
+  const auto copy_rows = [&](int64_t begin, int64_t end, int64_t put_begin,
+                             int64_t put_cols, int64_t get_begin,
+                             int64_t get_cols) {
+    for (int64_t i = begin; i < end; ++i) {
+      double* sf_row = state->sf.Row(i);
+      double* sb_row = state->sb.Row(i);
+      for (int64_t l = 0; l < put_cols; ++l) {
+        sf_row[put_begin + l] = sf_strip[static_cast<size_t>(l * n + i)];
+        sb_row[put_begin + l] = sb_strip[static_cast<size_t>(l * n + i)];
+      }
+      for (int64_t l = 0; l < get_cols; ++l) {
+        sf_strip[static_cast<size_t>(l * n + i)] = sf_row[get_begin + l];
+        sb_strip[static_cast<size_t>(l * n + i)] = sb_row[get_begin + l];
+      }
+    }
+  };
+  // One row pass of copy_rows over every row, released chunk by chunk.
+  const auto copy_strips = [&](int64_t put_begin, int64_t put_cols,
+                               int64_t get_begin, int64_t get_cols) {
+    ScopedTimer timer(&strip_copy_seconds);
+    ParallelFor(pool, 0, n, [&](int64_t begin, int64_t end) {
+      for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
+        const int64_t chunk_end = std::min(chunk + chunk_rows, end);
+        copy_rows(chunk, chunk_end, put_begin, put_cols, get_begin, get_cols);
+        ReleaseRowsOrWarn(state->sf, chunk, chunk_end, put_cols > 0);
+        ReleaseRowsOrWarn(state->sb, chunk, chunk_end, put_cols > 0);
+      }
+    });
+  };
+
+  // The strip whose columns sit in the buffers, updated but not yet written
+  // back: the last strip of an iteration stays there until the next node
+  // sweep reaches its rows (or the final write-back below).
+  int64_t pending_begin = 0;
+  int64_t pending_cols = 0;
+  const int64_t first_cols = std::min(strip, d);
   for (int iter = 0; iter < options.iterations; ++iter) {
     // ----- Phase 1 (Algorithm 4 lines 3-9 / Algorithm 8 lines 3-10): Y
-    // fixed, sweep Xf / Xb rows; spilled residual rows are released as each
-    // chunk finishes so phase-1 residency stays at the chunk level.
+    // fixed, sweep Xf / Xb rows. Each one-page chunk first takes back the
+    // pending strip, then is updated, then loads the first strip of phase
+    // 2, so these two copies ride on the sweep's own pass over the rows;
+    // spilled residual rows are released as each chunk finishes so phase-1
+    // residency stays at the chunk level.
     const DenseMatrix yt = state->y.Transposed();
     const std::vector<double> y_denoms = ColumnSquaredNorms(yt);
     const std::vector<int64_t> y_active = ActiveCoordinates(y_denoms);
     const auto phase1_rows = [&](int64_t begin, int64_t end) {
-      for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
-        const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
+      for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
+        const int64_t chunk_end = std::min(chunk + chunk_rows, end);
+        copy_rows(chunk, chunk_end, pending_begin, pending_cols, 0, 0);
         UpdateNodeRows(state, yt, y_denoms, y_active, chunk, chunk_end);
+        copy_rows(chunk, chunk_end, 0, 0, 0, first_cols);
         ReleaseRowsOrWarn(state->sf, chunk, chunk_end, /*dirty=*/true);
         ReleaseRowsOrWarn(state->sb, chunk, chunk_end, /*dirty=*/true);
       }
@@ -196,11 +244,13 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
         });
       }
     }
+    pending_cols = 0;
 
     // ----- Phase 2 (Algorithm 4 lines 10-14 / Algorithm 8 lines 11-16):
-    // Xf / Xb fixed, sweep Y rows. Residual columns are copied a strip at a
-    // time into the contiguous strip buffers with sequential row scans
-    // (slab-friendly), updated there, and copied back.
+    // Xf / Xb fixed, sweep Y rows. Residual columns are updated a strip at
+    // a time in the contiguous strip buffers; one sequential row scan
+    // between two strips writes one back and loads the next
+    // (slab-friendly).
     const DenseMatrix xft = state->xf.Transposed();
     const DenseMatrix xbt = state->xb.Transposed();
     std::vector<double> x_denoms = ColumnSquaredNorms(xft);
@@ -211,34 +261,6 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
       }
     }
     const std::vector<int64_t> x_active = ActiveCoordinates(x_denoms);
-    // One row pass writes the `put_cols` buffered columns back from
-    // `put_begin` and loads `get_cols` columns from `get_begin`. A row's
-    // buffer slots belong to that row alone, so each row stores its old
-    // strip before its new one lands in the same slots.
-    const auto copy_strips = [&](int64_t put_begin, int64_t put_cols,
-                                 int64_t get_begin, int64_t get_cols) {
-      ScopedTimer timer(&strip_copy_seconds);
-      ParallelFor(pool, 0, n, [&](int64_t begin, int64_t end) {
-        for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
-          const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
-          for (int64_t i = chunk; i < chunk_end; ++i) {
-            double* sf_row = state->sf.Row(i);
-            double* sb_row = state->sb.Row(i);
-            for (int64_t l = 0; l < put_cols; ++l) {
-              sf_row[put_begin + l] = sf_strip[static_cast<size_t>(l * n + i)];
-              sb_row[put_begin + l] = sb_strip[static_cast<size_t>(l * n + i)];
-            }
-            for (int64_t l = 0; l < get_cols; ++l) {
-              sf_strip[static_cast<size_t>(l * n + i)] = sf_row[get_begin + l];
-              sb_strip[static_cast<size_t>(l * n + i)] = sb_row[get_begin + l];
-            }
-          }
-          ReleaseRowsOrWarn(state->sf, chunk, chunk_end, put_cols > 0);
-          ReleaseRowsOrWarn(state->sb, chunk, chunk_end, put_cols > 0);
-        }
-      });
-    };
-    copy_strips(0, 0, 0, std::min(strip, d));
     for (int64_t col_begin = 0; col_begin < d; col_begin += strip) {
       const int64_t col_end = std::min(col_begin + strip, d);
       const int64_t c = col_end - col_begin;
@@ -259,13 +281,21 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
           });
         }
       }
-      copy_strips(col_begin, c, col_end, std::min(strip, d - col_end));
+      if (col_end < d) {
+        copy_strips(col_begin, c, col_end, std::min(strip, d - col_end));
+      } else {
+        pending_begin = col_begin;
+        pending_cols = c;
+      }
     }
 
     if (options.objective_trace != nullptr) {
+      copy_strips(pending_begin, pending_cols, 0, 0);
+      pending_cols = 0;
       options.objective_trace->push_back(Objective(*state));
     }
   }
+  if (pending_cols > 0) copy_strips(pending_begin, pending_cols, 0, 0);
   if (options.stats != nullptr) {
     options.stats->node_sweep_seconds = node_sweep_seconds;
     options.stats->attribute_sweep_seconds = attribute_sweep_seconds;

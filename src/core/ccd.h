@@ -12,7 +12,12 @@
 // attribute row of the strip against them, and copies the strip back. One
 // sequential scan over the rows does both copies between two strips: each
 // row writes strip s back, then loads strip s + 1 into the same buffer
-// slots. The strip width is the caller's (Pane::Train takes it from its
+// slots. The first strip's load and the last strip's write-back ride on
+// phase 1's own row pass (a row takes back the last strip before its node
+// update and loads the first strip after it), so an iteration of k strips
+// scans the slabs k times, phase 1 included; a final pass writes the last
+// strip back after the last iteration (and before each traced objective).
+// The strip width is the caller's (Pane::Train takes it from its
 // memory plan, PlanMemory in src/core/pane.h), and since the copies are
 // pure copying the results are bitwise identical for every strip width,
 // backing, and thread count.
@@ -47,9 +52,12 @@ class ThreadPool;
 struct CcdStats {
   int64_t strip_width = 0;    ///< residual columns copied per strip
   int64_t scratch_bytes = 0;  ///< the two strip buffers: 2 x 8 x n x strip
-  double node_sweep_seconds = 0.0;       ///< phase 1: Xf / Xb row updates
+  /// Phase 1: Xf / Xb row updates, with the first strip's load and the
+  /// last strip's write-back that ride on its row pass.
+  double node_sweep_seconds = 0.0;
   double attribute_sweep_seconds = 0.0;  ///< phase 2: Y row updates
-  double strip_copy_seconds = 0.0;       ///< phase 2 strip copies
+  /// The row passes between strips, and the final write-back.
+  double strip_copy_seconds = 0.0;
 };
 
 struct CcdOptions {

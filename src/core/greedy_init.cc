@@ -36,8 +36,9 @@ Status ValidateInit(const AffinitySlabs& affinity, const InitOptions& options) {
 void ProjectRows(const FactorSlab& f, const DenseMatrix& y, DenseMatrix* out,
                  int64_t begin, int64_t end) {
   const auto gemm_rows = GetMatrixKernels().gemm_rows;
-  for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
-    const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
+  const int64_t chunk_rows = StreamChunkRows(f);
+  for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
+    const int64_t chunk_end = std::min(chunk + chunk_rows, end);
     gemm_rows(f.Row(chunk), y.data(), out->Row(chunk), chunk_end - chunk,
               f.cols(), y.cols());
     ReleaseRowsOrWarn(f, chunk, chunk_end, /*dirty=*/false);
@@ -56,8 +57,9 @@ void ResidualRows(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
   std::vector<const double*> y_rows(static_cast<size_t>(d));
   for (int64_t j = 0; j < d; ++j) y_rows[static_cast<size_t>(j)] = y.Row(j);
   std::vector<double> dots(static_cast<size_t>(d));
-  for (int64_t chunk = begin; chunk < end; chunk += kStreamChunkRows) {
-    const int64_t chunk_end = std::min(chunk + kStreamChunkRows, end);
+  const int64_t chunk_rows = StreamChunkRows(*f);
+  for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
+    const int64_t chunk_end = std::min(chunk + chunk_rows, end);
     for (int64_t i = chunk; i < chunk_end; ++i) {
       double* f_row = f->Row(i);
       dot_rows(y_rows.data(), d, x.Row(i), h, dots.data());
@@ -136,6 +138,7 @@ Result<EmbeddingState> SplitMergeGreedyInit(AffinitySlabs affinity,
   std::vector<DenseMatrix> u_blocks(static_cast<size_t>(nb));
   std::vector<DenseMatrix> v_blocks(static_cast<size_t>(nb));
   std::vector<Status> block_status(static_cast<size_t>(nb));
+  const int64_t chunk_rows = StreamChunkRows(affinity.forward);
   const int wave =
       options.max_inflight_blocks > 0
           ? static_cast<int>(std::min<int64_t>(options.max_inflight_blocks, nb))
@@ -156,8 +159,13 @@ Result<EmbeddingState> SplitMergeGreedyInit(AffinitySlabs affinity,
                        &v_blocks[static_cast<size_t>(b)]);
       if (!status.ok()) return;
       ScaleColumns(sigma, &ui);
-      ReleaseRowsOrWarn(affinity.forward, blk.begin, blk.end,
-                        /*dirty=*/false);
+      // One page per release, so the pool's ledger never takes the whole
+      // block above its budget at once.
+      for (int64_t chunk = blk.begin; chunk < blk.end; chunk += chunk_rows) {
+        ReleaseRowsOrWarn(affinity.forward, chunk,
+                          std::min(chunk + chunk_rows, blk.end),
+                          /*dirty=*/false);
+      }
     });
   }
   for (const Status& status : block_status) PANE_RETURN_NOT_OK(status);

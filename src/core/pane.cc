@@ -1,5 +1,9 @@
 #include "src/core/pane.h"
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <memory>
 #include <utility>
@@ -12,6 +16,20 @@
 #include "src/parallel/thread_pool.h"
 
 namespace pane {
+namespace {
+
+// Hands the heap memory a finished phase freed back to the OS. Once glibc
+// has freed one mmapped multi-MiB buffer it raises its mmap threshold, so
+// later panel, strip and RandSVD buffers come from the arenas, which keep
+// them after free: without a trim the next phase's peak stacks on the last
+// one's freed bytes.
+void ReturnFreedHeap() {
+#ifdef __GLIBC__
+  malloc_trim(0);
+#endif
+}
+
+}  // namespace
 
 Status ValidatePaneOptions(const PaneOptions& options) {
   if (options.k < 2 || options.k % 2 != 0) {
@@ -39,12 +57,15 @@ MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
   const int64_t double_bytes = static_cast<int64_t>(sizeof(double));
   const bool spill =
       budget_bytes > 0 && 2 * n * d * double_bytes > budget_bytes;
-  if (spill) plan.pool_bytes = budget_bytes / 2;
+  // A spilled run splits M: a quarter for the pool, the rest for the
+  // panel and strip scratch, so the two shares sum to M.
+  if (spill) plan.pool_bytes = budget_bytes / 4;
+  plan.scratch_bytes = budget_bytes > 0 ? budget_bytes - plan.pool_bytes
+                                        : kUnboundedScratchBytes;
 
   // Panels and strips both hold two n-double buffers per column.
   const int64_t bytes_per_column = 2 * double_bytes * std::max<int64_t>(n, 1);
-  const int64_t share =
-      budget_bytes > 0 ? budget_bytes : kUnboundedScratchBytes;
+  const int64_t share = plan.scratch_bytes;
   const int64_t min_columns =
       budget_bytes > 0 ? 1 : kUnboundedScratchMinColumns;
   const auto fit = [&](int64_t columns, int64_t in_flight) {
@@ -61,7 +82,8 @@ MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
       budget_bytes > 0 && share < bytes_per_column * panel_in_flight;
   if (plan.clamped) {
     PANE_LOG(WARNING) << "memory budget " << memory_budget_mb
-                      << " MiB is below one width-1 affinity panel ("
+                      << " MiB leaves " << share
+                      << " bytes of scratch, below one width-1 affinity panel ("
                       << bytes_per_column * panel_in_flight
                       << " bytes in flight); running width-1 panels over it";
   }
@@ -116,6 +138,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     pool_options.budget_bytes = plan.pool_bytes;
     buffer_pool = std::make_unique<store::BufferPool>(pool_options);
   }
+  out_stats->plan = plan;
   out_stats->slabs_spilled = buffer_pool != nullptr;
   out_stats->slab_bytes = 2 * n * d * static_cast<int64_t>(sizeof(double));
 
@@ -129,6 +152,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   PANE_ASSIGN_OR_RETURN(
       affinity.backward,
       FactorSlab::Create(n, d, buffer_pool.get(), opt.spill_dir));
+  out_stats->stream_chunk_rows = StreamChunkRows(affinity.forward);
   {
     ScopedTimer timer(&out_stats->affinity_seconds);
     AffinityEngineOptions engine_options;
@@ -138,6 +162,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     engine_options.panel_width = plan.panel_width;
     PANE_RETURN_NOT_OK(ComputeGraphAffinityIntoSlabs(
         graph, engine_options, &affinity, &out_stats->affinity));
+    ReturnFreedHeap();
   }
 
   // Phase 2a: seeding (a warm start, random for PANE-R, or Algorithm 3 / 7).
@@ -161,6 +186,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
       PANE_ASSIGN_OR_RETURN(state,
                             GreedyInit(std::move(affinity), init_options));
     }
+    ReturnFreedHeap();
   }
   out_stats->objective_initial = Objective(state);
 

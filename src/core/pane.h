@@ -10,7 +10,12 @@
 // --memory-budget-mb into sizes. Train calls it once, before any phase
 // runs, and hands each phase a shape — whether the two n x d slabs spill
 // and the pool's residency budget, the affinity panel width, the CCD strip
-// width and the init's wave size. No phase sees the budget.
+// width and the init's wave size. No phase sees the budget. A spilled run
+// splits the budget between the pool (a quarter) and the panel and strip
+// scratch (the rest); its streaming passes release one pool page of rows
+// at a time; and Train hands the heap a phase freed back to the OS after
+// affinity and after init, so one phase's freed buffers do not raise the
+// next one's peak.
 //
 // The warm start is the time-varying-graph extension the paper's conclusion
 // leaves as future work: after a batch of edge/attribute updates, Train
@@ -82,6 +87,9 @@ struct MemoryPlan {
   /// Residency budget of the pool the two n x d slabs spill through; 0 =>
   /// the slabs stay in RAM.
   int64_t pool_bytes = 0;
+  /// The scratch share the panel and strip widths are fitted against: the
+  /// budget less pool_bytes when bounded, kUnboundedScratchBytes when not.
+  int64_t scratch_bytes = 0;
   /// Columns per affinity panel (AffinityEngineOptions::panel_width).
   int64_t panel_width = 0;
   /// Residual columns per CCD phase-2 strip (CcdOptions::strip_width).
@@ -89,8 +97,8 @@ struct MemoryPlan {
   /// Algorithm 7's wave size: spilled F' row blocks RandSVD'd at once
   /// (InitOptions::max_inflight_blocks); 0 => no cap.
   int64_t max_inflight_blocks = 0;
-  /// The budget is below the panels in flight at width 1; they run at
-  /// width 1 and overshoot it (a warning is logged).
+  /// The scratch share is below the panels in flight at width 1; they run
+  /// at width 1 and overshoot it (a warning is logged).
   bool clamped = false;
 };
 
@@ -99,15 +107,16 @@ struct MemoryPlan {
 /// (ValidateMemoryBudgetMb).
 ///
 /// - Spill: when a budget M is set and the two slabs' 2 n d doubles exceed
-///   it, into a pool of M / 2.
+///   it, into a pool of M / 4, which leaves the scratch 3 M / 4; the two
+///   shares sum to M.
 /// - Widths: one rule for panels and strips. The historical shape — every
 ///   column for a strip and for a serial or spilled panel, ceil(d / threads)
 ///   for a pooled in-RAM panel (the APMI / PAPMI shapes) — is narrowed
 ///   until what is in flight fits the scratch share: threads + 1 pooled
 ///   panels (the workers and the draining caller), or one serial or
-///   spilled panel or strip. The share is M when bounded and
-///   kUnboundedScratchBytes when not; the floor is 1 column bounded and
-///   kUnboundedScratchMinColumns unbounded.
+///   spilled panel or strip. The share (scratch_bytes) is M less the pool
+///   share when bounded and kUnboundedScratchBytes when not; the floor is 1
+///   column bounded and kUnboundedScratchMinColumns unbounded.
 /// - Init: a spilled pooled run RandSVDs its F' row blocks in waves of
 ///   M / (one block's bytes), between 1 and threads.
 MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
@@ -123,8 +132,10 @@ struct PaneStats {
   double total_seconds = 0.0;
   double objective_initial = 0.0;  ///< Equation (4) right after init
   double objective_final = 0.0;    ///< Equation (4) after refinement
+  MemoryPlan plan;                 ///< the sizes the budget became
   bool slabs_spilled = false;      ///< factors were spilled through the pool
   int64_t slab_bytes = 0;          ///< the two n x d slabs (F'/Sf, B'/Sb)
+  int64_t stream_chunk_rows = 0;   ///< rows per streamed release
   CcdStats ccd;                    ///< phase-2 strip decomposition
   store::BufferPool::Stats pool;   ///< eviction/write-back counters (spilled)
 };

@@ -277,6 +277,14 @@ void ReleaseRowsOrWarn(const FactorSlab& slab, int64_t row_begin,
   }
 }
 
+int64_t StreamChunkRows(const FactorSlab& slab) {
+  const int64_t rows = std::max<int64_t>(slab.rows(), 1);
+  if (!slab.spilled()) return rows;
+  const int64_t row_bytes =
+      std::max<int64_t>(slab.cols(), 1) * static_cast<int64_t>(sizeof(double));
+  return std::clamp<int64_t>(slab.pool()->page_bytes() / row_bytes, 1, rows);
+}
+
 void DropResidencyOrWarn(const FactorSlab& slab) {
   if (!slab.spilled()) return;
   const Status dropped = slab.DropResidency();

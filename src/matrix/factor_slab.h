@@ -15,6 +15,9 @@
 // marks them for write-back when dirty; the page cache keeps the
 // authoritative copy, so re-acquisition is lossless. For an in-RAM slab
 // every release is a no-op, so callers sprinkle releases unconditionally.
+// Streaming passes release their rows in chunks of one pool page
+// (StreamChunkRows), so the pool's ledger never holds more than its budget
+// plus a couple of pages per thread, whatever the row count.
 //
 // A slab never sees the memory budget: whether a run's slabs spill, and how
 // large their pool is, is the training memory plan's call (PlanMemory in
@@ -76,6 +79,8 @@ class FactorSlab {
   }
   bool empty() const { return rows_ * cols_ == 0; }
   bool spilled() const { return pool_ != nullptr; }
+  /// The pool a spilled slab is registered with (null in RAM).
+  const store::BufferPool* pool() const { return pool_; }
   /// Path of the spill file ("" for in-RAM slabs).
   const std::string& spill_path() const { return spill_path_; }
 
@@ -158,10 +163,13 @@ class FactorSlab {
 /// wrap negative and read as a tiny budget.
 Status ValidateMemoryBudgetMb(int64_t memory_budget_mb);
 
-/// \brief Rows a streaming pass over a slab handles between releases: a
-/// spilled slab gives a chunk's pages back to its pool as the chunk
-/// finishes, so a pass pins at most one chunk per thread.
-constexpr int64_t kStreamChunkRows = 4096;
+/// \brief Rows a streaming pass over `slab` handles between releases: as
+/// many whole rows as fit in one pool page (at least one), so each release
+/// hands the pool at most two pages (a chunk may straddle a page boundary)
+/// and a pass adds at most that much per thread to the pool's resident
+/// ledger above its budget. In RAM, where releases are no-ops, every row
+/// (one chunk).
+int64_t StreamChunkRows(const FactorSlab& slab);
 
 /// \brief The streaming passes' release policy, in one place: residency
 /// failures are advisory (the data is intact, only the RSS bound slips), so

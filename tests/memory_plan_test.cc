@@ -1,8 +1,9 @@
 // Tests for the training memory plan (PlanMemory, src/core/pane.h), the one
 // place a memory budget becomes sizes: it keeps the benchmark's two shapes,
-// spills into half the budget exactly when the slabs outgrow it, holds each
-// phase's scratch to its share over a grid of shapes, and hands the
-// affinity engine widths whose output is the unfused reference's bytes.
+// spills into a quarter of the budget exactly when the slabs outgrow it,
+// holds each phase's scratch to its share and a spilled run's two shares to
+// the budget over a grid of shapes, and hands the affinity engine widths
+// whose output is the unfused reference's bytes.
 #include "src/core/pane.h"
 
 #include <gtest/gtest.h>
@@ -14,7 +15,6 @@
 
 #include "src/core/affinity_engine.h"
 #include "src/core/apmi.h"
-#include "src/graph/generators.h"
 #include "src/parallel/thread_pool.h"
 #include "src/store/buffer_pool.h"
 #include "test_util.h"
@@ -76,38 +76,29 @@ AffinityEngineStats RunPlannedAffinity(const AttributedGraph& g, int threads,
   return stats;
 }
 
-// The benchmark's graph: `panebench_tool gen-graph --seed=1 --nodes=3000
-// --edges=45000 --attrs=300 --attr-entries=45000 --communities=8`.
-AttributedGraph BenchmarkShapedGraph() {
-  SbmParams params;
-  params.num_nodes = 3000;
-  params.num_edges = 45000;
-  params.num_attributes = 300;
-  params.num_attr_entries = 45000;
-  params.num_communities = 8;
-  params.seed = 1;
-  return GenerateAttributedSbm(params);
-}
-
 TEST(MemoryPlanTest, BenchmarkPointsKeepTheirShapes) {
   // ram_exact trains unbounded and spill_routed at 8 MiB, both at 2
-  // threads on the 3000 x 300 graph. Their shapes are the ones the
-  // benchmark has always reported.
+  // threads on the 3000 x 300 graph. The unbounded shapes are the ones the
+  // benchmark has always reported; the spilled run splits its 8 MiB into a
+  // 2 MiB pool and 6 MiB of scratch, 131 columns of 48000 bytes.
   const MemoryPlan unbounded = PlanMemory(3000, 300, 2, 0);
   EXPECT_EQ(unbounded.pool_bytes, 0);
+  EXPECT_EQ(unbounded.scratch_bytes, kUnboundedScratchBytes);
   EXPECT_EQ(unbounded.panel_width, 29);
   EXPECT_EQ(unbounded.strip_width, 87);
   EXPECT_EQ(unbounded.max_inflight_blocks, 0);
   EXPECT_FALSE(unbounded.clamped);
   const MemoryPlan spilled = PlanMemory(3000, 300, 2, 8);
-  EXPECT_EQ(spilled.pool_bytes, 4 * kMiB);
-  EXPECT_EQ(spilled.panel_width, 174);
-  EXPECT_EQ(spilled.strip_width, 174);
+  EXPECT_EQ(spilled.pool_bytes, 2 * kMiB);
+  EXPECT_EQ(spilled.scratch_bytes, 6 * kMiB);
+  EXPECT_EQ(spilled.panel_width, 131);
+  EXPECT_EQ(spilled.strip_width, 131);
   EXPECT_EQ(spilled.max_inflight_blocks, 2);
   EXPECT_FALSE(spilled.clamped);
 
-  // The same shapes reach the phases through Pane::Train.
-  const AttributedGraph g = BenchmarkShapedGraph();
+  // The same shapes reach the phases through Pane::Train, which reports
+  // its plan.
+  const AttributedGraph g = testing::BenchmarkShapedGraph();
   PaneOptions options;
   options.k = 16;
   options.num_threads = 2;
@@ -119,13 +110,19 @@ TEST(MemoryPlanTest, BenchmarkPointsKeepTheirShapes) {
   EXPECT_EQ(stats.affinity.scratch_bytes, 4176000);
   EXPECT_EQ(stats.ccd.strip_width, 87);
   EXPECT_EQ(stats.ccd.scratch_bytes, 4176000);
+  EXPECT_EQ(stats.plan.scratch_bytes, kUnboundedScratchBytes);
+  EXPECT_EQ(stats.stream_chunk_rows, 3000);
   options.memory_budget_mb = 8;
   ASSERT_TRUE(Pane(options).Train(g, &stats).ok());
   EXPECT_TRUE(stats.slabs_spilled);
-  EXPECT_EQ(stats.affinity.panel_width, 174);
-  EXPECT_EQ(stats.affinity.scratch_bytes, 8352000);
-  EXPECT_EQ(stats.ccd.strip_width, 174);
-  EXPECT_EQ(stats.ccd.scratch_bytes, 8352000);
+  EXPECT_EQ(stats.affinity.panel_width, 131);
+  EXPECT_EQ(stats.affinity.scratch_bytes, 6288000);
+  EXPECT_EQ(stats.ccd.strip_width, 131);
+  EXPECT_EQ(stats.ccd.scratch_bytes, 6288000);
+  EXPECT_EQ(stats.plan.pool_bytes, 2 * kMiB);
+  EXPECT_EQ(stats.plan.scratch_bytes, 6 * kMiB);
+  // One 256 KiB pool page holds 109 rows of 300 doubles.
+  EXPECT_EQ(stats.stream_chunk_rows, 109);
 }
 
 TEST(MemoryPlanTest, SharesHoldOverAGrid) {
@@ -140,8 +137,10 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
               " threads=" + std::to_string(threads);
           const int64_t budget = budget_mb * kMiB;
           const bool spill = budget > 0 && 2 * n * d * 8 > budget;
-          EXPECT_EQ(plan.pool_bytes, spill ? budget / 2 : 0) << what;
-          const int64_t share = budget > 0 ? budget : kUnboundedScratchBytes;
+          EXPECT_EQ(plan.pool_bytes, spill ? budget / 4 : 0) << what;
+          const int64_t share =
+              budget > 0 ? budget - plan.pool_bytes : kUnboundedScratchBytes;
+          EXPECT_EQ(plan.scratch_bytes, share) << what;
 
           // Panels: pooled in-RAM runs hold up to threads + 1 at once (the
           // workers and the draining caller), serial and spilled runs one.
@@ -180,6 +179,16 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
             EXPECT_GT(ColumnBytes(n) * (strip + 1), share) << what;
           }
 
+          // A spilled run above the clamp floor keeps its pool share and
+          // whatever panels or strip it has in flight within the budget.
+          if (spill && !plan.clamped) {
+            EXPECT_LE(plan.pool_bytes + in_flight * ColumnBytes(n) * panel,
+                      budget)
+                << what;
+            EXPECT_LE(plan.pool_bytes + ColumnBytes(n) * strip, budget)
+                << what;
+          }
+
           // Init: only a spilled pooled run caps its in-flight F' blocks.
           if (spill && threads > 1) {
             const int64_t block_bytes = (n + threads - 1) / threads * d * 8;
@@ -198,15 +207,18 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
   }
 }
 
-TEST(MemoryPlanTest, SpillsIntoHalfTheBudgetWhenTheSlabsOutgrowIt) {
+TEST(MemoryPlanTest, SpillsIntoAQuarterOfTheBudgetWhenTheSlabsOutgrowIt) {
   // 2048 x 1024 doubles, twice: 32 MiB of slabs.
   // No budget => always RAM, however large the slabs.
   EXPECT_EQ(PlanMemory(int64_t{1} << 20, int64_t{1} << 16, 4, 0).pool_bytes,
             0);
-  // Budget covers the slabs => RAM; smaller => a pool at half the budget.
+  // Budget covers the slabs => RAM, and the scratch has all of it; smaller
+  // => a pool at a quarter of the budget and the scratch the rest.
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 64).pool_bytes, 0);
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).pool_bytes, 0);
-  EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).pool_bytes, 8 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).scratch_bytes, 32 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).pool_bytes, 4 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).scratch_bytes, 12 * kMiB);
 }
 
 TEST(MemoryPlanTest, SerialBudgetFitsTheWholeSetInOnePanel) {
@@ -250,14 +262,14 @@ TEST(MemoryPlanTest, PooledInRamBudgetNarrowsThePanelsInFlight) {
   EXPECT_LE(stats.scratch_bytes, 6 * kMiB);
 }
 
-TEST(MemoryPlanTest, SpilledBudgetRunsWholeBudgetPanelsInSequence) {
-  // n = 9000, 8 workers, 1 MiB: the slabs (11.5 MB) spill, and spilled
-  // panels run one at a time, so one panel gets the whole budget:
-  // 2^20 / (2 * 8 * 9000) = 7 columns.
+TEST(MemoryPlanTest, SpilledBudgetRunsWholeSharePanelsInSequence) {
+  // n = 9000, 8 workers, 1 MiB: the slabs (11.5 MB) spill into a 256 KiB
+  // pool, and spilled panels run one at a time, so one panel gets the whole
+  // scratch share: (3 / 4) 2^20 / (2 * 8 * 9000) = 5 columns.
   const AttributedGraph g = testing::SmallSbm(45, 9000);
   const MemoryPlan plan = PlanMemory(9000, 80, 8, 1);
-  EXPECT_EQ(plan.pool_bytes, kMiB / 2);
-  EXPECT_EQ(plan.panel_width, 7);
+  EXPECT_EQ(plan.pool_bytes, kMiB / 4);
+  EXPECT_EQ(plan.panel_width, 5);
   EXPECT_FALSE(plan.clamped);
   const AffinityEngineStats stats = RunPlannedAffinity(g, 8, 1, 2);
   EXPECT_FALSE(stats.panel_parallel);
@@ -291,10 +303,11 @@ TEST(MemoryPlanTest, UnboundedKeepsTheHistoricalShapes) {
 }
 
 TEST(MemoryPlanTest, StripsFollowTheBudget) {
-  // A 1 MiB budget holds 65536 / n residual columns (two n-double strips
-  // per column): width 1 at n = 40000 and 3 at n = 20000.
+  // A spilled 1 MiB budget leaves 3/4 MiB of scratch, 49152 / n residual
+  // columns (two n-double strips per column): width 1 at n = 40000 and 4
+  // at n = 10000.
   EXPECT_EQ(PlanMemory(40000, 7, 2, 1).strip_width, 1);
-  EXPECT_EQ(PlanMemory(20000, 7, 2, 1).strip_width, 3);
+  EXPECT_EQ(PlanMemory(10000, 7, 2, 1).strip_width, 4);
   // n = 8000: a column costs 128000 B, so the unbounded cap holds 32 of 40
   // columns, while a 5 MiB budget holds all of them.
   EXPECT_EQ(PlanMemory(8000, 40, 2, 0).strip_width, 32);

@@ -1,8 +1,9 @@
 // Whole-pipeline tests for the FactorSlab storage layer: a spilled
 // Pane::Train (cold or warm-started; a budget below the two n x d slabs
 // spills them) must produce bitwise-identical embeddings to the in-RAM and
-// unbounded runs on the same seed, spilled runs' scratch must respect the
-// budget, and spill files must vanish on success and on error paths.
+// unbounded runs on the same seed, spilled runs' scratch and pool must
+// respect their shares of the budget, and spill files must vanish on
+// success and on error paths.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -82,6 +83,26 @@ TEST(SlabPipelineTest, SpillScratchStaysUnderBudget) {
   EXPECT_LE(stats.affinity.scratch_bytes, budget_bytes);
   EXPECT_LE(stats.ccd.scratch_bytes, budget_bytes);
   EXPECT_TRUE(stats.affinity.spilled);
+}
+
+TEST(SlabPipelineTest, PoolStaysWithinItsShare) {
+  // The benchmark's spilled run: 8 MiB, 2 threads, a 2 MiB pool. Every
+  // streaming pass releases one pool page of rows at a time, so a release
+  // takes the ledger at most two pages (a chunk may straddle a page
+  // boundary) past the pool's share, and nothing is pinned across it.
+  const AttributedGraph g = testing::BenchmarkShapedGraph();
+  constexpr int kThreads = 2;
+  PaneOptions options = BudgetedOptions(kThreads, 8);
+  options.ccd_iterations = 1;
+  PaneStats stats;
+  ASSERT_TRUE(Pane(options).Train(g, &stats).ok());
+  ASSERT_TRUE(stats.slabs_spilled);
+  const int64_t page_bytes = store::BufferPool::Options{}.page_bytes;
+  EXPECT_LE(stats.pool.resident_peak_bytes,
+            stats.plan.pool_bytes + kThreads * 2 * page_bytes)
+      << "pool share " << stats.plan.pool_bytes << " B, chunk "
+      << stats.stream_chunk_rows << " rows";
+  EXPECT_GT(stats.pool.evicted_pages, 0);
 }
 
 TEST(SlabPipelineTest, SpillFilesRemovedAfterTraining) {

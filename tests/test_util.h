@@ -55,6 +55,20 @@ inline AttributedGraph SmallSbm(uint64_t seed = 12, int64_t n = 400,
   return GenerateAttributedSbm(params);
 }
 
+/// The benchmark's training graph: `panebench_tool gen-graph --seed=1
+/// --nodes=3000 --edges=45000 --attrs=300 --attr-entries=45000
+/// --communities=8`.
+inline AttributedGraph BenchmarkShapedGraph() {
+  SbmParams params;
+  params.num_nodes = 3000;
+  params.num_edges = 45000;
+  params.num_attributes = 300;
+  params.num_attr_entries = 45000;
+  params.num_communities = 8;
+  params.seed = 1;
+  return GenerateAttributedSbm(params);
+}
+
 /// F' / B' of `g` through the affinity engine with t derived from
 /// (epsilon, alpha), in RAM.
 inline AffinitySlabs GraphAffinity(const AttributedGraph& g,

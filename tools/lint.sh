@@ -91,6 +91,12 @@
 # wants concurrency runs on the run's pool (RunBlocks / ParallelFor), so a
 # side thread with its own claim counter and throttle cannot grow back
 # beside it. tests/, bench/ and examples/ may start threads of their own.
+#
+# Rule 13 — one heap release point: in src/, malloc_trim and <malloc.h> may
+# appear ONLY in src/core/pane.cc, where Pane::Train hands the heap a
+# finished phase freed back to the OS at the phase boundaries. A trim
+# inside a phase would cost its time on every call and hide which phase
+# sets the peak; a second release point cannot grow back beside the one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -280,6 +286,18 @@ if [[ -n "$thread_hits" ]]; then
   echo "$thread_hits" >&2
   echo "lint: run the work on the run's ThreadPool (RunBlocks/ParallelFor)" >&2
   echo "lint: instead of starting a thread of its own" >&2
+  status=1
+fi
+
+# --- Rule 13: heap trims outside the training driver ----------------------
+trim_hits=$(grep -rEn '\bmalloc_trim\b|<malloc\.h>' src \
+              --include='*.h' --include='*.cc' --include='*.cpp' \
+            | grep -Ev '^src/core/pane\.cc:' || true)
+if [[ -n "$trim_hits" ]]; then
+  echo "lint: malloc_trim / <malloc.h> outside src/core/pane.cc:" >&2
+  echo "$trim_hits" >&2
+  echo "lint: freed heap goes back at Pane::Train's phase boundaries" >&2
+  echo "lint: (ReturnFreedHeap), not inside a phase" >&2
   status=1
 fi
 
