@@ -17,7 +17,6 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -79,7 +78,7 @@ void RunWholePipelineBudgetSection(const AttributedGraph& g,
          bench::MegabyteCell(
              static_cast<double>(run.stats.affinity.scratch_bytes +
                                  run.stats.ccd.scratch_bytes)),
-         run.stats.slabs_spilled ? "pool" : "RAM",
+         run.stats.slabs_spilled ? "spill" : "RAM",
          bench::MegabyteCell(static_cast<double>(rss_after)),
          rss_before < 0 || rss_after < 0
              ? "-"
@@ -151,21 +150,17 @@ void RunMemoryBudgetSection(double scale) {
     WallTimer timer;
     // The sizes and slab backing Pane::Train would use at this budget.
     const MemoryPlan plan = PlanMemory(n, d, nb, budget);
-    std::unique_ptr<store::BufferPool> buffer_pool;
-    if (plan.pool_bytes > 0) {
-      store::BufferPool::Options pool_options;
-      pool_options.budget_bytes = plan.pool_bytes;
-      buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-    }
+    const int64_t spill_chunk_rows =
+        plan.stream_bytes > 0 ? plan.stream_chunk_rows : 0;
     AffinityEngineOptions options;
     options.t = t;
     options.pool = &pool;
     options.panel_width = plan.panel_width;
     AffinityEngineStats stats;
     AffinitySlabs affinity;
-    affinity.forward = FactorSlab::Create(n, d, buffer_pool.get()).ValueOrDie();
+    affinity.forward = FactorSlab::Create(n, d, spill_chunk_rows).ValueOrDie();
     affinity.backward =
-        FactorSlab::Create(n, d, buffer_pool.get()).ValueOrDie();
+        FactorSlab::Create(n, d, spill_chunk_rows).ValueOrDie();
     PANE_CHECK_OK(ComputeGraphAffinityIntoSlabs(g, options, &affinity, &stats));
     const double seconds = timer.ElapsedSeconds();
     const int64_t rss_after = bench::PeakRssBytes();

@@ -61,9 +61,9 @@ class PaneEmbedder : public Embedder {
                      << "B pool evicted=" << stats.pool.evicted_pages
                      << " written_back=" << stats.pool.writeback_pages
                      << " resident_peak=" << stats.pool.resident_peak_bytes
-                     << "B pool_share=" << stats.plan.pool_bytes
+                     << "B stream_share=" << stats.plan.stream_bytes
                      << "B scratch_share=" << stats.plan.scratch_bytes
-                     << "B stream_chunk_rows=" << stats.stream_chunk_rows
+                     << "B stream_chunk_rows=" << stats.plan.stream_chunk_rows
                      << "; ccd strip=" << stats.ccd.strip_width
                      << " scratch=" << stats.ccd.scratch_bytes
                      << "B node_sweep=" << stats.ccd.node_sweep_seconds

@@ -11,7 +11,7 @@
 // zero-cost forwarding shims over the std primitives, so the annotations
 // never change behavior — only what the compiler is able to reject.
 //
-// Usage pattern (see thread_pool.h, buffer_pool.h, server.h for real ones):
+// Usage pattern (see thread_pool.h, server.h for real ones):
 //
 //   class Worklist {
 //    public:

@@ -22,8 +22,8 @@ struct AffinityMatrices {
 };
 
 /// \brief The pair (F', B') as FactorSlabs — the shape every affinity
-/// producer and consumer uses. In RAM or spilled through a BufferPool, in
-/// which case consumers stream row blocks. See src/matrix/factor_slab.h.
+/// producer and consumer uses. In RAM or spilled to memory-mapped files, in
+/// which case consumers stream row chunks. See src/matrix/factor_slab.h.
 struct AffinitySlabs {
   FactorSlab forward;
   FactorSlab backward;

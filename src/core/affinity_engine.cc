@@ -173,12 +173,12 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
       }
     }
 
-    // Spilled panels run sequentially, so the finished panel can hand every
-    // resident page of its slab back to the pool before the next panel
-    // starts — this is what keeps affinity-phase RSS near the panel scratch
-    // instead of 2 n d. (The pages stay authoritative in the page cache;
-    // later panels and the backward SPMI pass refault what they touch.)
-    DropResidencyOrWarn(*slab);
+    // Spilled panels run in order, forward then backward, so a direction's
+    // last panel is the last to write its slab: drop the slab's pages then,
+    // once. (The page cache keeps the bytes; the backward SPMI pass
+    // refaults what it touches.) Dropping after every panel would refault
+    // the whole slab for each of the next ones.
+    if (task.end == d) slab->DropResidency();
   };
 
   if (panel_parallel) {
@@ -189,37 +189,30 @@ Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
   }
 
   // SPMI transform, backward side: row sums span every panel, so B' is
-  // finished with one in-place row-parallel pass over the completed slab.
-  // Rows are contiguous, so a spilled slab streams this pass in one-page
-  // chunks that release their pages as they finish.
-  const int64_t chunk_rows = StreamChunkRows(out->backward);
+  // finished with one in-place row-parallel pass over the completed slab,
+  // streamed so a spilled slab drops each chunk of rows as it finishes.
   const auto backward_rows = [&](int64_t row_begin, int64_t row_end) {
-    for (int64_t chunk = row_begin; chunk < row_end; chunk += chunk_rows) {
-      const int64_t chunk_end = std::min(chunk + chunk_rows, row_end);
-      for (int64_t i = chunk; i < chunk_end; ++i) {
-        double* row = out->backward.Row(i);
-        double rs = 0.0;
-        for (int64_t j = 0; j < d; ++j) rs += row[j];
-        if (rs > 0.0) {
-          for (int64_t j = 0; j < d; ++j) {
-            row[j] = std::log1p(d * row[j] / rs);
-          }
-        } else {
-          // A row can sum to <= 0 with nonzero entries when attribute
-          // weights carry mixed signs; the unfused reference defines B' as
-          // all-zero there, and the raw accumulated probabilities must not
-          // leak out.
-          std::fill(row, row + d, 0.0);
+    for (int64_t i = row_begin; i < row_end; ++i) {
+      double* row = out->backward.Row(i);
+      double rs = 0.0;
+      for (int64_t j = 0; j < d; ++j) rs += row[j];
+      if (rs > 0.0) {
+        for (int64_t j = 0; j < d; ++j) {
+          row[j] = std::log1p(d * row[j] / rs);
         }
+      } else {
+        // A row can sum to <= 0 with nonzero entries when attribute
+        // weights carry mixed signs; the unfused reference defines B' as
+        // all-zero there, and the raw accumulated probabilities must not
+        // leak out.
+        std::fill(row, row + d, 0.0);
       }
-      ReleaseRowsOrWarn(out->backward, chunk, chunk_end, /*dirty=*/true);
     }
   };
-  if (pool != nullptr) {
-    ParallelFor(pool, 0, n, backward_rows);
-  } else {
-    backward_rows(0, n);
-  }
+  ParallelFor(pool, 0, n, [&](int64_t row_begin, int64_t row_end) {
+    StreamRows({&out->backward}, row_begin, row_end, /*dirty=*/true,
+               backward_rows);
+  });
   return Status::OK();
 }
 

@@ -11,10 +11,10 @@
 // sums span every panel).
 //
 // The outputs are caller-created FactorSlabs (src/matrix/factor_slab.h):
-// in RAM, or spilled through the run's BufferPool — panels then run
-// sequentially and each finished panel's pages are evicted from the pool,
-// so peak RSS tracks the panel scratch rather than 2 n d. Both slabs are
-// final when the engine returns.
+// in RAM, or spilled to memory-mapped files — panels then run
+// sequentially, each slab's pages are dropped once after its last panel,
+// and the backward SPMI pass drops each chunk of rows as it finishes. Both
+// slabs are final when the engine returns.
 //
 // The engine never sees the memory budget: the caller gives it a panel
 // width (Pane::Train takes it from its memory plan, PlanMemory in
@@ -61,13 +61,13 @@ struct AffinityEngineStats {
   int64_t output_bytes = 0;  ///< the two n x d output slabs
   bool panel_parallel = false;  ///< true: panels across workers;
                                 ///< false: row blocks within a panel
-  bool spilled = false;         ///< outputs were spilled through a pool
+  bool spilled = false;         ///< outputs were spilled to mapped files
 };
 
 /// \brief Core entry: runs the engine on prebuilt P, P^T and attribute
 /// matrix R, writing into caller-owned slabs, which must already be shaped
 /// n x d (InvalidArgument otherwise). The caller decides where they live:
-/// in RAM or spilled through its BufferPool.
+/// in RAM or spilled (FactorSlab::Create).
 Status ComputeAffinityIntoSlabs(const CsrMatrix& p,
                                 const CsrMatrix& p_transposed,
                                 const CsrMatrix& r,

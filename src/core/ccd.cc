@@ -164,8 +164,6 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
     options.stats->scratch_bytes =
         2 * strip * n * static_cast<int64_t>(sizeof(double));
   }
-  // sf and sb share a shape and a pool, so one chunk size serves both.
-  const int64_t chunk_rows = StreamChunkRows(state->sf);
   std::vector<double> sf_strip(static_cast<size_t>(strip * n));
   std::vector<double> sb_strip(static_cast<size_t>(strip * n));
   double node_sweep_seconds = 0.0;
@@ -193,17 +191,16 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
       }
     }
   };
-  // One row pass of copy_rows over every row, released chunk by chunk.
+  // One streamed row pass of copy_rows over every row.
   const auto copy_strips = [&](int64_t put_begin, int64_t put_cols,
                                int64_t get_begin, int64_t get_cols) {
     ScopedTimer timer(&strip_copy_seconds);
     ParallelFor(pool, 0, n, [&](int64_t begin, int64_t end) {
-      for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
-        const int64_t chunk_end = std::min(chunk + chunk_rows, end);
-        copy_rows(chunk, chunk_end, put_begin, put_cols, get_begin, get_cols);
-        ReleaseRowsOrWarn(state->sf, chunk, chunk_end, put_cols > 0);
-        ReleaseRowsOrWarn(state->sb, chunk, chunk_end, put_cols > 0);
-      }
+      StreamRows({&state->sf, &state->sb}, begin, end, put_cols > 0,
+                 [&](int64_t chunk, int64_t chunk_end) {
+                   copy_rows(chunk, chunk_end, put_begin, put_cols,
+                             get_begin, get_cols);
+                 });
     });
   };
 
@@ -215,23 +212,23 @@ Status CcdRefine(EmbeddingState* state, const CcdOptions& options) {
   const int64_t first_cols = std::min(strip, d);
   for (int iter = 0; iter < options.iterations; ++iter) {
     // ----- Phase 1 (Algorithm 4 lines 3-9 / Algorithm 8 lines 3-10): Y
-    // fixed, sweep Xf / Xb rows. Each one-page chunk first takes back the
+    // fixed, sweep Xf / Xb rows. Each streamed chunk first takes back the
     // pending strip, then is updated, then loads the first strip of phase
     // 2, so these two copies ride on the sweep's own pass over the rows;
-    // spilled residual rows are released as each chunk finishes so phase-1
+    // spilled residual rows are dropped as each chunk finishes so phase-1
     // residency stays at the chunk level.
     const DenseMatrix yt = state->y.Transposed();
     const std::vector<double> y_denoms = ColumnSquaredNorms(yt);
     const std::vector<int64_t> y_active = ActiveCoordinates(y_denoms);
     const auto phase1_rows = [&](int64_t begin, int64_t end) {
-      for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
-        const int64_t chunk_end = std::min(chunk + chunk_rows, end);
-        copy_rows(chunk, chunk_end, pending_begin, pending_cols, 0, 0);
-        UpdateNodeRows(state, yt, y_denoms, y_active, chunk, chunk_end);
-        copy_rows(chunk, chunk_end, 0, 0, 0, first_cols);
-        ReleaseRowsOrWarn(state->sf, chunk, chunk_end, /*dirty=*/true);
-        ReleaseRowsOrWarn(state->sb, chunk, chunk_end, /*dirty=*/true);
-      }
+      StreamRows({&state->sf, &state->sb}, begin, end, /*dirty=*/true,
+                 [&](int64_t chunk, int64_t chunk_end) {
+                   copy_rows(chunk, chunk_end, pending_begin, pending_cols, 0,
+                             0);
+                   UpdateNodeRows(state, yt, y_denoms, y_active, chunk,
+                                  chunk_end);
+                   copy_rows(chunk, chunk_end, 0, 0, 0, first_cols);
+                 });
     };
     {
       ScopedTimer timer(&node_sweep_seconds);

@@ -6,7 +6,7 @@
 //
 // The residuals live in FactorSlabs (the former F' / B' slabs, which init
 // overwrote in place). Phase 1 streams row blocks (zero-copy
-// under either backing, pages released as blocks finish when spilled).
+// under either backing, pages dropped as chunks finish when spilled).
 // Phase 2 needs residual columns, which are hostile to a row-major slab, so
 // it copies a strip of columns into contiguous strip buffers, updates every
 // attribute row of the strip against them, and copies the strip back. One

@@ -31,18 +31,16 @@ Status ValidateInit(const AffinitySlabs& affinity, const InitOptions& options) {
 }
 
 // Rows [begin, end) of out = F * y through Gemm's i-k-j skip-zero kernel,
-// reading F from the slab — identical arithmetic wherever the slab keeps
-// the bytes. Consumed slab rows are released as each chunk finishes.
+// streaming F from the slab — identical arithmetic wherever the slab keeps
+// the bytes.
 void ProjectRows(const FactorSlab& f, const DenseMatrix& y, DenseMatrix* out,
                  int64_t begin, int64_t end) {
   const auto gemm_rows = GetMatrixKernels().gemm_rows;
-  const int64_t chunk_rows = StreamChunkRows(f);
-  for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
-    const int64_t chunk_end = std::min(chunk + chunk_rows, end);
-    gemm_rows(f.Row(chunk), y.data(), out->Row(chunk), chunk_end - chunk,
-              f.cols(), y.cols());
-    ReleaseRowsOrWarn(f, chunk, chunk_end, /*dirty=*/false);
-  }
+  StreamRows({&f}, begin, end, /*dirty=*/false,
+             [&](int64_t chunk, int64_t chunk_end) {
+               gemm_rows(f.Row(chunk), y.data(), out->Row(chunk),
+                         chunk_end - chunk, f.cols(), y.cols());
+             });
 }
 
 // Rows [begin, end) of f <- x y^T - f in place, bitwise GemmTransB(x, y)
@@ -57,18 +55,16 @@ void ResidualRows(const DenseMatrix& x, const DenseMatrix& y, FactorSlab* f,
   std::vector<const double*> y_rows(static_cast<size_t>(d));
   for (int64_t j = 0; j < d; ++j) y_rows[static_cast<size_t>(j)] = y.Row(j);
   std::vector<double> dots(static_cast<size_t>(d));
-  const int64_t chunk_rows = StreamChunkRows(*f);
-  for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
-    const int64_t chunk_end = std::min(chunk + chunk_rows, end);
-    for (int64_t i = chunk; i < chunk_end; ++i) {
-      double* f_row = f->Row(i);
-      dot_rows(y_rows.data(), d, x.Row(i), h, dots.data());
-      for (int64_t j = 0; j < d; ++j) {
-        f_row[j] = dots[static_cast<size_t>(j)] - f_row[j];
-      }
-    }
-    ReleaseRowsOrWarn(*f, chunk, chunk_end, /*dirty=*/true);
-  }
+  StreamRows({f}, begin, end, /*dirty=*/true,
+             [&](int64_t chunk, int64_t chunk_end) {
+               for (int64_t i = chunk; i < chunk_end; ++i) {
+                 double* f_row = f->Row(i);
+                 dot_rows(y_rows.data(), d, x.Row(i), h, dots.data());
+                 for (int64_t j = 0; j < d; ++j) {
+                   f_row[j] = dots[static_cast<size_t>(j)] - f_row[j];
+                 }
+               }
+             });
 }
 
 // m <- m diag(sigma): column j of m scaled by sigma[j] (U Sigma, Phi Sigma).
@@ -138,7 +134,6 @@ Result<EmbeddingState> SplitMergeGreedyInit(AffinitySlabs affinity,
   std::vector<DenseMatrix> u_blocks(static_cast<size_t>(nb));
   std::vector<DenseMatrix> v_blocks(static_cast<size_t>(nb));
   std::vector<Status> block_status(static_cast<size_t>(nb));
-  const int64_t chunk_rows = StreamChunkRows(affinity.forward);
   const int wave =
       options.max_inflight_blocks > 0
           ? static_cast<int>(std::min<int64_t>(options.max_inflight_blocks, nb))
@@ -159,13 +154,9 @@ Result<EmbeddingState> SplitMergeGreedyInit(AffinitySlabs affinity,
                        &v_blocks[static_cast<size_t>(b)]);
       if (!status.ok()) return;
       ScaleColumns(sigma, &ui);
-      // One page per release, so the pool's ledger never takes the whole
-      // block above its budget at once.
-      for (int64_t chunk = blk.begin; chunk < blk.end; chunk += chunk_rows) {
-        ReleaseRowsOrWarn(affinity.forward, chunk,
-                          std::min(chunk + chunk_rows, blk.end),
-                          /*dirty=*/false);
-      }
+      // The block's F' pages are not read again until its residual rows:
+      // drop them before the next wave maps its own.
+      affinity.forward.DropRows(blk.begin, blk.end, /*dirty=*/false);
     });
   }
   for (const Status& status : block_status) PANE_RETURN_NOT_OK(status);

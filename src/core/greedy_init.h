@@ -10,11 +10,12 @@
 // the residuals in place: line 3 of Algorithms 3 / 7 overwrites each row of
 // F' / B' with Sf = Xf Y^T - F' / Sb = Xb Y^T - B' after the row's last F' /
 // B' read (the block SVDs, and the projection Xb = B' Y), so training holds
-// two n x d slabs. Every F' / B' access streams row blocks
-// through one code path whether the slab lives in RAM or is spilled through
-// a BufferPool, so spilled and in-RAM runs are bitwise identical, and the
-// returned sf / sb are the very slabs passed in. Init runs after the
-// affinity phase has returned, as in Algorithm 5.
+// two n x d slabs. Every F' / B' access runs one code path whether the
+// slab lives in RAM or is spilled to a memory-mapped file, so spilled and
+// in-RAM runs are bitwise identical, and the returned sf / sb are the very
+// slabs passed in. Row passes stream (StreamRows) and drop each chunk as it
+// finishes; Algorithm 7 drops each F' block once its RandSVD has read it.
+// Init runs after the affinity phase has returned, as in Algorithm 5.
 #pragma once
 
 #include <cstdint>

@@ -18,12 +18,16 @@
 namespace pane {
 namespace {
 
-// Hands the heap memory a finished phase freed back to the OS. Once glibc
-// has freed one mmapped multi-MiB buffer it raises its mmap threshold, so
-// later panel, strip and RandSVD buffers come from the arenas, which keep
-// them after free: without a trim the next phase's peak stacks on the last
-// one's freed bytes.
-void ReturnFreedHeap() {
+// Hands back what a finished phase leaves behind: the pages of both slabs
+// still mapped (kernel fault-around maps pages past the chunk a pass is
+// streaming, and whole-slab reads map everything), and the heap memory it
+// freed. Once glibc has freed one mmapped multi-MiB buffer it raises its
+// mmap threshold, so later panel, strip and RandSVD buffers come from the
+// arenas, which keep them after free: without a trim the next phase's peak
+// stacks on the last one's freed bytes.
+void EndPhase(const FactorSlab& forward, const FactorSlab& backward) {
+  forward.DropResidency();
+  backward.DropResidency();
 #ifdef __GLIBC__
   malloc_trim(0);
 #endif
@@ -57,10 +61,17 @@ MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
   const int64_t double_bytes = static_cast<int64_t>(sizeof(double));
   const bool spill =
       budget_bytes > 0 && 2 * n * d * double_bytes > budget_bytes;
-  // A spilled run splits M: a quarter for the pool, the rest for the
-  // panel and strip scratch, so the two shares sum to M.
-  if (spill) plan.pool_bytes = budget_bytes / 4;
-  plan.scratch_bytes = budget_bytes > 0 ? budget_bytes - plan.pool_bytes
+  // A spilled run splits M: a quarter for the streamed chunks, the rest
+  // for the panel and strip scratch, so the two shares sum to M.
+  plan.stream_chunk_rows = std::max<int64_t>(n, 1);
+  if (spill) {
+    plan.stream_bytes = budget_bytes / 4;
+    const int64_t row_bytes = std::max<int64_t>(d, 1) * double_bytes;
+    plan.stream_chunk_rows =
+        std::clamp<int64_t>(plan.stream_bytes / (threads * 2 * row_bytes), 1,
+                            plan.stream_chunk_rows);
+  }
+  plan.scratch_bytes = budget_bytes > 0 ? budget_bytes - plan.stream_bytes
                                         : kUnboundedScratchBytes;
 
   // Panels and strips both hold two n-double buffers per column.
@@ -132,27 +143,22 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   const int64_t d = graph.num_attributes();
   const MemoryPlan plan = PlanMemory(n, d, opt.num_threads,
                                      opt.memory_budget_mb);
-  std::unique_ptr<store::BufferPool> buffer_pool;
-  if (plan.pool_bytes > 0) {
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = plan.pool_bytes;
-    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-  }
+  const bool spill = plan.stream_bytes > 0;
   out_stats->plan = plan;
-  out_stats->slabs_spilled = buffer_pool != nullptr;
+  out_stats->slabs_spilled = spill;
   out_stats->slab_bytes = 2 * n * d * static_cast<int64_t>(sizeof(double));
 
   // Phase 1: affinity approximation (Algorithm 2 / 6) via the
   // panel-streamed engine; P and P^T are built once inside it. The engine
   // fills the two slabs created here, in RAM or spilled per the plan.
+  const int64_t spill_chunk_rows = spill ? plan.stream_chunk_rows : 0;
   AffinitySlabs affinity;
   PANE_ASSIGN_OR_RETURN(
       affinity.forward,
-      FactorSlab::Create(n, d, buffer_pool.get(), opt.spill_dir));
+      FactorSlab::Create(n, d, spill_chunk_rows, opt.spill_dir));
   PANE_ASSIGN_OR_RETURN(
       affinity.backward,
-      FactorSlab::Create(n, d, buffer_pool.get(), opt.spill_dir));
-  out_stats->stream_chunk_rows = StreamChunkRows(affinity.forward);
+      FactorSlab::Create(n, d, spill_chunk_rows, opt.spill_dir));
   {
     ScopedTimer timer(&out_stats->affinity_seconds);
     AffinityEngineOptions engine_options;
@@ -162,7 +168,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
     engine_options.panel_width = plan.panel_width;
     PANE_RETURN_NOT_OK(ComputeGraphAffinityIntoSlabs(
         graph, engine_options, &affinity, &out_stats->affinity));
-    ReturnFreedHeap();
+    EndPhase(affinity.forward, affinity.backward);
   }
 
   // Phase 2a: seeding (a warm start, random for PANE-R, or Algorithm 3 / 7).
@@ -186,7 +192,7 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
       PANE_ASSIGN_OR_RETURN(state,
                             GreedyInit(std::move(affinity), init_options));
     }
-    ReturnFreedHeap();
+    EndPhase(state.sf, state.sb);
   }
   out_stats->objective_initial = Objective(state);
 
@@ -202,7 +208,12 @@ Result<PaneEmbedding> Pane::Train(const AttributedGraph& graph,
   }
   out_stats->objective_final = Objective(state);
   out_stats->total_seconds = total_timer.ElapsedSeconds();
-  if (buffer_pool != nullptr) out_stats->pool = buffer_pool->stats();
+  const SpillStats sf = state.sf.spill_stats();
+  const SpillStats sb = state.sb.spill_stats();
+  out_stats->pool.evicted_pages = sf.evicted_pages + sb.evicted_pages;
+  out_stats->pool.writeback_pages = sf.writeback_pages + sb.writeback_pages;
+  out_stats->pool.resident_peak_bytes =
+      sf.resident_peak_bytes + sb.resident_peak_bytes;
 
   PaneEmbedding embedding;
   embedding.xf = std::move(state.xf);

@@ -9,13 +9,14 @@
 // One memory plan: PlanMemory is the only code that turns
 // --memory-budget-mb into sizes. Train calls it once, before any phase
 // runs, and hands each phase a shape — whether the two n x d slabs spill
-// and the pool's residency budget, the affinity panel width, the CCD strip
-// width and the init's wave size. No phase sees the budget. A spilled run
-// splits the budget between the pool (a quarter) and the panel and strip
-// scratch (the rest); its streaming passes release one pool page of rows
-// at a time; and Train hands the heap a phase freed back to the OS after
-// affinity and after init, so one phase's freed buffers do not raise the
-// next one's peak.
+// and the rows their streaming passes drop at a time, the affinity panel
+// width, the CCD strip width and the init's wave size. No phase sees the
+// budget. A spilled run splits the budget between the streamed chunks in
+// flight (a quarter) and the panel and strip scratch (the rest); each
+// streaming pass drops the rows it finishes; and at the end of affinity
+// and of init Train drops both slabs' pages and hands the heap the phase
+// freed back to the OS, so one phase's pages and freed buffers do not
+// raise the next one's peak.
 //
 // The warm start is the time-varying-graph extension the paper's conclusion
 // leaves as future work: after a batch of edge/attribute updates, Train
@@ -54,8 +55,8 @@ struct PaneOptions {
   /// Single whole-pipeline memory budget in MiB (--memory-budget-mb), which
   /// PlanMemory turns into the run's sizes. When the two n x d factor slabs
   /// (2 n d doubles) exceed it they are spilled: memory-mapped files whose
-  /// pages one BufferPool evicts (clock policy, pool-page granularity) only
-  /// under pressure, so graphs whose factors exceed RAM still run. 0 =>
+  /// pages each streaming pass drops as it finishes them, so graphs whose
+  /// factors exceed RAM still run. 0 =>
   /// unbounded: all in RAM, each phase's scratch capped at
   /// kUnboundedScratchBytes. Spilled and in-RAM runs produce
   /// bitwise-identical embeddings.
@@ -84,11 +85,14 @@ constexpr int64_t kUnboundedScratchMinColumns = 16;
 /// \brief Every size a training run takes from its memory budget. Residency
 /// and locality only: no phase's arithmetic depends on any of them.
 struct MemoryPlan {
-  /// Residency budget of the pool the two n x d slabs spill through; 0 =>
-  /// the slabs stay in RAM.
-  int64_t pool_bytes = 0;
+  /// The stream share: the bytes of spilled slab rows the streaming passes
+  /// may hold at once; 0 => the two n x d slabs stay in RAM.
+  int64_t stream_bytes = 0;
+  /// Rows a streaming pass over a slab handles before dropping them
+  /// (FactorSlab::stream_chunk_rows): n in RAM.
+  int64_t stream_chunk_rows = 0;
   /// The scratch share the panel and strip widths are fitted against: the
-  /// budget less pool_bytes when bounded, kUnboundedScratchBytes when not.
+  /// budget less stream_bytes when bounded, kUnboundedScratchBytes when not.
   int64_t scratch_bytes = 0;
   /// Columns per affinity panel (AffinityEngineOptions::panel_width).
   int64_t panel_width = 0;
@@ -107,14 +111,16 @@ struct MemoryPlan {
 /// (ValidateMemoryBudgetMb).
 ///
 /// - Spill: when a budget M is set and the two slabs' 2 n d doubles exceed
-///   it, into a pool of M / 4, which leaves the scratch 3 M / 4; the two
-///   shares sum to M.
+///   it, with a stream share of M / 4, which leaves the scratch 3 M / 4; the
+///   two shares sum to M. Every thread streams one chunk of each slab at a
+///   time, so a chunk is the share over threads x 2 slabs x one row's
+///   bytes, at least one row.
 /// - Widths: one rule for panels and strips. The historical shape — every
 ///   column for a strip and for a serial or spilled panel, ceil(d / threads)
 ///   for a pooled in-RAM panel (the APMI / PAPMI shapes) — is narrowed
 ///   until what is in flight fits the scratch share: threads + 1 pooled
 ///   panels (the workers and the draining caller), or one serial or
-///   spilled panel or strip. The share (scratch_bytes) is M less the pool
+///   spilled panel or strip. The share (scratch_bytes) is M less the stream
 ///   share when bounded and kUnboundedScratchBytes when not; the floor is 1
 ///   column bounded and kUnboundedScratchMinColumns unbounded.
 /// - Init: a spilled pooled run RandSVDs its F' row blocks in waves of
@@ -133,11 +139,12 @@ struct PaneStats {
   double objective_initial = 0.0;  ///< Equation (4) right after init
   double objective_final = 0.0;    ///< Equation (4) after refinement
   MemoryPlan plan;                 ///< the sizes the budget became
-  bool slabs_spilled = false;      ///< factors were spilled through the pool
+  bool slabs_spilled = false;      ///< factors were spilled to mapped files
   int64_t slab_bytes = 0;          ///< the two n x d slabs (F'/Sf, B'/Sb)
-  int64_t stream_chunk_rows = 0;   ///< rows per streamed release
   CcdStats ccd;                    ///< phase-2 strip decomposition
-  store::BufferPool::Stats pool;   ///< eviction/write-back counters (spilled)
+  /// Both slabs' drops, summed (zero in RAM); the peak is the sum of each
+  /// slab's peak of streamed bytes in flight.
+  SpillStats pool;
 };
 
 /// \brief Trains PANE embeddings on an attributed graph.

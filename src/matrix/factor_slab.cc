@@ -23,6 +23,19 @@ std::string ErrnoMessage(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
 }
 
+int64_t SystemPageBytes() {
+  static const int64_t bytes = sysconf(_SC_PAGESIZE);
+  return bytes > 0 ? bytes : 4096;
+}
+
+int64_t RoundDownToPage(int64_t bytes) {
+  return bytes / SystemPageBytes() * SystemPageBytes();
+}
+
+int64_t RoundUpToPage(int64_t bytes) {
+  return RoundDownToPage(bytes + SystemPageBytes() - 1);
+}
+
 }  // namespace
 
 FactorSlab::FactorSlab(DenseMatrix dense)
@@ -54,8 +67,8 @@ FactorSlab& FactorSlab::operator=(FactorSlab&& other) noexcept {
   map_ = other.map_;
   map_bytes_ = other.map_bytes_;
   spill_path_ = std::move(other.spill_path_);
-  pool_ = other.pool_;
-  region_ = other.region_;
+  spill_chunk_rows_ = other.spill_chunk_rows_;
+  counters_ = std::move(other.counters_);
   // A moved std::vector keeps its heap buffer, so the in-RAM base pointer
   // stays valid; the mapping base is the mapping's and transfers as-is.
   base_ = spilled() ? other.base_ : dense_.data();
@@ -65,8 +78,7 @@ FactorSlab& FactorSlab::operator=(FactorSlab&& other) noexcept {
   other.map_ = nullptr;
   other.map_bytes_ = 0;
   other.spill_path_.clear();
-  other.pool_ = nullptr;
-  other.region_ = -1;
+  other.spill_chunk_rows_ = 0;
   return *this;
 }
 
@@ -82,9 +94,8 @@ FactorSlab& FactorSlab::operator=(DenseMatrix dense) {
 FactorSlab::~FactorSlab() { Destroy(); }
 
 void FactorSlab::Destroy() {
-  if (region_ >= 0) pool_->Unregister(region_);
-  pool_ = nullptr;
-  region_ = -1;
+  spill_chunk_rows_ = 0;
+  counters_.reset();
   if (map_ != nullptr) {
     munmap(map_, static_cast<size_t>(map_bytes_));
     map_ = nullptr;
@@ -101,9 +112,10 @@ void FactorSlab::Destroy() {
 }
 
 Status FactorSlab::InitSpill(int64_t rows, int64_t cols,
-                             store::BufferPool* pool,
+                             int64_t spill_chunk_rows,
                              const std::string& spill_dir) {
-  pool_ = pool;
+  spill_chunk_rows_ = spill_chunk_rows;
+  counters_ = std::make_unique<Counters>();
   rows_ = rows;
   cols_ = cols;
   const int64_t bytes = rows * cols * static_cast<int64_t>(sizeof(double));
@@ -144,29 +156,29 @@ Status FactorSlab::InitSpill(int64_t rows, int64_t cols,
   map_ = map;
   map_bytes_ = bytes;
   base_ = static_cast<double*>(map);
-  // On failure the slab's destructor unmaps and unlinks.
-  PANE_ASSIGN_OR_RETURN(region_, pool->Register(map_, map_bytes_));
   return Status::OK();
 }
 
 Result<FactorSlab> FactorSlab::Create(int64_t rows, int64_t cols,
-                                      store::BufferPool* pool,
+                                      int64_t spill_chunk_rows,
                                       const std::string& spill_dir) {
-  if (rows < 0 || cols < 0) {
-    return Status::InvalidArgument("FactorSlab shape must be non-negative");
+  if (rows < 0 || cols < 0 || spill_chunk_rows < 0) {
+    return Status::InvalidArgument(
+        "FactorSlab shape and spill chunk must be non-negative");
   }
-  if (pool == nullptr) return FactorSlab(DenseMatrix(rows, cols));
+  if (spill_chunk_rows == 0) return FactorSlab(DenseMatrix(rows, cols));
   FactorSlab slab;
-  PANE_RETURN_NOT_OK(slab.InitSpill(rows, cols, pool, spill_dir));
+  PANE_RETURN_NOT_OK(slab.InitSpill(rows, cols, spill_chunk_rows, spill_dir));
   return slab;
 }
 
 Result<FactorSlab> FactorSlab::FromDense(const DenseMatrix& dense,
-                                         store::BufferPool* pool,
+                                         int64_t spill_chunk_rows,
                                          const std::string& spill_dir) {
-  if (pool == nullptr) return FactorSlab(dense);
-  PANE_ASSIGN_OR_RETURN(FactorSlab slab,
-                        Create(dense.rows(), dense.cols(), pool, spill_dir));
+  if (spill_chunk_rows == 0) return FactorSlab(dense);
+  PANE_ASSIGN_OR_RETURN(
+      FactorSlab slab,
+      Create(dense.rows(), dense.cols(), spill_chunk_rows, spill_dir));
   if (!slab.empty()) {
     std::copy(dense.data(), dense.data() + dense.size(), slab.base_);
   }
@@ -181,45 +193,41 @@ ConstMatrixView FactorSlab::ViewRows(int64_t row_begin,
                          cols_);
 }
 
-FactorSlab::RowBlock FactorSlab::AcquireRows(int64_t row_begin,
-                                             int64_t row_end) {
-  PANE_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= rows_)
-      << "FactorSlab row block out of bounds";
-  RowBlock block;
-  block.data = base_ + row_begin * cols_;
-  block.row_begin = row_begin;
-  block.row_end = row_end;
-  block.cols = cols_;
-  if (map_ != nullptr) {
-    const Status pinned = pool_->Pin(
-        region_, row_begin * cols_ * static_cast<int64_t>(sizeof(double)),
-        row_end * cols_ * static_cast<int64_t>(sizeof(double)));
-    if (!pinned.ok()) {
-      // Advisory like every residency call: the flat mapping stays correct
-      // without the pin, only the eviction protection is lost.
-      PANE_LOG(WARNING) << "slab pin failed: " << pinned;
-    }
+void FactorSlab::DropPages(int64_t first, int64_t last, bool dirty) const {
+  last = std::min(last, map_bytes_);
+  if (map_ == nullptr || first >= last) return;
+  // Residency is advisory: a failed drop leaves the bytes intact and only
+  // the RSS bound slips, so it warns instead of failing the computation.
+  if (madvise(static_cast<char*>(map_) + first,
+              static_cast<size_t>(last - first), MADV_DONTNEED) != 0) {
+    PANE_LOG(WARNING) << ErrnoMessage("cannot drop pages of", spill_path_);
+    return;
   }
-  return block;
+  const int64_t pages = RoundUpToPage(last - first) / SystemPageBytes();
+  counters_->evicted_pages.fetch_add(pages);
+  if (dirty) {
+    counters_->writeback_pages.fetch_add(pages);
+  }
 }
 
-Status FactorSlab::ReleaseRows(const RowBlock& block, bool dirty) {
-  return ReleaseRowRange(block.row_begin, block.row_end, dirty);
+void FactorSlab::DropRows(int64_t row_begin, int64_t row_end,
+                          bool dirty) const {
+  PANE_CHECK(0 <= row_begin && row_end <= rows_)
+      << "FactorSlab drop out of bounds";
+  if (row_begin >= row_end) return;
+  DropPages(RoundDownToPage(row_begin * row_bytes()),
+            RoundUpToPage(row_end * row_bytes()), dirty);
 }
 
-Status FactorSlab::ReleaseRowRange(int64_t row_begin, int64_t row_end,
-                                   bool dirty) const {
-  if (map_ == nullptr || row_begin >= row_end) return Status::OK();
-  // Unpin and let the pool decide: pages stay resident until budget
-  // pressure actually evicts them (with write-back first when dirty).
-  return pool_->Unpin(
-      region_, row_begin * cols_ * static_cast<int64_t>(sizeof(double)),
-      row_end * cols_ * static_cast<int64_t>(sizeof(double)), dirty);
-}
+void FactorSlab::DropResidency() const { DropRows(0, rows_, false); }
 
-Status FactorSlab::DropResidency() const {
-  if (map_ == nullptr) return Status::OK();
-  return pool_->EvictRegion(region_);
+SpillStats FactorSlab::spill_stats() const {
+  SpillStats stats;
+  if (counters_ == nullptr) return stats;
+  stats.evicted_pages = counters_->evicted_pages.load();
+  stats.writeback_pages = counters_->writeback_pages.load();
+  stats.resident_peak_bytes = counters_->peak_in_flight_bytes.load();
+  return stats;
 }
 
 void FactorSlab::Resize(int64_t rows, int64_t cols) {
@@ -240,8 +248,13 @@ Result<DenseMatrix> FactorSlab::ToDense() const {
 
 double FactorSlab::FrobeniusNorm() const {
   double sum = 0.0;
-  const double* end = base_ + rows_ * cols_;
-  for (const double* p = base_; p != end; ++p) sum += *p * *p;
+  StreamRows({this}, 0, rows_, /*dirty=*/false,
+             [&](int64_t begin, int64_t end) {
+               const double* last = base_ + end * cols_;
+               for (const double* p = base_ + begin * cols_; p != last; ++p) {
+                 sum += *p * *p;
+               }
+             });
   return std::sqrt(sum);
 }
 
@@ -268,31 +281,6 @@ double FactorSlab::MaxAbsDiff(const FactorSlab& other) const {
   return max_diff;
 }
 
-void ReleaseRowsOrWarn(const FactorSlab& slab, int64_t row_begin,
-                       int64_t row_end, bool dirty) {
-  if (!slab.spilled()) return;
-  const Status released = slab.ReleaseRowRange(row_begin, row_end, dirty);
-  if (!released.ok()) {
-    PANE_LOG(WARNING) << "slab release failed: " << released;
-  }
-}
-
-int64_t StreamChunkRows(const FactorSlab& slab) {
-  const int64_t rows = std::max<int64_t>(slab.rows(), 1);
-  if (!slab.spilled()) return rows;
-  const int64_t row_bytes =
-      std::max<int64_t>(slab.cols(), 1) * static_cast<int64_t>(sizeof(double));
-  return std::clamp<int64_t>(slab.pool()->page_bytes() / row_bytes, 1, rows);
-}
-
-void DropResidencyOrWarn(const FactorSlab& slab) {
-  if (!slab.spilled()) return;
-  const Status dropped = slab.DropResidency();
-  if (!dropped.ok()) {
-    PANE_LOG(WARNING) << "slab residency drop failed: " << dropped;
-  }
-}
-
 Status ValidateMemoryBudgetMb(int64_t memory_budget_mb) {
   if (memory_budget_mb < 0) {
     return Status::InvalidArgument("memory_budget_mb must be >= 0");
@@ -303,6 +291,45 @@ Status ValidateMemoryBudgetMb(int64_t memory_budget_mb) {
         " overflows a byte count");
   }
   return Status::OK();
+}
+
+void StreamRows(std::initializer_list<const FactorSlab*> slabs, int64_t begin,
+                int64_t end, bool dirty,
+                const std::function<void(int64_t, int64_t)>& fn) {
+  if (begin >= end) return;
+  const FactorSlab& shape = **slabs.begin();
+  const int64_t chunk_rows = shape.stream_chunk_rows();
+  const int64_t row_bytes = shape.row_bytes();
+  // Each chunk drops the pages the pass has moved past. A page shared with
+  // the next chunk waits for it: dropping a page the pass still needs
+  // would refault it, and kernel fault-around would map its dropped
+  // neighbours back in with it. The last chunk drops its partial page too.
+  // So a thread holds its chunk plus at most two partial pages per slab.
+  int64_t dropped = RoundDownToPage(begin * row_bytes);
+  for (int64_t chunk = begin; chunk < end; chunk += chunk_rows) {
+    const int64_t chunk_end = std::min(chunk + chunk_rows, end);
+    const int64_t in_flight = RoundUpToPage(chunk_end * row_bytes) - dropped;
+    const int64_t drop_to = chunk_end == end
+                                ? RoundUpToPage(chunk_end * row_bytes)
+                                : RoundDownToPage(chunk_end * row_bytes);
+    for (const FactorSlab* slab : slabs) {
+      if (slab->map_ == nullptr) continue;
+      FactorSlab::Counters& counters = *slab->counters_;
+      const int64_t now = counters.in_flight_bytes.fetch_add(in_flight) +
+                          in_flight;
+      int64_t peak = counters.peak_in_flight_bytes.load();
+      while (peak < now &&
+             !counters.peak_in_flight_bytes.compare_exchange_weak(peak, now)) {
+      }
+    }
+    fn(chunk, chunk_end);
+    for (const FactorSlab* slab : slabs) {
+      if (slab->map_ == nullptr) continue;
+      slab->DropPages(dropped, drop_to, dirty);
+      slab->counters_->in_flight_bytes.fetch_sub(in_flight);
+    }
+    dropped = drop_to;
+  }
 }
 
 }  // namespace pane

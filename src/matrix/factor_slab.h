@@ -1,37 +1,44 @@
 // FactorSlab: the row-major n x d factor store behind every big matrix in
 // the PANE pipeline — the affinity outputs F' / B', which init overwrites
 // in place with the CCD residuals Sf / Sb. A slab either holds a
-// DenseMatrix (in RAM) or is spilled: a memory-mapped spill file
-// (MAP_SHARED on a file unlinked on destruction) registered with a
-// store::BufferPool, which keeps pages resident until pool-wide budget
-// pressure evicts them (clock policy, pool-page granularity). "Spilled"
-// means exactly "has a pool"; there is no other spill path.
+// DenseMatrix (in RAM) or is spilled: a MAP_SHARED mapping of a scratch file
+// that is unlinked on destruction. The page cache is the only copy of a
+// spilled slab's bytes, so dropping a mapped page (MADV_DONTNEED) loses
+// nothing: the next access through any pointer refaults it.
 //
 // Both forms expose the same flat row-major address space, so every kernel
 // runs one code path regardless of where the bytes live — which is what
-// makes spilled and in-RAM runs bitwise identical. The RowBlock API
-// (AcquireRows / ReleaseRows) adds residency management on top: acquiring
-// a block of a spilled slab pins its pages, releasing it unpins them and
-// marks them for write-back when dirty; the page cache keeps the
-// authoritative copy, so re-acquisition is lossless. For an in-RAM slab
-// every release is a no-op, so callers sprinkle releases unconditionally.
-// Streaming passes release their rows in chunks of one pool page
-// (StreamChunkRows), so the pool's ledger never holds more than its budget
-// plus a couple of pages per thread, whatever the row count.
+// makes spilled and in-RAM runs bitwise identical. What a spilled slab
+// adds is when its pages go: a streaming pass (StreamRows) walks its rows
+// in chunks of stream_chunk_rows() and drops the pages of each chunk as
+// soon as it is done, and a phase that touched the whole slab drops all of
+// it at its end (DropResidency). In RAM both are no-ops and a pass is one
+// chunk.
 //
-// A slab never sees the memory budget: whether a run's slabs spill, and how
-// large their pool is, is the training memory plan's call (PlanMemory in
+// A slab never sees the memory budget: whether a run's slabs spill, and
+// the rows per chunk, are the training memory plan's call (PlanMemory in
 // src/core/pane.h), made once before the slabs are created.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <memory>
 #include <string>
 
 #include "src/common/status.h"
 #include "src/matrix/dense_matrix.h"
-#include "src/store/buffer_pool.h"
 
 namespace pane {
+
+/// \brief What a spilled slab's drops gave back (all zero in RAM).
+struct SpillStats {
+  int64_t evicted_pages = 0;        ///< system pages dropped
+  int64_t writeback_pages = 0;      ///< pages dropped after a pass wrote them
+  int64_t resident_peak_bytes = 0;  ///< peak streamed bytes in flight
+};
 
 class FactorSlab {
  public:
@@ -43,7 +50,7 @@ class FactorSlab {
   FactorSlab(DenseMatrix dense);  // NOLINT(runtime/explicit)
 
   /// Deep copy into an independent in-RAM slab, whatever the source's
-  /// storage: the copy has no claim on the source's pool or spill file.
+  /// storage: the copy has no claim on the source's spill file.
   /// Copies are a test / bench convenience; production code moves.
   FactorSlab(const FactorSlab& other);
   FactorSlab& operator=(const FactorSlab& other);
@@ -52,24 +59,24 @@ class FactorSlab {
   FactorSlab& operator=(FactorSlab&& other) noexcept;
 
   /// Replaces contents with `dense`, in RAM (any previous spill file is
-  /// unregistered from its pool and removed).
+  /// unmapped and removed).
   FactorSlab& operator=(DenseMatrix dense);
 
   /// Unmaps and unlinks the spill file when spilled.
   ~FactorSlab();
 
-  /// \brief Creates a zero-filled rows x cols slab: in RAM when `pool` is
-  /// null, otherwise spilled to a file in `spill_dir` (empty => the system
-  /// temp directory) whose mapping is registered with `pool`, which must
-  /// outlive the slab. On any failure nothing is left behind on disk.
+  /// \brief Creates a zero-filled rows x cols slab: in RAM when
+  /// `spill_chunk_rows` is 0, otherwise spilled to a file in `spill_dir`
+  /// (empty => the system temp directory) and streamed `spill_chunk_rows`
+  /// rows at a time. On any failure nothing is left behind on disk.
   static Result<FactorSlab> Create(int64_t rows, int64_t cols,
-                                   store::BufferPool* pool = nullptr,
+                                   int64_t spill_chunk_rows = 0,
                                    const std::string& spill_dir = "");
 
   /// \brief Creates a slab holding a copy of `dense`, placed as Create
   /// places it.
   static Result<FactorSlab> FromDense(const DenseMatrix& dense,
-                                      store::BufferPool* pool = nullptr,
+                                      int64_t spill_chunk_rows = 0,
                                       const std::string& spill_dir = "");
 
   int64_t rows() const { return rows_; }
@@ -78,9 +85,12 @@ class FactorSlab {
     return rows_ * cols_ * static_cast<int64_t>(sizeof(double));
   }
   bool empty() const { return rows_ * cols_ == 0; }
-  bool spilled() const { return pool_ != nullptr; }
-  /// The pool a spilled slab is registered with (null in RAM).
-  const store::BufferPool* pool() const { return pool_; }
+  bool spilled() const { return spill_chunk_rows_ > 0; }
+  /// Rows a streaming pass handles between drops: the spill chunk when
+  /// spilled, every row (at least one) in RAM.
+  int64_t stream_chunk_rows() const {
+    return spilled() ? spill_chunk_rows_ : std::max<int64_t>(rows_, 1);
+  }
   /// Path of the spill file ("" for in-RAM slabs).
   const std::string& spill_path() const { return spill_path_; }
 
@@ -96,37 +106,19 @@ class FactorSlab {
   }
   ConstMatrixView ViewRows(int64_t row_begin, int64_t row_end) const;
 
-  /// \brief Zero-copy mutable view of rows [row_begin, row_end).
-  struct RowBlock {
-    double* data = nullptr;
-    int64_t row_begin = 0;
-    int64_t row_end = 0;
-    int64_t cols = 0;
+  /// \brief Drops the system pages holding rows [row_begin, row_end) of a
+  /// spilled slab from this process (no-op in RAM). The bytes stay in the
+  /// page cache, so a later access refaults them; a page shared with a
+  /// neighbouring row is dropped too and simply refaults. `dirty` says the
+  /// pass wrote the rows, and only feeds spill_stats().
+  void DropRows(int64_t row_begin, int64_t row_end, bool dirty) const;
 
-    int64_t rows() const { return row_end - row_begin; }
-    /// Row pointer by absolute slab row index.
-    double* Row(int64_t i) { return data + (i - row_begin) * cols; }
-    const double* Row(int64_t i) const {
-      return data + (i - row_begin) * cols;
-    }
-  };
+  /// \brief Drops every page of a spilled slab (no-op in RAM). Called at
+  /// phase ends, so one phase's pages do not stay mapped through the next.
+  void DropResidency() const;
 
-  /// For a spilled slab this also pins the block's pages against eviction
-  /// until the matching release.
-  RowBlock AcquireRows(int64_t row_begin, int64_t row_end);
-
-  /// \brief Returns a block to the slab. In-RAM: no-op. Spilled: unpins the
-  /// pages and hands them to the pool (marked for write-back when `dirty`),
-  /// which evicts only under budget pressure. Content is preserved — the
-  /// page cache keeps the authoritative copy.
-  Status ReleaseRows(const RowBlock& block, bool dirty);
-  Status ReleaseRowRange(int64_t row_begin, int64_t row_end,
-                         bool dirty) const;
-
-  /// \brief Evicts every unpinned page of a spilled slab from the pool
-  /// (no-op in RAM). Called at phase boundaries so one phase's sweep does
-  /// not stay resident through the next.
-  Status DropResidency() const;
+  /// The slab's drop counters so far (zero in RAM).
+  SpillStats spill_stats() const;
 
   /// Reshapes (zero-filled). In-RAM slabs only — spilled slabs are created
   /// at final shape.
@@ -136,16 +128,36 @@ class FactorSlab {
   Result<DenseMatrix> ToDense() const;
 
   /// sqrt(sum of squares), accumulated in row-major element order (matches
-  /// DenseMatrix::FrobeniusNorm bitwise).
+  /// DenseMatrix::FrobeniusNorm bitwise); streamed, so a spilled slab keeps
+  /// one chunk mapped at a time.
   double FrobeniusNorm() const;
 
   double MaxAbsDiff(const DenseMatrix& other) const;
   double MaxAbsDiff(const FactorSlab& other) const;
 
  private:
-  Status InitSpill(int64_t rows, int64_t cols, store::BufferPool* pool,
+  friend void StreamRows(std::initializer_list<const FactorSlab*> slabs,
+                         int64_t begin, int64_t end, bool dirty,
+                         const std::function<void(int64_t, int64_t)>& fn);
+
+  // Written concurrently by the streaming threads; heap-held so a move
+  // hands them over with the mapping.
+  struct Counters {
+    std::atomic<int64_t> evicted_pages{0};
+    std::atomic<int64_t> writeback_pages{0};
+    std::atomic<int64_t> in_flight_bytes{0};
+    std::atomic<int64_t> peak_in_flight_bytes{0};
+  };
+
+  Status InitSpill(int64_t rows, int64_t cols, int64_t spill_chunk_rows,
                    const std::string& spill_dir);
   void Destroy();
+  int64_t row_bytes() const {
+    return cols_ * static_cast<int64_t>(sizeof(double));
+  }
+  /// Drops the mapping's bytes [first, last) (`first` page-aligned, `last`
+  /// clipped to the mapping) and counts the pages.
+  void DropPages(int64_t first, int64_t last, bool dirty) const;
 
   int64_t rows_ = 0;
   int64_t cols_ = 0;
@@ -154,8 +166,8 @@ class FactorSlab {
   void* map_ = nullptr;     // spill mapping (nullptr when empty / in-RAM)
   int64_t map_bytes_ = 0;
   std::string spill_path_;  // "" when in-RAM or empty
-  store::BufferPool* pool_ = nullptr;  // non-null iff spilled; not owned
-  store::BufferPool::RegionId region_ = -1;  // -1 when nothing is mapped
+  int64_t spill_chunk_rows_ = 0;       // > 0 iff spilled
+  std::unique_ptr<Counters> counters_;  // non-null iff spilled
 };
 
 /// \brief Checks a memory budget in MiB: non-negative, and small enough that
@@ -163,20 +175,14 @@ class FactorSlab {
 /// wrap negative and read as a tiny budget.
 Status ValidateMemoryBudgetMb(int64_t memory_budget_mb);
 
-/// \brief Rows a streaming pass over `slab` handles between releases: as
-/// many whole rows as fit in one pool page (at least one), so each release
-/// hands the pool at most two pages (a chunk may straddle a page boundary)
-/// and a pass adds at most that much per thread to the pool's resident
-/// ledger above its budget. In RAM, where releases are no-ops, every row
-/// (one chunk).
-int64_t StreamChunkRows(const FactorSlab& slab);
-
-/// \brief The streaming passes' release policy, in one place: residency
-/// failures are advisory (the data is intact, only the RSS bound slips), so
-/// they log a warning instead of aborting the computation. No-ops for
-/// in-RAM slabs, like the underlying calls.
-void ReleaseRowsOrWarn(const FactorSlab& slab, int64_t row_begin,
-                       int64_t row_end, bool dirty);
-void DropResidencyOrWarn(const FactorSlab& slab);
+/// \brief Runs fn(chunk_begin, chunk_end) over rows [begin, end) in order,
+/// in chunks of the first slab's stream_chunk_rows() (the slabs share a
+/// shape). As soon as fn returns, every spilled slab drops the pages the
+/// pass has finished (`dirty`: fn wrote them); a page shared with the next
+/// chunk goes with it. In RAM it is one fn(begin, end) call. Several
+/// threads may stream disjoint row ranges of the same slabs.
+void StreamRows(std::initializer_list<const FactorSlab*> slabs, int64_t begin,
+                int64_t end, bool dirty,
+                const std::function<void(int64_t, int64_t)>& fn);
 
 }  // namespace pane

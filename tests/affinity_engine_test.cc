@@ -16,7 +16,6 @@
 #include "src/core/apmi.h"
 #include "src/core/pane.h"
 #include "src/parallel/thread_pool.h"
-#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -62,13 +61,8 @@ void ExpectBitwiseEqual(const AffinityMatrices& want, const AffinitySlabs& got,
   EXPECT_EQ(got.backward.MaxAbsDiff(want.backward), 0.0) << label;
 }
 
-// A pool small enough that the spilled engine runs evict pages.
-store::BufferPool::Options TightPool() {
-  store::BufferPool::Options options;
-  options.budget_bytes = 64 * 1024;
-  options.page_bytes = 4096;
-  return options;
-}
+// Rows a spilled output slab streams between drops.
+constexpr int64_t kSpillChunkRows = 4;
 
 // ---------------------------------------------------------------------------
 // Panel-width sweep: width 1, small widths, a width that does not divide d,
@@ -301,16 +295,15 @@ TEST(AffinityEngineTest, EmptyMatricesReturnEmptyOutputs) {
 // Spilled outputs and the panel consumer.
 
 TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
-  // Spilled through an evicting pool, serial and pooled, one panel of
-  // every column or width-1 panels: always the reference's bytes, and one
-  // panel's scratch at a time.
+  // Spilled, serial and pooled, one panel of every column or width-1
+  // panels: always the reference's bytes, one panel's scratch at a time,
+  // and the forward slab dropped after its last panel.
   const AttributedGraph g = testing::SmallSbm(48, 250);
   const GraphInputs in = MakeInputs(g);
   const AffinityMatrices reference = ReferenceAffinity(in, 0.5, 4);
   ThreadPool pool(4);
   for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
     for (const int64_t width : {0, 1}) {
-      store::BufferPool buffer_pool(TightPool());
       AffinityEngineOptions options;
       options.alpha = 0.5;
       options.t = 4;
@@ -319,8 +312,8 @@ TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
       const int64_t n = in.r->rows();
       const int64_t d = in.r->cols();
       AffinitySlabs got;
-      got.forward = FactorSlab::Create(n, d, &buffer_pool).ValueOrDie();
-      got.backward = FactorSlab::Create(n, d, &buffer_pool).ValueOrDie();
+      got.forward = FactorSlab::Create(n, d, kSpillChunkRows).ValueOrDie();
+      got.backward = FactorSlab::Create(n, d, kSpillChunkRows).ValueOrDie();
       AffinityEngineStats stats;
       ASSERT_TRUE(
           ComputeAffinityIntoSlabs(in.p, in.pt, *in.r, options, &got, &stats)
@@ -333,10 +326,39 @@ TEST(AffinityEngineTest, SpilledSlabsBitwiseEqualToReference) {
       EXPECT_FALSE(stats.panel_parallel) << label;  // spill runs in sequence
       EXPECT_EQ(stats.panel_width, width == 0 ? d : width) << label;
       EXPECT_EQ(stats.scratch_bytes, 2 * 8 * n * stats.panel_width) << label;
-      EXPECT_GT(buffer_pool.stats().evicted_pages, 0) << label;
+      EXPECT_GT(got.forward.spill_stats().evicted_pages, 0) << label;
+      EXPECT_GT(got.backward.spill_stats().writeback_pages, 0) << label;
       ExpectBitwiseEqual(reference, got, label);
     }
   }
+}
+
+TEST(AffinityEngineTest, SpilledForwardSlabIsDroppedAfterItsLastPanel) {
+  // The panels write the forward slab through flat pointers; the engine
+  // drops it once after the last forward panel and never touches it again,
+  // so nothing of it stays mapped. The backward slab ends with the
+  // streamed SPMI pass, which drops each chunk as it finishes.
+  const AttributedGraph g = testing::SmallSbm(49, 2000);
+  const GraphInputs in = MakeInputs(g);
+  ThreadPool pool(2);
+  AffinityEngineOptions options;
+  options.alpha = 0.5;
+  options.t = 4;
+  options.pool = &pool;
+  options.panel_width = 16;
+  const int64_t n = in.r->rows();
+  const int64_t d = in.r->cols();
+  AffinitySlabs got;
+  got.forward = FactorSlab::Create(n, d, kSpillChunkRows).ValueOrDie();
+  got.backward = FactorSlab::Create(n, d, kSpillChunkRows).ValueOrDie();
+  ASSERT_TRUE(
+      ComputeAffinityIntoSlabs(in.p, in.pt, *in.r, options, &got).ok());
+  const int64_t forward_rss = testing::MappedRssBytes(got.forward.data());
+  const int64_t backward_rss = testing::MappedRssBytes(got.backward.data());
+  EXPECT_GE(forward_rss, 0);
+  EXPECT_LE(forward_rss, got.forward.size_bytes() / 16);
+  EXPECT_GE(backward_rss, 0);
+  EXPECT_LE(backward_rss, got.backward.size_bytes() / 4);
 }
 
 TEST(AffinityEngineTest, IntoSlabsRejectsMisshapenSlabs) {

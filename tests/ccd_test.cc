@@ -16,7 +16,6 @@
 #include "src/core/greedy_init.h"
 #include "src/matrix/vector_ops.h"
 #include "src/parallel/thread_pool.h"
-#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -228,12 +227,9 @@ void ExpectCcdMatchesOracle(const OracleFactors& start,
   const int64_t n = start.xf.rows();
   const int64_t d = start.y.rows();
   for (const int threads : {1, 2, 3}) {
-    for (const bool pooled : {false, true}) {
-      store::BufferPool::Options pool_options;
-      pool_options.budget_bytes = 64 * 1024;  // forces evictions
-      pool_options.page_bytes = 4096;
-      store::BufferPool buffer_pool(pool_options);
-      store::BufferPool* spill = pooled ? &buffer_pool : nullptr;
+    for (const bool spilled : {false, true}) {
+      // Spilled slabs stream 3 rows at a time, dropping as they go.
+      const int64_t spill = spilled ? 3 : 0;
       EmbeddingState state;
       state.xf = start.xf;
       state.xb = start.xb;
@@ -249,7 +245,7 @@ void ExpectCcdMatchesOracle(const OracleFactors& start,
       options.stats = &stats;
       ASSERT_TRUE(CcdRefine(&state, options).ok());
       const std::string where = what + " threads=" + std::to_string(threads) +
-                                (pooled ? " pooled" : " in-RAM");
+                                (spilled ? " spilled" : " in-RAM");
       EXPECT_EQ(stats.strip_width, strip_width) << where;
       EXPECT_EQ(stats.scratch_bytes,
                 2 * strip_width * n * static_cast<int64_t>(sizeof(double)))

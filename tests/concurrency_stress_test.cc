@@ -1,13 +1,11 @@
 // Concurrency stress suite, designed to run under the TSan tier
-// (cmake --preset tsan): ≥8 threads hammer the BufferPool residency ledger
-// and the ThreadPool RunBlocks barrier with randomized interleavings, plus
-// a burst through the logger's single guarded write path. Assertions check
-// the invariants that survive any interleaving (conserved counts, byte
-// integrity through eviction, non-negative ledgers); ThreadSanitizer checks
+// (cmake --preset tsan): ≥8 threads write a spilled slab while dropping its
+// pages, and hammer the ThreadPool RunBlocks barrier with randomized
+// interleavings, plus a burst through the logger's single guarded write
+// path. Assertions check the invariants that survive any interleaving
+// (conserved counts, byte integrity through drops); ThreadSanitizer checks
 // everything else.
-#include <sys/mman.h>
-#include <unistd.h>
-
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstring>
@@ -20,110 +18,65 @@
 
 #include "src/common/logging.h"
 #include "src/common/sync.h"
+#include "src/matrix/factor_slab.h"
 #include "src/parallel/thread_pool.h"
-#include "src/store/buffer_pool.h"
 
 namespace pane {
 namespace {
 
 constexpr int kStressThreads = 8;
 
-/// MAP_SHARED file mapping, the backing FactorSlab spill files use.
-class SharedMapping {
- public:
-  explicit SharedMapping(int64_t bytes) : bytes_(bytes) {
-    char tmpl[] = "/tmp/pane_stress_test.XXXXXX";
-    fd_ = mkstemp(tmpl);
-    EXPECT_GE(fd_, 0);
-    path_ = tmpl;
-    EXPECT_EQ(ftruncate(fd_, bytes), 0);
-    base_ = static_cast<char*>(mmap(nullptr, static_cast<size_t>(bytes),
-                                    PROT_READ | PROT_WRITE, MAP_SHARED, fd_,
-                                    0));
-    EXPECT_NE(base_, MAP_FAILED);
-  }
-
-  ~SharedMapping() {
-    munmap(base_, static_cast<size_t>(bytes_));
-    close(fd_);
-    unlink(path_.c_str());
-  }
-
-  char* base() const { return base_; }
-  int64_t bytes() const { return bytes_; }
-
- private:
-  int fd_ = -1;
-  std::string path_;
-  char* base_ = nullptr;
-  int64_t bytes_ = 0;
-};
-
 // ---------------------------------------------------------------------------
-// BufferPool: random pin/unpin/evict traffic from 8 threads over one region
-// under a budget tight enough that the clock hand is always moving. Each
-// thread also writes a recognizable pattern into its own disjoint slice
-// while pinned; since eviction is MADV_DONTNEED over MAP_SHARED, the bytes
-// must survive any eviction schedule — that is the pool's core contract.
-TEST(ConcurrencyStressTest, BufferPoolPinEvictHammer) {
-  constexpr int64_t kPageBytes = 4096;
-  constexpr int64_t kRegionBytes = 256 * kPageBytes;  // 1 MiB
+// Spilled FactorSlab: 8 threads write their own rows, interleaved so that
+// every system page holds rows of all of them, while random chunk drops
+// (StreamRows), range drops and whole-slab drops run from the same threads.
+// A drop is MADV_DONTNEED over a MAP_SHARED mapping, which leaves the page
+// cache holding the bytes, so every row must end with its owner's last
+// write whatever the drop schedule.
+TEST(ConcurrencyStressTest, SpilledSlabDropsKeepConcurrentWrites) {
+  constexpr int64_t kRows = 2048;
+  constexpr int64_t kCols = 64;  // 512-byte rows: 8 owners per 4 KiB page
   constexpr int kItersPerThread = 400;
+  auto slab = FactorSlab::Create(kRows, kCols, /*spill_chunk_rows=*/5)
+                  .ValueOrDie();
+  ASSERT_TRUE(slab.spilled());
+  const auto value = [](int64_t row, int iter) {
+    return static_cast<double>(row * 1000 + iter);
+  };
 
-  SharedMapping mapping(kRegionBytes);
-  store::BufferPool::Options options;
-  options.budget_bytes = 32 * kPageBytes;  // 1/8 of the region: evict a lot
-  options.page_bytes = kPageBytes;
-  store::BufferPool pool(options);
-  const auto region = pool.Register(mapping.base(), kRegionBytes);
-  ASSERT_TRUE(region.ok()) << region.status();
-
-  const int64_t slice = kRegionBytes / kStressThreads;
+  std::vector<std::vector<int>> last_write(
+      kStressThreads, std::vector<int>(kRows / kStressThreads, -1));
   std::atomic<int64_t> ops{0};
   std::vector<std::thread> threads;
   threads.reserve(kStressThreads);
   for (int t = 0; t < kStressThreads; ++t) {
     threads.emplace_back([&, t] {
       std::mt19937_64 rng(0x5eed + static_cast<uint64_t>(t));
-      const int64_t my_begin = t * slice;
+      std::vector<int>& mine = last_write[static_cast<size_t>(t)];
       for (int i = 0; i < kItersPerThread; ++i) {
-        // Dirty a random page of this thread's slice under a pin.
-        const int64_t my_page =
-            my_begin + static_cast<int64_t>(rng() % (slice / kPageBytes)) *
-                           kPageBytes;
-        ASSERT_TRUE(pool.Pin(*region, my_page, my_page + kPageBytes).ok());
-        std::memset(mapping.base() + my_page, 'A' + t,
-                    static_cast<size_t>(kPageBytes));
-        ASSERT_TRUE(
-            pool.Unpin(*region, my_page, my_page + kPageBytes, /*dirty=*/true)
-                .ok());
+        // Rewrite one of this thread's rows (row = slot * 8 + t).
+        const int64_t slot = static_cast<int64_t>(rng() % mine.size());
+        double* row = slab.Row(slot * kStressThreads + t);
+        for (int64_t j = 0; j < kCols; ++j) {
+          row[j] = value(slot * kStressThreads + t, i);
+        }
+        mine[static_cast<size_t>(slot)] = i;
 
-        // Shake the ledger with random foreign traffic: pins, floored
-        // unpins, region-wide evictions, stats snapshots.
-        const int64_t any_begin =
-            static_cast<int64_t>(rng() % (kRegionBytes / kPageBytes)) *
-            kPageBytes;
-        const int64_t any_end = std::min<int64_t>(
-            kRegionBytes,
-            any_begin + static_cast<int64_t>(1 + rng() % 7) * kPageBytes);
-        switch (rng() % 4) {
+        // Drop pages under everyone's feet.
+        const int64_t begin = static_cast<int64_t>(rng() % kRows);
+        const int64_t end = std::min<int64_t>(
+            kRows, begin + 1 + static_cast<int64_t>(rng() % 64));
+        switch (rng() % 3) {
           case 0:
-            ASSERT_TRUE(pool.Pin(*region, any_begin, any_end).ok());
-            ASSERT_TRUE(pool.Unpin(*region, any_begin, any_end, false).ok());
+            StreamRows({&slab}, begin, end, /*dirty=*/false,
+                       [](int64_t, int64_t) {});
             break;
           case 1:
-            // Release rows never acquired: valid no-op pin-wise.
-            ASSERT_TRUE(pool.Unpin(*region, any_begin, any_end, false).ok());
+            slab.DropRows(begin, end, /*dirty=*/true);
             break;
-          case 2:
-            ASSERT_TRUE(pool.EvictRegion(*region).ok());
+          default:
+            slab.DropResidency();
             break;
-          default: {
-            const auto stats = pool.stats();
-            ASSERT_GE(stats.resident_bytes, 0);
-            ASSERT_LE(stats.resident_bytes, stats.registered_bytes);
-            break;
-          }
         }
         ops.fetch_add(1, std::memory_order_relaxed);
         if (rng() % 8 == 0) std::this_thread::yield();
@@ -133,23 +86,19 @@ TEST(ConcurrencyStressTest, BufferPoolPinEvictHammer) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(ops.load(), kStressThreads * kItersPerThread);
 
-  // Bytes survived every eviction schedule: each slice's last-written pages
-  // hold their writer's fill byte (pages never dirtied stay zero from
-  // ftruncate).
+  slab.DropResidency();
   for (int t = 0; t < kStressThreads; ++t) {
-    const char* p = mapping.base() + t * slice;
-    for (int64_t off = 0; off < slice; ++off) {
-      const char c = p[off];
-      ASSERT_TRUE(c == 0 || c == 'A' + t)
-          << "slice " << t << " byte " << off << " corrupted: " << int(c);
+    const std::vector<int>& mine = last_write[static_cast<size_t>(t)];
+    for (size_t slot = 0; slot < mine.size(); ++slot) {
+      const int64_t r = static_cast<int64_t>(slot) * kStressThreads + t;
+      const double want = mine[slot] < 0 ? 0.0 : value(r, mine[slot]);
+      for (int64_t j = 0; j < kCols; ++j) {
+        ASSERT_EQ(slab.Row(r)[j], want) << "row " << r << " col " << j;
+      }
     }
   }
-
-  const auto stats = pool.stats();
-  EXPECT_GT(stats.evicted_pages, 0) << "budget never forced the clock hand";
-  EXPECT_GT(stats.writeback_pages, 0);
-  pool.Unregister(*region);
-  EXPECT_EQ(pool.stats().registered_bytes, 0);
+  EXPECT_GT(slab.spill_stats().evicted_pages, 0);
+  EXPECT_GT(slab.spill_stats().writeback_pages, 0);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 // Tests for the FactorSlab storage layer: in-RAM and spilled slabs hold the
-// same bytes, the RowBlock acquire/release protocol keeps content across
-// pool evictions, a spilled slab's pool region and spill file live exactly
-// as long as the slab (moved with it, released on reassignment, destruction
-// and error paths).
+// same bytes, dropped pages keep their content (in the mapping and in the
+// spill file), streamed passes keep a spilled slab's mapping small, and a
+// spilled slab's mapping and spill file live exactly as long as the slab
+// (moved with it, released on reassignment, destruction and error paths).
 #include "src/matrix/factor_slab.h"
+
+#include <fcntl.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "src/common/random.h"
+#include "test_util.h"
 
 namespace pane {
 namespace {
@@ -25,8 +30,8 @@ DenseMatrix RandomMatrix(int64_t rows, int64_t cols, uint64_t seed) {
   return m;
 }
 
-// An unbounded pool: it tracks regions but never evicts on its own.
-store::BufferPool::Options Unbounded() { return {}; }
+// Rows a spilled test slab streams between drops.
+constexpr int64_t kChunkRows = 8;
 
 TEST(FactorSlabTest, InRamRoundTrip) {
   auto slab = FactorSlab::Create(5, 3).ValueOrDie();
@@ -49,55 +54,100 @@ TEST(FactorSlabTest, DenseMatrixSlabRoundTrip) {
   EXPECT_EQ(slab.ToDense().ValueOrDie().MaxAbsDiff(source), 0.0);
 }
 
-TEST(FactorSlabTest, SpilledCreateRegistersAndCleansUp) {
-  store::BufferPool pool(Unbounded());
+TEST(FactorSlabTest, SpilledCreateMapsAndCleansUp) {
   std::string path;
   {
-    auto slab = FactorSlab::Create(64, 16, &pool).ValueOrDie();
+    auto slab = FactorSlab::Create(64, 16, kChunkRows).ValueOrDie();
     ASSERT_TRUE(slab.spilled());
+    EXPECT_EQ(slab.stream_chunk_rows(), kChunkRows);
     path = slab.spill_path();
     ASSERT_FALSE(path.empty());
     ASSERT_TRUE(fs::exists(path));
     EXPECT_EQ(static_cast<int64_t>(fs::file_size(path)), slab.size_bytes());
-    EXPECT_EQ(pool.stats().registered_bytes, slab.size_bytes());
+    EXPECT_EQ(testing::MappedRssBytes(slab.data()), 0);
     // Zero-initialized like an in-RAM slab.
     EXPECT_EQ(slab.Row(63)[15], 0.0);
     slab.Row(10)[3] = -2.25;
     EXPECT_EQ(slab.Row(10)[3], -2.25);
   }
-  // Destruction unregisters the region and removes the spill file.
-  EXPECT_EQ(pool.stats().registered_bytes, 0);
+  // Destruction removes the spill file.
   EXPECT_FALSE(fs::exists(path));
 }
 
-TEST(FactorSlabTest, ReleasePreservesContent) {
-  // A 64 KiB pool under a 512 KiB slab: releasing a dirty 192 KiB block
-  // must evict (with write-back), and the re-acquired rows must still hold
-  // the written values (from the page cache / spill file).
-  store::BufferPool::Options options;
-  options.budget_bytes = 64 * 1024;
-  options.page_bytes = 4096;
-  store::BufferPool pool(options);
-  auto slab = FactorSlab::Create(2048, 32, &pool).ValueOrDie();
-  FactorSlab::RowBlock block = slab.AcquireRows(256, 1024);
-  for (int64_t i = block.row_begin; i < block.row_end; ++i) {
-    block.Row(i)[0] = static_cast<double>(i);
+TEST(FactorSlabTest, DroppedRowsKeepTheirBytes) {
+  // Write 768 rows of a 512 KiB slab, drop them a page of rows at a time
+  // and then the whole slab: the rows refault with the written values, and
+  // the spill file itself holds them (the page cache is the only copy).
+  const int64_t page = sysconf(_SC_PAGESIZE);
+  auto slab = FactorSlab::Create(2048, 32, page / (32 * 8)).ValueOrDie();
+  const auto value = [](int64_t i, int64_t j) {
+    return static_cast<double>(i) + 0.001 * static_cast<double>(j);
+  };
+  StreamRows({&slab}, 256, 1024, /*dirty=*/true,
+             [&](int64_t begin, int64_t end) {
+               for (int64_t i = begin; i < end; ++i) {
+                 for (int64_t j = 0; j < 32; ++j) slab.Row(i)[j] = value(i, j);
+               }
+             });
+  slab.DropResidency();
+  const SpillStats stats = slab.spill_stats();
+  EXPECT_GT(stats.evicted_pages, 0);
+  EXPECT_EQ(stats.writeback_pages, 768 * 32 * 8 / page);
+  EXPECT_EQ(stats.resident_peak_bytes, page);
+  EXPECT_EQ(testing::MappedRssBytes(slab.data()), 0);
+
+  std::vector<double> from_file(static_cast<size_t>(2048 * 32));
+  const int fd = open(slab.spill_path().c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  const ssize_t want = static_cast<ssize_t>(from_file.size() * sizeof(double));
+  EXPECT_EQ(pread(fd, from_file.data(), static_cast<size_t>(want), 0), want);
+  close(fd);
+  for (int64_t i = 0; i < 2048; ++i) {
+    const bool written = i >= 256 && i < 1024;
+    for (int64_t j = 0; j < 32; ++j) {
+      const double expected = written ? value(i, j) : 0.0;
+      ASSERT_EQ(slab.Row(i)[j], expected) << "row " << i << " col " << j;
+      ASSERT_EQ(from_file[static_cast<size_t>(i * 32 + j)], expected)
+          << "file row " << i << " col " << j;
+    }
   }
-  ASSERT_TRUE(slab.ReleaseRows(block, /*dirty=*/true).ok());
-  ASSERT_TRUE(slab.DropResidency().ok());
-  EXPECT_GT(pool.stats().evicted_pages, 0);
-  EXPECT_GT(pool.stats().writeback_pages, 0);
-  FactorSlab::RowBlock again = slab.AcquireRows(256, 1024);
-  for (int64_t i = again.row_begin; i < again.row_end; ++i) {
-    ASSERT_EQ(again.Row(i)[0], static_cast<double>(i)) << "row " << i;
-  }
-  ASSERT_TRUE(slab.ReleaseRows(again, /*dirty=*/false).ok());
+}
+
+TEST(FactorSlabTest, FrobeniusNormStreamsASpilledSlab) {
+  // 4096 x 64 doubles (2 MiB), streamed 8 rows (one 4 KiB page) at a time:
+  // the norm leaves at most a quarter of the slab mapped, and has the
+  // in-RAM slab's bits.
+  const DenseMatrix source = RandomMatrix(4096, 64, 4);
+  auto slab = FactorSlab::FromDense(source, kChunkRows).ValueOrDie();
+  slab.DropResidency();
+  ASSERT_EQ(testing::MappedRssBytes(slab.data()), 0);
+  EXPECT_EQ(slab.FrobeniusNorm(), source.FrobeniusNorm());
+  EXPECT_EQ(slab.FrobeniusNorm(), FactorSlab(source).FrobeniusNorm());
+  const int64_t rss = testing::MappedRssBytes(slab.data());
+  EXPECT_GE(rss, 0);
+  EXPECT_LE(rss, slab.size_bytes() / 4);
+}
+
+TEST(FactorSlabTest, StreamRowsChunksInOrder) {
+  auto spilled = FactorSlab::Create(21, 3, 4).ValueOrDie();
+  const FactorSlab in_ram(DenseMatrix(21, 3));
+  std::vector<std::pair<int64_t, int64_t>> chunks;
+  const auto record = [&](int64_t begin, int64_t end) {
+    chunks.emplace_back(begin, end);
+  };
+  StreamRows({&spilled}, 2, 15, /*dirty=*/false, record);
+  EXPECT_EQ(chunks, (std::vector<std::pair<int64_t, int64_t>>{
+                        {2, 6}, {6, 10}, {10, 14}, {14, 15}}));
+  chunks.clear();
+  StreamRows({&in_ram}, 2, 15, /*dirty=*/false, record);
+  EXPECT_EQ(chunks, (std::vector<std::pair<int64_t, int64_t>>{{2, 15}}));
+  EXPECT_EQ(in_ram.stream_chunk_rows(), 21);
+  EXPECT_EQ(in_ram.spill_stats().evicted_pages, 0);
 }
 
 TEST(FactorSlabTest, SpilledMatchesDenseBitwise) {
-  store::BufferPool pool(Unbounded());
   const DenseMatrix source = RandomMatrix(40, 12, 2);
-  auto slab = FactorSlab::FromDense(source, &pool).ValueOrDie();
+  auto slab = FactorSlab::FromDense(source, kChunkRows).ValueOrDie();
   EXPECT_TRUE(slab.spilled());
   EXPECT_EQ(slab.MaxAbsDiff(source), 0.0);
   EXPECT_EQ(slab.FrobeniusNorm(), source.FrobeniusNorm());
@@ -106,16 +156,14 @@ TEST(FactorSlabTest, SpilledMatchesDenseBitwise) {
 }
 
 TEST(FactorSlabTest, CopyOfSpilledIsIndependentInRam) {
-  store::BufferPool pool(Unbounded());
   const DenseMatrix source = RandomMatrix(20, 6, 3);
-  auto original = FactorSlab::FromDense(source, &pool).ValueOrDie();
-  const int64_t registered = pool.stats().registered_bytes;
+  auto original = FactorSlab::FromDense(source, kChunkRows).ValueOrDie();
   FactorSlab copy = original;
   EXPECT_FALSE(copy.spilled());
   EXPECT_TRUE(copy.spill_path().empty());
   EXPECT_EQ(copy.MaxAbsDiff(original), 0.0);
-  // The copy has no claim on the pool, and writes do not alias.
-  EXPECT_EQ(pool.stats().registered_bytes, registered);
+  // The copy has no claim on the spill file, and writes do not alias.
+  EXPECT_TRUE(fs::exists(original.spill_path()));
   copy.Row(0)[0] += 1.0;
   EXPECT_EQ(original.MaxAbsDiff(source), 0.0);
   // Copy-assignment over an existing slab behaves the same.
@@ -125,62 +173,61 @@ TEST(FactorSlabTest, CopyOfSpilledIsIndependentInRam) {
   EXPECT_EQ(assigned.MaxAbsDiff(source), 0.0);
 }
 
-TEST(FactorSlabTest, MoveTransfersPoolRegion) {
-  store::BufferPool pool(Unbounded());
-  auto original = FactorSlab::Create(16, 4, &pool).ValueOrDie();
+TEST(FactorSlabTest, MoveTransfersTheMapping) {
+  auto original = FactorSlab::Create(16, 4, kChunkRows).ValueOrDie();
   const std::string path = original.spill_path();
-  const int64_t registered = pool.stats().registered_bytes;
-  ASSERT_EQ(registered, original.size_bytes());
+  const double* data = original.data();
   original.Row(3)[2] = 9.0;
+  original.DropRows(0, 8, /*dirty=*/true);
+  const int64_t dropped = original.spill_stats().evicted_pages;
+  ASSERT_GT(dropped, 0);
   FactorSlab moved = std::move(original);
   EXPECT_TRUE(moved.spilled());
   EXPECT_TRUE(fs::exists(path));
   EXPECT_EQ(moved.spill_path(), path);
+  EXPECT_EQ(moved.data(), data);
+  EXPECT_EQ(moved.stream_chunk_rows(), kChunkRows);
   EXPECT_EQ(moved.Row(3)[2], 9.0);
-  // The region moved with the slab: nothing registered twice or dropped.
-  EXPECT_EQ(pool.stats().registered_bytes, registered);
+  // The counters moved with the mapping.
+  EXPECT_EQ(moved.spill_stats().evicted_pages, dropped);
   // NOLINTNEXTLINE(bugprone-use-after-move)
   EXPECT_FALSE(original.spilled());
   EXPECT_TRUE(original.spill_path().empty());
-  // Residency calls still reach the pool through the new owner.
-  ASSERT_TRUE(moved.DropResidency().ok());
+  EXPECT_EQ(original.spill_stats().evicted_pages, 0);
+  moved.DropResidency();
   moved = FactorSlab();
-  EXPECT_EQ(pool.stats().registered_bytes, 0);
   EXPECT_FALSE(fs::exists(path));  // destroyed with its last owner
 }
 
 TEST(FactorSlabTest, AssignDenseReleasesSpill) {
-  store::BufferPool pool(Unbounded());
-  auto slab = FactorSlab::Create(16, 4, &pool).ValueOrDie();
+  auto slab = FactorSlab::Create(16, 4, kChunkRows).ValueOrDie();
   const std::string path = slab.spill_path();
-  ASSERT_GT(pool.stats().registered_bytes, 0);
+  ASSERT_TRUE(fs::exists(path));
   slab = DenseMatrix({{1.0, 2.0}, {3.0, 4.0}});
-  EXPECT_EQ(pool.stats().registered_bytes, 0);
   EXPECT_FALSE(fs::exists(path));
   EXPECT_FALSE(slab.spilled());
   EXPECT_EQ(slab.Row(1)[0], 3.0);
 }
 
 TEST(FactorSlabTest, CreateFailsCleanlyInMissingDir) {
-  store::BufferPool pool(Unbounded());
   const std::string missing = "/nonexistent_pane_spill_dir_for_test";
   ASSERT_FALSE(fs::exists(missing));
-  const auto slab = FactorSlab::Create(8, 8, &pool, missing);
+  const auto slab = FactorSlab::Create(8, 8, kChunkRows, missing);
   EXPECT_FALSE(slab.ok());
   EXPECT_TRUE(slab.status().IsIOError());
   EXPECT_FALSE(fs::exists(missing));  // nothing left behind
-  EXPECT_EQ(pool.stats().registered_bytes, 0);
+  EXPECT_TRUE(FactorSlab::Create(8, 8, -1).status().IsInvalidArgument());
 }
 
 TEST(FactorSlabTest, EmptySlabNeedsNoFile) {
-  store::BufferPool pool(Unbounded());
-  auto slab = FactorSlab::Create(0, 16, &pool).ValueOrDie();
+  auto slab = FactorSlab::Create(0, 16, kChunkRows).ValueOrDie();
   EXPECT_TRUE(slab.empty());
   EXPECT_TRUE(slab.spilled());
   EXPECT_TRUE(slab.spill_path().empty());
-  EXPECT_EQ(pool.stats().registered_bytes, 0);
-  EXPECT_TRUE(slab.DropResidency().ok());
-  EXPECT_TRUE(slab.ReleaseRowRange(0, 0, /*dirty=*/true).ok());
+  slab.DropResidency();
+  slab.DropRows(0, 0, /*dirty=*/true);
+  EXPECT_EQ(slab.spill_stats().evicted_pages, 0);
+  EXPECT_EQ(slab.FrobeniusNorm(), 0.0);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "src/common/random.h"
 #include "src/matrix/gemm.h"
 #include "src/parallel/thread_pool.h"
-#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -24,6 +23,9 @@ namespace {
 
 using testing::InitFor;
 using testing::ResidualConsistencyError;
+
+// Rows a spilled test slab streams between drops.
+constexpr int64_t kSpillChunkRows = 5;
 
 AffinitySlabs TestAffinity(int64_t n = 300, uint64_t seed = 41) {
   return testing::GraphAffinity(testing::SmallSbm(seed, n));
@@ -160,11 +162,7 @@ TEST(SmGreedyInitTest, WaveSizeNeverChangesTheAnswer) {
     for (const int64_t cap : {0, 1, 2, 3}) {
       const std::string where = std::string(spilled ? "spilled" : "in RAM") +
                                 " cap=" + std::to_string(cap);
-      store::BufferPool::Options pool_options;
-      pool_options.budget_bytes = 64 * 1024;  // forces evictions
-      pool_options.page_bytes = 4096;
-      store::BufferPool buffer_pool(pool_options);
-      store::BufferPool* spill = spilled ? &buffer_pool : nullptr;
+      const int64_t spill = spilled ? kSpillChunkRows : 0;
       AffinitySlabs affinity;
       affinity.forward = FactorSlab::FromDense(forward, spill).ValueOrDie();
       affinity.backward = FactorSlab::FromDense(backward, spill).ValueOrDie();
@@ -184,7 +182,7 @@ TEST(SmGreedyInitTest, WaveSizeNeverChangesTheAnswer) {
 // --- In-place residuals ---------------------------------------------------
 
 // Each init returns the slabs it was given as Sf / Sb: the same buffer when
-// in RAM, the same spill file (and no new pool region) when spilled, with
+// in RAM, the same spill file and mapping when spilled, with
 // every byte equal to the testing::Residual(x, y, F') oracle.
 using InitFn = std::function<Result<EmbeddingState>(AffinitySlabs)>;
 
@@ -194,11 +192,7 @@ void ExpectResidualsInPlace(const AffinitySlabs& source, const InitFn& init,
   const DenseMatrix backward = source.backward.ToDense().ValueOrDie();
   for (const bool spilled : {false, true}) {
     const std::string where = what + (spilled ? " spilled" : " in RAM");
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = 64 * 1024;  // forces evictions
-    pool_options.page_bytes = 4096;
-    store::BufferPool buffer_pool(pool_options);
-    store::BufferPool* spill = spilled ? &buffer_pool : nullptr;
+    const int64_t spill = spilled ? kSpillChunkRows : 0;
     AffinitySlabs affinity;
     affinity.forward = FactorSlab::FromDense(forward, spill).ValueOrDie();
     affinity.backward = FactorSlab::FromDense(backward, spill).ValueOrDie();
@@ -206,7 +200,6 @@ void ExpectResidualsInPlace(const AffinitySlabs& source, const InitFn& init,
     const double* backward_data = affinity.backward.data();
     const std::string forward_path = affinity.forward.spill_path();
     const std::string backward_path = affinity.backward.spill_path();
-    const int64_t registered = buffer_pool.stats().registered_bytes;
 
     const EmbeddingState state = init(std::move(affinity)).ValueOrDie();
     EXPECT_EQ(state.sf.data(), forward_data) << where;
@@ -214,7 +207,6 @@ void ExpectResidualsInPlace(const AffinitySlabs& source, const InitFn& init,
     EXPECT_EQ(state.sf.spilled(), spilled) << where;
     EXPECT_EQ(state.sf.spill_path(), forward_path) << where;
     EXPECT_EQ(state.sb.spill_path(), backward_path) << where;
-    EXPECT_EQ(buffer_pool.stats().registered_bytes, registered) << where;
 
     const DenseMatrix sf_want = testing::Residual(state.xf, state.y, forward);
     const DenseMatrix sb_want = testing::Residual(state.xb, state.y, backward);

@@ -1,6 +1,7 @@
 // Tests for the training memory plan (PlanMemory, src/core/pane.h), the one
 // place a memory budget becomes sizes: it keeps the benchmark's two shapes,
-// spills into a quarter of the budget exactly when the slabs outgrow it,
+// spills with a quarter of the budget streamed exactly when the slabs
+// outgrow it,
 // holds each phase's scratch to its share and a spilled run's two shares to
 // the budget over a grid of shapes, and hands the affinity engine widths
 // whose output is the unfused reference's bytes.
@@ -10,13 +11,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "src/core/affinity_engine.h"
 #include "src/core/apmi.h"
 #include "src/parallel/thread_pool.h"
-#include "src/store/buffer_pool.h"
 #include "test_util.h"
 
 namespace pane {
@@ -42,19 +41,15 @@ AffinityMatrices ReferenceAffinity(const AttributedGraph& g, int t) {
 int64_t ColumnBytes(int64_t n) { return 2 * 8 * n; }
 
 // Runs the affinity engine on `g` as Pane::Train would at this budget — the
-// plan's panel width, the slabs spilled through a pool of the plan's size
-// when it says so — and checks the output against the unfused reference.
+// plan's panel width, the slabs spilled in the plan's chunks when it says
+// so — and checks the output against the unfused reference.
 AffinityEngineStats RunPlannedAffinity(const AttributedGraph& g, int threads,
                                        int64_t budget_mb, int t) {
   const int64_t n = g.num_nodes();
   const int64_t d = g.num_attributes();
   const MemoryPlan plan = PlanMemory(n, d, threads, budget_mb);
-  std::unique_ptr<store::BufferPool> buffer_pool;
-  if (plan.pool_bytes > 0) {
-    store::BufferPool::Options pool_options;
-    pool_options.budget_bytes = plan.pool_bytes;
-    buffer_pool = std::make_unique<store::BufferPool>(pool_options);
-  }
+  const int64_t spill_chunk_rows =
+      plan.stream_bytes > 0 ? plan.stream_chunk_rows : 0;
   ThreadPool pool(threads);
   AffinityEngineOptions options;
   options.alpha = 0.5;
@@ -62,13 +57,13 @@ AffinityEngineStats RunPlannedAffinity(const AttributedGraph& g, int threads,
   options.pool = &pool;
   options.panel_width = plan.panel_width;
   AffinitySlabs got;
-  got.forward = FactorSlab::Create(n, d, buffer_pool.get()).ValueOrDie();
-  got.backward = FactorSlab::Create(n, d, buffer_pool.get()).ValueOrDie();
+  got.forward = FactorSlab::Create(n, d, spill_chunk_rows).ValueOrDie();
+  got.backward = FactorSlab::Create(n, d, spill_chunk_rows).ValueOrDie();
   AffinityEngineStats stats;
   EXPECT_TRUE(ComputeGraphAffinityIntoSlabs(g, options, &got, &stats).ok());
   const std::string what = "threads=" + std::to_string(threads) +
                            " budget=" + std::to_string(budget_mb);
-  EXPECT_EQ(stats.spilled, plan.pool_bytes > 0) << what;
+  EXPECT_EQ(stats.spilled, plan.stream_bytes > 0) << what;
   EXPECT_EQ(stats.panel_width, plan.panel_width) << what;
   const AffinityMatrices reference = ReferenceAffinity(g, t);
   EXPECT_EQ(got.forward.MaxAbsDiff(reference.forward), 0.0) << what;
@@ -80,16 +75,19 @@ TEST(MemoryPlanTest, BenchmarkPointsKeepTheirShapes) {
   // ram_exact trains unbounded and spill_routed at 8 MiB, both at 2
   // threads on the 3000 x 300 graph. The unbounded shapes are the ones the
   // benchmark has always reported; the spilled run splits its 8 MiB into a
-  // 2 MiB pool and 6 MiB of scratch, 131 columns of 48000 bytes.
+  // 2 MiB stream share and 6 MiB of scratch, 131 columns of 48000 bytes.
+  // The share holds 2 threads x 2 slabs x 218 rows of 300 doubles.
   const MemoryPlan unbounded = PlanMemory(3000, 300, 2, 0);
-  EXPECT_EQ(unbounded.pool_bytes, 0);
+  EXPECT_EQ(unbounded.stream_bytes, 0);
+  EXPECT_EQ(unbounded.stream_chunk_rows, 3000);
   EXPECT_EQ(unbounded.scratch_bytes, kUnboundedScratchBytes);
   EXPECT_EQ(unbounded.panel_width, 29);
   EXPECT_EQ(unbounded.strip_width, 87);
   EXPECT_EQ(unbounded.max_inflight_blocks, 0);
   EXPECT_FALSE(unbounded.clamped);
   const MemoryPlan spilled = PlanMemory(3000, 300, 2, 8);
-  EXPECT_EQ(spilled.pool_bytes, 2 * kMiB);
+  EXPECT_EQ(spilled.stream_bytes, 2 * kMiB);
+  EXPECT_EQ(spilled.stream_chunk_rows, 218);
   EXPECT_EQ(spilled.scratch_bytes, 6 * kMiB);
   EXPECT_EQ(spilled.panel_width, 131);
   EXPECT_EQ(spilled.strip_width, 131);
@@ -111,7 +109,7 @@ TEST(MemoryPlanTest, BenchmarkPointsKeepTheirShapes) {
   EXPECT_EQ(stats.ccd.strip_width, 87);
   EXPECT_EQ(stats.ccd.scratch_bytes, 4176000);
   EXPECT_EQ(stats.plan.scratch_bytes, kUnboundedScratchBytes);
-  EXPECT_EQ(stats.stream_chunk_rows, 3000);
+  EXPECT_EQ(stats.plan.stream_chunk_rows, 3000);
   options.memory_budget_mb = 8;
   ASSERT_TRUE(Pane(options).Train(g, &stats).ok());
   EXPECT_TRUE(stats.slabs_spilled);
@@ -119,10 +117,9 @@ TEST(MemoryPlanTest, BenchmarkPointsKeepTheirShapes) {
   EXPECT_EQ(stats.affinity.scratch_bytes, 6288000);
   EXPECT_EQ(stats.ccd.strip_width, 131);
   EXPECT_EQ(stats.ccd.scratch_bytes, 6288000);
-  EXPECT_EQ(stats.plan.pool_bytes, 2 * kMiB);
+  EXPECT_EQ(stats.plan.stream_bytes, 2 * kMiB);
   EXPECT_EQ(stats.plan.scratch_bytes, 6 * kMiB);
-  // One 256 KiB pool page holds 109 rows of 300 doubles.
-  EXPECT_EQ(stats.stream_chunk_rows, 109);
+  EXPECT_EQ(stats.plan.stream_chunk_rows, 218);
 }
 
 TEST(MemoryPlanTest, SharesHoldOverAGrid) {
@@ -137,10 +134,29 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
               " threads=" + std::to_string(threads);
           const int64_t budget = budget_mb * kMiB;
           const bool spill = budget > 0 && 2 * n * d * 8 > budget;
-          EXPECT_EQ(plan.pool_bytes, spill ? budget / 4 : 0) << what;
+          EXPECT_EQ(plan.stream_bytes, spill ? budget / 4 : 0) << what;
           const int64_t share =
-              budget > 0 ? budget - plan.pool_bytes : kUnboundedScratchBytes;
+              budget > 0 ? budget - plan.stream_bytes : kUnboundedScratchBytes;
           EXPECT_EQ(plan.scratch_bytes, share) << what;
+
+          // Chunks: every row in RAM; spilled, the most rows whose one
+          // chunk per thread and slab fits the stream share, at least 1.
+          const int64_t chunk = plan.stream_chunk_rows;
+          if (!spill) {
+            EXPECT_EQ(chunk, n) << what;
+          } else {
+            EXPECT_GE(chunk, 1) << what;
+            EXPECT_LE(chunk, n) << what;
+            const int64_t in_flight_row_bytes = threads * 2 * d * 8;
+            if (chunk > 1) {
+              EXPECT_LE(chunk * in_flight_row_bytes, plan.stream_bytes)
+                  << what;
+            }
+            if (chunk < n) {
+              EXPECT_GT((chunk + 1) * in_flight_row_bytes, plan.stream_bytes)
+                  << what;
+            }
+          }
 
           // Panels: pooled in-RAM runs hold up to threads + 1 at once (the
           // workers and the draining caller), serial and spilled runs one.
@@ -179,13 +195,14 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
             EXPECT_GT(ColumnBytes(n) * (strip + 1), share) << what;
           }
 
-          // A spilled run above the clamp floor keeps its pool share and
-          // whatever panels or strip it has in flight within the budget.
+          // A spilled run above the clamp floor keeps its stream share
+          // and whatever panels or strip it has in flight within the
+          // budget.
           if (spill && !plan.clamped) {
-            EXPECT_LE(plan.pool_bytes + in_flight * ColumnBytes(n) * panel,
+            EXPECT_LE(plan.stream_bytes + in_flight * ColumnBytes(n) * panel,
                       budget)
                 << what;
-            EXPECT_LE(plan.pool_bytes + ColumnBytes(n) * strip, budget)
+            EXPECT_LE(plan.stream_bytes + ColumnBytes(n) * strip, budget)
                 << what;
           }
 
@@ -210,15 +227,17 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
 TEST(MemoryPlanTest, SpillsIntoAQuarterOfTheBudgetWhenTheSlabsOutgrowIt) {
   // 2048 x 1024 doubles, twice: 32 MiB of slabs.
   // No budget => always RAM, however large the slabs.
-  EXPECT_EQ(PlanMemory(int64_t{1} << 20, int64_t{1} << 16, 4, 0).pool_bytes,
-            0);
+  EXPECT_EQ(
+      PlanMemory(int64_t{1} << 20, int64_t{1} << 16, 4, 0).stream_bytes, 0);
   // Budget covers the slabs => RAM, and the scratch has all of it; smaller
-  // => a pool at a quarter of the budget and the scratch the rest.
-  EXPECT_EQ(PlanMemory(2048, 1024, 4, 64).pool_bytes, 0);
-  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).pool_bytes, 0);
+  // => a stream share of a quarter of the budget and the scratch the rest.
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 64).stream_bytes, 0);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).stream_bytes, 0);
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).scratch_bytes, 32 * kMiB);
-  EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).pool_bytes, 4 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).stream_bytes, 4 * kMiB);
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).scratch_bytes, 12 * kMiB);
+  // 4 MiB over 4 threads x 2 slabs x 8 KiB rows: 64-row chunks.
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).stream_chunk_rows, 64);
 }
 
 TEST(MemoryPlanTest, SerialBudgetFitsTheWholeSetInOnePanel) {
@@ -226,7 +245,7 @@ TEST(MemoryPlanTest, SerialBudgetFitsTheWholeSetInOnePanel) {
   // one panel of all 80 columns (512 kB of scratch) fits the budget.
   const AttributedGraph g = testing::SmallSbm(43, 400);
   const MemoryPlan plan = PlanMemory(400, 80, 1, 1);
-  EXPECT_EQ(plan.pool_bytes, 0);
+  EXPECT_EQ(plan.stream_bytes, 0);
   EXPECT_EQ(plan.panel_width, 80);
   EXPECT_FALSE(plan.clamped);
   const AffinityEngineStats stats = RunPlannedAffinity(g, 1, 1, 5);
@@ -239,7 +258,7 @@ TEST(MemoryPlanTest, PooledInRamBudgetKeepsPapmiPanels) {
   // in-flight panels of ceil(80 / 8) = 10 columns (720 kB) fit the budget.
   const AttributedGraph g = testing::SmallSbm(44, 500);
   const MemoryPlan plan = PlanMemory(500, 80, 8, 1);
-  EXPECT_EQ(plan.pool_bytes, 0);
+  EXPECT_EQ(plan.stream_bytes, 0);
   EXPECT_EQ(plan.panel_width, 10);
   EXPECT_FALSE(plan.clamped);
   const AffinityEngineStats stats = RunPlannedAffinity(g, 8, 1, 5);
@@ -253,7 +272,7 @@ TEST(MemoryPlanTest, PooledInRamBudgetNarrowsThePanelsInFlight) {
   // so the panels narrow to 19 columns and still run in parallel.
   const AttributedGraph g = testing::SmallSbm(44, 4000);
   const MemoryPlan plan = PlanMemory(4000, 80, 4, 6);
-  EXPECT_EQ(plan.pool_bytes, 0);
+  EXPECT_EQ(plan.stream_bytes, 0);
   EXPECT_EQ(plan.panel_width, 19);
   EXPECT_FALSE(plan.clamped);
   const AffinityEngineStats stats = RunPlannedAffinity(g, 4, 6, 5);
@@ -263,12 +282,12 @@ TEST(MemoryPlanTest, PooledInRamBudgetNarrowsThePanelsInFlight) {
 }
 
 TEST(MemoryPlanTest, SpilledBudgetRunsWholeSharePanelsInSequence) {
-  // n = 9000, 8 workers, 1 MiB: the slabs (11.5 MB) spill into a 256 KiB
-  // pool, and spilled panels run one at a time, so one panel gets the whole
-  // scratch share: (3 / 4) 2^20 / (2 * 8 * 9000) = 5 columns.
+  // n = 9000, 8 workers, 1 MiB: the slabs (11.5 MB) spill with a 256 KiB
+  // stream share, and spilled panels run one at a time, so one panel gets
+  // the whole scratch share: (3 / 4) 2^20 / (2 * 8 * 9000) = 5 columns.
   const AttributedGraph g = testing::SmallSbm(45, 9000);
   const MemoryPlan plan = PlanMemory(9000, 80, 8, 1);
-  EXPECT_EQ(plan.pool_bytes, kMiB / 4);
+  EXPECT_EQ(plan.stream_bytes, kMiB / 4);
   EXPECT_EQ(plan.panel_width, 5);
   EXPECT_FALSE(plan.clamped);
   const AffinityEngineStats stats = RunPlannedAffinity(g, 8, 1, 2);
@@ -282,7 +301,7 @@ TEST(MemoryPlanTest, BudgetBelowOneColumnClampsToWidthOne) {
   // smallest overshoot (a spilled run holds one panel at a time), and says
   // so.
   const MemoryPlan plan = PlanMemory(70000, 80, 4, 1);
-  EXPECT_GT(plan.pool_bytes, 0);
+  EXPECT_GT(plan.stream_bytes, 0);
   EXPECT_TRUE(plan.clamped);
   EXPECT_EQ(plan.panel_width, 1);
   EXPECT_EQ(plan.strip_width, 1);

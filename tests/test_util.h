@@ -1,8 +1,12 @@
 // Shared fixtures for the tests: the paper's Figure 1 running example,
 // small SBM instances, in-RAM affinity slabs and init options for the core
-// phases, and a container rewriter for hostile-input cases.
+// phases, a container rewriter for hostile-input cases, and the resident
+// bytes of one mapping.
 #pragma once
 
+#include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -146,6 +150,27 @@ inline void RewriteContainer(const std::string& src, const std::string& dst,
         static_cast<int64_t>(payloads.back().size())));
   }
   PANE_CHECK_OK(writer.WriteTo(dst));
+}
+
+/// Resident bytes of the mapping that starts at `base` (its Rss line in
+/// /proc/self/smaps), or -1 when no mapping starts there.
+inline int64_t MappedRssBytes(const void* base) {
+  std::ifstream smaps("/proc/self/smaps");
+  const uintptr_t want = reinterpret_cast<uintptr_t>(base);
+  std::string line;
+  bool found = false;
+  while (std::getline(smaps, line)) {
+    unsigned long start = 0;
+    unsigned long end = 0;
+    char dash = 0;
+    if (std::sscanf(line.c_str(), "%lx%c%lx", &start, &dash, &end) == 3 &&
+        dash == '-') {
+      found = start == want;
+    } else if (found && line.rfind("Rss:", 0) == 0) {
+      return int64_t{1024} * std::stoll(line.substr(4));
+    }
+  }
+  return -1;
 }
 
 }  // namespace testing

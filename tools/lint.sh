@@ -43,10 +43,11 @@
 # one CPU's artifact drift from another's. Checked in CMakeLists.txt,
 # CMakePresets.json, panebench/CMakeLists.txt and src/.
 #
-# Rule 6 — one residency path: madvise / msync may be called ONLY under
-# src/store/, where store::BufferPool decides when spilled pages are written
-# back and dropped. FactorSlab and every other spill consumer go through the
-# pool, so a second self-managed residency path cannot grow back beside it.
+# Rule 6 — one residency path: madvise / msync may be called ONLY in
+# src/matrix/factor_slab.cc, where a spilled FactorSlab drops the pages of
+# the rows a pass has finished. Every other spill consumer streams through
+# StreamRows or calls the slab's drops, so a second self-managed residency
+# path cannot grow back beside it.
 #
 # Rule 7 — one training driver: in src/, the pipeline's building blocks
 # ComputeGraphAffinityIntoSlabs( (the affinity phase) and CcdRefine( (the
@@ -73,7 +74,7 @@
 # ValidatePaneOptions and PlanMemory, which turns the budget into every
 # size a run uses) and in ValidateMemoryBudgetMb's declaration and
 # definition. The phases take shapes — a panel width, a strip width, an
-# in-flight block cap, a pool — so a second rule for turning the budget
+# in-flight block cap, a stream chunk — so a second rule for turning the budget
 # into sizes cannot grow back inside one of them.
 #
 # Rule 11 — one subspace iteration: in src/, ThinQr( and
@@ -184,16 +185,16 @@ if [[ -n "$fma_hits" ]]; then
   status=1
 fi
 
-# --- Rule 6: residency syscalls outside the buffer pool --------------------
+# --- Rule 6: residency syscalls outside the spilled slab --------------------
 residency_hits=$(grep -rEn '\b(madvise|msync)[[:space:]]*\(' \
                    src bench examples tests \
                    --include='*.h' --include='*.cc' --include='*.cpp' \
-                 | grep -Ev '^src/store/' || true)
+                 | grep -Ev '^src/matrix/factor_slab\.cc:' || true)
 if [[ -n "$residency_hits" ]]; then
-  echo "lint: madvise/msync outside src/store/:" >&2
+  echo "lint: madvise/msync outside src/matrix/factor_slab.cc:" >&2
   echo "$residency_hits" >&2
-  echo "lint: spilled pages belong to store::BufferPool; register the" >&2
-  echo "lint: mapping with the pool instead of managing residency directly" >&2
+  echo "lint: spilled pages belong to FactorSlab; stream the rows with" >&2
+  echo "lint: StreamRows or call DropRows / DropResidency instead" >&2
   status=1
 fi
 
@@ -297,7 +298,7 @@ if [[ -n "$trim_hits" ]]; then
   echo "lint: malloc_trim / <malloc.h> outside src/core/pane.cc:" >&2
   echo "$trim_hits" >&2
   echo "lint: freed heap goes back at Pane::Train's phase boundaries" >&2
-  echo "lint: (ReturnFreedHeap), not inside a phase" >&2
+  echo "lint: (EndPhase), not inside a phase" >&2
   status=1
 fi
 
