@@ -68,10 +68,11 @@ int main(int argc, char** argv) {
   flags.AddInt("threads", 4, "worker threads (1 = Algorithm 1)");
   flags.AddInt("memory-budget-mb", 0,
                "whole-pipeline memory budget in MiB (PANE), which one memory "
-               "plan turns into every size the run uses: the n x d factors "
-               "spill through a buffer pool of half the budget when they "
-               "exceed it, and the affinity panels and CCD strips narrow to "
-               "fit it (0 = unbounded: in RAM, 4 MiB of scratch per phase; "
+               "plan turns into every size the run uses: when the n x d "
+               "factors do not fit it they spill to mapped files, with a "
+               "quarter of it for streamed rows and the rest for the "
+               "affinity panels and CCD strips, which narrow to fit their "
+               "share (0 = unbounded: in RAM, 4 MiB of scratch per phase; "
                "see README \"Memory model & tuning\")");
   flags.AddString("spill-dir", "",
                   "directory for factor spill files (default: temp dir)");

@@ -369,13 +369,19 @@ int main(int argc, char** argv) {
   }
 
   // Periodic metrics logging through the guarded logger: a background
-  // thread snapshots the batch histogram and the served-request counters
-  // every --metrics-interval-ms. Short sleep steps keep shutdown prompt.
+  // thread reads the batch histogram and the served-request counters from
+  // the registry every --metrics-interval-ms. Short sleep steps keep
+  // shutdown prompt.
+  const auto count = [&registry](const char* name) {
+    return static_cast<unsigned long long>(
+        registry.GetCounter(std::string("pane_server_") + name + "_total")
+            ->value());
+  };
   const int64_t metrics_interval_ms = flags.GetInt("metrics-interval-ms");
   std::atomic<bool> stop_metrics{false};
   std::thread metrics_thread;
   if (metrics_interval_ms > 0) {
-    metrics_thread = std::thread([&registry, &server, &stop_metrics,
+    metrics_thread = std::thread([&registry, &count, &stop_metrics,
                                   metrics_interval_ms]() {
       pane::obs::Histogram* batch_us =
           registry.GetHistogram("pane_server_batch_us");
@@ -386,11 +392,10 @@ int main(int argc, char** argv) {
         if (now_ms - last_ms < metrics_interval_ms) continue;
         last_ms = now_ms;
         const pane::obs::Histogram::Snapshot snap = batch_us->TakeSnapshot();
-        const auto counters = server->counters();
-        PANE_LOG(INFO) << "metrics requests=" << counters.requests
-                       << " batches=" << counters.batches
-                       << " errors=" << counters.errors
-                       << " cache_hits=" << counters.cache_hits
+        PANE_LOG(INFO) << "metrics requests=" << count("requests")
+                       << " batches=" << count("batches")
+                       << " errors=" << count("errors")
+                       << " cache_hits=" << count("cache_hits")
                        << " batch_us_count=" << snap.count
                        << " batch_us_p50=" << snap.p50
                        << " batch_us_p99=" << snap.p99
@@ -412,23 +417,14 @@ int main(int argc, char** argv) {
     stop_metrics.store(true, std::memory_order_release);
     metrics_thread.join();
   }
-  // counters() returns one snapshot taken under the server's stats
-  // capability (plus the transport's accept-side counters), so the numbers
-  // below all belong to the same instant.
-  const auto counters = server->counters();
   if (flags.GetBool("stats") || flags.GetBool("verbose")) {
     std::fprintf(stderr,
                  "%s: requests=%llu batches=%llu dedup=%llu cache=%llu "
                  "errors=%llu timeouts=%llu rejected=%llu frames=%llu\n",
-                 flags.GetBool("stats") ? "stats" : "served",
-                 static_cast<unsigned long long>(counters.requests),
-                 static_cast<unsigned long long>(counters.batches),
-                 static_cast<unsigned long long>(counters.dedup_hits),
-                 static_cast<unsigned long long>(counters.cache_hits),
-                 static_cast<unsigned long long>(counters.errors),
-                 static_cast<unsigned long long>(counters.timeouts),
-                 static_cast<unsigned long long>(counters.rejected),
-                 static_cast<unsigned long long>(counters.frames));
+                 flags.GetBool("stats") ? "stats" : "served", count("requests"),
+                 count("batches"), count("dedup_hits"), count("cache_hits"),
+                 count("errors"), count("timeouts"), count("rejected"),
+                 count("frames"));
   }
   return 0;
 }

@@ -59,10 +59,18 @@ MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
   MemoryPlan plan;
   const int64_t budget_bytes = memory_budget_mb << 20;
   const int64_t double_bytes = static_cast<int64_t>(sizeof(double));
+  const int64_t slab_bytes = 2 * n * d * double_bytes;
+  // Panels and strips both hold two n-double buffers per column; pooled
+  // in-RAM panels run threads + 1 at a time, everything else one.
+  const int64_t bytes_per_column = 2 * double_bytes * std::max<int64_t>(n, 1);
+  const int64_t ram_in_flight = threads > 1 ? threads + 1 : 1;
+  // The slabs stay in RAM only beside the width-1 scratch floor.
   const bool spill =
-      budget_bytes > 0 && 2 * n * d * double_bytes > budget_bytes;
+      budget_bytes > 0 &&
+      slab_bytes + bytes_per_column * ram_in_flight > budget_bytes;
   // A spilled run splits M: a quarter for the streamed chunks, the rest
-  // for the panel and strip scratch, so the two shares sum to M.
+  // for the panel and strip scratch, so the two shares sum to M. A bounded
+  // in-RAM run fits its scratch to what the slabs leave of M.
   plan.stream_chunk_rows = std::max<int64_t>(n, 1);
   if (spill) {
     plan.stream_bytes = budget_bytes / 4;
@@ -71,11 +79,11 @@ MemoryPlan PlanMemory(int64_t n, int64_t d, int threads,
         std::clamp<int64_t>(plan.stream_bytes / (threads * 2 * row_bytes), 1,
                             plan.stream_chunk_rows);
   }
-  plan.scratch_bytes = budget_bytes > 0 ? budget_bytes - plan.stream_bytes
-                                        : kUnboundedScratchBytes;
+  plan.scratch_bytes =
+      budget_bytes == 0 ? kUnboundedScratchBytes
+      : spill           ? budget_bytes - plan.stream_bytes
+                        : budget_bytes - slab_bytes;
 
-  // Panels and strips both hold two n-double buffers per column.
-  const int64_t bytes_per_column = 2 * double_bytes * std::max<int64_t>(n, 1);
   const int64_t share = plan.scratch_bytes;
   const int64_t min_columns =
       budget_bytes > 0 ? 1 : kUnboundedScratchMinColumns;

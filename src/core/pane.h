@@ -54,10 +54,10 @@ struct PaneOptions {
   int ccd_iterations = 0;
   /// Single whole-pipeline memory budget in MiB (--memory-budget-mb), which
   /// PlanMemory turns into the run's sizes. When the two n x d factor slabs
-  /// (2 n d doubles) exceed it they are spilled: memory-mapped files whose
-  /// pages each streaming pass drops as it finishes them, so graphs whose
-  /// factors exceed RAM still run. 0 =>
-  /// unbounded: all in RAM, each phase's scratch capped at
+  /// (2 n d doubles) and the smallest scratch beside them exceed it they
+  /// are spilled: memory-mapped files whose pages each streaming pass drops
+  /// as it finishes them, so graphs whose factors exceed RAM still run.
+  /// 0 => unbounded: all in RAM, each phase's scratch capped at
   /// kUnboundedScratchBytes. Spilled and in-RAM runs produce
   /// bitwise-identical embeddings.
   int64_t memory_budget_mb = 0;
@@ -92,7 +92,8 @@ struct MemoryPlan {
   /// (FactorSlab::stream_chunk_rows): n in RAM.
   int64_t stream_chunk_rows = 0;
   /// The scratch share the panel and strip widths are fitted against: the
-  /// budget less stream_bytes when bounded, kUnboundedScratchBytes when not.
+  /// budget less stream_bytes when spilled, the budget less the two slabs
+  /// when bounded in RAM, kUnboundedScratchBytes when unbounded.
   int64_t scratch_bytes = 0;
   /// Columns per affinity panel (AffinityEngineOptions::panel_width).
   int64_t panel_width = 0;
@@ -110,18 +111,19 @@ struct MemoryPlan {
 /// `threads` workers; `memory_budget_mb` must be valid
 /// (ValidateMemoryBudgetMb).
 ///
-/// - Spill: when a budget M is set and the two slabs' 2 n d doubles exceed
-///   it, with a stream share of M / 4, which leaves the scratch 3 M / 4; the
-///   two shares sum to M. Every thread streams one chunk of each slab at a
-///   time, so a chunk is the share over threads x 2 slabs x one row's
-///   bytes, at least one row.
+/// - Spill: when a budget M is set and the two slabs' 2 n d doubles plus the
+///   in-RAM scratch floor (the panels in flight at width 1) exceed it, with a
+///   stream share of M / 4, which leaves the scratch 3 M / 4; the two shares
+///   sum to M. Every thread streams one chunk of each slab at a time, so a
+///   chunk is the share over threads x 2 slabs x one row's bytes, at least
+///   one row. A bounded run that keeps its slabs in RAM gets the scratch
+///   they leave of M, so slabs and scratch sum to at most M.
 /// - Widths: one rule for panels and strips. The historical shape — every
 ///   column for a strip and for a serial or spilled panel, ceil(d / threads)
 ///   for a pooled in-RAM panel (the APMI / PAPMI shapes) — is narrowed
 ///   until what is in flight fits the scratch share: threads + 1 pooled
 ///   panels (the workers and the draining caller), or one serial or
-///   spilled panel or strip. The share (scratch_bytes) is M less the stream
-///   share when bounded and kUnboundedScratchBytes when not; the floor is 1
+///   spilled panel or strip. The share is scratch_bytes; the floor is 1
 ///   column bounded and kUnboundedScratchMinColumns unbounded.
 /// - Init: a spilled pooled run RandSVDs its F' row blocks in waves of
 ///   M / (one block's bytes), between 1 and threads.

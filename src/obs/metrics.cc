@@ -159,7 +159,7 @@ MetricsRegistry::Metric* MetricsRegistry::GetOrCreate(
     metric.kind = kind;
     switch (kind) {
       case Kind::kCounter:
-        metric.counter = std::make_unique<Counter>();
+        metric.counter = std::make_shared<Counter>();
         break;
       case Kind::kGauge:
         metric.gauge = std::make_unique<Gauge>();
@@ -188,6 +188,18 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name,
 Histogram* MetricsRegistry::GetHistogram(const std::string& name,
                                          const std::string& labels) {
   return GetOrCreate(name, labels, Kind::kHistogram)->histogram.get();
+}
+
+void MetricsRegistry::AliasCounter(const std::string& alias,
+                                   const std::string& name) {
+  PANE_CHECK(IsValidMetricName(alias)) << "bad metric name: " << alias;
+  Metric* source = GetOrCreate(name, "", Kind::kCounter);
+  MutexLock lock(&mu_);
+  auto [it, inserted] = metrics_.try_emplace({alias, ""});
+  PANE_CHECK(inserted || it->second.counter == source->counter)
+      << "metric " << alias << " already registered";
+  it->second.kind = Kind::kCounter;
+  it->second.counter = source->counter;
 }
 
 std::string MetricsRegistry::RenderPrometheus() const {

@@ -154,12 +154,18 @@ class MetricsRegistry {
   /// framing.
   std::string RenderPrometheus() const PANE_EXCLUDES(mu_);
 
+  /// Renders the unlabelled counter `name` (created if new) a second time
+  /// as the family `alias`: one count under two names. Fatal if `alias`
+  /// already names another metric.
+  void AliasCounter(const std::string& alias, const std::string& name)
+      PANE_EXCLUDES(mu_);
+
  private:
   enum class Kind : int8_t { kCounter, kGauge, kHistogram };
 
   struct Metric {
     Kind kind;
-    std::unique_ptr<Counter> counter;
+    std::shared_ptr<Counter> counter;  ///< shared with its aliases
     std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };

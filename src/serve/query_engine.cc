@@ -376,7 +376,20 @@ Result<QueryEngine> QueryEngine::Create(ConstMatrixView xf,
   engine.candidate_tile_ = shape.candidate_tile;
   engine.screen_eps_ = 2.0 * (Gamma(h + 2, 0x1p-24) + Gamma(h + 2, 0x1p-53));
   engine.screen_alpha_ = 2.0 * static_cast<double>(h + 1) * 0x1p-149;
-  if (options.metrics != nullptr) engine.ResolveMetrics(options.metrics);
+  obs::MetricsRegistry* metrics = options.metrics;
+  if (metrics == nullptr) {
+    engine.owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    metrics = engine.owned_metrics_.get();
+  }
+  engine.tiles_total_ = metrics->GetCounter("pane_engine_tiles_scanned_total");
+  engine.survivors_total_ =
+      metrics->GetCounter("pane_engine_screen_survivors_total");
+  engine.ivf_scanned_total_ =
+      metrics->GetCounter("pane_engine_ivf_candidates_scanned_total");
+  engine.ivf_pruned_total_ =
+      metrics->GetCounter("pane_engine_ivf_candidates_pruned_total");
+  engine.tiles_gauge_ = metrics->GetGauge("pane_engine_tiles_last_range");
+  engine.pruned_gauge_ = metrics->GetGauge("pane_engine_ivf_pruned_last_range");
   if (gram.rows() > 0) {
     engine.gram_.Resize(h, h);
     std::copy(gram.data(), gram.data() + h * h, engine.gram_.data());
@@ -420,18 +433,6 @@ Result<QueryEngine> QueryEngine::Create(const EmbeddingStore& store,
       ConstMatrixView(), options);
 }
 
-void QueryEngine::ResolveMetrics(obs::MetricsRegistry* registry) {
-  tiles_total_ = registry->GetCounter("pane_engine_tiles_scanned_total");
-  survivors_total_ =
-      registry->GetCounter("pane_engine_screen_survivors_total");
-  ivf_scanned_total_ =
-      registry->GetCounter("pane_engine_ivf_candidates_scanned_total");
-  ivf_pruned_total_ =
-      registry->GetCounter("pane_engine_ivf_candidates_pruned_total");
-  tiles_gauge_ = registry->GetGauge("pane_engine_tiles_last_range");
-  pruned_gauge_ = registry->GetGauge("pane_engine_ivf_pruned_last_range");
-}
-
 void QueryEngine::AccumulateRange(EngineCallStats* call_stats,
                                   const RangeCounts& counts) const {
   if (call_stats != nullptr) {
@@ -443,17 +444,17 @@ void QueryEngine::AccumulateRange(EngineCallStats* call_stats,
     call_stats->ivf_scanned.fetch_add(counts.ivf_scanned, kRelaxed);
     call_stats->ivf_pruned.fetch_add(counts.ivf_pruned, kRelaxed);
   }
-  if (tiles_total_ != nullptr && counts.tiles > 0) {
+  if (counts.tiles > 0) {
     tiles_total_->Add(static_cast<uint64_t>(counts.tiles));
     tiles_gauge_->Set(counts.tiles);
   }
-  if (survivors_total_ != nullptr && counts.survivors > 0) {
+  if (counts.survivors > 0) {
     survivors_total_->Add(static_cast<uint64_t>(counts.survivors));
   }
-  if (ivf_scanned_total_ != nullptr && counts.ivf_scanned > 0) {
+  if (counts.ivf_scanned > 0) {
     ivf_scanned_total_->Add(static_cast<uint64_t>(counts.ivf_scanned));
   }
-  if (ivf_pruned_total_ != nullptr && counts.ivf_pruned > 0) {
+  if (counts.ivf_pruned > 0) {
     ivf_pruned_total_->Add(static_cast<uint64_t>(counts.ivf_pruned));
     pruned_gauge_->Set(counts.ivf_pruned);
   }
@@ -590,7 +591,6 @@ void QueryEngine::ProbeRange(Family family,
   const bool attributes = family == Family::kAttributes;
   const IvfIndex& index = attributes ? attr_index_ : link_index_;
   const int64_t h = dim();
-  const bool count = call_stats != nullptr || ivf_scanned_total_ != nullptr;
   std::vector<double> sum(static_cast<size_t>(h));  // Eq. 21's xf + xb
   int64_t scanned = 0;
   const int64_t start_ns = call_stats != nullptr ? MonotonicNanos() : 0;
@@ -611,13 +611,12 @@ void QueryEngine::ProbeRange(Family family,
     (*results)[static_cast<size_t>(i)] = index.Search(
         x, query.k, nprobe, ex, /*skip_id=*/attributes ? -1 : query.node,
         /*id_base=*/attributes ? spec_.attr_begin : spec_.node_begin,
-        count ? &scanned : nullptr);
+        &scanned);
   }
   RangeCounts counts;
   counts.scan_ns = call_stats != nullptr ? MonotonicNanos() - start_ns : 0;
   counts.ivf_scanned = scanned;
-  counts.ivf_pruned =
-      count ? (end - begin) * index.num_candidates() - scanned : 0;
+  counts.ivf_pruned = (end - begin) * index.num_candidates() - scanned;
   AccumulateRange(call_stats, counts);
 }
 

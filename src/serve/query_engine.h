@@ -40,6 +40,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -77,9 +78,10 @@ struct QueryEngineOptions {
   /// Derive G = Y^T Y and the link screen rows at Create (required for
   /// link queries; skip for attribute-only engines).
   bool precompute_link_gram = true;
-  /// Optional registry for the engine's work metrics (pane_engine_*:
-  /// tiles scanned, screen survivors rescored, IVF candidates scanned /
-  /// pruned). Null disables them; the registry must outlive the engine.
+  /// Registry for the engine's work metrics (pane_engine_*: tiles
+  /// scanned, screen survivors rescored, IVF candidates scanned / pruned).
+  /// Null makes the engine own a private one; a shared one must outlive
+  /// the engine.
   /// Recording goes through handles resolved at Create, so the engine
   /// itself stays immutable during queries (the TSan contract in
   /// query_engine.cc).
@@ -272,7 +274,6 @@ class QueryEngine {
 
   QueryEngine() = default;
 
-  void ResolveMetrics(obs::MetricsRegistry* registry);
   /// Builds attr_screen_ from y_ and link_screen_ from rows
   /// [node_begin, node_end) of xb_ times gram_.
   void BuildScreens();
@@ -301,7 +302,7 @@ class QueryEngine {
                   int64_t nprobe, const AttributedGraph* exclude,
                   int64_t begin, int64_t end, std::vector<Ranking>* results,
                   EngineCallStats* call_stats) const;
-  /// Folds one range's counters into the registry handles (if any) and the
+  /// Folds one range's counters into the registry handles and the
   /// caller's EngineCallStats (if any).
   void AccumulateRange(EngineCallStats* call_stats,
                        const RangeCounts& counts) const;
@@ -321,9 +322,11 @@ class QueryEngine {
   // of the attribute / link screens.
   ShardSpec spec_;
   IvfIndex attr_index_, link_index_;
-  // Registry handles (null without a registry). The pointed-to metrics are
-  // thread-safe, so recording from const query paths keeps the engine's
-  // immutability contract.
+  // Backs the handles below when the options supply no registry
+  // (unique_ptr: the handles survive engine moves).
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
+  // Registry handles. The pointed-to metrics are thread-safe, so recording
+  // from const query paths keeps the engine's immutability contract.
   obs::Counter* tiles_total_ = nullptr;
   obs::Counter* survivors_total_ = nullptr;
   obs::Counter* ivf_scanned_total_ = nullptr;

@@ -211,24 +211,20 @@ Result<Router> Router::Create(
   }
   Router router;
   router.options_ = options;
+  if (router.options_.metrics == nullptr) {
+    router.owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
+    router.options_.metrics = router.owned_metrics_.get();
+  }
+  obs::MetricsRegistry* metrics = router.options_.metrics;
   router.shards_ = std::move(shards);
   router.health_mutex_ = std::make_unique<Mutex>();
   router.health_.resize(router.shards_.size());
   for (size_t i = 0; i < router.health_.size(); ++i) {
-    if (options.metrics != nullptr) {
-      router.health_[i].latency = options.metrics->GetHistogram(
-          "pane_router_hop_us", "shard=\"" + std::to_string(i) + "\"");
-    } else {
-      router.owned_latency_.push_back(std::make_unique<obs::Histogram>());
-      router.health_[i].latency = router.owned_latency_.back().get();
-    }
+    router.health_[i].latency = metrics->GetHistogram(
+        "pane_router_hop_us", "shard=\"" + std::to_string(i) + "\"");
   }
-  if (options.metrics != nullptr) {
-    router.hop_scan_us_ =
-        options.metrics->GetHistogram("pane_stage_engine_scan_us");
-    router.hop_select_us_ =
-        options.metrics->GetHistogram("pane_stage_topk_select_us");
-  }
+  router.hop_scan_us_ = metrics->GetHistogram("pane_stage_engine_scan_us");
+  router.hop_select_us_ = metrics->GetHistogram("pane_stage_topk_select_us");
 
   // Plan handshake: every backend reports its spec; together they must
   // tile one consistent plan. Sequential — startup, not the hot path.
@@ -259,7 +255,7 @@ Status Router::CallShard(
     const std::function<Status(obs::RequestTrace*)>& hop) {
   obs::RequestTrace hop_trace;
   const int64_t start_us = MonotonicMicros();
-  const Status status = hop(options_.metrics != nullptr ? &hop_trace : nullptr);
+  const Status status = hop(&hop_trace);
   const int64_t elapsed_us = MonotonicMicros() - start_us;
   if (status.ok() && hop_trace.stamped(obs::Stage::kScan)) {
     hop_scan_us_->Record(hop_trace.us(obs::Stage::kScan));

@@ -30,9 +30,9 @@
 // are never silently computed from a subset of shards. Per-shard health
 // (requests, errors, p50/p99/max hop latency, last-alive age) is surfaced
 // through StatsSuffix on the router's `stats` response; hop latencies live
-// in per-shard `pane_router_hop_us` histograms (src/obs/metrics.h), shared
-// with the Prometheus exposition when the router is built over a
-// MetricsRegistry.
+// in per-shard `pane_router_hop_us` histograms (src/obs/metrics.h) of the
+// router's registry, which the Prometheus exposition renders when it is
+// the server's.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +68,11 @@ struct RouterOptions {
   /// Fans batches out across shards concurrently. Null => sequential hops.
   /// Local shards run serial engines, so this pool is the parallelism.
   ThreadPool* pool = nullptr;
-  /// Optional registry for the per-shard hop-latency histograms
+  /// Registry for the per-shard hop-latency histograms
   /// (pane_router_hop_us{shard="N"}) and the local hops' engine stages
   /// (pane_stage_engine_scan_us / topk_select_us, one sample per hop).
-  /// Null keeps the hop histograms router-private (stats still reports
-  /// them) and skips hop stage timing; the registry must outlive the
-  /// router.
+  /// Null makes the router own a private one; a shared one must outlive
+  /// the router.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -224,8 +223,7 @@ class Router final : public ShardBackend {
   struct ShardHealth {
     uint64_t requests = 0;
     uint64_t errors = 0;
-    /// Hop-latency histogram: registry-owned when RouterOptions.metrics is
-    /// set, else one of owned_latency_'s. Never null after Create.
+    /// Hop-latency histogram, owned by the registry.
     obs::Histogram* latency = nullptr;
     int64_t last_alive_ms = 0;
     bool alive = true;
@@ -248,16 +246,15 @@ class Router final : public ShardBackend {
   RouterOptions options_;
   ShardPlan plan_;
   std::vector<std::unique_ptr<ShardBackend>> shards_;
-  /// pane_stage_engine_scan_us / pane_stage_topk_select_us, null without a
-  /// registry.
+  /// pane_stage_engine_scan_us / pane_stage_topk_select_us.
   obs::Histogram* hop_scan_us_ = nullptr;
   obs::Histogram* hop_select_us_ = nullptr;
 
   mutable std::unique_ptr<Mutex> health_mutex_;  // unique_ptr: movable
   std::vector<ShardHealth> health_;
-  /// Backing storage for ShardHealth::latency when no registry is supplied
-  /// (unique_ptrs: addresses survive Router moves).
-  std::vector<std::unique_ptr<obs::Histogram>> owned_latency_;
+  /// Backs options_.metrics when the caller supplies no registry
+  /// (unique_ptr: the handles survive Router moves).
+  std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
 };
 
 /// A complete in-process shard fleet over one store: G = Y^T Y derived

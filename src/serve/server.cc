@@ -68,6 +68,19 @@ void PaneServer::Init() {
         obs::StageName(static_cast<obs::Stage>(s)) + "_us");
   }
   batch_us_ = metrics_->GetHistogram("pane_server_batch_us");
+  requests_ = metrics_->GetCounter("pane_server_requests_total");
+  batches_ = metrics_->GetCounter("pane_server_batches_total");
+  dedup_hits_ = metrics_->GetCounter("pane_server_dedup_hits_total");
+  cache_hits_ = metrics_->GetCounter("pane_server_cache_hits_total");
+  errors_ = metrics_->GetCounter("pane_server_errors_total");
+  frames_ = metrics_->GetCounter("pane_server_frames_total");
+  timeouts_ = metrics_->GetCounter("pane_transport_timeouts_total");
+  rejected_ = metrics_->GetCounter("pane_transport_rejected_total");
+  // The transport's two counts also render under the server's names.
+  metrics_->AliasCounter("pane_server_timeouts_total",
+                         "pane_transport_timeouts_total");
+  metrics_->AliasCounter("pane_server_rejected_total",
+                         "pane_transport_rejected_total");
   TransportOptions transport_options;
   transport_options.max_connections = options_.max_connections;
   transport_options.idle_timeout_ms = options_.idle_timeout_ms;
@@ -109,64 +122,24 @@ void PaneServer::CacheInsert(const Request& key, const std::string& response) {
   }
 }
 
-void PaneServer::Count(uint64_t Counters::*field, uint64_t delta) {
-  MutexLock lock(&stats_mutex_);
-  counters_.*field += delta;
-}
-
-void PaneServer::RecordFrames(uint64_t delta) {
-  Count(&Counters::frames, delta);
-}
-
 void PaneServer::RecordStageTime(obs::Stage stage, int64_t us) {
   stage_us_[static_cast<int>(stage)]->Record(us);
 }
 
 std::string PaneServer::StatsResponse() const {
-  const Counters snapshot = counters();  // one instant, one lock hold
   std::string out = "stats ok";
-  const auto field = [&out](const char* name, uint64_t value) {
+  const std::pair<const char*, const obs::Counter*> fields[] = {
+      {"requests", requests_}, {"batches", batches_},
+      {"dedup_hits", dedup_hits_}, {"cache_hits", cache_hits_},
+      {"errors", errors_}, {"timeouts", timeouts_},
+      {"rejected", rejected_}, {"frames", frames_}};
+  for (const auto& [name, counter] : fields) {
     out += ' ';
     out += name;
     out += '=';
-    out += std::to_string(value);
-  };
-  field("requests", snapshot.requests);
-  field("batches", snapshot.batches);
-  field("dedup_hits", snapshot.dedup_hits);
-  field("cache_hits", snapshot.cache_hits);
-  field("errors", snapshot.errors);
-  field("timeouts", snapshot.timeouts);
-  field("rejected", snapshot.rejected);
-  field("frames", snapshot.frames);
+    out += std::to_string(counter->value());
+  }
   return out + executor_->StatsSuffix();
-}
-
-std::string PaneServer::MetricsResponse() const {
-  // The registry first (stage/transport/engine/router series), then the
-  // served-request counters as their own families, then the explicit
-  // terminator clients scan for — a multi-line payload needs one.
-  std::string out = metrics_->RenderPrometheus();
-  const Counters snapshot = counters();
-  const auto counter = [&out](const char* name, uint64_t value) {
-    out += "# TYPE ";
-    out += name;
-    out += " counter\n";
-    out += name;
-    out += ' ';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  counter("pane_server_requests_total", snapshot.requests);
-  counter("pane_server_batches_total", snapshot.batches);
-  counter("pane_server_dedup_hits_total", snapshot.dedup_hits);
-  counter("pane_server_cache_hits_total", snapshot.cache_hits);
-  counter("pane_server_errors_total", snapshot.errors);
-  counter("pane_server_timeouts_total", snapshot.timeouts);
-  counter("pane_server_rejected_total", snapshot.rejected);
-  counter("pane_server_frames_total", snapshot.frames);
-  out += "# EOF";
-  return out;
 }
 
 void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
@@ -194,11 +167,11 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
     BatchEntry& entry = (*batch)[i];
     if (entry.parse_error) {
       (*responses)[i] = FormatError(entry.error);
-      Count(&Counters::errors);
+      errors_->Add();
       continue;
     }
     const Request& r = entry.request;
-    Count(&Counters::requests);
+    requests_->Add();
     if (r.type == Request::Type::kQuit) {
       (*responses)[i] = "bye";
       *quit = true;
@@ -237,19 +210,19 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
     }
     if (invalid != nullptr) {
       (*responses)[i] = FormatError(invalid);
-      Count(&Counters::errors);
+      errors_->Add();
       continue;
     }
     std::string cached;
     if (CacheLookup(r, &cached)) {
       (*responses)[i] = std::move(cached);
-      Count(&Counters::cache_hits);
+      cache_hits_->Add();
       continue;
     }
     const auto [it, inserted] = first_seen.emplace(r, i);
     if (!inserted) {
       duplicates.push_back(i);
-      Count(&Counters::dedup_hits);
+      dedup_hits_->Add();
       continue;
     }
     const int f = attr_like ? 0 : 1;
@@ -267,7 +240,7 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
   // must not outlive the outage in the cache.
   const auto answer = [this, batch, responses](size_t i, std::string payload) {
     if (payload.compare(0, 4, "err ") == 0) {
-      Count(&Counters::errors);
+      errors_->Add();
     } else {
       CacheInsert((*batch)[i].request, payload);
     }
@@ -303,7 +276,7 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
     }
     ran_engine = true;
   }
-  if (ran_engine) Count(&Counters::batches);
+  if (ran_engine) batches_->Add();
 
   // Decode / batch-wait come stamped on an external (session) trace. Of
   // the executor stages, only the ones it stamped are recorded (an
@@ -346,13 +319,14 @@ void PaneServer::ExecuteBatch(std::vector<BatchEntry>* batch,
     (*responses)[i] = (*responses)[it->second];
   }
   // Stats / metrics entries format last so they see this batch's own
-  // counter bumps, the same instant the old stream loop printed them at.
+  // counter bumps.
   for (size_t i = 0; i < count; ++i) {
     if ((*batch)[i].parse_error) continue;
     if ((*batch)[i].request.type == Request::Type::kStats) {
       (*responses)[i] = StatsResponse();
     } else if ((*batch)[i].request.type == Request::Type::kMetrics) {
-      (*responses)[i] = MetricsResponse();
+      // A multi-line payload needs the terminator clients scan for.
+      (*responses)[i] = metrics_->RenderPrometheus() + "# EOF";
     }
   }
   batch->clear();
@@ -397,18 +371,6 @@ Result<int> PaneServer::ListenTcp(int port) { return transport_->Listen(port); }
 void PaneServer::AcceptLoop() { transport_->Run(); }
 
 void PaneServer::Shutdown() { transport_->Shutdown(); }
-
-PaneServer::Counters PaneServer::counters() const {
-  Counters snapshot;
-  {
-    MutexLock lock(&stats_mutex_);
-    snapshot = counters_;
-  }
-  const TransportStats transport = transport_->stats();
-  snapshot.timeouts = transport.timeouts;
-  snapshot.rejected = transport.rejected;
-  return snapshot;
-}
 
 }  // namespace serve
 }  // namespace pane

@@ -16,9 +16,10 @@
 // Threading: the TCP path runs every session on the single transport loop
 // thread; parallelism comes from the engine's internal pool (or the
 // router's fan-out pool) inside a batch. ServeStream may additionally run
-// on any number of caller threads: the engine is read-only, and the cache
-// and counters (each under its own capability) are the only shared
-// mutable state.
+// on any number of caller threads: the engine is read-only, the cache is
+// the only shared state under a lock, and the counts are atomic registry
+// counters, so a `stats` line reads each count on its own rather than all
+// of them at one instant.
 #pragma once
 
 #include <cstdint>
@@ -66,10 +67,11 @@ struct ServerOptions {
   /// 0 = the protocol default (kMaxFramePayload). The --max-frame-mb flag
   /// feeds this.
   int64_t max_frame_bytes = 0;
-  /// Registry for the per-stage histograms, the transport metrics, and the
-  /// `metrics` verb. Null makes the server own a private registry; a shared
-  /// one (pane_server wires the same registry into engine, router, and
-  /// server) must outlive the server.
+  /// Registry for every count and histogram the server and its transport
+  /// keep, which the `stats` and `metrics` verbs render. Null makes the
+  /// server own a private registry; a shared one (pane_server wires the
+  /// same registry into engine, router, and server) must outlive the
+  /// server, and two servers on one registry share its counts.
   obs::MetricsRegistry* metrics = nullptr;
   /// Batches whose traced stage total (decode through merge; encode happens
   /// after the batch returns) reaches this many microseconds log one
@@ -109,21 +111,6 @@ class PaneServer {
   /// returns from AcceptLoop. Safe in any order relative to ListenTcp.
   void Shutdown();
 
-  struct Counters {
-    uint64_t requests = 0;    ///< well-formed requests handled
-    uint64_t batches = 0;     ///< engine batches flushed
-    uint64_t dedup_hits = 0;  ///< duplicates folded inside a batch
-    uint64_t cache_hits = 0;  ///< answered from the LRU cache
-    uint64_t errors = 0;      ///< malformed / out-of-range / framing errors
-    uint64_t timeouts = 0;    ///< connections reaped by the idle sweep
-    uint64_t rejected = 0;    ///< connections refused over max_connections
-    uint64_t frames = 0;      ///< binary frames decoded
-  };
-  /// One consistent snapshot: the request/batch/cache fields are read in
-  /// one stats_mutex_ hold, then the transport's accept-side counters
-  /// (timeouts, rejected) are merged in.
-  Counters counters() const PANE_EXCLUDES(stats_mutex_);
-
   /// One decoded request, parsed by the session layer; a parse or framing
   /// failure travels as an entry too, so errors stay in request order.
   struct BatchEntry {
@@ -144,10 +131,10 @@ class PaneServer {
   void ExecuteBatch(std::vector<BatchEntry>* batch,
                     std::vector<std::string>* responses, bool* quit,
                     obs::RequestTrace* trace = nullptr)
-      PANE_EXCLUDES(stats_mutex_, cache_mutex_);
+      PANE_EXCLUDES(cache_mutex_);
 
   /// Counts decoded binary frames (called by frame-codec sessions).
-  void RecordFrames(uint64_t delta = 1) PANE_EXCLUDES(stats_mutex_);
+  void RecordFrames(uint64_t delta = 1) { frames_->Add(delta); }
 
   /// Records one stage sample into the per-stage histogram. The session
   /// layer uses this for the stages that live outside ExecuteBatch
@@ -165,13 +152,7 @@ class PaneServer {
       PANE_EXCLUDES(cache_mutex_);
   void CacheInsert(const Request& key, const std::string& response)
       PANE_EXCLUDES(cache_mutex_);
-  /// Bumps one counter field by `delta` under the stats capability.
-  void Count(uint64_t Counters::*field, uint64_t delta = 1)
-      PANE_EXCLUDES(stats_mutex_);
-  std::string StatsResponse() const PANE_EXCLUDES(stats_mutex_);
-  /// The `metrics` verb payload: the registry's Prometheus exposition plus
-  /// the served-request counters, terminated by "# EOF".
-  std::string MetricsResponse() const PANE_EXCLUDES(stats_mutex_);
+  std::string StatsResponse() const;
 
   /// Shared constructor tail (executor plan, transport wiring, metrics
   /// handles).
@@ -196,11 +177,6 @@ class PaneServer {
                      RequestHash>
       cache_ PANE_GUARDED_BY(cache_mutex_);
 
-  /// Guards the served-request counters; a separate capability from the
-  /// cache so a stats snapshot never contends with cache traffic.
-  mutable Mutex stats_mutex_;
-  Counters counters_ PANE_GUARDED_BY(stats_mutex_);
-
   /// Backs metrics_ when the options supply no registry; metrics_ (the
   /// options' registry or this one) is never null after Init.
   std::unique_ptr<obs::MetricsRegistry> owned_metrics_;
@@ -209,6 +185,20 @@ class PaneServer {
   /// plus the whole-batch one; handles resolved once in Init.
   obs::Histogram* stage_us_[obs::kNumStages] = {};
   obs::Histogram* batch_us_ = nullptr;
+  /// The served-request counts (pane_server_<name>_total): well-formed
+  /// requests, engine batches flushed, duplicates folded inside a batch,
+  /// LRU cache answers, malformed / out-of-range / framing / shard errors,
+  /// and binary frames decoded.
+  obs::Counter* requests_ = nullptr;
+  obs::Counter* batches_ = nullptr;
+  obs::Counter* dedup_hits_ = nullptr;
+  obs::Counter* cache_hits_ = nullptr;
+  obs::Counter* errors_ = nullptr;
+  obs::Counter* frames_ = nullptr;
+  /// The transport's idle reaps and refusals (pane_transport_*_total),
+  /// which `stats` reports beside them.
+  obs::Counter* timeouts_ = nullptr;
+  obs::Counter* rejected_ = nullptr;
 
   /// Created in the constructor and never reassigned, so every thread that
   /// can observe the server sees the same transport — there is no

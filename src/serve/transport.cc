@@ -183,18 +183,17 @@ EpollTransport::EpollTransport(HandlerFactory factory,
   PANE_CHECK(factory_ != nullptr);
   PANE_CHECK(options_.max_connections > 0);
   PANE_CHECK(options_.read_chunk_bytes > 0);
-  if (options_.metrics != nullptr) {
-    obs::MetricsRegistry* reg = options_.metrics;
-    accepted_total_ = reg->GetCounter("pane_transport_accepted_total");
-    rejected_total_ = reg->GetCounter("pane_transport_rejected_total");
-    timeouts_total_ = reg->GetCounter("pane_transport_timeouts_total");
-    read_bytes_total_ = reg->GetCounter("pane_transport_read_bytes_total");
-    write_bytes_total_ = reg->GetCounter("pane_transport_write_bytes_total");
-    active_gauge_ = reg->GetGauge("pane_transport_connections_active");
-    read_us_ = reg->GetHistogram("pane_transport_read_us");
-    write_us_ = reg->GetHistogram("pane_transport_write_us");
-    lifetime_ms_ = reg->GetHistogram("pane_transport_conn_lifetime_ms");
-  }
+  PANE_CHECK(options_.metrics != nullptr);
+  obs::MetricsRegistry* reg = options_.metrics;
+  accepted_total_ = reg->GetCounter("pane_transport_accepted_total");
+  rejected_total_ = reg->GetCounter("pane_transport_rejected_total");
+  timeouts_total_ = reg->GetCounter("pane_transport_timeouts_total");
+  read_bytes_total_ = reg->GetCounter("pane_transport_read_bytes_total");
+  write_bytes_total_ = reg->GetCounter("pane_transport_write_bytes_total");
+  active_gauge_ = reg->GetGauge("pane_transport_connections_active");
+  read_us_ = reg->GetHistogram("pane_transport_read_us");
+  write_us_ = reg->GetHistogram("pane_transport_write_us");
+  lifetime_ms_ = reg->GetHistogram("pane_transport_conn_lifetime_ms");
 }
 
 EpollTransport::~EpollTransport() {
@@ -320,11 +319,6 @@ void EpollTransport::Shutdown() {
   }
 }
 
-TransportStats EpollTransport::stats() const {
-  MutexLock lock(&stats_mutex_);
-  return stats_;
-}
-
 void EpollTransport::AcceptReady() {
   while (true) {
     const int raw =
@@ -346,9 +340,7 @@ void EpollTransport::AcceptReady() {
             ::send(fd.get(), options_.refusal.data(),
                    options_.refusal.size(), MSG_NOSIGNAL);
       }
-      if (rejected_total_ != nullptr) rejected_total_->Add();
-      MutexLock lock(&stats_mutex_);
-      ++stats_.rejected;
+      rejected_total_->Add();
       continue;
     }
     auto conn = std::make_unique<Connection>();
@@ -367,13 +359,8 @@ void EpollTransport::AcceptReady() {
     }
     const int key = conn->fd.get();
     connections_.emplace(key, std::move(conn));
-    if (accepted_total_ != nullptr) {
-      accepted_total_->Add();
-      active_gauge_->Set(static_cast<int64_t>(connections_.size()));
-    }
-    MutexLock lock(&stats_mutex_);
-    ++stats_.accepted;
-    stats_.active = static_cast<int64_t>(connections_.size());
+    accepted_total_->Add();
+    active_gauge_->Set(static_cast<int64_t>(connections_.size()));
   }
 }
 
@@ -383,7 +370,7 @@ void EpollTransport::HandleReadable(Connection* conn) {
   bool fatal = false;
   bool got_bytes = false;
   uint64_t bytes_read = 0;
-  const int64_t read_start_us = read_us_ != nullptr ? MonotonicMicros() : 0;
+  const int64_t read_start_us = MonotonicMicros();
   for (int reads = 0; reads < kMaxReadsPerWakeup; ++reads) {
     const ssize_t n = ::read(conn->fd.get(), chunk.data(), chunk.size());
     if (n > 0) {
@@ -402,7 +389,7 @@ void EpollTransport::HandleReadable(Connection* conn) {
     }
     break;
   }
-  if (read_us_ != nullptr && got_bytes) {
+  if (got_bytes) {
     read_us_->Record(MonotonicMicros() - read_start_us);
     read_bytes_total_->Add(bytes_read);
   }
@@ -438,8 +425,7 @@ bool EpollTransport::FlushOutput(Connection* conn) {
     return true;
   }
   const size_t sent_before = conn->sent;
-  const int64_t write_start_us =
-      write_us_ != nullptr ? MonotonicMicros() : 0;
+  const int64_t write_start_us = MonotonicMicros();
   bool ok = true;
   while (conn->sent < conn->output.size()) {
     const ssize_t n =
@@ -455,7 +441,7 @@ bool EpollTransport::FlushOutput(Connection* conn) {
     ok = false;  // peer gone mid-response
     break;
   }
-  if (write_us_ != nullptr && conn->sent > sent_before) {
+  if (conn->sent > sent_before) {
     write_us_->Record(MonotonicMicros() - write_start_us);
     write_bytes_total_->Add(conn->sent - sent_before);
   }
@@ -495,21 +481,11 @@ void EpollTransport::CloseConnection(int fd, bool timed_out) {
   const auto it = connections_.find(fd);
   if (it == connections_.end()) return;
   ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-  if (lifetime_ms_ != nullptr) {
-    lifetime_ms_->Record(NowMs() - it->second->created_ms);
-  }
+  lifetime_ms_->Record(NowMs() - it->second->created_ms);
   // Counted before the socket closes, so a peer that sees EOF also sees
   // the close in the counters.
-  const int64_t active = static_cast<int64_t>(connections_.size()) - 1;
-  if (timeouts_total_ != nullptr) {
-    if (timed_out) timeouts_total_->Add();
-    active_gauge_->Set(active);
-  }
-  {
-    MutexLock lock(&stats_mutex_);
-    if (timed_out) ++stats_.timeouts;
-    stats_.active = active;
-  }
+  if (timed_out) timeouts_total_->Add();
+  active_gauge_->Set(static_cast<int64_t>(connections_.size()) - 1);
   connections_.erase(it);  // OwnedFd closes the socket
 }
 

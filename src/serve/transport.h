@@ -21,8 +21,9 @@
 // calling thread. Parallelism comes from the engine's own ThreadPool
 // inside a batch, not from per-connection threads; that is what lets the
 // transport hold thousands of mostly-idle connections at a fixed cost of
-// two buffers each. Shutdown() and stats() are the only members callable
-// from other threads.
+// two buffers each. Shutdown() is the only member callable from other
+// threads; the counts live in the registry, whose metrics any thread may
+// read.
 #pragma once
 
 #include <atomic>
@@ -34,7 +35,6 @@
 #include <unordered_map>
 
 #include "src/common/status.h"
-#include "src/common/sync.h"
 #include "src/obs/metrics.h"
 
 namespace pane {
@@ -148,17 +148,10 @@ struct TransportOptions {
   std::string refusal;
   /// Bytes per read() call in the drain loop.
   int64_t read_chunk_bytes = 64 << 10;
-  /// Optional registry for accept/read/write and connection-lifetime
-  /// metrics (pane_transport_*). Null disables instrumentation entirely;
-  /// the registry must outlive the transport.
+  /// Registry for the accept / refusal / idle-reap counts and the
+  /// read, write and connection-lifetime metrics (pane_transport_*).
+  /// Required; it must outlive the transport.
   obs::MetricsRegistry* metrics = nullptr;
-};
-
-struct TransportStats {
-  uint64_t accepted = 0;  ///< connections admitted
-  uint64_t rejected = 0;  ///< refused over max_connections
-  uint64_t timeouts = 0;  ///< reaped by the idle sweep
-  int64_t active = 0;     ///< currently open
 };
 
 class EpollTransport {
@@ -189,9 +182,6 @@ class EpollTransport {
   /// Listen() or after Run() returned.
   void Shutdown();
 
-  /// One locked snapshot of the accept/reject/timeout counters.
-  TransportStats stats() const PANE_EXCLUDES(stats_mutex_);
-
  private:
   struct Connection {
     OwnedFd fd;
@@ -206,8 +196,8 @@ class EpollTransport {
   };
 
   // All private state below is touched only by the loop thread (plus
-  // Listen(), which must precede Run()); shutdown_ and stats_ are the two
-  // cross-thread members.
+  // Listen(), which must precede Run()); shutdown_ is the one cross-thread
+  // member.
   void AcceptReady();
   void HandleReadable(Connection* conn);
   void HandleWritable(Connection* conn);
@@ -230,12 +220,8 @@ class EpollTransport {
   std::atomic<bool> shutdown_{false};
   std::unordered_map<int, std::unique_ptr<Connection>> connections_;
 
-  mutable Mutex stats_mutex_;
-  TransportStats stats_ PANE_GUARDED_BY(stats_mutex_);
-
-  // Metric handles resolved once at construction; all null when
-  // options_.metrics is null. Counter/Gauge/Histogram are themselves
-  // thread-safe, though only the loop thread records here.
+  // Metric handles resolved once at construction. Counter/Gauge/Histogram
+  // are themselves thread-safe, though only the loop thread records here.
   obs::Counter* accepted_total_ = nullptr;
   obs::Counter* rejected_total_ = nullptr;
   obs::Counter* timeouts_total_ = nullptr;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/matrix/dense_matrix.h"
+#include "src/obs/metrics.h"
 #include "src/serve/frame_protocol.h"
 #include "src/serve/line_protocol.h"
 #include "src/serve/protocol.h"
@@ -213,12 +214,13 @@ serve::QueryEngine SmallEngine() {
 
 std::string ServeWire(const serve::QueryEngine& engine,
                       const std::string& wire,
-                      serve::PaneServer::Counters* counters = nullptr) {
-  serve::PaneServer server(&engine, serve::ServerOptions());
+                      obs::MetricsRegistry* registry = nullptr) {
+  serve::ServerOptions options;
+  options.metrics = registry;
+  serve::PaneServer server(&engine, options);
   std::istringstream in(wire);
   std::ostringstream out;
   server.ServeStream(in, out);
-  if (counters != nullptr) *counters = server.counters();
   return out.str();
 }
 
@@ -235,8 +237,8 @@ TEST(FrameServingTest, FrameAndLineConversationsDecodeIdentically) {
   }
 
   const std::string line_out = ServeWire(engine, line_wire);
-  serve::PaneServer::Counters counters;
-  const std::string frame_out = ServeWire(engine, frame_wire, &counters);
+  obs::MetricsRegistry registry;
+  const std::string frame_out = ServeWire(engine, frame_wire, &registry);
 
   // Line responses, stripped of their framing ('\n'), must equal frame
   // payloads, stripped of theirs.
@@ -249,22 +251,23 @@ TEST(FrameServingTest, FrameAndLineConversationsDecodeIdentically) {
   EXPECT_EQ(frame_payloads, line_payloads);
   EXPECT_EQ(frame_payloads.back(), "bye");
   // Auto-detection picked the frame codec and counted the decoded frames.
-  EXPECT_EQ(counters.frames, requests.size());
+  EXPECT_EQ(registry.GetCounter("pane_server_frames_total")->value(),
+            requests.size());
 }
 
 TEST(FrameServingTest, FramingErrorAnswersDecodedRequestsThenCloses) {
   const serve::QueryEngine engine = SmallEngine();
-  serve::PaneServer::Counters counters;
+  obs::MetricsRegistry registry;
   std::string wire = Frame("attr 2 3");
   wire += "garbage that is not a frame header";
-  const std::string out = ServeWire(engine, wire, &counters);
+  const std::string out = ServeWire(engine, wire, &registry);
   std::vector<std::string> payloads;
   ASSERT_NO_FATAL_FAILURE(DecodeAll(out, &payloads));
   ASSERT_EQ(payloads.size(), 2u);
   EXPECT_EQ(payloads[0].rfind("attr 2 ok", 0), 0u);
   EXPECT_EQ(payloads[1], "err bad frame magic");
-  EXPECT_EQ(counters.errors, 1u);
-  EXPECT_EQ(counters.requests, 1u);
+  EXPECT_EQ(registry.GetCounter("pane_server_errors_total")->value(), 1u);
+  EXPECT_EQ(registry.GetCounter("pane_server_requests_total")->value(), 1u);
 }
 
 TEST(FrameServingTest, TruncatedFinalFrameIsAnErrorNotARequest) {

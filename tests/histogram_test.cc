@@ -212,6 +212,26 @@ TEST(MetricsRegistryTest, RenderPrometheusExposition) {
   EXPECT_EQ(text.find("# EOF"), std::string::npos);
 }
 
+TEST(MetricsRegistryTest, AliasRendersOneCountUnderTwoNames) {
+  MetricsRegistry registry;
+  registry.AliasCounter("pane_alias_total", "pane_source_total");
+  registry.AliasCounter("pane_alias_total", "pane_source_total");  // no-op
+  registry.GetCounter("pane_source_total")->Add(3);
+  EXPECT_EQ(registry.GetCounter("pane_alias_total"),
+            registry.GetCounter("pane_source_total"));
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_NE(text.find("# TYPE pane_alias_total counter\npane_alias_total 3\n"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(
+      text.find("# TYPE pane_source_total counter\npane_source_total 3\n"),
+      std::string::npos)
+      << text;
+  registry.GetCounter("pane_taken_total");
+  EXPECT_DEATH(registry.AliasCounter("pane_taken_total", "pane_source_total"),
+               "already registered");
+}
+
 // ---------------------------------------------------------------------------
 // Request trace.
 

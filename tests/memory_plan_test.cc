@@ -1,10 +1,10 @@
 // Tests for the training memory plan (PlanMemory, src/core/pane.h), the one
 // place a memory budget becomes sizes: it keeps the benchmark's two shapes,
-// spills with a quarter of the budget streamed exactly when the slabs
-// outgrow it,
-// holds each phase's scratch to its share and a spilled run's two shares to
-// the budget over a grid of shapes, and hands the affinity engine widths
-// whose output is the unfused reference's bytes.
+// spills with a quarter of the budget streamed exactly when the slabs and
+// their width-1 scratch floor outgrow it, holds each phase's scratch to its
+// share and a bounded run's slabs or stream share plus its scratch to the
+// budget over a grid of shapes, and hands the affinity engine widths whose
+// output is the unfused reference's bytes.
 #include "src/core/pane.h"
 
 #include <gtest/gtest.h>
@@ -122,6 +122,18 @@ TEST(MemoryPlanTest, BenchmarkPointsKeepTheirShapes) {
   EXPECT_EQ(stats.plan.stream_chunk_rows, 218);
 }
 
+TEST(MemoryPlanTest, BoundedInRamSlabsLeaveTheScratchTheRestOfTheBudget) {
+  // At 16 MiB and 2 threads the benchmark graph's slabs (14.4 MB) stay in
+  // RAM, and the panels and strips fit the 2377216 bytes they leave: three
+  // panels of 16 columns of 48000 bytes, one strip of 49 columns.
+  const MemoryPlan plan = PlanMemory(3000, 300, 2, 16);
+  EXPECT_EQ(plan.stream_bytes, 0);
+  EXPECT_EQ(plan.scratch_bytes, 16 * kMiB - 14400000);
+  EXPECT_EQ(plan.panel_width, 16);
+  EXPECT_EQ(plan.strip_width, 49);
+  EXPECT_FALSE(plan.clamped);
+}
+
 TEST(MemoryPlanTest, SharesHoldOverAGrid) {
   for (const int64_t n : {1, 250, 3000, 70000}) {
     for (const int64_t d : {1, 7, 80, 300, 1000}) {
@@ -133,10 +145,14 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
               " budget=" + std::to_string(budget_mb) +
               " threads=" + std::to_string(threads);
           const int64_t budget = budget_mb * kMiB;
-          const bool spill = budget > 0 && 2 * n * d * 8 > budget;
+          const int64_t slab_bytes = 2 * n * d * 8;
+          const int64_t ram_floor = (threads > 1 ? threads + 1 : 1) *
+                                    ColumnBytes(n);
+          const bool spill = budget > 0 && slab_bytes + ram_floor > budget;
           EXPECT_EQ(plan.stream_bytes, spill ? budget / 4 : 0) << what;
-          const int64_t share =
-              budget > 0 ? budget - plan.stream_bytes : kUnboundedScratchBytes;
+          const int64_t share = budget == 0 ? kUnboundedScratchBytes
+                                : spill     ? budget - plan.stream_bytes
+                                            : budget - slab_bytes;
           EXPECT_EQ(plan.scratch_bytes, share) << what;
 
           // Chunks: every row in RAM; spilled, the most rows whose one
@@ -206,6 +222,17 @@ TEST(MemoryPlanTest, SharesHoldOverAGrid) {
                 << what;
           }
 
+          // A bounded run that keeps its slabs in RAM holds them and its
+          // scratch, and so its panels or strip in flight, within the
+          // budget.
+          if (budget > 0 && !spill) {
+            EXPECT_LE(slab_bytes + plan.scratch_bytes, budget) << what;
+            EXPECT_LE(slab_bytes + in_flight * ColumnBytes(n) * panel, budget)
+                << what;
+            EXPECT_LE(slab_bytes + ColumnBytes(n) * strip, budget) << what;
+            EXPECT_FALSE(plan.clamped) << what;
+          }
+
           // Init: only a spilled pooled run caps its in-flight F' blocks.
           if (spill && threads > 1) {
             const int64_t block_bytes = (n + threads - 1) / threads * d * 8;
@@ -229,11 +256,14 @@ TEST(MemoryPlanTest, SpillsIntoAQuarterOfTheBudgetWhenTheSlabsOutgrowIt) {
   // No budget => always RAM, however large the slabs.
   EXPECT_EQ(
       PlanMemory(int64_t{1} << 20, int64_t{1} << 16, 4, 0).stream_bytes, 0);
-  // Budget covers the slabs => RAM, and the scratch has all of it; smaller
-  // => a stream share of a quarter of the budget and the scratch the rest.
+  // Budget covers the slabs and five width-1 panels beside them => RAM,
+  // and the scratch has what the slabs leave. A budget the slabs alone
+  // fill, or smaller => a stream share of a quarter of the budget and the
+  // scratch the rest.
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 64).stream_bytes, 0);
-  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).stream_bytes, 0);
-  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).scratch_bytes, 32 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 64).scratch_bytes, 32 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).stream_bytes, 8 * kMiB);
+  EXPECT_EQ(PlanMemory(2048, 1024, 4, 32).scratch_bytes, 24 * kMiB);
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).stream_bytes, 4 * kMiB);
   EXPECT_EQ(PlanMemory(2048, 1024, 4, 16).scratch_bytes, 12 * kMiB);
   // 4 MiB over 4 threads x 2 slabs x 8 KiB rows: 64-row chunks.
@@ -242,7 +272,7 @@ TEST(MemoryPlanTest, SpillsIntoAQuarterOfTheBudgetWhenTheSlabsOutgrowIt) {
 
 TEST(MemoryPlanTest, SerialBudgetFitsTheWholeSetInOnePanel) {
   // n = 400, d = 80, 1 MiB, serial: the slabs (512 kB) stay in RAM, and
-  // one panel of all 80 columns (512 kB of scratch) fits the budget.
+  // one panel of all 80 columns (512 kB of scratch) fits beside them.
   const AttributedGraph g = testing::SmallSbm(43, 400);
   const MemoryPlan plan = PlanMemory(400, 80, 1, 1);
   EXPECT_EQ(plan.stream_bytes, 0);
@@ -250,35 +280,36 @@ TEST(MemoryPlanTest, SerialBudgetFitsTheWholeSetInOnePanel) {
   EXPECT_FALSE(plan.clamped);
   const AffinityEngineStats stats = RunPlannedAffinity(g, 1, 1, 5);
   EXPECT_EQ(stats.num_panels, 1);
-  EXPECT_LE(stats.scratch_bytes, kMiB);
+  EXPECT_LE(2 * 400 * 80 * 8 + stats.scratch_bytes, kMiB);
 }
 
 TEST(MemoryPlanTest, PooledInRamBudgetKeepsPapmiPanels) {
-  // n = 500, 8 workers, 1 MiB: the slabs (640 kB) stay in RAM, and nine
-  // in-flight panels of ceil(80 / 8) = 10 columns (720 kB) fit the budget.
+  // n = 500, 8 workers, 2 MiB: the slabs (640 kB) stay in RAM, and nine
+  // in-flight panels of ceil(80 / 8) = 10 columns (720 kB) fit beside them.
   const AttributedGraph g = testing::SmallSbm(44, 500);
-  const MemoryPlan plan = PlanMemory(500, 80, 8, 1);
+  const MemoryPlan plan = PlanMemory(500, 80, 8, 2);
   EXPECT_EQ(plan.stream_bytes, 0);
   EXPECT_EQ(plan.panel_width, 10);
   EXPECT_FALSE(plan.clamped);
-  const AffinityEngineStats stats = RunPlannedAffinity(g, 8, 1, 5);
+  const AffinityEngineStats stats = RunPlannedAffinity(g, 8, 2, 5);
   EXPECT_TRUE(stats.panel_parallel);
-  EXPECT_LE(stats.scratch_bytes, kMiB);
+  EXPECT_LE(2 * 500 * 80 * 8 + stats.scratch_bytes, 2 * kMiB);
 }
 
 TEST(MemoryPlanTest, PooledInRamBudgetNarrowsThePanelsInFlight) {
-  // n = 4000, 4 workers, 6 MiB: the slabs (5.12 MB) stay in RAM, but five
-  // in-flight panels of ceil(80 / 4) = 20 columns (6.4 MB) would not fit,
-  // so the panels narrow to 19 columns and still run in parallel.
+  // n = 4000, 4 workers, 10 MiB: the slabs (5.12 MB) stay in RAM and leave
+  // 5.37 MB of scratch, but five in-flight panels of ceil(80 / 4) = 20
+  // columns (6.4 MB) would not fit, so the panels narrow to 16 columns and
+  // still run in parallel.
   const AttributedGraph g = testing::SmallSbm(44, 4000);
-  const MemoryPlan plan = PlanMemory(4000, 80, 4, 6);
+  const MemoryPlan plan = PlanMemory(4000, 80, 4, 10);
   EXPECT_EQ(plan.stream_bytes, 0);
-  EXPECT_EQ(plan.panel_width, 19);
+  EXPECT_EQ(plan.panel_width, 16);
   EXPECT_FALSE(plan.clamped);
-  const AffinityEngineStats stats = RunPlannedAffinity(g, 4, 6, 5);
+  const AffinityEngineStats stats = RunPlannedAffinity(g, 4, 10, 5);
   EXPECT_TRUE(stats.panel_parallel);
   EXPECT_LT(stats.panel_width, g.num_attributes());
-  EXPECT_LE(stats.scratch_bytes, 6 * kMiB);
+  EXPECT_LE(2 * 4000 * 80 * 8 + stats.scratch_bytes, 10 * kMiB);
 }
 
 TEST(MemoryPlanTest, SpilledBudgetRunsWholeSharePanelsInSequence) {
@@ -328,10 +359,12 @@ TEST(MemoryPlanTest, StripsFollowTheBudget) {
   EXPECT_EQ(PlanMemory(40000, 7, 2, 1).strip_width, 1);
   EXPECT_EQ(PlanMemory(10000, 7, 2, 1).strip_width, 4);
   // n = 8000: a column costs 128000 B, so the unbounded cap holds 32 of 40
-  // columns, while a 5 MiB budget holds all of them.
+  // columns, while the 5.37 MB a 10 MiB budget leaves beside the slabs
+  // (5.12 MB) holds all of them.
   EXPECT_EQ(PlanMemory(8000, 40, 2, 0).strip_width, 32);
   EXPECT_LE(ColumnBytes(8000) * 32, kUnboundedScratchBytes);
-  EXPECT_EQ(PlanMemory(8000, 40, 2, 5).strip_width, 40);
+  EXPECT_EQ(PlanMemory(8000, 40, 2, 10).stream_bytes, 0);
+  EXPECT_EQ(PlanMemory(8000, 40, 2, 10).strip_width, 40);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 // self-edge skipping, tie-breaking, any thread count / blocking), the
 // mmap-backed EmbeddingStore (zero-copy views, lifetime past unlink,
 // read-only pages, corrupt artifacts), the IVF pruned index's measured
-// recall, and the PaneServer line protocol with batching, deduplication
-// and the LRU cache.
+// recall, and the PaneServer line protocol with batching, deduplication,
+// the LRU cache, and the `stats` and `metrics` verbs rendered from one
+// registry.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -12,11 +13,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,8 +30,10 @@
 #include "src/common/logging.h"
 #include "src/common/topk.h"
 #include "src/core/pane.h"
+#include "src/obs/metrics.h"
 #include "src/parallel/thread_pool.h"
 #include "src/serve/embedding_store.h"
+#include "src/serve/frame_protocol.h"
 #include "src/serve/line_protocol.h"
 #include "src/serve/query_engine.h"
 #include "src/serve/server.h"
@@ -654,19 +660,140 @@ TEST(LineProtocolTest, ScoreFormattingRoundTripsDoubles) {
 
 // ---- PaneServer ---------------------------------------------------------
 
+uint64_t Count(obs::MetricsRegistry& registry, const char* name) {
+  return registry.GetCounter(name)->value();
+}
+
+int ConnectLoopback(int port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
+      << std::strerror(errno);
+  return fd;
+}
+
+void WriteAll(int fd, const std::string& data) {
+  ASSERT_EQ(write(fd, data.data(), data.size()),
+            static_cast<ssize_t>(data.size()));
+}
+
+/// Reads until the server closes `fd` or, given `until`, until the bytes
+/// read end with it.
+std::string ReadFrom(int fd, const std::string& until = "") {
+  std::string out;
+  char buf[4096];
+  while (until.empty() || out.size() < until.size() ||
+         out.compare(out.size() - until.size(), until.size(), until) != 0) {
+    const ssize_t got = read(fd, buf, sizeof(buf));
+    if (got <= 0) break;
+    out.append(buf, static_cast<size_t>(got));
+  }
+  return out;
+}
+
+/// Splits line-protocol output at its `stats` line: *stats is that line,
+/// *exposition everything after it.
+void SplitStatsAndMetrics(const std::string& out, std::string* stats,
+                          std::string* exposition) {
+  const size_t begin = out.find("stats ok");
+  ASSERT_NE(begin, std::string::npos) << out;
+  const size_t end = out.find('\n', begin);
+  ASSERT_NE(end, std::string::npos) << out;
+  *stats = out.substr(begin, end - begin);
+  *exposition = out.substr(end + 1);
+}
+
+/// The value of `name=` on a `stats` line ("" when absent).
+std::string StatsField(const std::string& stats, const std::string& name) {
+  const size_t at = stats.find(" " + name + "=");
+  if (at == std::string::npos) return "";
+  const size_t begin = at + name.size() + 2;
+  return stats.substr(begin, stats.find(' ', begin) - begin);
+}
+
+/// Checks a `metrics` payload (one line-protocol response, newline
+/// included) against the exposition rules — each family's `# TYPE` once
+/// and before its samples, no (name, labels) sample twice, `# EOF` last —
+/// and returns its samples, "name{labels}" -> value.
+std::map<std::string, std::string> ParseExposition(const std::string& text) {
+  std::map<std::string, std::string> types;  // family -> type
+  std::map<std::string, std::string> samples;
+  std::istringstream lines(text);
+  std::string line;
+  std::string last;
+  while (std::getline(lines, line)) {
+    EXPECT_NE(last, "# EOF") << "content after # EOF: " << line;
+    last = line;
+    if (line == "# EOF") continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream header(line.substr(7));
+      std::string family;
+      std::string type;
+      header >> family >> type;
+      EXPECT_TRUE(types.emplace(family, type).second)
+          << "second # TYPE for " << family;
+      continue;
+    }
+    const size_t space = line.rfind(' ');
+    const std::string key = line.substr(0, space);
+    // A summary also owns its <family>_sum and <family>_count samples.
+    std::string family = key.substr(0, key.find('{'));
+    for (const std::string suffix : {"_sum", "_count"}) {
+      const size_t cut = family.size() - std::min(family.size(), suffix.size());
+      const auto owner = types.find(family.substr(0, cut));
+      if (types.count(family) == 0 && family.substr(cut) == suffix &&
+          owner != types.end() && owner->second == "summary") {
+        family.resize(cut);
+      }
+    }
+    EXPECT_EQ(types.count(family), 1u) << "sample before its # TYPE: " << line;
+    EXPECT_TRUE(samples.emplace(key, line.substr(space + 1)).second)
+        << "second sample " << key;
+  }
+  EXPECT_EQ(last, "# EOF");
+  return samples;
+}
+
+/// Every count on a `stats` line equals the registry sample it reads: its
+/// pane_server_<name>_total family, and for the transport's two counts
+/// pane_transport_<name>_total as well.
+void ExpectStatsMatchSamples(
+    const std::string& stats,
+    const std::map<std::string, std::string>& samples) {
+  for (const std::string name : {"requests", "batches", "dedup_hits",
+                                 "cache_hits", "errors", "timeouts",
+                                 "rejected", "frames"}) {
+    const std::string value = StatsField(stats, name);
+    EXPECT_FALSE(value.empty()) << name << " missing from " << stats;
+    const auto server = samples.find("pane_server_" + name + "_total");
+    ASSERT_NE(server, samples.end()) << name;
+    EXPECT_EQ(server->second, value) << name;
+    if (name == "timeouts" || name == "rejected") {
+      const auto transport =
+          samples.find("pane_transport_" + name + "_total");
+      ASSERT_NE(transport, samples.end()) << name;
+      EXPECT_EQ(transport->second, value) << name;
+    }
+  }
+}
+
 class PaneServerTest : public ::testing::Test {
  protected:
   PaneServerTest()
       : engine_(MakeEngine(TrainedFixture::Get().embedding, EngineOptions())) {}
 
-  std::string Serve(const std::string& script,
-                    const serve::ServerOptions& options,
-                    serve::PaneServer::Counters* counters = nullptr) {
+  std::string Serve(const std::string& script, serve::ServerOptions options,
+                    obs::MetricsRegistry* registry = nullptr) {
+    options.metrics = registry;
     serve::PaneServer server(&engine_, options);
     std::istringstream in(script);
     std::ostringstream out;
     server.ServeStream(in, out);
-    if (counters != nullptr) *counters = server.counters();
     return out.str();
   }
 
@@ -715,14 +842,14 @@ TEST_F(PaneServerTest, BatchingPreservesRequestOrder) {
 TEST_F(PaneServerTest, DedupAndCacheCounters) {
   serve::ServerOptions options;
   options.batch_size = 8;
-  serve::PaneServer::Counters counters;
+  obs::MetricsRegistry registry;
   // Same request thrice in one batch (dedup), then again after a flush
   // (cache hit).
   const std::string out = Serve(
-      "attr 5 3\nattr 5 3\nattr 5 3\n\nattr 5 3\nstats\n", options, &counters);
-  EXPECT_EQ(counters.dedup_hits, 2u);
-  EXPECT_EQ(counters.cache_hits, 1u);
-  EXPECT_EQ(counters.requests, 5u);
+      "attr 5 3\nattr 5 3\nattr 5 3\n\nattr 5 3\nstats\n", options, &registry);
+  EXPECT_EQ(Count(registry, "pane_server_dedup_hits_total"), 2u);
+  EXPECT_EQ(Count(registry, "pane_server_cache_hits_total"), 1u);
+  EXPECT_EQ(Count(registry, "pane_server_requests_total"), 5u);
   // All four attr responses must be identical.
   std::istringstream lines(out);
   std::string first, line;
@@ -739,22 +866,23 @@ TEST_F(PaneServerTest, DedupAndCacheCounters) {
 TEST_F(PaneServerTest, CacheEvictionWithTinyCapacity) {
   serve::ServerOptions options;
   options.cache_capacity = 1;
-  serve::PaneServer::Counters counters;
+  obs::MetricsRegistry one;
   // a, b evicts a, re-asking a misses, re-asking b after a misses too.
-  Serve("attr 0 2\n\nattr 1 2\n\nattr 0 2\n\nattr 1 2\n", options, &counters);
-  EXPECT_EQ(counters.cache_hits, 0u);
+  Serve("attr 0 2\n\nattr 1 2\n\nattr 0 2\n\nattr 1 2\n", options, &one);
+  EXPECT_EQ(Count(one, "pane_server_cache_hits_total"), 0u);
   // With capacity 2 both repeats hit.
   options.cache_capacity = 2;
-  Serve("attr 0 2\n\nattr 1 2\n\nattr 0 2\n\nattr 1 2\n", options, &counters);
-  EXPECT_EQ(counters.cache_hits, 2u);
+  obs::MetricsRegistry two;
+  Serve("attr 0 2\n\nattr 1 2\n\nattr 0 2\n\nattr 1 2\n", options, &two);
+  EXPECT_EQ(Count(two, "pane_server_cache_hits_total"), 2u);
 }
 
 TEST_F(PaneServerTest, MalformedAndOutOfRangeRequestsGetErrors) {
   serve::ServerOptions options;
-  serve::PaneServer::Counters counters;
+  obs::MetricsRegistry registry;
   const std::string out = Serve(
       "nonsense\nattr 999999 3\npair 0 999999\nattr 0 2\n", options,
-      &counters);
+      &registry);
   std::istringstream lines(out);
   std::string line;
   ASSERT_TRUE(std::getline(lines, line));
@@ -765,7 +893,7 @@ TEST_F(PaneServerTest, MalformedAndOutOfRangeRequestsGetErrors) {
   EXPECT_EQ(line, "err id out of range");
   ASSERT_TRUE(std::getline(lines, line));
   EXPECT_EQ(line.rfind("attr 0 ok", 0), 0u);
-  EXPECT_EQ(counters.errors, 3u);
+  EXPECT_EQ(Count(registry, "pane_server_errors_total"), 3u);
 }
 
 TEST_F(PaneServerTest, QuitStopsTheStream) {
@@ -806,24 +934,9 @@ TEST_F(PaneServerTest, ServesOverTcp) {
   ASSERT_TRUE(port.ok()) << port.status();
   std::thread acceptor([&server] { server.AcceptLoop(); });
 
-  const int fd = socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(*port));
-  ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0)
-      << std::strerror(errno);
-  const std::string request = "attr 4 3\nquit\n";
-  ASSERT_EQ(write(fd, request.data(), request.size()),
-            static_cast<ssize_t>(request.size()));
-  std::string response;
-  char buf[4096];
-  ssize_t got = 0;
-  while ((got = read(fd, buf, sizeof(buf))) > 0) {
-    response.append(buf, static_cast<size_t>(got));
-  }
+  const int fd = ConnectLoopback(*port);
+  WriteAll(fd, "attr 4 3\nquit\n");
+  const std::string response = ReadFrom(fd);
   close(fd);
   server.Shutdown();
   acceptor.join();
@@ -835,6 +948,69 @@ TEST_F(PaneServerTest, ServesOverTcp) {
   r.k = 3;
   EXPECT_EQ(response,
             serve::FormatRanking(r, expected_ranking[0]) + "\nbye\n");
+}
+
+TEST_F(PaneServerTest, StatsAndMetricsRenderOneRegistry) {
+  obs::MetricsRegistry registry;
+  serve::ServerOptions options;
+  options.metrics = &registry;
+  serve::PaneServer server(&engine_, options);
+  // A framed session: two equal requests in one batch (one dedup hit).
+  std::string frames;
+  serve::AppendFrame("attr 5 3", &frames);
+  serve::AppendFrame("attr 5 3", &frames);
+  std::istringstream framed_in(frames);
+  std::ostringstream framed_out;
+  server.ServeStream(framed_in, framed_out);
+  // A line session: the same request again (a cache hit) and a malformed
+  // line, then stats and metrics in one batch of their own.
+  std::istringstream in("attr 5 3\nnonsense\n\nstats\nmetrics\n");
+  std::ostringstream out;
+  server.ServeStream(in, out);
+
+  std::string stats;
+  std::string exposition;
+  SplitStatsAndMetrics(out.str(), &stats, &exposition);
+  EXPECT_EQ(stats.rfind("stats ok requests=5 batches=1 dedup_hits=1 "
+                        "cache_hits=1 errors=1 timeouts=0 rejected=0 "
+                        "frames=2 ",
+                        0),
+            0u)
+      << stats;
+  ExpectStatsMatchSamples(stats, ParseExposition(exposition));
+}
+
+TEST_F(PaneServerTest, RefusedConnectionCountsOnceInStatsAndMetrics) {
+  obs::MetricsRegistry registry;
+  serve::ServerOptions options;
+  options.metrics = &registry;
+  options.max_connections = 1;
+  serve::PaneServer server(&engine_, options);
+  auto port = server.ListenTcp(0);
+  ASSERT_TRUE(port.ok()) << port.status();
+  std::thread acceptor([&server] { server.AcceptLoop(); });
+
+  const int held = ConnectLoopback(*port);
+  // A served request proves `held` is admitted before the second connect.
+  WriteAll(held, "attr 0 1\n");
+  ReadFrom(held, "\n");
+  const int refused = ConnectLoopback(*port);
+  EXPECT_EQ(ReadFrom(refused), "err server busy\n");
+  close(refused);
+  WriteAll(held, "stats\nmetrics\nquit\n");
+  const std::string response = ReadFrom(held);
+  close(held);
+  server.Shutdown();
+  acceptor.join();
+
+  std::string stats;
+  std::string exposition;
+  SplitStatsAndMetrics(response, &stats, &exposition);
+  EXPECT_EQ(StatsField(stats, "rejected"), "1") << stats;
+  const std::map<std::string, std::string> samples =
+      ParseExposition(exposition.substr(0, exposition.rfind("bye\n")));
+  EXPECT_EQ(samples.at("pane_transport_rejected_total"), "1");
+  ExpectStatsMatchSamples(stats, samples);
 }
 
 }  // namespace

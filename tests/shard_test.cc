@@ -551,7 +551,8 @@ TEST(ShardRouterTest, RoutedMetricsCountEachFrontBatchOnce) {
       EXPECT_NE(response.find(" ok "), std::string::npos) << response;
     }
   }
-  const uint64_t batches = server.counters().batches;
+  const uint64_t batches =
+      registry.GetCounter("pane_server_batches_total")->value();
   EXPECT_EQ(batches, static_cast<uint64_t>(kBatches));
   EXPECT_EQ(registry.GetHistogram("pane_server_batch_us")->TakeSnapshot().count,
             batches);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "src/matrix/dense_matrix.h"
+#include "src/obs/metrics.h"
 #include "src/serve/frame_protocol.h"
 #include "src/serve/protocol.h"
 #include "src/serve/query_engine.h"
@@ -114,12 +115,19 @@ bool NoDelay(int fd) {
   return value != 0;
 }
 
-/// A server running its transport loop on a background thread.
+serve::ServerOptions WithRegistry(serve::ServerOptions options,
+                                  obs::MetricsRegistry* registry) {
+  options.metrics = registry;
+  return options;
+}
+
+/// A server running its transport loop on a background thread, recording
+/// into a registry of its own.
 class RunningServer {
  public:
   RunningServer(const serve::QueryEngine* engine,
                 const serve::ServerOptions& options)
-      : server_(engine, options) {
+      : server_(engine, WithRegistry(options, &registry_)) {
     const auto port = server_.ListenTcp(0);
     EXPECT_TRUE(port.ok()) << port.status();
     port_ = *port;
@@ -132,9 +140,13 @@ class RunningServer {
   }
 
   int port() const { return port_; }
-  serve::PaneServer& server() { return server_; }
+  /// The value of the registry's counter `name`.
+  uint64_t Count(const char* name) {
+    return registry_.GetCounter(name)->value();
+  }
 
  private:
+  obs::MetricsRegistry registry_;  // declared first: outlives server_
   serve::PaneServer server_;
   int port_ = 0;
   std::thread loop_;
@@ -187,7 +199,7 @@ TEST(EpollTransportTest, FrameConversationOverTcp) {
   ASSERT_EQ(payloads.size(), 2u);
   EXPECT_EQ(payloads[0].rfind("attr 2 ok", 0), 0u);
   EXPECT_EQ(payloads[1], "bye");
-  EXPECT_EQ(running.server().counters().frames, 2u);
+  EXPECT_EQ(running.Count("pane_server_frames_total"), 2u);
 }
 
 TEST(EpollTransportTest, ByteAtATimeRequestsAcrossWakeups) {
@@ -224,8 +236,8 @@ TEST(EpollTransportTest, MaxConnectionsRefusesGracefullyAndCounts) {
   EXPECT_EQ(ReadUntilEof(refused), "err server busy\n");
   close(refused);
 
-  // The refusal is visible both through counters() and the stats request.
-  EXPECT_EQ(running.server().counters().rejected, 1u);
+  // The refusal is visible both in the registry and the stats request.
+  EXPECT_EQ(running.Count("pane_transport_rejected_total"), 1u);
   WriteAll(held, "stats\n");
   const std::string stats = ReadUntilSuffix(held, "\n");
   EXPECT_NE(stats.find(" rejected=1"), std::string::npos) << stats;
@@ -243,7 +255,7 @@ TEST(EpollTransportTest, IdleConnectionsAreReaped) {
   // without the client ever completing a request.
   EXPECT_EQ(ReadUntilEof(fd), "");
   close(fd);
-  EXPECT_EQ(running.server().counters().timeouts, 1u);
+  EXPECT_EQ(running.Count("pane_transport_timeouts_total"), 1u);
 
   // An active connection with the same timeout still gets answered.
   const int active = ConnectLoopback(running.port());
@@ -292,7 +304,7 @@ TEST(EpollTransportTest, ManySequentialConnections) {
     close(fd);
     EXPECT_EQ(response.rfind("pair 0 1 ok", 0), 0u) << response;
   }
-  EXPECT_EQ(running.server().counters().requests, 40u);
+  EXPECT_EQ(running.Count("pane_server_requests_total"), 40u);
 }
 
 // Nagle would hold a response sent while the previous one is unacked until

@@ -98,6 +98,12 @@
 # finished phase freed back to the OS at the phase boundaries. A trim
 # inside a phase would cost its time on every call and hide which phase
 # sets the peak; a second release point cannot grow back beside the one.
+#
+# Rule 14 — one exposition renderer: in src/ and examples/, the literal
+# `# TYPE` may appear ONLY under src/obs/, where
+# MetricsRegistry::RenderPrometheus writes every family. A count a server
+# keeps is a registry counter, so a second, hand-written rendering of it
+# (and a second book of the same events behind it) cannot grow back.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -299,6 +305,18 @@ if [[ -n "$trim_hits" ]]; then
   echo "$trim_hits" >&2
   echo "lint: freed heap goes back at Pane::Train's phase boundaries" >&2
   echo "lint: (EndPhase), not inside a phase" >&2
+  status=1
+fi
+
+# --- Rule 14: Prometheus families rendered outside the registry ----------
+type_hits=$(grep -rn '# TYPE' src examples \
+              --include='*.h' --include='*.cc' --include='*.cpp' \
+            | grep -Ev '^src/obs/' || true)
+if [[ -n "$type_hits" ]]; then
+  echo "lint: '# TYPE' outside src/obs/:" >&2
+  echo "$type_hits" >&2
+  echo "lint: count into an obs::MetricsRegistry counter and let" >&2
+  echo "lint: RenderPrometheus write the family" >&2
   status=1
 fi
 
